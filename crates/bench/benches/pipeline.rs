@@ -3,9 +3,7 @@
 //! and distributed over 4 simulated ranks.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dmbs_bench::{train_local, train_replicated};
-use dmbs_gnn::trainer::SamplerChoice;
-use dmbs_gnn::TrainingConfig;
+use dmbs_bench::{train_local, train_replicated, SamplerChoice, TrainingConfig};
 use dmbs_graph::datasets::{build_dataset, DatasetConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

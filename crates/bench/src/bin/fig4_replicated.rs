@@ -8,9 +8,9 @@
 //! scaling behaviour.
 
 use dmbs_bench::{
-    dataset, print_table, replication_for, sage_training_config, secs, train_replicated, Scale,
+    dataset, print_table, replication_for, sage_training_config, secs, train_replicated,
+    SamplerChoice, Scale,
 };
-use dmbs_gnn::trainer::SamplerChoice;
 use dmbs_graph::datasets::DatasetKind;
 
 fn main() {

@@ -6,9 +6,9 @@
 //! the degradation the paper reports (over 2x slower on Papers).
 
 use dmbs_bench::{
-    dataset, print_table, replication_for, sage_training_config, secs, train_replicated, Scale,
+    dataset, print_table, replication_for, sage_training_config, secs, train_replicated,
+    SamplerChoice, Scale,
 };
-use dmbs_gnn::trainer::SamplerChoice;
 use dmbs_graph::datasets::DatasetKind;
 
 fn main() {

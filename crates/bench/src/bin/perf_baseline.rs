@@ -1721,7 +1721,7 @@ fn print_autotune_records(records: &[AutotuneRecord]) {
 /// `β = 50 ns/word`) so the schedule knobs are load-bearing next to the tiny
 /// CPU workload.
 fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
-    use dmbs_comm::tune::{self, ProbeEpoch, ProbeSet, TuningChoice, TuningGrid, TuningModel};
+    use dmbs_comm::tune::{self, ProbeEpoch, ProbeSet, Schedule, TuningGrid, TuningModel};
     use dmbs_gnn::{FeatureCacheConfig as CacheMode, TrainingReport, TrainingSession};
     use dmbs_graph::datasets::{build_dataset, DatasetConfig};
     use dmbs_sampling::{DistConfig, ReplicatedBackend};
@@ -1759,28 +1759,17 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
             .seed(42)
             .without_evaluation()
     };
-    let train =
-        |p: usize, c: usize, choice: &TuningChoice, n_epochs: usize| -> (TrainingReport, f64) {
-            let cache = match choice.cache {
-                tune::CacheKnob::Off => CacheMode::Off,
-                tune::CacheKnob::EpochPinned => CacheMode::EpochPinned,
-                tune::CacheKnob::Lru { byte_budget } => CacheMode::Lru { byte_budget },
-            };
-            let session = builder(p, c)
-                .epochs(n_epochs)
-                .feature_cache(cache)
-                .wire_codec(choice.codec)
-                .overlap(choice.overlap)
-                .build()
-                .expect("session");
-            let start = Instant::now();
-            let report = session.train().expect("training");
-            (report, start.elapsed().as_secs_f64())
-        };
-    let probe_choice = |cache: tune::CacheKnob, codec: Codec, overlap: bool| TuningChoice {
-        cache,
-        codec,
-        overlap,
+    let train = |p: usize, c: usize, choice: &Schedule, n_epochs: usize| -> (TrainingReport, f64) {
+        let session = builder(p, c)
+            .epochs(n_epochs)
+            .feature_cache(choice.cache)
+            .wire_codec(choice.codec)
+            .overlap(choice.overlap)
+            .build()
+            .expect("session");
+        let start = Instant::now();
+        let report = session.train().expect("training");
+        (report, start.elapsed().as_secs_f64())
     };
 
     let mut records = Vec::new();
@@ -1788,16 +1777,17 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
         // Probe: one-epoch runs book the workload under each calibrating
         // knob — the same five probes `builder().auto()` would run (the two
         // lossy probes calibrate codec savings for the lossy-admitted grid).
-        let probe = |cache, codec, overlap| -> ProbeEpoch {
-            let (report, _) = train(p, c, &probe_choice(cache, codec, overlap), 1);
+        let probe = |schedule: Schedule| -> ProbeEpoch {
+            let (report, _) = train(p, c, &schedule, 1);
             ProbeEpoch::from_books(&report.epochs[0].profile, &report.epochs[0].comm)
         };
+        let pinned = Schedule { cache: CacheMode::EpochPinned, ..Schedule::default() };
         let probes = ProbeSet {
-            baseline: probe(tune::CacheKnob::Off, Codec::Exact, false),
-            pinned: probe(tune::CacheKnob::EpochPinned, Codec::Exact, false),
-            fp16: Some(probe(tune::CacheKnob::EpochPinned, Codec::Fp16, false)),
-            int8: Some(probe(tune::CacheKnob::EpochPinned, Codec::Int8, false)),
-            overlapped: (c > 1).then(|| probe(tune::CacheKnob::EpochPinned, Codec::Exact, true)),
+            baseline: probe(Schedule::default()),
+            pinned: probe(pinned),
+            fp16: Some(probe(Schedule { codec: Codec::Fp16, ..pinned })),
+            int8: Some(probe(Schedule { codec: Codec::Int8, ..pinned })),
+            overlapped: (c > 1).then(|| probe(Schedule { overlap: true, ..pinned })),
         };
         let model = TuningModel::fit(cost, p, probes).expect("probe books must balance");
 
@@ -1810,7 +1800,7 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
         let lossy = tune::search(&model, &lossy_grid);
         assert_eq!(
             lossless.scored[0].choice,
-            TuningChoice::baseline(),
+            Schedule::default(),
             "p={p} c={c}: candidate 0 must be the default schedule"
         );
         let default_pred = &lossless.scored[0];

@@ -4,8 +4,7 @@
 //! (b) the conventional per-vertex sampler on the Products stand-in, and
 //! reports test accuracy for both, plus the chance level.
 
-use dmbs_bench::{dataset, print_table, sage_training_config, train_local, Scale};
-use dmbs_gnn::trainer::SamplerChoice;
+use dmbs_bench::{dataset, print_table, sage_training_config, train_local, SamplerChoice, Scale};
 use dmbs_graph::datasets::DatasetKind;
 
 fn main() {

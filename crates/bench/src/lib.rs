@@ -15,12 +15,12 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use dmbs_gnn::trainer::SamplerChoice;
-use dmbs_gnn::{EpochStats, TrainingConfig, TrainingReport, TrainingSession};
+use dmbs_gnn::{EpochStats, SessionBuilder, TrainingReport, TrainingSession};
 use dmbs_graph::datasets::{build_dataset, Dataset, DatasetConfig, DatasetKind};
 use dmbs_sampling::baseline::PerVertexSageSampler;
 use dmbs_sampling::{
-    BulkSamplerConfig, DistConfig, GraphSageSampler, LocalBackend, ReplicatedBackend,
+    BulkSamplerConfig, DistConfig, GraphSageSampler, LocalBackend, ReplicatedBackend, Sampler,
+    SamplingBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -81,12 +81,42 @@ fn kind_seed(kind: DatasetKind) -> u64 {
     }
 }
 
+/// Which sampler a harness training run uses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SamplerChoice {
+    /// The paper's matrix-based bulk GraphSAGE sampler.
+    MatrixSage,
+    /// The Quiver-style per-vertex baseline.
+    PerVertexSage,
+}
+
+/// Hyper-parameters of a harness training run (Table 4 of the paper: 3-layer
+/// SAGE, fanout (15, 10, 5), hidden dimension 256, batch size 1024 — see
+/// [`sage_training_config`] for the scaled-down values the harnesses use).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrainingConfig {
+    /// Per-layer fanouts of the GraphSAGE sampler (outermost first).
+    pub fanouts: Vec<usize>,
+    /// Hidden dimension of every SAGE layer.
+    pub hidden_dim: usize,
+    /// Minibatch size `b`.
+    pub batch_size: usize,
+    /// Number of minibatches `k` sampled per bulk sampling call.
+    pub bulk_size: usize,
+    /// SGD learning rate.
+    pub learning_rate: f64,
+    /// Number of training epochs.
+    pub epochs: usize,
+    /// Base RNG seed (model init, shuffling, sampling).
+    pub seed: u64,
+}
+
 /// Scaled-down training hyper-parameters derived from Table 4: the fanout
 /// structure and layer count are the paper's, the batch size is shrunk with
 /// the graphs.
-pub fn sage_training_config(dataset: &Dataset) -> dmbs_gnn::TrainingConfig {
+pub fn sage_training_config(dataset: &Dataset) -> TrainingConfig {
     let batch_size = (dataset.train_set.len() / 8).clamp(8, 256);
-    dmbs_gnn::TrainingConfig {
+    TrainingConfig {
         fanouts: vec![15, 10, 5],
         hidden_dim: 64,
         batch_size,
@@ -97,9 +127,26 @@ pub fn sage_training_config(dataset: &Dataset) -> dmbs_gnn::TrainingConfig {
     }
 }
 
+/// The session both harness entry points train: `config`'s hyper-parameters
+/// over the given sampler and backend.
+fn session_builder<S: Sampler, B: SamplingBackend>(
+    dataset: &Arc<Dataset>,
+    config: &TrainingConfig,
+    sampler: S,
+    backend: B,
+) -> SessionBuilder<S, B> {
+    TrainingSession::builder()
+        .dataset(Arc::clone(dataset))
+        .sampler(sampler)
+        .backend(backend)
+        .hidden_dim(config.hidden_dim)
+        .learning_rate(config.learning_rate)
+        .epochs(config.epochs)
+        .seed(config.seed)
+}
+
 /// Trains on a single device through a [`TrainingSession`] with a
-/// [`LocalBackend`] (streaming bulk prefetch), mirroring the legacy
-/// `train_single_device` harness entry point.
+/// [`LocalBackend`] (streaming bulk prefetch).
 ///
 /// # Panics
 ///
@@ -110,36 +157,28 @@ pub fn train_local(
     config: &TrainingConfig,
     choice: SamplerChoice,
 ) -> TrainingReport {
+    fn run<S: Sampler + Send + Sync + 'static>(
+        builder: SessionBuilder<S, LocalBackend>,
+    ) -> TrainingReport {
+        builder.build().and_then(|s| s.train()).expect("single-device training failed")
+    }
     let backend = LocalBackend::new(BulkSamplerConfig::new(config.batch_size, config.bulk_size))
         .expect("valid bulk configuration");
-    let report = match choice {
-        SamplerChoice::MatrixSage => TrainingSession::builder()
-            .dataset(Arc::clone(dataset))
-            .sampler(GraphSageSampler::new(config.fanouts.clone()).with_self_loops())
-            .backend(backend)
-            .hidden_dim(config.hidden_dim)
-            .learning_rate(config.learning_rate)
-            .epochs(config.epochs)
-            .seed(config.seed)
-            .build()
-            .and_then(|s| s.train()),
-        SamplerChoice::PerVertexSage => TrainingSession::builder()
-            .dataset(Arc::clone(dataset))
-            .sampler(PerVertexSageSampler::new(config.fanouts.clone()).with_self_loops())
-            .backend(backend)
-            .hidden_dim(config.hidden_dim)
-            .learning_rate(config.learning_rate)
-            .epochs(config.epochs)
-            .seed(config.seed)
-            .build()
-            .and_then(|s| s.train()),
-    };
-    report.expect("single-device training failed")
+    let fanouts = config.fanouts.clone();
+    match choice {
+        SamplerChoice::MatrixSage => {
+            let sampler = GraphSageSampler::new(fanouts).with_self_loops();
+            run(session_builder(dataset, config, sampler, backend))
+        }
+        SamplerChoice::PerVertexSage => {
+            let sampler = PerVertexSageSampler::new(fanouts).with_self_loops();
+            run(session_builder(dataset, config, sampler, backend))
+        }
+    }
 }
 
 /// Trains data-parallel over `p` simulated ranks through a
-/// [`TrainingSession`] with a [`ReplicatedBackend`], mirroring the legacy
-/// `train_distributed` harness entry point.
+/// [`TrainingSession`] with a [`ReplicatedBackend`].
 ///
 /// # Panics
 ///
@@ -152,41 +191,29 @@ pub fn train_replicated(
     replicate_features: bool,
     choice: SamplerChoice,
 ) -> Vec<EpochStats> {
+    fn run<S: Sampler + Send + Sync + 'static>(
+        builder: SessionBuilder<S, ReplicatedBackend>,
+        c: usize,
+        replicate_features: bool,
+    ) -> Vec<EpochStats> {
+        let builder = builder.partition(c).without_evaluation();
+        let builder =
+            if replicate_features { builder } else { builder.without_feature_replication() };
+        builder.build().and_then(|s| s.train()).expect("distributed training failed").epochs
+    }
     let dist = DistConfig::new(p, c, BulkSamplerConfig::new(config.batch_size, config.bulk_size));
     let backend = ReplicatedBackend::new(dist).expect("valid distribution configuration");
-    let report = match choice {
+    let fanouts = config.fanouts.clone();
+    match choice {
         SamplerChoice::MatrixSage => {
-            let builder = TrainingSession::builder()
-                .dataset(Arc::clone(dataset))
-                .sampler(GraphSageSampler::new(config.fanouts.clone()).with_self_loops())
-                .backend(backend)
-                .partition(c)
-                .hidden_dim(config.hidden_dim)
-                .learning_rate(config.learning_rate)
-                .epochs(config.epochs)
-                .seed(config.seed)
-                .without_evaluation();
-            let builder =
-                if replicate_features { builder } else { builder.without_feature_replication() };
-            builder.build().and_then(|s| s.train())
+            let sampler = GraphSageSampler::new(fanouts).with_self_loops();
+            run(session_builder(dataset, config, sampler, backend), c, replicate_features)
         }
         SamplerChoice::PerVertexSage => {
-            let builder = TrainingSession::builder()
-                .dataset(Arc::clone(dataset))
-                .sampler(PerVertexSageSampler::new(config.fanouts.clone()).with_self_loops())
-                .backend(backend)
-                .partition(c)
-                .hidden_dim(config.hidden_dim)
-                .learning_rate(config.learning_rate)
-                .epochs(config.epochs)
-                .seed(config.seed)
-                .without_evaluation();
-            let builder =
-                if replicate_features { builder } else { builder.without_feature_replication() };
-            builder.build().and_then(|s| s.train())
+            let sampler = PerVertexSageSampler::new(fanouts).with_self_loops();
+            run(session_builder(dataset, config, sampler, backend), c, replicate_features)
         }
-    };
-    report.expect("distributed training failed").epochs
+    }
 }
 
 /// The replication factor used for a given rank count, mirroring the paper's
@@ -1094,6 +1121,50 @@ mod tests {
         let cfg = sage_training_config(&d);
         assert_eq!(cfg.fanouts.len(), 3);
         assert!(cfg.batch_size >= 8);
+    }
+
+    fn tiny_run() -> (Arc<Dataset>, TrainingConfig) {
+        let mut cfg = DatasetConfig::products_like(7); // 128 vertices
+        cfg.feature_dim = 16;
+        cfg.num_classes = 4;
+        cfg.train_fraction = 0.5;
+        cfg.homophily = 0.6;
+        let dataset = build_dataset(&cfg, &mut StdRng::seed_from_u64(2)).unwrap();
+        let config = TrainingConfig {
+            fanouts: vec![5, 5],
+            hidden_dim: 16,
+            batch_size: 16,
+            bulk_size: 4,
+            learning_rate: 0.05,
+            epochs: 3,
+            seed: 42,
+        };
+        (Arc::new(dataset), config)
+    }
+
+    #[test]
+    fn matrix_and_pervertex_samplers_reach_similar_accuracy() {
+        // The §8.1.3 claim: the bulk matrix sampling optimization does not
+        // change model accuracy relative to conventional per-vertex sampling.
+        let (dataset, config) = tiny_run();
+        let matrix = train_local(&dataset, &config, SamplerChoice::MatrixSage);
+        let pervertex = train_local(&dataset, &config, SamplerChoice::PerVertexSage);
+        let a = matrix.test_accuracy.unwrap();
+        let b = pervertex.test_accuracy.unwrap();
+        assert!((a - b).abs() < 0.2, "matrix {a} vs per-vertex {b} accuracy diverged");
+    }
+
+    #[test]
+    fn norep_fetches_more_data_than_replicated() {
+        // With c = p the whole feature matrix sits in every rank's process
+        // row, so feature fetching ships nothing; NoRep must ship feature rows.
+        let (dataset, mut config) = tiny_run();
+        config.epochs = 1;
+        for choice in [SamplerChoice::MatrixSage, SamplerChoice::PerVertexSage] {
+            let rep = train_replicated(&dataset, &config, 4, 4, true, choice);
+            let norep = train_replicated(&dataset, &config, 4, 4, false, choice);
+            assert!(norep[0].comm.words_sent > rep[0].comm.words_sent, "{choice:?}");
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use runtime::{RankOutput, Runtime, TransportSelect};
 pub use socket::{SocketConfig, UnixSocketTransport};
 pub use transport::{Frame, FrameBody, SimTransport, Transport, TransportMode};
 pub use tune::{
-    CacheKnob, CostBreakdown, ProbeEpoch, ProbeSet, ScoredChoice, TuningChoice, TuningGrid,
+    CostBreakdown, FeatureCacheConfig, ProbeEpoch, ProbeSet, Schedule, ScoredChoice, TuningGrid,
     TuningModel, TuningOutcome,
 };
 

@@ -350,6 +350,11 @@ fn run_socket_workers_in(
     // Collect one report per rank, watching for child deaths the whole time.
     let deadline = Instant::now() + timeout;
     let mut reports: Vec<Option<WorkerReport>> = (0..size).map(|_| None).collect();
+    // A rank's last acts are "connect, write its report" and then "exit", so
+    // a report can land in the accept queue between a `WouldBlock` and the
+    // `try_wait` below.  An exit is therefore believed only on the second
+    // sighting: the `accept` calls in between drain any such report first.
+    let mut seen_exited = vec![false; size];
     let mut collected = 0;
     while collected < size {
         match listener.accept() {
@@ -379,11 +384,16 @@ fn run_socket_workers_in(
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 // No report pending: check for dead children, then deadline.
                 let mut dead: Option<(usize, String)> = None;
+                let mut recheck = false;
                 for (rank, child) in children.iter_mut() {
                     if reports[*rank].is_some() {
                         continue;
                     }
                     if let Ok(Some(status)) = child.try_wait() {
+                        if !std::mem::replace(&mut seen_exited[*rank], true) {
+                            recheck = true;
+                            continue;
+                        }
                         let detail = drain_stderr(child);
                         dead = Some((
                             *rank,
@@ -395,6 +405,9 @@ fn run_socket_workers_in(
                 if let Some((rank, message)) = dead {
                     kill_all(&mut children);
                     return Err(CommError::RankPanicked { rank, message });
+                }
+                if recheck {
+                    continue;
                 }
                 if Instant::now() >= deadline {
                     kill_all(&mut children);

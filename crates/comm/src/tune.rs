@@ -18,11 +18,11 @@
 //! [`PhaseProfile`] with **predicted** α–β communication from
 //! [`CostModel`], extended with one term per knob:
 //!
-//! * **cache words-saved** — the [`CacheKnob::EpochPinned`] candidate is
-//!   charged the pinned probe's word count; the uncached candidate the
-//!   baseline probe's.  The two are tied by the double-entry identity
-//!   `words(pinned) + words_saved(pinned) == words(uncached)`, which
-//!   [`TuningModel::fit`] verifies.
+//! * **cache words-saved** — the [`FeatureCacheConfig::EpochPinned`]
+//!   candidate is charged the pinned probe's word count; the uncached
+//!   candidate the baseline probe's.  The two are tied by the double-entry
+//!   identity `words(pinned) + words_saved(pinned) == words(uncached)`,
+//!   which [`TuningModel::fit`] verifies.
 //! * **codec bytes-on-wire** — lossy candidates are credited the
 //!   `bytes_saved` a one-epoch probe of that codec actually booked, so the β
 //!   charge follows real encoded bytes (including the Int8 per-row scale
@@ -44,85 +44,93 @@
 //! the repository's `TUNING.md` guide.
 
 use crate::codec::Codec;
+use crate::collectives::Payload;
 use crate::cost::{CommStats, CostModel};
 use crate::error::CommError;
 use crate::grid::ProcessGrid;
 use crate::profile::{Phase, PhaseProfile};
-use crate::Result;
+use crate::{wire, Result};
 use std::fmt;
 
-/// The feature-cache knob of a candidate schedule.
-///
-/// This mirrors the session-level cache configuration (`FeatureCacheConfig`
-/// in the `gnn` crate) without depending on it, so the tuner stays a pure
-/// `comm`-layer component.  Declaration order is the lexicographic rank used
-/// by the deterministic tie-break: `Off < EpochPinned < Lru`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheKnob {
-    /// No cache: every minibatch step fetches its frontier rows fresh.
+/// The per-rank feature-cache mode of a [`Schedule`] (the cache itself is
+/// `FeatureCache` in the `gnn` crate, which re-exports this enum).
+/// Declaration order is the lexicographic rank used by the tuner's
+/// deterministic tie-break: `Off < EpochPinned < Lru`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum FeatureCacheConfig {
+    /// No caching: every minibatch re-fetches its full frontier (the
+    /// baseline all-to-allv pipeline).
+    #[default]
     Off,
-    /// Per-bulk-group prefetch pinned for the epoch — each remote row
-    /// crosses the wire at most once per epoch.
+    /// Epoch-static pinning: the union of the planned frontiers is
+    /// prefetched once per bulk group and stays resident for the epoch, so
+    /// each remote row crosses the wire at most once per epoch and the
+    /// per-step collectives vanish.
     EpochPinned,
-    /// Byte-budgeted read-through LRU cache.  Scored **pessimistically**
-    /// (no savings credited): how much an LRU with an arbitrary budget saves
-    /// depends on access locality the probes do not measure, and the tuner
-    /// never claims a benefit it cannot predict.
+    /// A bounded read-through cache for the streaming path: resident rows up
+    /// to the byte budget, least-recently-used eviction.  The per-step
+    /// collective still runs (so ranks stay matched), but only misses cross
+    /// the wire.  The tuner scores it **pessimistically** (no savings
+    /// credited): how much an LRU with an arbitrary budget saves depends on
+    /// access locality the probes do not measure, and the tuner never claims
+    /// a benefit it cannot predict.
     Lru {
-        /// Cache capacity in bytes.
+        /// Maximum resident feature bytes (8 bytes per `f64` word).
         byte_budget: usize,
     },
 }
 
-impl CacheKnob {
+impl FeatureCacheConfig {
+    /// True unless the mode is [`FeatureCacheConfig::Off`].
+    pub fn is_enabled(&self) -> bool {
+        !matches!(self, FeatureCacheConfig::Off)
+    }
+
     /// Lower-case name used by harness JSON records ("off", "pinned",
     /// "lru").
     pub fn name(self) -> &'static str {
         match self {
-            CacheKnob::Off => "off",
-            CacheKnob::EpochPinned => "pinned",
-            CacheKnob::Lru { .. } => "lru",
+            FeatureCacheConfig::Off => "off",
+            FeatureCacheConfig::EpochPinned => "pinned",
+            FeatureCacheConfig::Lru { .. } => "lru",
         }
     }
 
-    /// Lexicographic rank of the cache knob (its position in the canonical
-    /// enumeration order).
-    fn rank(self) -> usize {
+    /// Position in the canonical enumeration order; doubles as the wire tag.
+    fn rank(self) -> u64 {
         match self {
-            CacheKnob::Off => 0,
-            CacheKnob::EpochPinned => 1,
-            CacheKnob::Lru { .. } => 2,
+            FeatureCacheConfig::Off => 0,
+            FeatureCacheConfig::EpochPinned => 1,
+            FeatureCacheConfig::Lru { .. } => 2,
         }
     }
 }
 
-/// Lexicographic rank of a codec in the canonical enumeration order
-/// (`Exact < Fp16 < Int8`).
-fn codec_rank(codec: Codec) -> usize {
-    match codec {
-        Codec::Exact => 0,
-        Codec::Fp16 => 1,
-        Codec::Int8 => 2,
-    }
-}
-
-/// One candidate schedule over the tuned knobs: cache mode, wire codec,
-/// overlapped pipeline.
+/// A session's communication schedule: feature-cache mode, wire codec of the
+/// feature-fetch lanes, overlapped pipeline.  This is the one value the
+/// session builder fills, the tuner enumerates and returns, and the rank
+/// processes decode — the schedule the model scores *is* the schedule the
+/// ranks run.
+///
+/// The default is the untuned schedule — no cache, bit-exact codec,
+/// synchronous pipeline — and always the first candidate of every grid, so an
+/// all-ties search (e.g. a shape with no communication at all)
+/// deterministically keeps it.
 ///
 /// ```
-/// use dmbs_comm::tune::{CacheKnob, TuningChoice};
+/// use dmbs_comm::tune::{FeatureCacheConfig, Schedule};
 /// use dmbs_comm::Codec;
 ///
-/// let default = TuningChoice::baseline();
-/// assert_eq!(default.cache, CacheKnob::Off);
+/// let default = Schedule::default();
+/// assert_eq!(default.cache, FeatureCacheConfig::Off);
 /// assert_eq!(default.codec, Codec::Exact);
 /// assert!(!default.overlap);
 /// assert_eq!(default.to_string(), "cache=off codec=exact overlap=off");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TuningChoice {
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Schedule {
     /// Feature-cache mode.
-    pub cache: CacheKnob,
+    pub cache: FeatureCacheConfig,
     /// Wire codec of the feature-fetch lanes.
     pub codec: Codec,
     /// Whether the distributed training loop runs the software-pipelined
@@ -130,23 +138,31 @@ pub struct TuningChoice {
     pub overlap: bool,
 }
 
-impl TuningChoice {
-    /// The default (untuned) schedule: no cache, bit-exact codec,
-    /// synchronous pipeline.  Always the first candidate of every grid, so
-    /// an all-ties search — e.g. a shape with no communication at all —
-    /// deterministically keeps the default.
-    pub fn baseline() -> Self {
-        TuningChoice { cache: CacheKnob::Off, codec: Codec::Exact, overlap: false }
+impl Schedule {
+    /// Lexicographic key `(cache, codec, overlap)` implementing the
+    /// deterministic tie-break order (`Off < EpochPinned < Lru`, then
+    /// `Exact < Fp16 < Int8`, then `off < on`).
+    fn lex_key(&self) -> (u64, u64, bool) {
+        (self.cache.rank(), self.codec.tag(), self.overlap)
     }
 
-    /// Lexicographic key `(cache, codec, overlap)` implementing the
-    /// deterministic tie-break order.
-    fn lex_key(&self) -> (usize, usize, usize) {
-        (self.cache.rank(), codec_rank(self.codec), usize::from(self.overlap))
+    /// The one validity rule of the schedule knobs: an overlapped schedule
+    /// is *creditable* on a `p/c × c` grid only with `c > 1` **and** the
+    /// [`FeatureCacheConfig::EpochPinned`] cache — only the pinned prefetch
+    /// all-to-allv is hoisted by the pipelined schedule, and a
+    /// single-column shape leaves it nothing to hide behind.  Synchronous
+    /// schedules always pass.
+    ///
+    /// The tuner's [`TuningGrid`] never enumerates a schedule that fails
+    /// this.  A session asked to run one does not refuse: it trains
+    /// bit-identically to the synchronous schedule, hoisting only what it
+    /// can (the next group's sampling).
+    pub fn overlap_creditable(&self, c: usize) -> bool {
+        !self.overlap || (c > 1 && self.cache == FeatureCacheConfig::EpochPinned)
     }
 }
 
-impl fmt::Display for TuningChoice {
+impl fmt::Display for Schedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -155,6 +171,37 @@ impl fmt::Display for TuningChoice {
             self.codec.name(),
             if self.overlap { "on" } else { "off" }
         )
+    }
+}
+
+/// Wire order is cache, overlap, codec — the layout the train job has carried
+/// since its v3, so moving the codec here left every encoded job
+/// byte-identical.
+impl Payload for Schedule {
+    fn word_count(&self) -> usize {
+        3 + usize::from(matches!(self.cache, FeatureCacheConfig::Lru { .. }))
+    }
+    fn type_code() -> u64 {
+        wire::compose_type_code(33, &[])
+    }
+    fn encode(&self, out: &mut Vec<u8>) {
+        wire::put_u64(out, self.cache.rank());
+        if let FeatureCacheConfig::Lru { byte_budget } = self.cache {
+            wire::put_usize(out, byte_budget);
+        }
+        self.overlap.encode(out);
+        wire::put_u64(out, self.codec.tag());
+    }
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let cache = match wire::get_u64(input)? {
+            0 => FeatureCacheConfig::Off,
+            1 => FeatureCacheConfig::EpochPinned,
+            2 => FeatureCacheConfig::Lru { byte_budget: wire::get_usize(input)? },
+            _ => return None,
+        };
+        let overlap = bool::decode(input)?;
+        let codec = Codec::from_tag(wire::get_u64(input)?)?;
+        Some(Schedule { cache, codec, overlap })
     }
 }
 
@@ -208,7 +255,7 @@ impl ProbeEpoch {
 pub struct ProbeSet {
     /// The default schedule: cache off, `Codec::Exact`, synchronous.
     pub baseline: ProbeEpoch,
-    /// Cache [`CacheKnob::EpochPinned`], `Codec::Exact`, synchronous.
+    /// Cache [`FeatureCacheConfig::EpochPinned`], `Codec::Exact`, synchronous.
     pub pinned: ProbeEpoch,
     /// Cache pinned, `Codec::Fp16`, synchronous — calibrates the fp16
     /// bytes-on-wire term.
@@ -263,7 +310,7 @@ impl CostBreakdown {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredChoice {
     /// The candidate schedule.
-    pub choice: TuningChoice,
+    pub choice: Schedule,
     /// Its predicted per-epoch cost breakdown.
     pub cost: CostBreakdown,
 }
@@ -274,12 +321,10 @@ pub struct ScoredChoice {
 ///
 /// * `c` must divide `p` (the 1.5D grid constraint, validated via
 ///   [`ProcessGrid`] at construction);
-/// * `overlap` requires `c > 1` **and** the [`CacheKnob::EpochPinned`]
-///   cache — only the pinned prefetch all-to-allv is hoisted by the
-///   pipelined schedule, and a single-column shape leaves it nothing to
-///   hide behind;
-/// * [`CacheKnob::Lru`] candidates appear only when a byte budget was
-///   supplied via [`TuningGrid::with_lru_budget`];
+/// * `overlap` must be creditable at this `c`
+///   ([`Schedule::overlap_creditable`]);
+/// * [`FeatureCacheConfig::Lru`] candidates appear only when a byte budget
+///   was supplied via [`TuningGrid::with_lru_budget`];
 /// * lossy codecs appear only after [`TuningGrid::with_lossy`] — bit-exact
 ///   training is the default and quantization is strictly opt-in.
 ///
@@ -291,11 +336,10 @@ pub struct ScoredChoice {
 /// // Every enumerated candidate is valid, and the default schedule is
 /// // always the first (the all-ties winner).
 /// assert!(candidates.iter().all(|choice| grid.is_valid(choice)));
-/// assert_eq!(candidates[0], dmbs_comm::tune::TuningChoice::baseline());
+/// assert_eq!(candidates[0], dmbs_comm::tune::Schedule::default());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuningGrid {
-    p: usize,
     c: usize,
     lru_budget: Option<usize>,
     allow_lossy: bool,
@@ -310,11 +354,11 @@ impl TuningGrid {
     /// 1.5D process grid (`c` must divide `p`, both positive).
     pub fn new(p: usize, c: usize) -> Result<Self> {
         ProcessGrid::new(p, c)?;
-        Ok(TuningGrid { p, c, lru_budget: None, allow_lossy: false })
+        Ok(TuningGrid { c, lru_budget: None, allow_lossy: false })
     }
 
-    /// Admits [`CacheKnob::Lru`] candidates with this byte budget.  A zero
-    /// budget admits nothing.
+    /// Admits [`FeatureCacheConfig::Lru`] candidates with this byte budget.
+    /// A zero budget admits nothing.
     pub fn with_lru_budget(mut self, byte_budget: usize) -> Self {
         self.lru_budget = if byte_budget > 0 { Some(byte_budget) } else { None };
         self
@@ -326,35 +370,24 @@ impl TuningGrid {
         self
     }
 
-    /// Number of ranks `p` of the shape.
-    pub fn p(&self) -> usize {
-        self.p
-    }
-
-    /// Replication factor `c` of the shape.
-    pub fn c(&self) -> usize {
-        self.c
-    }
-
     /// Whether a candidate is a member of this grid.
-    pub fn is_valid(&self, choice: &TuningChoice) -> bool {
+    pub fn is_valid(&self, choice: &Schedule) -> bool {
         let cache_ok = match choice.cache {
-            CacheKnob::Off | CacheKnob::EpochPinned => true,
-            CacheKnob::Lru { byte_budget } => self.lru_budget == Some(byte_budget),
+            FeatureCacheConfig::Off | FeatureCacheConfig::EpochPinned => true,
+            FeatureCacheConfig::Lru { byte_budget } => self.lru_budget == Some(byte_budget),
         };
         let codec_ok = choice.codec == Codec::Exact || self.allow_lossy;
-        let overlap_ok = !choice.overlap || (self.c > 1 && choice.cache == CacheKnob::EpochPinned);
-        cache_ok && codec_ok && overlap_ok
+        cache_ok && codec_ok && choice.overlap_creditable(self.c)
     }
 
     /// Enumerates every valid candidate in canonical lexicographic order:
     /// cache (`Off < EpochPinned < Lru`), then codec
     /// (`Exact < Fp16 < Int8`), then overlap (`off < on`).  The first
-    /// candidate is always [`TuningChoice::baseline`].
-    pub fn candidates(&self) -> Vec<TuningChoice> {
-        let mut caches = vec![CacheKnob::Off, CacheKnob::EpochPinned];
+    /// candidate is always [`Schedule::default`].
+    pub fn candidates(&self) -> Vec<Schedule> {
+        let mut caches = vec![FeatureCacheConfig::Off, FeatureCacheConfig::EpochPinned];
         if let Some(byte_budget) = self.lru_budget {
-            caches.push(CacheKnob::Lru { byte_budget });
+            caches.push(FeatureCacheConfig::Lru { byte_budget });
         }
         let codecs: &[Codec] = if self.allow_lossy {
             &[Codec::Exact, Codec::Fp16, Codec::Int8]
@@ -365,7 +398,7 @@ impl TuningGrid {
         for &cache in &caches {
             for &codec in codecs {
                 for overlap in [false, true] {
-                    let choice = TuningChoice { cache, codec, overlap };
+                    let choice = Schedule { cache, codec, overlap };
                     if self.is_valid(&choice) {
                         out.push(choice);
                     }
@@ -381,7 +414,7 @@ impl TuningGrid {
 /// a [`ProbeSet`].
 ///
 /// ```
-/// use dmbs_comm::tune::{CacheKnob, ProbeEpoch, ProbeSet, TuningGrid, TuningModel, search};
+/// use dmbs_comm::tune::{FeatureCacheConfig, ProbeEpoch, ProbeSet, TuningGrid, TuningModel, search};
 /// use dmbs_comm::CostModel;
 ///
 /// // Synthetic probe books of a shape where the pinned cache halves the
@@ -409,7 +442,7 @@ impl TuningGrid {
 /// let grid = TuningGrid::new(4, 2).unwrap();
 /// let outcome = search(&model, &grid);
 /// // Fewer words and fewer messages: the pinned cache wins.
-/// assert_eq!(outcome.chosen().choice.cache, CacheKnob::EpochPinned);
+/// assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::EpochPinned);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningModel {
@@ -476,16 +509,6 @@ impl TuningModel {
         Ok(TuningModel { cost, ranks, probes })
     }
 
-    /// The α–β cost model the predictions charge.
-    pub fn cost_model(&self) -> CostModel {
-        self.cost
-    }
-
-    /// The number of ranks the probes ran on.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     /// Predicts the per-epoch cost breakdown of one candidate.
     ///
     /// Counters come from the probe books (cache knob selects between the
@@ -493,14 +516,15 @@ impl TuningModel {
     /// its probe saved, scaled conservatively by the candidate's word bill);
     /// seconds charge `(α·messages + β·bytes/8) / p` plus the common
     /// measured compute, minus the calibrated overlap credit.
-    pub fn predict(&self, choice: &TuningChoice) -> CostBreakdown {
+    pub fn predict(&self, choice: &Schedule) -> CostBreakdown {
         let probes = &self.probes;
         let (words, messages) = match choice.cache {
-            // The LRU knob is scored pessimistically — see [`CacheKnob::Lru`].
-            CacheKnob::Off | CacheKnob::Lru { .. } => {
+            // The LRU knob is scored pessimistically — see
+            // [`FeatureCacheConfig::Lru`].
+            FeatureCacheConfig::Off | FeatureCacheConfig::Lru { .. } => {
                 (probes.baseline.words_sent, probes.baseline.messages)
             }
-            CacheKnob::EpochPinned => (probes.pinned.words_sent, probes.pinned.messages),
+            FeatureCacheConfig::EpochPinned => (probes.pinned.words_sent, probes.pinned.messages),
         };
         let saved_at_pinned = match choice.codec {
             Codec::Exact => 0,
@@ -566,7 +590,7 @@ impl TuningOutcome {
 /// Deterministic under ties: candidates are scored in the grid's canonical
 /// lexicographic order and a later candidate replaces the incumbent only
 /// when **strictly** cheaper, so an all-ties search (e.g. a shape with no
-/// communication) keeps [`TuningChoice::baseline`].
+/// communication) keeps [`Schedule::default`].
 pub fn search(model: &TuningModel, grid: &TuningGrid) -> TuningOutcome {
     let scored: Vec<ScoredChoice> = grid
         .candidates()
@@ -620,29 +644,64 @@ mod tests {
         for choice in &candidates {
             assert!(grid.is_valid(choice), "enumerated invalid candidate {choice}");
             if choice.overlap {
-                assert_eq!(choice.cache, CacheKnob::EpochPinned);
+                assert_eq!(choice.cache, FeatureCacheConfig::EpochPinned);
             }
         }
         // Full grid: 3 caches × 3 codecs × sync, plus overlap only for the
         // pinned cache.
         assert_eq!(candidates.len(), 3 * 3 + 3);
-        assert_eq!(candidates[0], TuningChoice::baseline());
+        assert_eq!(candidates[0], Schedule::default());
+        // Canonical order is strictly lexicographic, so the strict-< arg-min
+        // of `search` breaks every tie toward the plainer schedule.
+        assert!(candidates.windows(2).all(|w| w[0].lex_key() < w[1].lex_key()));
+    }
+
+    #[test]
+    fn cache_names_are_the_bench_record_keys() {
+        // `policy: off|pinned|lru` keys the committed ci/baseline records.
+        let lru = FeatureCacheConfig::Lru { byte_budget: 1 };
+        let modes = [FeatureCacheConfig::Off, FeatureCacheConfig::EpochPinned, lru];
+        assert_eq!(modes.map(FeatureCacheConfig::name), ["off", "pinned", "lru"]);
+        assert_eq!(modes.map(|m| m.is_enabled()), [false, true, true]);
+    }
+
+    #[test]
+    fn schedule_payload_round_trips_and_rejects_malformed_tags() {
+        let grid = TuningGrid::new(4, 2).unwrap().with_lossy(true).with_lru_budget(12_345);
+        for schedule in grid.candidates() {
+            let mut bytes = Vec::new();
+            schedule.encode(&mut bytes);
+            assert_eq!(bytes.len(), 8 * schedule.word_count(), "{schedule}");
+            let input = &mut &bytes[..];
+            assert_eq!(Schedule::decode(input), Some(schedule), "{schedule}");
+            assert!(input.is_empty(), "{schedule}: decode must consume the encoding");
+            for len in 0..bytes.len() {
+                assert_eq!(Schedule::decode(&mut &bytes[..len]), None, "{schedule} prefix {len}");
+            }
+        }
+        // Words of the default schedule: cache tag, overlap flag, codec tag.
+        let words = |cache: u64, overlap: u64, codec: u64| -> Vec<u8> {
+            [cache, overlap, codec].iter().flat_map(|w| w.to_le_bytes()).collect()
+        };
+        assert_eq!(Schedule::decode(&mut &words(0, 0, 0)[..]), Some(Schedule::default()));
+        assert_eq!(Schedule::decode(&mut &words(3, 0, 0)[..]), None, "unknown cache tag");
+        assert_eq!(Schedule::decode(&mut &words(0, 2, 0)[..]), None, "non-0/1 overlap flag");
+        assert_eq!(Schedule::decode(&mut &words(0, 0, 3)[..]), None, "unknown codec tag");
     }
 
     #[test]
     fn overlap_requires_wide_shape_and_pinned_cache() {
         let narrow = TuningGrid::new(4, 1).unwrap().with_lru_budget(1 << 16);
         assert!(narrow.candidates().iter().all(|choice| !choice.overlap));
-        assert!(!narrow.is_valid(&TuningChoice {
-            cache: CacheKnob::EpochPinned,
-            codec: Codec::Exact,
-            overlap: true,
-        }));
+        let cache = FeatureCacheConfig::EpochPinned;
+        let pinned_overlap = Schedule { cache, codec: Codec::Exact, overlap: true };
+        assert!(!narrow.is_valid(&pinned_overlap));
 
         let wide = TuningGrid::new(4, 2).unwrap().with_lru_budget(1 << 16);
-        assert!(wide.candidates().iter().any(|choice| choice.overlap));
-        for cache in [CacheKnob::Off, CacheKnob::Lru { byte_budget: 1 << 16 }] {
-            let choice = TuningChoice { cache, codec: Codec::Exact, overlap: true };
+        assert!(wide.is_valid(&pinned_overlap));
+        assert!(wide.candidates().contains(&pinned_overlap));
+        for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::Lru { byte_budget: 1 << 16 }] {
+            let choice = Schedule { cache, codec: Codec::Exact, overlap: true };
             assert!(!wide.is_valid(&choice), "{choice} must be rejected");
             assert!(!wide.candidates().contains(&choice));
         }
@@ -655,20 +714,17 @@ mod tests {
         assert!(plain
             .candidates()
             .iter()
-            .all(|ch| ch.codec == Codec::Exact && !matches!(ch.cache, CacheKnob::Lru { .. })));
+            .all(|ch| ch.codec == Codec::Exact
+                && !matches!(ch.cache, FeatureCacheConfig::Lru { .. })));
         // An Lru candidate with a *different* budget than configured is
         // invalid too.
         let budgeted = plain.with_lru_budget(4096);
-        assert!(budgeted.is_valid(&TuningChoice {
-            cache: CacheKnob::Lru { byte_budget: 4096 },
-            codec: Codec::Exact,
-            overlap: false,
-        }));
-        assert!(!budgeted.is_valid(&TuningChoice {
-            cache: CacheKnob::Lru { byte_budget: 8192 },
-            codec: Codec::Exact,
-            overlap: false,
-        }));
+        let lru = |byte_budget| Schedule {
+            cache: FeatureCacheConfig::Lru { byte_budget },
+            ..Schedule::default()
+        };
+        assert!(budgeted.is_valid(&lru(4096)));
+        assert!(!budgeted.is_valid(&lru(8192)));
     }
 
     #[test]
@@ -688,7 +744,7 @@ mod tests {
         let grid = TuningGrid::new(4, 2).unwrap().with_lru_budget(1 << 16).with_lossy(true);
         let outcome = search(&model, &grid);
         assert_eq!(outcome.chosen_index, 0);
-        assert_eq!(outcome.chosen().choice, TuningChoice::baseline());
+        assert_eq!(outcome.chosen().choice, Schedule::default());
         // And the search is deterministic call-over-call.
         assert_eq!(search(&model, &grid), outcome);
     }
@@ -697,7 +753,7 @@ mod tests {
     fn pinned_cache_wins_when_it_saves_words() {
         let model = fitted(basic_probes());
         let outcome = search(&model, &TuningGrid::new(4, 2).unwrap());
-        assert_eq!(outcome.chosen().choice.cache, CacheKnob::EpochPinned);
+        assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::EpochPinned);
         // Without an overlapped probe the overlap knob scores no benefit, so
         // the synchronous schedule is kept by the tie-break.
         assert!(!outcome.chosen().choice.overlap);
@@ -718,7 +774,7 @@ mod tests {
         let outcome = search(&model, &TuningGrid::new(4, 2).unwrap());
         let chosen = outcome.chosen();
         assert!(chosen.choice.overlap);
-        assert_eq!(chosen.choice.cache, CacheKnob::EpochPinned);
+        assert_eq!(chosen.choice.cache, FeatureCacheConfig::EpochPinned);
         assert!(chosen.cost.overlap_credit_s > 0.0);
         // The credit never exceeds the candidate's own communication bill.
         assert!(chosen.cost.overlap_credit_s <= chosen.cost.comm_s);
@@ -796,7 +852,7 @@ mod tests {
     #[test]
     fn breakdown_arithmetic() {
         let model = fitted(basic_probes());
-        let cost = model.predict(&TuningChoice::baseline());
+        let cost = model.predict(&Schedule::default());
         assert_eq!(cost.bytes_on_wire, 8 * cost.words);
         let expected = (2.0e-4 * 80.0 + 5.0e-8 * 2000.0) / 4.0;
         assert!((cost.comm_s - expected).abs() < 1e-15);

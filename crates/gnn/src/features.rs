@@ -39,6 +39,9 @@
 
 use crate::error::GnnError;
 use crate::Result;
+/// Configuration of the per-rank [`FeatureCache`]; defined beside
+/// [`dmbs_comm::Schedule`], whose `cache` field it is.
+pub use dmbs_comm::FeatureCacheConfig;
 use dmbs_comm::{Codec, CommStats, Communicator, Group, PendingCollective, WireRows};
 use dmbs_graph::partition::OneDPartition;
 use dmbs_matrix::DenseMatrix;
@@ -314,34 +317,6 @@ impl PendingFetch {
         let received = comm.group_all_to_allv(group, replies)?;
         let decoded: Vec<Vec<f64>> = received.iter().map(WireRows::rows).collect();
         Ok(store.assemble_rows(&self.origin, &decoded))
-    }
-}
-
-/// Configuration of the per-rank [`FeatureCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FeatureCacheConfig {
-    /// No caching: every minibatch re-fetches its full frontier (the
-    /// baseline all-to-allv pipeline).
-    Off,
-    /// Epoch-static pinning: the union of the planned frontiers is
-    /// prefetched once per bulk group and stays resident until
-    /// [`FeatureCache::clear`], so each remote row crosses the wire at most
-    /// once per epoch and the per-step collectives vanish.
-    EpochPinned,
-    /// A bounded read-through cache for the streaming path: resident rows up
-    /// to the byte budget, least-recently-used eviction.  The per-step
-    /// collective still runs (so ranks stay matched), but only misses cross
-    /// the wire.
-    Lru {
-        /// Maximum resident feature bytes (8 bytes per `f64` word).
-        byte_budget: usize,
-    },
-}
-
-impl FeatureCacheConfig {
-    /// True unless the mode is [`FeatureCacheConfig::Off`].
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self, FeatureCacheConfig::Off)
     }
 }
 

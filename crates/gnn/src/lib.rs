@@ -21,8 +21,10 @@
 //!   the communication-avoiding [`FeatureCache`] (epoch-pinned prefetch of a
 //!   [`FetchPlan`](dmbs_sampling::FetchPlan), or byte-budgeted LRU) behind
 //!   the `TrainingSession::builder().feature_cache(...)` knob;
-//! * [`trainer`] — single-device and distributed training drivers that
-//!   produce the per-phase epoch breakdowns reported in Figures 4 and 6.
+//! * [`session`] — the [`TrainingSession`] builder that binds dataset ×
+//!   sampler × backend and runs the streaming or distributed training loop;
+//! * [`trainer`] — the per-phase epoch breakdowns ([`EpochStats`]) it
+//!   reports, as plotted in Figures 4 and 6.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -53,12 +55,12 @@ pub use serve::{
 pub use session::{
     IngestEvent, Minibatch, MinibatchStream, Session, SessionBuilder, TrainingSession,
 };
-pub use trainer::{EpochStats, TrainingConfig, TrainingReport};
+pub use trainer::{EpochStats, TrainingReport};
 
 /// The cost-model-driven auto-tuner behind [`SessionBuilder::auto`],
-/// re-exported so session users can inspect [`dmbs_comm::tune::TuningChoice`]
-/// and the scored grid without a direct `dmbs_comm` dependency.
-pub use dmbs_comm::tune::{CacheKnob, ScoredChoice, TuningChoice, TuningOutcome};
+/// re-exported so session users can inspect the chosen [`Schedule`] and the
+/// scored grid without a direct `dmbs_comm` dependency.
+pub use dmbs_comm::tune::{Schedule, ScoredChoice, TuningOutcome};
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, GnnError>;

@@ -67,11 +67,10 @@ use crate::optim::{Optimizer, Sgd};
 use crate::serve::ModelSnapshot;
 use crate::trainer::{EpochStats, TrainingReport};
 use crate::Result;
-use dmbs_comm::tune::{
-    self, CacheKnob, ProbeEpoch, ProbeSet, TuningGrid, TuningModel, TuningOutcome,
-};
+use dmbs_comm::tune::{self, ProbeEpoch, ProbeSet, TuningGrid, TuningModel, TuningOutcome};
 use dmbs_comm::{
-    Codec, CommStats, Communicator, Group, Phase, PhaseProfile, ProcessGrid, TransportSelect,
+    Codec, CommStats, Communicator, Group, Phase, PhaseProfile, ProcessGrid, Schedule,
+    TransportSelect,
 };
 use dmbs_graph::datasets::Dataset;
 use dmbs_graph::minibatch::MinibatchPlan;
@@ -97,7 +96,8 @@ pub type Session<S, B> = TrainingSession<S, B>;
 /// session's [`InvalidationPolicy`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestEvent {
-    /// Epoch after which the batch lands (0-based; must be `< epochs`).
+    /// Epoch after which the batch lands (0-based).  At least one epoch must
+    /// follow every ingest: `after_epoch + 1 < epochs`.
     pub after_epoch: usize,
     /// The edge insert/delete batch.
     pub batch: DeltaBatch,
@@ -118,14 +118,75 @@ pub(crate) struct SessionConfig {
     pub(crate) feature_replication: Option<usize>,
     pub(crate) evaluate: bool,
     pub(crate) parallelism: Parallelism,
-    pub(crate) feature_cache: FeatureCacheConfig,
-    pub(crate) overlap: bool,
+    pub(crate) schedule: Schedule,
     pub(crate) transport: TransportSelect,
-    pub(crate) wire_codec: Codec,
     pub(crate) grad_top_k: Option<usize>,
     pub(crate) ingest: Vec<IngestEvent>,
     pub(crate) ingest_mode: IngestMode,
     pub(crate) invalidation: InvalidationPolicy,
+}
+
+impl SessionConfig {
+    /// Checks the configuration against the backend and dataset it will run
+    /// on.  Every session is constructed through this — the builder's and the
+    /// one a rank process rebuilds from a wire-decoded job alike — so a forged
+    /// job is a typed error, never a panic in the training loop.
+    pub(crate) fn validate<B: SamplingBackend>(
+        &self,
+        backend: &B,
+        dataset: &Dataset,
+    ) -> Result<()> {
+        if self.batch_size == 0 || self.bulk_size == 0 {
+            return Err(GnnError::InvalidConfig("batch_size and bulk k must be positive".into()));
+        }
+        if self.bulk_size > backend.bulk().bulk_size {
+            return Err(GnnError::InvalidConfig(format!(
+                "session bulk k = {} exceeds the backend's bulk_size = {}; size the backend's \
+                 BulkSamplerConfig instead so every session group is one backend group",
+                self.bulk_size,
+                backend.bulk().bulk_size
+            )));
+        }
+        if self.hidden_dim == 0 || self.epochs == 0 {
+            return Err(GnnError::InvalidConfig("hidden_dim and epochs must be positive".into()));
+        }
+        if self.grad_top_k == Some(0) {
+            return Err(GnnError::InvalidConfig("grad_top_k must be positive".into()));
+        }
+        if let Some(dist) = backend.dist() {
+            dist.validate().map_err(GnnError::Sampling)?;
+        }
+        if dataset.train_set.is_empty() {
+            return Err(GnnError::InvalidConfig("dataset has an empty training set".into()));
+        }
+        if !self.ingest.is_empty() {
+            if backend.dist().is_none() {
+                return Err(GnnError::InvalidConfig(
+                    "graph ingest requires a distributed backend (the ingest path routes \
+                     batches by the 1.5D owner partition)"
+                        .into(),
+                ));
+            }
+            let n = dataset.graph.num_vertices();
+            for event in &self.ingest {
+                if event.after_epoch + 1 >= self.epochs {
+                    return Err(GnnError::InvalidConfig(format!(
+                        "ingest scheduled after epoch {} but the session trains only {} \
+                         epoch(s); at least one epoch must follow every ingest",
+                        event.after_epoch, self.epochs
+                    )));
+                }
+                for (row, col, _) in event.batch.ops() {
+                    if row >= n || col >= n {
+                        return Err(GnnError::InvalidConfig(format!(
+                            "ingest edge ({row}, {col}) outside the {n}-vertex graph"
+                        )));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The per-rank result of the distributed training loop: per-epoch
@@ -281,25 +342,16 @@ pub struct SessionBuilder<S, B> {
     dataset: Option<Arc<Dataset>>,
     sampler: Option<S>,
     backend: Option<B>,
+    /// Overrides resolved against the backend's own settings in
+    /// [`SessionBuilder::build`]; `None` inherits the backend's.
     batch_size: Option<usize>,
     bulk_size: Option<usize>,
-    hidden_dim: usize,
-    learning_rate: f64,
-    epochs: usize,
-    seed: u64,
-    replicate_features: bool,
-    feature_replication: Option<usize>,
-    evaluate: bool,
     parallelism: Option<Parallelism>,
     workspace_reuse: Option<bool>,
-    feature_cache: FeatureCacheConfig,
-    overlap: bool,
-    transport: TransportSelect,
-    wire_codec: Codec,
-    grad_top_k: Option<usize>,
-    ingest: Vec<IngestEvent>,
-    ingest_mode: IngestMode,
-    invalidation: InvalidationPolicy,
+    /// Everything else, with its defaults; the setters write straight into
+    /// it.  `batch_size`, `bulk_size` and `parallelism` stay unresolved
+    /// (zero / serial) until `build` fills them from the overrides above.
+    config: SessionConfig,
 }
 
 impl<S, B> Default for SessionBuilder<S, B> {
@@ -310,23 +362,26 @@ impl<S, B> Default for SessionBuilder<S, B> {
             backend: None,
             batch_size: None,
             bulk_size: None,
-            hidden_dim: 256,
-            learning_rate: 0.01,
-            epochs: 3,
-            seed: 0,
-            replicate_features: true,
-            feature_replication: None,
-            evaluate: true,
             parallelism: None,
             workspace_reuse: None,
-            feature_cache: FeatureCacheConfig::Off,
-            overlap: false,
-            transport: TransportSelect::Simulator,
-            wire_codec: Codec::Exact,
-            grad_top_k: None,
-            ingest: Vec::new(),
-            ingest_mode: IngestMode::default(),
-            invalidation: InvalidationPolicy::default(),
+            config: SessionConfig {
+                batch_size: 0,
+                bulk_size: 0,
+                hidden_dim: 256,
+                learning_rate: 0.01,
+                epochs: 3,
+                seed: 0,
+                replicate_features: true,
+                feature_replication: None,
+                evaluate: true,
+                parallelism: Parallelism::serial(),
+                schedule: Schedule::default(),
+                transport: TransportSelect::Simulator,
+                grad_top_k: None,
+                ingest: Vec::new(),
+                ingest_mode: IngestMode::default(),
+                invalidation: InvalidationPolicy::default(),
+            },
         }
     }
 }
@@ -376,7 +431,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// distributed training (§6.2).  Defaults to the backend's
     /// `replication_c`.
     pub fn partition(mut self, c: usize) -> Self {
-        self.feature_replication = Some(c);
+        self.config.feature_replication = Some(c);
         self
     }
 
@@ -384,37 +439,37 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// the feature matrix is split across all ranks and fetching spans the
     /// whole world.
     pub fn without_feature_replication(mut self) -> Self {
-        self.replicate_features = false;
+        self.config.replicate_features = false;
         self
     }
 
     /// Hidden dimension of every SAGE layer (default 256, Table 4).
     pub fn hidden_dim(mut self, dim: usize) -> Self {
-        self.hidden_dim = dim;
+        self.config.hidden_dim = dim;
         self
     }
 
     /// SGD learning rate (default 0.01).
     pub fn learning_rate(mut self, lr: f64) -> Self {
-        self.learning_rate = lr;
+        self.config.learning_rate = lr;
         self
     }
 
     /// Number of training epochs (default 3).
     pub fn epochs(mut self, epochs: usize) -> Self {
-        self.epochs = epochs;
+        self.config.epochs = epochs;
         self
     }
 
     /// Base RNG seed for model init, shuffling and sampling (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Skips the post-training test-set evaluation.
     pub fn without_evaluation(mut self) -> Self {
-        self.evaluate = false;
+        self.config.evaluate = false;
         self
     }
 
@@ -461,7 +516,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// byte-identical (see the `tests/backend_equivalence.rs` sweep), only
     /// [`CommStats`] — words sent, cache hits/misses, words saved — differs.
     pub fn feature_cache(mut self, cache: FeatureCacheConfig) -> Self {
-        self.feature_cache = cache;
+        self.config.schedule.cache = cache;
         self
     }
 
@@ -485,7 +540,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// ignores the knob entirely, since its [`MinibatchStream`] worker thread
     /// already overlaps sampling with training.
     pub fn overlap(mut self, overlap: bool) -> Self {
-        self.overlap = overlap;
+        self.config.schedule.overlap = overlap;
         self
     }
 
@@ -506,7 +561,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// losses, accuracy, words/messages/cache counters — which the
     /// `tests/transport_equivalence.rs` sweep pins.
     pub fn transport(mut self, transport: TransportSelect) -> Self {
-        self.transport = transport;
+        self.config.transport = transport;
         self
     }
 
@@ -531,7 +586,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// the trainer (and the [`SessionBuilder::feature_cache`]) sees, so
     /// cached and uncached runs stay byte-identical under any one codec.
     pub fn wire_codec(mut self, codec: Codec) -> Self {
-        self.wire_codec = codec;
+        self.config.schedule.codec = codec;
         self
     }
 
@@ -552,7 +607,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// `tests/backend_equivalence.rs` sweep pins), though both transports
     /// and all cache modes remain byte-identical to each other under it.
     pub fn grad_top_k(mut self, k: usize) -> Self {
-        self.grad_top_k = Some(k);
+        self.config.grad_top_k = Some(k);
         self
     }
 
@@ -564,7 +619,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// epoch.  Requires a distributed backend (the ingest path routes by the
     /// 1.5D owner partition).
     pub fn ingest(mut self, after_epoch: usize, batch: DeltaBatch) -> Self {
-        self.ingest.push(IngestEvent { after_epoch, batch });
+        self.config.ingest.push(IngestEvent { after_epoch, batch });
         self
     }
 
@@ -574,7 +629,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// from scratch.  Both produce byte-identical matrices — the
     /// `tests/delta_equivalence.rs` sweep pins this.
     pub fn ingest_mode(mut self, mode: IngestMode) -> Self {
-        self.ingest_mode = mode;
+        self.config.ingest_mode = mode;
         self
     }
 
@@ -585,7 +640,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// [`CommStats`] invalidation ledger, whose
     /// double-entry identity the delta-equivalence sweep checks.
     pub fn invalidation(mut self, policy: InvalidationPolicy) -> Self {
-        self.invalidation = policy;
+        self.config.invalidation = policy;
         self
     }
 
@@ -618,83 +673,13 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
             Some(reuse) => backend.with_workspace_reuse(reuse),
             None => backend,
         };
-        let parallelism = backend.parallelism();
-        let batch_size = self.batch_size.unwrap_or(backend.bulk().batch_size);
-        let bulk_size = self.bulk_size.unwrap_or(backend.bulk().bulk_size);
-        if batch_size == 0 || bulk_size == 0 {
-            return Err(GnnError::InvalidConfig("batch_size and bulk k must be positive".into()));
-        }
-        if bulk_size > backend.bulk().bulk_size {
-            return Err(GnnError::InvalidConfig(format!(
-                "session bulk k = {bulk_size} exceeds the backend's bulk_size = {}; size the \
-                 backend's BulkSamplerConfig instead so every session group is one backend group",
-                backend.bulk().bulk_size
-            )));
-        }
-        if self.hidden_dim == 0 || self.epochs == 0 {
-            return Err(GnnError::InvalidConfig("hidden_dim and epochs must be positive".into()));
-        }
-        if self.grad_top_k == Some(0) {
-            return Err(GnnError::InvalidConfig("grad_top_k must be positive".into()));
-        }
-        if let Some(dist) = backend.dist() {
-            dist.validate().map_err(GnnError::Sampling)?;
-        }
-        if dataset.train_set.is_empty() {
-            return Err(GnnError::InvalidConfig("dataset has an empty training set".into()));
-        }
-        if !self.ingest.is_empty() {
-            if backend.dist().is_none() {
-                return Err(GnnError::InvalidConfig(
-                    "graph ingest requires a distributed backend (the ingest path routes \
-                     batches by the 1.5D owner partition)"
-                        .into(),
-                ));
-            }
-            let n = dataset.graph.num_vertices();
-            for event in &self.ingest {
-                if event.after_epoch + 1 >= self.epochs {
-                    return Err(GnnError::InvalidConfig(format!(
-                        "ingest scheduled after epoch {} but the session trains only {} \
-                         epoch(s); at least one epoch must follow every ingest",
-                        event.after_epoch, self.epochs
-                    )));
-                }
-                for (row, col, _) in event.batch.ops() {
-                    if row >= n || col >= n {
-                        return Err(GnnError::InvalidConfig(format!(
-                            "ingest edge ({row}, {col}) outside the {n}-vertex graph"
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(TrainingSession {
-            dataset,
-            sampler: Arc::new(sampler),
-            backend: Arc::new(backend),
-            config: SessionConfig {
-                batch_size,
-                bulk_size,
-                hidden_dim: self.hidden_dim,
-                learning_rate: self.learning_rate,
-                epochs: self.epochs,
-                seed: self.seed,
-                replicate_features: self.replicate_features,
-                feature_replication: self.feature_replication,
-                evaluate: self.evaluate,
-                parallelism,
-                feature_cache: self.feature_cache,
-                overlap: self.overlap,
-                transport: self.transport,
-                wire_codec: self.wire_codec,
-                grad_top_k: self.grad_top_k,
-                ingest: self.ingest,
-                ingest_mode: self.ingest_mode,
-                invalidation: self.invalidation,
-            },
-            tuning: None,
-        })
+        let config = SessionConfig {
+            batch_size: self.batch_size.unwrap_or(backend.bulk().batch_size),
+            bulk_size: self.bulk_size.unwrap_or(backend.bulk().bulk_size),
+            parallelism: backend.parallelism(),
+            ..self.config
+        };
+        TrainingSession::from_parts(dataset, sampler, backend, config)
     }
 }
 
@@ -779,10 +764,10 @@ where
     pub fn auto(self) -> Result<TrainingSession<S, B>> {
         // Lossy codecs and the byte-budgeted LRU cache are strictly opt-in:
         // only an explicit builder setting admits them to the searched grid.
-        let allow_lossy = self.wire_codec != Codec::Exact;
-        let lru_budget = match self.feature_cache {
-            FeatureCacheConfig::Lru { byte_budget } => Some(byte_budget),
-            _ => None,
+        let allow_lossy = self.config.schedule.codec != Codec::Exact;
+        let lru_budget = match self.config.schedule.cache {
+            FeatureCacheConfig::Lru { byte_budget } => byte_budget,
+            _ => 0,
         };
         let mut session = self.build()?;
         let (p, cost, c) = match (session.backend.runtime(), session.backend.dist()) {
@@ -795,74 +780,53 @@ where
             // session is already the arg-min.
             _ => return Ok(session),
         };
-        let mut grid = TuningGrid::new(p, c)?;
-        if let Some(byte_budget) = lru_budget {
-            grid = grid.with_lru_budget(byte_budget);
-        }
-        grid = grid.with_lossy(allow_lossy);
+        let grid = TuningGrid::new(p, c)?.with_lru_budget(lru_budget).with_lossy(allow_lossy);
 
-        let probe =
-            |cache: FeatureCacheConfig, codec: Codec, overlap: bool| -> Result<ProbeEpoch> {
-                let probe_session = TrainingSession {
-                    dataset: Arc::clone(&session.dataset),
-                    sampler: Arc::clone(&session.sampler),
-                    backend: Arc::clone(&session.backend),
-                    config: SessionConfig {
-                        epochs: 1,
-                        evaluate: false,
-                        feature_cache: cache,
-                        wire_codec: codec,
-                        overlap,
-                        // Probes always run in-process: both transports are
-                        // bit-identical in every counter the model reads, and
-                        // the simulator avoids spawning rank processes per
-                        // probe.  Ingest is dropped — it lands after later
-                        // epochs a one-epoch probe never reaches.
-                        transport: TransportSelect::Simulator,
-                        ingest: Vec::new(),
-                        ..session.config.clone()
-                    },
-                    tuning: None,
-                };
-                let report = probe_session.train()?;
-                let epoch = report.epochs.first().ok_or_else(|| {
-                    GnnError::InvalidConfig("probe epoch produced no statistics".into())
-                })?;
-                Ok(ProbeEpoch::from_books(&epoch.profile, &epoch.comm))
+        let probe = |schedule: Schedule| -> Result<ProbeEpoch> {
+            let probe_session = TrainingSession {
+                dataset: Arc::clone(&session.dataset),
+                sampler: Arc::clone(&session.sampler),
+                backend: Arc::clone(&session.backend),
+                config: SessionConfig {
+                    epochs: 1,
+                    evaluate: false,
+                    schedule,
+                    // Probes always run in-process: both transports are
+                    // bit-identical in every counter the model reads, and
+                    // the simulator avoids spawning rank processes per
+                    // probe.  Ingest is dropped — it lands after later
+                    // epochs a one-epoch probe never reaches.
+                    transport: TransportSelect::Simulator,
+                    ingest: Vec::new(),
+                    ..session.config.clone()
+                },
+                tuning: None,
             };
+            let report = probe_session.train()?;
+            let epoch = report.epochs.first().ok_or_else(|| {
+                GnnError::InvalidConfig("probe epoch produced no statistics".into())
+            })?;
+            Ok(ProbeEpoch::from_books(&epoch.profile, &epoch.comm))
+        };
 
         // Probes share the session seed, so every probe sees the identical
         // epoch-0 schedule and the cross-probe double-entry identities that
         // TuningModel::fit verifies hold exactly.
+        let pinned = Schedule { cache: FeatureCacheConfig::EpochPinned, ..Schedule::default() };
         let probes = ProbeSet {
-            baseline: probe(FeatureCacheConfig::Off, Codec::Exact, false)?,
-            pinned: probe(FeatureCacheConfig::EpochPinned, Codec::Exact, false)?,
-            fp16: if allow_lossy {
-                Some(probe(FeatureCacheConfig::EpochPinned, Codec::Fp16, false)?)
-            } else {
-                None
-            },
-            int8: if allow_lossy {
-                Some(probe(FeatureCacheConfig::EpochPinned, Codec::Int8, false)?)
-            } else {
-                None
-            },
-            overlapped: if c > 1 {
-                Some(probe(FeatureCacheConfig::EpochPinned, Codec::Exact, true)?)
-            } else {
-                None
-            },
+            baseline: probe(Schedule::default())?,
+            pinned: probe(pinned)?,
+            fp16: allow_lossy
+                .then(|| probe(Schedule { codec: Codec::Fp16, ..pinned }))
+                .transpose()?,
+            int8: allow_lossy
+                .then(|| probe(Schedule { codec: Codec::Int8, ..pinned }))
+                .transpose()?,
+            overlapped: (c > 1).then(|| probe(Schedule { overlap: true, ..pinned })).transpose()?,
         };
         let model = TuningModel::fit(cost, p, probes)?;
         let outcome = tune::search(&model, &grid);
-        let chosen = outcome.chosen().choice;
-        session.config.feature_cache = match chosen.cache {
-            CacheKnob::Off => FeatureCacheConfig::Off,
-            CacheKnob::EpochPinned => FeatureCacheConfig::EpochPinned,
-            CacheKnob::Lru { byte_budget } => FeatureCacheConfig::Lru { byte_budget },
-        };
-        session.config.wire_codec = chosen.codec;
-        session.config.overlap = chosen.overlap;
+        session.config.schedule = outcome.chosen().choice;
         session.tuning = Some(outcome);
         Ok(session)
     }
@@ -889,23 +853,26 @@ impl<S: Sampler, B: SamplingBackend> TrainingSession<S, B> {
         SessionBuilder::default()
     }
 
-    /// Rebuilds a session from already-validated parts — the
-    /// [`crate::worker`] entry point, where a rank process reconstructs the
-    /// exact session the parent encoded (builder re-validation would be
-    /// redundant and could mask codec bugs by re-deriving defaults).
+    /// The one constructor: validates `config` against the backend and
+    /// dataset ([`SessionConfig::validate`]) and assembles the session.
+    /// [`SessionBuilder::build`] ends here, and so does the [`crate::worker`]
+    /// entry point, where a rank process reconstructs the exact session the
+    /// parent encoded — the decoded config is outside input and gets the same
+    /// checks.
     pub(crate) fn from_parts(
         dataset: Arc<Dataset>,
         sampler: S,
         backend: B,
         config: SessionConfig,
-    ) -> Self {
-        TrainingSession {
+    ) -> Result<Self> {
+        config.validate(&backend, &dataset)?;
+        Ok(TrainingSession {
             dataset,
             sampler: Arc::new(sampler),
             backend: Arc::new(backend),
             config,
             tuning: None,
-        }
+        })
     }
 
     /// The dataset this session trains on.
@@ -1088,6 +1055,17 @@ where
         Ok((features.cols(), self.dataset.graph.num_classes()))
     }
 
+    /// The model at its seeded initialization: the same parameters on the
+    /// streaming path, on every rank and in the parent that reassembles the
+    /// trained model from rank 0's.
+    fn initial_model(&self, feature_dim: usize, num_classes: usize) -> Result<SageModel> {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        let layers = self.sampler.num_layers();
+        let model =
+            SageModel::new(feature_dim, self.config.hidden_dim, num_classes, layers, &mut rng)?;
+        Ok(model.with_parallelism(self.config.parallelism))
+    }
+
     fn batch_labels(&self, batch: &[usize]) -> Vec<usize> {
         let labels = self.dataset.graph.labels().expect("validated");
         batch.iter().map(|&v| labels[v]).collect()
@@ -1100,15 +1078,7 @@ where
         num_classes: usize,
     ) -> Result<(TrainingReport, SageModel)> {
         let features = self.dataset.graph.features().expect("validated");
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut model = SageModel::new(
-            feature_dim,
-            self.config.hidden_dim,
-            num_classes,
-            self.sampler.num_layers(),
-            &mut rng,
-        )?
-        .with_parallelism(self.config.parallelism);
+        let mut model = self.initial_model(feature_dim, num_classes)?;
         let mut optimizer = Sgd::new(self.config.learning_rate);
 
         // The per-rank feature cache of the §6.2 pipeline; for the local
@@ -1116,10 +1086,11 @@ where
         // (plus the hit-rate bookkeeping the harnesses report).
         let mut cache = self
             .config
-            .feature_cache
+            .schedule
+            .cache
             .is_enabled()
-            .then(|| FeatureCache::new(self.config.feature_cache, feature_dim));
-        let pinned = matches!(self.config.feature_cache, FeatureCacheConfig::EpochPinned);
+            .then(|| FeatureCache::new(self.config.schedule.cache, feature_dim));
+        let pinned = self.config.schedule.cache == FeatureCacheConfig::EpochPinned;
 
         let mut report = TrainingReport::default();
         for epoch in 0..self.config.epochs {
@@ -1209,23 +1180,16 @@ where
         let (store, fetch_group) = if config.replicate_features {
             let (my_row, _) = grid.coords(rank);
             let store = FeatureStore::from_full(features, grid.rows(), my_row)?
-                .with_codec(config.wire_codec);
+                .with_codec(config.schedule.codec);
             let group = Group::new(&grid.col_ranks(rank))?;
             (store, group)
         } else {
-            let store = FeatureStore::from_full(features, p, rank)?.with_codec(config.wire_codec);
+            let store =
+                FeatureStore::from_full(features, p, rank)?.with_codec(config.schedule.codec);
             (store, comm.world())
         };
 
-        let mut init_rng = StdRng::seed_from_u64(config.seed);
-        let mut model = SageModel::new(
-            feature_dim,
-            config.hidden_dim,
-            num_classes,
-            self.sampler.num_layers(),
-            &mut init_rng,
-        )?
-        .with_parallelism(config.parallelism);
+        let mut model = self.initial_model(feature_dim, num_classes)?;
         let mut optimizer = Sgd::new(config.learning_rate);
         // Error-feedback residual of the top-k gradient compressor: the
         // gradient mass this rank has not yet shipped.  Lives for the whole
@@ -1236,11 +1200,12 @@ where
         // schedule stays matched: pinned mode replaces the per-step
         // all-to-allv with one prefetch round per bulk group, LRU
         // mode keeps the per-step round but ships only misses.
-        let pinned = matches!(config.feature_cache, FeatureCacheConfig::EpochPinned);
+        let pinned = config.schedule.cache == FeatureCacheConfig::EpochPinned;
         let mut cache = config
-            .feature_cache
+            .schedule
+            .cache
             .is_enabled()
-            .then(|| FeatureCache::new(config.feature_cache, store.feature_dim()));
+            .then(|| FeatureCache::new(config.schedule.cache, store.feature_dim()));
 
         // Dynamic-graph state: every rank folds scheduled ingest batches
         // into its own replica of the adjacency.  Static sessions pay one
@@ -1269,7 +1234,7 @@ where
             }
 
             let groups: Vec<&[Vec<usize>]> = plan.batches().chunks(config.bulk_size).collect();
-            if config.overlap {
+            if config.schedule.overlap {
                 // --- Software-pipelined schedule (§6 overlap): while
                 // group k trains, group k+1 is sampled and its pinned
                 // prefetch is posted nonblocking; stage 0 fills the
@@ -1518,15 +1483,7 @@ where
 
         // All ranks hold identical models (same init, all-reduced
         // gradients); rebuild rank 0's for evaluation and export.
-        let mut eval_rng = StdRng::seed_from_u64(config.seed);
-        let mut model = SageModel::new(
-            feature_dim,
-            config.hidden_dim,
-            num_classes,
-            self.sampler.num_layers(),
-            &mut eval_rng,
-        )?
-        .with_parallelism(config.parallelism);
+        let mut model = self.initial_model(feature_dim, num_classes)?;
         let trained = &per_rank_ok[0].1;
         for (param, value) in model.parameters_mut().iter_mut().zip(trained) {
             *param = value.clone();
@@ -1544,7 +1501,6 @@ where
     /// [`PipelineStage::hoisted`] so the trainer can credit it as
     /// overlapped once the budget (the previous group's training compute) is
     /// known.
-    #[allow(clippy::too_many_arguments)]
     #[allow(clippy::too_many_arguments)]
     fn sample_and_post_stage(
         &self,
@@ -1804,54 +1760,56 @@ mod tests {
         build_dataset(&cfg, &mut StdRng::seed_from_u64(seed)).unwrap()
     }
 
-    fn local_session(seed: u64) -> TrainingSession<GraphSageSampler, LocalBackend> {
+    fn local_base(dataset_seed: u64) -> SessionBuilder<GraphSageSampler, LocalBackend> {
         TrainingSession::builder()
-            .dataset(tiny_dataset(seed))
+            .dataset(tiny_dataset(dataset_seed))
             .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
             .backend(LocalBackend::new(BulkSamplerConfig::new(16, 4)).unwrap())
             .hidden_dim(16)
             .learning_rate(0.05)
-            .epochs(3)
-            .seed(42)
-            .build()
-            .unwrap()
+    }
+
+    fn local_session(seed: u64) -> TrainingSession<GraphSageSampler, LocalBackend> {
+        local_base(seed).epochs(3).seed(42).build().unwrap()
+    }
+
+    /// A 4-rank (c = 2) replicated two-epoch session builder, evaluation off.
+    fn replicated_base(
+        dataset_seed: u64,
+        seed: u64,
+    ) -> SessionBuilder<GraphSageSampler, ReplicatedBackend> {
+        TrainingSession::builder()
+            .dataset(tiny_dataset(dataset_seed))
+            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
+            .backend(
+                ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 4)))
+                    .unwrap(),
+            )
+            .hidden_dim(16)
+            .learning_rate(0.05)
+            .epochs(2)
+            .seed(seed)
+            .without_evaluation()
     }
 
     #[test]
     fn builder_requires_components_and_positive_values() {
         let b: SessionBuilder<GraphSageSampler, LocalBackend> = TrainingSession::builder();
         assert!(b.build().is_err());
-        let err = TrainingSession::<GraphSageSampler, LocalBackend>::builder()
-            .dataset(tiny_dataset(1))
-            .sampler(GraphSageSampler::new(vec![2]))
-            .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).unwrap())
-            .epochs(0)
-            .build();
-        assert!(err.is_err());
-        let err = TrainingSession::<GraphSageSampler, LocalBackend>::builder()
-            .dataset(tiny_dataset(1))
-            .sampler(GraphSageSampler::new(vec![2]))
-            .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).unwrap())
-            .bulk(0)
-            .build();
-        assert!(err.is_err());
+        let complete = || {
+            TrainingSession::<GraphSageSampler, LocalBackend>::builder()
+                .dataset(tiny_dataset(1))
+                .sampler(GraphSageSampler::new(vec![2]))
+                .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).unwrap())
+        };
+        assert!(complete().build().is_ok());
+        assert!(complete().epochs(0).build().is_err());
+        assert!(complete().bulk(0).build().is_err());
         // A session bulk k larger than the backend's would make the stream
         // and the distributed pipeline draw different samples: rejected.
-        let err = TrainingSession::<GraphSageSampler, LocalBackend>::builder()
-            .dataset(tiny_dataset(1))
-            .sampler(GraphSageSampler::new(vec![2]))
-            .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).unwrap())
-            .bulk(8)
-            .build();
-        assert!(err.is_err());
+        assert!(complete().bulk(8).build().is_err());
         // Top-0 gradient compression would ship nothing, ever: rejected.
-        let err = TrainingSession::<GraphSageSampler, LocalBackend>::builder()
-            .dataset(tiny_dataset(1))
-            .sampler(GraphSageSampler::new(vec![2]))
-            .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).unwrap())
-            .grad_top_k(0)
-            .build();
-        assert!(err.is_err());
+        assert!(complete().grad_top_k(0).build().is_err());
     }
 
     #[test]
@@ -1921,6 +1879,21 @@ mod tests {
         assert!(e.sampling_time() > 0.0);
         assert!(e.feature_fetch_time() > 0.0);
         assert!(e.propagation_time() > 0.0);
+        assert!(e.total_time() >= e.sampling_time());
+    }
+
+    #[test]
+    fn training_requires_features_and_labels() {
+        let mut dataset = tiny_dataset(3);
+        dataset.graph =
+            dmbs_graph::Graph::from_adjacency(dataset.graph.adjacency().clone()).unwrap();
+        let session = TrainingSession::builder()
+            .dataset(dataset)
+            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
+            .backend(LocalBackend::new(BulkSamplerConfig::new(16, 4)).unwrap())
+            .build()
+            .unwrap();
+        assert!(session.train().is_err());
     }
 
     #[test]
@@ -1947,6 +1920,7 @@ mod tests {
             assert!(e.comm.messages > 0);
             assert!(e.mean_loss.is_finite());
         }
+        assert!(report.epochs[1].mean_loss < report.epochs[0].mean_loss * 1.2);
         assert!(report.test_accuracy.is_some());
     }
 
@@ -2004,15 +1978,7 @@ mod tests {
     fn feature_cache_modes_leave_local_training_byte_identical() {
         // The cache is pure work avoidance: same losses, same accuracy, bit
         // for bit — only the hit/miss bookkeeping differs.
-        let dataset = Arc::new(tiny_dataset(9));
-        let base = TrainingSession::<GraphSageSampler, LocalBackend>::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
-            .backend(LocalBackend::new(BulkSamplerConfig::new(16, 4)).unwrap())
-            .hidden_dim(16)
-            .learning_rate(0.05)
-            .epochs(2)
-            .seed(31);
+        let base = local_base(9).epochs(2).seed(31);
         let off = base.clone().build().unwrap().train().unwrap();
         let pinned = base
             .clone()
@@ -2047,19 +2013,7 @@ mod tests {
         // Sampling and gradient traffic are identical cache-on vs cache-off,
         // so the words the pinned pipeline kept off the wire must equal the
         // difference in total words sent: saved + sent == uncached bill.
-        let dataset = Arc::new(tiny_dataset(10));
-        let base = TrainingSession::<GraphSageSampler, ReplicatedBackend>::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
-            .backend(
-                ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 4)))
-                    .unwrap(),
-            )
-            .hidden_dim(16)
-            .learning_rate(0.05)
-            .epochs(2)
-            .seed(33)
-            .without_evaluation();
+        let base = replicated_base(10, 33);
         let off = base.clone().build().unwrap().train().unwrap();
         for cache in
             [FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Lru { byte_budget: 1 << 20 }]
@@ -2079,19 +2033,7 @@ mod tests {
 
     #[test]
     fn compressed_feature_wire_balances_bytes_and_still_learns() {
-        let dataset = Arc::new(tiny_dataset(12));
-        let base = TrainingSession::<GraphSageSampler, ReplicatedBackend>::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
-            .backend(
-                ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 4)))
-                    .unwrap(),
-            )
-            .hidden_dim(16)
-            .learning_rate(0.05)
-            .epochs(2)
-            .seed(21)
-            .without_evaluation();
+        let base = replicated_base(12, 21);
         let exact = base.clone().build().unwrap().train().unwrap();
         for e in &exact.epochs {
             // Exact default: every word costs exactly 8 bytes, nothing saved.
@@ -2126,19 +2068,7 @@ mod tests {
 
     #[test]
     fn grad_top_k_shrinks_the_gradient_wire_and_still_trains() {
-        let dataset = Arc::new(tiny_dataset(13));
-        let base = TrainingSession::<GraphSageSampler, ReplicatedBackend>::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
-            .backend(
-                ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 4)))
-                    .unwrap(),
-            )
-            .hidden_dim(16)
-            .learning_rate(0.05)
-            .epochs(2)
-            .seed(27)
-            .without_evaluation();
+        let base = replicated_base(13, 27);
         let dense = base.clone().build().unwrap().train().unwrap();
         let sparse = base.grad_top_k(32).build().unwrap().train().unwrap();
         for (a, b) in dense.epochs.iter().zip(&sparse.epochs) {

@@ -1,88 +1,19 @@
-//! End-to-end training drivers implementing the pipeline of §6 / Figure 3.
+//! The per-epoch statistics a [`TrainingSession`](crate::TrainingSession)
+//! reports, implementing the phase breakdown of §6 / Figure 3.
 //!
-//! Each epoch consists of three phases, which the drivers time separately so
-//! the benchmark harnesses can reproduce the stacked bars of Figures 4 and 6:
+//! Each epoch consists of three phases, timed separately so the benchmark
+//! harnesses can reproduce the stacked bars of Figures 4 and 6:
 //!
 //! 1. **Sampling** — bulk-sample `k` minibatches with the matrix sampler (or
 //!    a per-vertex baseline standing in for Quiver);
 //! 2. **Feature fetching** — gather the input-feature rows of each
 //!    minibatch's innermost frontier (all-to-allv across process columns in
-//!    the distributed driver);
+//!    distributed sessions);
 //! 3. **Propagation** — forward/backward passes of the GraphSAGE model and an
-//!    optimizer step (with a data-parallel gradient all-reduce in the
-//!    distributed driver).
+//!    optimizer step (with a data-parallel gradient all-reduce in distributed
+//!    sessions).
 
-use crate::error::GnnError;
-use crate::metrics::accuracy;
-use crate::model::SageModel;
-use crate::session::TrainingSession;
-use crate::Result;
-use dmbs_comm::{CommStats, Phase, PhaseProfile, Runtime};
-use dmbs_graph::datasets::Dataset;
-use dmbs_sampling::baseline::PerVertexSageSampler;
-use dmbs_sampling::{
-    BulkSamplerConfig, DistConfig, GraphSageSampler, LocalBackend, ReplicatedBackend, Sampler,
-};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Which sampler the trainer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SamplerChoice {
-    /// The paper's matrix-based bulk GraphSAGE sampler.
-    MatrixSage,
-    /// The Quiver-style per-vertex baseline.
-    PerVertexSage,
-}
-
-/// Hyper-parameters of a training run.  The defaults follow Table 4 of the
-/// paper (3-layer SAGE, fanout (15, 10, 5), hidden dimension 256, batch size
-/// 1024), scaled-down runs override them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainingConfig {
-    /// Per-layer fanouts of the GraphSAGE sampler (outermost first).
-    pub fanouts: Vec<usize>,
-    /// Hidden dimension of every SAGE layer.
-    pub hidden_dim: usize,
-    /// Minibatch size `b`.
-    pub batch_size: usize,
-    /// Number of minibatches `k` sampled per bulk sampling call.
-    pub bulk_size: usize,
-    /// SGD learning rate.
-    pub learning_rate: f64,
-    /// Number of training epochs.
-    pub epochs: usize,
-    /// Base RNG seed (model init, shuffling, sampling).
-    pub seed: u64,
-}
-
-impl Default for TrainingConfig {
-    fn default() -> Self {
-        TrainingConfig {
-            fanouts: vec![15, 10, 5],
-            hidden_dim: 256,
-            batch_size: 1024,
-            bulk_size: 8,
-            learning_rate: 0.01,
-            epochs: 3,
-            seed: 0,
-        }
-    }
-}
-
-impl TrainingConfig {
-    fn validate(&self) -> Result<()> {
-        if self.fanouts.is_empty() || self.fanouts.contains(&0) {
-            return Err(GnnError::InvalidConfig("fanouts must be non-empty and positive".into()));
-        }
-        if self.hidden_dim == 0 || self.batch_size == 0 || self.bulk_size == 0 || self.epochs == 0 {
-            return Err(GnnError::InvalidConfig(
-                "hidden_dim, batch_size, bulk_size and epochs must be positive".into(),
-            ));
-        }
-        Ok(())
-    }
-}
+use dmbs_comm::{CommStats, Phase, PhaseProfile};
 
 /// Per-epoch timing breakdown and loss, the unit reported by Figures 4 and 6.
 #[derive(Debug, Clone, Default)]
@@ -152,295 +83,27 @@ pub struct TrainingReport {
     pub test_accuracy: Option<f64>,
 }
 
-/// Trains a GraphSAGE model on a single device with the matrix-based bulk
-/// sampler (or the per-vertex baseline), evaluating test accuracy after the
-/// final epoch.  This is the driver behind the §8.1.3 accuracy experiment.
-///
-/// Deprecated wrapper: builds a [`TrainingSession`] with a
-/// [`LocalBackend`] and runs its streaming training loop, so bulk sampling
-/// now overlaps training (§6 pipelining).
-///
-/// # Errors
-///
-/// Returns an error for invalid configurations, missing features/labels or
-/// failed sampling/propagation.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `session::TrainingSession` with a `LocalBackend` instead"
-)]
-pub fn train_single_device(
-    dataset: &Dataset,
-    config: &TrainingConfig,
-    sampler_choice: SamplerChoice,
-) -> Result<TrainingReport> {
-    config.validate()?;
-    let backend = LocalBackend::new(BulkSamplerConfig::new(config.batch_size, config.bulk_size))?;
-    match sampler_choice {
-        SamplerChoice::MatrixSage => TrainingSession::builder()
-            .dataset(dataset.clone())
-            .sampler(GraphSageSampler::new(config.fanouts.clone()).with_self_loops())
-            .backend(backend)
-            .hidden_dim(config.hidden_dim)
-            .learning_rate(config.learning_rate)
-            .epochs(config.epochs)
-            .seed(config.seed)
-            .build()?
-            .train(),
-        SamplerChoice::PerVertexSage => TrainingSession::builder()
-            .dataset(dataset.clone())
-            .sampler(PerVertexSageSampler::new(config.fanouts.clone()).with_self_loops())
-            .backend(backend)
-            .hidden_dim(config.hidden_dim)
-            .learning_rate(config.learning_rate)
-            .epochs(config.epochs)
-            .seed(config.seed)
-            .build()?
-            .train(),
-    }
-}
-
-/// Evaluates classification accuracy of `model` on the given vertices by
-/// sampling their neighborhoods with the configured fanouts.
-///
-/// # Errors
-///
-/// Returns an error for missing features/labels or failed sampling.
-pub fn evaluate(
-    model: &SageModel,
-    dataset: &Dataset,
-    vertices: &[usize],
-    config: &TrainingConfig,
-) -> Result<f64> {
-    if vertices.is_empty() {
-        return Err(GnnError::InvalidConfig("evaluation set is empty".into()));
-    }
-    let features = dataset
-        .graph
-        .features()
-        .ok_or_else(|| GnnError::InvalidConfig("dataset has no feature matrix".into()))?;
-    let labels = dataset
-        .graph
-        .labels()
-        .ok_or_else(|| GnnError::InvalidConfig("dataset has no labels".into()))?;
-    let sampler = GraphSageSampler::new(config.fanouts.clone()).with_self_loops();
-    let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0xE7A1));
-    let mut predictions = Vec::with_capacity(vertices.len());
-    let mut truth = Vec::with_capacity(vertices.len());
-    for chunk in vertices.chunks(config.batch_size) {
-        let sample = sampler.sample_minibatch(dataset.graph.adjacency(), chunk, &mut rng)?;
-        let input = features.gather_rows(sample.input_vertices())?;
-        predictions.extend(model.predict(&sample, &input)?);
-        truth.extend(chunk.iter().map(|&v| labels[v]));
-    }
-    accuracy(&predictions, &truth)
-}
-
-/// Trains with the full distributed pipeline of Figure 3: graph-replicated
-/// bulk sampling, a 1.5D-partitioned feature store fetched with all-to-allv
-/// across process columns, local propagation and a data-parallel gradient
-/// all-reduce.
-///
-/// * `replication` — the replication factor `c` of the feature matrix (and
-///   the process grid).  Must divide the runtime size.
-/// * `replicate_features = false` gives the "NoRep" configuration of
-///   Figure 6: the feature matrix is split across all `p` ranks and fetching
-///   spans the whole world.
-/// * `sampler_choice` — the matrix bulk sampler (this work) or the per-vertex
-///   baseline (the Quiver stand-in of Figure 4).
-///
-/// Returns one aggregated [`EpochStats`] per epoch: phase times are the
-/// maximum across ranks (bulk-synchronous pipeline), communication volumes
-/// the sum.
-///
-/// # Errors
-///
-/// Returns an error for invalid configurations, missing features/labels or
-/// failed collectives.
-#[deprecated(
-    since = "0.2.0",
-    note = "build a `session::TrainingSession` with a `ReplicatedBackend` instead"
-)]
-pub fn train_distributed(
-    runtime: &Runtime,
-    dataset: &Dataset,
-    config: &TrainingConfig,
-    replication: usize,
-    replicate_features: bool,
-    sampler_choice: SamplerChoice,
-) -> Result<Vec<EpochStats>> {
-    config.validate()?;
-    let dist = DistConfig::new(
-        runtime.size(),
-        replication,
-        BulkSamplerConfig::new(config.batch_size, config.bulk_size),
-    );
-    let backend = ReplicatedBackend::with_runtime(runtime.clone(), dist)?;
-    let report = match sampler_choice {
-        SamplerChoice::MatrixSage => {
-            let builder = TrainingSession::builder()
-                .dataset(dataset.clone())
-                .sampler(GraphSageSampler::new(config.fanouts.clone()).with_self_loops())
-                .backend(backend)
-                .partition(replication)
-                .hidden_dim(config.hidden_dim)
-                .learning_rate(config.learning_rate)
-                .epochs(config.epochs)
-                .seed(config.seed)
-                .without_evaluation();
-            let builder =
-                if replicate_features { builder } else { builder.without_feature_replication() };
-            builder.build()?.train()?
-        }
-        SamplerChoice::PerVertexSage => {
-            let builder = TrainingSession::builder()
-                .dataset(dataset.clone())
-                .sampler(PerVertexSageSampler::new(config.fanouts.clone()).with_self_loops())
-                .backend(backend)
-                .partition(replication)
-                .hidden_dim(config.hidden_dim)
-                .learning_rate(config.learning_rate)
-                .epochs(config.epochs)
-                .seed(config.seed)
-                .without_evaluation();
-            let builder =
-                if replicate_features { builder } else { builder.without_feature_replication() };
-            builder.build()?.train()?
-        }
-    };
-    Ok(report.epochs)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use dmbs_graph::datasets::{build_dataset, DatasetConfig};
-
-    fn tiny_dataset(seed: u64) -> Dataset {
-        let mut cfg = DatasetConfig::products_like(7); // 128 vertices
-        cfg.feature_dim = 16;
-        cfg.num_classes = 4;
-        cfg.train_fraction = 0.5;
-        cfg.homophily = 0.6;
-        build_dataset(&cfg, &mut StdRng::seed_from_u64(seed)).unwrap()
-    }
-
-    fn tiny_config() -> TrainingConfig {
-        TrainingConfig {
-            fanouts: vec![5, 5],
-            hidden_dim: 16,
-            batch_size: 16,
-            bulk_size: 4,
-            learning_rate: 0.05,
-            epochs: 3,
-            seed: 42,
-        }
-    }
 
     #[test]
-    fn config_validation() {
-        let mut c = tiny_config();
-        c.fanouts.clear();
-        assert!(c.validate().is_err());
-        let mut c = tiny_config();
-        c.epochs = 0;
-        assert!(c.validate().is_err());
-        assert!(tiny_config().validate().is_ok());
-        assert_eq!(TrainingConfig::default().fanouts, vec![15, 10, 5]);
-    }
-
-    #[test]
-    fn single_device_training_learns_better_than_chance() {
-        let dataset = tiny_dataset(1);
-        let config = tiny_config();
-        let report = train_single_device(&dataset, &config, SamplerChoice::MatrixSage).unwrap();
-        assert_eq!(report.epochs.len(), 3);
-        // Loss decreases over epochs.
-        assert!(report.epochs.last().unwrap().mean_loss < report.epochs[0].mean_loss);
-        // Better than the 1/num_classes chance level.
-        let acc = report.test_accuracy.unwrap();
-        assert!(acc > 1.5 / dataset.graph.num_classes() as f64, "accuracy {acc} not above chance");
-        // All three phases were timed.
-        let e = &report.epochs[0];
-        assert!(e.sampling_time() > 0.0);
-        assert!(e.feature_fetch_time() > 0.0);
-        assert!(e.propagation_time() > 0.0);
-        assert!(e.total_time() >= e.sampling_time());
-    }
-
-    #[test]
-    fn matrix_and_pervertex_samplers_reach_similar_accuracy() {
-        // The §8.1.3 claim: the bulk matrix sampling optimization does not
-        // change model accuracy relative to conventional per-vertex sampling.
-        let dataset = tiny_dataset(2);
-        let config = tiny_config();
-        let matrix = train_single_device(&dataset, &config, SamplerChoice::MatrixSage).unwrap();
-        let pervertex =
-            train_single_device(&dataset, &config, SamplerChoice::PerVertexSage).unwrap();
-        let a = matrix.test_accuracy.unwrap();
-        let b = pervertex.test_accuracy.unwrap();
-        assert!((a - b).abs() < 0.2, "matrix {a} vs per-vertex {b} accuracy diverged");
-    }
-
-    #[test]
-    fn single_device_requires_features_and_labels() {
-        let mut dataset = tiny_dataset(3);
-        dataset.graph =
-            dmbs_graph::Graph::from_adjacency(dataset.graph.adjacency().clone()).unwrap();
-        assert!(train_single_device(&dataset, &tiny_config(), SamplerChoice::MatrixSage).is_err());
-    }
-
-    #[test]
-    fn distributed_training_matches_phases_and_reduces_loss() {
-        let dataset = tiny_dataset(4);
-        let mut config = tiny_config();
-        config.epochs = 2;
-        let runtime = Runtime::new(4).unwrap();
-        let epochs =
-            train_distributed(&runtime, &dataset, &config, 2, true, SamplerChoice::MatrixSage)
-                .unwrap();
-        assert_eq!(epochs.len(), 2);
-        for e in &epochs {
-            assert!(e.sampling_time() > 0.0);
-            assert!(e.feature_fetch_time() > 0.0);
-            assert!(e.propagation_time() > 0.0);
-            // The distributed pipeline communicates (feature fetch + gradient
-            // all-reduce).
-            assert!(e.comm.messages > 0);
-        }
-        assert!(epochs[1].mean_loss < epochs[0].mean_loss * 1.2);
-    }
-
-    #[test]
-    fn norep_fetches_more_data_than_replicated() {
-        let dataset = tiny_dataset(5);
-        let mut config = tiny_config();
-        config.epochs = 1;
-        let runtime = Runtime::new(4).unwrap();
-        let rep =
-            train_distributed(&runtime, &dataset, &config, 4, true, SamplerChoice::MatrixSage)
-                .unwrap();
-        let norep =
-            train_distributed(&runtime, &dataset, &config, 4, false, SamplerChoice::MatrixSage)
-                .unwrap();
-        // With c = p the feature matrix is fully replicated per rank's process
-        // row... (c = 4 on 4 ranks = one process row holding everything), so
-        // feature fetching ships nothing; NoRep must ship feature rows.
-        assert!(norep[0].comm.words_sent > rep[0].comm.words_sent);
-    }
-
-    #[test]
-    fn distributed_rejects_bad_replication() {
-        let dataset = tiny_dataset(6);
-        let runtime = Runtime::new(4).unwrap();
-        assert!(train_distributed(
-            &runtime,
-            &dataset,
-            &tiny_config(),
-            3,
-            true,
-            SamplerChoice::MatrixSage
-        )
-        .is_err());
+    fn epoch_stats_accessors_reconcile_with_the_profile() {
+        let mut profile = PhaseProfile::new();
+        profile.add_compute(Phase::Probability, 0.5);
+        profile.add_compute(Phase::Sampling, 0.25);
+        profile.add_comm(Phase::Extraction, 0.125);
+        profile.add_compute(Phase::FeatureFetch, 1.0);
+        profile.add_comm(Phase::FeatureFetch, 2.0);
+        profile.add_compute(Phase::Propagation, 4.0);
+        profile.add_overlap(Phase::FeatureFetch, 1.5);
+        let stats = EpochStats { profile, ..EpochStats::default() };
+        assert_eq!(stats.sampling_time(), 0.875);
+        assert_eq!(stats.feature_fetch_time(), 3.0);
+        assert_eq!(stats.propagation_time(), 4.0);
+        assert_eq!(stats.total_time(), 7.875);
+        assert_eq!(stats.overlapped_time(), 1.5);
+        assert_eq!(stats.modeled_epoch_seconds(), stats.total_time() - stats.overlapped_time());
+        assert_eq!(stats.cache_hit_rate(), None);
     }
 }

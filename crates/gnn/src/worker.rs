@@ -20,20 +20,18 @@
 //! [`dmbs_comm::run_if_worker`] with [`registry`] before doing anything else;
 //! see that function's docs for the env-var protocol.
 
-use crate::features::{FeatureCacheConfig, InvalidationPolicy};
+use crate::features::InvalidationPolicy;
 use crate::session::{IngestEvent, RankEpochs, SessionConfig, TrainingSession};
 use crate::{GnnError, Result};
 use dmbs_comm::wire::{
     get_f64, get_f64s, get_u64, get_usize, get_usizes, put_f64, put_f64s, put_u64, put_usize,
     put_usizes,
 };
-use dmbs_comm::{
-    Codec, Communicator, Payload, Phase, PhaseProfile, TransportSelect, WorkerRegistry,
-};
+use dmbs_comm::{Communicator, Payload, Phase, PhaseProfile, TransportSelect, WorkerRegistry};
 use dmbs_graph::datasets::{Dataset, DatasetKind};
 use dmbs_graph::{Graph, IngestMode};
 use dmbs_matrix::pool::Parallelism;
-use dmbs_matrix::{CsrMatrix, DeltaBatch, DenseMatrix};
+use dmbs_matrix::{CsrMatrix, DenseMatrix};
 use dmbs_sampling::{
     BackendSpec, BulkSamplerConfig, DistConfig, FastGcnSampler, GraphSageSampler, LadiesSampler,
     Partitioned1p5dBackend, ReplicatedBackend, Sampler, SamplerSpec, SamplingBackend,
@@ -47,6 +45,7 @@ pub const TRAIN_WORKER: &str = "dmbs.gnn.train";
 /// instead of misdecoding.  v2 added the wire codec and the top-k gradient
 /// compression knob to the session config; v3 added the dynamic-graph ingest
 /// schedule (per-epoch edge batches, ingest mode, invalidation policy).
+/// Bump it whenever `job_layout_is_pinned` has to be re-pinned.
 const JOB_VERSION: u64 = 3;
 
 /// The worker registry of this crate: currently the single
@@ -70,16 +69,16 @@ fn codec_err(what: &str) -> GnnError {
     GnnError::InvalidConfig(format!("train job codec: truncated or malformed {what}"))
 }
 
-fn put_bool(out: &mut Vec<u8>, b: bool) {
-    put_u64(out, u64::from(b));
+/// Wire form of a dense matrix: rows, cols, then the row-major values.
+fn put_dense(out: &mut Vec<u8>, m: &DenseMatrix) {
+    (m.rows(), m.cols()).encode(out);
+    put_f64s(out, m.as_slice());
 }
 
-fn get_bool(input: &mut &[u8]) -> Option<bool> {
-    match get_u64(input)? {
-        0 => Some(false),
-        1 => Some(true),
-        _ => None,
-    }
+fn get_dense(input: &mut &[u8], what: &str) -> Result<DenseMatrix> {
+    let (rows, cols, data) =
+        <(usize, usize, Vec<f64>)>::decode(input).ok_or_else(|| codec_err(what))?;
+    Ok(DenseMatrix::from_vec(rows, cols, data)?)
 }
 
 /// Encodes the session's dataset, sampler/backend specs and resolved
@@ -137,9 +136,7 @@ where
     put_usizes(&mut out, adj.indptr());
     put_usizes(&mut out, adj.indices());
     put_f64s(&mut out, adj.values());
-    put_usize(&mut out, features.rows());
-    put_usize(&mut out, features.cols());
-    put_f64s(&mut out, features.as_slice());
+    put_dense(&mut out, features);
     put_usizes(&mut out, labels);
     put_usize(&mut out, dataset.graph.num_classes());
     put_usizes(&mut out, &dataset.train_set);
@@ -155,13 +152,13 @@ fn encode_sampler_spec(out: &mut Vec<u8>, spec: &SamplerSpec) {
         SamplerSpec::GraphSage { fanouts, self_loops } => {
             put_u64(out, 0);
             put_usizes(out, fanouts);
-            put_bool(out, *self_loops);
+            self_loops.encode(out);
         }
         SamplerSpec::Ladies { num_layers, samples_per_layer, include_previous } => {
             put_u64(out, 1);
             put_usize(out, *num_layers);
             put_usize(out, *samples_per_layer);
-            put_bool(out, *include_previous);
+            include_previous.encode(out);
         }
         SamplerSpec::FastGcn { num_layers, samples_per_layer } => {
             put_u64(out, 2);
@@ -173,11 +170,13 @@ fn encode_sampler_spec(out: &mut Vec<u8>, spec: &SamplerSpec) {
 
 fn decode_sampler_spec(input: &mut &[u8]) -> Option<SamplerSpec> {
     Some(match get_u64(input)? {
-        0 => SamplerSpec::GraphSage { fanouts: get_usizes(input)?, self_loops: get_bool(input)? },
+        0 => {
+            SamplerSpec::GraphSage { fanouts: get_usizes(input)?, self_loops: bool::decode(input)? }
+        }
         1 => SamplerSpec::Ladies {
             num_layers: get_usize(input)?,
             samples_per_layer: get_usize(input)?,
-            include_previous: get_bool(input)?,
+            include_previous: bool::decode(input)?,
         },
         2 => SamplerSpec::FastGcn {
             num_layers: get_usize(input)?,
@@ -198,7 +197,7 @@ fn encode_backend_spec(out: &mut Vec<u8>, spec: &BackendSpec) {
     put_usize(out, dist.bulk.batch_size);
     put_usize(out, dist.bulk.bulk_size);
     put_usize(out, dist.bulk.parallelism.threads());
-    put_bool(out, dist.bulk.workspace_reuse);
+    dist.bulk.workspace_reuse.encode(out);
 }
 
 fn decode_backend_spec(input: &mut &[u8]) -> Option<BackendSpec> {
@@ -209,7 +208,7 @@ fn decode_backend_spec(input: &mut &[u8]) -> Option<BackendSpec> {
         batch_size: get_usize(input)?,
         bulk_size: get_usize(input)?,
         parallelism: Parallelism::new(get_usize(input)?),
-        workspace_reuse: get_bool(input)?,
+        workspace_reuse: bool::decode(input)?,
     };
     let dist = DistConfig::new(ranks, replication_c, bulk);
     Some(match tag {
@@ -219,59 +218,30 @@ fn decode_backend_spec(input: &mut &[u8]) -> Option<BackendSpec> {
     })
 }
 
+/// Wire form of one ingest event: `(after_epoch, [(row, col, op), …])`.
+type WireIngestEvent = (usize, Vec<(usize, usize, Option<f64>)>);
+
+/// Field by field through the fields' own [`Payload`] impls, in declaration
+/// order (`transport` excepted — see [`decode_session_config`]).
 fn encode_session_config(out: &mut Vec<u8>, config: &SessionConfig) {
-    put_usize(out, config.batch_size);
-    put_usize(out, config.bulk_size);
-    put_usize(out, config.hidden_dim);
-    put_f64(out, config.learning_rate);
-    put_usize(out, config.epochs);
-    put_u64(out, config.seed);
-    put_bool(out, config.replicate_features);
-    match config.feature_replication {
-        Some(c) => {
-            put_bool(out, true);
-            put_usize(out, c);
-        }
-        None => put_bool(out, false),
-    }
-    put_bool(out, config.evaluate);
-    put_usize(out, config.parallelism.threads());
-    match config.feature_cache {
-        FeatureCacheConfig::Off => put_u64(out, 0),
-        FeatureCacheConfig::EpochPinned => put_u64(out, 1),
-        FeatureCacheConfig::Lru { byte_budget } => {
-            put_u64(out, 2);
-            put_usize(out, byte_budget);
-        }
-    }
-    put_bool(out, config.overlap);
-    put_u64(out, config.wire_codec.tag());
-    match config.grad_top_k {
-        Some(k) => {
-            put_bool(out, true);
-            put_usize(out, k);
-        }
-        None => put_bool(out, false),
-    }
-    // v3: the dynamic-graph ingest schedule.  Rank processes replay the
-    // identical edge batches at the identical epoch boundaries, so both
-    // transports walk the same sequence of graph versions.
-    put_usize(out, config.ingest.len());
-    for event in &config.ingest {
-        put_usize(out, event.after_epoch);
-        put_usize(out, event.batch.len());
-        for (row, col, op) in event.batch.ops() {
-            put_usize(out, row);
-            put_usize(out, col);
-            match op {
-                Some(weight) => {
-                    put_bool(out, true);
-                    put_f64(out, weight);
-                }
-                None => put_bool(out, false),
-            }
-        }
-    }
+    config.batch_size.encode(out);
+    config.bulk_size.encode(out);
+    config.hidden_dim.encode(out);
+    config.learning_rate.encode(out);
+    config.epochs.encode(out);
+    config.seed.encode(out);
+    config.replicate_features.encode(out);
+    config.feature_replication.encode(out);
+    config.evaluate.encode(out);
+    config.parallelism.threads().encode(out);
+    config.schedule.encode(out);
+    config.grad_top_k.encode(out);
+    // Rank processes replay the identical edge batches at the identical
+    // epoch boundaries, so both transports walk the same sequence of graph
+    // versions.
+    let ingest: Vec<WireIngestEvent> =
+        config.ingest.iter().map(|e| (e.after_epoch, e.batch.ops().collect())).collect();
+    ingest.encode(out);
     put_u64(
         out,
         match config.ingest_mode {
@@ -288,52 +258,27 @@ fn encode_session_config(out: &mut Vec<u8>, config: &SessionConfig) {
     );
 }
 
-fn decode_ingest_schedule(input: &mut &[u8]) -> Option<Vec<IngestEvent>> {
-    let n = get_usize(input)?;
-    let mut events = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let after_epoch = get_usize(input)?;
-        let ops = get_usize(input)?;
-        let mut batch = DeltaBatch::new();
-        for _ in 0..ops {
-            let row = get_usize(input)?;
-            let col = get_usize(input)?;
-            if get_bool(input)? {
-                batch.insert(row, col, get_f64(input)?);
-            } else {
-                batch.delete(row, col);
-            }
-        }
-        events.push(IngestEvent { after_epoch, batch });
-    }
-    Some(events)
-}
-
 fn decode_session_config(input: &mut &[u8]) -> Option<SessionConfig> {
     Some(SessionConfig {
-        batch_size: get_usize(input)?,
-        bulk_size: get_usize(input)?,
-        hidden_dim: get_usize(input)?,
-        learning_rate: get_f64(input)?,
-        epochs: get_usize(input)?,
-        seed: get_u64(input)?,
-        replicate_features: get_bool(input)?,
-        feature_replication: if get_bool(input)? { Some(get_usize(input)?) } else { None },
-        evaluate: get_bool(input)?,
-        parallelism: Parallelism::new(get_usize(input)?),
-        feature_cache: match get_u64(input)? {
-            0 => FeatureCacheConfig::Off,
-            1 => FeatureCacheConfig::EpochPinned,
-            2 => FeatureCacheConfig::Lru { byte_budget: get_usize(input)? },
-            _ => return None,
-        },
+        batch_size: Payload::decode(input)?,
+        bulk_size: Payload::decode(input)?,
+        hidden_dim: Payload::decode(input)?,
+        learning_rate: Payload::decode(input)?,
+        epochs: Payload::decode(input)?,
+        seed: Payload::decode(input)?,
+        replicate_features: Payload::decode(input)?,
+        feature_replication: Payload::decode(input)?,
+        evaluate: Payload::decode(input)?,
+        parallelism: Parallelism::new(Payload::decode(input)?),
+        schedule: Payload::decode(input)?,
         // A rank process never re-dispatches: its communicator is already on
         // the socket transport, and `distributed_rank_main` runs in place.
-        overlap: get_bool(input)?,
         transport: TransportSelect::Simulator,
-        wire_codec: Codec::from_tag(get_u64(input)?)?,
-        grad_top_k: if get_bool(input)? { Some(get_usize(input)?) } else { None },
-        ingest: decode_ingest_schedule(input)?,
+        grad_top_k: Payload::decode(input)?,
+        ingest: Vec::<WireIngestEvent>::decode(input)?
+            .into_iter()
+            .map(|(after_epoch, ops)| IngestEvent { after_epoch, batch: ops.into_iter().collect() })
+            .collect(),
         ingest_mode: match get_u64(input)? {
             0 => IngestMode::Delta,
             1 => IngestMode::Rebuild,
@@ -370,10 +315,7 @@ fn decode_train_job(job: &[u8]) -> Result<TrainJob> {
     let indices = get_usizes(input).ok_or_else(|| codec_err("adjacency"))?;
     let values = get_f64s(input).ok_or_else(|| codec_err("adjacency"))?;
     let adjacency = CsrMatrix::from_raw(rows, cols, indptr, indices, values)?;
-    let frows = get_usize(input).ok_or_else(|| codec_err("features"))?;
-    let fcols = get_usize(input).ok_or_else(|| codec_err("features"))?;
-    let fdata = get_f64s(input).ok_or_else(|| codec_err("features"))?;
-    let features = DenseMatrix::from_vec(frows, fcols, fdata)?;
+    let features = get_dense(input, "features")?;
     let labels = get_usizes(input).ok_or_else(|| codec_err("labels"))?;
     let num_classes = get_usize(input).ok_or_else(|| codec_err("num_classes"))?;
     let train_set = get_usizes(input).ok_or_else(|| codec_err("train_set"))?;
@@ -405,9 +347,7 @@ pub(crate) fn encode_rank_epochs(out: &mut Vec<u8>, epochs: &RankEpochs) {
     }
     put_usize(out, params.len());
     for m in params {
-        put_usize(out, m.rows());
-        put_usize(out, m.cols());
-        put_f64s(out, m.as_slice());
+        put_dense(out, m);
     }
 }
 
@@ -437,10 +377,7 @@ pub(crate) fn decode_rank_epochs(bytes: &[u8]) -> Result<RankEpochs> {
     let m = get_usize(input).ok_or_else(|| codec_err("param count"))?;
     let mut params = Vec::with_capacity(m.min(1 << 16));
     for _ in 0..m {
-        let rows = get_usize(input).ok_or_else(|| codec_err("param matrix"))?;
-        let cols = get_usize(input).ok_or_else(|| codec_err("param matrix"))?;
-        let data = get_f64s(input).ok_or_else(|| codec_err("param matrix"))?;
-        params.push(DenseMatrix::from_vec(rows, cols, data)?);
+        params.push(get_dense(input, "param matrix")?);
     }
     if !input.is_empty() {
         return Err(codec_err("trailing bytes"));
@@ -467,7 +404,8 @@ fn train_worker(comm: &mut Communicator, job: &[u8]) -> std::result::Result<Vec<
         S: Sampler + Send + Sync + 'static,
         B: SamplingBackend + Send + Sync + 'static,
     {
-        let session = TrainingSession::from_parts(dataset, sampler, backend, config);
+        let session = TrainingSession::from_parts(dataset, sampler, backend, config)
+            .map_err(|e| e.to_string())?;
         let epochs = session.distributed_rank_main(comm).map_err(|e| e.to_string())?;
         let mut out = Vec::new();
         encode_rank_epochs(&mut out, &epochs);
@@ -513,7 +451,9 @@ fn train_worker(comm: &mut Communicator, job: &[u8]) -> std::result::Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmbs_comm::Codec;
     use dmbs_graph::datasets::{build_dataset, DatasetConfig};
+    use dmbs_matrix::DeltaBatch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -564,21 +504,35 @@ mod tests {
         assert_eq!(decoded.dataset.train_set, session.dataset().train_set);
         assert_eq!(decoded.sampler, session.sampler().spec().unwrap());
         assert_eq!(decoded.backend, session.backend().spec().unwrap());
-        assert_eq!(decoded.config.seed, 5);
-        assert_eq!(decoded.config.epochs, 2);
-        assert_eq!(decoded.config.wire_codec, Codec::Int8);
-        assert_eq!(decoded.config.grad_top_k, Some(5));
-        // v3 fields: the ingest schedule (batch ops included), mode and
-        // invalidation policy survive the trip op for op.
-        assert_eq!(decoded.config.ingest, session.config().ingest);
-        assert_eq!(decoded.config.ingest[0].after_epoch, 0);
+        // Every config field survives the trip (the fixture sets the codec,
+        // top-k, ingest schedule and invalidation policy off their defaults),
+        // the ingest batch op for op.
+        assert_eq!(&decoded.config, session.config());
+        assert_eq!(decoded.config.schedule.codec, Codec::Int8);
         assert_eq!(
             decoded.config.ingest[0].batch.ops().collect::<Vec<_>>(),
             vec![(0, 1, Some(0.5)), (2, 3, None)]
         );
-        assert_eq!(decoded.config.ingest_mode, IngestMode::Delta);
-        assert_eq!(decoded.config.invalidation, InvalidationPolicy::FlushAll);
     }
+
+    #[test]
+    fn job_layout_is_pinned() {
+        // Length and FNV-1a fold of the `session(5)` job as encoded before
+        // the codec was recomposed from `Payload` impls.  A change here is a
+        // layout change: bump JOB_VERSION, then re-pin.
+        let job = encode_train_job(&session(5)).unwrap();
+        let fnv = job.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((job.len(), fnv), (55_720, 0x541d_8e6e_a423_8059));
+    }
+
+    /// Byte length of the session-config tail of a `session(..)` job: ten
+    /// scalar words (`feature_replication = None` is one), the three-word
+    /// schedule, `grad_top_k = Some(5)` (two), the one-event ingest schedule
+    /// (event count, epoch, op count, insert = 4 words, delete = 3) and the
+    /// two policy tags.
+    const CONFIG_TAIL: usize = 8 * (10 + 3 + 2 + 10 + 2);
 
     #[test]
     fn corrupt_jobs_are_typed_errors_not_panics() {
@@ -588,14 +542,49 @@ mod tests {
         let mut bad = job.clone();
         bad[0] ^= 0xFF;
         assert!(decode_train_job(&bad).is_err());
-        // Truncations at every prefix length must error, never panic.
-        for len in 0..job.len().min(64) {
+        // Truncations at every prefix length must error, never panic — in
+        // the dataset header and all through the session-config tail.
+        let mut tail = Vec::new();
+        encode_session_config(&mut tail, session.config());
+        assert_eq!(tail.len(), CONFIG_TAIL);
+        for len in (0..job.len().min(64)).chain(job.len() - CONFIG_TAIL - 8..job.len()) {
             assert!(decode_train_job(&job[..len]).is_err(), "prefix {len}");
         }
         // Trailing garbage.
         let mut bad = job.clone();
         bad.extend_from_slice(&[0; 3]);
         assert!(decode_train_job(&bad).is_err());
+    }
+
+    #[test]
+    fn forged_config_fields_fail_on_every_rank_without_panicking() {
+        // A job whose bytes decode cleanly but whose config the builder
+        // would have refused: the rank process must return the same typed
+        // error, not reach the training loop (`chunks(0)` panics).
+        let session = session(7);
+        let job = encode_train_job(&session).unwrap();
+        let runtime = session.backend().runtime().unwrap();
+        let tail = job.len() - CONFIG_TAIL;
+        // Word offsets within the config tail; `grad_top_k`'s value follows
+        // its `Some` tag at word 13 + 1.
+        for (field, word) in
+            [("batch_size", 0), ("bulk_size", 1), ("hidden_dim", 2), ("grad_top_k", 14)]
+        {
+            let mut forged = job.clone();
+            forged[tail + 8 * word..tail + 8 * (word + 1)].fill(0);
+            let decoded = decode_train_job(&forged).expect("forged job still decodes");
+            assert_ne!(&decoded.config, session.config(), "{field} was not forged");
+            match runtime.run_worker(&registry(), TRAIN_WORKER, &forged) {
+                Err(dmbs_comm::CommError::WorkerFailed { message, .. }) => {
+                    assert!(message.contains("must be positive"), "{field}: {message}")
+                }
+                other => panic!("{field}: expected a typed worker failure, got {other:?}"),
+            }
+            // `run_worker` reports the first failing rank; every rank sees
+            // the same job, so check each one fails on its own.
+            let per_rank = runtime.run(|comm| train_worker(comm, &forged)).unwrap();
+            assert!(per_rank.iter().all(|o| o.value.is_err()), "{field}: a rank accepted the job");
+        }
     }
 
     #[test]

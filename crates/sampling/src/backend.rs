@@ -18,9 +18,7 @@
 //!
 //! All three share one configuration type, [`DistConfig`], and one output
 //! type, [`EpochSamples`], and are driven by one entry point,
-//! [`SamplingBackend::sample_epoch`].  They replace the former zoo of
-//! per-(sampler × strategy) free functions (`sample_replicated`,
-//! `run_partitioned_sage`, …), which remain only as deprecated wrappers.
+//! [`SamplingBackend::sample_epoch`].
 //!
 //! # Example: the same sampler through two strategies
 //!
@@ -220,8 +218,8 @@ impl EpochSamples {
 }
 
 /// The seed of bulk group `group` within an epoch seeded with `epoch_seed`.
-/// Group 0 uses `epoch_seed` itself, which keeps single-group runs
-/// byte-identical to the legacy free functions.
+/// Group 0 uses `epoch_seed` itself, so a single-group epoch is seeded
+/// exactly like a direct bulk-sampling call.
 pub fn group_seed(epoch_seed: u64, group: usize) -> u64 {
     epoch_seed.wrapping_add((group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }

@@ -47,8 +47,7 @@
 //! [`BulkSamplerConfig::parallelism`] knob); [`baseline`] —
 //! per-vertex samplers standing in for Quiver/DGL (including a UVA-style
 //! slow-memory model) and a reference per-batch CPU LADIES; [`replicated`] /
-//! [`partitioned`] — the rank-level machinery behind the backends (their
-//! free-function drivers are deprecated in favor of the trait).
+//! [`partitioned`] — the rank-level machinery behind the backends.
 //!
 //! # Example: one sampler, two distribution strategies
 //!

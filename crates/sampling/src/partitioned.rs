@@ -18,7 +18,7 @@
 use crate::its::{its_without_replacement, sample_rows_par};
 use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
 use crate::{Result, SamplingError};
-use dmbs_comm::{Communicator, Group, Phase, PhaseProfile, ProcessGrid, Runtime};
+use dmbs_comm::{Communicator, Group, Phase, PhaseProfile, ProcessGrid};
 use dmbs_graph::partition::OneDPartition;
 use dmbs_matrix::extract::extract_columns_masked_with;
 use dmbs_matrix::ops::row_selection_matrix;
@@ -184,45 +184,9 @@ fn row_seed(seed: u64, process_row: usize, step: usize) -> u64 {
         .wrapping_add(step as u64)
 }
 
-/// Runs distributed GraphSAGE sampling for the minibatches owned by this
-/// rank's process row.  Call from inside a [`Runtime::run`] closure; every
-/// rank of the grid must participate.
-///
-/// # Errors
-///
-/// Returns an error for invalid configurations (out-of-range batch vertices,
-/// mismatched blocks) or failed collectives.
-#[deprecated(
-    since = "0.2.0",
-    note = "drive partitioned sampling through `backend::Partitioned1p5dBackend` \
-            (the `Sampler::sample_partitioned` hook replaces per-sampler free functions)"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn sample_partitioned_sage(
-    comm: &mut Communicator,
-    grid: &ProcessGrid,
-    my_a_block: &CsrMatrix,
-    vertex_partition: &OneDPartition,
-    my_batches: &[Vec<usize>],
-    fanouts: &[usize],
-    include_self_loops: bool,
-    seed: u64,
-) -> Result<BulkSampleOutput> {
-    sage_on_rank(
-        comm,
-        grid,
-        my_a_block,
-        vertex_partition,
-        my_batches,
-        fanouts,
-        include_self_loops,
-        seed,
-        Parallelism::serial(),
-    )
-}
-
-/// Rank-level GraphSAGE body shared by the deprecated free function and the
-/// [`crate::Sampler::sample_partitioned`] implementation.
+/// Rank-level GraphSAGE body of the [`crate::Sampler::sample_partitioned`]
+/// implementation: distributed sampling for the minibatches owned by this
+/// rank's process row.  Every rank of the grid must participate.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sage_on_rank(
     comm: &mut Communicator,
@@ -331,47 +295,11 @@ pub(crate) fn sage_on_rank(
     Ok(BulkSampleOutput { minibatches, profile, comm_stats })
 }
 
-/// Runs distributed LADIES sampling for the minibatches owned by this rank's
-/// process row.  Row extraction reuses the 1.5D SpGEMM; column extraction is
-/// split across the process row (each rank extracts the batches whose index
-/// is congruent to its process column) and the results are all-gathered
-/// within the row.
-///
-/// # Errors
-///
-/// Returns an error for invalid configurations or failed collectives.
-#[deprecated(
-    since = "0.2.0",
-    note = "drive partitioned sampling through `backend::Partitioned1p5dBackend` \
-            (the `Sampler::sample_partitioned` hook replaces per-sampler free functions)"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn sample_partitioned_ladies(
-    comm: &mut Communicator,
-    grid: &ProcessGrid,
-    my_a_block: &CsrMatrix,
-    vertex_partition: &OneDPartition,
-    my_batches: &[Vec<usize>],
-    num_layers: usize,
-    samples_per_layer: usize,
-    seed: u64,
-) -> Result<BulkSampleOutput> {
-    ladies_on_rank(
-        comm,
-        grid,
-        my_a_block,
-        vertex_partition,
-        my_batches,
-        num_layers,
-        samples_per_layer,
-        seed,
-        Parallelism::serial(),
-        true,
-    )
-}
-
-/// Rank-level LADIES body shared by the deprecated free function and the
-/// [`crate::Sampler::sample_partitioned`] implementation.
+/// Rank-level LADIES body of the [`crate::Sampler::sample_partitioned`]
+/// implementation.  Row extraction reuses the 1.5D SpGEMM; column extraction
+/// is split across the process row (each rank extracts the batches whose
+/// index is congruent to its process column) and the results are
+/// all-gathered within the row.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn ladies_on_rank(
     comm: &mut Communicator,
@@ -643,126 +571,6 @@ pub fn assign_batches_to_rows(num_batches: usize, rows: usize) -> Vec<Vec<usize>
     assignment
 }
 
-/// Convenience driver: partitions the adjacency matrix, spawns the runtime
-/// and runs [`sample_partitioned_sage`] on every rank.  Returns one
-/// [`BulkSampleOutput`] per **process row** (taken from its column-0 rank).
-///
-/// # Errors
-///
-/// Propagates configuration, sampling and runtime errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `backend::Partitioned1p5dBackend::sample_epoch` through the `SamplingBackend` trait"
-)]
-pub fn run_partitioned_sage(
-    runtime: &Runtime,
-    replication: usize,
-    adjacency: &CsrMatrix,
-    batches: &[Vec<usize>],
-    fanouts: &[usize],
-    include_self_loops: bool,
-    seed: u64,
-) -> Result<Vec<BulkSampleOutput>> {
-    let grid = ProcessGrid::new(runtime.size(), replication)?;
-    let n = adjacency.rows();
-    if adjacency.cols() != n {
-        return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
-    }
-    let vertex_partition = OneDPartition::new(n, grid.rows())?;
-    let a_blocks = vertex_partition.split_csr(adjacency)?;
-    let row_assignment = assign_batches_to_rows(batches.len(), grid.rows());
-
-    let outputs = runtime.run(|comm| {
-        let (my_row, _) = grid.coords(comm.rank());
-        let my_batches: Vec<Vec<usize>> =
-            row_assignment[my_row].iter().map(|&i| batches[i].clone()).collect();
-        sage_on_rank(
-            comm,
-            &grid,
-            &a_blocks[my_row],
-            &vertex_partition,
-            &my_batches,
-            fanouts,
-            include_self_loops,
-            seed,
-            Parallelism::serial(),
-        )
-    })?;
-
-    let mut per_row = Vec::with_capacity(grid.rows());
-    for out in outputs {
-        let (row, col) = grid.coords(out.rank);
-        if col == 0 {
-            debug_assert_eq!(row, per_row.len());
-            per_row.push(out.value?);
-        } else {
-            // Still surface errors from non-reporting ranks.
-            out.value?;
-        }
-    }
-    Ok(per_row)
-}
-
-/// Convenience driver for [`sample_partitioned_ladies`], mirroring
-/// [`run_partitioned_sage`].
-///
-/// # Errors
-///
-/// Propagates configuration, sampling and runtime errors.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `backend::Partitioned1p5dBackend::sample_epoch` through the `SamplingBackend` trait"
-)]
-#[allow(clippy::too_many_arguments)]
-pub fn run_partitioned_ladies(
-    runtime: &Runtime,
-    replication: usize,
-    adjacency: &CsrMatrix,
-    batches: &[Vec<usize>],
-    num_layers: usize,
-    samples_per_layer: usize,
-    seed: u64,
-) -> Result<Vec<BulkSampleOutput>> {
-    let grid = ProcessGrid::new(runtime.size(), replication)?;
-    let n = adjacency.rows();
-    if adjacency.cols() != n {
-        return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
-    }
-    let vertex_partition = OneDPartition::new(n, grid.rows())?;
-    let a_blocks = vertex_partition.split_csr(adjacency)?;
-    let row_assignment = assign_batches_to_rows(batches.len(), grid.rows());
-
-    let outputs = runtime.run(|comm| {
-        let (my_row, _) = grid.coords(comm.rank());
-        let my_batches: Vec<Vec<usize>> =
-            row_assignment[my_row].iter().map(|&i| batches[i].clone()).collect();
-        ladies_on_rank(
-            comm,
-            &grid,
-            &a_blocks[my_row],
-            &vertex_partition,
-            &my_batches,
-            num_layers,
-            samples_per_layer,
-            seed,
-            Parallelism::serial(),
-            true,
-        )
-    })?;
-
-    let mut per_row = Vec::with_capacity(grid.rows());
-    for out in outputs {
-        let (row, col) = grid.coords(out.rank);
-        if col == 0 {
-            debug_assert_eq!(row, per_row.len());
-            per_row.push(out.value?);
-        } else {
-            out.value?;
-        }
-    }
-    Ok(per_row)
-}
-
 /// Flattens per-process-row outputs back to the original batch order.
 ///
 /// # Errors
@@ -798,16 +606,31 @@ pub fn flatten_row_outputs(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::backend::{DistConfig, EpochSamples, Partitioned1p5dBackend, SamplingBackend};
     use crate::sampler::{BulkSamplerConfig, Sampler};
     use crate::{GraphSageSampler, LadiesSampler};
+    use dmbs_comm::Runtime;
     use dmbs_graph::generators::{figure1_example, rmat, RmatConfig};
     use dmbs_matrix::spgemm::spgemm;
 
     fn adjacency() -> CsrMatrix {
         figure1_example().adjacency().clone()
+    }
+
+    /// One bulk group holding every batch, sampled on a `p/c × c` grid.
+    fn sample<S: Sampler + Sync>(
+        p: usize,
+        c: usize,
+        sampler: &S,
+        a: &CsrMatrix,
+        batches: &[Vec<usize>],
+        seed: u64,
+    ) -> Result<EpochSamples> {
+        let bulk = BulkSamplerConfig::new(batches[0].len(), batches.len());
+        Partitioned1p5dBackend::new(DistConfig::new(p, c, bulk))?
+            .sample_epoch(sampler, a, batches, seed)
     }
 
     fn random_graph(scale: u32, degree: usize, seed: u64) -> CsrMatrix {
@@ -887,40 +710,14 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_sage_full_fanout_matches_single_device() {
-        // With a fanout larger than any degree, GraphSAGE keeps the entire
-        // 1-hop neighborhood, so the partitioned result must match the
-        // single-device matrix sampler exactly (no randomness involved).
-        let a = adjacency();
-        let batches: Vec<Vec<usize>> = vec![vec![1, 5], vec![0, 3], vec![2, 4]];
-        let fanouts = vec![10];
-        let runtime = Runtime::new(4).unwrap();
-        let per_row = run_partitioned_sage(&runtime, 2, &a, &batches, &fanouts, false, 3).unwrap();
-        let flat = flatten_row_outputs(per_row, batches.len()).unwrap();
-
-        let single = GraphSageSampler::new(fanouts.clone());
-        let mut rng = StdRng::seed_from_u64(9);
-        let expected =
-            single.sample_bulk(&a, &batches, &BulkSamplerConfig::new(2, 3), &mut rng).unwrap();
-        for (got, want) in flat.minibatches.iter().zip(&expected.minibatches) {
-            assert_eq!(got.batch, want.batch);
-            assert_eq!(got.layers[0].rows, want.layers[0].rows);
-            assert_eq!(got.layers[0].cols, want.layers[0].cols);
-            assert_eq!(got.layers[0].adjacency, want.layers[0].adjacency);
-        }
-    }
-
-    #[test]
     fn partitioned_sage_respects_fanout_on_random_graph() {
         let a = random_graph(7, 6, 3);
         let n = a.rows();
         let batches: Vec<Vec<usize>> = (0..6).map(|i| vec![i * 3 % n, (i * 7 + 1) % n]).collect();
-        let runtime = Runtime::new(8).unwrap();
-        let per_row = run_partitioned_sage(&runtime, 2, &a, &batches, &[3, 2], false, 17).unwrap();
-        assert_eq!(per_row.len(), 4);
-        let flat = flatten_row_outputs(per_row, batches.len()).unwrap();
-        assert_eq!(flat.num_batches(), 6);
-        for mb in &flat.minibatches {
+        let epoch = sample(8, 2, &GraphSageSampler::new(vec![3, 2]), &a, &batches, 17).unwrap();
+        assert_eq!(epoch.per_unit.len(), 4);
+        assert_eq!(epoch.num_batches(), 6);
+        for mb in epoch.minibatches() {
             assert!(mb.frontiers_are_chained());
             for layer in &mb.layers {
                 for r in 0..layer.adjacency.rows() {
@@ -936,7 +733,7 @@ mod tests {
             }
         }
         // The partitioned algorithm actually communicates.
-        assert!(flat.comm_stats.messages > 0);
+        assert!(epoch.output.comm_stats.messages > 0);
     }
 
     #[test]
@@ -946,15 +743,13 @@ mod tests {
         // single-device sampler.
         let a = adjacency();
         let batches: Vec<Vec<usize>> = vec![vec![1, 5], vec![0, 2]];
-        let runtime = Runtime::new(4).unwrap();
-        let per_row = run_partitioned_ladies(&runtime, 2, &a, &batches, 1, 10, 5).unwrap();
-        let flat = flatten_row_outputs(per_row, batches.len()).unwrap();
-
         let single = LadiesSampler::new(1, 10);
+        let epoch = sample(4, 2, &single, &a, &batches, 5).unwrap();
+
         let mut rng = StdRng::seed_from_u64(23);
         let expected =
             single.sample_bulk(&a, &batches, &BulkSamplerConfig::new(2, 2), &mut rng).unwrap();
-        for (got, want) in flat.minibatches.iter().zip(&expected.minibatches) {
+        for (got, want) in epoch.minibatches().iter().zip(&expected.minibatches) {
             assert_eq!(got.layers[0].rows, want.layers[0].rows);
             assert_eq!(got.layers[0].cols, want.layers[0].cols);
             assert!(got.layers[0].adjacency.approx_eq(&want.layers[0].adjacency, 1e-12));
@@ -967,10 +762,8 @@ mod tests {
         let n = a.rows();
         let batches: Vec<Vec<usize>> =
             (0..4).map(|i| vec![(i * 11) % n, (i * 13 + 2) % n, (i * 5 + 7) % n]).collect();
-        let runtime = Runtime::new(4).unwrap();
-        let per_row = run_partitioned_ladies(&runtime, 2, &a, &batches, 1, 5, 31).unwrap();
-        let flat = flatten_row_outputs(per_row, batches.len()).unwrap();
-        for mb in &flat.minibatches {
+        let epoch = sample(4, 2, &LadiesSampler::new(1, 5), &a, &batches, 31).unwrap();
+        for mb in epoch.minibatches() {
             let layer = &mb.layers[0];
             assert!(layer.cols.len() <= 5);
             // Every kept edge is a real edge between a batch and a sampled vertex.
@@ -983,24 +776,12 @@ mod tests {
     #[test]
     fn invalid_configurations_rejected() {
         let a = adjacency();
-        let runtime = Runtime::new(2).unwrap();
-        assert!(run_partitioned_sage(&runtime, 2, &a, &[vec![0]], &[], false, 0).is_err());
-        assert!(run_partitioned_sage(&runtime, 2, &a, &[vec![99]], &[2], false, 0).is_err());
-        assert!(run_partitioned_ladies(&runtime, 2, &a, &[vec![0]], 0, 2, 0).is_err());
-        assert!(run_partitioned_ladies(&runtime, 2, &a, &[vec![0]], 1, 0, 0).is_err());
+        let sage = GraphSageSampler::new(vec![2]);
+        assert!(sample(2, 2, &sage, &a, &[vec![99]], 0).is_err());
         // Replication must divide p.
-        assert!(run_partitioned_sage(&runtime, 3, &a, &[vec![0]], &[2], false, 0).is_err());
+        assert!(sample(2, 3, &sage, &a, &[vec![0]], 0).is_err());
         // Rectangular adjacency.
-        assert!(run_partitioned_sage(
-            &runtime,
-            2,
-            &CsrMatrix::zeros(3, 4),
-            &[vec![0]],
-            &[2],
-            false,
-            0
-        )
-        .is_err());
+        assert!(sample(2, 2, &sage, &CsrMatrix::zeros(3, 4), &[vec![0]], 0).is_err());
     }
 
     #[test]
@@ -1021,15 +802,14 @@ mod tests {
         let n = a.rows();
         let batches: Vec<Vec<usize>> =
             (0..8).map(|i| (0..16).map(|j| (i + j * 16) % n).collect()).collect();
-        let runtime = Runtime::new(8).unwrap();
-        let c1 = run_partitioned_sage(&runtime, 1, &a, &batches, &[4], false, 7).unwrap();
-        let c2 = run_partitioned_sage(&runtime, 2, &a, &batches, &[4], false, 7).unwrap();
+        let sage = GraphSageSampler::new(vec![4]);
+        let c1 = sample(8, 1, &sage, &a, &batches, 7).unwrap();
+        let c2 = sample(8, 2, &sage, &a, &batches, 7).unwrap();
         // Partitioned sampling with scattered batches must actually move data.
-        let words_c2: usize = c2.iter().map(|o| o.comm_stats.words_sent).sum();
-        assert!(words_c2 > 0, "partitioned sampling with c=2 sent no data");
+        assert!(c2.total_words_sent() > 0, "partitioned sampling with c=2 sent no data");
         // Per-reporting-rank message count shrinks with replication.
-        let msgs_per_rank_c1 = c1.iter().map(|o| o.comm_stats.messages).max().unwrap();
-        let msgs_per_rank_c2 = c2.iter().map(|o| o.comm_stats.messages).max().unwrap();
+        let msgs_per_rank_c1 = c1.max_messages();
+        let msgs_per_rank_c2 = c2.max_messages();
         assert!(
             msgs_per_rank_c2 < msgs_per_rank_c1,
             "c=2 rank sent {msgs_per_rank_c2} messages, c=1 rank sent {msgs_per_rank_c1}"

@@ -5,15 +5,9 @@
 //! rank.  Each rank therefore computes `Q^l_i · A` — and the subsequent
 //! normalization, sampling and extraction — entirely locally: **the sampling
 //! step involves no communication**, which is why the paper's Figure 4 shows
-//! near-linear scaling of sampling time.
-
-use crate::plan::BulkSampleOutput;
-use crate::sampler::{BulkSamplerConfig, Sampler};
-use crate::{Result, SamplingError};
-use dmbs_comm::{RankOutput, Runtime};
-use dmbs_matrix::CsrMatrix;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! near-linear scaling of sampling time.  The strategy itself is
+//! [`crate::backend::ReplicatedBackend`]; this module holds its batch
+//! assignment.
 
 /// Assigns minibatch indices to `p` ranks round-robin (rank `r` owns batches
 /// `r, r + p, r + 2p, …`), the way the pipeline divides `k` bulk minibatches
@@ -26,113 +20,14 @@ pub fn assign_batches_round_robin(num_batches: usize, p: usize) -> Vec<Vec<usize
     assignment
 }
 
-/// Runs the Graph Replicated algorithm: every rank bulk-samples its share of
-/// the minibatches against the fully replicated adjacency matrix, with no
-/// communication.
-///
-/// Returns one [`BulkSampleOutput`] per rank (in rank order).  Ranks that own
-/// no minibatches (when `batches.len() < p`) return an empty output.
-/// Per-rank RNGs are derived from `seed` and the rank id, so results are
-/// deterministic for a fixed seed and rank count.
-///
-/// # Errors
-///
-/// Returns an error if the runtime fails, if any rank's sampling fails, or if
-/// the adjacency matrix is not square.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `backend::ReplicatedBackend::sample_epoch` through the `SamplingBackend` trait"
-)]
-pub fn sample_replicated<S>(
-    runtime: &Runtime,
-    sampler: &S,
-    adjacency: &CsrMatrix,
-    batches: &[Vec<usize>],
-    config: &BulkSamplerConfig,
-    seed: u64,
-) -> Result<Vec<BulkSampleOutput>>
-where
-    S: Sampler + Sync,
-{
-    if adjacency.rows() != adjacency.cols() {
-        return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
-    }
-    let p = runtime.size();
-    let assignment = assign_batches_round_robin(batches.len(), p);
-
-    let outputs: Vec<RankOutput<Result<BulkSampleOutput>>> = runtime.run(|comm| {
-        let rank = comm.rank();
-        let my_batches: Vec<Vec<usize>> =
-            assignment[rank].iter().map(|&i| batches[i].clone()).collect();
-        if my_batches.is_empty() {
-            return Ok(BulkSampleOutput::default());
-        }
-        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(rank as u64));
-        sampler.sample_bulk(adjacency, &my_batches, config, &mut rng)
-    })?;
-
-    outputs.into_iter().map(|o| o.value).collect()
-}
-
-/// Convenience wrapper that flattens the per-rank outputs of
-/// [`sample_replicated`] back into a single list of minibatch samples ordered
-/// by original batch index, which is what single-device comparisons and the
-/// accuracy experiment need.
-///
-/// # Errors
-///
-/// Propagates the errors of [`sample_replicated`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `backend::ReplicatedBackend::sample_epoch` through the `SamplingBackend` trait \
-            (its `EpochSamples::output` is already flattened in batch order)"
-)]
-#[allow(deprecated)]
-pub fn sample_replicated_flat<S>(
-    runtime: &Runtime,
-    sampler: &S,
-    adjacency: &CsrMatrix,
-    batches: &[Vec<usize>],
-    config: &BulkSamplerConfig,
-    seed: u64,
-) -> Result<BulkSampleOutput>
-where
-    S: Sampler + Sync,
-{
-    let p = runtime.size();
-    let per_rank = sample_replicated(runtime, sampler, adjacency, batches, config, seed)?;
-    let assignment = assign_batches_round_robin(batches.len(), p);
-
-    let mut ordered = vec![None; batches.len()];
-    let mut merged = BulkSampleOutput::default();
-    for (rank, output) in per_rank.into_iter().enumerate() {
-        merged.profile.merge_max(&output.profile);
-        merged.comm_stats.merge(&output.comm_stats);
-        for (slot, mb) in assignment[rank].iter().zip(output.minibatches) {
-            ordered[*slot] = Some(mb);
-        }
-    }
-    merged.minibatches = ordered
-        .into_iter()
-        .map(|mb| {
-            mb.ok_or_else(|| {
-                SamplingError::InvalidConfig("a minibatch was not sampled by any rank".into())
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(merged)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::backend::{DistConfig, ReplicatedBackend, SamplingBackend};
+    use crate::sampler::BulkSamplerConfig;
     use crate::{GraphSageSampler, LadiesSampler};
     use dmbs_graph::generators::figure1_example;
-
-    fn adjacency() -> CsrMatrix {
-        figure1_example().adjacency().clone()
-    }
+    use dmbs_matrix::CsrMatrix;
 
     #[test]
     fn round_robin_assignment_balances() {
@@ -145,96 +40,25 @@ mod tests {
     }
 
     #[test]
-    fn replicated_sage_involves_no_communication() {
-        let runtime = Runtime::new(4).unwrap();
-        let sampler = GraphSageSampler::new(vec![2]);
-        let batches: Vec<Vec<usize>> =
-            vec![vec![1, 5], vec![0, 3], vec![2, 4], vec![1, 2], vec![3, 5]];
-        let outs = sample_replicated(
-            &runtime,
-            &sampler,
-            &adjacency(),
-            &batches,
-            &BulkSamplerConfig::new(2, batches.len()),
-            7,
-        )
-        .unwrap();
-        assert_eq!(outs.len(), 4);
-        // 5 batches over 4 ranks: sizes 2,1,1,1.
-        assert_eq!(outs[0].num_batches(), 2);
-        assert_eq!(outs[1].num_batches(), 1);
-        for o in &outs {
-            assert_eq!(o.comm_stats.messages, 0, "replicated sampling must not communicate");
-        }
-    }
-
-    #[test]
-    fn replicated_flat_restores_batch_order() {
-        let runtime = Runtime::new(3).unwrap();
-        let sampler = GraphSageSampler::new(vec![2]);
-        let batches: Vec<Vec<usize>> = vec![vec![0], vec![1], vec![2], vec![3], vec![4]];
-        let out = sample_replicated_flat(
-            &runtime,
-            &sampler,
-            &adjacency(),
-            &batches,
-            &BulkSamplerConfig::new(1, batches.len()),
-            3,
-        )
-        .unwrap();
-        assert_eq!(out.num_batches(), 5);
-        for (mb, batch) in out.minibatches.iter().zip(&batches) {
-            assert_eq!(&mb.batch, batch);
-        }
-    }
-
-    #[test]
     fn replicated_with_more_ranks_than_batches() {
-        let runtime = Runtime::new(6).unwrap();
-        let sampler = LadiesSampler::new(1, 2);
+        let backend =
+            ReplicatedBackend::new(DistConfig::new(6, 1, BulkSamplerConfig::new(2, 2))).unwrap();
         let batches: Vec<Vec<usize>> = vec![vec![1, 5], vec![0, 2]];
-        let outs = sample_replicated(
-            &runtime,
-            &sampler,
-            &adjacency(),
-            &batches,
-            &BulkSamplerConfig::new(2, 2),
-            11,
-        )
-        .unwrap();
-        assert_eq!(outs.len(), 6);
-        assert_eq!(outs[0].num_batches(), 1);
-        assert_eq!(outs[1].num_batches(), 1);
-        for o in &outs[2..] {
-            assert_eq!(o.num_batches(), 0);
-        }
+        let epoch = backend
+            .sample_epoch(&LadiesSampler::new(1, 2), figure1_example().adjacency(), &batches, 11)
+            .unwrap();
+        assert_eq!(epoch.num_batches(), 2);
+        let per_rank: Vec<usize> = epoch.per_unit.iter().map(|u| u.num_batches).collect();
+        assert_eq!(per_rank, vec![1, 1, 0, 0, 0, 0]);
     }
 
     #[test]
     fn replicated_rejects_rectangular_adjacency() {
-        let runtime = Runtime::new(2).unwrap();
-        let sampler = GraphSageSampler::new(vec![2]);
+        let backend =
+            ReplicatedBackend::new(DistConfig::new(2, 1, BulkSamplerConfig::default())).unwrap();
         let rect = CsrMatrix::zeros(3, 4);
-        assert!(sample_replicated(
-            &runtime,
-            &sampler,
-            &rect,
-            &[vec![0]],
-            &BulkSamplerConfig::default(),
-            0,
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn replicated_is_deterministic_per_seed_and_rank_count() {
-        let runtime = Runtime::new(2).unwrap();
-        let sampler = GraphSageSampler::new(vec![2, 2]);
-        let batches: Vec<Vec<usize>> = vec![vec![1, 5], vec![0, 3]];
-        let cfg = BulkSamplerConfig::new(2, 2);
-        let a = adjacency();
-        let o1 = sample_replicated_flat(&runtime, &sampler, &a, &batches, &cfg, 99).unwrap();
-        let o2 = sample_replicated_flat(&runtime, &sampler, &a, &batches, &cfg, 99).unwrap();
-        assert_eq!(o1.minibatches, o2.minibatches);
+        assert!(backend
+            .sample_epoch(&GraphSageSampler::new(vec![2]), &rect, &[vec![0]], 0)
+            .is_err());
     }
 }

@@ -79,3 +79,9 @@ pub use dmbs_gnn as gnn;
 pub use dmbs_graph as graph;
 pub use dmbs_matrix as matrix;
 pub use dmbs_sampling as sampling;
+
+/// Compiles `TUNING.md`'s Rust snippet as a doctest, so the guide cannot
+/// drift from the tuner types it names.
+#[cfg(doctest)]
+#[doc = include_str!("../TUNING.md")]
+struct TuningGuide;

@@ -12,9 +12,7 @@
 mod common;
 
 use dmbs::comm::{Codec, CostModel, Runtime};
-use dmbs::gnn::{
-    CacheKnob, FeatureCacheConfig, TrainingReport, TrainingSession, TuningChoice, TuningOutcome,
-};
+use dmbs::gnn::{FeatureCacheConfig, Schedule, TrainingReport, TrainingSession, TuningOutcome};
 use dmbs::graph::datasets::Dataset;
 use dmbs::sampling::{BulkSamplerConfig, DistConfig, GraphSageSampler, ReplicatedBackend};
 use std::sync::Arc;
@@ -46,14 +44,6 @@ fn builder(
         .seed(42)
 }
 
-fn cache_config(choice: &TuningChoice) -> FeatureCacheConfig {
-    match choice.cache {
-        CacheKnob::Off => FeatureCacheConfig::Off,
-        CacheKnob::EpochPinned => FeatureCacheConfig::EpochPinned,
-        CacheKnob::Lru { byte_budget } => FeatureCacheConfig::Lru { byte_budget },
-    }
-}
-
 fn assert_reports_identical(auto: &TrainingReport, explicit: &TrainingReport, label: &str) {
     assert_eq!(auto.epochs.len(), explicit.epochs.len(), "{label}: epoch counts");
     for (a, e) in auto.epochs.iter().zip(&explicit.epochs) {
@@ -82,7 +72,7 @@ fn auto_trains_bit_identically_to_explicit_choice() {
         let choice = outcome.chosen().choice;
 
         let explicit = builder(&dataset, p, c)
-            .feature_cache(cache_config(&choice))
+            .feature_cache(choice.cache)
             .wire_codec(choice.codec)
             .overlap(choice.overlap)
             .build()
@@ -105,11 +95,11 @@ fn auto_picks_the_communication_avoiding_schedule() {
     let session = builder(&dataset, 4, 2).auto().expect("auto build");
     let outcome = session.tuning_outcome().expect("tuned");
     let chosen = outcome.chosen();
-    assert_eq!(chosen.choice.cache, CacheKnob::EpochPinned, "pinned cache saves words");
+    assert_eq!(chosen.choice.cache, FeatureCacheConfig::EpochPinned, "pinned cache saves words");
     assert_eq!(chosen.choice.codec, Codec::Exact, "lossy codecs are opt-in");
     assert!(chosen.choice.overlap, "the overlap probe demonstrated hidden seconds");
     let default = &outcome.scored[0];
-    assert_eq!(default.choice, TuningChoice::baseline());
+    assert_eq!(default.choice, Schedule::default());
     assert!(chosen.cost.total_s() <= default.cost.total_s());
     assert!(chosen.cost.words < default.cost.words, "the cache must save words at (4, 2)");
 }
@@ -178,7 +168,7 @@ fn auto_admits_lossy_codecs_only_on_opt_in() {
     assert!(chosen.cost.bytes_on_wire < 8 * chosen.cost.words);
 
     let explicit = builder(&dataset, 4, 2)
-        .feature_cache(cache_config(&chosen.choice))
+        .feature_cache(chosen.choice.cache)
         .wire_codec(chosen.choice.codec)
         .overlap(chosen.choice.overlap)
         .build()
@@ -186,4 +176,22 @@ fn auto_admits_lossy_codecs_only_on_opt_in() {
     let auto_report = session.train().expect("auto train");
     let explicit_report = explicit.train().expect("explicit train");
     assert_reports_identical(&auto_report, &explicit_report, "lossy opt-in");
+}
+
+/// Likewise the byte-budgeted LRU cache: its candidates (with exactly the
+/// builder's budget) are searched only when the builder set one — and,
+/// scored pessimistically, they never beat the pinned cache.
+#[test]
+fn auto_admits_lru_candidates_only_on_opt_in() {
+    let dataset = tiny_dataset(9);
+    let is_lru = |s: &Schedule| matches!(s.cache, FeatureCacheConfig::Lru { .. });
+    let plain = builder(&dataset, 4, 2).auto().expect("auto build");
+    assert!(!plain.tuning_outcome().expect("tuned").scored.iter().any(|s| is_lru(&s.choice)));
+
+    let lru = FeatureCacheConfig::Lru { byte_budget: 1 << 14 };
+    let session = builder(&dataset, 4, 2).feature_cache(lru).auto().expect("auto build");
+    let outcome = session.tuning_outcome().expect("tuned");
+    let admitted: Vec<_> = outcome.scored.iter().filter(|s| is_lru(&s.choice)).collect();
+    assert!(!admitted.is_empty() && admitted.iter().all(|s| s.choice.cache == lru));
+    assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::EpochPinned);
 }

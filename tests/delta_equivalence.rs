@@ -306,6 +306,42 @@ fn seeded_ingest_training_is_run_to_run_deterministic() {
 
 /// Negative path: a [`FetchPlan`] stamped before the latest ingest is
 /// refused with the typed [`GnnError::StalePlan`] — never silently served.
+/// The builder refuses an ingest schedule the training loop could not
+/// honour: at least one epoch must follow every batch
+/// (`after_epoch + 1 < epochs`), every edge must lie inside the graph, and
+/// the backend must be distributed.
+#[test]
+fn ingest_schedule_is_validated_at_build() {
+    let dataset = tiny_dataset();
+    let n = dataset.graph.num_vertices();
+    let edge = |row, col| {
+        let mut batch = DeltaBatch::new();
+        batch.insert(row, col, 1.0);
+        batch
+    };
+    let build = |after_epoch: usize, batch: DeltaBatch| {
+        let dist = DistConfig::new(2, 1, BulkSamplerConfig::new(8, 2));
+        TrainingSession::builder()
+            .dataset(Arc::clone(&dataset))
+            .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
+            .backend(ReplicatedBackend::new(dist).expect("backend"))
+            .epochs(3)
+            .ingest(after_epoch, batch)
+            .build()
+    };
+    assert!(build(1, edge(0, 1)).is_ok(), "epoch 2 follows an ingest after epoch 1");
+    assert!(matches!(build(2, edge(0, 1)), Err(GnnError::InvalidConfig(_))));
+    assert!(matches!(build(0, edge(0, n)), Err(GnnError::InvalidConfig(_))));
+    let local = TrainingSession::builder()
+        .dataset(Arc::clone(&dataset))
+        .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
+        .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).expect("backend"))
+        .epochs(3)
+        .ingest(0, edge(0, 1))
+        .build();
+    assert!(matches!(local, Err(GnnError::InvalidConfig(_))));
+}
+
 #[test]
 fn stale_fetch_plan_is_refused_with_a_typed_error() {
     let plan = FetchPlan::from_minibatches(&[]).with_version(1);

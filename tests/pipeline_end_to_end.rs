@@ -1,7 +1,8 @@
 //! Cross-crate integration tests for the end-to-end training pipeline driven
 //! through `TrainingSession`: learning above chance level, matching accuracy
-//! between bulk matrix sampling and per-vertex sampling, and consistent phase
-//! accounting in the distributed pipeline.
+//! between bulk matrix sampling and per-vertex sampling, consistent phase
+//! accounting in the distributed pipeline, and how the builder's overrides
+//! resolve against the backend.
 
 mod common;
 
@@ -10,6 +11,7 @@ use dmbs::graph::datasets::Dataset;
 use dmbs::sampling::baseline::PerVertexSageSampler;
 use dmbs::sampling::{
     BulkSamplerConfig, DistConfig, GraphSageSampler, LocalBackend, ReplicatedBackend, Sampler,
+    SamplingBackend,
 };
 
 fn dataset(seed: u64) -> Dataset {
@@ -126,4 +128,51 @@ fn distributed_and_single_device_losses_are_comparable() {
     let s = single.epochs.last().unwrap().mean_loss;
     let d = distributed.epochs.last().unwrap().mean_loss;
     assert!((s - d).abs() < 1.0, "single-device final loss {s} vs distributed {d} diverged");
+}
+
+#[test]
+fn builder_overrides_resolve_against_the_backend() {
+    // No override: the session inherits the backend's (batch, k) shape and
+    // thread count.  An explicit override wins, and the thread count reaches
+    // the backend the session samples through.
+    let backend = LocalBackend::new(BulkSamplerConfig::new(32, 4)).unwrap();
+    let base = || {
+        TrainingSession::builder()
+            .dataset(dataset(5))
+            .sampler(GraphSageSampler::new(vec![8, 4]).with_self_loops())
+            .backend(backend)
+    };
+    let largest_batch = |session: &TrainingSession<GraphSageSampler, LocalBackend>| {
+        let stream = session.stream(0).unwrap();
+        stream.map(|mb| mb.unwrap().sample.batch.len()).max().unwrap()
+    };
+    let inherited = base().build().unwrap();
+    assert_eq!(largest_batch(&inherited), 32);
+    assert_eq!(inherited.backend().parallelism().threads(), 1);
+    let overridden = base()
+        .batch_size(8)
+        .bulk(2)
+        .parallelism(dmbs::matrix::Parallelism::new(3))
+        .workspace_reuse(false)
+        .build()
+        .unwrap();
+    assert_eq!(largest_batch(&overridden), 8);
+    assert_eq!(overridden.backend().parallelism().threads(), 3);
+    assert!(!overridden.backend().bulk().workspace_reuse);
+}
+
+#[test]
+fn feature_replication_that_does_not_divide_p_is_a_typed_error() {
+    let session = TrainingSession::builder()
+        .dataset(dataset(6))
+        .sampler(GraphSageSampler::new(vec![8, 4]).with_self_loops())
+        .backend(
+            ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(32, 4))).unwrap(),
+        )
+        .partition(3)
+        .hidden_dim(24)
+        .epochs(1)
+        .build()
+        .unwrap();
+    assert!(session.train().is_err());
 }
