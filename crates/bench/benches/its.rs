@@ -2,8 +2,9 @@
 //! sampling (the §2.3 design choice and the ITS-vs-rejection ablation).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::{CooMatrix, CsrMatrix};
-use dmbs_sampling::its::{its_without_replacement, rejection_without_replacement, sample_rows};
+use dmbs_sampling::its::{its_without_replacement, rejection_without_replacement, sample_rows_par};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -38,8 +39,22 @@ fn bench_its(criterion: &mut Criterion) {
     }
     let p = CsrMatrix::from_coo(&coo);
     group.bench_function("sample_rows_512x4096_s10", |bench| {
-        let mut local = StdRng::seed_from_u64(4);
-        bench.iter(|| sample_rows(&p, 10, &mut local).expect("sample"));
+        bench.iter(|| sample_rows_par(&p, 10, 4, Parallelism::serial()).expect("sample"));
+    });
+
+    // One long layer-wise row (LADIES, 512 draws from an aggregated
+    // neighborhood of 12 000): squared neighbor counts, one position in 64 a
+    // hub carrying most of the mass.  A kernel that rescans per draw costs
+    // s · nnz = 6 M weight reads here; lazy-rescan ITS does a handful of scans.
+    let long_row: Vec<f64> = (0..12_000u32)
+        .map(|i| {
+            let count = if i % 64 == 0 { 40.0 } else { f64::from(1 + i % 3) };
+            count * count
+        })
+        .collect();
+    group.bench_function("its_s512_nnz12000_squared_counts", |bench| {
+        let mut local = StdRng::seed_from_u64(5);
+        bench.iter(|| its_without_replacement(&long_row, 512, &mut local).expect("its"));
     });
     group.finish();
 }

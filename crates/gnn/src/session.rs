@@ -226,7 +226,8 @@ struct PipelineStage {
 
 /// An iterator over one epoch's sampled minibatches with double-buffered
 /// bulk prefetch: a worker thread runs the backend one bulk group ahead of
-/// the consumer (the channel holds at most one finished group).
+/// the consumer and hands each finished group over by rendezvous (the channel
+/// buffers nothing, so at most two groups are live).
 ///
 /// Yields minibatches in plan order.  After exhaustion,
 /// [`MinibatchStream::sampling_profile`] and [`MinibatchStream::comm_stats`]
@@ -966,9 +967,12 @@ where
         let sampler = Arc::clone(&self.sampler);
         let backend = Arc::clone(&self.backend);
 
-        // Capacity 1 : one finished group buffered while the next one
-        // samples — double buffering, bounded memory.
-        let (tx, rx) = mpsc::sync_channel::<GroupMessage>(1);
+        // Rendezvous hand-off: the worker samples group `g + 1` while the
+        // consumer trains on group `g`, then blocks in `send` until it is
+        // taken.  Two groups live at most — double buffering.  (A capacity-1
+        // channel would hold a third: one consumed, one buffered, one
+        // finished and blocked in `send`.)
+        let (tx, rx) = mpsc::sync_channel::<GroupMessage>(0);
         let worker = std::thread::spawn(move || {
             let mut base_index = 0;
             for (gi, group) in batches.chunks(bulk_size).enumerate() {

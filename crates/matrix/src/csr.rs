@@ -213,6 +213,12 @@ impl CsrMatrix {
         CsrMatrix { rows, cols, indptr, indices, values }
     }
 
+    /// Takes the matrix apart into its column-index and value buffers, for a
+    /// workspace to reuse.
+    pub(crate) fn into_buffers(self) -> (Vec<usize>, Vec<f64>) {
+        (self.indices, self.values)
+    }
+
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -25,9 +25,11 @@
 //! Both kernels draw their scratch from a [`SpgemmWorkspace`] (thread-local
 //! by default, explicit via the `*_with` variants), so steady-state
 //! extraction performs exactly one allocation per call: the output CSR
-//! buffers themselves.  The general [`crate::spgemm`] kernels remain the
-//! tier for products with arbitrary operand structure (LADIES' indicator
-//! probability step `P ← Q^L·A`, the 1.5D distributed multiplies).
+//! buffers themselves — and [`extract_rows_with`] not even that, once the
+//! caller hands the gathered matrices it is done with back through
+//! [`SpgemmWorkspace::recycle`].  The general [`crate::spgemm`] kernels
+//! remain the tier for products with arbitrary operand structure (LADIES'
+//! indicator probability step `P ← Q^L·A`, the 1.5D distributed multiplies).
 
 use crate::csr::CsrMatrix;
 use crate::error::MatrixError;
@@ -81,11 +83,19 @@ pub fn extract_rows(
     selected: &[usize],
     parallelism: Parallelism,
 ) -> Result<CsrMatrix> {
-    with_workspace(true, |ws| extract_rows_with(a, selected, parallelism, ws))
+    // Fresh exact-size output buffers: the result belongs to the caller for
+    // as long as it likes, so it must not pin a recycled (larger) allocation.
+    with_workspace(true, |ws| {
+        gather_rows(a, selected, parallelism, &mut ws.counts, Vec::new(), Vec::new())
+    })
 }
 
-/// [`extract_rows`] with an explicit scratch workspace (the symbolic-count
-/// buffer is drawn from `ws` instead of this thread's shared workspace).
+/// [`extract_rows`] with an explicit scratch workspace: the symbolic-count
+/// buffer is drawn from `ws`, and so are the output buffers when a matrix has
+/// been handed back through [`SpgemmWorkspace::recycle`] and is large enough.
+/// The output then keeps that (possibly larger) allocation, which suits the
+/// samplers' transient gathers: a matrix per layer and bulk group, recycled
+/// or dropped after the draw.
 ///
 /// # Errors
 ///
@@ -96,6 +106,22 @@ pub fn extract_rows_with(
     selected: &[usize],
     parallelism: Parallelism,
     ws: &mut SpgemmWorkspace,
+) -> Result<CsrMatrix> {
+    let indices = std::mem::take(&mut ws.spare_indices);
+    let values = std::mem::take(&mut ws.spare_values);
+    gather_rows(a, selected, parallelism, &mut ws.counts, indices, values)
+}
+
+/// The row gather behind [`extract_rows`] and [`extract_rows_with`].
+/// `indices` and `values` are allocations to write the output into when they
+/// are large enough; their contents are discarded.
+fn gather_rows(
+    a: &CsrMatrix,
+    selected: &[usize],
+    parallelism: Parallelism,
+    counts: &mut Vec<usize>,
+    indices: Vec<usize>,
+    values: Vec<f64>,
 ) -> Result<CsrMatrix> {
     if let Some(&bad) = selected.iter().find(|&&r| r >= a.rows()) {
         return Err(MatrixError::IndexOutOfBounds {
@@ -109,21 +135,24 @@ pub fn extract_rows_with(
 
     // Symbolic pass: the output nnz of row `i` is row_nnz(selected[i]) —
     // an O(k) scan, no accumulation.
-    ws.counts.clear();
-    ws.counts.extend(selected.iter().map(|&r| a.row_nnz(r)));
-    let indptr = counts_to_offsets(&ws.counts);
+    counts.clear();
+    counts.extend(selected.iter().map(|&r| a.row_nnz(r)));
+    let indptr = counts_to_offsets(counts);
     let total = indptr[k];
 
-    // Numeric pass: every block copies its selected rows into its disjoint
-    // slice of the single exact-size output allocation.
-    let mut indices = vec![0usize; total];
-    let mut values = vec![0.0f64; total];
+    // Numeric pass: the selected rows are copied into one output allocation.
+    let mut indices = emptied_with_room(indices, total);
+    let mut values = emptied_with_room(values, total);
     let blocks = block_ranges(k, parallelism.effective_blocks(k));
     if blocks.len() <= 1 {
-        if let Some(range) = blocks.into_iter().next() {
-            gather_block(a, selected, range, &indptr, &mut indices, &mut values);
+        for &r in selected {
+            indices.extend_from_slice(a.row_indices(r));
+            values.extend_from_slice(a.row_values(r));
         }
     } else {
+        // Every block copies into its disjoint slice of the output.
+        indices.resize(total, 0);
+        values.resize(total, 0.0);
         let fill =
             crossbeam::thread::scope(|scope| {
                 let mut idx_tail = indices.as_mut_slice();
@@ -151,6 +180,17 @@ pub fn extract_rows_with(
         }
     }
     Ok(CsrMatrix::from_raw_unchecked(k, a.cols(), indptr, indices, values))
+}
+
+/// `buffer` emptied when it has room for `len` entries; otherwise a fresh
+/// allocation of exactly `len`, made after `buffer`'s is released.
+fn emptied_with_room<T>(mut buffer: Vec<T>, len: usize) -> Vec<T> {
+    if buffer.capacity() < len {
+        drop(buffer);
+        return Vec::with_capacity(len);
+    }
+    buffer.clear();
+    buffer
 }
 
 /// Copies the selected rows of `range` into this block's slice of the output
@@ -479,6 +519,51 @@ mod tests {
                 spgemm(&a, &a).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn recycled_buffers_are_reused_and_never_leak_into_results() {
+        // Gathers of growing, shrinking and empty size through one workspace,
+        // each handed back: the result is the fresh gather's, and a gather
+        // that fits takes over the recycled allocation instead of a new one.
+        let a = CsrMatrix::identity(64);
+        let mut ws = SpgemmWorkspace::new();
+        for threads in [1usize, 2, 8] {
+            for len in [40usize, 64, 3, 0, 17] {
+                let rows: Vec<usize> = (0..len).map(|i| (i * 7) % 64).collect();
+                let spare = ws.spare_indices.as_ptr();
+                let fits = ws.spare_indices.capacity() >= len;
+                let gathered =
+                    extract_rows_with(&a, &rows, Parallelism::new(threads), &mut ws).unwrap();
+                assert_eq!(gathered, a.gather_rows(&rows).unwrap(), "{threads} threads, {len}");
+                assert_eq!(ws.spare_indices.capacity(), 0, "the spare buffer was taken");
+                if fits && len > 0 {
+                    assert_eq!(gathered.indices().as_ptr(), spare);
+                }
+                ws.recycle(gathered);
+                assert!(ws.spare_indices.capacity() >= len);
+            }
+        }
+        // Recycling keeps the larger allocation, counts towards the held
+        // bytes, and is released with the rest of the scratch.
+        let held = ws.spare_indices.capacity();
+        ws.recycle(CsrMatrix::zeros(2, 2));
+        assert_eq!(ws.spare_indices.capacity(), held);
+        assert!(ws.nbytes() >= held * std::mem::size_of::<usize>());
+        ws.clear();
+        assert_eq!(ws.nbytes(), 0);
+
+        // The plain entry point's result is the caller's to keep: it never
+        // takes the spare of this thread's workspace.
+        let all: Vec<usize> = (0..64).collect();
+        let spare = with_workspace(true, |ws| {
+            ws.recycle(a.gather_rows(&all).unwrap());
+            ws.spare_indices.as_ptr()
+        });
+        let kept = extract_rows(&a, &[3], Parallelism::serial()).unwrap();
+        assert_ne!(kept.indices().as_ptr(), spare);
+        assert_eq!(with_workspace(true, |ws| ws.spare_indices.as_ptr()), spare);
+        crate::workspace::trim_thread_workspace(0);
     }
 
     fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {

@@ -27,6 +27,13 @@
 //!   `BulkSamplerConfig` (threaded through the sampling backends and
 //!   `TrainingSession`) selects between the two.
 //!
+//! The workspace also takes back the output buffers of a row gather the
+//! caller is done with ([`SpgemmWorkspace::recycle`]), which the next
+//! `extract_rows_with` fills instead of allocating: a sampler's per-step
+//! probability matrix is tens of megabytes, and mapping and unmapping that
+//! on every step costs page faults whose number depends on the allocator's
+//! mood.
+//!
 //! The workspace never changes *what* a kernel computes — every kernel
 //! restores its scratch invariants (accumulators zeroed, markers cleared)
 //! before returning, and the column mask uses generation stamps so stale
@@ -34,6 +41,7 @@
 //! workspace-backed kernels is pinned by the proptests in
 //! `crate::spgemm` and `crate::extract`.
 
+use crate::csr::CsrMatrix;
 use std::cell::RefCell;
 
 /// Per-worker scratch of the dense-accumulator Gustavson kernels: one
@@ -110,6 +118,12 @@ pub struct SpgemmWorkspace {
     /// `(global column, output position)` pairs, sorted, for selections with
     /// duplicate columns.
     pub(crate) pairs: Vec<(usize, usize)>,
+    /// Column-index buffer of a gathered matrix handed back through
+    /// [`SpgemmWorkspace::recycle`]; the next row gather fills it instead of
+    /// allocating.
+    pub(crate) spare_indices: Vec<usize>,
+    /// Value buffer handed back alongside `spare_indices`.
+    pub(crate) spare_values: Vec<f64>,
 }
 
 impl SpgemmWorkspace {
@@ -137,6 +151,25 @@ impl SpgemmWorkspace {
             + self.mask_stamp.capacity() * std::mem::size_of::<u64>()
             + self.row_buf.capacity() * std::mem::size_of::<(usize, f64)>()
             + self.pairs.capacity() * std::mem::size_of::<(usize, usize)>()
+            + self.spare_indices.capacity() * std::mem::size_of::<usize>()
+            + self.spare_values.capacity() * std::mem::size_of::<f64>()
+    }
+
+    /// Hands the buffers of a gathered matrix the caller is done with back to
+    /// the workspace, so the next [`crate::extract::extract_rows_with`] on it
+    /// writes into them instead of allocating.  A sampler gathers a
+    /// probability matrix per layer and bulk group and drops it after the
+    /// draw; without this the allocator maps and unmaps tens of megabytes
+    /// per call, and whether those pages are faulted in again each time
+    /// depends on the sizes a particular graph happens to produce.
+    pub fn recycle(&mut self, gathered: CsrMatrix) {
+        let (indices, values) = gathered.into_buffers();
+        if indices.capacity() > self.spare_indices.capacity() {
+            self.spare_indices = indices;
+        }
+        if values.capacity() > self.spare_values.capacity() {
+            self.spare_values = values;
+        }
     }
 
     /// Releases the scratch buffers if they currently hold more than

@@ -253,7 +253,10 @@ mod tests {
             &CooMatrix::from_triples(
                 4,
                 4,
-                vec![(0, 1, 0.0), (0, 2, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)],
+                // (2, 1) gives vertex 1 a positive in-degree: ITS draws only
+                // from positive importance weights, and vertex 1 must be
+                // sampled for its stored-zero edge to be looked at.
+                vec![(0, 1, 0.0), (0, 2, 1.0), (1, 0, 1.0), (2, 1, 1.0), (2, 3, 1.0), (3, 2, 1.0)],
             )
             .unwrap(),
         );

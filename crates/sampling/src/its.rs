@@ -3,9 +3,38 @@
 //! All GNN sampling algorithms reduce to drawing `s` elements from discrete
 //! probability distributions (§2.3).  The paper uses **inverse transform
 //! sampling (ITS)**: a prefix sum over the probability row followed by binary
-//! searches of uniform random numbers.  Rejection sampling is provided as the
-//! alternative the paper argues against (it may take many iterations), and is
-//! used by the `ablation_its_vs_rejection` bench.
+//! searches of uniform random numbers (§4.1.2, §4.2.2).
+//!
+//! # Drawing `s` distinct positions: lazy-rescan ITS
+//!
+//! Sampling *without* replacement means successive sampling: each draw picks
+//! position `i` with probability `w_i / (W − taken mass)` among the positions
+//! not yet taken.  The literal reading zeroes the pick and rebuilds the whole
+//! prefix sum before every draw, `O(s · nnz)` per row.  This module scans the
+//! row's positive-weight support **once**, draws by binary search on that
+//! scan, and **rejects** a hit on an already-taken position:
+//!
+//! * *Rejection preserves the law.*  A draw from the stale scan lands on
+//!   position `i` with probability `w_i / W`; discarding the draws that land
+//!   on taken positions conditions on the untaken set, which leaves
+//!   `w_i / (W − taken mass)`, exactly what zero-and-rescan samples from.
+//! * *Acceptance stays ≥ ½.*  As soon as the taken mass exceeds half of the
+//!   scan's total, the untaken positions are compacted and rescanned.  A draw
+//!   is therefore accepted with probability at least ½ (two binary searches
+//!   per pick in expectation, at worst), and a rescan only ever follows an
+//!   accepted draw: never more rescans than draws, so no row does more scan
+//!   work than zero-and-rescan did, and a typical row does exactly one scan.
+//!
+//! The scan holds only positions of positive weight and the search compares
+//! strictly (`scan[i] > target`), so a zero-weight position is unreachable
+//! even when the uniform variate is exactly `0.0`.  The zero-and-rescan
+//! formulation survives as the `#[cfg(test)]` oracle: both kernels are held to
+//! the exact successive-sampling inclusion probabilities by a chi-square
+//! test.
+//!
+//! Rejection sampling *from the full distribution* (no rescan, duplicates
+//! discarded afterwards) is the alternative the paper argues against; it is
+//! kept as [`rejection_without_replacement`] for the ITS-vs-rejection bench.
 
 use crate::error::SamplingError;
 use crate::Result;
@@ -15,19 +44,96 @@ use dmbs_matrix::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The buffers of one lazy-rescan draw, reused across the rows of a block so
+/// the kernel allocates nothing per row once they have grown.
+#[derive(Debug, Default)]
+struct DrawScratch {
+    /// Inclusive prefix sum of the live positions' weights.
+    scan: Vec<f64>,
+    /// The position in the weight row behind each scan entry.
+    live: Vec<usize>,
+    /// Whether each scan entry has been picked since the last rescan.
+    taken: Vec<bool>,
+    /// The picked positions; sorted ascending when `draw` returns.
+    picked: Vec<usize>,
+}
+
+impl DrawScratch {
+    /// Draws `min(s, support)` distinct positions of `weights` by
+    /// successive sampling and leaves them, sorted ascending, in
+    /// `self.picked`.  The support is the positive-weight positions, or every
+    /// position (taken uniformly) when no weight is positive.
+    fn draw<R: Rng + ?Sized>(&mut self, weights: &[f64], s: usize, rng: &mut R) -> Result<()> {
+        self.picked.clear();
+        self.live.clear();
+        self.live.extend((0..weights.len()).filter(|&pos| weights[pos] > 0.0));
+        let uniform = self.live.is_empty();
+        if uniform {
+            self.live.extend(0..weights.len());
+        }
+        if self.live.len() <= s {
+            self.picked.extend_from_slice(&self.live);
+            return Ok(());
+        }
+        let weight = |pos: usize| if uniform { 1.0 } else { weights[pos] };
+        self.rescan(weight)?;
+        let mut taken_mass = 0.0;
+        while self.picked.len() < s {
+            let total = self.scan[self.scan.len() - 1];
+            let target = rng.gen::<f64>() * total;
+            // First entry strictly above the target.  `target < total` for
+            // every normal total; the clamp covers subnormal round-up.
+            let hit = self.scan.partition_point(|&c| c <= target).min(self.scan.len() - 1);
+            if self.taken[hit] {
+                continue;
+            }
+            self.taken[hit] = true;
+            self.picked.push(self.live[hit]);
+            taken_mass += self.scan[hit] - if hit == 0 { 0.0 } else { self.scan[hit - 1] };
+            if 2.0 * taken_mass > total && self.picked.len() < s {
+                let mut taken = self.taken.iter();
+                self.live.retain(|_| !*taken.next().expect("one flag per live entry"));
+                self.rescan(weight)?;
+                taken_mass = 0.0;
+            }
+        }
+        self.picked.sort_unstable();
+        Ok(())
+    }
+
+    /// Rebuilds `scan` over the current `live` positions and clears `taken`.
+    fn rescan(&mut self, weight: impl Fn(usize) -> f64) -> Result<()> {
+        let mut acc = 0.0;
+        self.scan.clear();
+        self.scan.extend(self.live.iter().map(|&pos| {
+            acc += weight(pos);
+            acc
+        }));
+        self.taken.clear();
+        self.taken.resize(self.live.len(), false);
+        if acc.is_finite() {
+            Ok(())
+        } else {
+            Err(SamplingError::InvalidConfig("ITS weights must have a finite sum".into()))
+        }
+    }
+}
+
 /// Draws up to `s` *distinct* positions (indices into `weights`) without
-/// replacement using inverse transform sampling.
+/// replacement using lazy-rescan inverse transform sampling (see the module
+/// documentation).
 ///
-/// If the row has `nnz <= s` candidates, every candidate is returned (the
-/// neighborhood is smaller than the fanout, so GraphSAGE keeps it whole).
-/// Weights must be non-negative; zero-weight candidates are never selected
-/// unless every weight is zero, in which case candidates are taken uniformly.
+/// Returns `min(s, support)` positions, where the support is the positions
+/// of positive weight: a neighborhood smaller than the fanout is kept whole,
+/// and zero-weight candidates are never selected unless no weight is
+/// positive, in which case candidates are taken uniformly.
 ///
 /// The returned positions are sorted in ascending order.
 ///
 /// # Errors
 ///
-/// Returns [`SamplingError::InvalidConfig`] if `s == 0`.
+/// Returns [`SamplingError::InvalidConfig`] if `s == 0` or the weights do not
+/// have a finite sum.
 pub fn its_without_replacement<R: Rng + ?Sized>(
     weights: &[f64],
     s: usize,
@@ -36,34 +142,9 @@ pub fn its_without_replacement<R: Rng + ?Sized>(
     if s == 0 {
         return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
     }
-    let candidates: Vec<usize> = (0..weights.len()).collect();
-    if weights.len() <= s {
-        return Ok(candidates);
-    }
-    // Work on a mutable copy: each selected position has its weight zeroed and
-    // the prefix sum is rebuilt.  s is small (the fanout), so the rebuild cost
-    // is acceptable and mirrors the "repeat to select s distinct nonzeros"
-    // description in §4.1.2 of the paper.
-    let mut working: Vec<f64> = weights.to_vec();
-    let all_zero = working.iter().all(|&w| w <= 0.0);
-    if all_zero {
-        working.fill(1.0);
-    }
-    let mut selected = Vec::with_capacity(s);
-    for _ in 0..s {
-        let scan = inclusive_scan(&working);
-        let total = *scan.last().expect("weights are non-empty");
-        if total <= 0.0 {
-            break;
-        }
-        let target = rng.gen::<f64>() * total;
-        let pos = upper_bound(&scan, target);
-        selected.push(pos);
-        working[pos] = 0.0;
-    }
-    selected.sort_unstable();
-    selected.dedup();
-    Ok(selected)
+    let mut scratch = DrawScratch::default();
+    scratch.draw(weights, s, rng)?;
+    Ok(scratch.picked)
 }
 
 /// Draws `s` positions *with* replacement using inverse transform sampling
@@ -133,33 +214,6 @@ pub fn rejection_without_replacement<R: Rng + ?Sized>(
     Ok(chosen.into_iter().collect())
 }
 
-/// Samples `s` nonzero columns from every row of a CSR probability matrix
-/// `P`, returning the sampler matrix `Q` with (up to) `s` nonzeros of value
-/// `1.0` per row — the `SAMPLE` step of Algorithm 1.
-///
-/// Rows with no nonzeros stay empty.
-///
-/// # Errors
-///
-/// Returns [`SamplingError::InvalidConfig`] if `s == 0`.
-pub fn sample_rows<R: Rng + ?Sized>(p: &CsrMatrix, s: usize, rng: &mut R) -> Result<CsrMatrix> {
-    if s == 0 {
-        return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
-    }
-    let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(p.rows());
-    for r in 0..p.rows() {
-        let cols = p.row_indices(r);
-        let vals = p.row_values(r);
-        if cols.is_empty() {
-            row_data.push(Vec::new());
-            continue;
-        }
-        let picked = its_without_replacement(vals, s, rng)?;
-        row_data.push(picked.into_iter().map(|pos| (cols[pos], 1.0)).collect());
-    }
-    Ok(CsrMatrix::from_rows(p.rows(), p.cols(), row_data)?)
-}
-
 /// The RNG seed of `row`'s private stream under `base_seed` — a splitmix64
 /// finalizer over the row index, so adjacent rows get decorrelated streams.
 ///
@@ -188,11 +242,15 @@ pub fn sample_rows_seeded(p: &CsrMatrix, s: usize, base_seed: u64) -> Result<Csr
 /// Rows are processed in contiguous blocks across `parallelism` threads;
 /// each row draws from its own [`row_stream_seed`]-seeded RNG stream, so the
 /// output is **byte-identical at any thread count** (and identical to
-/// [`sample_rows_seeded`]).  Rows with no nonzeros stay empty.
+/// [`sample_rows_seeded`]).  Each row draws with the lazy-rescan kernel of
+/// [`its_without_replacement`] from a per-block scratch, and the picks are
+/// written straight into the output's `indices`: row `r` gets
+/// `min(s, support of r)` nonzeros, so rows with no nonzeros stay empty.
 ///
 /// # Errors
 ///
-/// Returns [`SamplingError::InvalidConfig`] if `s == 0`.
+/// Returns [`SamplingError::InvalidConfig`] if `s == 0` or a row's weights
+/// do not have a finite sum.
 ///
 /// # Example
 ///
@@ -220,27 +278,41 @@ pub fn sample_rows_par(
     if s == 0 {
         return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
     }
-    type SparseRows = Vec<Vec<(usize, f64)>>;
-    let block_rows: Vec<Result<SparseRows>> = parallelism.map_blocks(p.rows(), |range| {
-        let mut rows = Vec::with_capacity(range.len());
+    // Per block: the picked columns of its rows back to back, and each row's
+    // length (`min(s, support)`, known only after the support is counted).
+    let blocks: Vec<Result<(Vec<usize>, Vec<usize>)>> = parallelism.map_blocks(p.rows(), |range| {
+        let block_nnz = p.indptr()[range.end] - p.indptr()[range.start];
+        let mut picks = Vec::with_capacity(block_nnz.min(range.len().saturating_mul(s)));
+        let mut lens = Vec::with_capacity(range.len());
+        let mut scratch = DrawScratch::default();
         for r in range {
-            let cols = p.row_indices(r);
-            let vals = p.row_values(r);
-            if cols.is_empty() {
-                rows.push(Vec::new());
-                continue;
-            }
             let mut rng = StdRng::seed_from_u64(row_stream_seed(base_seed, r));
-            let picked = its_without_replacement(vals, s, &mut rng)?;
-            rows.push(picked.into_iter().map(|pos| (cols[pos], 1.0)).collect());
+            scratch.draw(p.row_values(r), s, &mut rng)?;
+            let cols = p.row_indices(r);
+            picks.extend(scratch.picked.iter().map(|&pos| cols[pos]));
+            lens.push(scratch.picked.len());
         }
-        Ok(rows)
+        Ok((picks, lens))
     });
-    let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(p.rows());
-    for block in block_rows {
-        row_data.extend(block?);
+    let mut indptr = Vec::with_capacity(p.rows() + 1);
+    indptr.push(0);
+    let mut indices: Vec<usize> = Vec::new();
+    for block in blocks {
+        let (picks, lens) = block?;
+        let mut end = indices.len();
+        indptr.extend(lens.into_iter().map(|len| {
+            end += len;
+            end
+        }));
+        if indices.is_empty() {
+            // The serial path has one block: take its buffer, copy nothing.
+            indices = picks;
+        } else {
+            indices.extend_from_slice(&picks);
+        }
     }
-    Ok(CsrMatrix::from_rows(p.rows(), p.cols(), row_data)?)
+    let values = vec![1.0; indices.len()];
+    Ok(CsrMatrix::from_raw(p.rows(), p.cols(), indptr, indices, values)?)
 }
 
 #[cfg(test)]
@@ -248,6 +320,208 @@ mod tests {
     use super::*;
     use dmbs_matrix::CooMatrix;
     use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// The literal §4.1.2 formulation the lazy-rescan kernel replaced: zero
+    /// the pick and rebuild the whole prefix sum before every draw.  Kept as
+    /// the oracle of the successive-sampling law (for rows with more than `s`
+    /// candidates; it predates the `u == 0.0` fix pinned below).
+    fn zero_and_rescan_oracle<R: Rng + ?Sized>(
+        weights: &[f64],
+        s: usize,
+        rng: &mut R,
+    ) -> Result<Vec<usize>> {
+        assert!(weights.len() > s, "the oracle covers rows with more than s candidates");
+        let mut working: Vec<f64> = weights.to_vec();
+        let mut selected = Vec::with_capacity(s);
+        for _ in 0..s {
+            let scan = inclusive_scan(&working);
+            let total = *scan.last().expect("weights are non-empty");
+            if total <= 0.0 {
+                break;
+            }
+            let pos = upper_bound(&scan, rng.gen::<f64>() * total);
+            selected.push(pos);
+            working[pos] = 0.0;
+        }
+        selected.sort_unstable();
+        selected.dedup();
+        Ok(selected)
+    }
+
+    /// An RNG that replays a fixed script of `u64` words, cyclically.
+    struct ScriptedRng {
+        script: Vec<u64>,
+        next: usize,
+    }
+
+    impl RngCore for ScriptedRng {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            let word = self.script[self.next % self.script.len()];
+            self.next += 1;
+            word
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for byte in dest {
+                *byte = self.next_u64() as u8;
+            }
+        }
+    }
+
+    /// The exact law of successive sampling: the probability of every
+    /// `s`-subset of positions (as a bitmask), summed over the orders it can
+    /// be drawn in.
+    fn exact_subset_law(weights: &[f64], s: usize) -> std::collections::BTreeMap<u32, f64> {
+        fn walk(
+            weights: &[f64],
+            left: usize,
+            mask: u32,
+            prob: f64,
+            law: &mut std::collections::BTreeMap<u32, f64>,
+        ) {
+            if left == 0 {
+                *law.entry(mask).or_insert(0.0) += prob;
+                return;
+            }
+            let untaken = |i: &usize| mask & (1 << i) == 0;
+            let remaining: f64 = (0..weights.len()).filter(untaken).map(|i| weights[i]).sum();
+            for i in (0..weights.len()).filter(untaken) {
+                if weights[i] > 0.0 {
+                    walk(weights, left - 1, mask | 1 << i, prob * weights[i] / remaining, law);
+                }
+            }
+        }
+        let mut law = std::collections::BTreeMap::new();
+        walk(weights, s, 0, 1.0, &mut law);
+        law
+    }
+
+    /// The 99.9 % point of chi-square with six degrees of freedom.  Each
+    /// inclusion count is Binomial(TRIALS, π_i), so every term of the
+    /// statistic below has mean 1 − π_i ≤ 1 and the point for `support ≤ 6`
+    /// degrees of freedom is a conservative gate.
+    const CHI_SQUARE_GATE: f64 = 22.5;
+
+    /// Compares `kernel`'s inclusion frequencies over many seeded draws with
+    /// the exact inclusion probabilities of successive sampling, on skewed,
+    /// uniform and zero-containing rows for every `s ≤ 3`, and returns the
+    /// largest chi-square statistic seen.
+    fn worst_chi_square_against_exact_law(
+        kernel: fn(&[f64], usize, &mut StdRng) -> Result<Vec<usize>>,
+    ) -> f64 {
+        const TRIALS: usize = 40_000;
+        let rows: [&[f64]; 4] = [
+            &[32.0, 16.0, 8.0, 4.0, 2.0, 1.0],
+            &[1.0, 1.0, 1.0, 1.0, 1.0],
+            &[0.0, 5.0, 0.0, 1.0, 1.0, 3.0],
+            &[0.7, 0.1, 0.1, 0.1],
+        ];
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let mut worst: f64 = 0.0;
+        for weights in rows {
+            let support = weights.iter().filter(|&&w| w > 0.0).count();
+            for s in 1..=3.min(support - 1) {
+                let mut inclusion = vec![0.0; weights.len()];
+                for (mask, prob) in exact_subset_law(weights, s) {
+                    for (i, slot) in inclusion.iter_mut().enumerate() {
+                        if mask & (1 << i) != 0 {
+                            *slot += prob;
+                        }
+                    }
+                }
+                assert!((inclusion.iter().sum::<f64>() - s as f64).abs() < 1e-12);
+
+                let mut counts = vec![0usize; weights.len()];
+                for _ in 0..TRIALS {
+                    let picked = kernel(weights, s, &mut rng).unwrap();
+                    assert_eq!(picked.len(), s);
+                    for pos in picked {
+                        counts[pos] += 1;
+                    }
+                }
+                let mut chi2 = 0.0;
+                for (i, &pi) in inclusion.iter().enumerate() {
+                    let expected = pi * TRIALS as f64;
+                    if pi == 0.0 {
+                        assert_eq!(counts[i], 0, "zero-weight position {i} was drawn");
+                    } else {
+                        chi2 += (counts[i] as f64 - expected).powi(2) / expected;
+                    }
+                }
+                worst = worst.max(chi2);
+            }
+        }
+        worst
+    }
+
+    #[test]
+    fn lazy_rescan_matches_the_successive_sampling_law() {
+        let chi2 = worst_chi_square_against_exact_law(its_without_replacement);
+        assert!(chi2 < CHI_SQUARE_GATE, "chi-square {chi2}");
+    }
+
+    #[test]
+    fn zero_and_rescan_oracle_matches_the_successive_sampling_law() {
+        let chi2 = worst_chi_square_against_exact_law(zero_and_rescan_oracle);
+        assert!(chi2 < CHI_SQUARE_GATE, "chi-square {chi2}");
+    }
+
+    #[test]
+    fn chi_square_gate_rejects_a_different_law() {
+        // The gate has power: weighted draws *with* replacement, deduplicated
+        // and topped up from the front of the support, is not successive
+        // sampling.
+        let wrong = |w: &[f64], s: usize, rng: &mut StdRng| -> Result<Vec<usize>> {
+            let mut picked = its_with_replacement(w, s, rng)?;
+            picked.sort_unstable();
+            picked.dedup();
+            let mut fill = (0..w.len()).filter(|&i| w[i] > 0.0);
+            while picked.len() < s {
+                let candidate = fill.next().expect("support exceeds s");
+                if !picked.contains(&candidate) {
+                    picked.push(candidate);
+                }
+            }
+            Ok(picked)
+        };
+        assert!(worst_chi_square_against_exact_law(wrong) > 10.0 * CHI_SQUARE_GATE);
+    }
+
+    #[test]
+    fn extreme_uniform_variates_never_select_zero_weight_positions() {
+        // u == 0.0 used to land on a leading zero-weight (or already taken)
+        // position, and the final dedup then returned s − 1 picks.
+        let weights = [0.0, 3.0, 0.0, 1.0, 1.0, 2.0];
+        for script in [vec![0, u64::MAX], vec![u64::MAX, 0]] {
+            let mut rng = ScriptedRng { script, next: 0 };
+            // One pass over the script: it does produce u == 0.0.
+            assert_eq!(rng.gen::<f64>().min(rng.gen::<f64>()), 0.0);
+            for s in 1..=5 {
+                let picked = its_without_replacement(&weights, s, &mut rng).unwrap();
+                assert_eq!(picked.len(), s.min(4), "s = {s}: {picked:?}");
+                assert!(picked.windows(2).all(|w| w[0] < w[1]), "s = {s}: {picked:?}");
+                assert!(picked.iter().all(|&i| weights[i] > 0.0), "s = {s}: {picked:?}");
+            }
+        }
+        // The replaced formulation, on the same script.
+        let mut rng = ScriptedRng { script: vec![0, u64::MAX], next: 0 };
+        assert_eq!(zero_and_rescan_oracle(&weights, 3, &mut rng).unwrap(), vec![0, 5]);
+    }
+
+    #[test]
+    fn non_finite_weight_sums_are_a_typed_error() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for weights in [[1.0, f64::INFINITY, 1.0], [f64::MAX, f64::MAX, 1.0]] {
+            let err = its_without_replacement(&weights, 2, &mut rng).unwrap_err();
+            assert!(matches!(err, SamplingError::InvalidConfig(_)), "{err}");
+        }
+        // NaN and negative weights are outside the support, not an error.
+        let picked = its_without_replacement(&[f64::NAN, 1.0, -2.0, 3.0, 4.0], 2, &mut rng);
+        assert!(picked.unwrap().iter().all(|&i| [1, 3, 4].contains(&i)));
+    }
 
     #[test]
     fn without_replacement_returns_distinct_in_support() {
@@ -325,43 +599,6 @@ mod tests {
         let few = rejection_without_replacement(&[1.0, 0.0, 1.0], 5, &mut rng).unwrap();
         assert_eq!(few, vec![0, 2]);
         assert!(rejection_without_replacement(&[1.0], 0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn sample_rows_respects_fanout_and_support() {
-        // Figure 2a: P has the neighborhoods of vertices 1 and 5.
-        let p = CsrMatrix::from_coo(
-            &CooMatrix::from_triples(
-                2,
-                6,
-                vec![
-                    (0, 0, 1.0 / 3.0),
-                    (0, 2, 1.0 / 3.0),
-                    (0, 4, 1.0 / 3.0),
-                    (1, 3, 0.5),
-                    (1, 4, 0.5),
-                ],
-            )
-            .unwrap(),
-        );
-        let mut rng = StdRng::seed_from_u64(6);
-        let q = sample_rows(&p, 2, &mut rng).unwrap();
-        assert_eq!(q.shape(), (2, 6));
-        assert_eq!(q.row_nnz(0), 2);
-        assert_eq!(q.row_nnz(1), 2);
-        // Sampled columns are a subset of the row's support.
-        assert!(q.row_indices(0).iter().all(|c| [0, 2, 4].contains(c)));
-        assert_eq!(q.row_indices(1), &[3, 4]);
-        assert!(q.values().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn sample_rows_keeps_empty_rows_empty() {
-        let p = CsrMatrix::zeros(3, 4);
-        let mut rng = StdRng::seed_from_u64(7);
-        let q = sample_rows(&p, 2, &mut rng).unwrap();
-        assert_eq!(q.nnz(), 0);
-        assert!(sample_rows(&p, 0, &mut rng).is_err());
     }
 
     #[test]
@@ -456,14 +693,32 @@ mod tests {
         }
 
         #[test]
+        fn prop_geometric_weights_still_return_s_distinct_picks(
+            n in 2usize..80,
+            s_choice in 0usize..80,
+            seed in 0u64..1000,
+        ) {
+            // Weights 2^-i: the first pick takes more than half of the mass
+            // nearly every time, so nearly every draw is followed by a
+            // rescan; past i = 53 a weight vanishes in the running sum and
+            // its position is reachable only after a rescan.
+            let weights: Vec<f64> = (0..n).map(|i| 0.5f64.powi(i as i32)).collect();
+            let s = 1 + s_choice % (n - 1);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let picked = its_without_replacement(&weights, s, &mut rng).unwrap();
+            prop_assert_eq!(picked.len(), s);
+            prop_assert!(picked.windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(picked.iter().all(|&i| i < n));
+        }
+
+        #[test]
         fn prop_sample_rows_subset_of_support(
             entries in proptest::collection::vec((0usize..8, 0usize..12, 0.1f64..5.0), 1..60),
             s in 1usize..5,
             seed in 0u64..100,
         ) {
             let p = CsrMatrix::from_coo(&CooMatrix::from_triples(8, 12, entries).unwrap());
-            let mut rng = StdRng::seed_from_u64(seed);
-            let q = sample_rows(&p, s, &mut rng).unwrap();
+            let q = sample_rows_seeded(&p, s, seed).unwrap();
             prop_assert_eq!(q.shape(), p.shape());
             for r in 0..p.rows() {
                 let support: std::collections::HashSet<usize> = p.row_indices(r).iter().copied().collect();

@@ -17,6 +17,7 @@
 
 use crate::its::{its_without_replacement, sample_rows_par};
 use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
+use crate::sage::extract_block;
 use crate::{Result, SamplingError};
 use dmbs_comm::{Communicator, Group, Phase, PhaseProfile, ProcessGrid};
 use dmbs_graph::partition::OneDPartition;
@@ -251,25 +252,7 @@ pub(crate) fn sage_on_rank(
         profile.time_compute(Phase::Extraction, || -> Result<()> {
             for (i, frontier) in frontiers.iter_mut().enumerate() {
                 let block = q_next.row_block(offsets[i], offsets[i + 1]);
-                let block = if include_self_loops {
-                    let mut coo = CooMatrix::with_capacity(
-                        block.rows(),
-                        block.cols(),
-                        block.nnz() + frontier.len(),
-                    );
-                    for (r, c, v) in block.iter() {
-                        coo.push(r, c, v)?;
-                    }
-                    for (row, &v) in frontier.iter().enumerate() {
-                        coo.push(row, v, 1.0)?;
-                    }
-                    let mut merged = CsrMatrix::from_coo(&coo);
-                    merged.map_values_inplace(|_| 1.0);
-                    merged
-                } else {
-                    block
-                };
-                let (compacted, kept) = block.compact_columns();
+                let (compacted, kept) = extract_block(&block, frontier, include_self_loops)?;
                 layers[i].push(LayerSample::new(frontier.clone(), kept.clone(), compacted));
                 *frontier = kept;
             }

@@ -16,7 +16,7 @@ use crate::{Result, SamplingError};
 use dmbs_comm::{Phase, PhaseProfile};
 use dmbs_matrix::extract::extract_rows_with;
 use dmbs_matrix::workspace::with_workspace;
-use dmbs_matrix::{CooMatrix, CsrMatrix};
+use dmbs_matrix::CsrMatrix;
 use rand::RngCore;
 
 /// The GraphSAGE node-wise sampler.
@@ -81,32 +81,45 @@ impl GraphSageSampler {
     pub fn includes_self_loops(&self) -> bool {
         self.include_self_loops
     }
+}
 
-    /// Extraction step for one minibatch block: optionally add self-loops,
-    /// then drop the empty columns of the block of `Q^{l-1}` (§4.1.3).
-    fn extract_block(
-        &self,
-        block: &CsrMatrix,
-        frontier: &[usize],
-    ) -> Result<(CsrMatrix, Vec<usize>)> {
-        let block = if self.include_self_loops {
-            let mut coo =
-                CooMatrix::with_capacity(block.rows(), block.cols(), block.nnz() + frontier.len());
-            for (r, c, v) in block.iter() {
-                coo.push(r, c, v)?;
-            }
-            for (i, &v) in frontier.iter().enumerate() {
-                coo.push(i, v, 1.0)?;
-            }
-            let mut merged = CsrMatrix::from_coo(&coo);
-            merged.map_values_inplace(|_| 1.0);
-            merged
-        } else {
-            block.clone()
-        };
-        let (compacted, kept) = block.compact_columns();
-        Ok((compacted, kept))
+/// Extraction step for one minibatch block of `Q^{l-1}`: optionally add the
+/// self-loop `(i, frontier[i])` to every row, then drop the empty columns
+/// (§4.1.3).  Returns the compacted block and the kept columns — the next
+/// frontier.  Shared by the local and the 1.5D-partitioned sampler.
+pub(crate) fn extract_block(
+    block: &CsrMatrix,
+    frontier: &[usize],
+    include_self_loops: bool,
+) -> Result<(CsrMatrix, Vec<usize>)> {
+    if include_self_loops {
+        Ok(with_self_loops(block, frontier)?.compact_columns())
+    } else {
+        Ok(block.compact_columns())
     }
+}
+
+/// `block` with the entry `(i, frontier[i])` present in every row and every
+/// value `1.0`: one pass over the sorted rows, each self-loop inserted at its
+/// sorted position unless the row already holds it.
+fn with_self_loops(block: &CsrMatrix, frontier: &[usize]) -> Result<CsrMatrix> {
+    assert_eq!(frontier.len(), block.rows(), "one frontier vertex per block row");
+    let mut indptr = Vec::with_capacity(block.rows() + 1);
+    let mut indices = Vec::with_capacity(block.nnz() + block.rows());
+    indptr.push(0);
+    for (row, &v) in frontier.iter().enumerate() {
+        let cols = block.row_indices(row);
+        let at = cols.partition_point(|&c| c < v);
+        indices.extend_from_slice(&cols[..at]);
+        if cols.get(at) != Some(&v) {
+            indices.push(v);
+        }
+        indices.extend_from_slice(&cols[at..]);
+        indptr.push(indices.len());
+    }
+    let values = vec![1.0; indices.len()];
+    // Validating: a frontier vertex outside the block's columns is rejected.
+    Ok(CsrMatrix::from_raw(block.rows(), block.cols(), indptr, indices, values)?)
 }
 
 impl Sampler for GraphSageSampler {
@@ -195,12 +208,15 @@ impl Sampler for GraphSageSampler {
             profile.time_compute(Phase::Extraction, || -> Result<()> {
                 for (i, frontier) in frontiers.iter_mut().enumerate() {
                     let block = q_next.row_block(offsets[i], offsets[i + 1]);
-                    let (compacted, kept) = self.extract_block(&block, frontier)?;
+                    let (compacted, kept) =
+                        extract_block(&block, frontier, self.include_self_loops)?;
                     layers[i].push(LayerSample::new(frontier.clone(), kept.clone(), compacted));
                     *frontier = kept;
                 }
                 Ok(())
             })?;
+            // The next step (or bulk group) gathers into `p`'s buffers.
+            with_workspace(config.workspace_reuse, |ws| ws.recycle(p));
         }
 
         let minibatches = batches
@@ -319,6 +335,43 @@ mod tests {
                 assert!(layer.cols.contains(r), "row vertex {r} missing from cols");
             }
         }
+    }
+
+    #[test]
+    fn self_loop_insert_is_byte_identical_to_the_coo_formulation() {
+        use dmbs_matrix::CooMatrix;
+        use rand::Rng;
+        // The formulation the one-pass insert replaced: append the self-loop
+        // triples, let `from_coo` sort and merge, reset the values.
+        let via_coo = |block: &CsrMatrix, frontier: &[usize]| {
+            let mut coo = CooMatrix::new(block.rows(), block.cols());
+            for (r, c, v) in block.iter() {
+                coo.push(r, c, v).unwrap();
+            }
+            for (i, &v) in frontier.iter().enumerate() {
+                coo.push(i, v, 1.0).unwrap();
+            }
+            let mut merged = CsrMatrix::from_coo(&coo);
+            merged.map_values_inplace(|_| 1.0);
+            merged
+        };
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..50 {
+            let (rows, cols) = (rng.gen_range(0..9usize), rng.gen_range(1..12usize));
+            let mut coo = CooMatrix::new(rows, cols);
+            for _ in 0..rng.gen_range(0..40usize) {
+                coo.push(rng.gen_range(0..rows.max(1)), rng.gen_range(0..cols), 1.0).ok();
+            }
+            let block = CsrMatrix::from_coo(&coo);
+            // Self-loops before, inside, equal to and after the row's columns.
+            let frontier: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..cols)).collect();
+            let expected = via_coo(&block, &frontier);
+            assert_eq!(with_self_loops(&block, &frontier).unwrap(), expected);
+            assert_eq!(extract_block(&block, &frontier, true).unwrap(), expected.compact_columns());
+            assert_eq!(extract_block(&block, &frontier, false).unwrap(), block.compact_columns());
+        }
+        // A self-loop outside the block's columns is a typed error.
+        assert!(with_self_loops(&CsrMatrix::zeros(1, 3), &[3]).is_err());
     }
 
     #[test]
