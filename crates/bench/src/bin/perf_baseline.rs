@@ -1,232 +1,121 @@
-//! Perf-trajectory harness for the shared-memory hot paths.
+//! The inside harness: every sweep that writes a `BENCH_*.json`, one record
+//! schema for all of them, and the `--check` gate that re-derives the
+//! deterministic part in CI.
 //!
-//! Runs the parallelized kernels — SpGEMM (`P ← Q · A`), the structure-aware
-//! extraction kernels (row gather / masked column filter vs the
-//! selection-matrix SpGEMM formulation they replaced), per-row ITS
-//! (`SAMPLE`), and two full bulk sampling epochs (GraphSAGE and LADIES)
-//! through `LocalBackend` — at 1..N threads on a synthetic RMAT workload,
-//! verifies that every result is byte-identical to its reference
-//! formulation, and writes one JSON record file per bench
-//! (`BENCH_spgemm.json`, `BENCH_extract.json`, `BENCH_its.json`,
-//! `BENCH_epoch.json`, `BENCH_ladies_epoch.json`) with wall time,
-//! throughput, speedup-vs-serial and — for the epoch benches — the
-//! per-`Phase` breakdown (probability / sampling / extraction attributed
-//! separately via `PhaseProfile`), so future PRs have a recorded trajectory
-//! to beat.
+//! **One schema.**  Every sweep returns [`Record`]s — ordered
+//! `(name, class, value)` lists built where the sweep measures — and `main`
+//! prints, writes and checks them through `dmbs_bench::record` and
+//! `dmbs_bench::check`.  The class of a field is its whole gating policy:
 //!
-//! Seven further sweeps ride on the same harness: `--fetch` measures the
-//! communication-avoiding feature pipeline (`BENCH_fetch.json`),
-//! `--compress` measures the wire codecs on the feature-fetch lanes
-//! (`BENCH_compress.json`: per (shape × codec) the exact byte books —
-//! `bytes_on_wire + bytes_saved == bytes_on_wire(exact)` asserted in-sweep —
-//! the ×1000-scaled bytes reduction with its fp16 ≥ 1.9× / int8 ≥ 3.5×
-//! floors, the worst-case row quantization error, and a small training run
-//! per codec pinning the loss delta vs exact),
-//! `--overlap` measures the software-pipelined distributed training
-//! schedule against the synchronous one (`BENCH_overlap.json`: modeled
-//! epoch seconds, hidden α–β time, words unchanged), `--serve` drives
-//! the inference tier with a Zipf open-loop request trace across QPS ×
-//! coalescing-window cells (`BENCH_serve.json`: p50/p99/p999 modeled
-//! latency, sustained throughput, coalescing factor, hot-tier hit rate,
-//! shed counts — every counter replayed twice and asserted identical), and
-//! `--calibrate` measures the real multi-process Unix-socket transport
-//! against the in-process simulator (`BENCH_transport.json`: a ping-pong
-//! probe fits the socket's actual α and β, then each grid shape trains the
-//! same session on both transports, asserts bit-identical losses and
-//! counters, and records modeled vs measured epoch seconds), and
-//! `--dynamic` measures the delta-CSR ingest path (`BENCH_dynamic.json`:
-//! lazy-overlay vs eager-rebuild apply throughput with the compacted CSRs
-//! asserted byte-identical, then per grid shape a training run with a live
-//! ingest schedule under both ingest modes and both invalidation policies —
-//! losses and counters bit-identical across modes, the double-entry
-//! invalidation books recorded exactly, and the refetch words precise
-//! invalidation avoids vs the flush-all baseline pinned), and
-//! `--autotune` runs the cost-model-driven auto-tuner offline
-//! (`BENCH_autotune.json`: per grid shape, probe epochs fit a
-//! `TuningModel`, the lossless and lossy-admitted grids are searched, and
-//! the default / chosen / lossy-chosen schedules are realized with full
-//! training runs — chosen realized epoch seconds asserted no worse than the
-//! default's, epoch-0 books asserted equal to the prediction
-//! counter-for-counter, and `builder().auto()` asserted bit-identical to
-//! the offline search).
+//! * `key` — identifies the record in its file (`p`, `c`, `mode`, `codec`, …);
+//! * `exact` — a counter of the seeded schedule (words, messages, byte, cache,
+//!   serving, invalidation and tuner books): must equal `ci/baseline/`;
+//! * `soft` — measured or fitted seconds: slower than the baseline beyond
+//!   `--tolerance` only warns;
+//! * `identity` — a byte-identity contract against a reference formulation:
+//!   `false` fails the run;
+//! * `info` — recorded, deliberately never gated: `throughput`,
+//!   `cache_hit_rate`, `reduction_vs_uncached`, `max_abs_err`, `final_loss`,
+//!   `loss_delta_vs_exact`, `serial_epoch_s`, `overlapped_s`,
+//!   `overlap_fraction`, `hot_hit_rate`, `sustained_qps`, `mean_s`, `max_s`
+//!   (each is a ratio or a digest of fields that *are* gated, or carries
+//!   measured-compute noise), and the kernel files' speedups and phase split.
+//!
+//! **The sweeps** (the `SWEEPS` table at the bottom; each sweep's own doc
+//! comment says what it measures and asserts).  With no family flag, the five
+//! kernel sweeps run at 1..N threads on a synthetic RMAT workload — SpGEMM
+//! (`P ← Q · A`), the extraction kernels vs the selection-matrix SpGEMM
+//! formulation they replaced, per-row ITS, and a GraphSAGE and a LADIES bulk
+//! sampling epoch through `LocalBackend` — each result asserted
+//! byte-identical to its reference.  Seven family flags select the gated
+//! sweeps instead; several may be given and run in table order: `--fetch`
+//! (feature cache), `--compress` (wire codecs), `--overlap` (pipelined
+//! schedule), `--serve` (inference tier), `--calibrate` (socket transport vs
+//! simulator, `BENCH_transport.json`), `--dynamic` (delta-CSR ingest) and
+//! `--autotune` (cost-model-driven tuner).
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run --release --bin perf_baseline \
-//!     [--smoke] [--fetch | --compress | --overlap | --serve | --calibrate | \
-//!      --dynamic | --autotune] \
+//!     [--smoke] [--fetch] [--compress] [--overlap] [--serve] [--calibrate] \
+//!     [--dynamic] [--autotune] \
 //!     [--check <baseline-dir>] [--tolerance <rel>] [output_dir]
 //! ```
 //!
 //! `output_dir` defaults to the current directory.  `--smoke` shrinks the
 //! workload to a seconds-long CI-sized run that still sweeps every kernel
-//! and asserts every byte-identity contract — the regression tripwire wired
-//! into the CI workflow.  `--check <dir>` is the CI perf-regression gate: it
-//! compares the JSONs this invocation wrote against the committed baselines
-//! in `<dir>` (`ci/baseline/` in CI) — kernel byte-identity and the modeled
-//! words/messages counters hard-fail on any drift, wall clock soft-warns
-//! beyond `--tolerance` (relative, default `0.5`).  `DMBS_SCALE=large`
-//! roughly quadruples the workload; `DMBS_PERF_THREADS` (comma-separated,
-//! default `1,2,4,8`) overrides the thread sweep.
+//! and asserts every byte-identity contract.  `--check <dir>` is the CI
+//! perf-regression gate: it compares every file this invocation wrote
+//! against the committed baseline in `<dir>` (`ci/baseline/` in CI).
+//! `DMBS_SCALE=large` roughly quadruples the kernel workload;
+//! `DMBS_PERF_THREADS` (comma-separated, default `1,2,4,8`) overrides the
+//! thread sweep.  Thread counts above the host's `available_parallelism()`
+//! are dropped (and said so): a speedup the host cannot support is not a
+//! result.  The committed trajectory is `ci/baseline/` for the counters and
+//! `benchmark/` for wall clock; this binary publishes no top-level files.
 
+use dmbs_bench::record::{self, Record, Workload};
 use dmbs_bench::stats::{time_best, LatencySummary};
-use dmbs_comm::{Codec, Group, Phase, ProcessGrid, Runtime};
-use dmbs_gnn::{FeatureCache, FeatureCacheConfig, FeatureStore};
+use dmbs_comm::tune::{self, ProbeEpoch, ProbeSet, Schedule, TuningGrid, TuningModel};
+use dmbs_comm::{
+    Codec, CommStats, CostModel, Group, Phase, ProcessGrid, Runtime, SocketLaunch, TransportSelect,
+};
+use dmbs_gnn::{
+    FeatureCache, FeatureCacheConfig, FeatureStore, InvalidationPolicy, RequestTrace, ServeReport,
+    ServingConfig, ServingSession, SessionBuilder, TrainingReport, TrainingSession,
+};
+use dmbs_graph::datasets::{build_dataset, Dataset, DatasetConfig};
 use dmbs_graph::generators::{rmat, RmatConfig};
+use dmbs_graph::{GraphIngest, IngestMode};
 use dmbs_matrix::extract::{extract_columns_masked, extract_rows};
 use dmbs_matrix::ops::row_selection_matrix;
 use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::spgemm::{spgemm, spgemm_parallel};
-use dmbs_matrix::{CscMatrix, CsrMatrix, DenseMatrix};
+use dmbs_matrix::{CscMatrix, CsrMatrix, DeltaBatch, DenseMatrix};
 use dmbs_sampling::its::{sample_rows_par, sample_rows_seeded};
 use dmbs_sampling::{
-    BulkSamplerConfig, FetchPlan, GraphSageSampler, LadiesSampler, LocalBackend, MinibatchSample,
-    Sampler, SamplingBackend,
+    BulkSamplerConfig, DistConfig, FetchPlan, GraphSageSampler, LadiesSampler, LocalBackend,
+    MinibatchSample, ReplicatedBackend, Sampler, SamplingBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// One measured configuration of one kernel.
-struct Record {
-    threads: usize,
-    wall_s: f64,
-    throughput: f64,
-    speedup: f64,
-    identical: bool,
-    /// Optional per-phase compute-seconds breakdown (epoch benches).
-    phases: Vec<(&'static str, f64)>,
-}
-
-/// One measured configuration of an extraction kernel against its SpGEMM
-/// formulation.
-struct ExtractRecord {
-    kernel: &'static str,
-    threads: usize,
-    /// Wall time of the structure-aware kernel.
-    wall_s: f64,
-    /// Wall time of the selection-matrix SpGEMM formulation it replaced.
-    spgemm_wall_s: f64,
-    /// Nonzeros this kernel's run touches (its throughput numerator).
+/// Measures one thread sweep: `measure(t)` returns the wall seconds at `t`
+/// threads, whether the result was identical to the serial reference, and the
+/// per-phase compute seconds (empty outside the epoch benches); `items` is
+/// the work of one run, the throughput numerator.  The speedup baseline is
+/// the 1-thread wall, which [`thread_sweep`] guarantees is always measured; it
+/// runs the serial code path inside the same measurement loop as the other
+/// thread counts (measuring the baseline in a separate earlier phase proved
+/// systematically biased).
+fn thread_records(
+    threads: &[usize],
     items: usize,
-    identical: bool,
-}
-
-/// Workload description embedded in each JSON file.
-struct Workload {
-    name: &'static str,
-    detail: String,
-    /// Work items per run — nonzeros touched for the matrix kernels,
-    /// minibatches for the epochs — used for the throughput field.
-    items: usize,
-    throughput_unit: &'static str,
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// The header fields shared by every BENCH JSON file; keep the schema of
-/// the whole `BENCH_*.json` family in one place.
-fn json_header(workload: &Workload) -> String {
-    format!(
-        "{{\n  \"bench\": \"{}\",\n  \"workload\": \"{}\",\n  \"items_per_run\": {},\n  \
-         \"throughput_unit\": \"{}\",\n  \"host_threads\": {},\n",
-        workload.name,
-        workload.detail,
-        workload.items,
-        workload.throughput_unit,
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
-    )
-}
-
-fn write_json(path: &std::path::Path, workload: &Workload, records: &[Record]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let phases = if r.phases.is_empty() {
-            String::new()
-        } else {
-            let fields: Vec<String> = r
-                .phases
-                .iter()
-                .map(|(name, secs)| format!("\"{name}\": {}", json_f64(*secs)))
-                .collect();
-            format!(", \"phase_compute_s\": {{{}}}", fields.join(", "))
-        };
-        out.push_str(&format!(
-            "    {{\"threads\": {}, \"wall_s\": {}, \"throughput\": {}, \
-             \"speedup_vs_serial\": {}, \"identical_to_serial\": {}{}}}{}\n",
-            r.threads,
-            json_f64(r.wall_s),
-            json_f64(r.throughput),
-            json_f64(r.speedup),
-            r.identical,
-            phases,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-fn write_extract_json(path: &std::path::Path, workload: &Workload, records: &[ExtractRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        // Each record carries its own `items` (the two kernels process
-        // different nnz counts), so `throughput == items / wall_s` holds
-        // per record; the header's `items_per_run` is the combined total.
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"threads\": {}, \"wall_s\": {}, \"items\": {}, \
-             \"throughput\": {}, \"spgemm_formulation_wall_s\": {}, \
-             \"speedup_vs_spgemm_formulation\": {}, \"identical_to_spgemm_formulation\": {}}}{}\n",
-            r.kernel,
-            r.threads,
-            json_f64(r.wall_s),
-            r.items,
-            json_f64(r.items as f64 / r.wall_s),
-            json_f64(r.spgemm_wall_s),
-            json_f64(r.spgemm_wall_s / r.wall_s),
-            r.identical,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-/// Turns raw `(threads, wall, identical, phases)` measurements into records.
-/// The speedup baseline is the 1-thread wall, which [`thread_sweep`]
-/// guarantees is always measured; it runs the serial code path inside the
-/// same measurement loop as the other thread counts (measuring the baseline
-/// in a separate earlier phase proved systematically biased).
-#[allow(clippy::type_complexity)]
-fn finish_records(
-    walls: &[(usize, f64, bool, Vec<(&'static str, f64)>)],
-    throughput: impl Fn(f64) -> f64,
+    mut measure: impl FnMut(usize) -> (f64, bool, Vec<(&'static str, f64)>),
 ) -> Vec<Record> {
-    let baseline = walls
+    let measured: Vec<_> = threads.iter().map(|&t| (t, measure(t))).collect();
+    let baseline = measured
         .iter()
-        .find(|&&(t, _, _, _)| t == 1)
-        .map(|&(_, wall, _, _)| wall)
+        .find(|(t, _)| *t == 1)
+        .map(|(_, (wall, ..))| *wall)
         .expect("thread_sweep always includes 1");
-    walls
-        .iter()
-        .map(|(t, wall, identical, phases)| Record {
-            threads: *t,
-            wall_s: *wall,
-            throughput: throughput(*wall),
-            speedup: baseline / wall,
-            identical: *identical,
-            phases: phases.clone(),
+    measured
+        .into_iter()
+        .map(|(t, (wall, identical, phases))| {
+            let r = Record::new()
+                .key("threads", t)
+                .soft("wall_s", wall)
+                .info("throughput", items as f64 / wall)
+                .info("speedup_vs_serial", baseline / wall)
+                .identity("identical_to_serial", identical);
+            if phases.is_empty() {
+                r
+            } else {
+                r.info("phase_compute_s", phases)
+            }
         })
         .collect()
 }
@@ -234,6 +123,8 @@ fn finish_records(
 /// The thread counts to measure.  Always contains `1` (the serial speedup
 /// baseline); an unparsable or empty `DMBS_PERF_THREADS` falls back to the
 /// given default sweep rather than silently producing empty BENCH records.
+/// Counts the host cannot run in parallel are dropped, whichever list they
+/// came from.
 fn thread_sweep(default: &[usize]) -> Vec<usize> {
     let mut sweep: Vec<usize> = match std::env::var("DMBS_PERF_THREADS") {
         Ok(spec) => spec
@@ -250,165 +141,380 @@ fn thread_sweep(default: &[usize]) -> Vec<usize> {
     if !sweep.contains(&1) {
         sweep.insert(0, 1);
     }
-    sweep
-}
-
-/// Fails the run when any parallel result diverged from the serial kernel —
-/// the determinism contract the committed BENCH files advertise.  Called
-/// after the JSON is written so the diverging record is preserved on disk.
-fn assert_identical(bench: &str, records: &[Record]) {
-    for r in records {
-        assert!(
-            r.identical,
-            "{bench}: parallel output at {} threads diverged from the serial kernel",
-            r.threads
-        );
+    let host = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+    let (kept, dropped): (Vec<usize>, Vec<usize>) = sweep.iter().partition(|&&t| t <= host);
+    if !dropped.is_empty() {
+        println!("thread sweep: dropped {dropped:?} — this host runs {host} thread(s) in parallel");
     }
+    kept
 }
 
-fn print_records(title: &str, unit: &str, records: &[Record]) {
-    println!("\n== {title} ==");
-    println!("{:>7}  {:>12}  {:>14}  {:>8}  identical", "threads", "wall_s", unit, "speedup");
-    for r in records {
-        println!(
-            "{:>7}  {:>12.6}  {:>14.3e}  {:>7.2}x  {}",
-            r.threads, r.wall_s, r.throughput, r.speedup, r.identical
-        );
+/// The communication books of a whole training run: every epoch's counters,
+/// summed across ranks and epochs (the wire bill).
+fn run_books(report: &TrainingReport) -> CommStats {
+    let mut books = CommStats::default();
+    for epoch in &report.epochs {
+        books.merge(&epoch.comm);
     }
+    books
 }
 
-fn print_extract_records(title: &str, records: &[ExtractRecord]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:>12}  {:>7}  {:>12}  {:>14}  {:>10}  identical",
-        "kernel", "threads", "wall_s", "spgemm_wall_s", "speedup"
-    );
-    for r in records {
-        println!(
-            "{:>12}  {:>7}  {:>12.6}  {:>14.6}  {:>9.2}x  {}",
-            r.kernel,
-            r.threads,
-            r.wall_s,
-            r.spgemm_wall_s,
-            r.spgemm_wall_s / r.wall_s,
-            r.identical
-        );
-    }
+/// The scaled-down products-like dataset the training sweeps run on.
+fn products_dataset(scale: u32, feature_dim: usize, num_classes: usize, seed: u64) -> Arc<Dataset> {
+    let mut cfg = DatasetConfig::products_like(scale);
+    cfg.feature_dim = feature_dim;
+    cfg.num_classes = num_classes;
+    cfg.train_fraction = 0.5;
+    cfg.homophily = 0.6;
+    Arc::new(build_dataset(&cfg, &mut StdRng::seed_from_u64(seed)).expect("dataset"))
 }
 
-/// Per-phase compute seconds of an epoch, in display order.
-fn phase_breakdown(profile: &dmbs_comm::PhaseProfile) -> Vec<(&'static str, f64)> {
-    Phase::sampling_phases().iter().map(|&p| (p.name(), profile.compute(p))).collect()
+/// The cost model of the `--overlap`, `--calibrate` and `--autotune` sweeps:
+/// deliberately coarse (`α = 200 µs`, `β = 50 ns/word` — a WAN-ish stress
+/// model) so the communication bill is visible, and the schedule knobs
+/// load-bearing, next to the tiny CPU workload.
+const STRESS_COST: CostModel = CostModel { alpha: 2.0e-4, beta: 5.0e-8 };
+
+/// The session those three sweeps train: distributed GraphSAGE `[10, 5]` on
+/// the replicated backend under [`STRESS_COST`], bulk `k = 2`.
+fn stress_builder(
+    dataset: &Arc<Dataset>,
+    (p, c): (usize, usize),
+    batch_size: usize,
+    epochs: usize,
+) -> SessionBuilder<GraphSageSampler, ReplicatedBackend> {
+    let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch_size, 2));
+    let runtime = Runtime::with_cost_model(p, STRESS_COST).expect("runtime");
+    let backend = ReplicatedBackend::with_runtime(runtime, dist).expect("backend");
+    TrainingSession::builder()
+        .dataset(Arc::clone(dataset))
+        .sampler(GraphSageSampler::new(vec![10, 5]).with_self_loops())
+        .backend(backend)
+        .hidden_dim(32)
+        .learning_rate(0.05)
+        .epochs(epochs)
+        .seed(42)
+        .without_evaluation()
 }
 
-/// One measured (grid shape × cache mode) configuration of the feature-fetch
-/// sweep.
-struct FetchRecord {
-    p: usize,
-    c: usize,
-    mode: &'static str,
-    wall_s: f64,
-    /// All-to-allv words this mode moved over the whole epoch (all ranks).
-    words_per_epoch: usize,
-    messages: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    words_saved: usize,
-    /// `words_per_epoch(uncached) / words_per_epoch(this mode)`.
-    reduction_vs_uncached: f64,
-    identical: bool,
+/// Builds the session and trains it; returns the report and the measured
+/// wall seconds of the whole training run.
+fn train_timed<S, B>(builder: SessionBuilder<S, B>) -> (TrainingReport, f64)
+where
+    S: Sampler + Send + Sync + 'static,
+    B: SamplingBackend + Send + Sync + 'static,
+{
+    let session = builder.build().expect("session");
+    let start = Instant::now();
+    let report = session.train().expect("training");
+    (report, start.elapsed().as_secs_f64())
 }
 
-impl FetchRecord {
-    /// The record's hit rate through the one canonical implementation
-    /// (`CommStats::cache_hit_rate`), so the JSON, the table and the library
-    /// can never disagree on the formula.
-    fn hit_rate(&self) -> Option<f64> {
-        dmbs_comm::CommStats {
-            cache_hits: self.cache_hits,
-            cache_misses: self.cache_misses,
-            ..Default::default()
+/// Whether two runs trained bit-identically: the same epochs, each with the
+/// same loss bits and the same value of every deterministic counter.
+fn same_run(a: &TrainingReport, b: &TrainingReport) -> bool {
+    let counters = |s: &CommStats| {
+        [
+            s.words_sent,
+            s.messages,
+            s.bytes_on_wire,
+            s.cache_hits,
+            s.cache_misses,
+            s.words_saved,
+            s.rows_invalidated,
+            s.rows_retained,
+            s.invalidation_words,
+            s.retained_words,
+        ]
+    };
+    a.epochs.len() == b.epochs.len()
+        && a.epochs.iter().zip(&b.epochs).all(|(x, y)| {
+            x.mean_loss.to_bits() == y.mean_loss.to_bits() && counters(&x.comm) == counters(&y.comm)
+        })
+}
+
+/// The synthetic workload the five kernel sweeps share: an RMAT graph and a
+/// stacked Q of frontier rows, the shape of the paper's `P ← Q^l · A`
+/// probability step.
+struct KernelWorkload {
+    scale: u32,
+    degree: usize,
+    q_rows: usize,
+    /// Timing repetitions (best-of).
+    reps: usize,
+    batch_size: usize,
+    /// Batches per epoch.
+    num_batches: usize,
+    threads: Vec<usize>,
+    a: CsrMatrix,
+    stacked: Vec<usize>,
+    q: CsrMatrix,
+    /// `Q · A` by the serial kernel, computed once (untimed): the
+    /// byte-identity reference.  The speedup baseline is the *timed*
+    /// 1-thread record of each sweep.
+    serial_p: CsrMatrix,
+}
+
+fn kernel_workload(smoke: bool) -> &'static KernelWorkload {
+    static WORKLOAD: OnceLock<KernelWorkload> = OnceLock::new();
+    WORKLOAD.get_or_init(|| {
+        let large = matches!(std::env::var("DMBS_SCALE").as_deref(), Ok("large") | Ok("LARGE"));
+        let (scale, degree, q_rows, reps, batch_size, num_batches) = if smoke {
+            (8, 8, 1024, 1, 64, 4)
+        } else if large {
+            (15, 20, 131_072, 5, 256, 16)
+        } else {
+            (13, 16, 32_768, 3, 256, 16)
+        };
+        let threads = if smoke { thread_sweep(&[1, 2]) } else { thread_sweep(&[1, 2, 4, 8]) };
+        let graph = rmat(&RmatConfig::new(scale, degree), &mut StdRng::seed_from_u64(99))
+            .expect("valid RMAT config");
+        let a = graph.adjacency().clone();
+        let n = a.rows();
+        let stacked: Vec<usize> = (0..q_rows).map(|i| (i * 2_654_435_761) % n).collect();
+        let q = row_selection_matrix(&stacked, n).expect("valid selection");
+        let serial_p = spgemm(&q, &a).expect("spgemm");
+        KernelWorkload {
+            scale,
+            degree,
+            q_rows,
+            reps,
+            batch_size,
+            num_batches,
+            threads,
+            a,
+            stacked,
+            q,
+            serial_p,
         }
-        .cache_hit_rate()
-    }
+    })
 }
 
-fn write_fetch_json(path: &std::path::Path, workload: &Workload, records: &[FetchRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let hit_rate = r.hit_rate().unwrap_or(f64::NAN); // json_f64: NaN → null
-        out.push_str(&format!(
-            "    {{\"p\": {}, \"c\": {}, \"mode\": \"{}\", \"wall_s\": {}, \
-             \"words_per_epoch\": {}, \"messages\": {}, \"cache_hits\": {}, \
-             \"cache_misses\": {}, \"cache_hit_rate\": {}, \"words_saved\": {}, \
-             \"reduction_vs_uncached\": {}, \"identical_to_uncached\": {}}}{}\n",
-            r.p,
-            r.c,
-            r.mode,
-            json_f64(r.wall_s),
-            r.words_per_epoch,
-            r.messages,
-            r.cache_hits,
-            r.cache_misses,
-            json_f64(hit_rate),
-            r.words_saved,
-            json_f64(r.reduction_vs_uncached),
-            r.identical,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
+/// SpGEMM: `P = Q · A` at each thread count (`BENCH_spgemm.json`).
+fn spgemm_sweep(smoke: bool) -> (Workload, Vec<Record>) {
+    let k = kernel_workload(smoke);
+    let flops: usize = k.stacked.iter().map(|&v| k.a.row_nnz(v)).sum();
+    let records = thread_records(&k.threads, flops, |t| {
+        let par = Parallelism::new(t);
+        let (wall, p) =
+            time_best(k.reps, || spgemm_parallel(&k.q, &k.a, par).expect("spgemm_parallel"));
+        (wall, p == k.serial_p, Vec::new())
+    });
+    let workload = Workload {
+        name: "spgemm",
+        detail: format!(
+            "P = Q*A, rmat scale {} deg {} (n = {}, nnz(A) = {}), Q = {} stacked frontier rows",
+            k.scale,
+            k.degree,
+            k.a.rows(),
+            k.a.nnz(),
+            k.q_rows
+        ),
+        items: flops,
+        throughput_unit: "multiply-adds/s",
+    };
+    (workload, records)
 }
 
-fn print_fetch_records(records: &[FetchRecord]) {
-    println!("\n== Feature-fetch epoch: words moved, cache on vs off ==");
-    println!(
-        "{:>3} {:>3} {:>9}  {:>12}  {:>10}  {:>9}  {:>9}  {:>9}  identical",
-        "p", "c", "mode", "words/epoch", "messages", "hit_rate", "saved", "reduction"
-    );
-    for r in records {
-        let hit_rate = r.hit_rate().map_or("-".to_string(), |h| format!("{h:.3}"));
-        println!(
-            "{:>3} {:>3} {:>9}  {:>12}  {:>10}  {:>9}  {:>9}  {:>8.2}x  {}",
-            r.p,
-            r.c,
-            r.mode,
-            r.words_per_epoch,
-            r.messages,
-            hit_rate,
-            r.words_saved,
-            r.reduction_vs_uncached,
-            r.identical
-        );
+/// Extraction kernels vs their selection-matrix SpGEMM formulation
+/// (`BENCH_extract.json`).  Row gather: `extract_rows(A, stacked)` vs
+/// `spgemm(row_selection, A)` — the exact product LADIES row extraction and
+/// the GraphSAGE probability step used to pay Gustavson prices for.  Column
+/// filter: per-batch masked extraction vs the hypersparse CSC selection
+/// SpGEMM of §8.2.2.
+fn extract_sweep(smoke: bool) -> (Workload, Vec<Record>) {
+    let k = kernel_workload(smoke);
+    let (a, n) = (&k.a, k.a.rows());
+    let record = |kernel: &str, threads: usize, wall: f64, spgemm_wall: f64, items: usize, same| {
+        Record::new()
+            .key("kernel", kernel)
+            .key("threads", threads)
+            // Wall time of the structure-aware kernel.
+            .soft("wall_s", wall)
+            // Nonzeros this kernel's run touches.  Each record carries its
+            // own (the two kernels process different nnz counts), so
+            // `throughput == items / wall_s` holds per record; the header's
+            // `items_per_run` is the combined total.
+            .exact("items", items)
+            .info("throughput", items as f64 / wall)
+            // Wall time of the selection-matrix SpGEMM formulation it replaced.
+            .info("spgemm_formulation_wall_s", spgemm_wall)
+            .info("speedup_vs_spgemm_formulation", spgemm_wall / wall)
+            .identity("identical_to_spgemm_formulation", same)
+    };
+    let gathered_nnz = k.serial_p.nnz();
+    let mut records = Vec::new();
+    for &t in &k.threads {
+        let par = Parallelism::new(t);
+        let (gather_wall, gathered) =
+            time_best(k.reps, || extract_rows(a, &k.stacked, par).expect("extract_rows"));
+        let (spgemm_wall, via_spgemm) =
+            time_best(k.reps, || spgemm_parallel(&k.q, a, par).expect("spgemm_parallel"));
+        let same = gathered == via_spgemm && gathered == k.serial_p;
+        records.push(record("row_gather", t, gather_wall, spgemm_wall, gathered_nnz, same));
     }
+    // Column extraction on LADIES-shaped per-batch blocks: k blocks of
+    // `batch_size` gathered rows, each filtered down to `s` sampled columns.
+    let col_k = k.num_batches;
+    let col_s = if smoke { 64 } else { 512 };
+    let block_rows = k.batch_size;
+    let blocks: Vec<CsrMatrix> = (0..col_k)
+        .map(|i| {
+            let rows: Vec<usize> = (0..block_rows).map(|j| (i * block_rows + j * 13) % n).collect();
+            extract_rows(a, &rows, Parallelism::serial()).expect("block gather")
+        })
+        .collect();
+    let col_lists: Vec<Vec<usize>> = (0..col_k)
+        .map(|i| {
+            let mut cols: Vec<usize> = (0..col_s).map(|j| (i * 7 + j * 97) % n).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            cols
+        })
+        .collect();
+    let filter_nnz: usize = blocks.iter().map(CsrMatrix::nnz).sum();
+    let (mask_wall, masked) = time_best(k.reps, || {
+        blocks
+            .iter()
+            .zip(&col_lists)
+            .map(|(block, cols)| extract_columns_masked(block, cols).expect("masked filter"))
+            .collect::<Vec<_>>()
+    });
+    let (csc_wall, via_csc) = time_best(k.reps, || {
+        blocks
+            .iter()
+            .zip(&col_lists)
+            .map(|(block, cols)| {
+                CscMatrix::selection(n, cols).left_multiply(block).expect("csc spgemm")
+            })
+            .collect::<Vec<_>>()
+    });
+    records.push(record("column_mask", 1, mask_wall, csc_wall, filter_nnz, masked == via_csc));
+    let workload = Workload {
+        name: "extract",
+        detail: format!(
+            "row gather of {} frontier rows (nnz = {gathered_nnz}) + masked column filter of \
+             {col_k} blocks of {block_rows} rows down to {col_s} columns (nnz in = \
+             {filter_nnz}), vs the selection-matrix SpGEMM formulation, rmat scale {} deg {}",
+            k.q_rows, k.scale, k.degree
+        ),
+        items: gathered_nnz + filter_nnz,
+        throughput_unit: "nnz/s",
+    };
+    (workload, records)
+}
+
+/// Per-row ITS over the normalized probability rows (`BENCH_its.json`).
+fn its_sweep(smoke: bool) -> (Workload, Vec<Record>) {
+    let k = kernel_workload(smoke);
+    let mut p_norm = k.serial_p.clone();
+    p_norm.normalize_rows();
+    let fanout = 10;
+    let its_serial = sample_rows_seeded(&p_norm, fanout, 4242).expect("its");
+    let records = thread_records(&k.threads, p_norm.rows(), |t| {
+        let par = Parallelism::new(t);
+        let (wall, sampled) =
+            time_best(k.reps, || sample_rows_par(&p_norm, fanout, 4242, par).expect("its par"));
+        (wall, sampled == its_serial, Vec::new())
+    });
+    let workload = Workload {
+        name: "its",
+        detail: format!(
+            "per-row ITS without replacement, s = {fanout}, over {} probability rows \
+             (nnz(P) = {})",
+            p_norm.rows(),
+            p_norm.nnz()
+        ),
+        items: p_norm.rows(),
+        throughput_unit: "rows/s",
+    };
+    (workload, records)
+}
+
+/// One bulk sampling epoch through `LocalBackend` at each thread count, with
+/// extraction attributed to its own `PhaseProfile` phase.
+fn epoch_sweep<S: Sampler + Sync>(
+    smoke: bool,
+    name: &'static str,
+    sampler: &S,
+    describe: String,
+) -> (Workload, Vec<Record>) {
+    let k = kernel_workload(smoke);
+    let (n, batch_size, num_batches) = (k.a.rows(), k.batch_size, k.num_batches);
+    let batches: Vec<Vec<usize>> = (0..num_batches)
+        .map(|i| (0..batch_size).map(|j| (i * batch_size + j * 7) % n).collect())
+        .collect();
+    let run_epoch = |t: usize| {
+        let backend = LocalBackend::new(BulkSamplerConfig::new(batch_size, 4))
+            .expect("valid bulk config")
+            .with_parallelism(Parallelism::new(t));
+        let epoch = backend.sample_epoch(sampler, &k.a, &batches, 7).expect("epoch");
+        (epoch.output.minibatches, epoch.output.profile)
+    };
+    let epoch_serial = run_epoch(1);
+    let records = thread_records(&k.threads, num_batches, |t| {
+        let (wall, (minibatches, profile)) = time_best(k.reps, || run_epoch(t));
+        // Per-phase compute seconds of the epoch, in display order.
+        let phases =
+            Phase::sampling_phases().iter().map(|&p| (p.name(), profile.compute(p))).collect();
+        (wall, minibatches == epoch_serial.0, phases)
+    });
+    let workload = Workload {
+        name,
+        detail: format!(
+            "{describe} bulk epoch via LocalBackend: {num_batches} batches of {batch_size} on \
+             rmat scale {} (bulk k = 4)",
+            k.scale
+        ),
+        items: num_batches,
+        throughput_unit: "minibatches/s",
+    };
+    (workload, records)
+}
+
+/// The GraphSAGE bulk epoch (`BENCH_epoch.json`).
+fn sage_epoch_sweep(smoke: bool) -> (Workload, Vec<Record>) {
+    let sampler = GraphSageSampler::new(if smoke { vec![5, 5] } else { vec![15, 10, 5] });
+    let describe = format!("GraphSAGE {:?}", sampler.fanouts());
+    epoch_sweep(smoke, "bulk_epoch", &sampler, describe)
+}
+
+/// The full LADIES pipeline — probability SpGEMM → ITS → gather + masked
+/// column filter (`BENCH_ladies_epoch.json`).
+fn ladies_epoch_sweep(smoke: bool) -> (Workload, Vec<Record>) {
+    let sampler = LadiesSampler::new(if smoke { 2 } else { 3 }, if smoke { 64 } else { 512 });
+    let describe =
+        format!("LADIES {} layers x s = {}", sampler.num_layers(), sampler.samples_per_layer());
+    epoch_sweep(smoke, "ladies_bulk_epoch", &sampler, describe)
 }
 
 /// The feature-fetching phase of one epoch, run standalone on a simulated
 /// grid: each rank fetches the layer-0 frontiers of its round-robin share of
 /// the epoch's minibatches, step by step (bulk synchronous, empty requests
-/// for idle ranks — exactly the distributed trainer's schedule).  Returns
-/// per-rank fetched rows plus the summed communication counters.
-#[allow(clippy::type_complexity)]
+/// for idle ranks — exactly the distributed trainer's schedule), through the
+/// cache `mode` with the reply rows travelling under `codec`.  Returns
+/// per-rank fetched rows plus the books summed over ranks: the wire counters
+/// of the ranks and the hit/miss/saved counters of their caches.
 fn run_fetch_epoch(
     runtime: &Runtime,
-    h: &DenseMatrix,
-    minibatches: &[MinibatchSample],
+    w: &FetchWorkload,
     c: usize,
     mode: FeatureCacheConfig,
-) -> (Vec<Vec<DenseMatrix>>, usize, usize, usize, usize, usize) {
+    codec: Codec,
+) -> (Vec<Vec<DenseMatrix>>, CommStats) {
     let p = runtime.size();
-    let steps = minibatches.len().div_ceil(p);
+    let steps = w.minibatches.len().div_ceil(p);
     let outs = runtime
         .run(|comm| {
             let rank = comm.rank();
             let grid = ProcessGrid::new(p, c).expect("valid grid");
             let (my_row, _) = grid.coords(rank);
-            let store = FeatureStore::from_full(h, grid.rows(), my_row).expect("store");
+            let store = FeatureStore::from_full(&w.h, grid.rows(), my_row)
+                .expect("store")
+                .with_codec(codec);
             let group = Group::new(&grid.col_ranks(rank)).expect("group");
-            let my_mbs: Vec<&MinibatchSample> = minibatches.iter().skip(rank).step_by(p).collect();
+            let my_mbs: Vec<&MinibatchSample> =
+                w.minibatches.iter().skip(rank).step_by(p).collect();
             let mut cache = mode.is_enabled().then(|| FeatureCache::new(mode, store.feature_dim()));
             if let (Some(cache), FeatureCacheConfig::EpochPinned) = (cache.as_mut(), mode) {
                 let plan = FetchPlan::from_sample_iter(my_mbs.iter().copied());
@@ -436,435 +542,39 @@ fn run_fetch_epoch(
         })
         .expect("fetch epoch");
     let mut per_rank = Vec::with_capacity(outs.len());
-    let (mut words, mut messages, mut hits, mut misses, mut saved) = (0, 0, 0, 0, 0);
+    let mut books = CommStats::default();
     for o in outs {
-        words += o.stats.words_sent;
-        messages += o.stats.messages;
-        hits += o.value.1.cache_hits;
-        misses += o.value.1.cache_misses;
-        saved += o.value.1.words_saved;
+        books.merge(&o.stats);
+        books.merge(&o.value.1);
         per_rank.push(o.value.0);
     }
-    (per_rank, words, messages, hits, misses, saved)
+    (per_rank, books)
 }
 
-const USAGE: &str = "usage: perf_baseline [--smoke] [--fetch | --compress | --overlap | \
-                     --serve | --calibrate | --dynamic | --autotune] [--check <baseline-dir>] \
-                     [--tolerance <rel>] [output_dir]";
-
-fn main() {
-    // The --calibrate sweep re-executes this binary as its rank processes;
-    // if the rendezvous environment is set, run the worker and exit before
-    // any argument parsing or sweeping.
-    dmbs_comm::run_if_worker(&dmbs_bench::transport::registry());
-    let mut smoke = false;
-    let mut fetch_only = false;
-    let mut compress_only = false;
-    let mut overlap_only = false;
-    let mut serve_only = false;
-    let mut calibrate_only = false;
-    let mut dynamic_only = false;
-    let mut autotune_only = false;
-    let mut check_dir: Option<std::path::PathBuf> = None;
-    let mut tolerance = 0.5;
-    let mut out_dir = std::path::PathBuf::from(".");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--smoke" {
-            smoke = true;
-        } else if arg == "--fetch" {
-            fetch_only = true;
-        } else if arg == "--compress" {
-            compress_only = true;
-        } else if arg == "--overlap" {
-            overlap_only = true;
-        } else if arg == "--serve" {
-            serve_only = true;
-        } else if arg == "--calibrate" {
-            calibrate_only = true;
-        } else if arg == "--dynamic" {
-            dynamic_only = true;
-        } else if arg == "--autotune" {
-            autotune_only = true;
-        } else if arg == "--check" {
-            let Some(dir) = args.next() else {
-                eprintln!("--check needs a baseline directory; {USAGE}");
-                std::process::exit(2);
-            };
-            check_dir = Some(std::path::PathBuf::from(dir));
-        } else if arg == "--tolerance" {
-            let parsed = args.next().and_then(|t| t.parse::<f64>().ok()).filter(|t| *t >= 0.0);
-            let Some(parsed) = parsed else {
-                eprintln!("--tolerance needs a non-negative relative value; {USAGE}");
-                std::process::exit(2);
-            };
-            tolerance = parsed;
-        } else if arg.starts_with("--") {
-            // Reject unknown flags up front instead of running the full
-            // multi-minute sweep and panicking at the first JSON write.
-            eprintln!("unknown flag {arg:?}; {USAGE}");
-            std::process::exit(2);
-        } else {
-            out_dir = std::path::PathBuf::from(arg);
-        }
-    }
-    if [
-        fetch_only,
-        compress_only,
-        overlap_only,
-        serve_only,
-        calibrate_only,
-        dynamic_only,
-        autotune_only,
-    ]
-    .iter()
-    .filter(|&&f| f)
-    .count()
-        > 1
-    {
-        // The sweeps are exclusive; silently running only one of them would
-        // leave the other's BENCH file stale while --check reports success.
-        eprintln!(
-            "--fetch, --compress, --overlap, --serve, --calibrate, --dynamic and --autotune \
-             are mutually exclusive; {USAGE}"
-        );
-        std::process::exit(2);
-    }
-    if let Some(baseline_dir) = &check_dir {
-        // Guard BEFORE the sweep runs: writing the fresh JSONs into the
-        // baseline directory would clobber the committed baseline and then
-        // compare the files against themselves (a vacuous pass).
-        let same_dir = match (baseline_dir.canonicalize(), out_dir.canonicalize()) {
-            (Ok(a), Ok(b)) => a == b,
-            _ => *baseline_dir == out_dir,
-        };
-        if same_dir {
-            eprintln!(
-                "--check baseline directory {} is also the output directory; the sweep would \
-                 overwrite the baseline before comparing.  Pass a different output_dir.",
-                baseline_dir.display()
-            );
-            std::process::exit(2);
-        }
-    }
-    // The sweep (which also decides which files --check compares).
-    let produced: &[&str] = if fetch_only {
-        run_fetch_sweep(smoke, &out_dir);
-        &["BENCH_fetch.json"]
-    } else if compress_only {
-        run_compress_sweep(smoke, &out_dir);
-        &["BENCH_compress.json"]
-    } else if overlap_only {
-        run_overlap_sweep(smoke, &out_dir);
-        &["BENCH_overlap.json"]
-    } else if serve_only {
-        run_serve_sweep(smoke, &out_dir);
-        &["BENCH_serve.json"]
-    } else if calibrate_only {
-        run_calibrate_sweep(smoke, &out_dir);
-        &["BENCH_transport.json"]
-    } else if dynamic_only {
-        run_dynamic_sweep(smoke, &out_dir);
-        &["BENCH_dynamic.json"]
-    } else if autotune_only {
-        run_autotune_sweep(smoke, &out_dir);
-        &["BENCH_autotune.json"]
-    } else {
-        run_kernel_sweeps(smoke, &out_dir);
-        &[
-            "BENCH_spgemm.json",
-            "BENCH_extract.json",
-            "BENCH_its.json",
-            "BENCH_epoch.json",
-            "BENCH_ladies_epoch.json",
-        ]
-    };
-    if let Some(baseline_dir) = check_dir {
-        run_check(&baseline_dir, &out_dir, produced, tolerance);
-    }
+/// What `--fetch` and `--compress` share: one bulk-sampled GraphSAGE epoch on
+/// an RMAT graph — the fetch phase is what varies, not the samples — its
+/// fetch plan, a synthetic feature matrix of width `f`, and the grid shapes.
+struct FetchWorkload {
+    n: usize,
+    f: usize,
+    h: DenseMatrix,
+    minibatches: Vec<MinibatchSample>,
+    plan: FetchPlan,
+    shapes: &'static [(usize, usize)],
+    /// Timing repetitions (best-of).
+    reps: usize,
+    /// The epoch's description for the file header.
+    detail: String,
 }
 
-/// The `--check` gate: compare the files this invocation produced against
-/// the committed baselines.  Hard findings (kernel-identity or exact-counter
-/// drift) fail the process; wall-clock findings only warn.
-fn run_check(
-    baseline_dir: &std::path::Path,
-    fresh_dir: &std::path::Path,
-    files: &[&str],
-    tolerance: f64,
-) {
-    use dmbs_bench::check::{compare_file, passes, Severity};
-    println!(
-        "\n== perf-regression check vs {} (wall tolerance {:.0}%) ==",
-        baseline_dir.display(),
-        tolerance * 100.0
-    );
-    let mut all = Vec::new();
-    for file in files {
-        all.extend(compare_file(baseline_dir, fresh_dir, file, tolerance));
-    }
-    for finding in &all {
-        match finding.severity {
-            Severity::Hard => eprintln!("FAIL {}", finding.message),
-            Severity::Soft => eprintln!("warn {}", finding.message),
-        }
-    }
-    if passes(&all) {
-        println!(
-            "check passed: {} file(s), {} soft warning(s), no hard regressions",
-            files.len(),
-            all.len()
-        );
-    } else {
-        eprintln!("check FAILED: a committed perf contract regressed (see FAIL lines above)");
-        std::process::exit(1);
-    }
-}
-
-fn run_kernel_sweeps(smoke: bool, out_dir: &std::path::Path) {
-    let large = matches!(std::env::var("DMBS_SCALE").as_deref(), Ok("large") | Ok("LARGE"));
-    // (rmat scale, rmat degree, stacked Q rows, timing reps, batch size,
-    // batches per epoch)
-    let (scale, degree, q_rows, reps, batch_size, num_batches) = if smoke {
-        (8, 8, 1024, 1, 64, 4)
-    } else if large {
-        (15, 20, 131_072, 5, 256, 16)
-    } else {
-        (13, 16, 32_768, 3, 256, 16)
-    };
-    let threads = if smoke { thread_sweep(&[1, 2]) } else { thread_sweep(&[1, 2, 4, 8]) };
-    if smoke {
-        println!("smoke mode: tiny workload, full kernel sweep + identity checks");
-    }
-
-    // ---- Shared synthetic workload: an RMAT graph and a stacked Q of
-    // frontier rows, the shape of the paper's P ← Q^l · A probability step.
-    let graph = rmat(&RmatConfig::new(scale, degree), &mut StdRng::seed_from_u64(99))
-        .expect("valid RMAT config");
-    let a = graph.adjacency().clone();
-    let n = a.rows();
-    let stacked: Vec<usize> = (0..q_rows).map(|i| (i * 2_654_435_761) % n).collect();
-    let q = row_selection_matrix(&stacked, n).expect("valid selection");
-
-    // ---- SpGEMM: P = Q · A at each thread count.  The serial reference is
-    // computed once (untimed) for the byte-identity check; the speedup
-    // baseline is the *timed* 1-thread record, which runs the identical
-    // serial code path inside the same measurement loop (measuring the
-    // baseline in a separate earlier phase proved systematically biased).
-    let serial_p = spgemm(&q, &a).expect("spgemm");
-    let flops: usize = stacked.iter().map(|&v| a.row_nnz(v)).sum();
-    let mut walls = Vec::new();
-    for &t in &threads {
-        let par = Parallelism::new(t);
-        let (wall, p) = time_best(reps, || spgemm_parallel(&q, &a, par).expect("spgemm_parallel"));
-        walls.push((t, wall, p == serial_p, Vec::new()));
-    }
-    let records = finish_records(&walls, |wall| flops as f64 / wall);
-    let workload = Workload {
-        name: "spgemm",
-        detail: format!(
-            "P = Q*A, rmat scale {scale} deg {degree} (n = {n}, nnz(A) = {}), Q = {q_rows} \
-             stacked frontier rows",
-            a.nnz()
-        ),
-        items: flops,
-        throughput_unit: "multiply-adds/s",
-    };
-    print_records("SpGEMM P = Q*A", "flops/s", &records);
-    write_json(&out_dir.join("BENCH_spgemm.json"), &workload, &records);
-    assert_identical("spgemm", &records);
-
-    // ---- Extraction kernels vs their selection-matrix SpGEMM formulation.
-    // Row gather: extract_rows(A, stacked) vs spgemm(row_selection, A) — the
-    // exact product LADIES row extraction and the GraphSAGE probability step
-    // used to pay Gustavson prices for.  Column filter: per-batch masked
-    // extraction vs the hypersparse CSC selection SpGEMM of §8.2.2.
-    let gathered_nnz = serial_p.nnz();
-    let mut extract_records = Vec::new();
-    for &t in &threads {
-        let par = Parallelism::new(t);
-        let (gather_wall, gathered) =
-            time_best(reps, || extract_rows(&a, &stacked, par).expect("extract_rows"));
-        let (spgemm_wall, via_spgemm) =
-            time_best(reps, || spgemm_parallel(&q, &a, par).expect("spgemm_parallel"));
-        extract_records.push(ExtractRecord {
-            kernel: "row_gather",
-            threads: t,
-            wall_s: gather_wall,
-            spgemm_wall_s: spgemm_wall,
-            items: gathered_nnz,
-            identical: gathered == via_spgemm && gathered == serial_p,
-        });
-    }
-    // Column extraction on LADIES-shaped per-batch blocks: k blocks of
-    // `batch_size` gathered rows, each filtered down to `s` sampled columns.
-    let col_k = num_batches;
-    let col_s = if smoke { 64 } else { 512 };
-    let block_rows = batch_size;
-    let blocks: Vec<CsrMatrix> = (0..col_k)
-        .map(|i| {
-            let rows: Vec<usize> = (0..block_rows).map(|j| (i * block_rows + j * 13) % n).collect();
-            extract_rows(&a, &rows, Parallelism::serial()).expect("block gather")
-        })
-        .collect();
-    let col_lists: Vec<Vec<usize>> = (0..col_k)
-        .map(|i| {
-            let mut cols: Vec<usize> = (0..col_s).map(|j| (i * 7 + j * 97) % n).collect();
-            cols.sort_unstable();
-            cols.dedup();
-            cols
-        })
-        .collect();
-    let filter_nnz: usize = blocks.iter().map(CsrMatrix::nnz).sum();
-    let (mask_wall, masked) = time_best(reps, || {
-        blocks
-            .iter()
-            .zip(&col_lists)
-            .map(|(block, cols)| extract_columns_masked(block, cols).expect("masked filter"))
-            .collect::<Vec<_>>()
-    });
-    let (csc_wall, via_csc) = time_best(reps, || {
-        blocks
-            .iter()
-            .zip(&col_lists)
-            .map(|(block, cols)| {
-                CscMatrix::selection(n, cols).left_multiply(block).expect("csc spgemm")
-            })
-            .collect::<Vec<_>>()
-    });
-    extract_records.push(ExtractRecord {
-        kernel: "column_mask",
-        threads: 1,
-        wall_s: mask_wall,
-        spgemm_wall_s: csc_wall,
-        items: filter_nnz,
-        identical: masked == via_csc,
-    });
-    let workload = Workload {
-        name: "extract",
-        detail: format!(
-            "row gather of {q_rows} frontier rows (nnz = {gathered_nnz}) + masked column \
-             filter of {col_k} blocks of {block_rows} rows down to {col_s} columns (nnz in = \
-             {filter_nnz}), vs the selection-matrix SpGEMM formulation, rmat scale {scale} \
-             deg {degree}"
-        ),
-        items: gathered_nnz + filter_nnz,
-        throughput_unit: "nnz/s",
-    };
-    print_extract_records("Extraction kernels vs SpGEMM formulation", &extract_records);
-    write_extract_json(&out_dir.join("BENCH_extract.json"), &workload, &extract_records);
-    for r in &extract_records {
-        assert!(
-            r.identical,
-            "extract: {} at {} threads diverged from the SpGEMM formulation",
-            r.kernel, r.threads
-        );
-    }
-
-    // ---- Per-row ITS over the normalized probability rows.
-    let mut p_norm = serial_p.clone();
-    p_norm.normalize_rows();
-    let fanout = 10;
-    let its_serial = sample_rows_seeded(&p_norm, fanout, 4242).expect("its");
-    let mut walls = Vec::new();
-    for &t in &threads {
-        let par = Parallelism::new(t);
-        let (wall, sampled) =
-            time_best(reps, || sample_rows_par(&p_norm, fanout, 4242, par).expect("its par"));
-        walls.push((t, wall, sampled == its_serial, Vec::new()));
-    }
-    let records = finish_records(&walls, |wall| p_norm.rows() as f64 / wall);
-    let workload = Workload {
-        name: "its",
-        detail: format!(
-            "per-row ITS without replacement, s = {fanout}, over {} probability rows \
-             (nnz(P) = {})",
-            p_norm.rows(),
-            p_norm.nnz()
-        ),
-        items: p_norm.rows(),
-        throughput_unit: "rows/s",
-    };
-    print_records("Per-row ITS", "rows/s", &records);
-    write_json(&out_dir.join("BENCH_its.json"), &workload, &records);
-    assert_identical("its", &records);
-
-    // ---- Bulk epochs through LocalBackend: GraphSAGE and the full LADIES
-    // pipeline (probability SpGEMM → ITS → gather + masked column filter),
-    // with extraction attributed to its own PhaseProfile phase.
-    let batches: Vec<Vec<usize>> = (0..num_batches)
-        .map(|i| (0..batch_size).map(|j| (i * batch_size + j * 7) % n).collect())
-        .collect();
-    let run_epoch = |sampler: &dyn SamplerEpoch, t: usize| {
-        let backend = LocalBackend::new(BulkSamplerConfig::new(batch_size, 4))
-            .expect("valid bulk config")
-            .with_parallelism(Parallelism::new(t));
-        sampler.epoch(&backend, &a, &batches)
-    };
-
-    let sage = GraphSageSampler::new(if smoke { vec![5, 5] } else { vec![15, 10, 5] });
-    let ladies = LadiesSampler::new(if smoke { 2 } else { 3 }, if smoke { 64 } else { 512 });
-    for (file, title, name, sampler) in [
-        (
-            "BENCH_epoch.json",
-            "Bulk sampling epoch (GraphSAGE)",
-            "bulk_epoch",
-            &sage as &dyn SamplerEpoch,
-        ),
-        (
-            "BENCH_ladies_epoch.json",
-            "Bulk sampling epoch (LADIES)",
-            "ladies_bulk_epoch",
-            &ladies as &dyn SamplerEpoch,
-        ),
-    ] {
-        let epoch_serial = run_epoch(sampler, 1);
-        let mut walls = Vec::new();
-        for &t in &threads {
-            let (wall, epoch) = time_best(reps, || run_epoch(sampler, t));
-            let identical = epoch.0 == epoch_serial.0;
-            walls.push((t, wall, identical, phase_breakdown(&epoch.1)));
-        }
-        let records = finish_records(&walls, |wall| num_batches as f64 / wall);
-        let workload = Workload {
-            name,
-            detail: format!(
-                "{} bulk epoch via LocalBackend: {num_batches} batches of {batch_size} on \
-                 rmat scale {scale} (bulk k = 4)",
-                sampler.describe()
-            ),
-            items: num_batches,
-            throughput_unit: "minibatches/s",
-        };
-        print_records(title, "batches/s", &records);
-        write_json(&out_dir.join(file), &workload, &records);
-        assert_identical(name, &records);
-    }
-
-    println!(
-        "\nAll kernels byte-identical to their reference formulations; records written to {}",
-        out_dir.display()
-    );
-}
-
-/// The `--fetch` sweep: the feature-fetching phase of one bulk-sampled epoch
-/// across grid shapes, cache-off vs epoch-pinned vs LRU, asserting that every
-/// cached run returns byte-identical rows, moves no more all-to-allv words
-/// than the uncached baseline, and that `sent + saved == uncached` (the α–β
-/// books balance).  Writes `BENCH_fetch.json`.
-fn run_fetch_sweep(smoke: bool, out_dir: &std::path::Path) {
+/// `f_full` is the feature width of the full-size run (smoke pins 16).
+fn fetch_workload(smoke: bool, f_full: usize) -> FetchWorkload {
     // (rmat scale, rmat degree, feature dim, batch size, batches, fanouts)
     let (scale, degree, f, batch_size, num_batches, fanouts) =
-        if smoke { (8, 8, 16, 64, 8, vec![5, 5]) } else { (12, 12, 64, 256, 16, vec![10, 5]) };
-    let shapes: &[(usize, usize)] =
-        if smoke { &[(2, 1), (2, 2), (4, 2)] } else { &[(4, 1), (4, 2), (4, 4), (8, 2), (8, 4)] };
-    if smoke {
-        println!("fetch smoke mode: tiny workload, full shape sweep + identity checks");
-    }
-
+        if smoke { (8, 8, 16, 64, 8, vec![5, 5]) } else { (12, 12, f_full, 256, 16, vec![10, 5]) };
     let graph = rmat(&RmatConfig::new(scale, degree), &mut StdRng::seed_from_u64(99))
         .expect("valid RMAT config");
-    let a = graph.adjacency().clone();
+    let a = graph.adjacency();
     let n = a.rows();
     let h = DenseMatrix::from_rows(
         &(0..n)
@@ -875,13 +585,37 @@ fn run_fetch_sweep(smoke: bool, out_dir: &std::path::Path) {
     let batches: Vec<Vec<usize>> = (0..num_batches)
         .map(|i| (0..batch_size).map(|j| (i * batch_size + j * 7) % n).collect())
         .collect();
-    // One bulk-sampled epoch, shared by every shape: the fetch phase is what
-    // varies, not the samples.
     let sampler = GraphSageSampler::new(fanouts.clone());
     let backend = LocalBackend::new(BulkSamplerConfig::new(batch_size, 4)).expect("bulk config");
-    let epoch = backend.sample_epoch(&sampler, &a, &batches, 7).expect("epoch");
-    let minibatches = epoch.output.minibatches;
-    let plan = FetchPlan::from_minibatches(&minibatches);
+    let minibatches =
+        backend.sample_epoch(&sampler, a, &batches, 7).expect("epoch").output.minibatches;
+    FetchWorkload {
+        n,
+        f,
+        h,
+        plan: FetchPlan::from_minibatches(&minibatches),
+        minibatches,
+        shapes: if smoke {
+            &[(2, 1), (2, 2), (4, 2)]
+        } else {
+            &[(4, 1), (4, 2), (4, 4), (8, 2), (8, 4)]
+        },
+        reps: if smoke { 1 } else { 3 },
+        detail: format!(
+            "feature-fetch phase of one GraphSAGE {fanouts:?} bulk epoch ({num_batches} batches \
+             of {batch_size}, f = {f}) on rmat scale {scale} deg {degree}"
+        ),
+    }
+}
+
+/// The `--fetch` sweep: the feature-fetching phase of one bulk-sampled epoch
+/// across grid shapes, cache-off vs epoch-pinned vs LRU, asserting that every
+/// cached run returns byte-identical rows, moves no more all-to-allv words
+/// than the uncached baseline, and that `sent + saved == uncached` (the α–β
+/// books balance).  `BENCH_fetch.json`.
+fn fetch_sweep(smoke: bool) -> (Workload, Vec<Record>) {
+    let w = fetch_workload(smoke, 64);
+    let (n, f, plan) = (w.n, w.f, &w.plan);
     println!(
         "epoch frontier: {} raw input-vertex requests, {} unique ({} duplicates, ≤ {} words \
          avoidable at f = {f})",
@@ -891,8 +625,39 @@ fn run_fetch_sweep(smoke: bool, out_dir: &std::path::Path) {
         plan.words_avoided_upper_bound(f)
     );
 
+    let record = |(p, c): (usize, usize),
+                  mode: &str,
+                  wall: f64,
+                  books: &CommStats,
+                  base_words: usize,
+                  identical: bool| {
+        Record::new()
+            .key("p", p)
+            .key("c", c)
+            .key("mode", mode)
+            .soft("wall_s", wall)
+            // All-to-allv words this mode moved over the whole epoch (all ranks).
+            .exact("words_per_epoch", books.words_sent)
+            .exact("messages", books.messages)
+            .exact("cache_hits", books.cache_hits)
+            .exact("cache_misses", books.cache_misses)
+            // The library's own formula; `null` when nothing was looked up.
+            .info("cache_hit_rate", books.cache_hit_rate().unwrap_or(f64::NAN))
+            .exact("words_saved", books.words_saved)
+            // `words_per_epoch(uncached) / words_per_epoch(this mode)`; a
+            // fully-replicated shape moves zero words either way.
+            .info(
+                "reduction_vs_uncached",
+                if base_words == 0 {
+                    1.0
+                } else {
+                    base_words as f64 / books.words_sent.max(1) as f64
+                },
+            )
+            .identity("identical_to_uncached", identical)
+    };
     let mut records = Vec::new();
-    for &(p, c) in shapes {
+    for &(p, c) in w.shapes {
         let runtime = Runtime::new(p).expect("runtime");
         // How the plan's unique rows spread over the owning feature blocks
         // (the block rows of the p/c × c layout) — the request-balance view
@@ -909,213 +674,45 @@ fn run_fetch_sweep(smoke: bool, out_dir: &std::path::Path) {
         );
         // `time_best` returns the (deterministic) epoch output, so one sweep
         // yields wall time, counters and the identity reference together.
-        let reps = if smoke { 1 } else { 3 };
-        let (base_wall, (base_rows, base_words, base_msgs, ..)) = time_best(reps, || {
-            run_fetch_epoch(&runtime, &h, &minibatches, c, FeatureCacheConfig::Off)
-        });
-        records.push(FetchRecord {
-            p,
-            c,
-            mode: "uncached",
-            wall_s: base_wall,
-            words_per_epoch: base_words,
-            messages: base_msgs,
-            cache_hits: 0,
-            cache_misses: 0,
-            words_saved: 0,
-            reduction_vs_uncached: 1.0,
-            identical: true,
-        });
+        let fetch =
+            |mode| time_best(w.reps, || run_fetch_epoch(&runtime, &w, c, mode, Codec::Exact));
+        let (base_wall, (base_rows, base)) = fetch(FeatureCacheConfig::Off);
+        let base_words = base.words_sent;
+        records.push(record((p, c), "uncached", base_wall, &base, base_words, true));
         let lru_budget = n * f * std::mem::size_of::<f64>() / 4; // a quarter of H
         for (mode, label) in [
             (FeatureCacheConfig::EpochPinned, "pinned"),
             (FeatureCacheConfig::Lru { byte_budget: lru_budget }, "lru"),
         ] {
-            let (wall, (rows, words, msgs, hits, misses, saved)) =
-                time_best(reps, || run_fetch_epoch(&runtime, &h, &minibatches, c, mode));
+            let (wall, (rows, books)) = fetch(mode);
             let identical = rows == base_rows;
             assert!(identical, "p={p} c={c} {label}: cached fetch diverged from uncached");
             assert!(
-                words <= base_words,
-                "p={p} c={c} {label}: cache moved more words ({words} > {base_words})"
+                books.words_sent <= base_words,
+                "p={p} c={c} {label}: cache moved more words ({} > {base_words})",
+                books.words_sent
             );
             assert_eq!(
-                words + saved,
+                books.words_sent + books.words_saved,
                 base_words,
                 "p={p} c={c} {label}: sent + saved must equal the uncached bill"
             );
-            records.push(FetchRecord {
-                p,
-                c,
-                mode: label,
-                wall_s: wall,
-                words_per_epoch: words,
-                messages: msgs,
-                cache_hits: hits,
-                cache_misses: misses,
-                words_saved: saved,
-                // A fully-replicated shape moves zero words either way.
-                reduction_vs_uncached: if base_words == 0 {
-                    1.0
-                } else {
-                    base_words as f64 / words.max(1) as f64
-                },
-                identical,
-            });
+            records.push(record((p, c), label, wall, &books, base_words, identical));
         }
     }
 
     let workload = Workload {
         name: "fetch_epoch",
         detail: format!(
-            "feature-fetch phase of one GraphSAGE {fanouts:?} bulk epoch ({num_batches} batches \
-             of {batch_size}, f = {f}) on rmat scale {scale} deg {degree}; \
-             {} raw requests, {} unique",
+            "{}; {} raw requests, {} unique",
+            w.detail,
             plan.total_requests(),
             plan.unique_len()
         ),
         items: plan.total_requests(),
         throughput_unit: "requests/epoch",
     };
-    print_fetch_records(&records);
-    write_fetch_json(&out_dir.join("BENCH_fetch.json"), &workload, &records);
-    println!("\nAll cached fetches byte-identical to the uncached all-to-allv baseline.");
-}
-
-/// One measured (grid shape × codec) configuration of the wire-compression
-/// sweep.  `mode` distinguishes the standalone feature-fetch replay
-/// (`"fetch"`) from the small end-to-end training run (`"train"`).
-struct CompressRecord {
-    p: usize,
-    c: usize,
-    mode: &'static str,
-    codec: &'static str,
-    wall_s: f64,
-    /// All-to-allv words this run moved (all ranks) — codec-independent by
-    /// contract, so the CI gate pins it exactly.
-    words_per_epoch: usize,
-    messages: usize,
-    /// Bytes the codec actually put on the wire (all ranks).
-    bytes_on_wire: usize,
-    /// Bytes avoided vs the exact encoding; by construction
-    /// `bytes_on_wire + bytes_saved == bytes_on_wire(exact)`.
-    bytes_saved: usize,
-    /// `⌊1000 · bytes_on_wire(exact) / bytes_on_wire⌋` — an integer so the
-    /// CI gate compares it exactly (1000 ⇔ 1.0×).
-    bytes_reduction_x1000: usize,
-    /// Worst `|decoded − exact|` over every fetched row (fetch rows only;
-    /// NaN → null on train rows).
-    max_abs_err: f64,
-    /// Final-epoch mean loss (train rows only; NaN → null on fetch rows).
-    final_loss: f64,
-    /// `|final_loss − final_loss(exact)|` (train rows only).
-    loss_delta_vs_exact: f64,
-    /// Codecs change byte encodings, never the schedule: same words and
-    /// messages as the exact run.
-    identical_to_exact_schedule: bool,
-}
-
-fn write_compress_json(path: &std::path::Path, workload: &Workload, records: &[CompressRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"p\": {}, \"c\": {}, \"mode\": \"{}\", \"codec\": \"{}\", \"wall_s\": {}, \
-             \"words_per_epoch\": {}, \"messages\": {}, \"bytes_on_wire\": {}, \
-             \"bytes_saved\": {}, \"bytes_reduction_x1000\": {}, \"max_abs_err\": {}, \
-             \"final_loss\": {}, \"loss_delta_vs_exact\": {}, \
-             \"identical_to_exact_schedule\": {}}}{}\n",
-            r.p,
-            r.c,
-            r.mode,
-            r.codec,
-            json_f64(r.wall_s),
-            r.words_per_epoch,
-            r.messages,
-            r.bytes_on_wire,
-            r.bytes_saved,
-            r.bytes_reduction_x1000,
-            json_f64(r.max_abs_err),
-            json_f64(r.final_loss),
-            json_f64(r.loss_delta_vs_exact),
-            r.identical_to_exact_schedule,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-fn print_compress_records(records: &[CompressRecord]) {
-    println!("\n== Wire compression: bytes on the feature and gradient lanes ==");
-    println!(
-        "{:>3} {:>3} {:>5} {:>6}  {:>12}  {:>12}  {:>12}  {:>9}  {:>8}  identical",
-        "p", "c", "mode", "codec", "words/epoch", "bytes_wire", "bytes_saved", "reduction", "loss"
-    );
-    for r in records {
-        let loss =
-            if r.final_loss.is_nan() { "-".to_string() } else { format!("{:.4}", r.final_loss) };
-        println!(
-            "{:>3} {:>3} {:>5} {:>6}  {:>12}  {:>12}  {:>12}  {:>8.2}x  {:>8}  {}",
-            r.p,
-            r.c,
-            r.mode,
-            r.codec,
-            r.words_per_epoch,
-            r.bytes_on_wire,
-            r.bytes_saved,
-            r.bytes_reduction_x1000 as f64 / 1000.0,
-            loss,
-            r.identical_to_exact_schedule
-        );
-    }
-}
-
-/// The fetch epoch of [`run_fetch_epoch`], cache off, with the feature rows
-/// travelling under `codec`.  Returns per-rank fetched rows plus the summed
-/// word, message and byte books.
-#[allow(clippy::type_complexity)]
-fn run_compress_epoch(
-    runtime: &Runtime,
-    h: &DenseMatrix,
-    minibatches: &[MinibatchSample],
-    c: usize,
-    codec: Codec,
-) -> (Vec<Vec<DenseMatrix>>, usize, usize, usize, usize) {
-    let p = runtime.size();
-    let steps = minibatches.len().div_ceil(p);
-    let outs = runtime
-        .run(|comm| {
-            let rank = comm.rank();
-            let grid = ProcessGrid::new(p, c).expect("valid grid");
-            let (my_row, _) = grid.coords(rank);
-            let store =
-                FeatureStore::from_full(h, grid.rows(), my_row).expect("store").with_codec(codec);
-            let group = Group::new(&grid.col_ranks(rank)).expect("group");
-            let my_mbs: Vec<&MinibatchSample> = minibatches.iter().skip(rank).step_by(p).collect();
-            let mut fetched = Vec::with_capacity(my_mbs.len());
-            for step in 0..steps {
-                let wanted: Vec<usize> =
-                    my_mbs.get(step).map(|mb| mb.input_vertices().to_vec()).unwrap_or_default();
-                let rows = store.fetch(comm, &group, &wanted).expect("fetch");
-                if step < my_mbs.len() {
-                    fetched.push(rows);
-                }
-            }
-            fetched
-        })
-        .expect("compress epoch");
-    let mut per_rank = Vec::with_capacity(outs.len());
-    let (mut words, mut messages, mut bytes, mut saved) = (0, 0, 0, 0);
-    for o in outs {
-        words += o.stats.words_sent;
-        messages += o.stats.messages;
-        bytes += o.stats.bytes_on_wire;
-        saved += o.stats.bytes_saved;
-        per_rank.push(o.value);
-    }
-    (per_rank, words, messages, bytes, saved)
+    (workload, records)
 }
 
 /// Worst `|a − b|` over two identically-shaped per-rank fetch results.
@@ -1141,83 +738,99 @@ fn max_row_error(a: &[Vec<DenseMatrix>], b: &[Vec<DenseMatrix>]) -> f64 {
 /// p > c — full replication serves every fetch locally, so there is no wire
 /// to shrink), that per-row quantization error stays inside each codec's
 /// stated bound, and that the quantized training loss lands within 0.25 of
-/// exact.  Writes `BENCH_compress.json`.
-fn run_compress_sweep(smoke: bool, out_dir: &std::path::Path) {
-    use dmbs_gnn::{TrainingReport, TrainingSession};
-    use dmbs_graph::datasets::{build_dataset, DatasetConfig};
-    use dmbs_sampling::{DistConfig, ReplicatedBackend};
-    use std::sync::Arc;
-
+/// exact.  `BENCH_compress.json`.
+fn compress_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     // The --fetch workload family, pinned at f = 16 so the per-row framing
     // (tag + scale byte for int8) is amortized the way real feature widths
     // amortize it.
-    let (scale, degree, f, batch_size, num_batches, fanouts) =
-        if smoke { (8, 8, 16, 64, 8, vec![5, 5]) } else { (12, 12, 16, 256, 16, vec![10, 5]) };
-    let shapes: &[(usize, usize)] =
-        if smoke { &[(2, 1), (2, 2), (4, 2)] } else { &[(4, 1), (4, 2), (4, 4), (8, 2), (8, 4)] };
-    if smoke {
-        println!("compress smoke mode: tiny workload, full shape × codec sweep + byte books");
-    }
+    let w = fetch_workload(smoke, 16);
 
-    let graph = rmat(&RmatConfig::new(scale, degree), &mut StdRng::seed_from_u64(99))
-        .expect("valid RMAT config");
-    let a = graph.adjacency().clone();
-    let n = a.rows();
-    let h = DenseMatrix::from_rows(
-        &(0..n)
-            .map(|v| (0..f).map(|j| ((v * 31 + j * 7) % 1000) as f64 * 1e-3).collect())
-            .collect::<Vec<_>>(),
-    )
-    .expect("feature matrix");
-    let batches: Vec<Vec<usize>> = (0..num_batches)
-        .map(|i| (0..batch_size).map(|j| (i * batch_size + j * 7) % n).collect())
-        .collect();
-    let sampler = GraphSageSampler::new(fanouts.clone());
-    let backend = LocalBackend::new(BulkSamplerConfig::new(batch_size, 4)).expect("bulk config");
-    let epoch = backend.sample_epoch(&sampler, &a, &batches, 7).expect("epoch");
-    let minibatches = epoch.output.minibatches;
-    let plan = FetchPlan::from_minibatches(&minibatches);
+    // One record per (grid shape × codec); `mode` distinguishes the
+    // standalone feature-fetch replay (`"fetch"`) from the small end-to-end
+    // training run (`"train"`).  `quality` is `[max_abs_err, final_loss,
+    // loss_delta_vs_exact]`, NaN (→ `null`) where a row has no such number.
+    let record = |(p, c): (usize, usize),
+                  mode: &str,
+                  codec: Codec,
+                  wall: f64,
+                  books: &CommStats,
+                  exact_bytes: usize,
+                  quality: [f64; 3],
+                  identical: bool| {
+        Record::new()
+            .key("p", p)
+            .key("c", c)
+            .key("mode", mode)
+            .key("codec", codec.name())
+            .soft("wall_s", wall)
+            // All-to-allv words this run moved (all ranks) —
+            // codec-independent by contract, so the CI gate pins it exactly.
+            .exact("words_per_epoch", books.words_sent)
+            .exact("messages", books.messages)
+            // Bytes the codec actually put on the wire (all ranks).
+            .exact("bytes_on_wire", books.bytes_on_wire)
+            // Bytes avoided vs the exact encoding; by construction
+            // `bytes_on_wire + bytes_saved == bytes_on_wire(exact)`.
+            .exact("bytes_saved", books.bytes_saved)
+            // `⌊1000 · bytes_on_wire(exact) / bytes_on_wire⌋` — an integer so
+            // the CI gate compares it exactly (1000 ⇔ 1.0×; a byte-free,
+            // fully replicated shape reduces nothing).
+            .exact(
+                "bytes_reduction_x1000",
+                (exact_bytes * 1000).checked_div(books.bytes_on_wire).unwrap_or(1000),
+            )
+            // Worst `|decoded − exact|` over every fetched row (fetch rows).
+            .info("max_abs_err", quality[0])
+            // Final-epoch mean loss (train rows).
+            .info("final_loss", quality[1])
+            // `|final_loss − final_loss(exact)|` (train rows).
+            .info("loss_delta_vs_exact", quality[2])
+            // Codecs change byte encodings, never the schedule: same words
+            // and messages as the exact run.
+            .identity("identical_to_exact_schedule", identical)
+    };
 
     let mut records = Vec::new();
-    for &(p, c) in shapes {
+    for &(p, c) in w.shapes {
         let runtime = Runtime::new(p).expect("runtime");
-        let reps = if smoke { 1 } else { 3 };
-        let (exact_wall, (exact_rows, exact_words, exact_msgs, exact_bytes, exact_saved)) =
-            time_best(reps, || run_compress_epoch(&runtime, &h, &minibatches, c, Codec::Exact));
+        let fetch = |codec| {
+            time_best(w.reps, || run_fetch_epoch(&runtime, &w, c, FeatureCacheConfig::Off, codec))
+        };
+        let (exact_wall, (exact_rows, exact)) = fetch(Codec::Exact);
+        let exact_bytes = exact.bytes_on_wire;
         assert_eq!(
             exact_bytes,
-            exact_words * 8,
+            exact.words_sent * 8,
             "p={p} c={c}: the exact codec must bill exactly 8 bytes per word"
         );
-        assert_eq!(exact_saved, 0, "p={p} c={c}: the exact codec saved bytes out of thin air");
-        records.push(CompressRecord {
-            p,
-            c,
-            mode: "fetch",
-            codec: Codec::Exact.name(),
-            wall_s: exact_wall,
-            words_per_epoch: exact_words,
-            messages: exact_msgs,
-            bytes_on_wire: exact_bytes,
-            bytes_saved: 0,
-            bytes_reduction_x1000: 1000,
-            max_abs_err: 0.0,
-            final_loss: f64::NAN,
-            loss_delta_vs_exact: f64::NAN,
-            identical_to_exact_schedule: true,
-        });
+        assert_eq!(exact.bytes_saved, 0, "p={p} c={c}: the exact codec saved bytes from thin air");
+        let no_loss = [0.0, f64::NAN, f64::NAN];
+        records.push(record(
+            (p, c),
+            "fetch",
+            Codec::Exact,
+            exact_wall,
+            &exact,
+            exact_bytes,
+            no_loss,
+            true,
+        ));
         for codec in [Codec::Fp16, Codec::Int8] {
-            let (wall, (rows, words, msgs, bytes, saved)) =
-                time_best(reps, || run_compress_epoch(&runtime, &h, &minibatches, c, codec));
+            let (wall, (rows, books)) = fetch(codec);
             let label = format!("p={p} c={c} {codec}");
-            let identical = words == exact_words && msgs == exact_msgs;
+            let identical =
+                books.words_sent == exact.words_sent && books.messages == exact.messages;
             assert!(identical, "{label}: the codec changed the communication schedule");
-            assert_eq!(bytes + saved, exact_bytes, "{label}: byte books do not balance");
-            // A byte-free shape (fully replicated) reduces nothing: 1.0×.
-            let reduction_x1000 = (exact_bytes * 1000).checked_div(bytes).unwrap_or(1000);
+            assert_eq!(
+                books.bytes_on_wire + books.bytes_saved,
+                exact_bytes,
+                "{label}: byte books do not balance"
+            );
             if p > c {
                 // Fully-replicated shapes (p == c) serve every fetch locally,
                 // so there are no wire bytes to shrink.
+                let reduction_x1000 =
+                    (exact_bytes * 1000).checked_div(books.bytes_on_wire).unwrap_or(1000);
                 let floor = if codec == Codec::Fp16 { 1900 } else { 3500 };
                 assert!(
                     reduction_x1000 >= floor,
@@ -1234,92 +847,72 @@ fn run_compress_sweep(smoke: bool, out_dir: &std::path::Path) {
                 max_err <= bound,
                 "{label}: row error {max_err:.3e} above the codec bound {bound:.3e}"
             );
-            records.push(CompressRecord {
-                p,
-                c,
-                mode: "fetch",
-                codec: codec.name(),
-                wall_s: wall,
-                words_per_epoch: words,
-                messages: msgs,
-                bytes_on_wire: bytes,
-                bytes_saved: saved,
-                bytes_reduction_x1000: reduction_x1000,
-                max_abs_err: max_err,
-                final_loss: f64::NAN,
-                loss_delta_vs_exact: f64::NAN,
-                identical_to_exact_schedule: identical,
-            });
+            let quality = [max_err, f64::NAN, f64::NAN];
+            records.push(record(
+                (p, c),
+                "fetch",
+                codec,
+                wall,
+                &books,
+                exact_bytes,
+                quality,
+                identical,
+            ));
         }
     }
 
     // One small end-to-end training run per codec: the loss trajectory must
     // survive quantized feature lanes, and the byte books must flow through
     // the session's per-epoch deltas (not just the standalone fetch path).
-    let (tp, tc) = if smoke { (2, 1) } else { (4, 2) };
-    let mut cfg = DatasetConfig::products_like(if smoke { 6 } else { 8 });
-    cfg.feature_dim = f;
-    cfg.num_classes = 3;
-    cfg.train_fraction = 0.5;
-    cfg.homophily = 0.6;
-    let dataset = Arc::new(build_dataset(&cfg, &mut StdRng::seed_from_u64(17)).expect("dataset"));
-    let train = |codec: Codec| -> (f64, TrainingReport) {
+    let shape = if smoke { (2, 1) } else { (4, 2) };
+    let (tp, tc) = shape;
+    let dataset = products_dataset(if smoke { 6 } else { 8 }, w.f, 3, 17);
+    let train = |codec: Codec| {
         let dist = DistConfig::new(tp, tc, BulkSamplerConfig::new(if smoke { 8 } else { 16 }, 2));
         let backend = ReplicatedBackend::new(dist).expect("backend");
-        let session = TrainingSession::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
-            .backend(backend)
-            .hidden_dim(16)
-            .learning_rate(0.05)
-            .epochs(2)
-            .seed(23)
-            .wire_codec(codec)
-            .without_evaluation()
-            .build()
-            .expect("session");
-        let start = Instant::now();
-        let report = session.train().expect("training");
-        (start.elapsed().as_secs_f64(), report)
-    };
-    let book = |r: &TrainingReport| -> (usize, usize, usize, usize) {
-        (
-            r.epochs.iter().map(|e| e.comm.words_sent).sum(),
-            r.epochs.iter().map(|e| e.comm.messages).sum(),
-            r.epochs.iter().map(|e| e.comm.bytes_on_wire).sum(),
-            r.epochs.iter().map(|e| e.comm.bytes_saved).sum(),
+        train_timed(
+            TrainingSession::builder()
+                .dataset(Arc::clone(&dataset))
+                .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
+                .backend(backend)
+                .hidden_dim(16)
+                .learning_rate(0.05)
+                .epochs(2)
+                .seed(23)
+                .wire_codec(codec)
+                .without_evaluation(),
         )
     };
     let final_loss = |r: &TrainingReport| r.epochs.last().expect("epochs").mean_loss;
-    let (exact_train_wall, exact_train) = train(Codec::Exact);
-    let (ew, em, eb, es) = book(&exact_train);
-    assert_eq!(eb, ew * 8, "train exact: bytes must be 8 · words");
-    assert_eq!(es, 0, "train exact: nothing to save under the exact codec");
-    records.push(CompressRecord {
-        p: tp,
-        c: tc,
-        mode: "train",
-        codec: Codec::Exact.name(),
-        wall_s: exact_train_wall,
-        words_per_epoch: ew,
-        messages: em,
-        bytes_on_wire: eb,
-        bytes_saved: 0,
-        bytes_reduction_x1000: 1000,
-        max_abs_err: f64::NAN,
-        final_loss: final_loss(&exact_train),
-        loss_delta_vs_exact: 0.0,
-        identical_to_exact_schedule: true,
-    });
+    let (exact_train, exact_train_wall) = train(Codec::Exact);
+    let exact = run_books(&exact_train);
+    let exact_bytes = exact.bytes_on_wire;
+    assert_eq!(exact_bytes, exact.words_sent * 8, "train exact: bytes must be 8 · words");
+    assert_eq!(exact.bytes_saved, 0, "train exact: nothing to save under the exact codec");
+    let quality = [f64::NAN, final_loss(&exact_train), 0.0];
+    records.push(record(
+        shape,
+        "train",
+        Codec::Exact,
+        exact_train_wall,
+        &exact,
+        exact_bytes,
+        quality,
+        true,
+    ));
     for codec in [Codec::Fp16, Codec::Int8] {
-        let (wall, report) = train(codec);
-        let (w, m, b, s) = book(&report);
+        let (report, wall) = train(codec);
+        let books = run_books(&report);
         let label = format!("train p={tp} c={tc} {codec}");
-        assert_eq!(w, ew, "{label}: words diverged from exact");
-        assert_eq!(m, em, "{label}: messages diverged from exact");
-        assert_eq!(b + s, eb, "{label}: training byte books do not balance");
+        assert_eq!(books.words_sent, exact.words_sent, "{label}: words diverged from exact");
+        assert_eq!(books.messages, exact.messages, "{label}: messages diverged from exact");
+        assert_eq!(
+            books.bytes_on_wire + books.bytes_saved,
+            exact_bytes,
+            "{label}: training byte books do not balance"
+        );
         // Both presets pick tp > tc, so the feature lanes carry real bytes.
-        assert!(b < eb, "{label}: the codec did not shrink the training wire");
+        assert!(books.bytes_on_wire < exact_bytes, "{label}: the codec did not shrink the wire");
         let loss = final_loss(&report);
         let delta = (loss - final_loss(&exact_train)).abs();
         assert!(
@@ -1327,178 +920,45 @@ fn run_compress_sweep(smoke: bool, out_dir: &std::path::Path) {
             "{label}: final loss {loss:.4} drifted {delta:.4} from exact — quantization broke \
              training"
         );
-        records.push(CompressRecord {
-            p: tp,
-            c: tc,
-            mode: "train",
-            codec: codec.name(),
-            wall_s: wall,
-            words_per_epoch: w,
-            messages: m,
-            bytes_on_wire: b,
-            bytes_saved: s,
-            bytes_reduction_x1000: eb * 1000 / b,
-            max_abs_err: f64::NAN,
-            final_loss: loss,
-            loss_delta_vs_exact: delta,
-            identical_to_exact_schedule: true,
-        });
+        let quality = [f64::NAN, loss, delta];
+        records.push(record(shape, "train", codec, wall, &books, exact_bytes, quality, true));
     }
 
     let workload = Workload {
         name: "compress_fetch",
         detail: format!(
-            "feature-fetch phase of one GraphSAGE {fanouts:?} bulk epoch ({num_batches} batches \
-             of {batch_size}, f = {f}) on rmat scale {scale} deg {degree}, replayed under every \
-             wire codec; plus one {tp}x{tc} products-like training run per codec; {} raw \
-             requests, {} unique",
-            plan.total_requests(),
-            plan.unique_len()
+            "{}, replayed under every wire codec; plus one {tp}x{tc} products-like training run \
+             per codec; {} raw requests, {} unique",
+            w.detail,
+            w.plan.total_requests(),
+            w.plan.unique_len()
         ),
-        items: plan.total_requests(),
+        items: w.plan.total_requests(),
         throughput_unit: "requests/epoch",
     };
-    print_compress_records(&records);
-    write_compress_json(&out_dir.join("BENCH_compress.json"), &workload, &records);
-    println!(
-        "\nAll codecs kept the schedule bit-identical; every byte book balanced \
-         (bytes_on_wire + bytes_saved == exact bill)."
-    );
-}
-
-/// One measured (grid shape × schedule) configuration of the overlap sweep.
-struct OverlapRecord {
-    p: usize,
-    c: usize,
-    /// `"sync"` or `"overlap"`.
-    mode: &'static str,
-    /// Measured wall seconds of the whole training run.
-    wall_s: f64,
-    /// Serial-schedule epoch seconds of this run (compute + full α–β bill),
-    /// summed over epochs — identical in expectation between the two
-    /// schedules, but carries this run's compute-measurement noise.
-    serial_epoch_s: f64,
-    /// Epoch seconds the schedule pays, charged from the *sync run's*
-    /// measured compute baseline: `sync serial` for the sync row,
-    /// `sync serial - overlapped_s` for the overlap row.  Both schedules
-    /// execute bit-identical compute and identical α–β bills, so the common
-    /// baseline isolates the schedule effect from machine noise.
-    modeled_epoch_s: f64,
-    /// Modeled communication seconds hidden behind compute, summed.
-    overlapped_s: f64,
-    /// `overlapped_s / total modeled comm` — how much of the α–β bill hid.
-    overlap_fraction: f64,
-    /// All-to-allv + allreduce words over the whole run (all ranks) —
-    /// byte-identical between schedules by contract.
-    words_total: usize,
-    messages: usize,
-    /// Losses bit-identical and words equal to the synchronous schedule.
-    identical_to_sync: bool,
-}
-
-fn write_overlap_json(path: &std::path::Path, workload: &Workload, records: &[OverlapRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"p\": {}, \"c\": {}, \"mode\": \"{}\", \"wall_s\": {}, \
-             \"serial_epoch_s\": {}, \"modeled_epoch_s\": {}, \"overlapped_s\": {}, \
-             \"overlap_fraction\": {}, \"words_total\": {}, \"messages\": {}, \
-             \"identical_to_sync\": {}}}{}\n",
-            r.p,
-            r.c,
-            r.mode,
-            json_f64(r.wall_s),
-            json_f64(r.serial_epoch_s),
-            json_f64(r.modeled_epoch_s),
-            json_f64(r.overlapped_s),
-            json_f64(r.overlap_fraction),
-            r.words_total,
-            r.messages,
-            r.identical_to_sync,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-fn print_overlap_records(records: &[OverlapRecord]) {
-    println!("\n== Overlapped pipeline: modeled epoch seconds, sync vs overlap ==");
-    println!(
-        "{:>3} {:>3} {:>8}  {:>13}  {:>13}  {:>11}  {:>9}  {:>11}  {:>9}  identical",
-        "p", "c", "mode", "serial_s", "modeled_s", "hidden_s", "hidden_%", "words", "messages"
-    );
-    for r in records {
-        println!(
-            "{:>3} {:>3} {:>8}  {:>13.6}  {:>13.6}  {:>11.6}  {:>8.1}%  {:>11}  {:>9}  {}",
-            r.p,
-            r.c,
-            r.mode,
-            r.serial_epoch_s,
-            r.modeled_epoch_s,
-            r.overlapped_s,
-            r.overlap_fraction * 100.0,
-            r.words_total,
-            r.messages,
-            r.identical_to_sync
-        );
-    }
+    (workload, records)
 }
 
 /// The `--overlap` sweep: distributed training (replicated backend, pinned
 /// feature cache) across grid shapes, synchronous vs software-pipelined
 /// schedule, asserting that the pipeline is pure schedule — bit-identical
 /// losses, identical words/messages — while the modeled epoch seconds drop
-/// by exactly the overlapped (hidden) α–β time.  Writes `BENCH_overlap.json`.
-///
-/// The cost model is deliberately coarse (`α = 200 µs`, `β = 50 ns/word` —
-/// a WAN-ish stress model) so the communication bill is visible next to the
-/// tiny CPU workload; the *fractions* are what the trajectory tracks.
-fn run_overlap_sweep(smoke: bool, out_dir: &std::path::Path) {
-    use dmbs_gnn::{FeatureCacheConfig as CacheMode, TrainingReport, TrainingSession};
-    use dmbs_graph::datasets::{build_dataset, DatasetConfig};
-    use dmbs_sampling::{DistConfig, ReplicatedBackend};
-    use std::sync::Arc;
-
+/// by exactly the overlapped (hidden) α–β time; under [`STRESS_COST`] the
+/// *fractions* are what the trajectory tracks.  `BENCH_overlap.json`.
+fn overlap_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let shapes: &[(usize, usize)] = if smoke { &[(2, 1), (4, 2)] } else { &[(4, 2), (8, 4)] };
     let (scale, feature_dim, epochs) = if smoke { (7, 16, 2) } else { (9, 32, 3) };
-    if smoke {
-        println!("overlap smoke mode: tiny workload, full shape sweep + identity checks");
-    }
-    let cost = dmbs_comm::CostModel::new(2.0e-4, 5.0e-8);
-
-    let mut cfg = DatasetConfig::products_like(scale);
-    cfg.feature_dim = feature_dim;
-    cfg.num_classes = 4;
-    cfg.train_fraction = 0.5;
-    cfg.homophily = 0.6;
-    let dataset = Arc::new(build_dataset(&cfg, &mut StdRng::seed_from_u64(5)).expect("dataset"));
+    let dataset = products_dataset(scale, feature_dim, 4, 5);
     // Enough bulk groups per epoch (≥ 2) that the pipeline has stages to
     // hoist: batch = train/8, bulk k = 2 → 4 groups.
     let batch_size = (dataset.train_set.len() / 8).max(8);
 
-    let train = |p: usize, c: usize, overlap: bool| -> (TrainingReport, f64) {
-        let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch_size, 2));
-        let runtime = Runtime::with_cost_model(p, cost).expect("runtime");
-        let backend = ReplicatedBackend::with_runtime(runtime, dist).expect("backend");
-        let session = TrainingSession::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![10, 5]).with_self_loops())
-            .backend(backend)
-            .hidden_dim(32)
-            .learning_rate(0.05)
-            .epochs(epochs)
-            .seed(42)
-            .feature_cache(CacheMode::EpochPinned)
-            .overlap(overlap)
-            .without_evaluation()
-            .build()
-            .expect("session");
-        let start = Instant::now();
-        let report = session.train().expect("training");
-        (report, start.elapsed().as_secs_f64())
+    let train = |p: usize, c: usize, overlap: bool| {
+        train_timed(
+            stress_builder(&dataset, (p, c), batch_size, epochs)
+                .feature_cache(FeatureCacheConfig::EpochPinned)
+                .overlap(overlap),
+        )
     };
 
     let mut records = Vec::new();
@@ -1509,17 +969,16 @@ fn run_overlap_sweep(smoke: bool, out_dir: &std::path::Path) {
         // All seconds are critical-path (max across ranks, the
         // bulk-synchronous epoch time); words/messages are summed across
         // ranks (the wire bill).
-        let summarize = |r: &TrainingReport| {
+        let seconds = |r: &TrainingReport| {
             let serial: f64 = r.epochs.iter().map(|e| e.total_time()).sum();
             let modeled: f64 = r.epochs.iter().map(|e| e.modeled_epoch_seconds()).sum();
             let hidden: f64 = r.epochs.iter().map(|e| e.overlapped_time()).sum();
             let comm: f64 = r.epochs.iter().map(|e| e.profile.total_comm()).sum();
-            let words: usize = r.epochs.iter().map(|e| e.comm.words_sent).sum();
-            let messages: usize = r.epochs.iter().map(|e| e.comm.messages).sum();
-            (serial, modeled, hidden, comm, words, messages)
+            (serial, modeled, hidden, comm)
         };
-        let (s_serial, _s_modeled, s_hidden, _s_comm, s_words, s_messages) = summarize(&sync);
-        let (o_serial, o_modeled, o_hidden, o_comm, o_words, o_messages) = summarize(&pipelined);
+        let (s_serial, _, s_hidden, _) = seconds(&sync);
+        let (o_serial, o_modeled, o_hidden, o_comm) = seconds(&pipelined);
+        let (s_books, o_books) = (run_books(&sync), run_books(&pipelined));
 
         // The overlap contract, asserted on every shape: pure schedule.
         let losses_identical = sync
@@ -1528,8 +987,11 @@ fn run_overlap_sweep(smoke: bool, out_dir: &std::path::Path) {
             .zip(&pipelined.epochs)
             .all(|(a, b)| a.mean_loss.to_bits() == b.mean_loss.to_bits());
         assert!(losses_identical, "p={p} c={c}: overlap changed the losses");
-        assert_eq!(o_words, s_words, "p={p} c={c}: overlap changed the word count");
-        assert_eq!(o_messages, s_messages, "p={p} c={c}: overlap changed the message count");
+        assert_eq!(
+            o_books.words_sent, s_books.words_sent,
+            "p={p} c={c}: overlap changed the words"
+        );
+        assert_eq!(o_books.messages, s_books.messages, "p={p} c={c}: overlap changed the messages");
         assert_eq!(s_hidden, 0.0, "p={p} c={c}: sync schedule must hide nothing");
         assert!(o_hidden > 0.0, "p={p} c={c}: pipeline hid no communication");
         assert!(
@@ -1544,32 +1006,49 @@ fn run_overlap_sweep(smoke: bool, out_dir: &std::path::Path) {
         // baseline keeps run-to-run machine noise out of the committed
         // trajectory.  Each row's own-run serial seconds stay in
         // `serial_epoch_s` for transparency.
-        records.push(OverlapRecord {
-            p,
-            c,
-            mode: "sync",
-            wall_s: sync_wall,
-            serial_epoch_s: s_serial,
-            modeled_epoch_s: s_serial,
-            overlapped_s: s_hidden,
-            overlap_fraction: 0.0,
-            words_total: s_words,
-            messages: s_messages,
-            identical_to_sync: true,
-        });
-        records.push(OverlapRecord {
-            p,
-            c,
-            mode: "overlap",
-            wall_s: overlap_wall,
-            serial_epoch_s: o_serial,
-            modeled_epoch_s: s_serial - o_hidden,
-            overlapped_s: o_hidden,
-            overlap_fraction: if o_comm > 0.0 { o_hidden / o_comm } else { 0.0 },
-            words_total: o_words,
-            messages: o_messages,
-            identical_to_sync: losses_identical && o_words == s_words,
-        });
+        let fraction = if o_comm > 0.0 { o_hidden / o_comm } else { 0.0 };
+        for (mode, wall, serial, modeled, hidden, fraction, books, identical) in [
+            ("sync", sync_wall, s_serial, s_serial, s_hidden, 0.0, &s_books, true),
+            (
+                "overlap",
+                overlap_wall,
+                o_serial,
+                s_serial - o_hidden,
+                o_hidden,
+                fraction,
+                &o_books,
+                losses_identical && o_books.words_sent == s_books.words_sent,
+            ),
+        ] {
+            records.push(
+                Record::new()
+                    .key("p", p)
+                    .key("c", c)
+                    .key("mode", mode)
+                    // Measured wall seconds of the whole training run.
+                    .soft("wall_s", wall)
+                    // Serial-schedule epoch seconds of this run (compute +
+                    // full α–β bill), summed over epochs — identical in
+                    // expectation between the two schedules, but carries
+                    // this run's compute-measurement noise.
+                    .info("serial_epoch_s", serial)
+                    // Epoch seconds the schedule pays, charged from the
+                    // *sync run's* measured compute baseline.
+                    .soft("modeled_epoch_s", modeled)
+                    // Modeled communication seconds hidden behind compute.
+                    .info("overlapped_s", hidden)
+                    // `overlapped_s / total modeled comm` — how much of the
+                    // α–β bill hid.
+                    .info("overlap_fraction", fraction)
+                    // All-to-allv + allreduce words over the whole run (all
+                    // ranks) — byte-identical between schedules by contract.
+                    .exact("words_total", books.words_sent)
+                    .exact("messages", books.messages)
+                    // Losses bit-identical and words equal to the
+                    // synchronous schedule.
+                    .identity("identical_to_sync", identical),
+            );
+        }
     }
 
     let workload = Workload {
@@ -1579,133 +1058,12 @@ fn run_overlap_sweep(smoke: bool, out_dir: &std::path::Path) {
              sync vs software-pipelined schedule; products-like scale {scale} (f = \
              {feature_dim}, batch {batch_size}, bulk k = 2, {epochs} epochs), stress cost \
              model alpha = {:.1e}s beta = {:.1e}s/word",
-            cost.alpha, cost.beta
+            STRESS_COST.alpha, STRESS_COST.beta
         ),
         items: epochs,
         throughput_unit: "epochs/run",
     };
-    print_overlap_records(&records);
-    write_overlap_json(&out_dir.join("BENCH_overlap.json"), &workload, &records);
-    println!("\nOverlapped schedule byte-identical to synchronous; α–β bill partially hidden.");
-}
-
-/// One row of the auto-tuner sweep: the default schedule, the tuner's
-/// lossless arg-min (`"chosen"` — what `builder().auto()` applies), or the
-/// lossy-admitted arg-min (`"chosen_lossy"`) at one grid shape.  The chosen
-/// rows' knobs are part of the record key (`policy` = cache mode, `codec`),
-/// so any drift in the tuner's choice hard-fails the CI check as a missing
-/// record.
-struct AutotuneRecord {
-    p: usize,
-    c: usize,
-    /// `"default"`, `"chosen"` or `"chosen_lossy"`.
-    mode: &'static str,
-    /// Cache mode of this row's schedule (`"off"` / `"pinned"` / `"lru"`).
-    policy: &'static str,
-    /// Wire codec of this row's schedule.
-    codec: &'static str,
-    /// `1` when this row's schedule overlaps communication with compute.
-    overlap_on: usize,
-    /// Valid candidates this row's grid enumerated (lossless grid for the
-    /// default/chosen rows, lossy-admitted grid for the chosen_lossy row).
-    candidates: usize,
-    /// Predicted per-epoch words on the wire (all ranks) — exact.
-    predicted_words: usize,
-    /// Predicted per-epoch bytes on the wire (all ranks) — exact.
-    predicted_bytes_on_wire: usize,
-    /// Predicted per-rank α–β communication seconds per epoch, as integer
-    /// nanoseconds — a pure function of the deterministic probe books.
-    predicted_comm_ns: u64,
-    /// Predicted effective epoch seconds (probed compute + predicted comm −
-    /// overlap credit) — carries measured-compute noise, soft-gated.
-    predicted_epoch_s: f64,
-    /// Realized effective epoch seconds, charged from the *default run's*
-    /// measured compute baseline plus this run's own modeled comm minus its
-    /// hidden seconds — same common-baseline discipline as the overlap
-    /// sweep, so the committed trajectory isolates the schedule effect.
-    realized_epoch_s: f64,
-    /// Realized words / messages / bytes over the whole run (all ranks).
-    words_total: usize,
-    messages: usize,
-    bytes_on_wire: usize,
-    /// Measured wall seconds of the whole realized training run.
-    wall_s: f64,
-    /// Per-shape fact stamped on every row of the shape:
-    /// `builder().auto()` picked this shape's `chosen` schedule and trained
-    /// bit-identically to the explicit configuration.
-    identical_to_builder_auto: bool,
-}
-
-fn write_autotune_json(path: &std::path::Path, workload: &Workload, records: &[AutotuneRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"p\": {}, \"c\": {}, \"mode\": \"{}\", \"policy\": \"{}\", \
-             \"codec\": \"{}\", \"overlap_on\": {}, \"candidates\": {}, \
-             \"predicted_words\": {}, \"predicted_bytes_on_wire\": {}, \
-             \"predicted_comm_ns\": {}, \"predicted_epoch_s\": {}, \
-             \"realized_epoch_s\": {}, \"words_total\": {}, \"messages\": {}, \
-             \"bytes_on_wire\": {}, \"wall_s\": {}, \
-             \"identical_to_builder_auto\": {}}}{}\n",
-            r.p,
-            r.c,
-            r.mode,
-            r.policy,
-            r.codec,
-            r.overlap_on,
-            r.candidates,
-            r.predicted_words,
-            r.predicted_bytes_on_wire,
-            r.predicted_comm_ns,
-            json_f64(r.predicted_epoch_s),
-            json_f64(r.realized_epoch_s),
-            r.words_total,
-            r.messages,
-            r.bytes_on_wire,
-            json_f64(r.wall_s),
-            r.identical_to_builder_auto,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-fn print_autotune_records(records: &[AutotuneRecord]) {
-    println!("\n== Auto-tuner: predicted vs realized epoch seconds, default vs chosen ==");
-    println!(
-        "{:>3} {:>3} {:>13} {:>7} {:>6} {:>4} {:>5}  {:>11}  {:>11}  {:>12}  {:>12}  auto",
-        "p",
-        "c",
-        "mode",
-        "cache",
-        "codec",
-        "ovl",
-        "cand",
-        "pred_words",
-        "words",
-        "pred_s/ep",
-        "real_s/ep"
-    );
-    for r in records {
-        println!(
-            "{:>3} {:>3} {:>13} {:>7} {:>6} {:>4} {:>5}  {:>11}  {:>11}  {:>12.6}  {:>12.6}  {}",
-            r.p,
-            r.c,
-            r.mode,
-            r.policy,
-            r.codec,
-            if r.overlap_on == 1 { "on" } else { "off" },
-            r.candidates,
-            r.predicted_words,
-            r.words_total,
-            r.predicted_epoch_s,
-            r.realized_epoch_s,
-            r.identical_to_builder_auto
-        );
-    }
+    (workload, records)
 }
 
 /// The `--autotune` sweep: per grid shape, run the tuner's probe epochs, fit
@@ -1715,61 +1073,24 @@ fn print_autotune_records(records: &[AutotuneRecord]) {
 /// asserting that the chosen schedules' realized effective epoch seconds
 /// never exceed the default's, that the chosen run's epoch-0 books equal the
 /// prediction counter-for-counter, and that `builder().auto()` reproduces
-/// the offline search bit-identically.  Writes `BENCH_autotune.json`.
-///
-/// Same WAN-ish stress cost model as the overlap sweep (`α = 200 µs`,
-/// `β = 50 ns/word`) so the schedule knobs are load-bearing next to the tiny
-/// CPU workload.
-fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
-    use dmbs_comm::tune::{self, ProbeEpoch, ProbeSet, Schedule, TuningGrid, TuningModel};
-    use dmbs_gnn::{FeatureCacheConfig as CacheMode, TrainingReport, TrainingSession};
-    use dmbs_graph::datasets::{build_dataset, DatasetConfig};
-    use dmbs_sampling::{DistConfig, ReplicatedBackend};
-    use std::sync::Arc;
-
+/// the offline search bit-identically.  `BENCH_autotune.json`.
+fn autotune_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let shapes: &[(usize, usize)] = if smoke { &[(2, 1), (4, 2)] } else { &[(4, 2), (8, 4)] };
     let (scale, feature_dim, epochs) = if smoke { (7, 16, 2) } else { (9, 32, 3) };
-    if smoke {
-        println!("autotune smoke mode: tiny workload, full shape sweep + identity checks");
-    }
-    let cost = dmbs_comm::CostModel::new(2.0e-4, 5.0e-8);
     // Budget for the LRU candidates the lossy grid enumerates (the tuner
     // scores them pessimistically; they document the knob, they never win).
     let lru_budget = 1usize << 16;
 
-    let mut cfg = DatasetConfig::products_like(scale);
-    cfg.feature_dim = feature_dim;
-    cfg.num_classes = 4;
-    cfg.train_fraction = 0.5;
-    cfg.homophily = 0.6;
-    let dataset = Arc::new(build_dataset(&cfg, &mut StdRng::seed_from_u64(5)).expect("dataset"));
+    let dataset = products_dataset(scale, feature_dim, 4, 5);
     let batch_size = (dataset.train_set.len() / 8).max(8);
 
-    let builder = |p: usize, c: usize| {
-        let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch_size, 2));
-        let runtime = Runtime::with_cost_model(p, cost).expect("runtime");
-        let backend = ReplicatedBackend::with_runtime(runtime, dist).expect("backend");
-        TrainingSession::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![10, 5]).with_self_loops())
-            .backend(backend)
-            .hidden_dim(32)
-            .learning_rate(0.05)
-            .epochs(epochs)
-            .seed(42)
-            .without_evaluation()
-    };
-    let train = |p: usize, c: usize, choice: &Schedule, n_epochs: usize| -> (TrainingReport, f64) {
-        let session = builder(p, c)
-            .epochs(n_epochs)
-            .feature_cache(choice.cache)
-            .wire_codec(choice.codec)
-            .overlap(choice.overlap)
-            .build()
-            .expect("session");
-        let start = Instant::now();
-        let report = session.train().expect("training");
-        (report, start.elapsed().as_secs_f64())
+    let train = |p: usize, c: usize, choice: &Schedule, n_epochs: usize| {
+        train_timed(
+            stress_builder(&dataset, (p, c), batch_size, n_epochs)
+                .feature_cache(choice.cache)
+                .wire_codec(choice.codec)
+                .overlap(choice.overlap),
+        )
     };
 
     let mut records = Vec::new();
@@ -1781,7 +1102,7 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
             let (report, _) = train(p, c, &schedule, 1);
             ProbeEpoch::from_books(&report.epochs[0].profile, &report.epochs[0].comm)
         };
-        let pinned = Schedule { cache: CacheMode::EpochPinned, ..Schedule::default() };
+        let pinned = Schedule { cache: FeatureCacheConfig::EpochPinned, ..Schedule::default() };
         let probes = ProbeSet {
             baseline: probe(Schedule::default()),
             pinned: probe(pinned),
@@ -1789,7 +1110,7 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
             int8: Some(probe(Schedule { codec: Codec::Int8, ..pinned })),
             overlapped: (c > 1).then(|| probe(Schedule { overlap: true, ..pinned })),
         };
-        let model = TuningModel::fit(cost, p, probes).expect("probe books must balance");
+        let model = TuningModel::fit(STRESS_COST, p, probes).expect("probe books must balance");
 
         // Search: the lossless grid is exactly `builder().auto()`'s; the
         // lossy-admitted grid additionally enumerates fp16/int8 and LRU.
@@ -1803,28 +1124,21 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
             Schedule::default(),
             "p={p} c={c}: candidate 0 must be the default schedule"
         );
-        let default_pred = &lossless.scored[0];
-        let chosen_pred = lossless.chosen();
-        let lossy_pred = lossy.chosen();
-
-        // Realize: full-length training of the three schedules.
-        let (default_report, default_wall) = train(p, c, &default_pred.choice, epochs);
-        let (chosen_report, chosen_wall) = train(p, c, &chosen_pred.choice, epochs);
-        let (lossy_report, lossy_wall) = train(p, c, &lossy_pred.choice, epochs);
-
-        // The chosen run's epoch-0 books must equal the prediction
-        // counter-for-counter: the probes booked this exact schedule.
-        for (label, pred, report) in
-            [("chosen", chosen_pred, &chosen_report), ("chosen_lossy", lossy_pred, &lossy_report)]
-        {
-            let e0 = &report.epochs[0];
-            assert_eq!(pred.cost.words, e0.comm.words_sent, "p={p} c={c} {label}: words");
-            assert_eq!(pred.cost.messages, e0.comm.messages, "p={p} c={c} {label}: messages");
-            assert_eq!(
-                pred.cost.bytes_on_wire, e0.comm.bytes_on_wire,
-                "p={p} c={c} {label}: bytes on wire"
-            );
-        }
+        // Realize: full-length training of the default schedule, the tuner's
+        // lossless arg-min (`"chosen"` — what `builder().auto()` applies) and
+        // the lossy-admitted arg-min (`"chosen_lossy"`), each with the number
+        // of valid candidates its grid enumerated.
+        let runs = [
+            ("default", &lossless.scored[0], &lossless),
+            ("chosen", lossless.chosen(), &lossless),
+            ("chosen_lossy", lossy.chosen(), &lossy),
+        ]
+        .map(|(mode, pred, search)| {
+            let (report, wall) = train(p, c, &pred.choice, epochs);
+            (mode, pred, search.scored.len(), report, wall)
+        });
+        let (_, _, _, default_report, _) = &runs[0];
+        let (_, chosen_pred, _, chosen_report, _) = &runs[1];
 
         // Cross-run seconds are charged from ONE measured compute baseline
         // (the default run's) plus each run's own modeled comm minus its
@@ -1837,90 +1151,88 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
             let hidden: f64 = r.epochs.iter().map(|e| e.profile.total_overlap()).sum();
             (base_compute + comm - hidden) / epochs as f64
         };
-        let realized_default = realize(&default_report);
-        let realized_chosen = realize(&chosen_report);
-        let realized_lossy = realize(&lossy_report);
-        // The acceptance criterion: the tuner never picks a schedule that
-        // realizes worse than the default it was free to keep.
-        assert!(
-            realized_chosen <= realized_default,
-            "p={p} c={c}: chosen schedule realized {realized_chosen}s/epoch, worse than the \
-             default's {realized_default}s/epoch"
-        );
-        assert!(
-            realized_lossy <= realized_default,
-            "p={p} c={c}: lossy-chosen schedule realized worse than the default"
-        );
+        let realized_default = realize(default_report);
+        for (mode, pred, _, report, _) in &runs[1..] {
+            // A chosen run's epoch-0 books must equal the prediction
+            // counter-for-counter: the probes booked this exact schedule.
+            let e0 = &report.epochs[0];
+            assert_eq!(pred.cost.words, e0.comm.words_sent, "p={p} c={c} {mode}: words");
+            assert_eq!(pred.cost.messages, e0.comm.messages, "p={p} c={c} {mode}: messages");
+            assert_eq!(
+                pred.cost.bytes_on_wire, e0.comm.bytes_on_wire,
+                "p={p} c={c} {mode}: bytes on wire"
+            );
+            // The acceptance criterion: the tuner never picks a schedule that
+            // realizes worse than the default it was free to keep.
+            let realized = realize(report);
+            assert!(
+                realized <= realized_default,
+                "p={p} c={c}: {mode} schedule realized {realized}s/epoch, worse than the \
+                 default's {realized_default}s/epoch"
+            );
+        }
 
         // `builder().auto()` must reproduce the offline search: same chosen
         // schedule, bit-identical training.
-        let auto_session = builder(p, c).auto().expect("auto build");
+        let auto_session =
+            stress_builder(&dataset, (p, c), batch_size, epochs).auto().expect("auto build");
         let auto_choice = auto_session.tuning_outcome().expect("tuned").chosen().choice;
         assert_eq!(
             auto_choice, chosen_pred.choice,
             "p={p} c={c}: builder().auto() disagrees with the offline search"
         );
         let auto_report = auto_session.train().expect("auto training");
-        let auto_identical = auto_report.epochs.iter().zip(&chosen_report.epochs).all(|(a, b)| {
-            a.mean_loss.to_bits() == b.mean_loss.to_bits()
-                && a.comm.words_sent == b.comm.words_sent
-                && a.comm.messages == b.comm.messages
-                && a.comm.bytes_on_wire == b.comm.bytes_on_wire
-        });
+        let auto_identical = same_run(&auto_report, chosen_report);
         assert!(auto_identical, "p={p} c={c}: auto() diverged from the explicit chosen config");
 
-        let summarize = |r: &TrainingReport| {
-            let words: usize = r.epochs.iter().map(|e| e.comm.words_sent).sum();
-            let messages: usize = r.epochs.iter().map(|e| e.comm.messages).sum();
-            let bytes: usize = r.epochs.iter().map(|e| e.comm.bytes_on_wire).sum();
-            (words, messages, bytes)
-        };
-        for (mode, pred, candidates, report, wall, realized) in [
-            (
-                "default",
-                default_pred,
-                lossless.scored.len(),
-                &default_report,
-                default_wall,
-                realized_default,
-            ),
-            (
-                "chosen",
-                chosen_pred,
-                lossless.scored.len(),
-                &chosen_report,
-                chosen_wall,
-                realized_chosen,
-            ),
-            (
-                "chosen_lossy",
-                lossy_pred,
-                lossy.scored.len(),
-                &lossy_report,
-                lossy_wall,
-                realized_lossy,
-            ),
-        ] {
-            let (words, messages, bytes) = summarize(report);
-            records.push(AutotuneRecord {
-                p,
-                c,
-                mode,
-                policy: pred.choice.cache.name(),
-                codec: pred.choice.codec.name(),
-                overlap_on: usize::from(pred.choice.overlap),
-                candidates,
-                predicted_words: pred.cost.words,
-                predicted_bytes_on_wire: pred.cost.bytes_on_wire,
-                predicted_comm_ns: pred.cost.comm_ns(),
-                predicted_epoch_s: pred.cost.total_s(),
-                realized_epoch_s: realized,
-                words_total: words,
-                messages,
-                bytes_on_wire: bytes,
-                wall_s: wall,
-                identical_to_builder_auto: auto_identical,
-            });
+        for (mode, pred, candidates, report, wall) in &runs {
+            let books = run_books(report);
+            records.push(
+                Record::new()
+                    .key("p", p)
+                    .key("c", c)
+                    .key("mode", *mode)
+                    // The chosen rows' knobs are part of the record key
+                    // (`policy` = cache mode `"off"` / `"pinned"` / `"lru"`,
+                    // `codec`), so any drift in the tuner's choice
+                    // hard-fails the CI check as a missing record.
+                    .key("policy", pred.choice.cache.name())
+                    .key("codec", pred.choice.codec.name())
+                    // `1` when this row's schedule overlaps communication
+                    // with compute.
+                    .exact("overlap_on", usize::from(pred.choice.overlap))
+                    // Valid candidates this row's grid enumerated (lossless
+                    // grid for the default/chosen rows, lossy-admitted grid
+                    // for the chosen_lossy row).
+                    .exact("candidates", *candidates)
+                    // Predicted per-epoch words and bytes on the wire (all
+                    // ranks).
+                    .exact("predicted_words", pred.cost.words)
+                    .exact("predicted_bytes_on_wire", pred.cost.bytes_on_wire)
+                    // Predicted per-rank α–β communication seconds per
+                    // epoch, as integer nanoseconds — a pure function of the
+                    // deterministic probe books.
+                    .exact("predicted_comm_ns", pred.cost.comm_ns())
+                    // Predicted effective epoch seconds (probed compute +
+                    // predicted comm − overlap credit) — carries
+                    // measured-compute noise.
+                    .soft("predicted_epoch_s", pred.cost.total_s())
+                    // Realized effective epoch seconds, charged from the
+                    // *default run's* measured compute baseline (above).
+                    .soft("realized_epoch_s", realize(report))
+                    // Realized words / messages / bytes over the whole run
+                    // (all ranks).
+                    .exact("words_total", books.words_sent)
+                    .exact("messages", books.messages)
+                    .exact("bytes_on_wire", books.bytes_on_wire)
+                    // Measured wall seconds of the whole realized run.
+                    .soft("wall_s", *wall)
+                    // Per-shape fact stamped on every row of the shape:
+                    // `builder().auto()` picked this shape's `chosen`
+                    // schedule and trained bit-identically to the explicit
+                    // configuration.
+                    .identity("identical_to_builder_auto", auto_identical),
+            );
         }
     }
 
@@ -1931,129 +1243,65 @@ fn run_autotune_sweep(smoke: bool, out_dir: &std::path::Path) {
              lossy-chosen schedules; distributed GraphSAGE [10, 5], replicated backend, \
              products-like scale {scale} (f = {feature_dim}, batch {batch_size}, bulk k = 2, \
              {epochs} epochs), stress cost model alpha = {:.1e}s beta = {:.1e}s/word",
-            cost.alpha, cost.beta
+            STRESS_COST.alpha, STRESS_COST.beta
         ),
         items: epochs,
         throughput_unit: "epochs/run",
     };
-    print_autotune_records(&records);
-    write_autotune_json(&out_dir.join("BENCH_autotune.json"), &workload, &records);
-    println!(
-        "\nChosen schedule realized no worse than the default on every shape; \
-         builder().auto() reproduced the offline search bit-identically."
-    );
-}
-
-/// One row of the dynamic-graph sweep: either a standalone ingest-apply
-/// microbench (`mode` `"apply_delta"` / `"apply_rebuild"`, `p = c = 1`) or a
-/// distributed training run with a live ingest schedule (`mode` `"train"`,
-/// keyed additionally by invalidation `policy`).
-struct DynamicRecord {
-    p: usize,
-    c: usize,
-    mode: &'static str,
-    /// `"precise"` / `"flush_all"` on train rows, `"-"` on apply rows.
-    policy: &'static str,
-    wall_s: f64,
-    /// Delta ops applied over the run (inserts + deletes, post-coalescing).
-    ingest_ops: usize,
-    /// Apply rows: ops folded per second.  NaN → null on train rows.
-    throughput: f64,
-    words_total: usize,
-    messages: usize,
-    rows_invalidated: usize,
-    rows_retained: usize,
-    invalidation_words: usize,
-    retained_words: usize,
-    /// Words the flush-all run refetched that this run did not (precise
-    /// rows; `0` elsewhere) — the payoff precise invalidation is for.
-    refetch_words_avoided: usize,
-    /// Losses and every counter bit-identical to the eager-rebuild run of
-    /// the same configuration.
-    identical_to_rebuild: bool,
-}
-
-fn write_dynamic_json(path: &std::path::Path, workload: &Workload, records: &[DynamicRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"p\": {}, \"c\": {}, \"mode\": \"{}\", \"policy\": \"{}\", \"wall_s\": {}, \
-             \"ingest_ops\": {}, \"throughput\": {}, \"words_total\": {}, \"messages\": {}, \
-             \"rows_invalidated\": {}, \"rows_retained\": {}, \"invalidation_words\": {}, \
-             \"retained_words\": {}, \"refetch_words_avoided\": {}, \
-             \"identical_to_rebuild\": {}}}{}\n",
-            r.p,
-            r.c,
-            r.mode,
-            r.policy,
-            json_f64(r.wall_s),
-            r.ingest_ops,
-            json_f64(r.throughput),
-            r.words_total,
-            r.messages,
-            r.rows_invalidated,
-            r.rows_retained,
-            r.invalidation_words,
-            r.retained_words,
-            r.refetch_words_avoided,
-            r.identical_to_rebuild,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-fn print_dynamic_records(records: &[DynamicRecord]) {
-    println!("\n== Dynamic graphs: delta-CSR ingest and precise invalidation ==");
-    println!(
-        "{:>3} {:>3} {:>13} {:>10}  {:>10}  {:>12}  {:>9}  {:>9}  {:>11}  {:>11}  identical",
-        "p", "c", "mode", "policy", "ops", "ops/s", "inv_rows", "ret_rows", "inv_words", "avoided"
-    );
-    for r in records {
-        let ops_s =
-            if r.throughput.is_nan() { "-".to_string() } else { format!("{:.3e}", r.throughput) };
-        println!(
-            "{:>3} {:>3} {:>13} {:>10}  {:>10}  {:>12}  {:>9}  {:>9}  {:>11}  {:>11}  {}",
-            r.p,
-            r.c,
-            r.mode,
-            r.policy,
-            r.ingest_ops,
-            ops_s,
-            r.rows_invalidated,
-            r.rows_retained,
-            r.invalidation_words,
-            r.refetch_words_avoided,
-            r.identical_to_rebuild
-        );
-    }
+    (workload, records)
 }
 
 /// The `--dynamic` sweep: the incremental-ingest path end to end.
 ///
 /// Part one folds a stream of delta batches into an RMAT adjacency through
-/// [`GraphIngest`](dmbs_graph::GraphIngest) under both modes and asserts the lazily-compacted CSR is
+/// [`GraphIngest`] under both modes and asserts the lazily-compacted CSR is
 /// byte-identical to the eagerly-rebuilt one (ops/s is the trajectory).
 /// Part two trains each grid shape with a live ingest schedule under
 /// delta × rebuild × {precise, flush-all}; rebuild must reproduce delta bit
 /// for bit, the invalidation policy must not move a loss, and the
 /// double-entry invalidation books plus the words precise invalidation
-/// avoids refetching are recorded for the CI gate to pin.  Writes
+/// avoids refetching are recorded for the CI gate to pin.
 /// `BENCH_dynamic.json`.
-fn run_dynamic_sweep(smoke: bool, out_dir: &std::path::Path) {
-    use dmbs_gnn::{InvalidationPolicy, TrainingReport, TrainingSession};
-    use dmbs_graph::datasets::{build_dataset, DatasetConfig};
-    use dmbs_graph::{GraphIngest, IngestMode};
-    use dmbs_matrix::DeltaBatch;
-    use dmbs_sampling::{DistConfig, ReplicatedBackend};
-    use std::sync::Arc;
-
-    if smoke {
-        println!("dynamic smoke mode: tiny workload, full mode × policy sweep + identity checks");
-    }
+fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
+    // One row is either a standalone ingest-apply microbench (`mode`
+    // `"apply_delta"` / `"apply_rebuild"`, `p = c = 1`, zero books) or a
+    // distributed training run with a live ingest schedule (`mode`
+    // `"train"`, keyed additionally by invalidation `policy`).
+    let record = |(p, c): (usize, usize),
+                  mode: &str,
+                  policy: &str,
+                  wall: f64,
+                  ops: usize,
+                  throughput: f64,
+                  books: &CommStats,
+                  avoided: usize,
+                  identical: bool| {
+        Record::new()
+            .key("p", p)
+            .key("c", c)
+            .key("mode", mode)
+            // `"precise"` / `"flush_all"` on train rows, `"-"` on apply rows.
+            .key("policy", policy)
+            .soft("wall_s", wall)
+            // Delta ops applied over the run (inserts + deletes,
+            // post-coalescing).
+            .exact("ingest_ops", ops)
+            // Apply rows: ops folded per second.  NaN → null on train rows.
+            .info("throughput", throughput)
+            .exact("words_total", books.words_sent)
+            .exact("messages", books.messages)
+            .exact("rows_invalidated", books.rows_invalidated)
+            .exact("rows_retained", books.rows_retained)
+            .exact("invalidation_words", books.invalidation_words)
+            .exact("retained_words", books.retained_words)
+            // Words the flush-all run refetched that this run did not
+            // (precise rows; `0` elsewhere) — the payoff precise
+            // invalidation is for.
+            .exact("refetch_words_avoided", avoided)
+            // Losses and every counter bit-identical to the eager-rebuild
+            // run of the same configuration.
+            .identity("identical_to_rebuild", identical)
+    };
 
     // ---- Part one: apply throughput, lazy overlay vs eager rebuild.
     let (scale, degree, num_batches, ops_per_batch) =
@@ -2091,34 +1339,25 @@ fn run_dynamic_sweep(smoke: bool, out_dir: &std::path::Path) {
     assert!(apply_identical, "lazy delta compaction diverged from the eager rebuild");
     let mut records = Vec::new();
     for (mode, wall) in [("apply_delta", delta_wall), ("apply_rebuild", rebuild_wall)] {
-        records.push(DynamicRecord {
-            p: 1,
-            c: 1,
+        let throughput = total_ops as f64 / wall;
+        let no_books = CommStats::default();
+        records.push(record(
+            (1, 1),
             mode,
-            policy: "-",
-            wall_s: wall,
-            ingest_ops: total_ops,
-            throughput: total_ops as f64 / wall,
-            words_total: 0,
-            messages: 0,
-            rows_invalidated: 0,
-            rows_retained: 0,
-            invalidation_words: 0,
-            retained_words: 0,
-            refetch_words_avoided: 0,
-            identical_to_rebuild: apply_identical,
-        });
+            "-",
+            wall,
+            total_ops,
+            throughput,
+            &no_books,
+            0,
+            apply_identical,
+        ));
     }
 
     // ---- Part two: training with a live ingest schedule.
     let shapes: &[(usize, usize)] = if smoke { &[(2, 1), (4, 2)] } else { &[(4, 2), (8, 4)] };
     let (dscale, feature_dim) = if smoke { (7, 16) } else { (9, 16) };
-    let mut cfg = DatasetConfig::products_like(dscale);
-    cfg.feature_dim = feature_dim;
-    cfg.num_classes = 4;
-    cfg.train_fraction = 0.5;
-    cfg.homophily = 0.6;
-    let dataset = Arc::new(build_dataset(&cfg, &mut StdRng::seed_from_u64(5)).expect("dataset"));
+    let dataset = products_dataset(dscale, feature_dim, 4, 5);
     let dn = dataset.graph.num_vertices();
     let batch_size = (dataset.train_set.len() / 8).max(8);
     // The schedule, derived from the dataset itself: after epoch 0 delete
@@ -2155,11 +1394,7 @@ fn run_dynamic_sweep(smoke: bool, out_dir: &std::path::Path) {
     let schedule_ops: usize = events.iter().map(|(_, b)| b.len()).sum();
     let lru_budget = dn * feature_dim * std::mem::size_of::<f64>() / 2;
 
-    let train = |p: usize,
-                 c: usize,
-                 mode: IngestMode,
-                 policy: InvalidationPolicy|
-     -> (f64, TrainingReport) {
+    let train = |p: usize, c: usize, mode: IngestMode, policy: InvalidationPolicy| {
         let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch_size, 2));
         let backend = ReplicatedBackend::new(dist).expect("backend");
         let mut builder = TrainingSession::builder()
@@ -2177,42 +1412,23 @@ fn run_dynamic_sweep(smoke: bool, out_dir: &std::path::Path) {
         for (after_epoch, batch) in &events {
             builder = builder.ingest(*after_epoch, batch.clone());
         }
-        let session = builder.build().expect("session");
-        let start = Instant::now();
-        let report = session.train().expect("training");
-        (start.elapsed().as_secs_f64(), report)
-    };
-    let identical = |a: &TrainingReport, b: &TrainingReport| {
-        a.epochs.len() == b.epochs.len()
-            && a.epochs.iter().zip(&b.epochs).all(|(x, y)| {
-                x.mean_loss.to_bits() == y.mean_loss.to_bits()
-                    && x.comm.words_sent == y.comm.words_sent
-                    && x.comm.messages == y.comm.messages
-                    && x.comm.cache_hits == y.comm.cache_hits
-                    && x.comm.cache_misses == y.comm.cache_misses
-                    && x.comm.words_saved == y.comm.words_saved
-                    && x.comm.rows_invalidated == y.comm.rows_invalidated
-                    && x.comm.rows_retained == y.comm.rows_retained
-                    && x.comm.invalidation_words == y.comm.invalidation_words
-                    && x.comm.retained_words == y.comm.retained_words
-            })
-    };
-    let sum = |r: &TrainingReport, field: fn(&dmbs_comm::CommStats) -> usize| -> usize {
-        r.epochs.iter().map(|e| field(&e.comm)).sum()
+        train_timed(builder)
     };
     for &(p, c) in shapes {
         let mut by_policy = Vec::new();
         for (policy, label) in
             [(InvalidationPolicy::Precise, "precise"), (InvalidationPolicy::FlushAll, "flush_all")]
         {
-            let (wall, delta) = train(p, c, IngestMode::Delta, policy);
-            let (_, rebuild) = train(p, c, IngestMode::Rebuild, policy);
-            let same = identical(&delta, &rebuild);
-            assert!(same, "p={p} c={c} {label}: rebuild diverged from the delta overlay");
-            by_policy.push((label, wall, delta));
+            let (delta, wall) = train(p, c, IngestMode::Delta, policy);
+            let (rebuild, _) = train(p, c, IngestMode::Rebuild, policy);
+            assert!(
+                same_run(&delta, &rebuild),
+                "p={p} c={c} {label}: rebuild diverged from the delta overlay"
+            );
+            by_policy.push((label, wall, run_books(&delta), delta));
         }
-        let (_, _, precise) = &by_policy[0];
-        let (_, _, flush) = &by_policy[1];
+        let (_, _, precise_books, precise) = &by_policy[0];
+        let (_, _, flush_books, flush) = &by_policy[1];
         assert!(
             precise
                 .epochs
@@ -2221,34 +1437,24 @@ fn run_dynamic_sweep(smoke: bool, out_dir: &std::path::Path) {
                 .all(|(x, y)| x.mean_loss.to_bits() == y.mean_loss.to_bits()),
             "p={p} c={c}: the invalidation policy moved a loss"
         );
-        let precise_words = sum(precise, |s| s.words_sent);
-        let flush_words = sum(flush, |s| s.words_sent);
         assert!(
-            precise_words <= flush_words,
+            precise_books.words_sent <= flush_books.words_sent,
             "p={p} c={c}: precise invalidation refetched more than flush-all"
         );
-        for (label, wall, report) in &by_policy {
-            records.push(DynamicRecord {
-                p,
-                c,
-                mode: "train",
-                policy: label,
-                wall_s: *wall,
-                ingest_ops: schedule_ops,
-                throughput: f64::NAN,
-                words_total: sum(report, |s| s.words_sent),
-                messages: sum(report, |s| s.messages),
-                rows_invalidated: sum(report, |s| s.rows_invalidated),
-                rows_retained: sum(report, |s| s.rows_retained),
-                invalidation_words: sum(report, |s| s.invalidation_words),
-                retained_words: sum(report, |s| s.retained_words),
-                refetch_words_avoided: if *label == "precise" {
-                    flush_words - precise_words
-                } else {
-                    0
-                },
-                identical_to_rebuild: true,
-            });
+        let avoided = flush_books.words_sent - precise_books.words_sent;
+        for (label, wall, books, _) in &by_policy {
+            let avoided = if *label == "precise" { avoided } else { 0 };
+            records.push(record(
+                (p, c),
+                "train",
+                label,
+                *wall,
+                schedule_ops,
+                f64::NAN,
+                books,
+                avoided,
+                true,
+            ));
         }
     }
 
@@ -2264,117 +1470,7 @@ fn run_dynamic_sweep(smoke: bool, out_dir: &std::path::Path) {
         items: total_ops + schedule_ops,
         throughput_unit: "delta-ops/run",
     };
-    print_dynamic_records(&records);
-    write_dynamic_json(&out_dir.join("BENCH_dynamic.json"), &workload, &records);
-    println!(
-        "\nDelta overlay byte-identical to eager rebuild everywhere; invalidation books \
-         double-entry balanced."
-    );
-}
-
-/// One (grid shape × transport) row of the calibration sweep.
-struct TransportRecord {
-    p: usize,
-    c: usize,
-    /// `"simulator"` or `"socket"`.
-    transport: &'static str,
-    /// Training epochs in the run (exact — a changed schedule length would
-    /// silently rescale every per-epoch field below).
-    epochs: usize,
-    /// Measured wall seconds of the whole training run on this transport.
-    wall_s: f64,
-    /// Modeled epoch seconds (measured compute + configured α–β comm
-    /// bill), summed over epochs.  The α–β portion is bit-identical
-    /// between transports by the equivalence contract; the compute
-    /// portion is measured wall time, so the field drifts with the
-    /// machine and is soft-gated.
-    modeled_epoch_s: f64,
-    /// Measured wall seconds per epoch (`wall_s / epochs`).  On the socket
-    /// row this includes real process spawn + wire time; the gap to
-    /// `modeled_epoch_s / epochs` is what the calibration quantifies.
-    measured_epoch_s: f64,
-    /// Per-rank communication seconds per epoch the *fitted* α–β constants
-    /// predict for this run's wire bill:
-    /// `(fit_alpha·messages + fit_beta·words) / (p · epochs)`.
-    fit_comm_epoch_s: f64,
-    /// Fitted per-message latency of the socket transport (seconds).
-    fit_alpha_s: f64,
-    /// Fitted per-word cost of the socket transport (seconds/word).
-    fit_beta_s_per_word: f64,
-    /// Wire bill over the whole run, summed across ranks — byte-identical
-    /// between transports by contract.
-    words_total: usize,
-    messages: usize,
-    cache_hits: usize,
-    cache_misses: usize,
-    words_saved: usize,
-    /// Losses bit-identical and all counters equal to the simulator run.
-    identical_to_simulator: bool,
-}
-
-fn write_transport_json(path: &std::path::Path, workload: &Workload, records: &[TransportRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"p\": {}, \"c\": {}, \"transport\": \"{}\", \"epochs\": {}, \
-             \"wall_s\": {}, \"modeled_epoch_s\": {}, \"measured_epoch_s\": {}, \
-             \"fit_comm_epoch_s\": {}, \"fit_alpha_s\": {}, \"fit_beta_s_per_word\": {}, \
-             \"words_total\": {}, \"messages\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"words_saved\": {}, \"identical_to_simulator\": {}}}{}\n",
-            r.p,
-            r.c,
-            r.transport,
-            r.epochs,
-            json_f64(r.wall_s),
-            json_f64(r.modeled_epoch_s),
-            json_f64(r.measured_epoch_s),
-            json_f64(r.fit_comm_epoch_s),
-            json_f64(r.fit_alpha_s),
-            json_f64(r.fit_beta_s_per_word),
-            r.words_total,
-            r.messages,
-            r.cache_hits,
-            r.cache_misses,
-            r.words_saved,
-            r.identical_to_simulator,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-fn print_transport_records(records: &[TransportRecord]) {
-    println!("\n== Transport calibration: simulator vs Unix-socket processes ==");
-    println!(
-        "{:>3} {:>3} {:>10}  {:>11}  {:>13}  {:>13}  {:>12}  {:>11}  {:>9}  identical",
-        "p",
-        "c",
-        "transport",
-        "wall_s",
-        "modeled_ep_s",
-        "measured_ep_s",
-        "fit_comm_s",
-        "words",
-        "messages"
-    );
-    for r in records {
-        println!(
-            "{:>3} {:>3} {:>10}  {:>11.6}  {:>13.6}  {:>13.6}  {:>12.6}  {:>11}  {:>9}  {}",
-            r.p,
-            r.c,
-            r.transport,
-            r.wall_s,
-            r.modeled_epoch_s / r.epochs as f64,
-            r.measured_epoch_s,
-            r.fit_comm_epoch_s,
-            r.words_total,
-            r.messages,
-            r.identical_to_simulator
-        );
-    }
+    (workload, records)
 }
 
 /// The `--calibrate` sweep: measure the real Unix-socket transport against
@@ -2390,27 +1486,19 @@ fn print_transport_records(records: &[TransportRecord]) {
 ///    `tests/transport_equivalence.rs` also pins), and record modeled vs
 ///    measured epoch seconds next to what the fitted constants predict.
 ///
-/// Writes `BENCH_transport.json`.  The counters and `identical_to_simulator`
+/// `BENCH_transport.json`.  The counters and `identical_to_simulator`
 /// hard-fail under `--check`; every measured or fitted seconds field only
 /// soft-warns (it is a property of the host, not of the schedule).
-fn run_calibrate_sweep(smoke: bool, out_dir: &std::path::Path) {
+fn calibrate_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     use dmbs_bench::transport::{
         decode_ping_result, encode_ping_job, fit_alpha_beta, registry, ProbeSample, PING_WORKER,
     };
-    use dmbs_comm::{SocketLaunch, TransportSelect};
-    use dmbs_gnn::{FeatureCacheConfig as CacheMode, TrainingReport, TrainingSession};
-    use dmbs_graph::datasets::{build_dataset, DatasetConfig};
-    use dmbs_sampling::{DistConfig, ReplicatedBackend};
-    use std::sync::Arc;
 
     let launch = SocketLaunch::default().timeout_ms(180_000);
 
     // ---- Phase 1: ping-pong probe over real processes.
     let (sizes, rounds): (&[usize], usize) =
         if smoke { (&[64, 1_024, 16_384], 16) } else { (&[64, 1_024, 16_384, 131_072], 32) };
-    if smoke {
-        println!("calibrate smoke mode: tiny workload, full probe + shape sweep");
-    }
     println!("== α–β probe: {rounds}-round ping-pong per message size (2 rank processes) ==");
     let probe_runtime = Runtime::new(2)
         .expect("probe runtime")
@@ -2450,36 +1538,16 @@ fn run_calibrate_sweep(smoke: bool, out_dir: &std::path::Path) {
     let shapes: &[(usize, usize)] =
         if smoke { &[(2, 1), (4, 2)] } else { &[(2, 1), (4, 2), (4, 4)] };
     let (scale, feature_dim, epochs) = if smoke { (7, 16, 2) } else { (8, 32, 3) };
-    let cost = dmbs_comm::CostModel::new(2.0e-4, 5.0e-8);
 
-    let mut cfg = DatasetConfig::products_like(scale);
-    cfg.feature_dim = feature_dim;
-    cfg.num_classes = 4;
-    cfg.train_fraction = 0.5;
-    cfg.homophily = 0.6;
-    let dataset = Arc::new(build_dataset(&cfg, &mut StdRng::seed_from_u64(5)).expect("dataset"));
+    let dataset = products_dataset(scale, feature_dim, 4, 5);
     let batch_size = (dataset.train_set.len() / 8).max(8);
 
-    let train = |p: usize, c: usize, transport: TransportSelect| -> (TrainingReport, f64) {
-        let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch_size, 2));
-        let runtime = Runtime::with_cost_model(p, cost).expect("runtime");
-        let backend = ReplicatedBackend::with_runtime(runtime, dist).expect("backend");
-        let session = TrainingSession::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![10, 5]).with_self_loops())
-            .backend(backend)
-            .hidden_dim(32)
-            .learning_rate(0.05)
-            .epochs(epochs)
-            .seed(42)
-            .feature_cache(CacheMode::EpochPinned)
-            .transport(transport)
-            .without_evaluation()
-            .build()
-            .expect("session");
-        let start = Instant::now();
-        let report = session.train().expect("training");
-        (report, start.elapsed().as_secs_f64())
+    let train = |p: usize, c: usize, transport: TransportSelect| {
+        train_timed(
+            stress_builder(&dataset, (p, c), batch_size, epochs)
+                .feature_cache(FeatureCacheConfig::EpochPinned)
+                .transport(transport),
+        )
     };
 
     let mut records = Vec::new();
@@ -2490,51 +1558,59 @@ fn run_calibrate_sweep(smoke: bool, out_dir: &std::path::Path) {
         // The cross-transport contract: the socket backend replays the exact
         // schedule the simulator models — losses and every deterministic
         // counter bit-identical, per epoch.
-        let identical = sim.epochs.len() == sock.epochs.len()
-            && sim.epochs.iter().zip(&sock.epochs).all(|(a, b)| {
-                a.mean_loss.to_bits() == b.mean_loss.to_bits()
-                    && a.comm.words_sent == b.comm.words_sent
-                    && a.comm.messages == b.comm.messages
-                    && a.comm.cache_hits == b.comm.cache_hits
-                    && a.comm.cache_misses == b.comm.cache_misses
-                    && a.comm.words_saved == b.comm.words_saved
-            });
+        let identical = same_run(&sim, &sock);
         assert!(identical, "p={p} c={c}: socket transport diverged from the simulator");
 
-        let summarize = |r: &TrainingReport| {
-            let modeled: f64 = r.epochs.iter().map(|e| e.modeled_epoch_seconds()).sum();
-            let words: usize = r.epochs.iter().map(|e| e.comm.words_sent).sum();
-            let messages: usize = r.epochs.iter().map(|e| e.comm.messages).sum();
-            let hits: usize = r.epochs.iter().map(|e| e.comm.cache_hits).sum();
-            let misses: usize = r.epochs.iter().map(|e| e.comm.cache_misses).sum();
-            let saved: usize = r.epochs.iter().map(|e| e.comm.words_saved).sum();
-            (modeled, words, messages, hits, misses, saved)
-        };
-        let fit_comm = |words: usize, messages: usize| {
-            (fit_alpha * messages as f64 + fit_beta * words as f64) / (p * epochs) as f64
-        };
         for (transport, report, wall) in
             [("simulator", &sim, sim_wall), ("socket", &sock, sock_wall)]
         {
-            let (modeled, words, messages, hits, misses, saved) = summarize(report);
-            records.push(TransportRecord {
-                p,
-                c,
-                transport,
-                epochs,
-                wall_s: wall,
-                modeled_epoch_s: modeled,
-                measured_epoch_s: wall / epochs as f64,
-                fit_comm_epoch_s: fit_comm(words, messages),
-                fit_alpha_s: fit_alpha,
-                fit_beta_s_per_word: fit_beta,
-                words_total: words,
-                messages,
-                cache_hits: hits,
-                cache_misses: misses,
-                words_saved: saved,
-                identical_to_simulator: identical,
-            });
+            let modeled: f64 = report.epochs.iter().map(|e| e.modeled_epoch_seconds()).sum();
+            let books = run_books(report);
+            records.push(
+                Record::new()
+                    .key("p", p)
+                    .key("c", c)
+                    // `"simulator"` or `"socket"`.
+                    .key("transport", transport)
+                    // Training epochs in the run (exact — a changed schedule
+                    // length would silently rescale every per-epoch field).
+                    .exact("epochs", epochs)
+                    // Measured wall seconds of the whole training run on
+                    // this transport.
+                    .soft("wall_s", wall)
+                    // Modeled epoch seconds (measured compute + configured
+                    // α–β comm bill), summed over epochs.  The α–β portion is
+                    // bit-identical between transports by the equivalence
+                    // contract; the compute portion is measured wall time,
+                    // so the field drifts with the machine.
+                    .soft("modeled_epoch_s", modeled)
+                    // Measured wall seconds per epoch.  On the socket row
+                    // this includes real process spawn + wire time; the gap
+                    // to `modeled_epoch_s / epochs` is what the calibration
+                    // quantifies.
+                    .soft("measured_epoch_s", wall / epochs as f64)
+                    // Per-rank communication seconds per epoch the *fitted*
+                    // α–β constants predict for this run's wire bill.
+                    .soft(
+                        "fit_comm_epoch_s",
+                        (fit_alpha * books.messages as f64 + fit_beta * books.words_sent as f64)
+                            / (p * epochs) as f64,
+                    )
+                    // Fitted per-message latency (seconds) and per-word cost
+                    // (seconds/word) of the socket transport.
+                    .soft("fit_alpha_s", fit_alpha)
+                    .soft("fit_beta_s_per_word", fit_beta)
+                    // Wire bill over the whole run, summed across ranks —
+                    // byte-identical between transports by contract.
+                    .exact("words_total", books.words_sent)
+                    .exact("messages", books.messages)
+                    .exact("cache_hits", books.cache_hits)
+                    .exact("cache_misses", books.cache_misses)
+                    .exact("words_saved", books.words_saved)
+                    // Losses bit-identical and all counters equal to the
+                    // simulator run.
+                    .identity("identical_to_simulator", identical),
+            );
         }
     }
 
@@ -2545,124 +1621,12 @@ fn run_calibrate_sweep(smoke: bool, out_dir: &std::path::Path) {
              in-process simulator vs Unix-socket rank processes; products-like scale {scale} \
              (f = {feature_dim}, batch {batch_size}, bulk k = 2, {epochs} epochs), stress cost \
              model alpha = {:.1e}s beta = {:.1e}s/word; probe sizes {sizes:?} x {rounds} rounds",
-            cost.alpha, cost.beta
+            STRESS_COST.alpha, STRESS_COST.beta
         ),
         items: epochs,
         throughput_unit: "epochs/run",
     };
-    print_transport_records(&records);
-    write_transport_json(&out_dir.join("BENCH_transport.json"), &workload, &records);
-    println!("\nSocket transport byte-identical to the simulator on every shape.");
-}
-
-/// One measured (offered QPS × coalescing window) cell of the serving sweep.
-struct ServeRecord {
-    /// Offered load of the open-loop generator (requests per virtual second).
-    qps: usize,
-    /// Coalescing window in microseconds; `0` disables micro-bulking.
-    window_us: usize,
-    requests_offered: usize,
-    requests_served: usize,
-    batches: usize,
-    /// `round(served / batches * 1000)` — the coalescing factor as an
-    /// integer so the CI gate can compare it exactly.
-    coalescing_x1000: u64,
-    hot_hits: usize,
-    hot_misses: usize,
-    hot_hit_rate: f64,
-    shed_admission: usize,
-    shed_timeout: usize,
-    /// All-to-allv words actually charged over the run (hot-tier and cache
-    /// hits avoid their share).
-    words_total: usize,
-    messages: usize,
-    /// Served requests per virtual second of makespan.
-    sustained_qps: f64,
-    /// Virtual-time latency digest over the served requests.
-    latency: LatencySummary,
-    /// Measured wall seconds of the replay (machine-dependent, soft).
-    wall_s: f64,
-    /// Two fresh same-seed replays produced bit-identical counters, books
-    /// and latencies.
-    identical_across_replays: bool,
-}
-
-fn write_serve_json(path: &std::path::Path, workload: &Workload, records: &[ServeRecord]) {
-    let mut out = json_header(workload);
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"qps\": {}, \"window_us\": {}, \"requests_offered\": {}, \
-             \"requests_served\": {}, \"batches\": {}, \"coalescing_x1000\": {}, \
-             \"hot_hits\": {}, \"hot_misses\": {}, \"hot_hit_rate\": {}, \
-             \"shed_admission\": {}, \"shed_timeout\": {}, \"words_total\": {}, \
-             \"messages\": {}, \"sustained_qps\": {}, \"mean_s\": {}, \"p50_s\": {}, \
-             \"p99_s\": {}, \"p999_s\": {}, \"max_s\": {}, \"wall_s\": {}, \
-             \"identical_across_replays\": {}}}{}\n",
-            r.qps,
-            r.window_us,
-            r.requests_offered,
-            r.requests_served,
-            r.batches,
-            r.coalescing_x1000,
-            r.hot_hits,
-            r.hot_misses,
-            json_f64(r.hot_hit_rate),
-            r.shed_admission,
-            r.shed_timeout,
-            r.words_total,
-            r.messages,
-            json_f64(r.sustained_qps),
-            json_f64(r.latency.mean),
-            json_f64(r.latency.p50),
-            json_f64(r.latency.p99),
-            json_f64(r.latency.p999),
-            json_f64(r.latency.max),
-            json_f64(r.wall_s),
-            r.identical_across_replays,
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-    println!("wrote {}", path.display());
-}
-
-fn print_serve_records(records: &[ServeRecord]) {
-    println!("\n== Serving tier: Zipf open-loop, virtual-time latency ==");
-    println!(
-        "{:>6} {:>9} {:>7} {:>7} {:>7} {:>7}  {:>9}  {:>9}  {:>9}  {:>6}  {:>5}  {:>9}",
-        "qps",
-        "window_us",
-        "offered",
-        "served",
-        "shed",
-        "coal_x",
-        "p50_ms",
-        "p99_ms",
-        "p999_ms",
-        "hot_%",
-        "ident",
-        "sust_qps"
-    );
-    for r in records {
-        println!(
-            "{:>6} {:>9} {:>7} {:>7} {:>7} {:>6.2}x  {:>9.3}  {:>9.3}  {:>9.3}  {:>5.1}%  {:>5}  \
-             {:>9.0}",
-            r.qps,
-            r.window_us,
-            r.requests_offered,
-            r.requests_served,
-            r.shed_admission + r.shed_timeout,
-            r.coalescing_x1000 as f64 / 1000.0,
-            r.latency.p50 * 1e3,
-            r.latency.p99 * 1e3,
-            r.latency.p999 * 1e3,
-            r.hot_hit_rate * 100.0,
-            r.identical_across_replays,
-            r.sustained_qps,
-        );
-    }
+    (workload, records)
 }
 
 /// The `--serve` sweep: trains one snapshot, then drives a fresh
@@ -2670,13 +1634,9 @@ fn print_serve_records(records: &[ServeRecord]) {
 /// same Zipf open-loop trace generator, replaying every cell twice and
 /// asserting the deterministic virtual-time counters are bit-identical.
 /// Asserts the tentpole latency claim — at the overloaded QPS level,
-/// coalescing lowers p99 versus the window-0 (no-bulking) configuration —
-/// and writes `BENCH_serve.json`.
-fn run_serve_sweep(smoke: bool, out_dir: &std::path::Path) {
-    use dmbs_gnn::{RequestTrace, ServeReport, ServingConfig, ServingSession, TrainingSession};
-    use dmbs_graph::datasets::{build_dataset, DatasetConfig};
-    use std::sync::Arc;
-
+/// coalescing lowers p99 versus the window-0 (no-bulking) configuration.
+/// `BENCH_serve.json`.
+fn serve_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     // The two offered loads straddle the window-0 saturation point of the
     // modeled service time (~1 / seconds_per_batch ≈ 4.5k QPS): the low
     // level is stable everywhere, the high level overloads the un-coalesced
@@ -2686,9 +1646,6 @@ fn run_serve_sweep(smoke: bool, out_dir: &std::path::Path) {
     let windows_us: [usize; 2] = [0, 1000];
     let (scale, feature_dim, num_requests, hot_capacity) =
         if smoke { (7, 16, 300, 32) } else { (10, 32, 4000, 128) };
-    if smoke {
-        println!("serve smoke mode: tiny snapshot, full QPS x window sweep + replay identity");
-    }
 
     let mut cfg = DatasetConfig::products_like(scale);
     cfg.feature_dim = feature_dim;
@@ -2740,6 +1697,7 @@ fn run_serve_sweep(smoke: bool, out_dir: &std::path::Path) {
     };
 
     let mut records = Vec::new();
+    let mut p99s = Vec::new();
     for &qps in &qps_levels {
         for &window_us in &windows_us {
             let first = replay(qps, window_us);
@@ -2758,25 +1716,53 @@ fn run_serve_sweep(smoke: bool, out_dir: &std::path::Path) {
                     .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(identical, "qps={qps} window={window_us}us: replay diverged");
             let stats = first.stats;
-            records.push(ServeRecord {
-                qps,
-                window_us,
-                requests_offered: stats.requests_offered,
-                requests_served: stats.requests_served,
-                batches: stats.batches,
-                coalescing_x1000: (stats.coalescing_factor() * 1000.0).round() as u64,
-                hot_hits: stats.hot_hits,
-                hot_misses: stats.hot_misses,
-                hot_hit_rate: stats.hot_hit_rate().unwrap_or(0.0),
-                shed_admission: stats.shed_admission,
-                shed_timeout: stats.shed_timeout,
-                words_total: first.comm.words_sent,
-                messages: first.comm.messages,
-                sustained_qps: first.sustained_qps(),
-                latency: LatencySummary::from_samples(&first.latencies),
-                wall_s: first.wall_s,
-                identical_across_replays: identical,
-            });
+            let latency = LatencySummary::from_samples(&first.latencies);
+            p99s.push((qps, window_us, latency.p99));
+            records.push(
+                Record::new()
+                    // Offered load of the open-loop generator (requests per
+                    // virtual second).
+                    .key("qps", qps)
+                    // Coalescing window in microseconds; `0` disables
+                    // micro-bulking.
+                    .key("window_us", window_us)
+                    // The open-loop trace is replayed in deterministic
+                    // virtual time, so queue dynamics — how requests
+                    // coalesce, shed, and hit the hot tier — are exact.
+                    .exact("requests_offered", stats.requests_offered)
+                    .exact("requests_served", stats.requests_served)
+                    .exact("batches", stats.batches)
+                    // `round(served / batches * 1000)` — the coalescing
+                    // factor as an integer so the CI gate can compare it
+                    // exactly.
+                    .exact("coalescing_x1000", (stats.coalescing_factor() * 1000.0).round() as u64)
+                    .exact("hot_hits", stats.hot_hits)
+                    .exact("hot_misses", stats.hot_misses)
+                    .info("hot_hit_rate", stats.hot_hit_rate().unwrap_or(0.0))
+                    .exact("shed_admission", stats.shed_admission)
+                    .exact("shed_timeout", stats.shed_timeout)
+                    // All-to-allv words actually charged over the run
+                    // (hot-tier and cache hits avoid their share).
+                    .exact("words_total", first.comm.words_sent)
+                    .exact("messages", first.comm.messages)
+                    // Served requests per virtual second of makespan.
+                    .info("sustained_qps", first.sustained_qps())
+                    // Virtual-time latency digest over the served requests.
+                    // The percentiles ride the modeled service-time
+                    // constants, which are tuning knobs rather than schedule
+                    // contracts — latency drift warns, the counters above
+                    // are what hard-fail.
+                    .info("mean_s", latency.mean)
+                    .soft("p50_s", latency.p50)
+                    .soft("p99_s", latency.p99)
+                    .soft("p999_s", latency.p999)
+                    .info("max_s", latency.max)
+                    // Measured wall seconds of the replay.
+                    .soft("wall_s", first.wall_s)
+                    // Two fresh same-seed replays produced bit-identical
+                    // counters, books and latencies.
+                    .identity("identical_across_replays", identical),
+            );
         }
     }
 
@@ -2785,12 +1771,7 @@ fn run_serve_sweep(smoke: bool, out_dir: &std::path::Path) {
     // versus serving each request alone.
     let high = *qps_levels.iter().max().expect("non-empty sweep");
     let p99_of = |window_us: usize| {
-        records
-            .iter()
-            .find(|r| r.qps == high && r.window_us == window_us)
-            .expect("cell measured")
-            .latency
-            .p99
+        p99s.iter().find(|&&(q, w, _)| q == high && w == window_us).expect("cell measured").2
     };
     let (p99_solo, p99_coalesced) = (p99_of(0), p99_of(windows_us[1]));
     assert!(
@@ -2798,6 +1779,11 @@ fn run_serve_sweep(smoke: bool, out_dir: &std::path::Path) {
         "coalescing must cut p99 at {high} QPS: window=0 p99 {p99_solo:.6}s vs \
          window={}us p99 {p99_coalesced:.6}s",
         windows_us[1]
+    );
+    println!(
+        "coalescing cut p99 at {high} QPS from {:.3}ms to {:.3}ms",
+        p99_solo * 1e3,
+        p99_coalesced * 1e3
     );
 
     let workload = Workload {
@@ -2813,53 +1799,151 @@ fn run_serve_sweep(smoke: bool, out_dir: &std::path::Path) {
         items: num_requests,
         throughput_unit: "requests/cell",
     };
-    print_serve_records(&records);
-    write_serve_json(&out_dir.join("BENCH_serve.json"), &workload, &records);
+    (workload, records)
+}
+
+/// A sweep measures and returns the header and records of one file.
+type Sweep = fn(bool) -> (Workload, Vec<Record>);
+
+/// Every sweep: the flag that selects it (`""`: runs when no family flag is
+/// given), the file it writes, and the function that measures it.  Several
+/// family flags run in this order.
+const SWEEPS: [(&str, &str, Sweep); 12] = [
+    ("", "BENCH_spgemm.json", spgemm_sweep),
+    ("", "BENCH_extract.json", extract_sweep),
+    ("", "BENCH_its.json", its_sweep),
+    ("", "BENCH_epoch.json", sage_epoch_sweep),
+    ("", "BENCH_ladies_epoch.json", ladies_epoch_sweep),
+    ("--fetch", "BENCH_fetch.json", fetch_sweep),
+    ("--compress", "BENCH_compress.json", compress_sweep),
+    ("--overlap", "BENCH_overlap.json", overlap_sweep),
+    ("--serve", "BENCH_serve.json", serve_sweep),
+    ("--calibrate", "BENCH_transport.json", calibrate_sweep),
+    ("--dynamic", "BENCH_dynamic.json", dynamic_sweep),
+    ("--autotune", "BENCH_autotune.json", autotune_sweep),
+];
+
+const USAGE: &str = "usage: perf_baseline [--smoke] [--fetch] [--compress] [--overlap] \
+                     [--serve] [--calibrate] [--dynamic] [--autotune] \
+                     [--check <baseline-dir>] [--tolerance <rel>] [output_dir]";
+
+fn main() {
+    // The --calibrate sweep re-executes this binary as its rank processes;
+    // if the rendezvous environment is set, run the worker and exit before
+    // any argument parsing or sweeping.
+    dmbs_comm::run_if_worker(&dmbs_bench::transport::registry());
+    let mut smoke = false;
+    let mut selected: Vec<&str> = Vec::new();
+    let mut check_dir: Option<std::path::PathBuf> = None;
+    let mut tolerance = 0.5;
+    let mut out_dir = std::path::PathBuf::from(".");
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--smoke" {
+            smoke = true;
+        } else if arg == "--check" {
+            let Some(dir) = args.next() else {
+                eprintln!("--check needs a baseline directory; {USAGE}");
+                std::process::exit(2);
+            };
+            check_dir = Some(std::path::PathBuf::from(dir));
+        } else if arg == "--tolerance" {
+            let parsed = args.next().and_then(|t| t.parse::<f64>().ok()).filter(|t| *t >= 0.0);
+            let Some(parsed) = parsed else {
+                eprintln!("--tolerance needs a non-negative relative value; {USAGE}");
+                std::process::exit(2);
+            };
+            tolerance = parsed;
+        } else if arg.starts_with("--") {
+            // Reject unknown flags up front instead of running the full
+            // multi-minute sweep and panicking at the first JSON write.
+            let Some((flag, ..)) = SWEEPS.iter().find(|(flag, ..)| *flag == arg) else {
+                eprintln!("unknown flag {arg:?}; {USAGE}");
+                std::process::exit(2);
+            };
+            selected.push(flag);
+        } else {
+            out_dir = std::path::PathBuf::from(arg);
+        }
+    }
+    if let Some(baseline_dir) = &check_dir {
+        // Guard BEFORE the sweep runs: writing the fresh JSONs into the
+        // baseline directory would clobber the committed baseline and then
+        // compare the files against themselves (a vacuous pass).
+        let same_dir = match (baseline_dir.canonicalize(), out_dir.canonicalize()) {
+            (Ok(a), Ok(b)) => a == b,
+            _ => *baseline_dir == out_dir,
+        };
+        if same_dir {
+            eprintln!(
+                "--check baseline directory {} is also the output directory; the sweep would \
+                 overwrite the baseline before comparing.  Pass a different output_dir.",
+                baseline_dir.display()
+            );
+            std::process::exit(2);
+        }
+    }
+    if smoke {
+        println!("smoke mode: tiny workloads, full sweeps + identity checks");
+    }
+    if selected.is_empty() {
+        selected.push("");
+    }
+    let mut produced = Vec::new();
+    for (flag, file, sweep) in SWEEPS {
+        if !selected.contains(&flag) {
+            continue;
+        }
+        let (workload, records) = sweep(smoke);
+        record::print(&format!("{file}: {}", workload.detail), &records);
+        let path = out_dir.join(file);
+        record::write(&path, &workload, &records).unwrap_or_else(|e| panic!("{e}"));
+        println!("wrote {}", path.display());
+        // The determinism contract the files advertise, enforced after the
+        // write so a diverging record is preserved on disk.
+        for r in &records {
+            assert!(
+                r.broken_identities().next().is_none(),
+                "{file} [{}]: diverged from its reference formulation",
+                r.key_string()
+            );
+        }
+        produced.push((file, records));
+    }
+    if let Some(baseline_dir) = check_dir {
+        run_check(&baseline_dir, &produced, tolerance);
+    }
+}
+
+/// The `--check` gate: compare the records this invocation produced against
+/// the committed baselines.  Hard findings (kernel-identity or exact-counter
+/// drift, a record or field the fresh run lost) fail the process;
+/// wall-clock findings only warn.
+fn run_check(baseline_dir: &std::path::Path, produced: &[(&str, Vec<Record>)], tolerance: f64) {
+    use dmbs_bench::check::{compare_file, passes, Severity};
     println!(
-        "\nAll cells replay-identical; coalescing cut p99 at {high} QPS from {:.3}ms to {:.3}ms.",
-        p99_solo * 1e3,
-        p99_coalesced * 1e3
+        "\n== perf-regression check vs {} (wall tolerance {:.0}%) ==",
+        baseline_dir.display(),
+        tolerance * 100.0
     );
-}
-
-/// Object-safe epoch runner so the GraphSAGE and LADIES sweeps share one
-/// measurement loop.
-trait SamplerEpoch {
-    fn epoch(
-        &self,
-        backend: &LocalBackend,
-        a: &CsrMatrix,
-        batches: &[Vec<usize>],
-    ) -> (Vec<dmbs_sampling::MinibatchSample>, dmbs_comm::PhaseProfile);
-    fn describe(&self) -> String;
-}
-
-impl SamplerEpoch for GraphSageSampler {
-    fn epoch(
-        &self,
-        backend: &LocalBackend,
-        a: &CsrMatrix,
-        batches: &[Vec<usize>],
-    ) -> (Vec<dmbs_sampling::MinibatchSample>, dmbs_comm::PhaseProfile) {
-        let epoch = backend.sample_epoch(self, a, batches, 7).expect("epoch");
-        (epoch.output.minibatches, epoch.output.profile)
+    let mut all = Vec::new();
+    for (file, records) in produced {
+        all.extend(compare_file(baseline_dir, file, records, tolerance));
     }
-    fn describe(&self) -> String {
-        format!("GraphSAGE {:?}", self.fanouts())
+    for finding in &all {
+        match finding.severity {
+            Severity::Hard => eprintln!("FAIL {}", finding.message),
+            Severity::Soft => eprintln!("warn {}", finding.message),
+        }
     }
-}
-
-impl SamplerEpoch for LadiesSampler {
-    fn epoch(
-        &self,
-        backend: &LocalBackend,
-        a: &CsrMatrix,
-        batches: &[Vec<usize>],
-    ) -> (Vec<dmbs_sampling::MinibatchSample>, dmbs_comm::PhaseProfile) {
-        let epoch = backend.sample_epoch(self, a, batches, 7).expect("epoch");
-        (epoch.output.minibatches, epoch.output.profile)
-    }
-    fn describe(&self) -> String {
-        format!("LADIES {} layers x s = {}", self.num_layers(), self.samples_per_layer())
+    if passes(&all) {
+        println!(
+            "check passed: {} file(s), {} soft warning(s), no hard regressions",
+            produced.len(),
+            all.len()
+        );
+    } else {
+        eprintln!("check FAILED: a committed perf contract regressed (see FAIL lines above)");
+        std::process::exit(1);
     }
 }

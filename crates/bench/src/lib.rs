@@ -507,114 +507,22 @@ pub mod json {
 
 pub mod transport;
 
+pub mod record;
+
 pub mod check {
-    //! The CI perf-regression gate: compare a freshly-run `BENCH_*.json`
-    //! against a committed baseline.
+    //! The CI perf-regression gate: compare a freshly-run sweep against its
+    //! committed `BENCH_*.json` baseline.
     //!
-    //! Three classes of drift, per the tripwire contract:
-    //!
-    //! * **kernel identity** — any `identical_to_*` field that is `false` in
-    //!   the fresh run is a hard failure (a kernel diverged from its
-    //!   reference formulation);
-    //! * **modeled schedule** — the deterministic counters (words, messages,
-    //!   cache hits/misses, saved words) must match the baseline **exactly**;
-    //!   a schedule regression fails the build instead of drifting;
-    //! * **wall clock** — machine-dependent, so a slowdown beyond the
-    //!   tolerance only soft-warns.
+    //! What happens to a field is its [`Class`] in the fresh [`Record`] — the
+    //! schema is declared once, where the sweep measures: `identity` flags
+    //! must hold, `exact` counters must equal the baseline, `soft` seconds
+    //! only warn beyond the tolerance, `info` is never compared, and the
+    //! `key` fields match a baseline record to its fresh one.  A baseline
+    //! record, or a baseline field, that the fresh run no longer produces is
+    //! a hard failure.
 
     use crate::json::Value;
-
-    /// Counters that must match the committed baseline bit-for-bit: they are
-    /// functions of the (seeded, deterministic) modeled schedule, never of
-    /// the host.
-    const EXACT_FIELDS: &[&str] = &[
-        "words_per_epoch",
-        "words_total",
-        "messages",
-        "cache_hits",
-        "cache_misses",
-        "words_saved",
-        "items",
-        // Serving-tier counters (`BENCH_serve.json`): the open-loop trace is
-        // replayed in deterministic virtual time, so queue dynamics — how
-        // requests coalesce, shed, and hit the hot tier — are exact.
-        "requests_offered",
-        "requests_served",
-        "batches",
-        "coalescing_x1000",
-        "hot_hits",
-        "hot_misses",
-        "shed_admission",
-        "shed_timeout",
-        // Transport-calibration counters (`BENCH_transport.json`): both
-        // transports replay the same seeded schedule, so the wire bill and
-        // the cache's effect on it are exact on the socket backend too.
-        "epochs",
-        // Wire-compression counters (`BENCH_compress.json`): encoded bytes
-        // are a deterministic function of the fetched rows and the codec, so
-        // the byte books and the ×1000-scaled reduction ratio are exact.
-        "bytes_on_wire",
-        "bytes_saved",
-        "bytes_reduction_x1000",
-        // Dynamic-graph counters (`BENCH_dynamic.json`): the ingest schedule
-        // is seeded and the invalidation books are double-entry functions of
-        // it, so every ledger entry — and the words precise invalidation
-        // avoids refetching vs the flush-all baseline — is exact.
-        "ingest_ops",
-        "rows_invalidated",
-        "rows_retained",
-        "invalidation_words",
-        "retained_words",
-        "refetch_words_avoided",
-        // Auto-tuner counters (`BENCH_autotune.json`): the predicted columns
-        // are pure functions of the deterministic probe books, and the
-        // chosen schedule's knobs ride the key fields — choice drift or
-        // prediction drift hard-fails.
-        "overlap_on",
-        "candidates",
-        "predicted_words",
-        "predicted_bytes_on_wire",
-        "predicted_comm_ns",
-    ];
-
-    /// Measured wall-clock fields: slower-than-baseline beyond the tolerance
-    /// soft-warns (different machines legitimately differ).  Serving latency
-    /// percentiles ride the modeled service-time constants, which are tuning
-    /// knobs rather than schedule contracts — latency drift warns, the
-    /// counters above are what hard-fail.
-    const SOFT_FIELDS: &[&str] = &[
-        "wall_s",
-        "modeled_epoch_s",
-        "p50_s",
-        "p99_s",
-        "p999_s",
-        // Transport calibration: real-wire wall clock and the α–β constants
-        // fitted from it vary with the host; only their counters hard-fail.
-        "measured_epoch_s",
-        "fit_comm_epoch_s",
-        "fit_alpha_s",
-        "fit_beta_s_per_word",
-        // Auto-tuner seconds: both columns mix measured compute into the
-        // α–β model, so they drift with the host; the counters above and
-        // the chosen-schedule key fields are what hard-fail.
-        "predicted_epoch_s",
-        "realized_epoch_s",
-    ];
-
-    /// Fields identifying a record within its file (whichever are present).
-    const KEY_FIELDS: &[&str] = &[
-        "bench",
-        "kernel",
-        "threads",
-        "p",
-        "c",
-        "mode",
-        "policy",
-        "transport",
-        "codec",
-        "qps",
-        "window_us",
-    ];
+    use crate::record::{join_key, Class, Datum, Record};
 
     /// How bad one comparison finding is.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -648,48 +556,42 @@ pub mod check {
         findings.iter().all(|f| f.severity == Severity::Soft)
     }
 
-    /// The identity of one record: its key fields rendered `k=v`, joined.
-    fn record_key(record: &Value) -> String {
-        let mut parts = Vec::new();
-        for &key in KEY_FIELDS {
-            if let Some(v) = record.get(key) {
-                let rendered = match v {
-                    Value::Str(s) => s.clone(),
-                    Value::Num(x) => format!("{x}"),
-                    other => format!("{other:?}"),
-                };
-                parts.push(format!("{key}={rendered}"));
-            }
-        }
-        if parts.is_empty() {
-            "<unkeyed>".to_string()
-        } else {
-            parts.join(" ")
+    /// A baseline value as messages and keys show it.
+    fn show(value: &Value) -> String {
+        match value {
+            Value::Str(s) => s.clone(),
+            Value::Num(x) => format!("{x}"),
+            other => format!("{other:?}"),
         }
     }
 
-    /// Compares one fresh benchmark document against its committed baseline.
+    /// Compares one fresh sweep against the parsed baseline document.
     /// `label` names the file in messages; `wall_tolerance` is the allowed
     /// relative wall-clock regression (e.g. `0.5` = 50% slower) before a
     /// soft warning fires.
     pub fn compare_bench(
         label: &str,
         baseline: &Value,
-        fresh: &Value,
+        fresh: &[Record],
         wall_tolerance: f64,
     ) -> Vec<Finding> {
         let mut findings = Vec::new();
-        let empty: &[Value] = &[];
-        let base_records = baseline.get("records").and_then(Value::as_array).unwrap_or(empty);
-        let fresh_records = fresh.get("records").and_then(Value::as_array).unwrap_or(empty);
+        let base_records = baseline.get("records").and_then(Value::as_array).unwrap_or(&[]);
         if base_records.is_empty() {
             findings.push(Finding::hard(format!("{label}: baseline has no records to compare")));
             return findings;
         }
-
+        // Every record of a file carries the first record's schema
+        // (`record::write` refuses anything else), so its key fields are the
+        // file's.
+        let key_names: Vec<&str> = fresh.first().map_or(Vec::new(), |r| {
+            r.fields().iter().filter(|f| f.class == Class::Key).map(|f| &*f.name).collect()
+        });
         for base in base_records {
-            let key = record_key(base);
-            let Some(new) = fresh_records.iter().find(|r| record_key(r) == key) else {
+            let key = join_key(
+                key_names.iter().filter_map(|&name| base.get(name).map(|v| (name, show(v)))),
+            );
+            let Some(new) = fresh.iter().find(|r| r.key_string() == key) else {
                 findings.push(Finding::hard(format!(
                     "{label} [{key}]: record missing from the fresh run"
                 )));
@@ -699,8 +601,14 @@ pub mod check {
         }
         // Identity flags of *new* fresh records are still binding even when
         // the baseline predates them.
-        for new in fresh_records {
-            check_identity_flags(label, &record_key(new), new, &mut findings);
+        for new in fresh {
+            for field in new.broken_identities() {
+                findings.push(Finding::hard(format!(
+                    "{label} [{}] {} is false — a kernel diverged from its reference formulation",
+                    new.key_string(),
+                    field.name
+                )));
+            }
         }
         findings
     }
@@ -709,82 +617,66 @@ pub mod check {
         label: &str,
         key: &str,
         base: &Value,
-        new: &Value,
+        new: &Record,
         wall_tolerance: f64,
         findings: &mut Vec<Finding>,
     ) {
-        for &field in EXACT_FIELDS {
-            match (base.get(field).and_then(Value::as_f64), new.get(field).and_then(Value::as_f64))
-            {
-                (Some(want), Some(got)) if want != got => {
+        for field in new.fields() {
+            let Some(want) = base.get(&field.name) else { continue };
+            match (field.class, &field.value) {
+                (Class::Exact, got) if !got.equals(want) => {
                     findings.push(Finding::hard(format!(
-                        "{label} [{key}] {field}: expected {want}, measured {got} — the modeled \
-                         schedule changed"
+                        "{label} [{key}] {}: expected {}, measured {} — the modeled schedule \
+                         changed",
+                        field.name,
+                        show(want),
+                        got.cell()
                     )));
                 }
-                (Some(_), None) => findings.push(Finding::hard(format!(
-                    "{label} [{key}] {field}: present in baseline, missing from the fresh run"
-                ))),
+                (Class::Soft, Datum::Real(got)) => {
+                    let want = want.as_f64().unwrap_or(0.0);
+                    if want > 0.0 && *got > want * (1.0 + wall_tolerance) {
+                        findings.push(Finding::soft(format!(
+                            "{label} [{key}] {}: {got:.4}s vs baseline {want:.4}s \
+                             (> {:.0}% slower; machine-dependent, not failing the gate)",
+                            field.name,
+                            wall_tolerance * 100.0
+                        )));
+                    }
+                }
                 _ => {}
             }
         }
-        for &field in SOFT_FIELDS {
-            if let (Some(want), Some(got)) =
-                (base.get(field).and_then(Value::as_f64), new.get(field).and_then(Value::as_f64))
-            {
-                if want > 0.0 && got > want * (1.0 + wall_tolerance) {
-                    findings.push(Finding::soft(format!(
-                        "{label} [{key}] {field}: {got:.4}s vs baseline {want:.4}s \
-                         (> {:.0}% slower; machine-dependent, not failing the gate)",
-                        wall_tolerance * 100.0
-                    )));
-                }
-            }
-        }
-    }
-
-    fn check_identity_flags(label: &str, key: &str, record: &Value, findings: &mut Vec<Finding>) {
-        if let Value::Object(fields) = record {
-            for (name, value) in fields {
-                if (name.starts_with("identical") || name.ends_with("identical"))
-                    && value.as_bool() == Some(false)
-                {
+        if let Value::Object(fields) = base {
+            for (name, _) in fields {
+                if new.get(name).is_none() {
                     findings.push(Finding::hard(format!(
-                        "{label} [{key}] {name} is false — a kernel diverged from its \
-                         reference formulation"
+                        "{label} [{key}] {name}: present in baseline, missing from the fresh run"
                     )));
                 }
             }
         }
     }
 
-    /// Loads and compares `file` from two directories; a missing or
-    /// unparsable baseline is a hard finding (the gate must not silently
-    /// pass when its reference disappears), a missing fresh file means the
-    /// sweep did not run and is also hard.
+    /// Compares the fresh records of `file` against the committed copy in
+    /// `baseline_dir`; a missing or unparsable baseline is a hard finding
+    /// (the gate must not silently pass when its reference disappears).
     pub fn compare_file(
         baseline_dir: &std::path::Path,
-        fresh_dir: &std::path::Path,
         file: &str,
+        fresh: &[Record],
         wall_tolerance: f64,
     ) -> Vec<Finding> {
-        let load = |dir: &std::path::Path, what: &str| -> Result<Value, Finding> {
-            let path = dir.join(file);
-            let text = std::fs::read_to_string(&path).map_err(|e| {
-                Finding::hard(format!("{file}: cannot read {what} {}: {e}", path.display()))
-            })?;
-            Value::parse(&text)
-                .map_err(|e| Finding::hard(format!("{file}: {what} is not valid JSON: {e}")))
-        };
-        let baseline = match load(baseline_dir, "baseline") {
-            Ok(v) => v,
-            Err(f) => return vec![f],
-        };
-        let fresh = match load(fresh_dir, "fresh run") {
-            Ok(v) => v,
-            Err(f) => return vec![f],
-        };
-        compare_bench(file, &baseline, &fresh, wall_tolerance)
+        let path = baseline_dir.join(file);
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| format!("{file}: cannot read baseline {}: {e}", path.display()))
+            .and_then(|text| {
+                Value::parse(&text).map_err(|e| format!("{file}: baseline is not valid JSON: {e}"))
+            });
+        match baseline {
+            Ok(baseline) => compare_bench(file, &baseline, fresh, wall_tolerance),
+            Err(message) => vec![Finding::hard(message)],
+        }
     }
 
     #[cfg(test)]
@@ -795,17 +687,33 @@ pub mod check {
             Value::parse(&format!(
                 r#"{{"bench": "fetch_epoch", "records": [
                     {{"p": 4, "c": 2, "mode": "pinned", "words_per_epoch": {words},
-                      "messages": 96, "wall_s": {wall},
+                      "messages": 96, "wall_s": {wall}, "cache_hit_rate": 0.5,
                       "identical_to_uncached": {identical}}}
                 ]}}"#
             ))
             .unwrap()
         }
 
+        fn fresh(words: u64, wall: f64, identical: bool) -> Vec<Record> {
+            vec![Record::new()
+                .key("p", 4usize)
+                .key("c", 2usize)
+                .key("mode", "pinned")
+                .exact("words_per_epoch", words)
+                .exact("messages", 96usize)
+                .soft("wall_s", wall)
+                .info("cache_hit_rate", 0.5)
+                .identity("identical_to_uncached", identical)]
+        }
+
         #[test]
         fn identical_runs_pass() {
-            let findings =
-                compare_bench("BENCH_fetch.json", &doc(100, 0.5, true), &doc(100, 0.5, true), 0.5);
+            let findings = compare_bench(
+                "BENCH_fetch.json",
+                &doc(100, 0.5, true),
+                &fresh(100, 0.5, true),
+                0.5,
+            );
             assert!(findings.is_empty(), "{findings:?}");
             assert!(passes(&findings));
         }
@@ -814,8 +722,12 @@ pub mod check {
         fn injected_word_regression_hard_fails() {
             // The acceptance demonstration: a schedule regression (more words
             // on the wire than the committed baseline) fails the gate.
-            let findings =
-                compare_bench("BENCH_fetch.json", &doc(100, 0.5, true), &doc(140, 0.5, true), 0.5);
+            let findings = compare_bench(
+                "BENCH_fetch.json",
+                &doc(100, 0.5, true),
+                &fresh(140, 0.5, true),
+                0.5,
+            );
             assert!(!passes(&findings));
             assert!(findings
                 .iter()
@@ -824,8 +736,12 @@ pub mod check {
 
         #[test]
         fn broken_kernel_identity_hard_fails() {
-            let findings =
-                compare_bench("BENCH_fetch.json", &doc(100, 0.5, true), &doc(100, 0.5, false), 0.5);
+            let findings = compare_bench(
+                "BENCH_fetch.json",
+                &doc(100, 0.5, true),
+                &fresh(100, 0.5, false),
+                0.5,
+            );
             assert!(findings
                 .iter()
                 .any(|f| f.severity == Severity::Hard && f.message.contains("identical")));
@@ -833,47 +749,58 @@ pub mod check {
 
         #[test]
         fn wall_clock_regression_only_soft_warns() {
-            let findings =
-                compare_bench("BENCH_fetch.json", &doc(100, 0.5, true), &doc(100, 2.0, true), 0.5);
+            let findings = compare_bench(
+                "BENCH_fetch.json",
+                &doc(100, 0.5, true),
+                &fresh(100, 2.0, true),
+                0.5,
+            );
             assert_eq!(findings.len(), 1);
             assert_eq!(findings[0].severity, Severity::Soft);
             assert!(passes(&findings), "wall regressions must not fail the gate");
             // Within tolerance: silent.
-            assert!(compare_bench("f", &doc(100, 0.5, true), &doc(100, 0.7, true), 0.5).is_empty());
+            assert!(
+                compare_bench("f", &doc(100, 0.5, true), &fresh(100, 0.7, true), 0.5).is_empty()
+            );
         }
 
         #[test]
         fn serve_counter_drift_hard_fails_and_latency_soft_warns() {
-            let serve_doc = |coalescing: u64, p99: f64| {
-                Value::parse(&format!(
-                    r#"{{"bench": "serve_openloop", "records": [
-                        {{"qps": 8000, "window_us": 1000, "requests_offered": 512,
-                          "requests_served": 500, "batches": 156,
-                          "coalescing_x1000": {coalescing}, "hot_hits": 40,
-                          "hot_misses": 460, "shed_admission": 12, "shed_timeout": 0,
-                          "p99_s": {p99}, "identical_across_replays": true}}
-                    ]}}"#
-                ))
-                .unwrap()
+            let serve_doc = Value::parse(
+                r#"{"bench": "serve_openloop", "records": [
+                    {"qps": 8000, "window_us": 1000, "requests_offered": 512,
+                      "requests_served": 500, "batches": 156,
+                      "coalescing_x1000": 3200, "hot_hits": 40,
+                      "hot_misses": 460, "shed_admission": 12, "shed_timeout": 0,
+                      "p99_s": 0.002, "identical_across_replays": true}
+                ]}"#,
+            )
+            .unwrap();
+            let serve_fresh = |coalescing: u64, p99: f64| {
+                vec![Record::new()
+                    .key("qps", 8000usize)
+                    .key("window_us", 1000usize)
+                    .exact("requests_offered", 512usize)
+                    .exact("requests_served", 500usize)
+                    .exact("batches", 156usize)
+                    .exact("coalescing_x1000", coalescing)
+                    .exact("hot_hits", 40usize)
+                    .exact("hot_misses", 460usize)
+                    .exact("shed_admission", 12usize)
+                    .exact("shed_timeout", 0usize)
+                    .soft("p99_s", p99)
+                    .identity("identical_across_replays", true)]
             };
             // Queue-dynamics drift (coalescing factor moved): hard failure.
-            let findings = compare_bench(
-                "BENCH_serve.json",
-                &serve_doc(3200, 0.002),
-                &serve_doc(2100, 0.002),
-                0.5,
-            );
+            let findings =
+                compare_bench("BENCH_serve.json", &serve_doc, &serve_fresh(2100, 0.002), 0.5);
             assert!(!passes(&findings));
             assert!(findings
                 .iter()
                 .any(|f| f.severity == Severity::Hard && f.message.contains("coalescing_x1000")));
             // Latency drift alone: soft warning, gate still passes.
-            let findings = compare_bench(
-                "BENCH_serve.json",
-                &serve_doc(3200, 0.002),
-                &serve_doc(3200, 0.009),
-                0.5,
-            );
+            let findings =
+                compare_bench("BENCH_serve.json", &serve_doc, &serve_fresh(3200, 0.009), 0.5);
             assert!(passes(&findings));
             assert!(findings
                 .iter()
@@ -882,22 +809,32 @@ pub mod check {
 
         #[test]
         fn byte_book_drift_hard_fails_and_codec_keys_records() {
-            let compress_doc = |codec: &str, bytes: u64, saved: u64| {
-                Value::parse(&format!(
-                    r#"{{"bench": "compress_fetch", "records": [
-                        {{"p": 4, "c": 2, "codec": "{codec}", "words_per_epoch": 4096,
-                          "bytes_on_wire": {bytes}, "bytes_saved": {saved},
-                          "bytes_reduction_x1000": 3831, "wall_s": 0.01,
-                          "identical_to_exact_schedule": true}}
-                    ]}}"#
-                ))
-                .unwrap()
+            let compress_doc = Value::parse(
+                r#"{"bench": "compress_fetch", "records": [
+                    {"p": 4, "c": 2, "codec": "int8", "words_per_epoch": 4096,
+                      "bytes_on_wire": 8552, "bytes_saved": 24216,
+                      "bytes_reduction_x1000": 3831, "wall_s": 0.01,
+                      "identical_to_exact_schedule": true}
+                ]}"#,
+            )
+            .unwrap();
+            let compress_fresh = |codec: &str, bytes: u64, saved: u64| {
+                vec![Record::new()
+                    .key("p", 4usize)
+                    .key("c", 2usize)
+                    .key("codec", codec)
+                    .exact("words_per_epoch", 4096usize)
+                    .exact("bytes_on_wire", bytes)
+                    .exact("bytes_saved", saved)
+                    .exact("bytes_reduction_x1000", 3831usize)
+                    .soft("wall_s", 0.01)
+                    .identity("identical_to_exact_schedule", true)]
             };
             // A moved byte book is a schedule regression: hard failure.
             let findings = compare_bench(
                 "BENCH_compress.json",
-                &compress_doc("int8", 8552, 24216),
-                &compress_doc("int8", 9552, 23216),
+                &compress_doc,
+                &compress_fresh("int8", 9552, 23216),
                 0.5,
             );
             assert!(!passes(&findings));
@@ -910,8 +847,8 @@ pub mod check {
             // A different codec is a different record, not a drifted one.
             let findings = compare_bench(
                 "BENCH_compress.json",
-                &compress_doc("int8", 8552, 24216),
-                &compress_doc("fp16", 8552, 24216),
+                &compress_doc,
+                &compress_fresh("fp16", 8552, 24216),
                 0.5,
             );
             assert!(findings.iter().any(|f| f.message.contains("missing from the fresh run")));
@@ -920,14 +857,38 @@ pub mod check {
         #[test]
         fn missing_record_and_empty_baseline_hard_fail() {
             let empty = Value::parse(r#"{"records": []}"#).unwrap();
-            let findings = compare_bench("f", &empty, &doc(100, 0.5, true), 0.5);
+            let findings = compare_bench("f", &empty, &fresh(100, 0.5, true), 0.5);
             assert!(!passes(&findings));
             let other_key = Value::parse(
                 r#"{"records": [{"p": 8, "c": 4, "mode": "pinned", "words_per_epoch": 1}]}"#,
             )
             .unwrap();
-            let findings = compare_bench("f", &other_key, &doc(100, 0.5, true), 0.5);
+            let findings = compare_bench("f", &other_key, &fresh(100, 0.5, true), 0.5);
             assert!(findings.iter().any(|f| f.message.contains("missing from the fresh run")));
+        }
+
+        #[test]
+        fn info_drift_is_silent_and_a_dropped_baseline_field_hard_fails() {
+            let build = |with_messages: bool, hit_rate: f64| {
+                let r = Record::new()
+                    .key("p", 4usize)
+                    .key("c", 2usize)
+                    .key("mode", "pinned")
+                    .exact("words_per_epoch", 100usize);
+                let r = if with_messages { r.exact("messages", 96usize) } else { r };
+                vec![r
+                    .soft("wall_s", 0.5)
+                    .info("cache_hit_rate", hit_rate)
+                    .identity("identical_to_uncached", true)]
+            };
+            // `cache_hit_rate` is `info`: 0.5 in the baseline, 0.9 fresh.
+            assert!(compare_bench("f", &doc(100, 0.5, true), &build(true, 0.9), 0.5).is_empty());
+            // The fresh schema lost `messages`: the baseline's number is no
+            // longer re-derived, whatever its class was.
+            let findings = compare_bench("f", &doc(100, 0.5, true), &build(false, 0.5), 0.5);
+            assert!(!passes(&findings));
+            assert!(findings.iter().any(|f| f.message.contains("messages")
+                && f.message.contains("missing from the fresh run")));
         }
     }
 }

@@ -40,7 +40,7 @@
 //! The searched grid is deliberately the *schedule* knobs at a fixed
 //! `(p, c)` shape — the knobs a built session can change without resampling
 //! or repartitioning.  The remaining knobs ((p, c) itself, bulk group size,
-//! gradient top-k, parallelism, workspace reuse) are covered knob-by-knob in
+//! gradient top-k, parallelism) are covered knob-by-knob in
 //! the repository's `TUNING.md` guide.
 
 use crate::codec::Codec;

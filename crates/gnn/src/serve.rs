@@ -293,9 +293,6 @@ pub struct ServingConfig {
     /// Shared-memory parallelism of the sampling kernels on the request
     /// path.
     pub parallelism: Parallelism,
-    /// Reuse the thread-local SpGEMM/extraction workspace across requests
-    /// and micro-bulks (see [`BulkSamplerConfig::workspace_reuse`]).
-    pub workspace_reuse: bool,
     /// Upper bound in bytes on the thread-local kernel workspace kept
     /// resident between micro-bulks; past it the scratch is released
     /// ([`dmbs_matrix::workspace::trim_thread_workspace`]).  `usize::MAX`
@@ -319,7 +316,6 @@ impl Default for ServingConfig {
             seconds_per_request: 2.0e-5,
             seconds_per_edge: 5.0e-8,
             parallelism: Parallelism::serial(),
-            workspace_reuse: true,
             workspace_byte_bound: usize::MAX,
         }
     }
@@ -680,12 +676,8 @@ impl<S: Sampler> ServingSession<S> {
                 seed: request_stream_seed(self.config.seed, r.id),
             })
             .collect();
-        let bulk_cfg = BulkSamplerConfig {
-            batch_size: 1,
-            bulk_size: 1,
-            parallelism: self.config.parallelism,
-            workspace_reuse: self.config.workspace_reuse,
-        };
+        let bulk_cfg =
+            BulkSamplerConfig { batch_size: 1, bulk_size: 1, parallelism: self.config.parallelism };
         let micro = sample_micro_bulk(
             &self.sampler,
             self.dataset.graph.adjacency(),
@@ -778,7 +770,7 @@ impl<S: Sampler> ServingSession<S> {
             self.hot_pinned_version = self.graph_version;
             self.batches_since_warm = 0;
         }
-        if self.config.workspace_reuse && self.config.workspace_byte_bound != usize::MAX {
+        if self.config.workspace_byte_bound != usize::MAX {
             trim_thread_workspace(self.config.workspace_byte_bound);
         }
         let service = self.modeled_service_seconds(k, micro.total_edges(), charged_words);

@@ -348,7 +348,6 @@ pub struct SessionBuilder<S, B> {
     batch_size: Option<usize>,
     bulk_size: Option<usize>,
     parallelism: Option<Parallelism>,
-    workspace_reuse: Option<bool>,
     /// Everything else, with its defaults; the setters write straight into
     /// it.  `batch_size`, `bulk_size` and `parallelism` stay unresolved
     /// (zero / serial) until `build` fills them from the overrides above.
@@ -364,7 +363,6 @@ impl<S, B> Default for SessionBuilder<S, B> {
             batch_size: None,
             bulk_size: None,
             parallelism: None,
-            workspace_reuse: None,
             config: SessionConfig {
                 batch_size: 0,
                 bulk_size: 0,
@@ -484,20 +482,6 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// `stream_is_invariant_under_parallelism` test.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = Some(parallelism);
-        self
-    }
-
-    /// Whether the sampling kernels reuse the thread-local SpGEMM/extraction
-    /// scratch workspace across kernel calls (default: the backend's own
-    /// setting, reuse on).  Reuse spans every layer, minibatch and bulk
-    /// group sampled on one thread; the streaming path spawns one sampling
-    /// worker per epoch, so its workspace regrows once per epoch, while the
-    /// distributed training path keeps each rank's workspace alive for the
-    /// whole run.  Like [`SessionBuilder::parallelism`], this knob never
-    /// changes what is sampled or trained — it only removes per-call scratch
-    /// allocation from the probability and extraction steps.
-    pub fn workspace_reuse(mut self, reuse: bool) -> Self {
-        self.workspace_reuse = Some(reuse);
         self
     }
 
@@ -666,12 +650,6 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
         // otherwise the backend keeps whatever it was configured with.
         let backend = match self.parallelism {
             Some(parallelism) => backend.with_parallelism(parallelism),
-            None => backend,
-        };
-        // Likewise for workspace reuse: an explicit session-level setting
-        // overrides the backend's.
-        let backend = match self.workspace_reuse {
-            Some(reuse) => backend.with_workspace_reuse(reuse),
             None => backend,
         };
         let config = SessionConfig {

@@ -44,9 +44,10 @@ pub const TRAIN_WORKER: &str = "dmbs.gnn.train";
 /// Job format version, rejected on mismatch so a stale binary fails fast
 /// instead of misdecoding.  v2 added the wire codec and the top-k gradient
 /// compression knob to the session config; v3 added the dynamic-graph ingest
-/// schedule (per-epoch edge batches, ingest mode, invalidation policy).
+/// schedule (per-epoch edge batches, ingest mode, invalidation policy); v4
+/// dropped the workspace-reuse byte of the bulk config (the knob is gone).
 /// Bump it whenever `job_layout_is_pinned` has to be re-pinned.
-const JOB_VERSION: u64 = 3;
+const JOB_VERSION: u64 = 4;
 
 /// The worker registry of this crate: currently the single
 /// [`TRAIN_WORKER`].  Pass it to [`dmbs_comm::run_if_worker`] at the top of
@@ -197,7 +198,6 @@ fn encode_backend_spec(out: &mut Vec<u8>, spec: &BackendSpec) {
     put_usize(out, dist.bulk.batch_size);
     put_usize(out, dist.bulk.bulk_size);
     put_usize(out, dist.bulk.parallelism.threads());
-    dist.bulk.workspace_reuse.encode(out);
 }
 
 fn decode_backend_spec(input: &mut &[u8]) -> Option<BackendSpec> {
@@ -208,7 +208,6 @@ fn decode_backend_spec(input: &mut &[u8]) -> Option<BackendSpec> {
         batch_size: get_usize(input)?,
         bulk_size: get_usize(input)?,
         parallelism: Parallelism::new(get_usize(input)?),
-        workspace_reuse: bool::decode(input)?,
     };
     let dist = DistConfig::new(ranks, replication_c, bulk);
     Some(match tag {
@@ -517,14 +516,13 @@ mod tests {
 
     #[test]
     fn job_layout_is_pinned() {
-        // Length and FNV-1a fold of the `session(5)` job as encoded before
-        // the codec was recomposed from `Payload` impls.  A change here is a
-        // layout change: bump JOB_VERSION, then re-pin.
+        // Length and FNV-1a fold of the `session(5)` job at JOB_VERSION 4.
+        // A change here is a layout change: bump JOB_VERSION, then re-pin.
         let job = encode_train_job(&session(5)).unwrap();
         let fnv = job.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((job.len(), fnv), (55_720, 0x541d_8e6e_a423_8059));
+        assert_eq!((job.len(), fnv), (55_712, 0xf65f_36cf_832e_acfb));
     }
 
     /// Byte length of the session-config tail of a `session(..)` job: ten

@@ -85,7 +85,7 @@ pub fn extract_rows(
 ) -> Result<CsrMatrix> {
     // Fresh exact-size output buffers: the result belongs to the caller for
     // as long as it likes, so it must not pin a recycled (larger) allocation.
-    with_workspace(true, |ws| {
+    with_workspace(|ws| {
         gather_rows(a, selected, parallelism, &mut ws.counts, Vec::new(), Vec::new())
     })
 }
@@ -253,7 +253,7 @@ fn gather_block(
 /// # }
 /// ```
 pub fn extract_columns_masked(a: &CsrMatrix, cols: &[usize]) -> Result<CsrMatrix> {
-    with_workspace(true, |ws| extract_columns_masked_with(a, cols, ws))
+    with_workspace(|ws| extract_columns_masked_with(a, cols, ws))
 }
 
 /// [`extract_columns_masked`] with an explicit scratch workspace (the column
@@ -556,13 +556,13 @@ mod tests {
         // The plain entry point's result is the caller's to keep: it never
         // takes the spare of this thread's workspace.
         let all: Vec<usize> = (0..64).collect();
-        let spare = with_workspace(true, |ws| {
+        let spare = with_workspace(|ws| {
             ws.recycle(a.gather_rows(&all).unwrap());
             ws.spare_indices.as_ptr()
         });
         let kept = extract_rows(&a, &[3], Parallelism::serial()).unwrap();
         assert_ne!(kept.indices().as_ptr(), spare);
-        assert_eq!(with_workspace(true, |ws| ws.spare_indices.as_ptr()), spare);
+        assert_eq!(with_workspace(|ws| ws.spare_indices.as_ptr()), spare);
         crate::workspace::trim_thread_workspace(0);
     }
 

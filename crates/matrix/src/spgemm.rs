@@ -133,7 +133,7 @@ pub fn spgemm_parallel(
     rhs: &CsrMatrix,
     parallelism: Parallelism,
 ) -> Result<CsrMatrix> {
-    with_workspace(true, |ws| spgemm_parallel_with(lhs, rhs, parallelism, ws))
+    with_workspace(|ws| spgemm_parallel_with(lhs, rhs, parallelism, ws))
 }
 
 /// [`spgemm_parallel`] with an explicit scratch workspace.

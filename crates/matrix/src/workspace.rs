@@ -1,9 +1,9 @@
 //! Reusable scratch memory for the SpGEMM and extraction kernels.
 //!
-//! PR 2's perf trajectory (`BENCH_spgemm.json`) showed that on this class of
-//! workload the measurable wins come from *allocation and work avoidance*,
-//! not thread count: the two-pass SpGEMM's advantage over the serial
-//! `from_rows` path was its preallocated output buffers.  This module pushes
+//! PR 2's perf trajectory (`perf_baseline`'s SpGEMM sweep) showed that on
+//! this class of workload the measurable wins come from *allocation and work
+//! avoidance*, not thread count: the two-pass SpGEMM's advantage over the
+//! serial `from_rows` path was its preallocated output buffers.  This module pushes
 //! that one level further: the per-row dense accumulators, marker arrays,
 //! column masks and symbolic-count scratch that every SpGEMM / extraction
 //! call needs are collected into one [`SpgemmWorkspace`] that is **reused
@@ -23,9 +23,10 @@
 //! * [`with_workspace`] borrows a **thread-local** workspace (the common
 //!   case), so the plain entry points (`spgemm_parallel`, `extract_rows`,
 //!   `extract_columns_masked`) stop paying per-call allocation without any
-//!   caller cooperation.  The `workspace_reuse` knob on
-//!   `BulkSamplerConfig` (threaded through the sampling backends and
-//!   `TrainingSession`) selects between the two.
+//!   caller cooperation.  The samplers use it too: every sampling path
+//!   runs on the thread-local workspace, and a long-lived thread that must
+//!   bound its resident scratch (the serving tier) calls
+//!   [`trim_thread_workspace`] between calls.
 //!
 //! The workspace also takes back the output buffers of a row gather the
 //! caller is done with ([`SpgemmWorkspace::recycle`]), which the next
@@ -204,15 +205,9 @@ thread_local! {
     static THREAD_WORKSPACE: RefCell<SpgemmWorkspace> = RefCell::new(SpgemmWorkspace::new());
 }
 
-/// Runs `f` with a scratch workspace.
-///
-/// With `reuse = true` (what the plain kernel entry points use), `f` borrows
-/// this thread's long-lived workspace, so scratch allocated by one call is
-/// reused by the next — across sampling layers, minibatches and epochs on
-/// the same thread.  With `reuse = false`, `f` gets a fresh workspace that
-/// is dropped afterwards, bounding kernel memory to a single call at the
-/// cost of per-call allocation (the `workspace_reuse` knob of
-/// `BulkSamplerConfig` maps directly onto this flag).
+/// Runs `f` with this thread's long-lived scratch workspace, so scratch
+/// allocated by one call is reused by the next — across sampling layers,
+/// minibatches and epochs on the same thread.
 ///
 /// Re-entrant use (calling `with_workspace` while already inside it on the
 /// same thread) falls back to a fresh workspace rather than aliasing the
@@ -223,22 +218,18 @@ thread_local! {
 /// ```
 /// use dmbs_matrix::workspace::with_workspace;
 ///
-/// let grew = with_workspace(true, |ws| {
+/// let grew = with_workspace(|ws| {
 ///     // Kernels grow the workspace; it persists for this thread.
 ///     ws.nbytes()
 /// });
-/// assert!(grew == with_workspace(true, |ws| ws.nbytes()));
+/// assert!(grew == with_workspace(|ws| ws.nbytes()));
 /// ```
-pub fn with_workspace<R>(reuse: bool, f: impl FnOnce(&mut SpgemmWorkspace) -> R) -> R {
-    if reuse {
-        THREAD_WORKSPACE.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut ws) => f(&mut ws),
-            // Re-entrant call: never alias the outer borrow.
-            Err(_) => f(&mut SpgemmWorkspace::new()),
-        })
-    } else {
-        f(&mut SpgemmWorkspace::new())
-    }
+pub fn with_workspace<R>(f: impl FnOnce(&mut SpgemmWorkspace) -> R) -> R {
+    THREAD_WORKSPACE.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut ws) => f(&mut ws),
+        // Re-entrant call: never alias the outer borrow.
+        Err(_) => f(&mut SpgemmWorkspace::new()),
+    })
 }
 
 /// Applies [`SpgemmWorkspace::shrink_if_larger`] to this thread's long-lived
@@ -303,14 +294,14 @@ mod tests {
 
     #[test]
     fn thread_workspace_trims_past_the_bound() {
-        with_workspace(true, |ws| ws.counts.resize(4096, 0));
-        let held = with_workspace(true, |ws| ws.nbytes());
+        with_workspace(|ws| ws.counts.resize(4096, 0));
+        let held = with_workspace(|ws| ws.nbytes());
         assert!(held > 0);
         // A generous bound leaves the scratch resident…
         assert_eq!(trim_thread_workspace(usize::MAX), held);
         // …and a zero bound releases it.
         assert_eq!(trim_thread_workspace(0), 0);
-        assert_eq!(with_workspace(true, |ws| ws.nbytes()), 0);
+        assert_eq!(with_workspace(|ws| ws.nbytes()), 0);
     }
 
     #[test]
@@ -327,21 +318,19 @@ mod tests {
 
     #[test]
     fn with_workspace_reuses_thread_local() {
-        let before = with_workspace(true, |ws| {
+        let before = with_workspace(|ws| {
             ws.counts.resize(128, 0);
             ws.nbytes()
         });
-        let after = with_workspace(true, |ws| ws.nbytes());
+        let after = with_workspace(|ws| ws.nbytes());
         assert_eq!(before, after);
-        // Fresh workspaces start empty.
-        assert_eq!(with_workspace(false, |ws| ws.nbytes()), 0);
     }
 
     #[test]
     fn with_workspace_is_reentrant_safe() {
-        let v = with_workspace(true, |outer| {
+        let v = with_workspace(|outer| {
             outer.counts.resize(4, 0);
-            with_workspace(true, |inner| inner.nbytes())
+            with_workspace(|inner| inner.nbytes())
         });
         // The inner call fell back to a fresh workspace.
         assert_eq!(v, 0);

@@ -100,14 +100,6 @@ impl DistConfig {
         self
     }
 
-    /// Returns this configuration with every rank's kernel workspace reuse
-    /// switched on or off — shorthand for setting
-    /// [`BulkSamplerConfig::workspace_reuse`].
-    pub fn with_workspace_reuse(mut self, reuse: bool) -> Self {
-        self.bulk.workspace_reuse = reuse;
-        self
-    }
-
     /// Rejects zero ranks, zero/non-dividing replication and zero bulk
     /// fields with typed errors.
     ///
@@ -269,13 +261,6 @@ pub trait SamplingBackend {
     where
         Self: Sized;
 
-    /// Returns this backend with kernel workspace reuse switched on or off
-    /// (see [`BulkSamplerConfig::workspace_reuse`]).  Like parallelism, the
-    /// setting never changes what is sampled.
-    fn with_workspace_reuse(self, reuse: bool) -> Self
-    where
-        Self: Sized;
-
     /// The simulated runtime, when the backend is distributed.
     fn runtime(&self) -> Option<&Runtime> {
         None
@@ -404,11 +389,6 @@ impl SamplingBackend for LocalBackend {
         self
     }
 
-    fn with_workspace_reuse(mut self, reuse: bool) -> Self {
-        self.bulk.workspace_reuse = reuse;
-        self
-    }
-
     fn sample_epoch<S: Sampler + Sync>(
         &self,
         sampler: &S,
@@ -500,11 +480,6 @@ impl SamplingBackend for ReplicatedBackend {
 
     fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.dist.bulk.parallelism = parallelism;
-        self
-    }
-
-    fn with_workspace_reuse(mut self, reuse: bool) -> Self {
-        self.dist.bulk.workspace_reuse = reuse;
         self
     }
 
@@ -665,7 +640,6 @@ impl Partitioned1p5dBackend {
                 my_batches: &my_batches,
                 seed,
                 parallelism: self.dist.bulk.parallelism,
-                workspace_reuse: self.dist.bulk.workspace_reuse,
             };
             sampler.sample_partitioned(&mut ctx)
         })?;
@@ -699,11 +673,6 @@ impl SamplingBackend for Partitioned1p5dBackend {
 
     fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.dist.bulk.parallelism = parallelism;
-        self
-    }
-
-    fn with_workspace_reuse(mut self, reuse: bool) -> Self {
-        self.dist.bulk.workspace_reuse = reuse;
         self
     }
 
@@ -785,7 +754,6 @@ impl SamplingBackend for Partitioned1p5dBackend {
             my_batches: &my_batches,
             seed,
             parallelism: self.dist.bulk.parallelism,
-            workspace_reuse: self.dist.bulk.workspace_reuse,
         };
         let out = sampler.sample_partitioned(&mut ctx)?;
 
@@ -1007,60 +975,30 @@ mod tests {
     }
 
     #[test]
-    fn bulk_output_is_invariant_under_workspace_reuse() {
-        // Workspace reuse is a pure allocation strategy: every backend must
-        // sample byte-identical minibatches with it on or off, for every
-        // sampler, at serial and parallel thread counts.
-        let a = random_graph(6, 5, 11);
-        let n = a.rows();
-        let batches: Vec<Vec<usize>> = (0..4).map(|i| vec![i * 9 % n, (i * 17 + 2) % n]).collect();
-        let sage = GraphSageSampler::new(vec![3, 2]);
-        let ladies = LadiesSampler::new(2, 6);
-        let fastgcn = FastGcnSampler::new(2, 6);
-        for threads in [1usize, 4] {
+    fn stale_scratch_never_leaks_into_a_result() {
+        // The thread-local workspace is a pure allocation strategy: an epoch
+        // sampled on a thread whose workspace a differently-shaped epoch has
+        // already grown must equal the same epoch sampled on a freshly
+        // spawned thread (whose workspace starts empty), for every sampler,
+        // at serial and parallel thread counts.
+        fn check<S: Sampler + Sync>(sampler: &S, threads: usize) {
+            let a = random_graph(6, 5, 11);
+            let n = a.rows();
+            let batches: Vec<Vec<usize>> =
+                (0..4).map(|i| vec![i * 9 % n, (i * 17 + 2) % n]).collect();
             let bulk = BulkSamplerConfig::new(2, 4).with_parallelism(Parallelism::new(threads));
-            let local_reuse = LocalBackend::new(bulk).unwrap();
-            let local_fresh = LocalBackend::new(bulk).unwrap().with_workspace_reuse(false);
-            assert!(local_reuse.bulk().workspace_reuse);
-            assert!(!local_fresh.bulk().workspace_reuse);
-            macro_rules! check {
-                ($sampler:expr) => {
-                    assert_eq!(
-                        local_reuse
-                            .sample_epoch($sampler, &a, &batches, 5)
-                            .unwrap()
-                            .output
-                            .minibatches,
-                        local_fresh
-                            .sample_epoch($sampler, &a, &batches, 5)
-                            .unwrap()
-                            .output
-                            .minibatches,
-                        "threads = {threads}"
-                    );
-                };
-            }
-            check!(&sage);
-            check!(&ladies);
-            check!(&fastgcn);
+            let backend = LocalBackend::new(bulk).unwrap();
+            let epoch = || backend.sample_epoch(sampler, &a, &batches, 5).unwrap().output;
+            let fresh = std::thread::scope(|scope| scope.spawn(epoch).join().unwrap());
+            let wider = random_graph(8, 7, 3);
+            let wide_batches: Vec<Vec<usize>> = (0..3).map(|i| vec![i * 31, i * 57 + 1]).collect();
+            backend.sample_epoch(sampler, &wider, &wide_batches, 9).unwrap();
+            assert_eq!(epoch().minibatches, fresh.minibatches, "threads = {threads}");
         }
-        // The partitioned backend threads the knob into the rank bodies.
-        let bulk = BulkSamplerConfig::new(2, 4);
-        let part_reuse = Partitioned1p5dBackend::new(DistConfig::new(4, 2, bulk)).unwrap();
-        let part_fresh = Partitioned1p5dBackend::new(DistConfig::new(4, 2, bulk))
-            .unwrap()
-            .with_workspace_reuse(false);
-        for epochs in [
-            (
-                part_reuse.sample_epoch(&ladies, &a, &batches, 5).unwrap(),
-                part_fresh.sample_epoch(&ladies, &a, &batches, 5).unwrap(),
-            ),
-            (
-                part_reuse.sample_epoch(&fastgcn, &a, &batches, 5).unwrap(),
-                part_fresh.sample_epoch(&fastgcn, &a, &batches, 5).unwrap(),
-            ),
-        ] {
-            assert_eq!(epochs.0.output.minibatches, epochs.1.output.minibatches);
+        for threads in [1usize, 4] {
+            check(&GraphSageSampler::new(vec![3, 2]), threads);
+            check(&LadiesSampler::new(2, 6), threads);
+            check(&FastGcnSampler::new(2, 6), threads);
         }
     }
 

@@ -129,7 +129,7 @@ impl Sampler for FastGcnSampler {
                 // edge weight and never arise from the graph generators.
                 let layer =
                     profile.time_compute(Phase::Extraction, || -> Result<LayerSample> {
-                        let a_s = with_workspace(config.workspace_reuse, |ws| {
+                        let a_s = with_workspace(|ws| {
                             let rows_matrix =
                                 extract_rows_with(adjacency, &frontier, parallelism, ws)?;
                             extract_columns_masked_with(&rows_matrix, &sampled, ws)
@@ -156,7 +156,6 @@ impl Sampler for FastGcnSampler {
             self.num_layers,
             self.samples_per_layer,
             ctx.seed,
-            ctx.workspace_reuse,
         )
     }
 }

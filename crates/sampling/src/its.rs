@@ -31,10 +31,6 @@
 //! formulation survives as the `#[cfg(test)]` oracle: both kernels are held to
 //! the exact successive-sampling inclusion probabilities by a chi-square
 //! test.
-//!
-//! Rejection sampling *from the full distribution* (no rescan, duplicates
-//! discarded afterwards) is the alternative the paper argues against; it is
-//! kept as [`rejection_without_replacement`] for the ITS-vs-rejection bench.
 
 use crate::error::SamplingError;
 use crate::Result;
@@ -174,44 +170,6 @@ pub fn its_with_replacement<R: Rng + ?Sized>(
         return Err(SamplingError::InvalidConfig("all weights are zero".into()));
     }
     Ok((0..s).map(|_| upper_bound(&scan, rng.gen::<f64>() * total)).collect())
-}
-
-/// Draws up to `s` distinct positions without replacement using **rejection
-/// sampling**: repeatedly draw from the full distribution and discard
-/// duplicates.  Provided for the ITS-vs-rejection ablation; may loop many
-/// times when `s` approaches the support size, which is exactly the
-/// disadvantage the paper cites.
-///
-/// # Errors
-///
-/// Returns [`SamplingError::InvalidConfig`] if `s == 0`.
-pub fn rejection_without_replacement<R: Rng + ?Sized>(
-    weights: &[f64],
-    s: usize,
-    rng: &mut R,
-) -> Result<Vec<usize>> {
-    if s == 0 {
-        return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
-    }
-    let support: Vec<usize> = (0..weights.len()).filter(|&i| weights[i] > 0.0).collect();
-    if support.len() <= s {
-        return Ok(support);
-    }
-    let scan = inclusive_scan(weights);
-    let total = *scan.last().expect("non-empty");
-    let mut chosen = std::collections::BTreeSet::new();
-    // Cap iterations to avoid pathological loops; fall back to ITS if hit.
-    let max_draws = 64 * s.max(1);
-    let mut draws = 0;
-    while chosen.len() < s && draws < max_draws {
-        let pos = upper_bound(&scan, rng.gen::<f64>() * total);
-        chosen.insert(pos);
-        draws += 1;
-    }
-    if chosen.len() < s {
-        return its_without_replacement(weights, s, rng);
-    }
-    Ok(chosen.into_iter().collect())
 }
 
 /// The RNG seed of `row`'s private stream under `base_seed` — a splitmix64
@@ -583,22 +541,6 @@ mod tests {
         assert!(its_with_replacement(&[], 2, &mut rng).is_err());
         assert!(its_with_replacement(&[0.0, 0.0], 2, &mut rng).is_err());
         assert!(its_with_replacement(&[1.0], 0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn rejection_matches_its_semantics() {
-        let weights = vec![1.0, 2.0, 3.0, 4.0, 5.0, 0.0];
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..20 {
-            let picked = rejection_without_replacement(&weights, 3, &mut rng).unwrap();
-            assert_eq!(picked.len(), 3);
-            assert!(picked.iter().all(|&i| weights[i] > 0.0));
-            assert!(picked.windows(2).all(|w| w[0] < w[1]));
-        }
-        // Small support returns everything.
-        let few = rejection_without_replacement(&[1.0, 0.0, 1.0], 5, &mut rng).unwrap();
-        assert_eq!(few, vec![0, 2]);
-        assert!(rejection_without_replacement(&[1.0], 0, &mut rng).is_err());
     }
 
     #[test]

@@ -160,9 +160,8 @@ impl Sampler for LadiesSampler {
                 // The indicator rows carry several nonzeros each, so this is
                 // a genuine SpGEMM (the general tier); the workspace keeps
                 // its accumulators across layers and bulk groups.
-                let mut p = with_workspace(config.workspace_reuse, |ws| {
-                    spgemm_parallel_with(&q, adjacency, parallelism, ws)
-                })?;
+                let mut p =
+                    with_workspace(|ws| spgemm_parallel_with(&q, adjacency, parallelism, ws))?;
                 Self::norm(&mut p);
                 Ok(p)
             })?;
@@ -189,7 +188,7 @@ impl Sampler for LadiesSampler {
                     stacked_rows.extend_from_slice(frontier);
                     offsets.push(stacked_rows.len());
                 }
-                let a_r = with_workspace(config.workspace_reuse, |ws| {
+                let a_r = with_workspace(|ws| {
                     extract_rows_with(adjacency, &stacked_rows, parallelism, ws)
                 })?;
 
@@ -207,9 +206,7 @@ impl Sampler for LadiesSampler {
                     // Column extraction: masked filter renumbering into the
                     // sampled vertex space (replaces the hypersparse CSC
                     // selection SpGEMM of §8.2.2).
-                    let a_s = with_workspace(config.workspace_reuse, |ws| {
-                        extract_columns_masked_with(&block, &cols, ws)
-                    })?;
+                    let a_s = with_workspace(|ws| extract_columns_masked_with(&block, &cols, ws))?;
                     layers[i].push(LayerSample::new(frontier.clone(), cols.clone(), a_s));
                     *frontier = cols;
                 }
@@ -240,7 +237,6 @@ impl Sampler for LadiesSampler {
             self.samples_per_layer,
             ctx.seed,
             ctx.parallelism,
-            ctx.workspace_reuse,
         )
     }
 }

@@ -104,12 +104,7 @@ pub fn sample_micro_bulk<S: Sampler + ?Sized>(
             "a micro-bulk needs at least one request".into(),
         ));
     }
-    let one = BulkSamplerConfig {
-        batch_size: 1,
-        bulk_size: 1,
-        parallelism: config.parallelism,
-        workspace_reuse: config.workspace_reuse,
-    };
+    let one = BulkSamplerConfig { batch_size: 1, bulk_size: 1, parallelism: config.parallelism };
     let mut samples = Vec::with_capacity(requests.len());
     let mut profile = PhaseProfile::new();
     for request in requests {
@@ -205,9 +200,7 @@ mod tests {
             &sampler,
             g.adjacency(),
             &reqs,
-            &BulkSamplerConfig::new(1, 1)
-                .with_parallelism(Parallelism::new(4))
-                .with_workspace_reuse(false),
+            &BulkSamplerConfig::new(1, 1).with_parallelism(Parallelism::new(4)),
         )
         .unwrap();
         assert_eq!(base.samples, tuned.samples);

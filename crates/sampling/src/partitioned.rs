@@ -294,7 +294,6 @@ pub(crate) fn ladies_on_rank(
     samples_per_layer: usize,
     seed: u64,
     parallelism: Parallelism,
-    workspace_reuse: bool,
 ) -> Result<BulkSampleOutput> {
     if num_layers == 0 || samples_per_layer == 0 {
         return Err(SamplingError::InvalidConfig(
@@ -387,9 +386,7 @@ pub(crate) fn ladies_on_rank(
                     let block = a_r.row_block(offsets[i], offsets[i + 1]);
                     // Bitmap-masked column filter, byte-identical to the
                     // hypersparse CSC selection SpGEMM (§8.2.2) it replaces.
-                    let a_s = with_workspace(workspace_reuse, |ws| {
-                        extract_columns_masked_with(&block, &cols, ws)
-                    })?;
+                    let a_s = with_workspace(|ws| extract_columns_masked_with(&block, &cols, ws))?;
                     out.push((i, (frontiers[i].clone(), cols, a_s.iter().collect())));
                 }
                 Ok(out)
@@ -446,7 +443,6 @@ pub(crate) fn fastgcn_on_rank(
     num_layers: usize,
     samples_per_layer: usize,
     seed: u64,
-    workspace_reuse: bool,
 ) -> Result<BulkSampleOutput> {
     if num_layers == 0 || samples_per_layer == 0 {
         return Err(SamplingError::InvalidConfig(
@@ -512,7 +508,7 @@ pub(crate) fn fastgcn_on_rank(
         profile.time_compute(Phase::Extraction, || -> Result<()> {
             for (i, frontier) in frontiers.iter_mut().enumerate() {
                 let block = a_r.row_block(offsets[i], offsets[i + 1]);
-                let a_s = with_workspace(workspace_reuse, |ws| {
+                let a_s = with_workspace(|ws| {
                     extract_columns_masked_with(&block, &sampled_per_batch[i], ws)
                 })?;
                 layers[i].push(LayerSample::new(

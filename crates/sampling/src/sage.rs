@@ -191,9 +191,8 @@ impl Sampler for GraphSageSampler {
                     stacked.extend_from_slice(frontier);
                     offsets.push(stacked.len());
                 }
-                let mut p = with_workspace(config.workspace_reuse, |ws| {
-                    extract_rows_with(adjacency, &stacked, parallelism, ws)
-                })?;
+                let mut p =
+                    with_workspace(|ws| extract_rows_with(adjacency, &stacked, parallelism, ws))?;
                 p.normalize_rows();
                 Ok((p, offsets))
             })?;
@@ -216,7 +215,7 @@ impl Sampler for GraphSageSampler {
                 Ok(())
             })?;
             // The next step (or bulk group) gathers into `p`'s buffers.
-            with_workspace(config.workspace_reuse, |ws| ws.recycle(p));
+            with_workspace(|ws| ws.recycle(p));
         }
 
         let minibatches = batches

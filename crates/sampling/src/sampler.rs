@@ -15,12 +15,12 @@ use serde::{Deserialize, Serialize};
 /// `batch_size` is `b` and `bulk_size` is `k`: the number of minibatches whose
 /// `Q`, `P` and `A^l` matrices are vertically stacked and processed by a
 /// single sequence of matrix operations.  `parallelism` is the shared-memory
-/// worker count those matrix operations (SpGEMM, per-row ITS) run with, and
-/// `workspace_reuse` controls whether they draw their scratch (dense
-/// accumulators, marker arrays, column masks) from the thread-local
-/// [`dmbs_matrix::workspace::SpgemmWorkspace`] reused across layers,
-/// minibatches and epochs.  Neither knob changes *what* is sampled, only how
-/// fast (the kernels are byte-identical under every setting).
+/// worker count those matrix operations (SpGEMM, per-row ITS) run with; it
+/// does not change *what* is sampled, only how fast (the kernels are
+/// byte-identical at every thread count).  Their scratch (dense
+/// accumulators, marker arrays, column masks) always comes from the
+/// thread-local [`dmbs_matrix::workspace::SpgemmWorkspace`], reused across
+/// layers, minibatches and epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct BulkSamplerConfig {
     /// Minibatch size `b`.
@@ -30,41 +30,15 @@ pub struct BulkSamplerConfig {
     /// Shared-memory parallelism of the bulk matrix kernels (default:
     /// serial).
     pub parallelism: Parallelism,
-    /// Reuse the thread-local SpGEMM/extraction workspace across kernel
-    /// calls (default: `true`).  Disable to bound kernel scratch memory to a
-    /// single call at the cost of per-call allocation.
-    pub workspace_reuse: bool,
 }
 
 impl BulkSamplerConfig {
     /// Creates a configuration with batch size `b` and bulk minibatch count
-    /// `k`, running the matrix kernels serially with workspace reuse on.
+    /// `k`, running the matrix kernels serially.
     /// Use [`BulkSamplerConfig::validate`] (or any `sample_bulk` call, which
     /// validates implicitly) to reject zero values.
     pub fn new(batch_size: usize, bulk_size: usize) -> Self {
-        BulkSamplerConfig {
-            batch_size,
-            bulk_size,
-            parallelism: Parallelism::serial(),
-            workspace_reuse: true,
-        }
-    }
-
-    /// Returns this configuration with kernel workspace reuse switched on or
-    /// off.  Byte-identical either way — see the
-    /// `bulk_output_is_invariant_under_workspace_reuse` test.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dmbs_sampling::BulkSamplerConfig;
-    ///
-    /// let bulk = BulkSamplerConfig::new(1024, 4).with_workspace_reuse(false);
-    /// assert!(!bulk.workspace_reuse);
-    /// ```
-    pub fn with_workspace_reuse(mut self, reuse: bool) -> Self {
-        self.workspace_reuse = reuse;
-        self
+        BulkSamplerConfig { batch_size, bulk_size, parallelism: Parallelism::serial() }
     }
 
     /// Returns this configuration with the bulk matrix kernels (SpGEMM,
@@ -212,9 +186,6 @@ pub struct PartitionedContext<'a> {
     pub seed: u64,
     /// Shared-memory parallelism of this rank's local matrix kernels.
     pub parallelism: Parallelism,
-    /// Whether this rank's local kernels reuse the thread-local scratch
-    /// workspace (see [`BulkSamplerConfig::workspace_reuse`]).
-    pub workspace_reuse: bool,
 }
 
 /// Validates that every batch is non-empty and references vertices inside the

@@ -153,12 +153,10 @@ fn builder_overrides_resolve_against_the_backend() {
         .batch_size(8)
         .bulk(2)
         .parallelism(dmbs::matrix::Parallelism::new(3))
-        .workspace_reuse(false)
         .build()
         .unwrap();
     assert_eq!(largest_batch(&overridden), 8);
     assert_eq!(overridden.backend().parallelism().threads(), 3);
-    assert!(!overridden.backend().bulk().workspace_reuse);
 }
 
 #[test]
