@@ -306,6 +306,27 @@ impl CommStats {
         self.retained_words += other.retained_words;
     }
 
+    /// The statistics accumulated since the snapshot `before` was taken:
+    /// every counter minus `before`'s, the inverse of [`CommStats::merge`].
+    pub fn since(&self, before: &CommStats) -> CommStats {
+        CommStats {
+            messages: self.messages - before.messages,
+            words_sent: self.words_sent - before.words_sent,
+            modeled_time: self.modeled_time - before.modeled_time,
+            cache_hits: self.cache_hits - before.cache_hits,
+            cache_misses: self.cache_misses - before.cache_misses,
+            words_saved: self.words_saved - before.words_saved,
+            overlapped_time: self.overlapped_time - before.overlapped_time,
+            amortized_requests: self.amortized_requests - before.amortized_requests,
+            bytes_on_wire: self.bytes_on_wire - before.bytes_on_wire,
+            bytes_saved: self.bytes_saved - before.bytes_saved,
+            rows_invalidated: self.rows_invalidated - before.rows_invalidated,
+            rows_retained: self.rows_retained - before.rows_retained,
+            invalidation_words: self.invalidation_words - before.invalidation_words,
+            retained_words: self.retained_words - before.retained_words,
+        }
+    }
+
     /// Bytes sent — read from the bytes-on-wire book, so the answer stays
     /// truthful for payloads that do not ship as 8 bytes per word
     /// (compressed feature rows).  Equal to `8 × words_sent` whenever every
@@ -382,6 +403,29 @@ mod tests {
         b.merge(&a);
         assert_eq!(b.messages, 3);
         assert_eq!(b.words_sent, 16);
+    }
+
+    #[test]
+    fn since_is_the_inverse_of_merge() {
+        let model = CostModel::new(1.0, 0.5);
+        let mut before = CommStats::new();
+        before.record_wire(10, 48, &model);
+        before.record_cache_hit(3);
+        before.record_invalidation(2);
+        let mut delta = CommStats::new();
+        delta.record(7, &model);
+        delta.record_wire(4, 20, &model);
+        delta.record_amortized(2, &model, 3);
+        delta.record_cache_miss();
+        delta.record_cache_hit(5);
+        delta.record_overlap(0.5);
+        delta.record_invalidation(6);
+        delta.record_retention(1);
+        let mut after = before;
+        after.merge(&delta);
+        assert_eq!(after.since(&before), delta);
+        assert_eq!(after.since(&after), CommStats::new());
+        assert_eq!(after.since(&CommStats::new()), after);
     }
 
     #[test]

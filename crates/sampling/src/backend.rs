@@ -14,7 +14,8 @@
 //!   `A` replicated, zero communication during sampling;
 //! * [`Partitioned1p5dBackend`] — Graph Partitioned (§5.2): both matrices on
 //!   a `p/c × c` grid, probabilities via the sparsity-aware 1.5D SpGEMM of
-//!   Algorithm 2 (through [`Sampler::sample_partitioned`]).
+//!   Algorithm 2, running the same matrix pipeline as the other two on the
+//!   sampler's [`Sampler::spec`].
 //!
 //! All three share one configuration type, [`DistConfig`], and one output
 //! type, [`EpochSamples`], and are driven by one entry point,
@@ -48,9 +49,11 @@
 //! ```
 
 use crate::partitioned::{assign_batches_to_rows, flatten_row_outputs};
+use crate::pipeline::{self, RowSource};
 use crate::plan::{BulkSampleOutput, MinibatchSample};
 use crate::replicated::assign_batches_round_robin;
-use crate::sampler::{BulkSamplerConfig, PartitionedContext, Sampler};
+use crate::sampler::{check_square, validate_batches, BulkSamplerConfig, Sampler};
+use crate::spec::SamplerSpec;
 use crate::{Result, SamplingError};
 use dmbs_comm::{CommStats, Communicator, PhaseProfile, ProcessGrid, Runtime};
 use dmbs_graph::partition::OneDPartition;
@@ -193,6 +196,19 @@ impl EpochSamples {
         crate::FetchPlan::from_minibatches(&self.output.minibatches)
     }
 
+    /// Appends one bulk group sampled by `units` round-robin (unit `u` owns
+    /// the group's batches `u, u + units.len(), …`): books each unit's
+    /// statistics and restores the group's batch order.
+    fn push_group(&mut self, units: Vec<BulkSampleOutput>, group_len: usize) -> Result<()> {
+        for (stats, out) in self.per_unit.iter_mut().zip(&units) {
+            stats.num_batches += out.num_batches();
+            stats.profile.merge_sum(&out.profile);
+            stats.comm_stats.merge(&out.comm_stats);
+        }
+        self.output.merge(flatten_row_outputs(units, group_len)?);
+        Ok(())
+    }
+
     /// Appends another epoch's samples (e.g. the next bulk group), summing
     /// unit statistics elementwise.
     pub fn merge(&mut self, other: EpochSamples) {
@@ -330,13 +346,6 @@ pub trait SamplingBackend {
             profile: out.profile,
         })
     }
-}
-
-fn check_square(adjacency: &CsrMatrix) -> Result<()> {
-    if adjacency.rows() != adjacency.cols() {
-        return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
-    }
-    Ok(())
 }
 
 /// Single-device backend: the plain bulk matrix pipeline of §4, one unit, no
@@ -525,32 +534,8 @@ impl SamplingBackend for ReplicatedBackend {
                 sampler.sample_bulk(adjacency, &my_batches, &config, &mut rng)
             })?;
 
-            // Reassemble this group in original batch order.
-            let mut ordered: Vec<Option<MinibatchSample>> = vec![None; group.len()];
-            let mut group_out = BulkSampleOutput::default();
-            for (rank, rank_out) in per_rank.into_iter().enumerate() {
-                let rank_out = rank_out.value?;
-                let stats = &mut epoch.per_unit[rank];
-                stats.num_batches += rank_out.num_batches();
-                stats.profile.merge_sum(&rank_out.profile);
-                stats.comm_stats.merge(&rank_out.comm_stats);
-                group_out.profile.merge_max(&rank_out.profile);
-                group_out.comm_stats.merge(&rank_out.comm_stats);
-                for (slot, mb) in assignment[rank].iter().zip(rank_out.minibatches) {
-                    ordered[*slot] = Some(mb);
-                }
-            }
-            group_out.minibatches = ordered
-                .into_iter()
-                .map(|mb| {
-                    mb.ok_or_else(|| {
-                        SamplingError::InvalidConfig(
-                            "a minibatch was not sampled by any rank".into(),
-                        )
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            epoch.output.merge(group_out);
+            let per_rank = per_rank.into_iter().map(|out| out.value).collect::<Result<_>>()?;
+            epoch.push_group(per_rank, group.len())?;
         }
         Ok(epoch)
     }
@@ -558,9 +543,10 @@ impl SamplingBackend for ReplicatedBackend {
 
 /// The Graph Partitioned backend (§5.2): both `Q` and `A` are partitioned
 /// into `p/c` block rows of a `p/c × c` grid, probabilities are generated
-/// with the sparsity-aware 1.5D SpGEMM of Algorithm 2, and each sampler
-/// contributes its distributed formulation through
-/// [`Sampler::sample_partitioned`].
+/// with the sparsity-aware 1.5D SpGEMM of Algorithm 2, and the sampler's
+/// [`Sampler::spec`] runs through the same matrix pipeline as on one device.
+/// A sampler without a spec is rejected with
+/// [`SamplingError::UnsupportedBackend`].
 #[derive(Debug, Clone)]
 pub struct Partitioned1p5dBackend {
     runtime: Runtime,
@@ -616,11 +602,18 @@ impl Partitioned1p5dBackend {
         Ok(ProcessGrid::new(self.dist.ranks, self.dist.replication_c)?)
     }
 
+    fn sampler_spec<S: Sampler>(&self, sampler: &S) -> Result<SamplerSpec> {
+        sampler.spec().ok_or(SamplingError::UnsupportedBackend {
+            sampler: sampler.name(),
+            backend: self.name(),
+        })
+    }
+
     /// Runs one bulk group across the grid and returns the per-process-row
     /// outputs (taken from each row's column-0 rank).
-    fn run_group<S: Sampler + Sync>(
+    fn run_group(
         &self,
-        sampler: &S,
+        spec: &SamplerSpec,
         grid: &ProcessGrid,
         a_blocks: &[CsrMatrix],
         vertex_partition: &OneDPartition,
@@ -632,16 +625,14 @@ impl Partitioned1p5dBackend {
             let (my_row, _) = grid.coords(comm.rank());
             let my_batches: Vec<Vec<usize>> =
                 row_assignment[my_row].iter().map(|&i| group[i].clone()).collect();
-            let mut ctx = PartitionedContext {
+            let source = RowSource::OneFiveD {
                 comm,
                 grid,
-                my_a_block: &a_blocks[my_row],
-                vertex_partition,
-                my_batches: &my_batches,
+                block: &a_blocks[my_row],
+                partition: vertex_partition,
                 seed,
-                parallelism: self.dist.bulk.parallelism,
             };
-            sampler.sample_partitioned(&mut ctx)
+            pipeline::sample(spec, source, &my_batches, self.dist.bulk.parallelism)
         })?;
 
         let mut per_row = Vec::with_capacity(grid.rows());
@@ -697,6 +688,7 @@ impl SamplingBackend for Partitioned1p5dBackend {
     ) -> Result<EpochSamples> {
         self.dist.validate()?;
         check_square(adjacency)?;
+        let spec = self.sampler_spec(sampler)?;
         let grid = self.grid()?;
         let n = adjacency.rows();
         let vertex_partition = OneDPartition::new(n, grid.rows())?;
@@ -709,21 +701,16 @@ impl SamplingBackend for Partitioned1p5dBackend {
                 .collect(),
         };
         for (gi, group) in batches.chunks(self.dist.bulk.bulk_size).enumerate() {
+            validate_batches(group, n)?;
             let per_row = self.run_group(
-                sampler,
+                &spec,
                 &grid,
                 &a_blocks,
                 &vertex_partition,
                 group,
                 group_seed(seed, gi),
             )?;
-            for (row, row_out) in per_row.iter().enumerate() {
-                let stats = &mut epoch.per_unit[row];
-                stats.num_batches += row_out.num_batches();
-                stats.profile.merge_sum(&row_out.profile);
-                stats.comm_stats.merge(&row_out.comm_stats);
-            }
-            epoch.output.merge(flatten_row_outputs(per_row, group.len())?);
+            epoch.push_group(per_row, group.len())?;
         }
         Ok(epoch)
     }
@@ -736,8 +723,10 @@ impl SamplingBackend for Partitioned1p5dBackend {
         group: &[Vec<usize>],
         seed: u64,
     ) -> Result<GroupShard> {
+        let spec = self.sampler_spec(sampler)?;
         let grid = self.grid()?;
         let n = adjacency.rows();
+        validate_batches(group, n)?;
         let vertex_partition = OneDPartition::new(n, grid.rows())?;
         let (my_row, my_col) = grid.coords(comm.rank());
         let my_range = vertex_partition.range(my_row);
@@ -746,16 +735,14 @@ impl SamplingBackend for Partitioned1p5dBackend {
         let my_indices = &row_assignment[my_row];
         let my_batches: Vec<Vec<usize>> = my_indices.iter().map(|&i| group[i].clone()).collect();
 
-        let mut ctx = PartitionedContext {
+        let source = RowSource::OneFiveD {
             comm,
             grid: &grid,
-            my_a_block: &my_a_block,
-            vertex_partition: &vertex_partition,
-            my_batches: &my_batches,
+            block: &my_a_block,
+            partition: &vertex_partition,
             seed,
-            parallelism: self.dist.bulk.parallelism,
         };
-        let out = sampler.sample_partitioned(&mut ctx)?;
+        let out = pipeline::sample(&spec, source, &my_batches, self.dist.bulk.parallelism)?;
 
         // Every rank of the row holds identical samples; each trains the
         // subset at its own process-column offset.

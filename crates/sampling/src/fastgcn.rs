@@ -6,16 +6,14 @@
 //! vertices outside the aggregated neighborhood, which hurts accuracy — the
 //! trade-off the paper describes.  It is included as the "additional sampling
 //! algorithm" the framework can express beyond GraphSAGE and LADIES.
+//!
+//! This module holds the sampler's parameters; the layer-wise driver of the
+//! crate's one pipeline runs the steps and the importance law, locally and on
+//! the 1.5D grid alike.  Because the law never depends on the frontier, every
+//! backend draws one seeded stream per sampling step and takes each batch's
+//! picks from it in batch order.
 
-use crate::its::its_without_replacement;
-use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
-use crate::sampler::{validate_batches, BulkSamplerConfig, PartitionedContext, Sampler};
-use crate::{Result, SamplingError};
-use dmbs_comm::{Phase, PhaseProfile};
-use dmbs_matrix::extract::{extract_columns_masked_with, extract_rows_with};
-use dmbs_matrix::workspace::with_workspace;
-use dmbs_matrix::CsrMatrix;
-use rand::RngCore;
+use crate::sampler::Sampler;
 
 /// The FastGCN layer-wise importance sampler.
 ///
@@ -54,12 +52,6 @@ impl FastGcnSampler {
         assert!(samples_per_layer > 0, "samples per layer must be positive");
         FastGcnSampler { num_layers, samples_per_layer }
     }
-
-    /// The FastGCN importance distribution: `q(v) ∝ deg_in(v)²`, computed
-    /// once from the adjacency matrix.
-    fn importance_weights(adjacency: &CsrMatrix) -> Vec<f64> {
-        adjacency.col_sums().into_iter().map(|d| d * d).collect()
-    }
 }
 
 impl Sampler for FastGcnSampler {
@@ -81,88 +73,12 @@ impl Sampler for FastGcnSampler {
     fn fanout(&self, _step: usize) -> usize {
         self.samples_per_layer
     }
-
-    fn sample_minibatch(
-        &self,
-        adjacency: &CsrMatrix,
-        batch: &[usize],
-        rng: &mut dyn RngCore,
-    ) -> Result<MinibatchSample> {
-        let config = BulkSamplerConfig::new(batch.len(), 1);
-        let mut out = self.sample_bulk(adjacency, &[batch.to_vec()], &config, rng)?;
-        Ok(out.minibatches.remove(0))
-    }
-
-    fn sample_bulk(
-        &self,
-        adjacency: &CsrMatrix,
-        batches: &[Vec<usize>],
-        config: &BulkSamplerConfig,
-        rng: &mut dyn RngCore,
-    ) -> Result<BulkSampleOutput> {
-        config.validate()?;
-        let n = adjacency.rows();
-        if adjacency.cols() != n {
-            return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
-        }
-        validate_batches(batches, n)?;
-
-        let mut profile = PhaseProfile::new();
-        let weights =
-            profile.time_compute(Phase::Probability, || Self::importance_weights(adjacency));
-
-        let parallelism = config.parallelism;
-        let mut minibatches = Vec::with_capacity(batches.len());
-        for batch in batches {
-            let mut frontier = batch.clone();
-            let mut layers = Vec::with_capacity(self.num_layers);
-            for _step in 0..self.num_layers {
-                let sampled = profile.time_compute(Phase::Sampling, || {
-                    its_without_replacement(&weights, self.samples_per_layer, rng)
-                })?;
-                // Extraction through the structure-aware kernels: a parallel
-                // row gather of the frontier followed by the bitmap-masked
-                // column filter (see dmbs_matrix::extract).  Note the filter
-                // follows the paper's CSC-selection SpGEMM semantics and
-                // drops stored-zero adjacency entries (the former
-                // `select_columns` retained them); such entries carry no
-                // edge weight and never arise from the graph generators.
-                let layer =
-                    profile.time_compute(Phase::Extraction, || -> Result<LayerSample> {
-                        let a_s = with_workspace(|ws| {
-                            let rows_matrix =
-                                extract_rows_with(adjacency, &frontier, parallelism, ws)?;
-                            extract_columns_masked_with(&rows_matrix, &sampled, ws)
-                        })?;
-                        Ok(LayerSample::new(frontier.clone(), sampled.clone(), a_s))
-                    })?;
-                frontier = layer.cols.clone();
-                layers.push(layer);
-            }
-            layers.reverse();
-            minibatches.push(MinibatchSample { batch: batch.clone(), layers });
-        }
-
-        Ok(BulkSampleOutput { minibatches, profile, comm_stats: Default::default() })
-    }
-
-    fn sample_partitioned(&self, ctx: &mut PartitionedContext<'_>) -> Result<BulkSampleOutput> {
-        crate::partitioned::fastgcn_on_rank(
-            ctx.comm,
-            ctx.grid,
-            ctx.my_a_block,
-            ctx.vertex_partition,
-            ctx.my_batches,
-            self.num_layers,
-            self.samples_per_layer,
-            ctx.seed,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::BulkSamplerConfig;
     use dmbs_graph::generators::{figure1_example, star};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -177,15 +93,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_samples_panics() {
         FastGcnSampler::new(1, 0);
-    }
-
-    #[test]
-    fn importance_weights_are_squared_in_degrees() {
-        let a = figure1_example().adjacency().clone();
-        let w = FastGcnSampler::importance_weights(&a);
-        // Vertex 4 has in-degree 3 in the Figure 1 graph.
-        assert_eq!(w[4], 9.0);
-        assert_eq!(w[0], 1.0);
     }
 
     #[test]

@@ -13,17 +13,12 @@
 //! matrix for the probability step, stacks the `Q_R` matrices for row
 //! extraction, and performs the column extraction as a batch of smaller
 //! products, exactly as §4.2.4 / §8.2.2 describe.
+//!
+//! This module holds the sampler's parameters; the layer-wise driver of the
+//! crate's one pipeline runs the steps and the LADIES law, locally and on the
+//! 1.5D grid alike.
 
-use crate::its::sample_rows_par;
-use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
-use crate::sampler::{validate_batches, BulkSamplerConfig, PartitionedContext, Sampler};
-use crate::{Result, SamplingError};
-use dmbs_comm::{Phase, PhaseProfile};
-use dmbs_matrix::extract::{extract_columns_masked_with, extract_rows_with};
-use dmbs_matrix::spgemm::spgemm_parallel_with;
-use dmbs_matrix::workspace::with_workspace;
-use dmbs_matrix::{CooMatrix, CsrMatrix};
-use rand::RngCore;
+use crate::sampler::Sampler;
 
 /// The LADIES layer-wise sampler.
 ///
@@ -79,13 +74,6 @@ impl LadiesSampler {
     pub fn samples_per_layer(&self) -> usize {
         self.samples_per_layer
     }
-
-    /// The LADIES probability law: square the aggregated-neighborhood counts
-    /// and normalize each row, giving `p_v = e_v² / Σ_u e_u²` (§2.2.2).
-    fn norm(p: &mut CsrMatrix) {
-        p.map_values_inplace(|v| v * v);
-        p.normalize_rows();
-    }
 }
 
 impl Sampler for LadiesSampler {
@@ -108,143 +96,14 @@ impl Sampler for LadiesSampler {
     fn fanout(&self, _step: usize) -> usize {
         self.samples_per_layer
     }
-
-    fn sample_minibatch(
-        &self,
-        adjacency: &CsrMatrix,
-        batch: &[usize],
-        rng: &mut dyn RngCore,
-    ) -> Result<MinibatchSample> {
-        let config = BulkSamplerConfig::new(batch.len(), 1);
-        let mut out = self.sample_bulk(adjacency, &[batch.to_vec()], &config, rng)?;
-        Ok(out.minibatches.remove(0))
-    }
-
-    fn sample_bulk(
-        &self,
-        adjacency: &CsrMatrix,
-        batches: &[Vec<usize>],
-        config: &BulkSamplerConfig,
-        rng: &mut dyn RngCore,
-    ) -> Result<BulkSampleOutput> {
-        config.validate()?;
-        let n = adjacency.rows();
-        if adjacency.cols() != n {
-            return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
-        }
-        validate_batches(batches, n)?;
-
-        let k = batches.len();
-        let parallelism = config.parallelism;
-        let mut profile = PhaseProfile::new();
-        // Current layer's row vertex set per minibatch (starts as the batch).
-        let mut frontiers: Vec<Vec<usize>> = batches.to_vec();
-        let mut layers: Vec<Vec<LayerSample>> = vec![Vec::new(); k];
-
-        for _step in 0..self.num_layers {
-            let s = self.samples_per_layer;
-
-            // ---- Probability: stacked indicator matrix (one row per batch),
-            // P = Q A, LADIES normalization.
-            let p = profile.time_compute(Phase::Probability, || -> Result<CsrMatrix> {
-                let mut coo = CooMatrix::new(k, n);
-                for (i, frontier) in frontiers.iter().enumerate() {
-                    let mut unique = frontier.clone();
-                    unique.sort_unstable();
-                    unique.dedup();
-                    for v in unique {
-                        coo.push(i, v, 1.0)?;
-                    }
-                }
-                let q = CsrMatrix::from_coo(&coo);
-                // The indicator rows carry several nonzeros each, so this is
-                // a genuine SpGEMM (the general tier); the workspace keeps
-                // its accumulators across layers and bulk groups.
-                let mut p =
-                    with_workspace(|ws| spgemm_parallel_with(&q, adjacency, parallelism, ws))?;
-                Self::norm(&mut p);
-                Ok(p)
-            })?;
-
-            // ---- Sampling: s distinct vertices per minibatch row, one
-            // seeded RNG stream per row (thread-count invariant).
-            let step_seed = rng.next_u64();
-            let sampled = profile
-                .time_compute(Phase::Sampling, || sample_rows_par(&p, s, step_seed, parallelism))?;
-
-            // ---- Extraction: A_S = Q_R A Q_C per minibatch (§4.2.4,
-            // §8.2.2).  Both factors are selection matrices, so neither pays
-            // the general SpGEMM price: the stacked row extraction is a
-            // parallel row gather and the per-batch column extraction is a
-            // bitmap-masked filter, each byte-identical to the
-            // selection-matrix SpGEMM it replaces (see dmbs_matrix::extract).
-            profile.time_compute(Phase::Extraction, || -> Result<()> {
-                // Stacked row gather: one output row per (batch, frontier
-                // vertex), copying that vertex's row of A.
-                let mut stacked_rows: Vec<usize> = Vec::new();
-                let mut offsets: Vec<usize> = Vec::with_capacity(k + 1);
-                offsets.push(0);
-                for frontier in &frontiers {
-                    stacked_rows.extend_from_slice(frontier);
-                    offsets.push(stacked_rows.len());
-                }
-                let a_r = with_workspace(|ws| {
-                    extract_rows_with(adjacency, &stacked_rows, parallelism, ws)
-                })?;
-
-                for (i, frontier) in frontiers.iter_mut().enumerate() {
-                    let mut cols: Vec<usize> = sampled.row_indices(i).to_vec();
-                    if self.include_previous {
-                        for &v in frontier.iter() {
-                            if !cols.contains(&v) {
-                                cols.push(v);
-                            }
-                        }
-                        cols.sort_unstable();
-                    }
-                    let block = a_r.row_block(offsets[i], offsets[i + 1]);
-                    // Column extraction: masked filter renumbering into the
-                    // sampled vertex space (replaces the hypersparse CSC
-                    // selection SpGEMM of §8.2.2).
-                    let a_s = with_workspace(|ws| extract_columns_masked_with(&block, &cols, ws))?;
-                    layers[i].push(LayerSample::new(frontier.clone(), cols.clone(), a_s));
-                    *frontier = cols;
-                }
-                Ok(())
-            })?;
-        }
-
-        let minibatches = batches
-            .iter()
-            .zip(layers)
-            .map(|(batch, mut batch_layers)| {
-                batch_layers.reverse();
-                MinibatchSample { batch: batch.clone(), layers: batch_layers }
-            })
-            .collect();
-
-        Ok(BulkSampleOutput { minibatches, profile, comm_stats: Default::default() })
-    }
-
-    fn sample_partitioned(&self, ctx: &mut PartitionedContext<'_>) -> Result<BulkSampleOutput> {
-        crate::partitioned::ladies_on_rank(
-            ctx.comm,
-            ctx.grid,
-            ctx.my_a_block,
-            ctx.vertex_partition,
-            ctx.my_batches,
-            self.num_layers,
-            self.samples_per_layer,
-            ctx.seed,
-            ctx.parallelism,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::BulkSamplerConfig;
     use dmbs_graph::generators::{complete, figure1_example};
+    use dmbs_matrix::CsrMatrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
@@ -263,22 +122,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_samples_panics() {
         LadiesSampler::new(1, 0);
-    }
-
-    #[test]
-    fn probability_law_matches_paper_example() {
-        // Figure 2b: for batch {1, 5}, P (before sampling) must equal
-        // [1/7, 0, 1/7, 1/7, 4/7, 0] after the squared normalization.
-        let a = adjacency();
-        let q = CsrMatrix::from_coo(
-            &CooMatrix::from_triples(1, 6, vec![(0, 1, 1.0), (0, 5, 1.0)]).unwrap(),
-        );
-        let mut p = dmbs_matrix::spgemm::spgemm(&q, &a).unwrap();
-        LadiesSampler::norm(&mut p);
-        let expected = [1.0 / 7.0, 0.0, 1.0 / 7.0, 1.0 / 7.0, 4.0 / 7.0, 0.0];
-        for (col, &want) in expected.iter().enumerate() {
-            assert!((p.get(0, col) - want).abs() < 1e-12, "column {col}");
-        }
     }
 
     #[test]

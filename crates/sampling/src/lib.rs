@@ -40,14 +40,17 @@
 //! [`EpochSamples::fetch_plan`]), the basis of the `dmbs-gnn` feature
 //! cache's prefetch-once pipeline.
 //!
-//! Supporting modules: [`its`] — inverse transform sampling (and rejection
-//! sampling, for the ablation) over CSR probability rows, including the
-//! per-row-seeded parallel [`its::sample_rows_par`] whose output is
-//! byte-identical at any thread count (the
-//! [`BulkSamplerConfig::parallelism`] knob); [`baseline`] —
+//! Both axes meet in one pipeline: the same node-wise or layer-wise driver
+//! runs a sampler's [`SamplerSpec`] on one device or on a 1.5D process row.
+//!
+//! Supporting modules: [`its`] — inverse transform sampling over CSR
+//! probability rows, including the per-row-seeded parallel
+//! [`its::sample_rows_par`] whose output is byte-identical at any thread
+//! count (the [`BulkSamplerConfig::parallelism`] knob); [`baseline`] —
 //! per-vertex samplers standing in for Quiver/DGL (including a UVA-style
 //! slow-memory model) and a reference per-batch CPU LADIES; [`replicated`] /
-//! [`partitioned`] — the rank-level machinery behind the backends.
+//! [`partitioned`] — the batch assignment and the 1.5D SpGEMM behind the
+//! distributed backends.
 //!
 //! # Example: one sampler, two distribution strategies
 //!
@@ -90,6 +93,7 @@ pub mod its;
 pub mod ladies;
 pub mod micro;
 pub mod partitioned;
+mod pipeline;
 pub mod plan;
 pub mod replicated;
 pub mod sage;
@@ -107,7 +111,7 @@ pub use ladies::LadiesSampler;
 pub use micro::{request_stream_seed, sample_micro_bulk, MicroBulkSample, MicroRequest};
 pub use plan::{BulkSampleOutput, FetchPlan, LayerSample, MinibatchSample};
 pub use sage::GraphSageSampler;
-pub use sampler::{BulkSamplerConfig, PartitionedContext, Sampler};
+pub use sampler::{BulkSamplerConfig, Sampler};
 pub use spec::{BackendSpec, SamplerSpec};
 
 /// Crate-wide result type.

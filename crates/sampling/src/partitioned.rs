@@ -11,24 +11,19 @@
 //! products.
 //!
 //! Sampling from the resulting probability rows needs no communication
-//! (§5.2.2).  GraphSAGE extraction is local (§5.2.3); LADIES row extraction
-//! reuses the same 1.5D SpGEMM and its column extraction is split across the
-//! process row as a batch of smaller SpGEMMs (§5.2.3, §8.2.2).
+//! (§5.2.2).  Extraction is row-local for every sampler (§5.2.3): GraphSAGE
+//! compacts its sampled rows, and LADIES and FastGCN gather their frontier's
+//! rows of `A` with the same 1.5D SpGEMM, after which each rank filters the
+//! columns of every batch of its process row itself.  The samplers run here
+//! through the crate's one matrix pipeline; this module holds the SpGEMM and
+//! the batch-to-process-row assignment.
 
-use crate::its::{its_without_replacement, sample_rows_par};
-use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
-use crate::sage::extract_block;
+use crate::plan::{BulkSampleOutput, MinibatchSample};
 use crate::{Result, SamplingError};
 use dmbs_comm::{Communicator, Group, Phase, PhaseProfile, ProcessGrid};
 use dmbs_graph::partition::OneDPartition;
-use dmbs_matrix::extract::extract_columns_masked_with;
-use dmbs_matrix::ops::row_selection_matrix;
-use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::spgemm::spgemm_with_fetched_rows;
-use dmbs_matrix::workspace::with_workspace;
 use dmbs_matrix::{CooMatrix, CsrMatrix};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A sparse row of the adjacency matrix shipped between ranks:
 /// `(global_row_id, [(column, value), …])`.
@@ -175,371 +170,6 @@ pub fn spgemm_1p5d_sparsity_aware(
     Ok(p_full)
 }
 
-/// Seed for the per-process-row RNG, derived so that every rank in a process
-/// row draws identical samples (sampling is replicated within a row, exactly
-/// as the data is).
-fn row_seed(seed: u64, process_row: usize, step: usize) -> u64 {
-    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(process_row as u64)
-        .wrapping_mul(0x2545_F491_4F6C_DD1D)
-        .wrapping_add(step as u64)
-}
-
-/// Rank-level GraphSAGE body of the [`crate::Sampler::sample_partitioned`]
-/// implementation: distributed sampling for the minibatches owned by this
-/// rank's process row.  Every rank of the grid must participate.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn sage_on_rank(
-    comm: &mut Communicator,
-    grid: &ProcessGrid,
-    my_a_block: &CsrMatrix,
-    vertex_partition: &OneDPartition,
-    my_batches: &[Vec<usize>],
-    fanouts: &[usize],
-    include_self_loops: bool,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Result<BulkSampleOutput> {
-    if fanouts.is_empty() || fanouts.contains(&0) {
-        return Err(SamplingError::InvalidConfig("fanouts must be non-empty and positive".into()));
-    }
-    let n = vertex_partition.len();
-    for batch in my_batches {
-        if let Some(&bad) = batch.iter().find(|&&v| v >= n) {
-            return Err(SamplingError::InvalidConfig(format!("batch vertex {bad} out of range")));
-        }
-    }
-    let (my_row, _) = grid.coords(comm.rank());
-    let comm_before = comm.stats();
-    let mut profile = PhaseProfile::new();
-
-    let k = my_batches.len();
-    let mut frontiers: Vec<Vec<usize>> = my_batches.to_vec();
-    let mut layers: Vec<Vec<LayerSample>> = vec![Vec::new(); k];
-
-    for (step, &s) in fanouts.iter().enumerate() {
-        // Stacked Q for my process row's minibatches.
-        let (q, offsets) = profile.time_compute(Phase::Probability, || -> Result<_> {
-            let mut stacked: Vec<usize> = Vec::new();
-            let mut offsets = Vec::with_capacity(k + 1);
-            offsets.push(0);
-            for frontier in &frontiers {
-                stacked.extend_from_slice(frontier);
-                offsets.push(stacked.len());
-            }
-            Ok((row_selection_matrix(&stacked, n)?, offsets))
-        })?;
-
-        // Distributed probability generation.
-        let mut p = spgemm_1p5d_sparsity_aware(
-            comm,
-            grid,
-            &q,
-            my_a_block,
-            vertex_partition,
-            &mut profile,
-            Phase::Probability,
-        )?;
-        profile.time_compute(Phase::Probability, || p.normalize_rows());
-
-        // Sampling: replicated within the process row via a shared seed, one
-        // RNG stream per probability row (thread-count invariant).
-        let q_next = profile.time_compute(Phase::Sampling, || {
-            sample_rows_par(&p, s, row_seed(seed, my_row, step), parallelism)
-        })?;
-
-        // Extraction: local per minibatch block (§5.2.3).
-        profile.time_compute(Phase::Extraction, || -> Result<()> {
-            for (i, frontier) in frontiers.iter_mut().enumerate() {
-                let block = q_next.row_block(offsets[i], offsets[i + 1]);
-                let (compacted, kept) = extract_block(&block, frontier, include_self_loops)?;
-                layers[i].push(LayerSample::new(frontier.clone(), kept.clone(), compacted));
-                *frontier = kept;
-            }
-            Ok(())
-        })?;
-    }
-
-    let minibatches = my_batches
-        .iter()
-        .zip(layers)
-        .map(|(batch, mut batch_layers)| {
-            batch_layers.reverse();
-            MinibatchSample { batch: batch.clone(), layers: batch_layers }
-        })
-        .collect();
-
-    let mut comm_stats = comm.stats();
-    comm_stats.messages -= comm_before.messages;
-    comm_stats.words_sent -= comm_before.words_sent;
-    comm_stats.bytes_on_wire -= comm_before.bytes_on_wire;
-    comm_stats.bytes_saved -= comm_before.bytes_saved;
-    comm_stats.modeled_time -= comm_before.modeled_time;
-    Ok(BulkSampleOutput { minibatches, profile, comm_stats })
-}
-
-/// Rank-level LADIES body of the [`crate::Sampler::sample_partitioned`]
-/// implementation.  Row extraction reuses the 1.5D SpGEMM; column extraction
-/// is split across the process row (each rank extracts the batches whose
-/// index is congruent to its process column) and the results are
-/// all-gathered within the row.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn ladies_on_rank(
-    comm: &mut Communicator,
-    grid: &ProcessGrid,
-    my_a_block: &CsrMatrix,
-    vertex_partition: &OneDPartition,
-    my_batches: &[Vec<usize>],
-    num_layers: usize,
-    samples_per_layer: usize,
-    seed: u64,
-    parallelism: Parallelism,
-) -> Result<BulkSampleOutput> {
-    if num_layers == 0 || samples_per_layer == 0 {
-        return Err(SamplingError::InvalidConfig(
-            "num_layers and samples_per_layer must be positive".into(),
-        ));
-    }
-    let n = vertex_partition.len();
-    for batch in my_batches {
-        if let Some(&bad) = batch.iter().find(|&&v| v >= n) {
-            return Err(SamplingError::InvalidConfig(format!("batch vertex {bad} out of range")));
-        }
-    }
-    let rank = comm.rank();
-    let (my_row, my_col) = grid.coords(rank);
-    let row_group = Group::new(&grid.row_ranks(rank))?;
-    let comm_before = comm.stats();
-    let mut profile = PhaseProfile::new();
-
-    let k = my_batches.len();
-    let mut frontiers: Vec<Vec<usize>> = my_batches.to_vec();
-    let mut layers: Vec<Vec<LayerSample>> = vec![Vec::new(); k];
-
-    for step in 0..num_layers {
-        // Stacked indicator matrix: one row per minibatch of this process row.
-        let q = profile.time_compute(Phase::Probability, || -> Result<CsrMatrix> {
-            let mut coo = CooMatrix::new(k, n);
-            for (i, frontier) in frontiers.iter().enumerate() {
-                let mut unique = frontier.clone();
-                unique.sort_unstable();
-                unique.dedup();
-                for v in unique {
-                    coo.push(i, v, 1.0)?;
-                }
-            }
-            Ok(CsrMatrix::from_coo(&coo))
-        })?;
-
-        let mut p = spgemm_1p5d_sparsity_aware(
-            comm,
-            grid,
-            &q,
-            my_a_block,
-            vertex_partition,
-            &mut profile,
-            Phase::Probability,
-        )?;
-        profile.time_compute(Phase::Probability, || {
-            p.map_values_inplace(|v| v * v);
-            p.normalize_rows();
-        });
-
-        let sampled = profile.time_compute(Phase::Sampling, || {
-            sample_rows_par(&p, samples_per_layer, row_seed(seed, my_row, step), parallelism)
-        })?;
-
-        // Row extraction via the same 1.5D SpGEMM: Q_R selects every frontier
-        // vertex's row of A.
-        let (q_r, offsets) = profile.time_compute(Phase::Extraction, || -> Result<_> {
-            let mut stacked: Vec<usize> = Vec::new();
-            let mut offsets = Vec::with_capacity(k + 1);
-            offsets.push(0);
-            for frontier in &frontiers {
-                stacked.extend_from_slice(frontier);
-                offsets.push(stacked.len());
-            }
-            Ok((row_selection_matrix(&stacked, n)?, offsets))
-        })?;
-        let a_r = spgemm_1p5d_sparsity_aware(
-            comm,
-            grid,
-            &q_r,
-            my_a_block,
-            vertex_partition,
-            &mut profile,
-            Phase::Extraction,
-        )?;
-
-        // Column extraction: each rank of the process row handles the batches
-        // with index ≡ its process column (mod c), then results are
-        // all-gathered within the row.
-        type SerializedLayer = (usize, (Vec<usize>, Vec<usize>, Vec<(usize, usize, f64)>));
-        let my_share: Vec<SerializedLayer> =
-            profile.time_compute(Phase::Extraction, || -> Result<Vec<SerializedLayer>> {
-                let mut out = Vec::new();
-                for i in 0..k {
-                    if i % grid.cols() != my_col {
-                        continue;
-                    }
-                    let cols: Vec<usize> = sampled.row_indices(i).to_vec();
-                    let block = a_r.row_block(offsets[i], offsets[i + 1]);
-                    // Bitmap-masked column filter, byte-identical to the
-                    // hypersparse CSC selection SpGEMM (§8.2.2) it replaces.
-                    let a_s = with_workspace(|ws| extract_columns_masked_with(&block, &cols, ws))?;
-                    out.push((i, (frontiers[i].clone(), cols, a_s.iter().collect())));
-                }
-                Ok(out)
-            })?;
-
-        let gathered = comm.group_allgather(&row_group, my_share)?;
-        profile.time_compute(Phase::Extraction, || -> Result<()> {
-            let mut all: Vec<SerializedLayer> = gathered.into_iter().flatten().collect();
-            all.sort_by_key(|(i, _)| *i);
-            for (i, (rows, cols, triples)) in all {
-                let coo = CooMatrix::from_triples(rows.len(), cols.len(), triples)?;
-                let a_s = CsrMatrix::from_coo(&coo);
-                layers[i].push(LayerSample::new(rows, cols.clone(), a_s));
-                frontiers[i] = cols;
-            }
-            Ok(())
-        })?;
-    }
-
-    let minibatches = my_batches
-        .iter()
-        .zip(layers)
-        .map(|(batch, mut batch_layers)| {
-            batch_layers.reverse();
-            MinibatchSample { batch: batch.clone(), layers: batch_layers }
-        })
-        .collect();
-
-    let mut comm_stats = comm.stats();
-    comm_stats.messages -= comm_before.messages;
-    comm_stats.words_sent -= comm_before.words_sent;
-    comm_stats.bytes_on_wire -= comm_before.bytes_on_wire;
-    comm_stats.bytes_saved -= comm_before.bytes_saved;
-    comm_stats.modeled_time -= comm_before.modeled_time;
-    Ok(BulkSampleOutput { minibatches, profile, comm_stats })
-}
-
-/// Rank-level FastGCN body used by the
-/// [`crate::Sampler::sample_partitioned`] implementation.
-///
-/// FastGCN's importance distribution `q(v) ∝ deg_in(v)²` is global, so the
-/// distributed formulation first all-reduces the per-block-row column sums
-/// across each process column (one rank per block row), then samples
-/// replicated within every process row, and extracts each layer's bipartite
-/// adjacency by fetching the frontier's rows of `A` with the same 1.5D SpGEMM
-/// the other samplers use.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fastgcn_on_rank(
-    comm: &mut Communicator,
-    grid: &ProcessGrid,
-    my_a_block: &CsrMatrix,
-    vertex_partition: &OneDPartition,
-    my_batches: &[Vec<usize>],
-    num_layers: usize,
-    samples_per_layer: usize,
-    seed: u64,
-) -> Result<BulkSampleOutput> {
-    if num_layers == 0 || samples_per_layer == 0 {
-        return Err(SamplingError::InvalidConfig(
-            "num_layers and samples_per_layer must be positive".into(),
-        ));
-    }
-    let n = vertex_partition.len();
-    for batch in my_batches {
-        if let Some(&bad) = batch.iter().find(|&&v| v >= n) {
-            return Err(SamplingError::InvalidConfig(format!("batch vertex {bad} out of range")));
-        }
-    }
-    let rank = comm.rank();
-    let (my_row, _) = grid.coords(rank);
-    let comm_before = comm.stats();
-    let mut profile = PhaseProfile::new();
-
-    // Global importance weights: column sums of the full A are the sum of the
-    // per-block-row column sums, reduced across each process column.
-    let col_group = Group::new(&grid.col_ranks(rank))?;
-    let local_sums = profile.time_compute(Phase::Probability, || my_a_block.col_sums());
-    let comm_t0 = comm.stats().modeled_time;
-    let total_sums = comm.group_allreduce(&col_group, local_sums, |a, b| {
-        a.iter().zip(b).map(|(x, y)| x + y).collect()
-    })?;
-    profile.add_comm(Phase::Probability, comm.stats().modeled_time - comm_t0);
-    let weights: Vec<f64> = profile
-        .time_compute(Phase::Probability, || total_sums.into_iter().map(|d| d * d).collect());
-
-    let k = my_batches.len();
-    let mut frontiers: Vec<Vec<usize>> = my_batches.to_vec();
-    let mut layers: Vec<Vec<LayerSample>> = vec![Vec::new(); k];
-
-    for step in 0..num_layers {
-        // Sampling is replicated within the process row via a shared seed.
-        let mut rng = StdRng::seed_from_u64(row_seed(seed, my_row, step));
-        let sampled_per_batch: Vec<Vec<usize>> = profile.time_compute(Phase::Sampling, || {
-            (0..k)
-                .map(|_| its_without_replacement(&weights, samples_per_layer, &mut rng))
-                .collect::<Result<_>>()
-        })?;
-
-        // Row extraction via the 1.5D SpGEMM, then a local column selection.
-        let (q_r, offsets) = profile.time_compute(Phase::Extraction, || -> Result<_> {
-            let mut stacked: Vec<usize> = Vec::new();
-            let mut offsets = Vec::with_capacity(k + 1);
-            offsets.push(0);
-            for frontier in &frontiers {
-                stacked.extend_from_slice(frontier);
-                offsets.push(stacked.len());
-            }
-            Ok((row_selection_matrix(&stacked, n)?, offsets))
-        })?;
-        let a_r = spgemm_1p5d_sparsity_aware(
-            comm,
-            grid,
-            &q_r,
-            my_a_block,
-            vertex_partition,
-            &mut profile,
-            Phase::Extraction,
-        )?;
-        profile.time_compute(Phase::Extraction, || -> Result<()> {
-            for (i, frontier) in frontiers.iter_mut().enumerate() {
-                let block = a_r.row_block(offsets[i], offsets[i + 1]);
-                let a_s = with_workspace(|ws| {
-                    extract_columns_masked_with(&block, &sampled_per_batch[i], ws)
-                })?;
-                layers[i].push(LayerSample::new(
-                    frontier.clone(),
-                    sampled_per_batch[i].clone(),
-                    a_s,
-                ));
-                *frontier = sampled_per_batch[i].clone();
-            }
-            Ok(())
-        })?;
-    }
-
-    let minibatches = my_batches
-        .iter()
-        .zip(layers)
-        .map(|(batch, mut batch_layers)| {
-            batch_layers.reverse();
-            MinibatchSample { batch: batch.clone(), layers: batch_layers }
-        })
-        .collect();
-
-    let mut comm_stats = comm.stats();
-    comm_stats.messages -= comm_before.messages;
-    comm_stats.words_sent -= comm_before.words_sent;
-    comm_stats.bytes_on_wire -= comm_before.bytes_on_wire;
-    comm_stats.bytes_saved -= comm_before.bytes_saved;
-    comm_stats.modeled_time -= comm_before.modeled_time;
-    Ok(BulkSampleOutput { minibatches, profile, comm_stats })
-}
-
 /// Assigns minibatch indices to process rows round-robin (process row `r`
 /// owns batches `r, r + rows, …`).
 pub fn assign_batches_to_rows(num_batches: usize, rows: usize) -> Vec<Vec<usize>> {
@@ -589,10 +219,13 @@ mod tests {
     use super::*;
     use crate::backend::{DistConfig, EpochSamples, Partitioned1p5dBackend, SamplingBackend};
     use crate::sampler::{BulkSamplerConfig, Sampler};
-    use crate::{GraphSageSampler, LadiesSampler};
+    use crate::{FastGcnSampler, GraphSageSampler, LadiesSampler, LocalBackend};
     use dmbs_comm::Runtime;
     use dmbs_graph::generators::{figure1_example, rmat, RmatConfig};
+    use dmbs_matrix::ops::row_selection_matrix;
     use dmbs_matrix::spgemm::spgemm;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn adjacency() -> CsrMatrix {
         figure1_example().adjacency().clone()
@@ -757,10 +390,36 @@ mod tests {
         let a = adjacency();
         let sage = GraphSageSampler::new(vec![2]);
         assert!(sample(2, 2, &sage, &a, &[vec![99]], 0).is_err());
+        // An empty batch is rejected before any rank samples, as on Local.
+        assert!(matches!(
+            sample(2, 2, &sage, &a, &[vec![1, 5], vec![]], 0),
+            Err(SamplingError::InvalidConfig(_))
+        ));
         // Replication must divide p.
         assert!(sample(2, 3, &sage, &a, &[vec![0]], 0).is_err());
         // Rectangular adjacency.
         assert!(sample(2, 2, &sage, &CsrMatrix::zeros(3, 4), &[vec![0]], 0).is_err());
+    }
+
+    #[test]
+    fn process_rows_with_no_batches_still_join_every_collective() {
+        // 2 batches on a 4 × 2 grid leave process rows 2 and 3 empty; they
+        // must take part in every collective of the rows that do sample.
+        // At full sample size every sampler is deterministic and must equal
+        // Local.
+        let a = random_graph(6, 4, 7);
+        let n = a.rows();
+        let batches = vec![vec![3, 17, 40], vec![8, 29, 55]];
+        fn check<S: Sampler + Sync>(sampler: &S, a: &CsrMatrix, batches: &[Vec<usize>]) {
+            let bulk = BulkSamplerConfig::new(3, batches.len());
+            let local = LocalBackend::new(bulk).unwrap().sample_epoch(sampler, a, batches, 1);
+            let grid = sample(8, 2, sampler, a, batches, 2).unwrap();
+            assert_eq!(grid.per_unit.len(), 4);
+            assert_eq!(grid.minibatches(), local.unwrap().minibatches(), "{}", sampler.name());
+        }
+        check(&GraphSageSampler::new(vec![n, n]), &a, &batches);
+        check(&LadiesSampler::new(2, n), &a, &batches);
+        check(&FastGcnSampler::new(2, n), &a, &batches);
     }
 
     #[test]

@@ -8,16 +8,14 @@
 //! matrix.  Deeper layers repeat the process with the newly sampled frontier
 //! as the row set, and bulk sampling vertically stacks the matrices of `k`
 //! minibatches (Equation 1).
+//!
+//! This module holds the sampler's parameters and its `EXTRACT` step
+//! (`extract_block`); the node-wise driver of the crate's one pipeline runs
+//! the steps, locally and on the 1.5D grid alike.
 
-use crate::its::sample_rows_par;
-use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
-use crate::sampler::{validate_batches, BulkSamplerConfig, PartitionedContext, Sampler};
-use crate::{Result, SamplingError};
-use dmbs_comm::{Phase, PhaseProfile};
-use dmbs_matrix::extract::extract_rows_with;
-use dmbs_matrix::workspace::with_workspace;
+use crate::sampler::Sampler;
+use crate::Result;
 use dmbs_matrix::CsrMatrix;
-use rand::RngCore;
 
 /// The GraphSAGE node-wise sampler.
 ///
@@ -86,7 +84,7 @@ impl GraphSageSampler {
 /// Extraction step for one minibatch block of `Q^{l-1}`: optionally add the
 /// self-loop `(i, frontier[i])` to every row, then drop the empty columns
 /// (§4.1.3).  Returns the compacted block and the kept columns — the next
-/// frontier.  Shared by the local and the 1.5D-partitioned sampler.
+/// frontier.
 pub(crate) fn extract_block(
     block: &CsrMatrix,
     frontier: &[usize],
@@ -141,113 +139,13 @@ impl Sampler for GraphSageSampler {
     fn fanout(&self, step: usize) -> usize {
         self.fanouts[step]
     }
-
-    fn sample_minibatch(
-        &self,
-        adjacency: &CsrMatrix,
-        batch: &[usize],
-        rng: &mut dyn RngCore,
-    ) -> Result<MinibatchSample> {
-        let config = BulkSamplerConfig::new(batch.len(), 1);
-        let mut out = self.sample_bulk(adjacency, &[batch.to_vec()], &config, rng)?;
-        Ok(out.minibatches.remove(0))
-    }
-
-    fn sample_bulk(
-        &self,
-        adjacency: &CsrMatrix,
-        batches: &[Vec<usize>],
-        config: &BulkSamplerConfig,
-        rng: &mut dyn RngCore,
-    ) -> Result<BulkSampleOutput> {
-        config.validate()?;
-        let n = adjacency.rows();
-        if adjacency.cols() != n {
-            return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
-        }
-        validate_batches(batches, n)?;
-
-        let k = batches.len();
-        let parallelism = config.parallelism;
-        let mut profile = PhaseProfile::new();
-        // Per-batch frontier (row vertex ids) for the current sampling step.
-        let mut frontiers: Vec<Vec<usize>> = batches.to_vec();
-        // Per-batch layers collected outermost-first.
-        let mut layers: Vec<Vec<LayerSample>> = vec![Vec::new(); k];
-
-        for step in 0..self.num_layers() {
-            let s = self.fanouts[step];
-
-            // ---- Generate probability distributions: P = Q^l A, normalized.
-            // Q^l is a row-selection matrix (one nonzero per stacked frontier
-            // vertex), so the product is a structure-aware row gather rather
-            // than a general SpGEMM — byte-identical, O(nnz of the gathered
-            // rows), no accumulation (see dmbs_matrix::extract).
-            let (p, offsets) = profile.time_compute(Phase::Probability, || -> Result<_> {
-                let mut stacked: Vec<usize> = Vec::new();
-                let mut offsets: Vec<usize> = Vec::with_capacity(k + 1);
-                offsets.push(0);
-                for frontier in &frontiers {
-                    stacked.extend_from_slice(frontier);
-                    offsets.push(stacked.len());
-                }
-                let mut p =
-                    with_workspace(|ws| extract_rows_with(adjacency, &stacked, parallelism, ws))?;
-                p.normalize_rows();
-                Ok((p, offsets))
-            })?;
-
-            // ---- Sample s columns per row with ITS, one seeded RNG stream
-            // per row (reproducible at any thread count).
-            let step_seed = rng.next_u64();
-            let q_next = profile
-                .time_compute(Phase::Sampling, || sample_rows_par(&p, s, step_seed, parallelism))?;
-
-            // ---- Extraction: per minibatch block, drop empty columns.
-            profile.time_compute(Phase::Extraction, || -> Result<()> {
-                for (i, frontier) in frontiers.iter_mut().enumerate() {
-                    let block = q_next.row_block(offsets[i], offsets[i + 1]);
-                    let (compacted, kept) =
-                        extract_block(&block, frontier, self.include_self_loops)?;
-                    layers[i].push(LayerSample::new(frontier.clone(), kept.clone(), compacted));
-                    *frontier = kept;
-                }
-                Ok(())
-            })?;
-            // The next step (or bulk group) gathers into `p`'s buffers.
-            with_workspace(|ws| ws.recycle(p));
-        }
-
-        let minibatches = batches
-            .iter()
-            .zip(layers)
-            .map(|(batch, mut batch_layers)| {
-                batch_layers.reverse(); // innermost first
-                MinibatchSample { batch: batch.clone(), layers: batch_layers }
-            })
-            .collect();
-
-        Ok(BulkSampleOutput { minibatches, profile, comm_stats: Default::default() })
-    }
-
-    fn sample_partitioned(&self, ctx: &mut PartitionedContext<'_>) -> Result<BulkSampleOutput> {
-        crate::partitioned::sage_on_rank(
-            ctx.comm,
-            ctx.grid,
-            ctx.my_a_block,
-            ctx.vertex_partition,
-            ctx.my_batches,
-            &self.fanouts,
-            self.include_self_loops,
-            ctx.seed,
-            ctx.parallelism,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::BulkSamplerConfig;
+    use dmbs_comm::Phase;
     use dmbs_graph::generators::{complete, figure1_example, star};
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -1,10 +1,12 @@
 //! The sampler abstraction (Algorithm 1 of the paper) and bulk-sampling
-//! configuration.
+//! configuration.  A matrix sampler supplies only its metadata and its
+//! [`SamplerSpec`]; sampling itself is the one pipeline every sampler and
+//! every backend shares.
 
+use crate::pipeline::{self, RowSource};
 use crate::plan::{BulkSampleOutput, MinibatchSample};
+use crate::spec::SamplerSpec;
 use crate::{Result, SamplingError};
-use dmbs_comm::{Communicator, ProcessGrid};
-use dmbs_graph::partition::OneDPartition;
 use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::CsrMatrix;
 use rand::RngCore;
@@ -85,10 +87,14 @@ impl Default for BulkSamplerConfig {
 /// A GNN minibatch sampling algorithm expressed through the matrix framework
 /// of Algorithm 1.
 ///
-/// Implementations provide the sampler-specific pieces (the structure of
-/// `Q^L`, the `NORM` step and the `EXTRACT` step); the shared machinery (ITS
-/// sampling, bulk stacking) lives in the implementations of
-/// [`Sampler::sample_bulk`].
+/// A matrix sampler is described by its [`Sampler::spec`]: the spec names
+/// the structure of `Q^L`, the `NORM` law and the `EXTRACT` step, and one
+/// crate-private pipeline runs it — on a local adjacency matrix through the
+/// provided [`Sampler::sample_bulk`], and on the 1.5D grid through
+/// [`Partitioned1p5dBackend`](crate::Partitioned1p5dBackend).  A sampler
+/// without a spec (such as the per-vertex baseline) overrides
+/// [`Sampler::sample_bulk`] and [`Sampler::sample_minibatch`] itself and runs
+/// on the local and replicated backends only.
 pub trait Sampler {
     /// Short human-readable name (used by benchmark output).
     fn name(&self) -> &'static str;
@@ -103,93 +109,69 @@ pub trait Sampler {
 
     /// A serializable description from which an identical sampler can be
     /// rebuilt in another process (the Unix-socket transport ships specs,
-    /// not objects).  `None` — the default — marks a sampler that cannot
-    /// cross process boundaries; such samplers still work on every
-    /// in-process backend.
-    fn spec(&self) -> Option<crate::spec::SamplerSpec> {
+    /// not objects), and the description the matrix pipeline runs.  `None`
+    /// — the default — marks a sampler that cannot cross process boundaries
+    /// and has no graph-partitioned formulation.
+    fn spec(&self) -> Option<SamplerSpec> {
         None
     }
 
     /// Samples the `L`-hop neighborhood of a single minibatch on a fully
-    /// local adjacency matrix.
+    /// local adjacency matrix: a one-batch [`Sampler::sample_bulk`].
     ///
     /// # Errors
     ///
-    /// Returns [`crate::SamplingError::InvalidConfig`] if the batch is empty
-    /// or references vertices outside the graph.
+    /// Returns [`SamplingError::InvalidBulkConfig`] if the batch is empty and
+    /// [`SamplingError::InvalidConfig`] if it references vertices outside the
+    /// graph.
     fn sample_minibatch(
         &self,
         adjacency: &CsrMatrix,
         batch: &[usize],
         rng: &mut dyn RngCore,
-    ) -> Result<MinibatchSample>;
+    ) -> Result<MinibatchSample> {
+        let config = BulkSamplerConfig::new(batch.len(), 1);
+        let mut out = self.sample_bulk(adjacency, &[batch.to_vec()], &config, rng)?;
+        Ok(out.minibatches.remove(0))
+    }
 
     /// Samples `batches.len()` minibatches in bulk by stacking their sampler
-    /// matrices (Equation 1 of the paper) and running the matrix pipeline
-    /// once per layer.
+    /// matrices (Equation 1 of the paper) and running the matrix pipeline of
+    /// [`Sampler::spec`] once per layer, on a fully local adjacency matrix.
     ///
     /// # Errors
     ///
-    /// Returns [`crate::SamplingError::InvalidBulkConfig`] for zero `config`
-    /// fields, and [`crate::SamplingError::InvalidConfig`] if any batch is
-    /// empty or references vertices outside the graph.
+    /// Returns [`SamplingError::InvalidBulkConfig`] for zero `config` fields,
+    /// [`SamplingError::InvalidConfig`] for a non-square adjacency matrix or
+    /// a batch that is empty or references vertices outside the graph, and
+    /// [`SamplingError::UnsupportedBackend`] for a sampler without a spec.
     fn sample_bulk(
         &self,
         adjacency: &CsrMatrix,
         batches: &[Vec<usize>],
         config: &BulkSamplerConfig,
         rng: &mut dyn RngCore,
-    ) -> Result<BulkSampleOutput>;
-
-    /// Samples this rank's process row's minibatches against a 1.5D
-    /// graph-partitioned adjacency matrix (§5.2, Algorithm 2), from inside an
-    /// SPMD region.  Called by
-    /// [`Partitioned1p5dBackend`](crate::backend::Partitioned1p5dBackend) so
-    /// that the backend stays generic over the sampling algorithm; every rank
-    /// of the grid must participate with a consistent [`PartitionedContext`].
-    ///
-    /// The default implementation reports that the sampler has no
-    /// graph-partitioned formulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SamplingError::UnsupportedBackend`] by default; overriding
-    /// samplers propagate configuration and collective errors.
-    fn sample_partitioned(&self, ctx: &mut PartitionedContext<'_>) -> Result<BulkSampleOutput> {
-        let _ = ctx;
-        Err(SamplingError::UnsupportedBackend {
-            sampler: self.name(),
-            backend: "graph-partitioned-1.5d",
-        })
+    ) -> Result<BulkSampleOutput> {
+        config.validate()?;
+        check_square(adjacency)?;
+        validate_batches(batches, adjacency.rows())?;
+        let spec = self
+            .spec()
+            .ok_or(SamplingError::UnsupportedBackend { sampler: self.name(), backend: "local" })?;
+        pipeline::sample(&spec, RowSource::Local { adjacency, rng }, batches, config.parallelism)
     }
 }
 
-/// Everything a sampler needs to run its graph-partitioned formulation on one
-/// rank of the `p/c × c` process grid: the communicator, the grid geometry,
-/// this process row's block of `A`, the vertex partition, the minibatches
-/// owned by this process row and the epoch seed.
-#[derive(Debug)]
-pub struct PartitionedContext<'a> {
-    /// Communicator of the executing rank.
-    pub comm: &'a mut Communicator,
-    /// The `p/c × c` process grid.
-    pub grid: &'a ProcessGrid,
-    /// The block row of the adjacency matrix owned by this rank's process
-    /// row.
-    pub my_a_block: &'a CsrMatrix,
-    /// 1D partition of the graph's vertices into `p/c` block rows.
-    pub vertex_partition: &'a OneDPartition,
-    /// The minibatches owned by this rank's process row.
-    pub my_batches: &'a [Vec<usize>],
-    /// Seed shared by every rank; samplers derive per-process-row streams
-    /// from it so sampling stays replicated within a process row.
-    pub seed: u64,
-    /// Shared-memory parallelism of this rank's local matrix kernels.
-    pub parallelism: Parallelism,
+/// Rejects a non-square adjacency matrix.
+pub(crate) fn check_square(adjacency: &CsrMatrix) -> Result<()> {
+    if adjacency.rows() != adjacency.cols() {
+        return Err(SamplingError::InvalidConfig("adjacency matrix must be square".into()));
+    }
+    Ok(())
 }
 
 /// Validates that every batch is non-empty and references vertices inside the
-/// graph.  Shared by all sampler implementations.
+/// graph.  Shared by every sampler and backend.
 pub(crate) fn validate_batches(batches: &[Vec<usize>], num_vertices: usize) -> Result<()> {
     if batches.is_empty() {
         return Err(crate::SamplingError::InvalidConfig("at least one batch is required".into()));
