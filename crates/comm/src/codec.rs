@@ -12,11 +12,11 @@
 //!
 //! A [`WireRows`] value is the unit that crosses the wire: its **canonical
 //! form is the encoded bytes**, produced once at the sender.  Both transports
-//! carry that same byte string (the in-process simulator boxes the struct,
-//! the socket backend frames it via [`Payload::encode`]), and the receiver
-//! decodes with the same deterministic little-endian routines — so sim and
-//! socket stay bit-identical to each other under every codec, and the lossy
-//! quantization is applied exactly once.
+//! carry that same byte string framed by [`Payload::encode`], and the
+//! receiver checks it with [`Payload::decode`] and decodes it with the same
+//! deterministic little-endian routines — so sim and socket stay
+//! bit-identical to each other under every codec, and the lossy quantization
+//! is applied exactly once.
 //!
 //! Non-finite policy (stated, and pinned by tests): under [`Codec::Fp16`],
 //! values whose magnitude exceeds the half-precision range overflow to ±∞
@@ -281,6 +281,12 @@ impl WireRows {
     /// [`WireRows::from_rows`] always decode).
     fn decode_checked(&self) -> Option<Vec<f64>> {
         let n = self.num_rows.checked_mul(self.dim)?;
+        // Every codec spends at least one body byte per value, so a header
+        // promising more values than the body holds is forged: reject it
+        // before sizing an allocation by it.
+        if n > self.bytes.len() {
+            return None;
+        }
         let mut out = Vec::with_capacity(n);
         let mut input = self.bytes.as_slice();
         let mut take = |len: usize| -> Option<&[u8]> {
@@ -508,6 +514,24 @@ mod tests {
         let mut bad = bytes.clone();
         bad[body_start] = 9;
         assert!(WireRows::decode(&mut bad.as_slice()).is_none());
+    }
+
+    #[test]
+    fn forged_row_count_is_rejected_without_allocating_it() {
+        // A 16-byte Exact body holds two values; the headers claim 2^40 and
+        // 2^60 of them.  Decoding must answer `None`, not size a buffer by
+        // the claim (an allocation abort or a capacity-overflow panic).
+        for (num_rows, dim) in [(1usize << 36, 16usize), (1 << 60, 1)] {
+            let mut frame = Vec::new();
+            wire::put_u64(&mut frame, Codec::Exact.tag());
+            wire::put_usize(&mut frame, dim);
+            wire::put_usize(&mut frame, num_rows);
+            wire::put_bytes(&mut frame, &[0u8; 16]);
+            assert!(
+                WireRows::decode(&mut frame.as_slice()).is_none(),
+                "{num_rows} rows x {dim} columns over a 16-byte body must be rejected"
+            );
+        }
     }
 
     #[test]

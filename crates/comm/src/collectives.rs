@@ -8,17 +8,17 @@
 //!
 //! The communicator is written against the [`Transport`] trait, so the same
 //! collective code runs over the in-process rank simulator (threads +
-//! channels, payloads as boxed values) and over the Unix-socket multi-process
-//! backend (payloads as wire bytes).  Every send records the message's word
-//! count and α–β modeled time into the rank's [`CommStats`] *before* the
-//! frame reaches the transport, which keeps the deterministic counters
-//! identical across backends and is how the benchmark harnesses obtain the
-//! communication component of the paper's breakdowns without real network
-//! hardware.
+//! channels) and over the Unix-socket multi-process backend; on both, a
+//! payload crosses as its [`Payload`] wire bytes.  Every send records the
+//! message's word count and α–β modeled time into the rank's [`CommStats`]
+//! *before* the frame reaches the transport, which keeps the deterministic
+//! counters identical across backends and is how the benchmark harnesses
+//! obtain the communication component of the paper's breakdowns without real
+//! network hardware.
 
 use crate::cost::{CommStats, CostModel};
 use crate::error::CommError;
-use crate::transport::{Frame, FrameBody, Transport, TransportMode};
+use crate::transport::{Frame, Transport};
 use crate::wire;
 use crate::Result;
 use std::collections::VecDeque;
@@ -37,8 +37,8 @@ pub(crate) const TAG_BLOCKING: u64 = 0;
 /// model; it does not need to be exact to the byte, only proportional to the
 /// real transfer volume.
 ///
-/// The remaining methods are the wire codec used by byte-moving transports
-/// (see [`wire`]): a structural [`type_code`](Payload::type_code) checked on
+/// The remaining methods are the wire codec every message crosses (see
+/// [`wire`]): a structural [`type_code`](Payload::type_code) checked on
 /// receive, and a bit-exact [`encode`](Payload::encode) /
 /// [`decode`](Payload::decode) pair (`f64` travels as its IEEE-754 bit
 /// pattern, so values round-trip identically on both transports).
@@ -268,7 +268,7 @@ impl Payload for CommStats {
     }
     fn type_code() -> u64 {
         // Constructor 32, not 31: the layout grew the invalidation books, so
-        // old and new frames must never downcast into each other (the same
+        // old and new frames must never decode as each other (the same
         // reason 31 displaced 30 when the bytes-on-wire book arrived).
         wire::compose_type_code(32, &[])
     }
@@ -401,25 +401,18 @@ impl Communicator {
         }
     }
 
-    /// Unpacks one matched frame into a typed value: downcast for the
-    /// in-process body, type-code check + bit-exact decode for wire bytes.
+    /// Unpacks one matched frame into a typed value: type-code check, then a
+    /// bit-exact decode that must consume the whole body.
     fn extract<T: Payload>(frame: Frame, from: usize) -> Result<T> {
-        match frame.body {
-            FrameBody::Boxed(payload) => {
-                payload.downcast::<T>().map(|b| *b).map_err(|_| CommError::TypeMismatch { from })
-            }
-            FrameBody::Bytes { type_code, bytes } => {
-                if type_code != T::type_code() {
-                    return Err(CommError::TypeMismatch { from });
-                }
-                let mut input = bytes.as_slice();
-                let value = T::decode(&mut input).ok_or(CommError::TypeMismatch { from })?;
-                if !input.is_empty() {
-                    return Err(CommError::TypeMismatch { from });
-                }
-                Ok(value)
-            }
+        if frame.type_code != T::type_code() {
+            return Err(CommError::TypeMismatch { from });
         }
+        let mut input = frame.bytes.as_slice();
+        let value = T::decode(&mut input).ok_or(CommError::TypeMismatch { from })?;
+        if !input.is_empty() {
+            return Err(CommError::TypeMismatch { from });
+        }
+        Ok(value)
     }
 
     /// Reserves a fresh tag for one nonblocking collective round.  Every rank
@@ -485,15 +478,9 @@ impl Communicator {
         // separately so compressed payloads keep comparable word counts
         // while β is charged on what actually moves.
         self.stats.record_wire(value.word_count(), value.wire_bytes(), &self.cost);
-        let frame = match self.transport.mode() {
-            TransportMode::InProcess => Frame { tag, body: FrameBody::Boxed(Box::new(value)) },
-            TransportMode::Wire => {
-                let mut bytes = Vec::new();
-                value.encode(&mut bytes);
-                Frame { tag, body: FrameBody::Bytes { type_code: T::type_code(), bytes } }
-            }
-        };
-        self.transport.send(to, frame)
+        let mut bytes = Vec::new();
+        value.encode(&mut bytes);
+        self.transport.send(to, Frame { tag, type_code: T::type_code(), bytes })
     }
 
     /// Receives a value of type `T` from rank `from`, blocking until it

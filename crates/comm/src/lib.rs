@@ -11,7 +11,7 @@
 //!
 //! * the default **in-process rank simulator** — [`Runtime::run`] spawns one
 //!   OS thread per rank, each executing the same closure over a
-//!   [`Communicator`]; payloads cross as boxed values, never serialized;
+//!   [`Communicator`]; frames cross over in-process channels;
 //! * the **Unix-socket multi-process backend** — one OS process per rank
 //!   ([`UnixSocketTransport`]), rendezvous via
 //!   `DMBS_RANK`/`DMBS_SIZE`/`DMBS_SOCKET_DIR`, length-prefixed framed
@@ -21,13 +21,15 @@
 //!
 //! Correctness of the distributed algorithms is independent of the
 //! interconnect, so both transports exercise exactly the same collective
-//! code paths — and the deterministic counters agree by construction,
-//! because every message records its word count and α–β modeled cost
-//! ([`CostModel`], per-rank [`CommStats`]) *before* the frame reaches any
-//! transport.  The benchmark harnesses use those books to reproduce the
-//! paper's communication/computation breakdowns (Figure 7) and its
-//! analytical cost model (§5.2.1), and `perf_baseline --calibrate` closes
-//! the loop by fitting α/β from measured socket-transport probes.
+//! code paths and the same [`Payload`] wire codec: every message is encoded
+//! to bytes and decoded on receive, whichever transport carries it.  The
+//! deterministic counters agree by construction, because every message
+//! records its word count and α–β modeled cost ([`CostModel`], per-rank
+//! [`CommStats`]) *before* the frame reaches any transport.  The benchmark
+//! harnesses use those books to reproduce the paper's
+//! communication/computation breakdowns (Figure 7) and its analytical cost
+//! model (§5.2.1), and `perf_baseline --calibrate` closes the loop by fitting
+//! α/β from measured socket-transport probes.
 //!
 //! # Example
 //!
@@ -78,7 +80,7 @@ pub use process::{run_if_worker, SocketLaunch, WorkerFn, WorkerRegistry};
 pub use profile::{Phase, PhaseProfile};
 pub use runtime::{RankOutput, Runtime, TransportSelect};
 pub use socket::{SocketConfig, UnixSocketTransport};
-pub use transport::{Frame, FrameBody, SimTransport, Transport, TransportMode};
+pub use transport::{Frame, SimTransport, Transport};
 pub use tune::{
     CostBreakdown, FeatureCacheConfig, ProbeEpoch, ProbeSet, Schedule, ScoredChoice, TuningGrid,
     TuningModel, TuningOutcome,

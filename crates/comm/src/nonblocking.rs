@@ -4,10 +4,10 @@
 //! between sampling, feature fetching and propagation; the communication of
 //! one pipeline stage can be hidden behind the computation of another, but
 //! only if the collectives have an `MPI_Ialltoallv`-style handle API.  This
-//! module provides that API on the rank simulator: `post_*` sends a
-//! collective's outgoing messages immediately (channel sends never block) and
-//! returns a [`PendingCollective`] handle; `wait` completes the receives and
-//! returns the result.
+//! module provides that API on either transport: `post_*` sends a
+//! collective's outgoing messages immediately (sends never wait for the
+//! receiver) and returns a [`PendingCollective`] handle; `wait` completes the
+//! receives and returns the result.
 //!
 //! Each posted round reserves a fresh message tag, so in-flight rounds can
 //! interleave arbitrarily with blocking traffic (and with each other): a
@@ -55,8 +55,8 @@ use crate::Result;
 /// Because every round owns a fresh tag, a rank may wait its outstanding
 /// handles in **any** order — receives for one tag stash other-tag messages
 /// instead of consuming them (the software-pipelined trainer exploits this:
-/// a prefetch posted before a training step is waited after the step's own
-/// posted reduces).  What must agree is the *post* order across ranks: tags
+/// a prefetch posted before a group's training steps is waited after the
+/// steps' blocking reduces).  What must agree is the *post* order across ranks: tags
 /// are reserved in SPMD program order, so all ranks must post the same
 /// rounds in the same sequence.  Dropping a handle without waiting leaves
 /// its peers' messages stashed until the rank terminates — legal, but the

@@ -4,10 +4,10 @@
 //! Two backends exist.  The default (what [`Runtime::new`] selects) is the
 //! **in-process rank simulator**: [`Runtime::run`] spawns one OS thread per
 //! rank and wires communicators over crossbeam channels
-//! ([`SimTransport`]), with payloads crossing as boxed
-//! values and communication *time* modeled by the α–β [`CostModel`].  The
-//! alternative, selected with [`Runtime::with_transport`], is the
-//! **Unix-socket multi-process backend**
+//! ([`SimTransport`]), with payloads crossing as their
+//! [`Payload`](crate::Payload) wire bytes and communication *time* modeled
+//! by the α–β [`CostModel`].  The alternative, selected with
+//! [`Runtime::with_transport`], is the **Unix-socket multi-process backend**
 //! ([`UnixSocketTransport`](crate::UnixSocketTransport)): one OS process per
 //! rank, rendezvous via `DMBS_RANK`/`DMBS_SIZE`/`DMBS_SOCKET_DIR`, payloads
 //! length-prefix framed over real sockets.  Closures cannot cross process
@@ -27,8 +27,8 @@ use crossbeam::channel::unbounded;
 /// Which transport a [`Runtime`] executes over.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum TransportSelect {
-    /// The in-process rank simulator: threads + channels, no serialization.
-    /// This is the default.
+    /// The in-process rank simulator: threads + channels carrying the same
+    /// wire bytes as the socket backend.  This is the default.
     #[default]
     Simulator,
     /// One OS process per rank over Unix domain sockets.  Only

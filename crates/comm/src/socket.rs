@@ -36,7 +36,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use crate::error::CommError;
-use crate::transport::{Frame, FrameBody, Transport, TransportMode};
+use crate::transport::{Frame, Transport};
 use crate::Result;
 
 /// Default bound on every blocking wait (rendezvous, receive) of the socket
@@ -305,8 +305,7 @@ impl UnixSocketTransport {
                 .spawn(move || loop {
                     match read_frame(&mut read_half) {
                         Ok(Some((tag, type_code, bytes))) => {
-                            let frame = Frame { tag, body: FrameBody::Bytes { type_code, bytes } };
-                            if tx.send(Ok(frame)).is_err() {
+                            if tx.send(Ok(Frame { tag, type_code, bytes })).is_err() {
                                 return; // transport dropped
                             }
                         }
@@ -362,22 +361,13 @@ impl Transport for UnixSocketTransport {
         self.size
     }
 
-    fn mode(&self) -> TransportMode {
-        TransportMode::Wire
-    }
-
     fn send(&mut self, to: usize, frame: Frame) -> Result<()> {
         if to == self.rank {
             self.self_queue.push_back(frame);
             return Ok(());
         }
-        let FrameBody::Bytes { type_code, bytes } = frame.body else {
-            return Err(CommError::InvalidConfig(
-                "wire transport received an in-process frame body".into(),
-            ));
-        };
         let writer = self.writers[to].as_mut().expect("mesh is fully connected");
-        write_frame(writer, frame.tag, type_code, &bytes)
+        write_frame(writer, frame.tag, frame.type_code, &frame.bytes)
             .map_err(|_| CommError::Disconnected { from: to })
     }
 
@@ -455,19 +445,13 @@ mod tests {
             let mut t1 = t1;
             let f = t1.recv(0).unwrap();
             assert_eq!(f.tag, 7);
-            let FrameBody::Bytes { type_code, bytes } = f.body else { panic!("wire body") };
-            assert_eq!(type_code, 99);
-            assert_eq!(bytes, vec![1, 2, 3]);
+            assert_eq!(f.type_code, 99);
+            assert_eq!(f.bytes, vec![1, 2, 3]);
             // Reply with an empty payload.
-            t1.send(0, Frame { tag: 8, body: FrameBody::Bytes { type_code: 5, bytes: vec![] } })
-                .unwrap();
+            t1.send(0, Frame { tag: 8, type_code: 5, bytes: vec![] }).unwrap();
         });
         let mut t0 = t0;
-        t0.send(
-            1,
-            Frame { tag: 7, body: FrameBody::Bytes { type_code: 99, bytes: vec![1, 2, 3] } },
-        )
-        .unwrap();
+        t0.send(1, Frame { tag: 7, type_code: 99, bytes: vec![1, 2, 3] }).unwrap();
         let reply = t0.recv(1).unwrap();
         assert_eq!(reply.tag, 8);
         h.join().unwrap();

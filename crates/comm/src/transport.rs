@@ -4,21 +4,20 @@
 //! nonblocking alike — are written against the [`Transport`] trait: a
 //! point-to-point carrier of tagged [`Frame`]s.  Two implementations ship:
 //!
-//! * [`SimTransport`] — the original in-process rank simulator.  Ranks are
-//!   threads; a frame's payload crosses as a `Box<dyn Any>` with **no
-//!   serialization**, exactly as before the trait extraction.
+//! * [`SimTransport`] — the in-process rank simulator.  Ranks are threads and
+//!   frames cross over channels.
 //! * [`UnixSocketTransport`](crate::UnixSocketTransport) — one OS process
 //!   per rank, frames length-prefixed over Unix domain sockets.
 //!
-//! The [`TransportMode`] tells the communicator how to package payloads:
-//! in-process transports move boxed values, wire transports move bytes
-//! produced by the [`Payload`](crate::Payload) codec.  Communication
-//! *accounting* ([`CommStats`](crate::CommStats) words/messages and the α–β
-//! bill) is recorded by the communicator **before** the frame reaches any
-//! transport, so the deterministic counters are identical across backends by
+//! A frame is always the payload's wire bytes: the communicator encodes
+//! every value with the [`Payload`](crate::Payload) codec before it reaches
+//! any transport and decodes it on receive, so both transports run the same
+//! decoders on the same bytes.  Communication *accounting*
+//! ([`CommStats`](crate::CommStats) words/messages and the α–β bill) is
+//! recorded by the communicator before the frame reaches the transport too,
+//! so the deterministic counters are identical across backends by
 //! construction — the invariant the cross-transport equivalence sweep pins.
 
-use std::any::Any;
 use std::fmt;
 
 use crossbeam::channel::{Receiver, Sender};
@@ -26,52 +25,25 @@ use crossbeam::channel::{Receiver, Sender};
 use crate::error::CommError;
 use crate::Result;
 
-/// How a transport carries payloads, which decides how the communicator
-/// packages them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportMode {
-    /// Payloads cross as boxed values within one address space.
-    InProcess,
-    /// Payloads cross as bytes; the communicator encodes/decodes via the
-    /// [`Payload`](crate::Payload) wire codec.
-    Wire,
-}
-
-/// The body of a [`Frame`]: a boxed value (in-process) or encoded bytes
-/// tagged with the payload's structural type code (wire).
-pub enum FrameBody {
-    /// An in-process payload, downcast on receive.
-    Boxed(Box<dyn Any + Send>),
-    /// A wire payload.
-    Bytes {
-        /// Structural code of the encoded type, checked before decoding.
-        type_code: u64,
-        /// The encoded payload.
-        bytes: Vec<u8>,
-    },
-}
-
-impl fmt::Debug for FrameBody {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FrameBody::Boxed(_) => f.write_str("FrameBody::Boxed(..)"),
-            FrameBody::Bytes { type_code, bytes } => f
-                .debug_struct("FrameBody::Bytes")
-                .field("type_code", type_code)
-                .field("len", &bytes.len())
-                .finish(),
-        }
-    }
-}
-
 /// One tagged point-to-point message as seen by a transport.
-#[derive(Debug)]
 pub struct Frame {
     /// MPI-style tag: `0` for blocking traffic, a fresh per-round tag for
     /// each nonblocking collective.
     pub tag: u64,
-    /// The payload.
-    pub body: FrameBody,
+    /// Structural code of the encoded payload type, checked before decoding.
+    pub type_code: u64,
+    /// The encoded payload.
+    pub bytes: Vec<u8>,
+}
+
+impl fmt::Debug for Frame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Frame")
+            .field("tag", &self.tag)
+            .field("type_code", &self.type_code)
+            .field("len", &self.bytes.len())
+            .finish()
+    }
 }
 
 /// A point-to-point carrier of tagged frames between `size` ranks.
@@ -85,9 +57,6 @@ pub trait Transport: Send + fmt::Debug {
 
     /// World size.
     fn size(&self) -> usize;
-
-    /// How payloads must be packaged for this transport.
-    fn mode(&self) -> TransportMode;
 
     /// Sends one frame to `to`.  `to` is already validated by the
     /// communicator to be in `0..size` and different from `self.rank()`.
@@ -141,10 +110,6 @@ impl Transport for SimTransport {
         self.size
     }
 
-    fn mode(&self) -> TransportMode {
-        TransportMode::InProcess
-    }
-
     fn send(&mut self, to: usize, frame: Frame) -> Result<()> {
         self.senders[to].send(frame).map_err(|_| CommError::Disconnected { from: to })
     }
@@ -173,13 +138,12 @@ mod tests {
     fn frames_cross_in_order() {
         let (mut t0, mut t1) = pair();
         for tag in [7u64, 8, 9] {
-            t0.send(1, Frame { tag, body: FrameBody::Boxed(Box::new(tag as usize)) }).unwrap();
+            t0.send(1, Frame { tag, type_code: 2, bytes: vec![tag as u8] }).unwrap();
         }
         for tag in [7u64, 8, 9] {
             let f = t1.recv(0).unwrap();
-            assert_eq!(f.tag, tag);
+            assert_eq!((f.tag, f.bytes), (tag, vec![tag as u8]));
         }
-        assert_eq!(t0.mode(), TransportMode::InProcess);
         assert_eq!((t0.rank(), t1.rank()), (0, 1));
         assert_eq!(t0.size(), 2);
     }
@@ -196,10 +160,9 @@ mod tests {
 
     #[test]
     fn frame_body_debug_is_compact() {
-        let b = FrameBody::Bytes { type_code: 5, bytes: vec![1, 2, 3] };
-        let s = format!("{b:?}");
-        assert!(s.contains("type_code") && s.contains("len"));
-        let s = format!("{:?}", FrameBody::Boxed(Box::new(1usize)));
-        assert!(s.contains("Boxed"));
+        let f = Frame { tag: 7, type_code: 5, bytes: vec![1, 2, 3] };
+        let s = format!("{f:?}");
+        assert!(s.contains("tag: 7") && s.contains("type_code: 5") && s.contains("len: 3"), "{s}");
+        assert!(!s.contains("[1, 2, 3]"), "the body bytes stay out of the debug string: {s}");
     }
 }

@@ -1,9 +1,9 @@
-//! Byte-level wire codec shared by the Unix-socket transport.
+//! Byte-level wire codec shared by both transports.
 //!
-//! The in-process simulator moves payloads as `Box<dyn Any>` and never
-//! serializes anything; the socket backend moves the same payloads between
-//! OS processes, which requires a concrete byte encoding.  This module keeps
-//! that encoding deliberately boring and bit-exact:
+//! Every message the [`Communicator`](crate::Communicator) sends is encoded
+//! to bytes, whether the in-process simulator or the socket backend carries
+//! it between ranks, so both run the same decoders on the same bytes.  This
+//! module keeps that encoding deliberately boring and bit-exact:
 //!
 //! * all integers are little-endian `u64` (usize values are widened, which
 //!   is lossless on every supported target);
@@ -16,8 +16,8 @@
 //! Every [`Payload`](crate::Payload) type carries a structural
 //! [`type_code`](crate::Payload::type_code) that the receiving side checks
 //! before decoding, so mismatched collectives across ranks surface as
-//! [`CommError::TypeMismatch`](crate::CommError::TypeMismatch) on the wire
-//! exactly as they do in-process.
+//! [`CommError::TypeMismatch`](crate::CommError::TypeMismatch) on either
+//! transport.
 
 /// Appends a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {

@@ -540,10 +540,13 @@ impl FeatureCache {
     }
 
     /// Prefetches the missing subset of `plan_vertices` with **one**
-    /// collective [`FeatureStore::fetch`] round and pins the rows.  Every
-    /// rank of `group` must call this collectively (with its own plan); a
-    /// rank whose plan is fully resident still participates with an empty
-    /// request, which is what keeps the collectives matched.
+    /// collective fetch round and pins the rows: a
+    /// [`FeatureCache::post_prefetch`] completed at once by
+    /// [`FeatureCache::complete_prefetch`], with the same messages, words
+    /// and α–β time as a blocking [`FeatureStore::fetch`].  Every rank of
+    /// `group` must call this collectively (with its own plan); a rank whose
+    /// plan is fully resident still participates with an empty request,
+    /// which is what keeps the collectives matched.
     ///
     /// Returns the number of rows that were actually fetched.
     ///
@@ -558,26 +561,17 @@ impl FeatureCache {
         group: &Group,
         plan_vertices: &[usize],
     ) -> Result<usize> {
-        let missing: Vec<usize> =
-            plan_vertices.iter().copied().filter(|v| !self.rows.contains_key(v)).collect();
-        let fetched = store.fetch(comm, group, &missing)?;
-        for (i, &v) in missing.iter().enumerate() {
-            // A prefetched row is a cache *miss* — it was fetched fresh —
-            // exactly as `prime_local` counts on the streaming path, so hit
-            // rates are comparable across the two paths and a cold cache is
-            // visible in the counters.
-            self.stats.record_cache_miss();
-            self.insert(v, fetched.row(i), true);
-        }
-        Ok(missing.len())
+        let pending = self.post_prefetch(store, comm, group, plan_vertices)?;
+        self.complete_prefetch(store, comm, group, pending)
     }
 
-    /// Posts the prefetch of `plan_vertices` nonblocking — the overlapped
-    /// pipeline's version of [`FeatureCache::prefetch`].  The missing set
-    /// excludes both resident rows *and* rows already requested by an earlier
-    /// still-pending post, so a software-pipelined schedule (post group
-    /// `k + 1` before group `k`'s rows have landed) requests exactly the rows
-    /// the synchronous schedule would: per-epoch words stay byte-identical.
+    /// Posts the prefetch of `plan_vertices` nonblocking — the first half of
+    /// [`FeatureCache::prefetch`], which the pipelined trainer splits around
+    /// the previous group's training.  The missing set excludes both
+    /// resident rows *and* rows already requested by an earlier still-pending
+    /// post, so a software-pipelined schedule (post group `k + 1` before
+    /// group `k`'s rows have landed) requests exactly the rows the
+    /// synchronous schedule would: per-epoch words stay byte-identical.
     ///
     /// Complete with [`FeatureCache::complete_prefetch`] before the first
     /// [`FeatureCache::gather_pinned`] that needs the rows.
@@ -607,8 +601,7 @@ impl FeatureCache {
 
     /// Completes a posted prefetch: waits the in-flight exchange, pins the
     /// fetched rows and records them as the misses that paid for the
-    /// transfer (the same accounting as [`FeatureCache::prefetch`]).
-    /// Returns the number of rows that crossed the wire.
+    /// transfer.  Returns the number of rows that crossed the wire.
     ///
     /// # Errors
     ///
@@ -624,6 +617,10 @@ impl FeatureCache {
         let fetched = fetch.wait(store, comm, group)?;
         for (i, &v) in missing.iter().enumerate() {
             self.in_flight.remove(&v);
+            // A prefetched row is a cache *miss* — it was fetched fresh —
+            // exactly as `prime_local` counts on the streaming path, so hit
+            // rates are comparable across the two paths and a cold cache is
+            // visible in the counters.
             self.stats.record_cache_miss();
             self.insert(v, fetched.row(i), true);
         }

@@ -208,10 +208,12 @@ pub struct Minibatch {
 
 type GroupMessage = Result<(usize, usize, BulkSampleOutput, FetchPlan)>;
 
-/// One in-flight stage of the software-pipelined distributed training loop:
-/// a sampled bulk group whose pinned prefetch (if any) has been posted but
-/// not yet completed, plus the modeled communication seconds hoisted ahead of
-/// the previous group's training (the candidate for overlap credit).
+/// One stage of the distributed training pipeline: a sampled bulk group whose
+/// pinned prefetch (if any) has been posted but not yet completed, plus the
+/// stage's modeled communication seconds.  Under the overlapped schedule the
+/// stage is posted while the previous group trains, and those seconds are
+/// the candidate for overlap credit; the synchronous schedule completes each
+/// stage right after posting it and credits nothing.
 #[derive(Debug)]
 struct PipelineStage {
     /// `(index within the group, sample)` for every minibatch this rank
@@ -219,8 +221,9 @@ struct PipelineStage {
     samples: Vec<(usize, dmbs_sampling::MinibatchSample)>,
     /// The posted (not yet completed) pinned prefetch of this stage.
     pending: Option<PendingPrefetch>,
-    /// Comm-only profile of the work hoisted while the previous group
-    /// trained: sampling collectives plus the prefetch rounds.
+    /// Comm-only profile of the stage's sampling collectives plus its
+    /// prefetch rounds — what the overlapped schedule hoists ahead of the
+    /// previous group's training.
     hoisted: PhaseProfile,
 }
 
@@ -509,7 +512,9 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// bulk group `k` trains, group `k + 1` is sampled and — with the
     /// [`FeatureCacheConfig::EpochPinned`] cache — its prefetch all-to-allv
     /// is posted nonblocking, so the α–β communication bill hides behind
-    /// propagation compute instead of adding to it.  The modeled time hidden
+    /// propagation compute instead of adding to it.  Off runs the same
+    /// pipeline with a look-ahead of zero: each group is sampled, fetched and
+    /// trained before the next one is sampled.  The modeled time hidden
     /// this way is recorded as overlapped seconds
     /// ([`dmbs_comm::PhaseProfile::total_overlap`],
     /// [`dmbs_comm::CommStats::overlapped_time`]); the wire books themselves
@@ -533,7 +538,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// (default [`TransportSelect::Simulator`]):
     ///
     /// * [`TransportSelect::Simulator`] — ranks are threads of this process,
-    ///   payloads cross as boxed values;
+    ///   payloads cross as wire bytes over in-process channels;
     /// * [`TransportSelect::UnixSocket`] — one OS process per rank; the
     ///   session, dataset included, is wire-encoded to each rank process,
     ///   which rebuilds it and runs the identical per-rank loop over real
@@ -1215,63 +1220,55 @@ where
                 cache.as_mut().expect("pinned implies enabled").clear();
             }
 
+            // The software pipeline of §6 / Figure 3, one loop for both
+            // schedules: stages up to `k + lookahead` are sampled and their
+            // pinned prefetches posted before stage k's prefetch completes
+            // and its steps run.  With `overlap` the look-ahead is one
+            // group, so group k+1's communication is hoisted ahead of group
+            // k's training; the synchronous schedule is the same pipeline
+            // with nothing hoisted.
+            let lookahead = usize::from(config.schedule.overlap);
             let groups: Vec<&[Vec<usize>]> = plan.batches().chunks(config.bulk_size).collect();
-            if config.schedule.overlap {
-                // --- Software-pipelined schedule (§6 overlap): while
-                // group k trains, group k+1 is sampled and its pinned
-                // prefetch is posted nonblocking; stage 0 fills the
-                // pipeline with no compute to hide behind.
-                let mut stage = self.sample_and_post_stage(
-                    comm,
-                    adjacency,
-                    graph_version,
-                    groups[0],
-                    group_seed(epoch_seed, 0),
-                    &store,
-                    &fetch_group,
-                    &mut cache,
-                    pinned,
-                    &mut profile,
-                )?;
-                let mut prev_steps_compute = 0.0f64;
-                for k in 0..groups.len() {
-                    let next = if k + 1 < groups.len() {
-                        Some(self.sample_and_post_stage(
-                            comm,
-                            adjacency,
-                            graph_version,
-                            groups[k + 1],
-                            group_seed(epoch_seed, k + 1),
-                            &store,
-                            &fetch_group,
-                            &mut cache,
-                            pinned,
-                            &mut profile,
-                        )?)
-                    } else {
-                        None
-                    };
-                    // Complete stage k's prefetch (the reply rows of
-                    // the posted all-to-allv land here).
-                    if let Some(pending) = stage.pending.take() {
-                        let cache = cache.as_mut().expect("pending implies pinned cache");
-                        let wait_start = std::time::Instant::now();
-                        let comm_before = comm.stats().modeled_time;
-                        cache.complete_prefetch(&store, comm, &fetch_group, pending)?;
-                        profile
-                            .add_compute(Phase::FeatureFetch, wait_start.elapsed().as_secs_f64());
-                        let wait_comm = comm.stats().modeled_time - comm_before;
-                        profile.add_comm(Phase::FeatureFetch, wait_comm);
-                        stage.hoisted.add_comm(Phase::FeatureFetch, wait_comm);
-                    }
-                    // Charge the hoisted communication as hidden
-                    // behind the previous group's training compute:
-                    // the pipelined schedule pays max(comm, compute),
-                    // so min(comm, compute) is credited as overlapped
-                    // seconds — phase by phase until the budget runs
-                    // out.  The wire books (words, messages, modeled
-                    // time) are untouched.
-                    let mut budget = prev_steps_compute;
+            let mut posted: VecDeque<PipelineStage> = VecDeque::with_capacity(lookahead + 1);
+            let mut prev_steps_secs = 0.0f64;
+            for k in 0..groups.len() {
+                while posted.len() <= lookahead {
+                    let next = k + posted.len();
+                    let Some(&group) = groups.get(next) else { break };
+                    posted.push_back(self.sample_and_post_stage(
+                        comm,
+                        adjacency,
+                        graph_version,
+                        group,
+                        group_seed(epoch_seed, next),
+                        &store,
+                        &fetch_group,
+                        &mut cache,
+                        pinned,
+                        &mut profile,
+                    )?);
+                }
+                let mut stage = posted.pop_front().expect("stage k was posted");
+                // Complete stage k's prefetch (the reply rows of the posted
+                // all-to-allv land here).
+                if let Some(pending) = stage.pending.take() {
+                    let cache = cache.as_mut().expect("pending implies pinned cache");
+                    let wait_start = std::time::Instant::now();
+                    let comm_before = comm.stats().modeled_time;
+                    cache.complete_prefetch(&store, comm, &fetch_group, pending)?;
+                    profile.add_compute(Phase::FeatureFetch, wait_start.elapsed().as_secs_f64());
+                    let wait_comm = comm.stats().modeled_time - comm_before;
+                    profile.add_comm(Phase::FeatureFetch, wait_comm);
+                    stage.hoisted.add_comm(Phase::FeatureFetch, wait_comm);
+                }
+                if lookahead > 0 {
+                    // Charge the hoisted communication as hidden behind the
+                    // previous group's training: the pipelined schedule pays
+                    // max(comm, compute), so min(comm, compute) is credited
+                    // as overlapped seconds — phase by phase until the
+                    // budget runs out.  The wire books (words, messages,
+                    // modeled time) are untouched.
+                    let mut budget = prev_steps_secs;
                     for phase in Phase::ALL {
                         let credit =
                             comm.cost_model().overlap_credit(stage.hoisted.comm(phase), budget);
@@ -1280,88 +1277,23 @@ where
                             budget -= credit;
                         }
                     }
-                    prev_steps_compute = self.run_group_steps(
-                        comm,
-                        &stage.samples,
-                        &store,
-                        &fetch_group,
-                        &mut cache,
-                        pinned,
-                        true,
-                        &mut model,
-                        &mut optimizer,
-                        &mut grad_residual,
-                        &mut profile,
-                        &mut loss,
-                    )?;
-                    if let Some(next) = next {
-                        stage = next;
-                    }
                 }
-            } else {
-                for (gi, group) in groups.iter().enumerate() {
-                    // --- Phase 1: sampling through the backend,
-                    // inside the SPMD region.
-                    let shard = self
-                        .backend
-                        .sample_group_on_rank(
-                            comm,
-                            &*self.sampler,
-                            adjacency,
-                            group,
-                            group_seed(epoch_seed, gi),
-                        )
-                        .map_err(GnnError::Sampling)?;
-                    profile.merge_sum(&shard.profile);
-                    let my_samples = shard.samples;
-
-                    // --- Phase 2a (pinned cache only): one
-                    // collective prefetch of the group's deduplicated
-                    // frontier union.  Bulk sampling materialized
-                    // every frontier already, so the fetch plan costs
-                    // a dedup, and the per-step all-to-allv rounds
-                    // below disappear.
-                    if pinned {
-                        let cache = cache.as_mut().expect("pinned implies enabled");
-                        let fetch_plan =
-                            FetchPlan::from_sample_iter(my_samples.iter().map(|(_, mb)| mb))
-                                .with_version(graph_version);
-                        // Load-bearing guard: a plan computed before an
-                        // ingest must never feed a prefetch afterwards.
-                        ensure_plan_fresh(&fetch_plan, graph_version)?;
-                        let fetch_start = std::time::Instant::now();
-                        let comm_before = comm.stats().modeled_time;
-                        cache.prefetch(&store, comm, &fetch_group, fetch_plan.unique_vertices())?;
-                        profile
-                            .add_compute(Phase::FeatureFetch, fetch_start.elapsed().as_secs_f64());
-                        profile
-                            .add_comm(Phase::FeatureFetch, comm.stats().modeled_time - comm_before);
-                    }
-
-                    self.run_group_steps(
-                        comm,
-                        &my_samples,
-                        &store,
-                        &fetch_group,
-                        &mut cache,
-                        pinned,
-                        false,
-                        &mut model,
-                        &mut optimizer,
-                        &mut grad_residual,
-                        &mut profile,
-                        &mut loss,
-                    )?;
-                }
+                prev_steps_secs = self.run_group_steps(
+                    comm,
+                    &stage.samples,
+                    &store,
+                    &fetch_group,
+                    &mut cache,
+                    pinned,
+                    &mut model,
+                    &mut optimizer,
+                    &mut grad_residual,
+                    &mut profile,
+                    &mut loss,
+                )?;
             }
 
-            let mut comm_delta = comm.stats();
-            comm_delta.messages -= comm_start.messages;
-            comm_delta.words_sent -= comm_start.words_sent;
-            comm_delta.bytes_on_wire -= comm_start.bytes_on_wire;
-            comm_delta.bytes_saved -= comm_start.bytes_saved;
-            comm_delta.modeled_time -= comm_start.modeled_time;
-            comm_delta.overlapped_time -= comm_start.overlapped_time;
+            let mut comm_delta = comm.stats().since(&comm_start);
             // The hidden seconds live in the profile's overlap books;
             // mirror the epoch total into the comm counters so the
             // harnesses see one number per epoch.
@@ -1477,11 +1409,11 @@ where
     }
 
     /// Samples one bulk group inside the SPMD region and, with the pinned
-    /// cache, posts its prefetch nonblocking — the "stage fill" of the
-    /// software pipeline.  The modeled communication this hoists ahead of the
-    /// previous group's training is collected in
-    /// [`PipelineStage::hoisted`] so the trainer can credit it as
-    /// overlapped once the budget (the previous group's training compute) is
+    /// cache, posts its prefetch nonblocking — the first half of every
+    /// pipeline stage, on both schedules.  The stage's modeled communication
+    /// is collected in [`PipelineStage::hoisted`]; the overlapped schedule,
+    /// which posts it while the previous group trains, credits it as
+    /// overlapped once the budget (the previous group's step seconds) is
     /// known.
     #[allow(clippy::too_many_arguments)]
     fn sample_and_post_stage(
@@ -1513,6 +1445,8 @@ where
             let cache = cache.as_mut().expect("pinned implies enabled");
             let fetch_plan = FetchPlan::from_sample_iter(shard.samples.iter().map(|(_, mb)| mb))
                 .with_version(graph_version);
+            // Load-bearing guard: a plan computed before an ingest must
+            // never feed a prefetch afterwards.
             ensure_plan_fresh(&fetch_plan, graph_version)?;
             let post_start = std::time::Instant::now();
             let comm_before = comm.stats().modeled_time;
@@ -1530,14 +1464,14 @@ where
     }
 
     /// Runs the bulk-synchronous training steps of one group: every rank
-    /// takes the same number of steps so the collectives stay matched.  With
-    /// `overlap` the per-step gradient reduces are posted back-to-back (two
-    /// collectives in flight, identical traffic and bit-identical results);
-    /// the per-step *fetch* collectives of the LRU / uncached modes always
-    /// stay synchronous — they are demand-driven, and keeping them blocking
-    /// is what keeps ranks matched.  Returns the measured wall seconds of the
-    /// step loop — the compute budget the next stage's hoisted communication
-    /// can hide behind.
+    /// takes the same number of steps so the collectives stay matched.  Each
+    /// step reduces the contributing-rank count, then the gradient — dense,
+    /// or top-k sparse with error feedback — with blocking all-reduces.  The
+    /// per-step *fetch* collectives of the LRU / uncached modes are blocking
+    /// too: they are demand-driven, and keeping them blocking is what keeps
+    /// ranks matched.  Returns the measured wall seconds of the step loop —
+    /// the compute budget the next stage's hoisted communication can hide
+    /// behind.
     #[allow(clippy::too_many_arguments)]
     fn run_group_steps(
         &self,
@@ -1547,7 +1481,6 @@ where
         fetch_group: &Group,
         cache: &mut Option<FeatureCache>,
         pinned: bool,
-        overlap: bool,
         model: &mut SageModel,
         optimizer: &mut Sgd,
         grad_residual: &mut Option<Vec<f64>>,
@@ -1582,7 +1515,9 @@ where
             } else {
                 (None, vec![0.0; model.num_parameters()])
             };
-            let (contributing, summed) = if let (Some(k), Some(residual)) =
+            let contributing =
+                comm.allreduce(usize::from(local_loss.is_some()), |a, b| a + b)?.max(1);
+            let summed = if let (Some(k), Some(residual)) =
                 (self.config.grad_top_k, grad_residual.as_mut())
             {
                 // Top-k error-feedback compression of the gradient reduce:
@@ -1592,7 +1527,6 @@ where
                 // The sorted sparse lists merge in ascending-rank order at
                 // the root and the union broadcasts, so every rank applies
                 // the identical update.  The step-count reduce stays exact.
-                let n = grads.len();
                 let compensated: Vec<f64> =
                     residual.iter().zip(&grads).map(|(r, g)| r + g).collect();
                 let pairs: Vec<(usize, f64)> = top_k_indices(&compensated, k)
@@ -1603,37 +1537,13 @@ where
                 for &(i, _) in &pairs {
                     residual[i] = 0.0;
                 }
-                let (contributing, sparse) = if overlap {
-                    let pending_count =
-                        comm.post_allreduce(usize::from(local_loss.is_some()), |a, b| a + b)?;
-                    let pending_sparse = comm.post_allreduce(pairs, |a, b| merge_sparse(a, b))?;
-                    (pending_count.wait_reduced(comm)?.max(1), pending_sparse.wait_reduced(comm)?)
-                } else {
-                    let contributing =
-                        comm.allreduce(usize::from(local_loss.is_some()), |a, b| a + b)?.max(1);
-                    (contributing, comm.allreduce(pairs, |a, b| merge_sparse(a, b))?)
-                };
-                let mut summed = vec![0.0; n];
-                for (i, v) in sparse {
+                let mut summed = vec![0.0; grads.len()];
+                for (i, v) in comm.allreduce(pairs, |a, b| merge_sparse(a, b))? {
                     summed[i] = v;
                 }
-                (contributing, summed)
-            } else if overlap {
-                // Post both propagation reduces, then wait them in post
-                // order: same messages, same fold order (ascending rank on
-                // the root), bit-identical to the blocking pair.
-                let pending_count =
-                    comm.post_allreduce(usize::from(local_loss.is_some()), |a, b| a + b)?;
-                let pending_grads = comm.post_allreduce(grads, |a: &Vec<f64>, b| {
-                    a.iter().zip(b).map(|(x, y)| x + y).collect()
-                })?;
-                (pending_count.wait_reduced(comm)?.max(1), pending_grads.wait_reduced(comm)?)
+                summed
             } else {
-                let contributing =
-                    comm.allreduce(usize::from(local_loss.is_some()), |a, b| a + b)?.max(1);
-                let summed =
-                    comm.allreduce(grads, |a, b| a.iter().zip(b).map(|(x, y)| x + y).collect())?;
-                (contributing, summed)
+                comm.allreduce(grads, |a, b| a.iter().zip(b).map(|(x, y)| x + y).collect())?
             };
             let averaged: Vec<f64> = summed.into_iter().map(|g| g / contributing as f64).collect();
             let grads = model.unflatten_grads(&averaged)?;

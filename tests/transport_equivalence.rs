@@ -24,7 +24,10 @@ use common::GRID_SHAPES;
 use dmbs::comm::{run_if_worker, Codec, SocketLaunch, TransportSelect};
 use dmbs::gnn::{FeatureCacheConfig, TrainingReport, TrainingSession};
 use dmbs::graph::datasets::Dataset;
-use dmbs::sampling::{BulkSamplerConfig, DistConfig, GraphSageSampler, ReplicatedBackend};
+use dmbs::sampling::{
+    BulkSamplerConfig, DistConfig, GraphSageSampler, Partitioned1p5dBackend, ReplicatedBackend,
+    SamplingBackend,
+};
 use std::sync::Arc;
 
 /// Rank-process entry point.  When the parent re-executes this test binary
@@ -45,15 +48,21 @@ fn tiny_dataset() -> Arc<Dataset> {
     common::arc_products_dataset(6, 8, 3, 0.5, Some(0.6), 11)
 }
 
-fn train(
+fn dist(p: usize, c: usize) -> DistConfig {
+    DistConfig::new(p, c, BulkSamplerConfig::new(8, 2))
+}
+
+fn replicated(p: usize, c: usize) -> ReplicatedBackend {
+    ReplicatedBackend::new(dist(p, c)).expect("backend")
+}
+
+fn train<B: SamplingBackend + Send + Sync + 'static>(
     dataset: &Arc<Dataset>,
-    p: usize,
-    c: usize,
+    backend: B,
     cache: FeatureCacheConfig,
+    overlap: bool,
     transport: TransportSelect,
 ) -> TrainingReport {
-    let dist = DistConfig::new(p, c, BulkSamplerConfig::new(8, 2));
-    let backend = ReplicatedBackend::new(dist).expect("backend");
     TrainingSession::builder()
         .dataset(Arc::clone(dataset))
         .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
@@ -63,12 +72,33 @@ fn train(
         .epochs(2)
         .seed(33)
         .feature_cache(cache)
+        .overlap(overlap)
         .transport(transport)
         .without_evaluation()
         .build()
         .expect("session")
         .train()
         .expect("training")
+}
+
+/// Every epoch's loss bits and deterministic counters agree.
+fn assert_same_epochs(sim: &TrainingReport, sock: &TrainingReport, label: &str) {
+    assert_eq!(sim.epochs.len(), sock.epochs.len(), "{label}: epoch count diverged");
+    for (a, b) in sim.epochs.iter().zip(&sock.epochs) {
+        assert_eq!(
+            a.mean_loss.to_bits(),
+            b.mean_loss.to_bits(),
+            "{label} epoch {}: losses not bit-identical ({} vs {})",
+            a.epoch,
+            a.mean_loss,
+            b.mean_loss
+        );
+        assert_eq!(a.comm.words_sent, b.comm.words_sent, "{label}: words diverged");
+        assert_eq!(a.comm.messages, b.comm.messages, "{label}: messages diverged");
+        assert_eq!(a.comm.cache_hits, b.comm.cache_hits, "{label}: hits diverged");
+        assert_eq!(a.comm.cache_misses, b.comm.cache_misses, "{label}: misses diverged");
+        assert_eq!(a.comm.words_saved, b.comm.words_saved, "{label}: saved diverged");
+    }
 }
 
 /// The tentpole sweep: for every grid shape and cache mode, the socket
@@ -79,27 +109,40 @@ fn socket_transport_is_byte_identical_to_simulator_across_the_sweep() {
     let dataset = tiny_dataset();
     for &(p, c) in &GRID_SHAPES {
         for cache in common::cache_modes(2_048) {
-            let sim = train(&dataset, p, c, cache, TransportSelect::Simulator);
-            let sock = train(&dataset, p, c, cache, TransportSelect::UnixSocket(launch()));
-            let label = format!("p={p} c={c} cache={cache:?}");
-            assert_eq!(sim.epochs.len(), sock.epochs.len(), "{label}: epoch count diverged");
-            for (a, b) in sim.epochs.iter().zip(&sock.epochs) {
-                assert_eq!(
-                    a.mean_loss.to_bits(),
-                    b.mean_loss.to_bits(),
-                    "{label} epoch {}: losses not bit-identical ({} vs {})",
-                    a.epoch,
-                    a.mean_loss,
-                    b.mean_loss
-                );
-                assert_eq!(a.comm.words_sent, b.comm.words_sent, "{label}: words diverged");
-                assert_eq!(a.comm.messages, b.comm.messages, "{label}: messages diverged");
-                assert_eq!(a.comm.cache_hits, b.comm.cache_hits, "{label}: hits diverged");
-                assert_eq!(a.comm.cache_misses, b.comm.cache_misses, "{label}: misses diverged");
-                assert_eq!(a.comm.words_saved, b.comm.words_saved, "{label}: saved diverged");
-            }
+            let sim = train(&dataset, replicated(p, c), cache, false, TransportSelect::Simulator);
+            let socket = TransportSelect::UnixSocket(launch());
+            let sock = train(&dataset, replicated(p, c), cache, false, socket);
+            assert_same_epochs(&sim, &sock, &format!("p={p} c={c} cache={cache:?}"));
         }
     }
+}
+
+/// The pipelined schedule and the 1.5D backend across processes: socket runs
+/// with `overlap` off and on both reproduce the simulator's synchronous run,
+/// on the replicated (4, 2) pinned shape, the partitioned (2, 1) uncached
+/// shape of the benchmark's distributed workload, and partitioned (4, 2)
+/// pinned.
+#[test]
+fn socket_pipeline_matches_simulator_sync_on_both_backends() {
+    fn check<B: SamplingBackend + Send + Sync + 'static>(
+        dataset: &Arc<Dataset>,
+        make: impl Fn() -> B,
+        cache: FeatureCacheConfig,
+        label: &str,
+    ) {
+        let sim = train(dataset, make(), cache, false, TransportSelect::Simulator);
+        for overlap in [false, true] {
+            let sock =
+                train(dataset, make(), cache, overlap, TransportSelect::UnixSocket(launch()));
+            assert_same_epochs(&sim, &sock, &format!("{label} overlap={overlap}"));
+        }
+    }
+    let dataset = tiny_dataset();
+    let partitioned = |p, c| Partitioned1p5dBackend::new(dist(p, c)).expect("backend");
+    let pinned = FeatureCacheConfig::EpochPinned;
+    check(&dataset, || replicated(4, 2), pinned, "replicated p=4 c=2 pinned");
+    check(&dataset, || partitioned(2, 1), FeatureCacheConfig::Off, "partitioned p=2 c=1 off");
+    check(&dataset, || partitioned(4, 2), pinned, "partitioned p=4 c=2 pinned");
 }
 
 /// Satellite: `CommStats` merged across real process boundaries still obey
@@ -109,15 +152,10 @@ fn socket_transport_is_byte_identical_to_simulator_across_the_sweep() {
 fn cache_balance_holds_across_process_boundaries() {
     let dataset = tiny_dataset();
     for &(p, c) in &[(2, 1), (4, 2)] {
-        let uncached =
-            train(&dataset, p, c, FeatureCacheConfig::Off, TransportSelect::UnixSocket(launch()));
-        let cached = train(
-            &dataset,
-            p,
-            c,
-            FeatureCacheConfig::EpochPinned,
-            TransportSelect::UnixSocket(launch()),
-        );
+        let socket = || TransportSelect::UnixSocket(launch());
+        let uncached = train(&dataset, replicated(p, c), FeatureCacheConfig::Off, false, socket());
+        let cached =
+            train(&dataset, replicated(p, c), FeatureCacheConfig::EpochPinned, false, socket());
         let words =
             |r: &TrainingReport| -> usize { r.epochs.iter().map(|e| e.comm.words_sent).sum() };
         let saved: usize = cached.epochs.iter().map(|e| e.comm.words_saved).sum();
