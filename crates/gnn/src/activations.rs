@@ -1,19 +1,24 @@
-//! Activation functions with explicit gradients.
+//! Activation functions: the row softmax of the loss, and the ReLU oracles
+//! the GraphSAGE layer's fused forward and backward passes are tested
+//! against.
 
 use dmbs_matrix::DenseMatrix;
 
-/// Rectified linear unit applied element-wise.
-pub fn relu(x: &DenseMatrix) -> DenseMatrix {
+/// Rectified linear unit applied element-wise (the oracle of the ReLU the
+/// GraphSAGE layer fuses into its forward pass).
+#[cfg(test)]
+pub(crate) fn relu(x: &DenseMatrix) -> DenseMatrix {
     x.map(|v| if v > 0.0 { v } else { 0.0 })
 }
 
 /// Gradient of ReLU: passes `upstream` through where the pre-activation was
-/// positive.
+/// positive (the oracle of the mask the GraphSAGE layer applies in place).
 ///
 /// # Panics
 ///
 /// Panics if the shapes differ.
-pub fn relu_backward(pre_activation: &DenseMatrix, upstream: &DenseMatrix) -> DenseMatrix {
+#[cfg(test)]
+pub(crate) fn relu_backward(pre_activation: &DenseMatrix, upstream: &DenseMatrix) -> DenseMatrix {
     assert_eq!(pre_activation.shape(), upstream.shape(), "relu_backward shape mismatch");
     let mask = pre_activation.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
     mask.hadamard(upstream).expect("shapes checked above")

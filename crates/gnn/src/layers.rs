@@ -1,147 +1,245 @@
-//! GraphSAGE and linear layers with explicit forward/backward passes.
+//! The mean-aggregator GraphSAGE layer with explicit forward/backward passes.
+//!
+//! One layer computes
+//!
+//! ```text
+//! Z = relu( H_self · W_self  +  Â · H · W_neigh )
+//! ```
+//!
+//! where `Â` is the sampled adjacency with each row divided by its sum (the
+//! neighbourhood mean), `H` holds embeddings for the layer's column vertices
+//! and `H_self` the rows of `H` at the layer's row vertices.  Nothing is
+//! copied that the arithmetic does not need: `Â` is never materialised (the
+//! SpMMs divide by the row sum as they go, [`RowWeights::RowNormalized`]),
+//! the input is borrowed, and the ReLU output is kept once — it is the next
+//! layer's input and, through `Z > 0 ⇔ pre-activation > 0`, the gradient
+//! mask.  The arithmetic is that of the textbook formulation (kept in this
+//! module's tests as the oracle), operation for operation, so losses and
+//! gradients are bit-identical to it.
 
-use crate::activations::{relu, relu_backward};
 use crate::Result;
 use dmbs_matrix::pool::Parallelism;
-use dmbs_matrix::spmm::{spmm_parallel, spmm_transpose_parallel};
-use dmbs_matrix::{CsrMatrix, DenseMatrix};
+use dmbs_matrix::spmm::{spmm_parallel, spmm_transpose_parallel, RowWeights};
+use dmbs_matrix::{CsrMatrix, DenseMatrix, MatrixError};
 
-/// Cache of intermediate values produced by [`sage_forward`] and consumed by
-/// [`sage_backward`].
+/// What the backward pass reads of one SAGE layer's forward pass.
 #[derive(Debug, Clone)]
-pub struct SageCache {
-    /// Row-normalized sampled adjacency used for mean aggregation.
-    pub a_norm: CsrMatrix,
-    /// Neighbor-side input embeddings (`cols × in_dim`).
-    pub h_neigh: DenseMatrix,
-    /// Self-side input embeddings (`rows × in_dim`).
-    pub h_self: DenseMatrix,
-    /// Aggregated neighbor embeddings (`rows × in_dim`).
-    pub aggregated: DenseMatrix,
-    /// Pre-activation output (`rows × out_dim`).
-    pub pre_activation: DenseMatrix,
-    /// Whether ReLU was applied.
-    pub applied_relu: bool,
+pub(crate) struct SageActivations {
+    /// Position of each row vertex among the layer's column vertices.
+    pub(crate) positions: Vec<usize>,
+    /// The layer input's rows at `positions` (`rows × in_dim`).
+    pub(crate) h_self: DenseMatrix,
+    /// `Â · H` (`rows × in_dim`).
+    pub(crate) aggregated: DenseMatrix,
+    /// The ReLU output (`rows × out_dim`).
+    pub(crate) output: DenseMatrix,
 }
 
-/// Gradients produced by [`sage_backward`].
-#[derive(Debug, Clone)]
-pub struct SageGrads {
+/// Gradients of one SAGE layer.
+#[derive(Debug)]
+pub(crate) struct SageGradients {
     /// Gradient of the self weight matrix.
-    pub d_w_self: DenseMatrix,
+    pub(crate) d_w_self: DenseMatrix,
     /// Gradient of the neighbor weight matrix.
-    pub d_w_neigh: DenseMatrix,
-    /// Gradient flowing to the neighbor-side inputs (`cols × in_dim`).
-    pub d_h_neigh: DenseMatrix,
-    /// Gradient flowing to the self-side inputs (`rows × in_dim`).
-    pub d_h_self: DenseMatrix,
+    pub(crate) d_w_neigh: DenseMatrix,
+    /// Gradient of the layer input (`cols × in_dim`), when asked for.
+    pub(crate) d_input: Option<DenseMatrix>,
 }
 
-/// Forward pass of a mean-aggregator GraphSAGE layer:
-///
-/// ```text
-/// Z = act( Â · H_neigh · W_neigh  +  H_self · W_self )
-/// ```
-///
-/// where `Â` is the row-normalized sampled adjacency matrix (neighborhood
-/// mean) produced by the sampling step, `H_neigh` holds embeddings for the
-/// layer's column vertices and `H_self` embeddings for its row vertices.
-///
-/// The aggregation SpMM runs on `parallelism` worker threads
-/// (byte-identical to serial at any thread count).
+/// Forward pass of one SAGE layer over input `h` (one row per column vertex
+/// of `adjacency`), with the row vertices at `positions` of `h`.
 ///
 /// # Errors
 ///
-/// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
-pub fn sage_forward(
+/// Returns [`crate::GnnError::Matrix`] on dimension mismatches or a position
+/// outside `h`.
+pub(crate) fn sage_layer_forward(
     adjacency: &CsrMatrix,
-    h_neigh: &DenseMatrix,
-    h_self: &DenseMatrix,
+    positions: Vec<usize>,
+    h: &DenseMatrix,
     w_self: &DenseMatrix,
     w_neigh: &DenseMatrix,
-    apply_relu: bool,
     parallelism: Parallelism,
-) -> Result<(DenseMatrix, SageCache)> {
-    let mut a_norm = adjacency.clone();
-    a_norm.normalize_rows();
-    let aggregated = spmm_parallel(&a_norm, h_neigh, parallelism)?;
-    let pre = h_self.matmul(w_self)?.add(&aggregated.matmul(w_neigh)?)?;
-    let out = if apply_relu { relu(&pre) } else { pre.clone() };
-    Ok((
-        out,
-        SageCache {
-            a_norm,
-            h_neigh: h_neigh.clone(),
-            h_self: h_self.clone(),
-            aggregated,
-            pre_activation: pre,
-            applied_relu: apply_relu,
-        },
-    ))
+) -> Result<SageActivations> {
+    let aggregated = spmm_parallel(adjacency, h, RowWeights::RowNormalized, parallelism)?;
+    let h_self = h.gather_rows(&positions)?;
+    let mut output = h_self.matmul_parallel(w_self, parallelism)?;
+    let neigh = aggregated.matmul_parallel(w_neigh, parallelism)?;
+    if output.shape() != neigh.shape() {
+        return Err(MatrixError::DimensionMismatch {
+            op: "sage self + neighbor",
+            lhs: output.shape(),
+            rhs: neigh.shape(),
+        }
+        .into());
+    }
+    for (o, &n) in output.as_mut_slice().iter_mut().zip(neigh.as_slice()) {
+        let pre = *o + n;
+        *o = if pre > 0.0 { pre } else { 0.0 };
+    }
+    Ok(SageActivations { positions, h_self, aggregated, output })
 }
 
-/// Backward pass of the GraphSAGE layer.  `w_self` and `w_neigh` must be the
-/// same weights used in the forward pass.  The transposed-aggregation SpMM
-/// runs on `parallelism` worker threads.
+/// Backward pass of one SAGE layer: `d_output` is the gradient of the
+/// layer's output, which this consumes.  The input gradient — the
+/// transposed aggregation plus the self gradient scattered to the row
+/// vertices' positions — is computed only when `input_gradient` asks for it
+/// (the innermost layer's input is the feature matrix, which trains
+/// nothing).
 ///
 /// # Errors
 ///
 /// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
-pub fn sage_backward(
-    cache: &SageCache,
+pub(crate) fn sage_layer_backward(
+    adjacency: &CsrMatrix,
+    act: &SageActivations,
     w_self: &DenseMatrix,
     w_neigh: &DenseMatrix,
-    upstream: &DenseMatrix,
+    mut d_output: DenseMatrix,
+    input_gradient: bool,
     parallelism: Parallelism,
-) -> Result<SageGrads> {
-    let d_pre = if cache.applied_relu {
-        relu_backward(&cache.pre_activation, upstream)
+) -> Result<SageGradients> {
+    if d_output.shape() != act.output.shape() {
+        return Err(MatrixError::DimensionMismatch {
+            op: "sage relu backward",
+            lhs: act.output.shape(),
+            rhs: d_output.shape(),
+        }
+        .into());
+    }
+    // `upstream * mask`, the mask from the output (IEEE products commute
+    // exactly): a negative upstream entry under a zero mask becomes `-0.0`,
+    // as in the textbook form.
+    for (d, &z) in d_output.as_mut_slice().iter_mut().zip(act.output.as_slice()) {
+        *d *= if z > 0.0 { 1.0 } else { 0.0 };
+    }
+    let d_pre = d_output;
+    let d_w_self = act.h_self.transpose_matmul_parallel(&d_pre, parallelism)?;
+    let d_w_neigh = act.aggregated.transpose_matmul_parallel(&d_pre, parallelism)?;
+    let d_input = if input_gradient {
+        let d_self = d_pre.matmul_transpose_parallel(w_self, parallelism)?;
+        let d_aggregated = d_pre.matmul_transpose_parallel(w_neigh, parallelism)?;
+        let mut d_input = spmm_transpose_parallel(
+            adjacency,
+            &d_aggregated,
+            RowWeights::RowNormalized,
+            parallelism,
+        )?;
+        for (row, &pos) in act.positions.iter().enumerate() {
+            for (d, &s) in d_input.row_mut(pos).iter_mut().zip(d_self.row(row)) {
+                *d += s;
+            }
+        }
+        Some(d_input)
     } else {
-        upstream.clone()
+        None
     };
-    // Weight gradients.
-    let d_w_self = cache.h_self.transpose_matmul(&d_pre)?;
-    let d_w_neigh = cache.aggregated.transpose_matmul(&d_pre)?;
-    // Input gradients.
-    let d_h_self = d_pre.matmul_transpose(w_self)?;
-    let d_aggregated = d_pre.matmul_transpose(w_neigh)?;
-    let d_h_neigh = spmm_transpose_parallel(&cache.a_norm, &d_aggregated, parallelism)?;
-    Ok(SageGrads { d_w_self, d_w_neigh, d_h_neigh, d_h_self })
+    Ok(SageGradients { d_w_self, d_w_neigh, d_input })
 }
 
-/// Cache for the final linear classifier.
-#[derive(Debug, Clone)]
-pub struct LinearCache {
-    /// Input embeddings (`rows × in_dim`).
-    pub input: DenseMatrix,
-}
+#[cfg(test)]
+pub(crate) use oracle::{linear_backward, linear_forward, sage_backward, sage_forward};
 
-/// Forward pass of the linear classifier `logits = H · W`.
-///
-/// # Errors
-///
-/// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
-pub fn linear_forward(
-    input: &DenseMatrix,
-    weight: &DenseMatrix,
-) -> Result<(DenseMatrix, LinearCache)> {
-    let logits = input.matmul(weight)?;
-    Ok((logits, LinearCache { input: input.clone() }))
-}
+/// The textbook layer formulation — normalised adjacency copy, cloned
+/// operands, separate add / ReLU / mask passes — that the copy-free layer
+/// must match bit for bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::activations::{relu, relu_backward};
+    use crate::Result;
+    use dmbs_matrix::pool::Parallelism;
+    use dmbs_matrix::spmm::{spmm_parallel, spmm_transpose_parallel, RowWeights};
+    use dmbs_matrix::{CsrMatrix, DenseMatrix};
 
-/// Backward pass of the linear classifier: returns `(dW, dH)`.
-///
-/// # Errors
-///
-/// Returns [`crate::GnnError::Matrix`] on dimension mismatches.
-pub fn linear_backward(
-    cache: &LinearCache,
-    weight: &DenseMatrix,
-    upstream: &DenseMatrix,
-) -> Result<(DenseMatrix, DenseMatrix)> {
-    let d_weight = cache.input.transpose_matmul(upstream)?;
-    let d_input = upstream.matmul_transpose(weight)?;
-    Ok((d_weight, d_input))
+    /// Cache of intermediate values produced by [`sage_forward`].
+    #[derive(Debug, Clone)]
+    pub(crate) struct SageCache {
+        pub(crate) a_norm: CsrMatrix,
+        pub(crate) h_self: DenseMatrix,
+        pub(crate) aggregated: DenseMatrix,
+        pub(crate) pre_activation: DenseMatrix,
+        pub(crate) applied_relu: bool,
+    }
+
+    /// Gradients produced by [`sage_backward`].
+    #[derive(Debug, Clone)]
+    pub(crate) struct SageGrads {
+        pub(crate) d_w_self: DenseMatrix,
+        pub(crate) d_w_neigh: DenseMatrix,
+        pub(crate) d_h_neigh: DenseMatrix,
+        pub(crate) d_h_self: DenseMatrix,
+    }
+
+    pub(crate) fn sage_forward(
+        adjacency: &CsrMatrix,
+        h_neigh: &DenseMatrix,
+        h_self: &DenseMatrix,
+        w_self: &DenseMatrix,
+        w_neigh: &DenseMatrix,
+        apply_relu: bool,
+        parallelism: Parallelism,
+    ) -> Result<(DenseMatrix, SageCache)> {
+        let mut a_norm = adjacency.clone();
+        a_norm.normalize_rows();
+        let aggregated = spmm_parallel(&a_norm, h_neigh, RowWeights::Stored, parallelism)?;
+        let pre = h_self.matmul(w_self)?.add(&aggregated.matmul(w_neigh)?)?;
+        let out = if apply_relu { relu(&pre) } else { pre.clone() };
+        Ok((
+            out,
+            SageCache {
+                a_norm,
+                h_self: h_self.clone(),
+                aggregated,
+                pre_activation: pre,
+                applied_relu: apply_relu,
+            },
+        ))
+    }
+
+    pub(crate) fn sage_backward(
+        cache: &SageCache,
+        w_self: &DenseMatrix,
+        w_neigh: &DenseMatrix,
+        upstream: &DenseMatrix,
+        parallelism: Parallelism,
+    ) -> Result<SageGrads> {
+        let d_pre = if cache.applied_relu {
+            relu_backward(&cache.pre_activation, upstream)
+        } else {
+            upstream.clone()
+        };
+        let d_w_self = cache.h_self.transpose_matmul(&d_pre)?;
+        let d_w_neigh = cache.aggregated.transpose_matmul(&d_pre)?;
+        let d_h_self = d_pre.matmul_transpose(w_self)?;
+        let d_aggregated = d_pre.matmul_transpose(w_neigh)?;
+        let d_h_neigh =
+            spmm_transpose_parallel(&cache.a_norm, &d_aggregated, RowWeights::Stored, parallelism)?;
+        Ok(SageGrads { d_w_self, d_w_neigh, d_h_neigh, d_h_self })
+    }
+
+    /// Cache for the final linear classifier.
+    #[derive(Debug, Clone)]
+    pub(crate) struct LinearCache {
+        pub(crate) input: DenseMatrix,
+    }
+
+    pub(crate) fn linear_forward(
+        input: &DenseMatrix,
+        weight: &DenseMatrix,
+    ) -> Result<(DenseMatrix, LinearCache)> {
+        let logits = input.matmul(weight)?;
+        Ok((logits, LinearCache { input: input.clone() }))
+    }
+
+    pub(crate) fn linear_backward(
+        cache: &LinearCache,
+        weight: &DenseMatrix,
+        upstream: &DenseMatrix,
+    ) -> Result<(DenseMatrix, DenseMatrix)> {
+        let d_weight = cache.input.transpose_matmul(upstream)?;
+        let d_input = upstream.matmul_transpose(weight)?;
+        Ok((d_weight, d_input))
+    }
 }
 
 #[cfg(test)]

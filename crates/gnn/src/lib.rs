@@ -9,12 +9,12 @@
 //! feature matrix, and (3) forward/backward propagation of a GraphSAGE model.
 //! This crate provides those pieces:
 //!
-//! * [`layers`] — a mean-aggregator GraphSAGE layer and a linear classifier,
-//!   both with explicit forward/backward passes (no autograd dependency);
 //! * [`loss`] — softmax cross-entropy with gradient;
 //! * [`optim`] — SGD and Adam optimizers;
-//! * [`model`] — a multi-layer [`SageModel`] that trains on
-//!   the [`MinibatchSample`](dmbs_sampling::MinibatchSample)s produced by the
+//! * [`model`] — a multi-layer [`SageModel`] of mean-aggregator GraphSAGE
+//!   layers and a linear classifier, with explicit forward/backward passes
+//!   (no autograd dependency), that trains on the
+//!   [`MinibatchSample`](dmbs_sampling::MinibatchSample)s produced by the
 //!   sampling crate;
 //! * [`features`] — the 1.5D-partitioned feature store with all-to-allv
 //!   fetching (§6.2), including the no-replication variant of Figure 6, plus
@@ -32,7 +32,7 @@
 pub mod activations;
 pub mod error;
 pub mod features;
-pub mod layers;
+mod layers;
 pub mod loss;
 pub mod metrics;
 pub mod model;

@@ -6,16 +6,20 @@
 //! vertices.  Gradients are computed layer by layer; the parameter layout is
 //! a flat `Vec<DenseMatrix>` so that data-parallel training can all-reduce
 //! gradients with a single flattened buffer.
+//!
+//! Propagation copies nothing it does not need (see `layers.rs`): the
+//! input features and the sampled adjacency are borrowed, and each layer's
+//! output is kept once in the [`ForwardCache`] and borrowed by the next
+//! layer.  Inference ([`SageModel::logits`], [`SageModel::predict`]) keeps no
+//! cache.
 
 use crate::error::GnnError;
-use crate::layers::{
-    linear_backward, linear_forward, sage_backward, sage_forward, LinearCache, SageCache,
-};
+use crate::layers::{sage_layer_backward, sage_layer_forward, SageActivations};
 use crate::loss::cross_entropy;
 use crate::Result;
 use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::DenseMatrix;
-use dmbs_sampling::MinibatchSample;
+use dmbs_sampling::{LayerSample, MinibatchSample};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -35,14 +39,13 @@ pub struct SageModel {
     parallelism: Parallelism,
 }
 
-/// Forward-pass cache for one minibatch, consumed by [`SageModel::backward`].
+/// Forward-pass state for one minibatch, consumed by [`SageModel::backward`]:
+/// each SAGE layer's activations, and the sample whose adjacencies the
+/// backward pass multiplies by again.
 #[derive(Debug, Clone)]
-pub struct ForwardCache {
-    sage_caches: Vec<SageCache>,
-    /// For each layer, the position of each row vertex inside the layer's
-    /// column list (used to scatter self-gradients).
-    self_positions: Vec<Vec<usize>>,
-    linear_cache: LinearCache,
+pub struct ForwardCache<'a> {
+    sample: &'a MinibatchSample,
+    layers: Vec<SageActivations>,
 }
 
 impl SageModel {
@@ -82,7 +85,8 @@ impl SageModel {
         })
     }
 
-    /// Returns this model with its propagation SpMM kernels running on
+    /// Returns this model with every propagation kernel — the aggregation
+    /// SpMMs and the dense products of forward and backward — running on
     /// `parallelism` worker threads.  Parallelism changes nothing about the
     /// computed values (the kernels are byte-identical to serial), only the
     /// wall time of forward/backward propagation.
@@ -178,7 +182,8 @@ impl SageModel {
     /// `input_features` must hold one row per vertex of
     /// [`MinibatchSample::input_vertices`] (the columns of the innermost
     /// layer), in the same order — this is exactly what the feature-fetching
-    /// step delivers.
+    /// step delivers.  The returned cache borrows `sample` for the backward
+    /// pass; use [`SageModel::logits`] when no backward pass follows.
     ///
     /// # Errors
     ///
@@ -186,11 +191,64 @@ impl SageModel {
     /// number of layers than the model, if feature rows are missing, or if a
     /// layer's row vertices are not contained in its column vertices (use a
     /// sampler with self-loops enabled).
-    pub fn forward(
+    pub fn forward<'a>(
+        &self,
+        sample: &'a MinibatchSample,
+        input_features: &DenseMatrix,
+    ) -> Result<(DenseMatrix, ForwardCache<'a>)> {
+        let (logits, layers) = self.propagate(sample, input_features, true)?;
+        Ok((logits, ForwardCache { sample, layers }))
+    }
+
+    /// The forward pass without a cache: the logits of the batch vertices,
+    /// with each layer's activations freed as soon as the next layer has
+    /// consumed them.  Bit-identical to the logits of
+    /// [`SageModel::forward`].
+    ///
+    /// # Errors
+    ///
+    /// As [`SageModel::forward`].
+    pub fn logits(
         &self,
         sample: &MinibatchSample,
         input_features: &DenseMatrix,
-    ) -> Result<(DenseMatrix, ForwardCache)> {
+    ) -> Result<DenseMatrix> {
+        Ok(self.propagate(sample, input_features, false)?.0)
+    }
+
+    /// The SAGE layers, then the classifier.  With `keep`, every layer's
+    /// activations are returned for the backward pass; without, each is
+    /// dropped once the next layer has read its output.
+    fn propagate(
+        &self,
+        sample: &MinibatchSample,
+        input_features: &DenseMatrix,
+        keep: bool,
+    ) -> Result<(DenseMatrix, Vec<SageActivations>)> {
+        self.check_inputs(sample, input_features)?;
+        let mut layers: Vec<SageActivations> = Vec::with_capacity(self.num_layers);
+        for (l, layer) in sample.layers.iter().enumerate() {
+            let positions = self_positions(l, layer)?;
+            let h = layers.last().map_or(input_features, |prev| &prev.output);
+            let act = sage_layer_forward(
+                &layer.adjacency,
+                positions,
+                h,
+                self.w_self(l),
+                self.w_neigh(l),
+                self.parallelism,
+            )?;
+            if !keep {
+                layers.clear();
+            }
+            layers.push(act);
+        }
+        let hidden = &layers.last().expect("a model has at least one layer").output;
+        let logits = hidden.matmul_parallel(self.w_out(), self.parallelism)?;
+        Ok((logits, layers))
+    }
+
+    fn check_inputs(&self, sample: &MinibatchSample, input_features: &DenseMatrix) -> Result<()> {
         if sample.num_layers() != self.num_layers {
             return Err(GnnError::InvalidConfig(format!(
                 "sample has {} layers but the model has {}",
@@ -212,43 +270,7 @@ impl SageModel {
                 self.input_dim
             )));
         }
-
-        let mut h = input_features.clone();
-        let mut sage_caches = Vec::with_capacity(self.num_layers);
-        let mut self_positions = Vec::with_capacity(self.num_layers);
-        for (l, layer) in sample.layers.iter().enumerate() {
-            // Index of each row vertex inside the layer's column list.
-            let col_pos: HashMap<usize, usize> =
-                layer.cols.iter().enumerate().map(|(i, &v)| (v, i)).collect();
-            let positions: Vec<usize> = layer
-                .rows
-                .iter()
-                .map(|v| {
-                    col_pos.get(v).copied().ok_or_else(|| {
-                        GnnError::InvalidConfig(format!(
-                            "row vertex {v} of layer {l} is not among its columns; \
-                             sample with self-loops enabled"
-                        ))
-                    })
-                })
-                .collect::<Result<_>>()?;
-            let h_self = h.gather_rows(&positions)?;
-            let apply_relu = true; // ReLU on every SAGE layer.
-            let (out, cache) = sage_forward(
-                &layer.adjacency,
-                &h,
-                &h_self,
-                self.w_self(l),
-                self.w_neigh(l),
-                apply_relu,
-                self.parallelism,
-            )?;
-            sage_caches.push(cache);
-            self_positions.push(positions);
-            h = out;
-        }
-        let (logits, linear_cache) = linear_forward(&h, self.w_out())?;
-        Ok((logits, ForwardCache { sage_caches, self_positions, linear_cache }))
+        Ok(())
     }
 
     /// Runs the backward pass, returning gradients in the same layout as
@@ -259,34 +281,31 @@ impl SageModel {
     /// Returns [`GnnError::Matrix`] on dimension mismatches.
     pub fn backward(
         &self,
-        cache: &ForwardCache,
+        cache: &ForwardCache<'_>,
         d_logits: &DenseMatrix,
     ) -> Result<Vec<DenseMatrix>> {
-        let mut grads: Vec<DenseMatrix> =
-            self.params.iter().map(|p| DenseMatrix::zeros(p.rows(), p.cols())).collect();
-        let (d_w_out, mut d_h) = linear_backward(&cache.linear_cache, self.w_out(), d_logits)?;
-        grads[2 * self.num_layers] = d_w_out;
-
-        for l in (0..self.num_layers).rev() {
-            let sage = sage_backward(
-                &cache.sage_caches[l],
+        let n = self.num_layers;
+        let par = self.parallelism;
+        let mut grads = vec![DenseMatrix::default(); 2 * n + 1];
+        let hidden = &cache.layers[n - 1].output;
+        grads[2 * n] = hidden.transpose_matmul_parallel(d_logits, par)?;
+        let mut d_h = d_logits.matmul_transpose_parallel(self.w_out(), par)?;
+        for l in (0..n).rev() {
+            let layer = sage_layer_backward(
+                &cache.sample.layers[l].adjacency,
+                &cache.layers[l],
                 self.w_self(l),
                 self.w_neigh(l),
-                &d_h,
-                self.parallelism,
+                d_h,
+                l > 0,
+                par,
             )?;
-            grads[2 * l] = sage.d_w_self;
-            grads[2 * l + 1] = sage.d_w_neigh;
-            // Gradient for the previous layer's output: neighbor gradient plus
-            // the self gradient scattered to the row vertices' positions.
-            let mut d_prev = sage.d_h_neigh;
-            for (row, &pos) in cache.self_positions[l].iter().enumerate() {
-                for c in 0..d_prev.cols() {
-                    let v = d_prev.get(pos, c) + sage.d_h_self.get(row, c);
-                    d_prev.set(pos, c, v);
-                }
+            grads[2 * l] = layer.d_w_self;
+            grads[2 * l + 1] = layer.d_w_neigh;
+            match layer.d_input {
+                Some(d_input) => d_h = d_input,
+                None => break,
             }
-            d_h = d_prev;
         }
         Ok(grads)
     }
@@ -319,9 +338,28 @@ impl SageModel {
         sample: &MinibatchSample,
         input_features: &DenseMatrix,
     ) -> Result<Vec<usize>> {
-        let (logits, _) = self.forward(sample, input_features)?;
-        Ok(logits.row_argmax())
+        Ok(self.logits(sample, input_features)?.row_argmax())
     }
+}
+
+/// Index of each row vertex of layer `l` inside the layer's column list (the
+/// self rows of the layer input).
+fn self_positions(l: usize, layer: &LayerSample) -> Result<Vec<usize>> {
+    let col_pos: HashMap<usize, usize> =
+        layer.cols.iter().enumerate().map(|(i, &v)| (v, i)).collect();
+    // Sized up front: collecting through `Result` would regrow the vector
+    // `log2(rows)` times.
+    let mut positions = Vec::with_capacity(layer.rows.len());
+    for v in &layer.rows {
+        let pos = col_pos.get(v).copied().ok_or_else(|| {
+            GnnError::InvalidConfig(format!(
+                "row vertex {v} of layer {l} is not among its columns; \
+                 sample with self-loops enabled"
+            ))
+        })?;
+        positions.push(pos);
+    }
+    Ok(positions)
 }
 
 #[cfg(test)]
@@ -454,6 +492,122 @@ mod tests {
         // The model should now classify its own training batch correctly.
         let preds = model.predict(&sample, &feats).unwrap();
         assert_eq!(preds, labels);
+    }
+
+    /// The textbook forward/backward the copy-free path replaced: a
+    /// normalised copy of each adjacency, cloned operands, separate ReLU and
+    /// mask passes, the input gradient of every layer, and the scatter
+    /// through `get`/`set`.
+    fn oracle_loss_and_gradients(
+        model: &SageModel,
+        sample: &MinibatchSample,
+        feats: &DenseMatrix,
+        labels: &[usize],
+    ) -> (f64, DenseMatrix, Vec<DenseMatrix>) {
+        use crate::layers::{linear_backward, linear_forward, sage_backward, sage_forward};
+        let n = model.num_layers();
+        let mut h = feats.clone();
+        let mut caches = Vec::new();
+        let mut positions = Vec::new();
+        for (l, layer) in sample.layers.iter().enumerate() {
+            let pos = self_positions(l, layer).unwrap();
+            let h_self = h.gather_rows(&pos).unwrap();
+            let (out, cache) = sage_forward(
+                &layer.adjacency,
+                &h,
+                &h_self,
+                model.w_self(l),
+                model.w_neigh(l),
+                true,
+                model.parallelism(),
+            )
+            .unwrap();
+            caches.push(cache);
+            positions.push(pos);
+            h = out;
+        }
+        let (logits, linear) = linear_forward(&h, model.w_out()).unwrap();
+        let (loss, d_logits) = cross_entropy(&logits, labels).unwrap();
+        let mut grads = vec![DenseMatrix::default(); 2 * n + 1];
+        let (d_w_out, mut d_h) = linear_backward(&linear, model.w_out(), &d_logits).unwrap();
+        grads[2 * n] = d_w_out;
+        for l in (0..n).rev() {
+            let g = sage_backward(
+                &caches[l],
+                model.w_self(l),
+                model.w_neigh(l),
+                &d_h,
+                model.parallelism(),
+            )
+            .unwrap();
+            grads[2 * l] = g.d_w_self;
+            grads[2 * l + 1] = g.d_w_neigh;
+            let mut d_prev = g.d_h_neigh;
+            for (row, &pos) in positions[l].iter().enumerate() {
+                for c in 0..d_prev.cols() {
+                    let v = d_prev.get(pos, c) + g.d_h_self.get(row, c);
+                    d_prev.set(pos, c, v);
+                }
+            }
+            d_h = d_prev;
+        }
+        (loss, logits, grads)
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Features with a quarter `+0.0`, a quarter `-0.0` entries.
+    fn signed_sparse_features(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
+        use rand::Rng;
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => rng.gen_range(-1.0..=1.0),
+            })
+            .collect();
+        DenseMatrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    /// Loss, logits and every gradient of the copy-free path are bit-equal
+    /// to the textbook oracle on a GraphSAGE and a LADIES sample, at one and
+    /// several threads; the cache-free logits are bit-equal to the forward
+    /// pass's.
+    #[test]
+    fn propagation_is_bit_identical_to_the_oracle() {
+        use dmbs_graph::generators::{rmat, RmatConfig};
+        use dmbs_sampling::LadiesSampler;
+        let graph = rmat(&RmatConfig::new(8, 6), &mut StdRng::seed_from_u64(21)).unwrap();
+        let batch: Vec<usize> = (0..graph.num_vertices()).step_by(9).collect();
+        let samplers: [(&str, Box<dyn Sampler>); 2] = [
+            ("graphsage", Box::new(GraphSageSampler::new(vec![6, 4]).with_self_loops())),
+            ("ladies", Box::new(LadiesSampler::new(2, 40).with_previous_included())),
+        ];
+        for (name, sampler) in samplers {
+            let mut rng = StdRng::seed_from_u64(22);
+            let sample = sampler.sample_minibatch(graph.adjacency(), &batch, &mut rng).unwrap();
+            let feats = signed_sparse_features(sample.input_vertices().len(), 9, &mut rng);
+            let labels: Vec<usize> = batch.iter().map(|v| v % 3).collect();
+            // Hidden width 12: one 8-column tile and four 1-column tiles.
+            let model = SageModel::new(9, 12, 3, 2, &mut rng).unwrap();
+            let (want_loss, want_logits, want_grads) =
+                oracle_loss_and_gradients(&model, &sample, &feats, &labels);
+            for threads in [1usize, 2, 3] {
+                let model = model.clone().with_parallelism(Parallelism::new(threads));
+                let (loss, logits, grads) =
+                    model.loss_and_gradients(&sample, &feats, &labels).unwrap();
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "{name} loss, {threads} threads");
+                assert_eq!(bits(&logits), bits(&want_logits), "{name} logits, {threads} threads");
+                assert_eq!(grads.len(), want_grads.len());
+                for (i, (got, want)) in grads.iter().zip(&want_grads).enumerate() {
+                    assert_eq!(bits(got), bits(want), "{name} gradient {i}, {threads} threads");
+                }
+                let inferred = model.logits(&sample, &feats).unwrap();
+                assert_eq!(bits(&inferred), bits(&want_logits), "{name} inference logits");
+            }
+        }
     }
 
     #[test]

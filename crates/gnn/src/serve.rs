@@ -744,7 +744,7 @@ impl<S: Sampler> ServingSession<S> {
             for (i, v) in inputs.iter().enumerate() {
                 input.row_mut(i).copy_from_slice(union_feats.row(position[v]));
             }
-            let (logits, _) = self.snapshot.model().forward(sample, &input)?;
+            let logits = self.snapshot.model().logits(sample, &input)?;
             let prediction = logits.row_argmax()[0];
             responses.push(ServeResponse {
                 id: request.id,

@@ -477,8 +477,8 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
 
     /// Shared-memory parallelism of the session's matrix kernels: the
     /// backend's bulk SpGEMM / per-row ITS *and* the model's propagation
-    /// SpMMs all run on this many worker threads (default: the backend's own
-    /// setting, serial unless configured).
+    /// kernels (SpMMs and dense products) all run on this many worker threads
+    /// (default: the backend's own setting, serial unless configured).
     ///
     /// The parallel kernels are byte-identical to their serial forms, so
     /// this knob never changes what is sampled or trained — see the

@@ -4,10 +4,137 @@
 //! and gradients.  Only the kernels needed there are implemented: GEMM,
 //! transpose, element-wise maps, row reductions, row gather/scatter and a few
 //! utility constructors.
+//!
+//! The three products ([`DenseMatrix::matmul`],
+//! [`DenseMatrix::transpose_matmul`], [`DenseMatrix::matmul_transpose`]) and
+//! their `_parallel` forms share one register-blocked micro-kernel: a 4 × 8 tile
+//! of the output is held in registers while `k` runs in ascending order.
+//! Every output entry is summed from `+0.0` over ascending `k` with a
+//! separate multiply and add, exactly as the textbook loops do, so the
+//! result is byte-identical to them (ARCHITECTURE.md, "Propagation at the
+//! kernel tier", gives the argument).  The kernel is compiled twice, once
+//! for the baseline target and once with AVX2 enabled, and the AVX2 copy is
+//! chosen at run time where the CPU has it.
 
 use crate::error::MatrixError;
+use crate::pool::Parallelism;
 use crate::Result;
 use serde::{Deserialize, Serialize};
+
+/// Output rows of the GEMM register tile.
+const TILE_ROWS: usize = 4;
+/// Output columns of the GEMM register tile: two 4-lane AVX2 registers.
+const TILE_COLS: usize = 8;
+/// Rows of the left operand that `transpose_matmul` transposes at a time;
+/// each chunk continues the tile accumulators from the output.  At 64 the
+/// chunk of the right operand a 64-wide product sweeps per row tile (32 KiB)
+/// stays in L1; 128 or more halves the kernel's speed.
+const TN_CHUNK: usize = 64;
+
+/// A GEMM kernel: `out (+)= a · b` over row-major `a` (rows × `k`), `b`
+/// (`k` × `n`) and `out` (rows × `n`, `n > 0`); with `accumulate` each entry
+/// continues from its value in `out`, otherwise from `+0.0`.
+type Kernel = fn(&[f64], usize, &[f64], usize, &mut [f64], bool);
+
+/// The [`Kernel`] on the widest instruction set the CPU offers.
+fn gemm(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: `gemm_avx2`'s only requirement is that the CPU supports
+        // AVX2, which was detected on the line above.
+        return unsafe { gemm_avx2(a, k, b, n, out, accumulate) };
+    }
+    gemm_portable(a, k, b, n, out, accumulate)
+}
+
+/// [`gemm_body`] compiled for the AVX2 instruction set.  AVX2 alone brings
+/// no fused multiply-add, so the arithmetic is the portable copy's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn gemm_avx2(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
+    gemm_body(a, k, b, n, out, accumulate)
+}
+
+/// [`gemm_body`] compiled for the baseline target.
+fn gemm_portable(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
+    gemm_body(a, k, b, n, out, accumulate)
+}
+
+/// The micro-kernel: 4-row tiles, then a 1-row tile for the leftover rows.
+#[inline(always)]
+fn gemm_body(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
+    let rows = out.len() / n;
+    let mut i = 0;
+    while i + TILE_ROWS <= rows {
+        tile_row::<TILE_ROWS>(a, k, b, n, out, i, accumulate);
+        i += TILE_ROWS;
+    }
+    for i in i..rows {
+        tile_row::<1>(a, k, b, n, out, i, accumulate);
+    }
+}
+
+/// Output rows `i..i + R`: 8-column tiles, then 1-column tiles.
+#[inline(always)]
+fn tile_row<const R: usize>(
+    a: &[f64],
+    k: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+    i: usize,
+    accumulate: bool,
+) {
+    let mut j = 0;
+    while j + TILE_COLS <= n {
+        tile::<R, TILE_COLS>(a, k, b, n, out, i, j, accumulate);
+        j += TILE_COLS;
+    }
+    for j in j..n {
+        tile::<R, 1>(a, k, b, n, out, i, j, accumulate);
+    }
+}
+
+/// One `R × C` output tile held in registers while `k` ascends.  The 1-row
+/// tile skips zero left-hand entries, as the textbook i-k-j loop does; the
+/// 4-row tile adds their `±0` products, which changes nothing (an
+/// accumulator that starts at `+0.0` is never `−0.0`, so adding `±0` to it
+/// is exact).
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn tile<const R: usize, const C: usize>(
+    a: &[f64],
+    k: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+    i: usize,
+    j: usize,
+    accumulate: bool,
+) {
+    let mut acc = [[0.0f64; C]; R];
+    if accumulate {
+        for (r, acc) in acc.iter_mut().enumerate() {
+            acc.copy_from_slice(&out[(i + r) * n + j..][..C]);
+        }
+    }
+    let a_rows: [&[f64]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+    for kk in 0..k {
+        let b_tile: &[f64; C] = b[kk * n + j..][..C].try_into().expect("a tile is C wide");
+        for (acc, a_row) in acc.iter_mut().zip(&a_rows) {
+            let x = a_row[kk];
+            if R == 1 && x == 0.0 {
+                continue;
+            }
+            for (s, &y) in acc.iter_mut().zip(b_tile) {
+                *s += x * y;
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        out[(i + r) * n + j..][..C].copy_from_slice(acc);
+    }
+}
 
 /// A row-major dense matrix of `f64` values.
 ///
@@ -177,29 +304,7 @@ impl DenseMatrix {
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.cols != rhs.rows {
-            return Err(MatrixError::DimensionMismatch {
-                op: "dense matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
-        // i-k-j loop order for cache friendliness on row-major data.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self.data[i * self.cols + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
-                    *o += aik * r;
-                }
-            }
-        }
-        Ok(out)
+        self.matmul_parallel(rhs, Parallelism::serial())
     }
 
     /// Matrix product `self^T * rhs`.
@@ -208,28 +313,7 @@ impl DenseMatrix {
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `self.rows() != rhs.rows()`.
     pub fn transpose_matmul(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.rows != rhs.rows {
-            return Err(MatrixError::DimensionMismatch {
-                op: "dense transpose_matmul",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let mut out = DenseMatrix::zeros(self.cols, rhs.cols);
-        for k in 0..self.rows {
-            for i in 0..self.cols {
-                let aki = self.data[k * self.cols + i];
-                if aki == 0.0 {
-                    continue;
-                }
-                let rrow = &rhs.data[k * rhs.cols..(k + 1) * rhs.cols];
-                let orow = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];
-                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
-                    *o += aki * r;
-                }
-            }
-        }
-        Ok(out)
+        self.transpose_matmul_parallel(rhs, Parallelism::serial())
     }
 
     /// Matrix product `self * rhs^T`.
@@ -238,6 +322,114 @@ impl DenseMatrix {
     ///
     /// Returns [`MatrixError::DimensionMismatch`] if `self.cols() != rhs.cols()`.
     pub fn matmul_transpose(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
+        self.matmul_transpose_parallel(rhs, Parallelism::serial())
+    }
+
+    /// [`DenseMatrix::matmul`] on `parallelism` worker threads: row blocks in
+    /// multiples of the 4-row tile, so the result is byte-identical at any
+    /// thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::DimensionMismatch`] if `self.cols() != rhs.rows()`.
+    pub fn matmul_parallel(
+        &self,
+        rhs: &DenseMatrix,
+        parallelism: Parallelism,
+    ) -> Result<DenseMatrix> {
+        self.matmul_with(rhs, parallelism, gemm)
+    }
+
+    /// [`DenseMatrix::transpose_matmul`] on `parallelism` worker threads:
+    /// blocks of the output's rows, byte-identical at any thread count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::DimensionMismatch`] if `self.rows() != rhs.rows()`.
+    pub fn transpose_matmul_parallel(
+        &self,
+        rhs: &DenseMatrix,
+        parallelism: Parallelism,
+    ) -> Result<DenseMatrix> {
+        self.transpose_matmul_with(rhs, parallelism, gemm)
+    }
+
+    /// [`DenseMatrix::matmul_transpose`] on `parallelism` worker threads: row
+    /// blocks in multiples of the 4-row tile, byte-identical at any thread
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::DimensionMismatch`] if `self.cols() != rhs.cols()`.
+    pub fn matmul_transpose_parallel(
+        &self,
+        rhs: &DenseMatrix,
+        parallelism: Parallelism,
+    ) -> Result<DenseMatrix> {
+        self.matmul_transpose_with(rhs, parallelism, gemm)
+    }
+
+    fn matmul_with(
+        &self,
+        rhs: &DenseMatrix,
+        parallelism: Parallelism,
+        kernel: Kernel,
+    ) -> Result<DenseMatrix> {
+        if self.cols != rhs.rows {
+            return Err(MatrixError::DimensionMismatch {
+                op: "dense matmul",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
+        let k = self.cols;
+        parallelism.for_each_row_block(&mut out.data, rhs.cols, TILE_ROWS, |rows, block| {
+            kernel(&self.data[rows.start * k..rows.end * k], k, &rhs.data, rhs.cols, block, false)
+        });
+        Ok(out)
+    }
+
+    fn transpose_matmul_with(
+        &self,
+        rhs: &DenseMatrix,
+        parallelism: Parallelism,
+        kernel: Kernel,
+    ) -> Result<DenseMatrix> {
+        if self.rows != rhs.rows {
+            return Err(MatrixError::DimensionMismatch {
+                op: "dense transpose_matmul",
+                lhs: self.shape(),
+                rhs: rhs.shape(),
+            });
+        }
+        let mut out = DenseMatrix::zeros(self.cols, rhs.cols);
+        let (k, n) = (self.rows, rhs.cols);
+        parallelism.for_each_row_block(&mut out.data, n, TILE_ROWS, |cols, block| {
+            // `chunk` holds rows `k0..k0 + kc` of `self`, restricted to this
+            // block's columns, transposed: `chunk[i * kc + kk]`.
+            let mut chunk = vec![0.0; cols.len() * TN_CHUNK.min(k)];
+            for k0 in (0..k).step_by(TN_CHUNK) {
+                let kc = TN_CHUNK.min(k - k0);
+                for kk in 0..kc {
+                    let src = &self.row(k0 + kk)[cols.clone()];
+                    for (i, &v) in src.iter().enumerate() {
+                        chunk[i * kc + kk] = v;
+                    }
+                }
+                let chunk = &chunk[..cols.len() * kc];
+                kernel(chunk, kc, &rhs.data[k0 * n..(k0 + kc) * n], n, block, true);
+            }
+        });
+        Ok(out)
+    }
+
+    fn matmul_transpose_with(
+        &self,
+        rhs: &DenseMatrix,
+        parallelism: Parallelism,
+        kernel: Kernel,
+    ) -> Result<DenseMatrix> {
         if self.cols != rhs.cols {
             return Err(MatrixError::DimensionMismatch {
                 op: "dense matmul_transpose",
@@ -246,17 +438,13 @@ impl DenseMatrix {
             });
         }
         let mut out = DenseMatrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            for j in 0..rhs.rows {
-                let brow = &rhs.data[j * rhs.cols..(j + 1) * rhs.cols];
-                let mut acc = 0.0;
-                for (a, b) in arow.iter().zip(brow.iter()) {
-                    acc += a * b;
-                }
-                out.data[i * rhs.rows + j] = acc;
-            }
-        }
+        // `rhs` is the small operand (a weight matrix): transposing it once
+        // turns the dot products into the NN tile, summed in the same order.
+        let rhs_t = rhs.transpose();
+        let k = self.cols;
+        parallelism.for_each_row_block(&mut out.data, rhs.rows, TILE_ROWS, |rows, block| {
+            kernel(&self.data[rows.start * k..rows.end * k], k, &rhs_t.data, rhs.rows, block, false)
+        });
         Ok(out)
     }
 
@@ -496,11 +684,124 @@ impl Default for DenseMatrix {
     }
 }
 
+/// The textbook loops the micro-kernel replaced, kept as its oracles.
+#[cfg(test)]
+mod oracle {
+    use super::DenseMatrix;
+
+    /// `a * b`, i-k-j, skipping zero `a` entries.
+    pub(super) fn matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(a.rows, b.cols);
+        for i in 0..a.rows {
+            for k in 0..a.cols {
+                let aik = a.data[i * a.cols + k];
+                if aik == 0.0 {
+                    continue;
+                }
+                let rrow = &b.data[k * b.cols..(k + 1) * b.cols];
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
+                    *o += aik * r;
+                }
+            }
+        }
+        out
+    }
+
+    /// `a^T * b`, k-i-j, skipping zero `a` entries.
+    pub(super) fn transpose_matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(a.cols, b.cols);
+        for k in 0..a.rows {
+            for i in 0..a.cols {
+                let aki = a.data[k * a.cols + i];
+                if aki == 0.0 {
+                    continue;
+                }
+                let rrow = &b.data[k * b.cols..(k + 1) * b.cols];
+                let orow = &mut out.data[i * b.cols..(i + 1) * b.cols];
+                for (o, r) in orow.iter_mut().zip(rrow.iter()) {
+                    *o += aki * r;
+                }
+            }
+        }
+        out
+    }
+
+    /// `a * b^T` as one dot product per output entry.
+    pub(super) fn matmul_transpose(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
+        let mut out = DenseMatrix::zeros(a.rows, b.rows);
+        for i in 0..a.rows {
+            let arow = &a.data[i * a.cols..(i + 1) * a.cols];
+            for j in 0..b.rows {
+                let brow = &b.data[j * b.cols..(j + 1) * b.cols];
+                let mut acc = 0.0;
+                for (a, b) in arow.iter().zip(brow.iter()) {
+                    acc += a * b;
+                }
+                out.data[i * b.rows + j] = acc;
+            }
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A quarter `+0.0`, a quarter `-0.0`, the rest uniform in `[-1, 1]`.
+    fn sparse_signed(rows: usize, cols: usize, rng: &mut StdRng) -> DenseMatrix {
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0..8) {
+                0..=1 => 0.0,
+                2..=3 => -0.0,
+                _ => rng.gen_range(-1.0..=1.0),
+            })
+            .collect();
+        DenseMatrix::from_vec(rows, cols, data).unwrap()
+    }
+
+    fn bits(m: &DenseMatrix) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every product, through the portable and the dispatched kernel and at
+    /// several thread counts, equals its textbook loop bit for bit.
+    #[test]
+    fn products_are_bit_identical_to_the_textbook_loops() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let kernels: [(&str, Kernel); 2] = [("portable", gemm_portable), ("dispatched", gemm)];
+        for m in [0usize, 1, 3, 4, 5, 17] {
+            for n in [1usize, 7, 8, 9, 16, 64] {
+                for k in [0usize, 1, 64, 100, 128, 300] {
+                    let a = sparse_signed(m, k, &mut rng);
+                    let b = sparse_signed(k, n, &mut rng);
+                    let a_t = sparse_signed(k, m, &mut rng);
+                    let b_t = sparse_signed(n, k, &mut rng);
+                    let want_nn = bits(&oracle::matmul(&a, &b));
+                    let want_tn = bits(&oracle::transpose_matmul(&a_t, &b));
+                    let want_nt = bits(&oracle::matmul_transpose(&a, &b_t));
+                    for (name, kernel) in kernels {
+                        for threads in [1usize, 2, 3, 8] {
+                            let par = Parallelism::new(threads);
+                            let shape = format!("{name} m={m} n={n} k={k} threads={threads}");
+                            let got = a.matmul_with(&b, par, kernel).unwrap();
+                            assert_eq!(bits(&got), want_nn, "NN {shape}");
+                            let got = a_t.transpose_matmul_with(&b, par, kernel).unwrap();
+                            assert_eq!(bits(&got), want_tn, "TN {shape}");
+                            let got = a.matmul_transpose_with(&b_t, par, kernel).unwrap();
+                            assert_eq!(bits(&got), want_nt, "NT {shape}");
+                        }
+                    }
+                    assert_eq!(bits(&a.matmul(&b).unwrap()), want_nn);
+                    assert_eq!(bits(&a_t.transpose_matmul(&b).unwrap()), want_tn);
+                    assert_eq!(bits(&a.matmul_transpose(&b_t).unwrap()), want_nt);
+                }
+            }
+        }
+    }
 
     fn sample() -> DenseMatrix {
         DenseMatrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap()

@@ -19,17 +19,22 @@
 //! * a reusable kernel scratch ([`workspace::SpgemmWorkspace`]) so repeated
 //!   products and extractions stop reallocating their accumulators,
 //! * sparse × dense SpMM ([`spmm::spmm`]) used by neighborhood aggregation,
+//!   which can row-normalise the sparse operand on the fly
+//!   ([`spmm::RowWeights`]),
 //! * structural operators (vertical stacking, block-diagonal composition,
 //!   row/column extraction) used by bulk sampling,
 //! * a small dense matrix type ([`DenseMatrix`]) with the GEMM/transpose/
-//!   reduction kernels needed by the GNN training substrate,
+//!   reduction kernels needed by the GNN training substrate; its three
+//!   products share one register-blocked micro-kernel with a run-time AVX2
+//!   dispatch, byte-identical to the textbook loops,
 //! * a delta overlay ([`DeltaCsr`]) holding batched edge inserts/deletes
 //!   ([`DeltaBatch`]) merged lazily into a rebuilt base — the substrate of
 //!   dynamic-graph ingest,
 //! * prefix sums used by inverse transform sampling,
 //! * a scoped worker pool ([`pool`]) with a [`Parallelism`] knob driving the
 //!   deterministic row-blocked parallel kernels
-//!   ([`spgemm::spgemm_parallel`], [`spmm::spmm_parallel`]).
+//!   ([`spgemm::spgemm_parallel`], [`spmm::spmm_parallel`],
+//!   [`DenseMatrix::matmul_parallel`]).
 //!
 //! All numeric values are `f64`.  Indices are `usize` throughout; shapes are
 //! validated eagerly and dimension mismatches are reported through

@@ -4,14 +4,16 @@
 //! matrix kernels (`P ← Q^l · A`, per-row ITS), which are embarrassingly
 //! parallel over output rows.  This module provides the row-blocking
 //! machinery those kernels share: a [`Parallelism`] knob carried through
-//! sampler/backend configuration, balanced contiguous [`block_ranges`], and
+//! sampler/backend configuration, balanced contiguous [`block_ranges`],
 //! [`Parallelism::map_blocks`], a scoped fork-join over the vendored
-//! `crossbeam::thread::scope`.
+//! `crossbeam::thread::scope`, and its in-place twin
+//! [`Parallelism::for_each_row_block`] for kernels that write disjoint rows
+//! of one output buffer (the SpMM and the dense products).
 //!
 //! Every parallel kernel in the workspace is **deterministic**: work is
 //! split into contiguous row blocks whose per-row computation is independent
 //! of the split, so output is byte-identical at any thread count (see the
-//! determinism proptests in `spgemm`, `spmm` and `dmbs-sampling::its`).
+//! determinism tests in `spgemm`, `spmm`, `dense` and `dmbs-sampling::its`).
 
 use serde::{Deserialize, Serialize};
 use std::num::NonZeroUsize;
@@ -112,6 +114,58 @@ impl Parallelism {
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
+
+    /// Runs `f(rows, block)` over balanced contiguous row blocks of the
+    /// row-major buffer `data` (rows of `row_len` values), one scoped worker
+    /// per block, where `block` is the mutable slice holding exactly those
+    /// rows.  Every block starts on a multiple of `granule` rows and every
+    /// block but the last ends on one, so a kernel that tiles rows by
+    /// `granule` sees the same tiles at every thread count.  With one
+    /// effective block, `f` runs on the calling thread; an empty buffer runs
+    /// nothing.
+    ///
+    /// This is [`Parallelism::map_blocks`] for kernels that write their
+    /// result in place: blocks are split as there (over `granule`-row
+    /// groups) and each worker owns a disjoint part of the output.
+    ///
+    /// # Panics
+    ///
+    /// Propagates a panic from `f`.
+    pub fn for_each_row_block<T, F>(&self, data: &mut [T], row_len: usize, granule: usize, f: F)
+    where
+        T: Send,
+        F: Fn(Range<usize>, &mut [T]) + Sync,
+    {
+        if row_len == 0 || data.is_empty() {
+            return;
+        }
+        let rows = data.len() / row_len;
+        let granule = granule.max(1);
+        let groups = rows.div_ceil(granule);
+        let blocks = self.effective_blocks(groups);
+        if blocks <= 1 {
+            return f(0..rows, data);
+        }
+        let fill = crossbeam::thread::scope(|scope| {
+            let mut tail = data;
+            let mut handles = Vec::with_capacity(blocks);
+            for groups in block_ranges(groups, blocks) {
+                let range = groups.start * granule..(groups.end * granule).min(rows);
+                let (head, rest) = std::mem::take(&mut tail).split_at_mut(range.len() * row_len);
+                tail = rest;
+                let f = &f;
+                handles.push(scope.spawn(move || f(range, head)));
+            }
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
+        if let Err(payload) = fill {
+            std::panic::resume_unwind(payload);
+        }
+    }
 }
 
 impl Default for Parallelism {
@@ -197,6 +251,26 @@ mod tests {
             let items: Vec<Vec<usize>> = par.map_blocks(17, |r| r.map(|i| i * i).collect());
             let flat: Vec<usize> = items.into_iter().flatten().collect();
             assert_eq!(flat, (0..17).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn row_blocks_cover_the_buffer_on_granule_boundaries() {
+        for threads in [1usize, 2, 3, 8] {
+            for rows in [0usize, 1, 5, 17, 40] {
+                let mut data = vec![usize::MAX; rows * 3];
+                let starts = std::sync::Mutex::new(Vec::new());
+                Parallelism::new(threads).for_each_row_block(&mut data, 3, 4, |range, block| {
+                    assert_eq!(block.len(), range.len() * 3);
+                    starts.lock().unwrap().push(range.start);
+                    for (r, row) in range.zip(block.chunks_exact_mut(3)) {
+                        row.fill(r);
+                    }
+                });
+                let want: Vec<usize> = (0..rows).flat_map(|r| [r; 3]).collect();
+                assert_eq!(data, want, "{rows} rows on {threads} threads");
+                assert!(starts.into_inner().unwrap().iter().all(|s| s % 4 == 0));
+            }
         }
     }
 

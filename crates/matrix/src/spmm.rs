@@ -8,8 +8,34 @@
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::MatrixError;
-use crate::pool::{block_ranges, Parallelism};
+use crate::pool::Parallelism;
 use crate::Result;
+use std::ops::Range;
+
+/// How the stored values of a sparse row weight the dense rows they select.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowWeights {
+    /// The stored values as they are.
+    Stored,
+    /// Each stored value divided by its row's sum, exactly as
+    /// [`CsrMatrix::normalize_rows`] computes it (a row that sums to zero
+    /// keeps its values): GraphSAGE's neighbourhood mean, without
+    /// materialising the normalised matrix.
+    RowNormalized,
+}
+
+impl RowWeights {
+    /// What row `r`'s stored values are divided by, if anything.
+    fn divisor(self, sparse: &CsrMatrix, r: usize) -> Option<f64> {
+        match self {
+            RowWeights::Stored => None,
+            RowWeights::RowNormalized => {
+                let sum: f64 = sparse.row_values(r).iter().sum();
+                (sum != 0.0).then_some(sum)
+            }
+        }
+    }
+}
 
 /// Computes `sparse * dense`.
 ///
@@ -32,36 +58,17 @@ use crate::Result;
 /// # }
 /// ```
 pub fn spmm(sparse: &CsrMatrix, dense: &DenseMatrix) -> Result<DenseMatrix> {
-    if sparse.cols() != dense.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "spmm",
-            lhs: sparse.shape(),
-            rhs: dense.shape(),
-        });
-    }
-    let cols = dense.cols();
-    let mut out = DenseMatrix::zeros(sparse.rows(), cols);
-    for r in 0..sparse.rows() {
-        // Accumulate the linear combination of dense rows into the output row.
-        let mut acc = vec![0.0f64; cols];
-        for (&c, &v) in sparse.row_indices(r).iter().zip(sparse.row_values(r)) {
-            let drow = dense.row(c);
-            for (a, d) in acc.iter_mut().zip(drow) {
-                *a += v * d;
-            }
-        }
-        out.row_mut(r).copy_from_slice(&acc);
-    }
-    Ok(out)
+    spmm_parallel(sparse, dense, RowWeights::Stored, Parallelism::serial())
 }
 
-/// Computes `sparse * dense` on a scoped worker pool, row-blocking the
-/// output across `parallelism` threads.
+/// Computes `W * dense`, where `W` is `sparse` with its values weighted by
+/// `weights`, on a scoped worker pool, row-blocking the output across
+/// `parallelism` threads.  Each output row is accumulated in place from
+/// `+0.0` over the row's stored entries in order.
 ///
 /// Every output row is the same linear combination the serial kernel
 /// computes, in the same order, so the result is **byte-identical to
-/// [`spmm`] at any thread count**.  With a single effective block this
-/// delegates to [`spmm`].
+/// [`spmm`] at any thread count**.
 ///
 /// # Errors
 ///
@@ -71,66 +78,50 @@ pub fn spmm(sparse: &CsrMatrix, dense: &DenseMatrix) -> Result<DenseMatrix> {
 ///
 /// ```
 /// use dmbs_matrix::pool::Parallelism;
-/// use dmbs_matrix::spmm::{spmm, spmm_parallel};
+/// use dmbs_matrix::spmm::{spmm, spmm_parallel, RowWeights};
 /// use dmbs_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
 ///
 /// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
 /// let a = CsrMatrix::from_coo(&CooMatrix::from_triples(2, 3, vec![(0, 1, 2.0), (1, 2, 1.0)])?);
 /// let h = DenseMatrix::from_rows(&[vec![1.0], vec![10.0], vec![100.0]])?;
-/// assert_eq!(spmm_parallel(&a, &h, Parallelism::new(2))?, spmm(&a, &h)?);
+/// let par = Parallelism::new(2);
+/// assert_eq!(spmm_parallel(&a, &h, RowWeights::Stored, par)?, spmm(&a, &h)?);
+/// // Row 0 holds a single 2.0, so its mean weight is 1.
+/// assert_eq!(spmm_parallel(&a, &h, RowWeights::RowNormalized, par)?.get(0, 0), 10.0);
 /// # Ok(())
 /// # }
 /// ```
 pub fn spmm_parallel(
     sparse: &CsrMatrix,
     dense: &DenseMatrix,
+    weights: RowWeights,
     parallelism: Parallelism,
 ) -> Result<DenseMatrix> {
     if sparse.cols() != dense.rows() {
         return Err(MatrixError::DimensionMismatch {
-            op: "spmm_parallel",
+            op: "spmm",
             lhs: sparse.shape(),
             rhs: dense.shape(),
         });
     }
-    let rows = sparse.rows();
     let cols = dense.cols();
-    let blocks = block_ranges(rows, parallelism.effective_blocks(rows));
-    if blocks.len() <= 1 {
-        return spmm(sparse, dense);
-    }
-    let mut out = DenseMatrix::zeros(rows, cols);
-    let fill = crossbeam::thread::scope(|scope| {
-        let mut tail = out.as_mut_slice();
-        let mut handles = Vec::with_capacity(blocks.len());
-        for range in blocks {
-            let (head, rest) = std::mem::take(&mut tail).split_at_mut(range.len() * cols);
-            tail = rest;
-            handles.push(scope.spawn(move || {
-                for (local, r) in range.enumerate() {
-                    let acc = &mut head[local * cols..(local + 1) * cols];
-                    for (&c, &v) in sparse.row_indices(r).iter().zip(sparse.row_values(r)) {
-                        for (a, d) in acc.iter_mut().zip(dense.row(c)) {
-                            *a += v * d;
-                        }
-                    }
+    let mut out = DenseMatrix::zeros(sparse.rows(), cols);
+    parallelism.for_each_row_block(out.as_mut_slice(), cols, 1, |rows, block| {
+        for (r, acc) in rows.zip(block.chunks_exact_mut(cols)) {
+            let divisor = weights.divisor(sparse, r);
+            for (&c, &v) in sparse.row_indices(r).iter().zip(sparse.row_values(r)) {
+                let w = divisor.map_or(v, |s| v / s);
+                for (a, d) in acc.iter_mut().zip(dense.row(c)) {
+                    *a += w * d;
                 }
-            }));
-        }
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
             }
         }
     });
-    if let Err(payload) = fill {
-        std::panic::resume_unwind(payload);
-    }
     Ok(out)
 }
 
-/// Computes `sparse^T * dense` on a scoped worker pool without materialising
-/// the transpose.
+/// Computes `W^T * dense`, where `W` is `sparse` with its values weighted by
+/// `weights`, on a scoped worker pool without materialising the transpose.
 ///
 /// The transposed product scatters into output rows, so row-blocking the
 /// *output* would race; instead the **columns** of `dense` are blocked: each
@@ -145,36 +136,29 @@ pub fn spmm_parallel(
 pub fn spmm_transpose_parallel(
     sparse: &CsrMatrix,
     dense: &DenseMatrix,
+    weights: RowWeights,
     parallelism: Parallelism,
 ) -> Result<DenseMatrix> {
     if sparse.rows() != dense.rows() {
         return Err(MatrixError::DimensionMismatch {
-            op: "spmm_transpose_parallel",
+            op: "spmm_transpose",
             lhs: sparse.shape(),
             rhs: dense.shape(),
         });
     }
     let cols = dense.cols();
-    let col_blocks = block_ranges(cols, parallelism.effective_blocks(cols));
-    if col_blocks.len() <= 1 {
-        return spmm_transpose(sparse, dense);
+    let mut out = DenseMatrix::zeros(sparse.cols(), cols);
+    if parallelism.effective_blocks(cols) <= 1 {
+        // One block spans every column, so the slab is `out` itself.
+        scatter_transpose(sparse, dense, weights, 0..cols, out.as_mut_slice());
+        return Ok(out);
     }
     // Each worker fills a (sparse.cols() × block) slab over its column range.
-    let slabs: Vec<(std::ops::Range<usize>, Vec<f64>)> = parallelism.map_blocks(cols, |range| {
-        let width = range.len();
-        let mut slab = vec![0.0f64; sparse.cols() * width];
-        for r in 0..sparse.rows() {
-            let drow = &dense.row(r)[range.clone()];
-            for (&c, &v) in sparse.row_indices(r).iter().zip(sparse.row_values(r)) {
-                let orow = &mut slab[c * width..(c + 1) * width];
-                for (o, d) in orow.iter_mut().zip(drow) {
-                    *o += v * d;
-                }
-            }
-        }
+    let slabs: Vec<(Range<usize>, Vec<f64>)> = parallelism.map_blocks(cols, |range| {
+        let mut slab = vec![0.0f64; sparse.cols() * range.len()];
+        scatter_transpose(sparse, dense, weights, range.clone(), &mut slab);
         (range, slab)
     });
-    let mut out = DenseMatrix::zeros(sparse.cols(), cols);
     for (range, slab) in slabs {
         let width = range.len();
         for r in 0..sparse.cols() {
@@ -190,25 +174,29 @@ pub fn spmm_transpose_parallel(
 ///
 /// Returns [`MatrixError::DimensionMismatch`] if `sparse.rows() != dense.rows()`.
 pub fn spmm_transpose(sparse: &CsrMatrix, dense: &DenseMatrix) -> Result<DenseMatrix> {
-    if sparse.rows() != dense.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "spmm_transpose",
-            lhs: sparse.shape(),
-            rhs: dense.shape(),
-        });
-    }
-    let cols = dense.cols();
-    let mut out = DenseMatrix::zeros(sparse.cols(), cols);
+    spmm_transpose_parallel(sparse, dense, RowWeights::Stored, Parallelism::serial())
+}
+
+/// The transposed scatter restricted to `dense`'s columns `range`, added
+/// into a zero `sparse.cols() × range.len()` slab.
+fn scatter_transpose(
+    sparse: &CsrMatrix,
+    dense: &DenseMatrix,
+    weights: RowWeights,
+    range: Range<usize>,
+    slab: &mut [f64],
+) {
+    let width = range.len();
     for r in 0..sparse.rows() {
-        let drow = dense.row(r);
+        let drow = &dense.row(r)[range.clone()];
+        let divisor = weights.divisor(sparse, r);
         for (&c, &v) in sparse.row_indices(r).iter().zip(sparse.row_values(r)) {
-            let orow = out.row_mut(c);
-            for (o, d) in orow.iter_mut().zip(drow) {
-                *o += v * d;
+            let w = divisor.map_or(v, |s| v / s);
+            for (o, d) in slab[c * width..(c + 1) * width].iter_mut().zip(drow) {
+                *o += w * d;
             }
         }
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -279,8 +267,43 @@ mod tests {
         let serial_t = spmm_transpose(&sparse, &dense_t).unwrap();
         for threads in [1usize, 2, 8] {
             let par = Parallelism::new(threads);
-            assert_eq!(spmm_parallel(&sparse, &dense, par).unwrap(), serial);
-            assert_eq!(spmm_transpose_parallel(&sparse, &dense_t, par).unwrap(), serial_t);
+            assert_eq!(spmm_parallel(&sparse, &dense, RowWeights::Stored, par).unwrap(), serial);
+            assert_eq!(
+                spmm_transpose_parallel(&sparse, &dense_t, RowWeights::Stored, par).unwrap(),
+                serial_t
+            );
+        }
+    }
+
+    /// Row-normalised weighting is bit-identical to multiplying by a
+    /// `normalize_rows` copy — including a row summing to zero, which keeps
+    /// its values, and an empty row — at any thread count.
+    #[test]
+    fn row_normalized_weights_equal_a_normalized_copy() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(28);
+        let mut coo = CooMatrix::new(40, 32);
+        for _ in 0..300 {
+            coo.push(rng.gen_range(2..40), rng.gen_range(0..32), rng.gen_range(0.1..2.0)).unwrap();
+        }
+        coo.push(0, 3, 1.5).unwrap();
+        coo.push(0, 7, -1.5).unwrap();
+        let sparse = CsrMatrix::from_coo(&coo);
+        let mut normalized = sparse.clone();
+        normalized.normalize_rows();
+        let dense = DenseMatrix::random_uniform(32, 9, 1.5, &mut rng);
+        let dense_t = DenseMatrix::random_uniform(40, 9, 1.5, &mut rng);
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(&spmm(&normalized, &dense).unwrap());
+        let want_t = bits(&spmm_transpose(&normalized, &dense_t).unwrap());
+        let mean = RowWeights::RowNormalized;
+        for threads in [1usize, 2, 8] {
+            let par = Parallelism::new(threads);
+            let got = spmm_parallel(&sparse, &dense, mean, par).unwrap();
+            assert_eq!(bits(&got), want, "spmm at {threads} threads");
+            let got = spmm_transpose_parallel(&sparse, &dense_t, mean, par).unwrap();
+            assert_eq!(bits(&got), want_t, "spmm_transpose at {threads} threads");
         }
     }
 
@@ -288,8 +311,9 @@ mod tests {
     fn parallel_variants_validate_dimensions() {
         let sparse = small_sparse();
         let par = Parallelism::new(4);
-        assert!(spmm_parallel(&sparse, &DenseMatrix::zeros(3, 2), par).is_err());
-        assert!(spmm_transpose_parallel(&sparse, &DenseMatrix::zeros(4, 2), par).is_err());
+        let stored = RowWeights::Stored;
+        assert!(spmm_parallel(&sparse, &DenseMatrix::zeros(3, 2), stored, par).is_err());
+        assert!(spmm_transpose_parallel(&sparse, &DenseMatrix::zeros(4, 2), stored, par).is_err());
     }
 
     proptest! {
@@ -302,7 +326,10 @@ mod tests {
             let sparse = CsrMatrix::from_coo(&CooMatrix::from_triples(6, 7, entries).unwrap());
             let dense = DenseMatrix::from_vec(7, 3, dense_vals).unwrap();
             let par = Parallelism::new([1usize, 2, 8][thread_choice]);
-            prop_assert_eq!(spmm_parallel(&sparse, &dense, par).unwrap(), spmm(&sparse, &dense).unwrap());
+            prop_assert_eq!(
+                spmm_parallel(&sparse, &dense, RowWeights::Stored, par).unwrap(),
+                spmm(&sparse, &dense).unwrap()
+            );
         }
     }
 

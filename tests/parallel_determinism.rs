@@ -1,18 +1,18 @@
 //! The `Parallelism` knob must never change *what* is computed — only how
 //! fast.  These tests pin that contract end to end: sampled epochs, streamed
-//! minibatches and trained models are byte-identical at 1, 2 and 8 threads
-//! across every backend.
+//! minibatches, propagation and trained models are byte-identical at 1, 2
+//! and 8 threads across every backend.
 
 mod common;
 
 use common::random_batches;
-use dmbs::gnn::{Minibatch, TrainingSession};
+use dmbs::gnn::{Minibatch, SageModel, TrainingSession};
 use dmbs::graph::datasets::Dataset;
 use dmbs::graph::generators::{rmat, RmatConfig};
 use dmbs::matrix::pool::Parallelism;
 use dmbs::sampling::{
     BulkSamplerConfig, DistConfig, GraphSageSampler, LadiesSampler, LocalBackend,
-    Partitioned1p5dBackend, ReplicatedBackend, SamplingBackend,
+    Partitioned1p5dBackend, ReplicatedBackend, Sampler, SamplingBackend,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -131,5 +131,31 @@ fn training_is_invariant_under_parallelism() {
             assert_eq!(got.mean_loss, want.mean_loss, "loss diverged at {threads} threads");
         }
         assert_eq!(report.test_accuracy, serial.test_accuracy);
+    }
+}
+
+/// Forward and backward propagation — the aggregation SpMMs and the row-
+/// blocked dense products — give the same loss, logits and gradients, bit
+/// for bit, at every thread count.
+#[test]
+fn propagation_is_thread_count_invariant() {
+    let data = tiny_dataset(17);
+    let batch = data.train_set.clone();
+    let sample = GraphSageSampler::new(vec![5, 5])
+        .with_self_loops()
+        .sample_minibatch(data.graph.adjacency(), &batch, &mut StdRng::seed_from_u64(2))
+        .unwrap();
+    let input = data.graph.features().unwrap().gather_rows(sample.input_vertices()).unwrap();
+    let labels: Vec<usize> = batch.iter().map(|&v| data.graph.labels().unwrap()[v]).collect();
+    let model = SageModel::new(8, 16, 4, 2, &mut StdRng::seed_from_u64(3)).unwrap();
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let run = |threads: usize| {
+        let model = model.clone().with_parallelism(Parallelism::new(threads));
+        let (loss, logits, grads) = model.loss_and_gradients(&sample, &input, &labels).unwrap();
+        (loss.to_bits(), bits(logits.as_slice()), bits(&SageModel::flatten_grads(&grads)))
+    };
+    let serial = run(1);
+    for threads in THREAD_COUNTS {
+        assert_eq!(run(threads), serial, "propagation diverged at {threads} threads");
     }
 }
