@@ -31,6 +31,10 @@ use std::collections::VecDeque;
 /// mis-matched.
 pub(crate) const TAG_BLOCKING: u64 = 0;
 
+/// Bytes reserved beyond a payload's [`Payload::wire_bytes`] for the length
+/// prefixes of its containers when it is encoded: eight of them.
+const ENCODE_SLACK_BYTES: usize = 64;
+
 /// Values that can be communicated between ranks.
 ///
 /// The `word_count` is the payload size in 8-byte words used by the α–β cost
@@ -258,7 +262,13 @@ impl<T: Payload> Payload for Vec<T> {
         } else if len > input.len() {
             return None;
         }
-        (0..len).map(|_| T::decode(input)).collect()
+        // Sized up front: collecting through `Option` would grow the vector
+        // from empty, one doubling at a time.
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(T::decode(input)?);
+        }
+        Some(out)
     }
 }
 
@@ -478,7 +488,10 @@ impl Communicator {
         // separately so compressed payloads keep comparable word counts
         // while β is charged on what actually moves.
         self.stats.record_wire(value.word_count(), value.wire_bytes(), &self.cost);
-        let mut bytes = Vec::new();
+        // The encoding is the payload's bytes plus a word per container
+        // length; reserving for a few containers keeps a large message from
+        // regrowing its buffer at every doubling.
+        let mut bytes = Vec::with_capacity(value.wire_bytes() + ENCODE_SLACK_BYTES);
         value.encode(&mut bytes);
         self.transport.send(to, Frame { tag, type_code: T::type_code(), bytes })
     }

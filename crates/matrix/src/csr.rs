@@ -495,13 +495,25 @@ impl CsrMatrix {
     /// least one nonzero.
     pub fn nonzero_columns(&self) -> Vec<usize> {
         let mut seen = vec![false; self.cols];
+        let mut distinct = 0;
         for &c in &self.indices {
+            distinct += usize::from(!seen[c]);
             seen[c] = true;
         }
-        (0..self.cols).filter(|&c| seen[c]).collect()
+        let mut out = Vec::with_capacity(distinct);
+        out.extend((0..self.cols).filter(|&c| seen[c]));
+        out
     }
 
-    /// Element-wise sum `self + rhs`.
+    /// The `(column, value)` entries of row `r`, in column order.
+    pub(crate) fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.row_indices(r).iter().copied().zip(self.row_values(r).iter().copied())
+    }
+
+    /// Element-wise sum `self + rhs`: a two-pointer merge of each pair of
+    /// sorted rows.  An entry stored in one operand only becomes `0.0 + v`
+    /// (so `-0.0` becomes `+0.0`), one stored in both `(0.0 + a) + b`, and a
+    /// sum that cancels to zero stays stored.
     ///
     /// # Errors
     ///
@@ -514,18 +526,15 @@ impl CsrMatrix {
                 rhs: rhs.shape(),
             });
         }
-        let mut row_data = Vec::with_capacity(self.rows);
+        let mut indptr = Vec::with_capacity(self.rows + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(self.nnz() + rhs.nnz());
+        let mut values = Vec::with_capacity(self.nnz() + rhs.nnz());
         for r in 0..self.rows {
-            let mut merged: BTreeMap<usize, f64> = BTreeMap::new();
-            for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
-                *merged.entry(c).or_insert(0.0) += v;
-            }
-            for (&c, &v) in rhs.row_indices(r).iter().zip(rhs.row_values(r)) {
-                *merged.entry(c).or_insert(0.0) += v;
-            }
-            row_data.push(merged.into_iter().collect::<Vec<_>>());
+            merge_add_row(self.row_entries(r), rhs.row_entries(r), &mut indices, &mut values);
+            indptr.push(indices.len());
         }
-        CsrMatrix::from_rows(self.rows, self.cols, row_data)
+        Ok(CsrMatrix::from_raw_unchecked(self.rows, self.cols, indptr, indices, values))
     }
 
     /// Extracts the block of rows `[start, end)` as a new matrix with the same
@@ -553,6 +562,67 @@ impl CsrMatrix {
         self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * std::mem::size_of::<usize>()
             + self.values.len() * std::mem::size_of::<f64>()
+    }
+}
+
+/// Appends the sum of two sorted sparse rows to `indices` / `values`.
+///
+/// A two-pointer merge that computes what accumulating both rows into a map
+/// of zeros computes: a column in one row only becomes `0.0 + v`, a column
+/// in both becomes `(0.0 + a) + b`.  The `0.0 +` is not a no-op: it turns a
+/// `-0.0` into `+0.0`, exactly as the `or_insert(0.0) +=` formulation did.
+/// Every column is emitted, so a sum that cancels to zero stays stored.
+pub(crate) fn merge_add_row(
+    a: impl IntoIterator<Item = (usize, f64)>,
+    b: impl IntoIterator<Item = (usize, f64)>,
+    indices: &mut Vec<usize>,
+    values: &mut Vec<f64>,
+) {
+    let mut a = a.into_iter().peekable();
+    let mut b = b.into_iter().peekable();
+    loop {
+        let (c, v) = match (a.peek().copied(), b.peek().copied()) {
+            (Some((ca, va)), Some((cb, vb))) if ca == cb => {
+                a.next();
+                b.next();
+                (ca, (0.0 + va) + vb)
+            }
+            (Some((ca, va)), Some((cb, _))) if ca < cb => {
+                a.next();
+                (ca, 0.0 + va)
+            }
+            (Some((ca, va)), None) => {
+                a.next();
+                (ca, 0.0 + va)
+            }
+            (_, Some((cb, vb))) => {
+                b.next();
+                (cb, 0.0 + vb)
+            }
+            (None, None) => break,
+        };
+        indices.push(c);
+        values.push(v);
+    }
+}
+
+/// The formulations the merge-add replaced, kept as its oracles.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::CsrMatrix;
+    use std::collections::BTreeMap;
+
+    /// `a + b` through a `BTreeMap` per row.
+    pub(crate) fn add(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
+        let mut row_data = Vec::with_capacity(a.rows());
+        for r in 0..a.rows() {
+            let mut merged: BTreeMap<usize, f64> = BTreeMap::new();
+            for (c, v) in a.row_entries(r).chain(b.row_entries(r)) {
+                *merged.entry(c).or_insert(0.0) += v;
+            }
+            row_data.push(merged.into_iter().collect::<Vec<_>>());
+        }
+        CsrMatrix::from_rows(a.rows(), a.cols(), row_data).unwrap()
     }
 }
 
@@ -747,6 +817,30 @@ mod tests {
         let expected = a.to_dense().add(&b.to_dense()).unwrap();
         assert_eq!(sum.to_dense(), expected);
         assert!(a.add(&CsrMatrix::zeros(2, 2)).is_err());
+    }
+
+    #[test]
+    fn add_is_bit_identical_to_the_btreemap_oracle() {
+        let a = CsrMatrix::from_rows(
+            3,
+            4,
+            vec![vec![(0, -0.0), (1, 0.1), (3, 0.25)], vec![(2, -0.0)], vec![]],
+        )
+        .unwrap();
+        let b =
+            CsrMatrix::from_rows(3, 4, vec![vec![(1, 0.2), (2, -0.0), (3, -0.25)], vec![], vec![]])
+                .unwrap();
+        let bits = |m: &CsrMatrix| -> Vec<u64> { m.values().iter().map(|v| v.to_bits()).collect() };
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&b, &b)] {
+            let (got, want) = (x.add(y).unwrap(), oracle::add(x, y));
+            assert_eq!((got.indptr(), got.indices()), (want.indptr(), want.indices()));
+            assert_eq!(bits(&got), bits(&want));
+        }
+        // `-0.0` alone becomes `+0.0`, and a cancelled column stays stored.
+        let sum = a.add(&b).unwrap();
+        assert_eq!(sum.row_indices(0), &[0, 1, 2, 3]);
+        assert_eq!(sum.row_values(0)[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(sum.row_values(0)[3].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -36,8 +36,17 @@
 //! symbolic-count scratch from a [`SpgemmWorkspace`] (thread-local by
 //! default), so repeated probability steps stop reallocating their scratch
 //! on every call — see [`crate::workspace`].
+//!
+//! The stage multiply of the distributed 1.5D SpGEMM,
+//! [`spgemm_with_fetched_rows`], is the same dense-accumulator loop on the
+//! same scratch, with the right operand given as the fetched rows of a
+//! larger matrix and the product merged into the earlier stages' sum as it
+//! is produced.  Its `#[cfg(test)]` oracle is the hash-map formulation it
+//! replaced, followed by the `BTreeMap` add; the proptest
+//! `prop_staged_fetched_multiply_is_bit_identical_to_the_oracle` pins the
+//! two to the bit across stages, signed zeros and cancellation.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{merge_add_row, CsrMatrix};
 use crate::error::MatrixError;
 use crate::pool::{block_ranges, Parallelism};
 use crate::prefix::counts_to_offsets;
@@ -418,51 +427,144 @@ fn spgemm_hash_accum(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
     CsrMatrix::from_rows(lhs.rows(), out_cols, row_data)
 }
 
-/// Computes `lhs * rhs` where `rhs` is given as a *set of rows* of a larger
-/// matrix (a "fetched" sub-matrix): `rhs_rows[k]` holds the sparse row of the
-/// logical right operand for global row index `row_ids[k]`.
+/// Computes `acc + lhs · R`, where the right operand `R` is given as a *set
+/// of rows* of a larger matrix: row `needed[r]` of `R` is row `r` of
+/// `fetched`, and every row not in `needed` is empty.
 ///
-/// This is the local multiply used by the sparsity-aware 1.5D algorithm
-/// (Algorithm 2 in the paper): the left block `Q^l_{ik}` only needs the rows
-/// of `A_k` matching its nonzero columns, which are delivered by
-/// communication and passed here without materialising the full block.
+/// This is one stage of the sparsity-aware 1.5D algorithm (Algorithm 2 in
+/// the paper): the left block `Q^l_{ik}` only needs the rows of `A_k`
+/// matching its nonzero columns, which are delivered by communication as
+/// one CSR slab and passed here without materialising the full block, and
+/// the stage's product is added to the running sum `acc` of the earlier
+/// stages.
 ///
-/// Rows of the right operand that were not supplied are treated as empty.
+/// The kernel is Gustavson's dense-accumulator loop on `ws`'s scratch: a
+/// stamped dense lookup over `needed`'s span maps a column of `lhs` to its
+/// fetched row, every output entry is accumulated from `+0.0` over the
+/// `lhs` row's columns in ascending order, the touched columns are sorted,
+/// and the row is merged into `acc`'s row with [`CsrMatrix::add`]'s merge.
+/// The result is therefore bit-identical to multiplying through a hash map
+/// per row and then adding with a `BTreeMap` per row, and cancellation
+/// zeros stay stored.
 ///
 /// # Errors
 ///
-/// Returns [`MatrixError::DimensionMismatch`] if `row_ids` and `rhs_rows`
-/// have different lengths.
+/// Returns [`MatrixError::DimensionMismatch`] if `fetched` does not have one
+/// row per entry of `needed`, or `acc` is not `lhs.rows() × fetched.cols()`,
+/// and [`MatrixError::InvalidStructure`] if `needed` is not strictly
+/// increasing or names a row `>= lhs.cols()`.
+///
+/// # Example
+///
+/// ```
+/// use dmbs_matrix::spgemm::{spgemm, spgemm_with_fetched_rows};
+/// use dmbs_matrix::workspace::SpgemmWorkspace;
+/// use dmbs_matrix::{CooMatrix, CsrMatrix};
+///
+/// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
+/// let a = CsrMatrix::from_coo(&CooMatrix::from_triples(
+///     3, 3, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)],
+/// )?);
+/// let q = CsrMatrix::from_coo(&CooMatrix::from_triples(2, 3, vec![(0, 1, 1.0), (1, 2, 1.0)])?);
+/// // Only rows 1 and 2 of `a` are fetched, which is all `q` reads.
+/// let needed = [1, 2];
+/// let fetched = a.gather_rows(&needed)?;
+/// let zero = CsrMatrix::zeros(2, 3);
+/// let mut ws = SpgemmWorkspace::new();
+/// let p = spgemm_with_fetched_rows(&q, &needed, &fetched, &zero, &mut ws)?;
+/// assert_eq!(p, spgemm(&q, &a)?);
+/// # Ok(())
+/// # }
+/// ```
 pub fn spgemm_with_fetched_rows(
     lhs: &CsrMatrix,
-    row_ids: &[usize],
-    rhs_rows: &[Vec<(usize, f64)>],
-    out_cols: usize,
+    needed: &[usize],
+    fetched: &CsrMatrix,
+    acc: &CsrMatrix,
+    ws: &mut SpgemmWorkspace,
 ) -> Result<CsrMatrix> {
-    if row_ids.len() != rhs_rows.len() {
+    let out_cols = fetched.cols();
+    if fetched.rows() != needed.len() {
         return Err(MatrixError::DimensionMismatch {
             op: "spgemm_with_fetched_rows",
-            lhs: (row_ids.len(), 0),
-            rhs: (rhs_rows.len(), 0),
+            lhs: (needed.len(), out_cols),
+            rhs: fetched.shape(),
         });
     }
-    // Map global row id -> position in rhs_rows.
-    let lookup: HashMap<usize, usize> = row_ids.iter().enumerate().map(|(i, &r)| (r, i)).collect();
-    let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(lhs.rows());
+    if acc.shape() != (lhs.rows(), out_cols) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "spgemm_with_fetched_rows",
+            lhs: (lhs.rows(), out_cols),
+            rhs: acc.shape(),
+        });
+    }
+    if needed.windows(2).any(|w| w[0] >= w[1]) || needed.last().is_some_and(|&k| k >= lhs.cols()) {
+        return Err(MatrixError::InvalidStructure(format!(
+            "fetched row ids must be strictly increasing and below {}",
+            lhs.cols()
+        )));
+    }
+
+    // Dense lookup over the span of `needed`: `lhs` column `k` reads fetched
+    // row `pos[k - lo]` when `stamp[k - lo]` is this call's generation.
+    let lo = needed.first().copied().unwrap_or(0);
+    let span = needed.last().map_or(0, |&hi| hi - lo + 1);
+    let generation = ws.begin_mask(span);
+    for (r, &k) in needed.iter().enumerate() {
+        ws.mask_stamp[k - lo] = generation;
+        ws.mask_pos[k - lo] = r;
+    }
+    if ws.workers.is_empty() {
+        ws.workers.push(WorkerScratch::default());
+    }
+    let (stamp, pos) = (&ws.mask_stamp, &ws.mask_pos);
+    let slot = |k: usize| {
+        let t = k.wrapping_sub(lo);
+        (t < span && stamp[t] == generation).then(|| pos[t])
+    };
+
+    // One allocation per output buffer: the sum has at most `acc`'s entries
+    // plus one per multiply, and at most every column of every row.
+    let flops = lhs
+        .indices()
+        .iter()
+        .filter_map(|&k| slot(k))
+        .fold(0usize, |sum, r| sum.saturating_add(fetched.row_nnz(r)));
+    let bound = acc.nnz().saturating_add(flops).min(lhs.rows().saturating_mul(out_cols));
+    let mut indptr = Vec::with_capacity(lhs.rows() + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(bound);
+    let mut values = Vec::with_capacity(bound);
+
+    let scratch = &mut ws.workers[0];
+    scratch.ensure_cols(out_cols);
+    let WorkerScratch { accum, marked, touched } = scratch;
     for i in 0..lhs.rows() {
-        let mut accum: HashMap<usize, f64> = HashMap::new();
-        for (&k, &lv) in lhs.row_indices(i).iter().zip(lhs.row_values(i)) {
-            if let Some(&pos) = lookup.get(&k) {
-                for &(j, rv) in &rhs_rows[pos] {
-                    *accum.entry(j).or_insert(0.0) += lv * rv;
+        for (k, lv) in lhs.row_entries(i) {
+            let Some(r) = slot(k) else { continue };
+            for (j, rv) in fetched.row_entries(r) {
+                if !marked[j] {
+                    marked[j] = true;
+                    touched.push(j);
                 }
+                accum[j] += lv * rv;
             }
         }
-        let mut row: Vec<(usize, f64)> = accum.into_iter().collect();
-        row.sort_unstable_by_key(|&(c, _)| c);
-        row_data.push(row);
+        touched.sort_unstable();
+        merge_add_row(
+            acc.row_entries(i),
+            touched.iter().map(|&j| (j, accum[j])),
+            &mut indices,
+            &mut values,
+        );
+        for &j in touched.iter() {
+            accum[j] = 0.0;
+            marked[j] = false;
+        }
+        touched.clear();
+        indptr.push(indices.len());
     }
-    CsrMatrix::from_rows(lhs.rows(), out_cols, row_data)
+    Ok(CsrMatrix::from_raw_unchecked(lhs.rows(), out_cols, indptr, indices, values))
 }
 
 /// Reference SpGEMM that multiplies via dense matrices.  Only for testing the
@@ -486,6 +588,40 @@ pub fn spgemm_dense_reference(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMat
         }
     }
     Ok(CsrMatrix::from_coo(&coo))
+}
+
+/// The fetched-rows multiply the dense-accumulator stage kernel replaced,
+/// kept as its oracle.
+#[cfg(test)]
+mod oracle {
+    use super::{CsrMatrix, HashMap};
+
+    /// `lhs · R` where row `row_ids[r]` of `R` is `rhs_rows[r]`, through a
+    /// `HashMap` lookup and a `HashMap` accumulator per output row.
+    pub(super) fn spgemm_with_fetched_rows(
+        lhs: &CsrMatrix,
+        row_ids: &[usize],
+        rhs_rows: &[Vec<(usize, f64)>],
+        out_cols: usize,
+    ) -> CsrMatrix {
+        let lookup: HashMap<usize, usize> =
+            row_ids.iter().enumerate().map(|(i, &r)| (r, i)).collect();
+        let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(lhs.rows());
+        for i in 0..lhs.rows() {
+            let mut accum: HashMap<usize, f64> = HashMap::new();
+            for (&k, &lv) in lhs.row_indices(i).iter().zip(lhs.row_values(i)) {
+                if let Some(&pos) = lookup.get(&k) {
+                    for &(j, rv) in &rhs_rows[pos] {
+                        *accum.entry(j).or_insert(0.0) += lv * rv;
+                    }
+                }
+            }
+            let mut row: Vec<(usize, f64)> = accum.into_iter().collect();
+            row.sort_unstable_by_key(|&(c, _)| c);
+            row_data.push(row);
+        }
+        CsrMatrix::from_rows(lhs.rows(), out_cols, row_data).unwrap()
+    }
 }
 
 #[cfg(test)]
@@ -584,6 +720,13 @@ mod tests {
         assert!(dense.approx_eq(&hash, 1e-9));
     }
 
+    /// `lhs · R` for the rows `needed` of `a`, added to nothing.
+    fn fetched_product(lhs: &CsrMatrix, a: &CsrMatrix, needed: &[usize]) -> Result<CsrMatrix> {
+        let fetched = a.gather_rows(needed)?;
+        let zero = CsrMatrix::zeros(lhs.rows(), a.cols());
+        spgemm_with_fetched_rows(lhs, needed, &fetched, &zero, &mut SpgemmWorkspace::new())
+    }
+
     #[test]
     fn fetched_rows_matches_full_spgemm() {
         let a = figure1_graph();
@@ -591,12 +734,7 @@ mod tests {
             &CooMatrix::from_triples(2, 6, vec![(0, 1, 1.0), (1, 5, 1.0)]).unwrap(),
         );
         // Supply only the rows of A that q actually needs (rows 1 and 5).
-        let needed = vec![1usize, 5usize];
-        let rows: Vec<Vec<(usize, f64)>> = needed
-            .iter()
-            .map(|&r| a.row_indices(r).iter().zip(a.row_values(r)).map(|(&c, &v)| (c, v)).collect())
-            .collect();
-        let partial = spgemm_with_fetched_rows(&q, &needed, &rows, 6).unwrap();
+        let partial = fetched_product(&q, &a, &[1, 5]).unwrap();
         let full = spgemm(&q, &a).unwrap();
         assert_eq!(partial, full);
     }
@@ -608,9 +746,7 @@ mod tests {
             &CooMatrix::from_triples(2, 6, vec![(0, 1, 1.0), (1, 5, 1.0)]).unwrap(),
         );
         // Supply only row 1; row 5 contributions are dropped.
-        let rows: Vec<Vec<(usize, f64)>> =
-            vec![a.row_indices(1).iter().zip(a.row_values(1)).map(|(&c, &v)| (c, v)).collect()];
-        let partial = spgemm_with_fetched_rows(&q, &[1], &rows, 6).unwrap();
+        let partial = fetched_product(&q, &a, &[1]).unwrap();
         assert_eq!(partial.row_nnz(0), 3);
         assert_eq!(partial.row_nnz(1), 0);
     }
@@ -618,7 +754,94 @@ mod tests {
     #[test]
     fn fetched_rows_length_mismatch() {
         let q = CsrMatrix::identity(2);
-        assert!(spgemm_with_fetched_rows(&q, &[0, 1], &[vec![]], 2).is_err());
+        let ws = &mut SpgemmWorkspace::new();
+        let one_row = CsrMatrix::zeros(1, 2);
+        let two_rows = CsrMatrix::zeros(2, 2);
+        let zero = CsrMatrix::zeros(2, 2);
+        let mismatch =
+            |r: Result<CsrMatrix>| matches!(r, Err(MatrixError::DimensionMismatch { .. }));
+        let invalid = |r: Result<CsrMatrix>| matches!(r, Err(MatrixError::InvalidStructure(_)));
+        assert!(mismatch(spgemm_with_fetched_rows(&q, &[0, 1], &one_row, &zero, ws)));
+        assert!(mismatch(spgemm_with_fetched_rows(&q, &[0], &one_row, &one_row, ws)));
+        assert!(invalid(spgemm_with_fetched_rows(&q, &[1, 0], &two_rows, &zero, ws)));
+        assert!(invalid(spgemm_with_fetched_rows(&q, &[1, 1], &two_rows, &zero, ws)));
+        assert!(invalid(spgemm_with_fetched_rows(&q, &[0, 2], &two_rows, &zero, ws)));
+    }
+
+    /// A `rows × cols` matrix holding `entries` as given (the last value of
+    /// a repeated position wins), so `-0.0` stays `-0.0`.
+    fn exact(rows: usize, cols: usize, entries: Vec<(usize, usize, f64)>) -> CsrMatrix {
+        let mut cells = std::collections::BTreeMap::new();
+        for (r, c, v) in entries {
+            cells.insert((r, c), v);
+        }
+        let mut row_data = vec![Vec::new(); rows];
+        for ((r, c), v) in cells {
+            row_data[r].push((c, v));
+        }
+        CsrMatrix::from_rows(rows, cols, row_data).unwrap()
+    }
+
+    /// Values that exercise the rounding order: `+0.0`, `-0.0`, quarters
+    /// (whose sums cancel exactly), ones and arbitrary non-integers.
+    fn awkward_value() -> impl Strategy<Value = f64> {
+        (0usize..6, -2.0f64..2.0).prop_map(|(kind, x)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => (x * 4.0).round() / 4.0,
+            3 => 1.0,
+            _ => x,
+        })
+    }
+
+    fn bits(m: &CsrMatrix) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
+        let values = m.values().iter().map(|v| v.to_bits()).collect();
+        (m.indptr().to_vec(), m.indices().to_vec(), values)
+    }
+
+    proptest! {
+        /// The staged dense-accumulator multiply with its merge equals, bit
+        /// for bit, the hash-map multiply followed by the `BTreeMap` add it
+        /// replaced, stage after stage: `Q` rows span several stages, some
+        /// requests are empty, some fetched rows hold no nonzeros and some
+        /// read columns are not fetched at all.
+        #[test]
+        fn prop_staged_fetched_multiply_is_bit_identical_to_the_oracle(
+            (q, a, stages) in (1usize..8, 1usize..16, 1usize..6).prop_flat_map(|(m, n, out)| {
+                let q = collection::vec((0..m, 0..n, awkward_value()), 0..64);
+                let a = collection::vec((0..n, 0..out, awkward_value()), 0..64);
+                let stages = (1usize..5, collection::vec(0usize..4, n));
+                (q, a, stages).prop_map(move |(qe, ae, stages)| {
+                    (exact(m, n, qe), exact(n, out, ae), stages)
+                })
+            }),
+        ) {
+            let (stage_count, fetch_kind) = stages;
+            let n = a.rows();
+            let ws = &mut SpgemmWorkspace::new();
+            let mut got = CsrMatrix::zeros(q.rows(), a.cols());
+            let mut want = got.clone();
+            let width = n.div_ceil(stage_count);
+            for stage in 0..stage_count {
+                let block = stage * width..((stage + 1) * width).min(n);
+                // Mostly the rows `q` reads, sometimes an unread row, and
+                // sometimes a read row left out.
+                let needed: Vec<usize> = block
+                    .filter(|&k| match fetch_kind[k] {
+                        0 => true,
+                        1 => false,
+                        _ => q.indices().contains(&k),
+                    })
+                    .collect();
+                let fetched = a.gather_rows(&needed).unwrap();
+                got = spgemm_with_fetched_rows(&q, &needed, &fetched, &got, ws).unwrap();
+                let rows: Vec<Vec<(usize, f64)>> =
+                    needed.iter().map(|&k| a.row_entries(k).collect()).collect();
+                let partial = oracle::spgemm_with_fetched_rows(&q, &needed, &rows, a.cols());
+                want = crate::csr::oracle::add(&want, &partial);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+        }
     }
 
     fn arb_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {

@@ -10,6 +10,19 @@
 //! and a final all-reduce across the process row combines the partial
 //! products.
 //!
+//! Per stage the traffic is a gather of request lists over the process
+//! column, then one point-to-point reply per remote requester.  A reply is
+//! one CSR slab — row lengths, column indices and values of the requested
+//! rows, in request order — so it costs `rows + 2·nnz` words, exactly what
+//! one `(row id, row)` pair per row cost before it: a length word replaces
+//! the id word, which the requester does not need back.  The requester
+//! validates the slab as a CSR block (`CsrMatrix::from_raw`) before the
+//! stage multiply indexes its dense scratch with the slab's column ids, so a
+//! malformed reply is a typed error, not a panic.  The stage multiply
+//! (`spgemm_with_fetched_rows`) adds its product to the earlier stages' sum
+//! with a row merge, bit-identical to the hash-map multiply and `BTreeMap`
+//! add it replaced.
+//!
 //! Sampling from the resulting probability rows needs no communication
 //! (§5.2.2).  Extraction is row-local for every sampler (§5.2.3): GraphSAGE
 //! compacts its sampled rows, and LADIES and FastGCN gather their frontier's
@@ -20,14 +33,19 @@
 
 use crate::plan::{BulkSampleOutput, MinibatchSample};
 use crate::{Result, SamplingError};
-use dmbs_comm::{Communicator, Group, Phase, PhaseProfile, ProcessGrid};
+use dmbs_comm::{CommError, Communicator, Group, Phase, PhaseProfile, ProcessGrid};
 use dmbs_graph::partition::OneDPartition;
 use dmbs_matrix::spgemm::spgemm_with_fetched_rows;
-use dmbs_matrix::{CooMatrix, CsrMatrix};
+use dmbs_matrix::workspace::with_workspace;
+use dmbs_matrix::{CooMatrix, CsrMatrix, MatrixError};
+use std::ops::Range;
 
-/// A sparse row of the adjacency matrix shipped between ranks:
-/// `(global_row_id, [(column, value), …])`.
-type FetchedRow = (usize, Vec<(usize, f64)>);
+/// An owner's answer to one request of Algorithm 2: the requested rows of
+/// its block of `A`, in request order, as one CSR slab `(row lengths, column
+/// indices, values)`.  The global row ids do not travel, because the
+/// requester sent them; a row's length word takes the place its id word
+/// had, so a slab of `rows` rows and `nnz` nonzeros is `rows + 2·nnz` words.
+type RowSlab = (Vec<usize>, Vec<usize>, Vec<f64>);
 
 /// Computes this process row's block of `P = Q · A` with the sparsity-aware
 /// 1.5D SpGEMM of Algorithm 2.
@@ -48,7 +66,10 @@ type FetchedRow = (usize, Vec<(usize, f64)>);
 ///
 /// # Errors
 ///
-/// Returns an error if shapes are inconsistent or a collective fails.
+/// Returns an error if shapes are inconsistent, a collective fails, or a
+/// request or reply that arrives is malformed (a requested row outside the
+/// owner's block, or a slab that is not a valid CSR block of the requested
+/// rows).
 pub fn spgemm_1p5d_sparsity_aware(
     comm: &mut Communicator,
     grid: &ProcessGrid,
@@ -83,7 +104,7 @@ pub fn spgemm_1p5d_sparsity_aware(
     }
 
     let col_group = Group::new(&grid.col_ranks(rank))?;
-    let my_pos_in_col = col_group.position_of(rank).expect("rank is in its own column");
+    let my_pos_in_col = col_group.position_of(rank).ok_or(CommError::NotInGroup { rank })?;
     let comm_before = comm.stats().modeled_time;
 
     // Nonzero columns of my Q block, sorted — the sparsity pattern that the
@@ -104,49 +125,40 @@ pub fn spgemm_1p5d_sparsity_aware(
         let owner = grid.rank_at(k_block, my_col);
         let block_range = vertex_partition.range(k_block);
 
-        // Rows of A_k that my local multiply will read.
-        let needed: Vec<usize> =
-            q_nonzero_cols.iter().copied().filter(|&c| block_range.contains(&c)).collect();
+        // Rows of A_k that my local multiply will read: the sorted nonzero
+        // columns of Q that fall in the block.
+        let lo = q_nonzero_cols.partition_point(|&c| c < block_range.start);
+        let hi = q_nonzero_cols.partition_point(|&c| c < block_range.end);
+        let needed = &q_nonzero_cols[lo..hi];
 
         // Gather every member's request list at the owner of A_k.
-        let requests = comm.group_gather(&col_group, owner, needed.clone())?;
+        let requests = comm.group_gather(&col_group, owner, needed.to_vec())?;
 
-        // The owner answers each request with the needed rows of its block.
-        let fetched: Vec<FetchedRow> = if rank == owner {
-            let requests = requests.expect("owner receives the gathered requests");
-            let mut my_reply: Vec<FetchedRow> = Vec::new();
+        // The owner answers each request with one slab of the needed rows of
+        // its block.
+        let slab = if rank == owner {
+            let requests = requests.ok_or_else(|| {
+                SamplingError::InvalidConfig(format!(
+                    "rank {rank} owns block row {k_block} but gathered no requests"
+                ))
+            })?;
+            let mut own = RowSlab::default();
             for (pos, request) in requests.iter().enumerate() {
-                let peer = col_group.ranks()[pos];
-                let reply: Vec<FetchedRow> = request
-                    .iter()
-                    .map(|&gid| {
-                        let local = gid - block_range.start;
-                        let row: Vec<(usize, f64)> = my_a_block
-                            .row_indices(local)
-                            .iter()
-                            .zip(my_a_block.row_values(local))
-                            .map(|(&c, &v)| (c, v))
-                            .collect();
-                        (gid, row)
-                    })
-                    .collect();
+                let reply = reply_slab(my_a_block, &block_range, request)?;
                 if pos == my_pos_in_col {
-                    my_reply = reply;
+                    own = reply;
                 } else {
-                    comm.send(peer, reply)?;
+                    comm.send(col_group.ranks()[pos], reply)?;
                 }
             }
-            my_reply
+            own
         } else {
-            comm.recv::<Vec<FetchedRow>>(owner)?
+            comm.recv::<RowSlab>(owner)?
         };
 
-        // Local sparsity-aware multiply with only the fetched rows.
-        let partial = profile.time_compute(phase, || -> Result<CsrMatrix> {
-            let (row_ids, rows): (Vec<usize>, Vec<Vec<(usize, f64)>>) = fetched.into_iter().unzip();
-            Ok(spgemm_with_fetched_rows(my_q_block, &row_ids, &rows, n)?)
-        })?;
-        p_hat = profile.time_compute(phase, || p_hat.add(&partial))?;
+        // Local sparsity-aware multiply with only the fetched rows, added to
+        // the earlier stages' sum.
+        p_hat = profile.time_compute(phase, || stage_multiply(my_q_block, needed, slab, &p_hat))?;
     }
 
     // All-reduce the partial products across the process row.
@@ -168,6 +180,67 @@ pub fn spgemm_1p5d_sparsity_aware(
 
     profile.add_comm(phase, comm.stats().modeled_time - comm_before);
     Ok(p_full)
+}
+
+/// The owner's slab for one request: the rows `request` of its block
+/// (which holds the global rows `block_range`), copied row by row into
+/// three flat buffers sized up front.
+fn reply_slab(block: &CsrMatrix, block_range: &Range<usize>, request: &[usize]) -> Result<RowSlab> {
+    let mut nnz = 0;
+    for &gid in request {
+        if !block_range.contains(&gid) {
+            return Err(SamplingError::InvalidConfig(format!(
+                "row {gid} was requested from the block of rows {block_range:?}"
+            )));
+        }
+        nnz += block.row_nnz(gid - block_range.start);
+    }
+    let mut lens = Vec::with_capacity(request.len());
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    for &gid in request {
+        let local = gid - block_range.start;
+        lens.push(block.row_nnz(local));
+        indices.extend_from_slice(block.row_indices(local));
+        values.extend_from_slice(block.row_values(local));
+    }
+    Ok((lens, indices, values))
+}
+
+/// One stage of Algorithm 2 on the requesting rank: `p_hat + Q · A_k`,
+/// with `A_k`'s rows `needed` taken from the owner's `slab`.
+///
+/// The slab came off the wire, and the multiply indexes its scratch with
+/// the slab's column ids, so it is validated first: one length per
+/// requested row, lengths that sum without overflow to the number of
+/// column ids, one value per column id, and rows of strictly increasing
+/// columns below `n`.  A malformed slab is a typed error, never a panic.
+fn stage_multiply(
+    q: &CsrMatrix,
+    needed: &[usize],
+    slab: RowSlab,
+    p_hat: &CsrMatrix,
+) -> Result<CsrMatrix> {
+    let (lens, indices, values) = slab;
+    if lens.len() != needed.len() {
+        return Err(MatrixError::InvalidStructure(format!(
+            "a reply holds {} rows for {} requested rows",
+            lens.len(),
+            needed.len()
+        ))
+        .into());
+    }
+    let mut indptr = Vec::with_capacity(lens.len() + 1);
+    indptr.push(0usize);
+    let mut end = 0usize;
+    for len in lens {
+        end = end.checked_add(len).ok_or_else(|| {
+            MatrixError::InvalidStructure("a reply's row lengths overflow".into())
+        })?;
+        indptr.push(end);
+    }
+    let fetched = CsrMatrix::from_raw(needed.len(), p_hat.cols(), indptr, indices, values)?;
+    Ok(with_workspace(|ws| spgemm_with_fetched_rows(q, needed, &fetched, p_hat, ws))?)
 }
 
 /// Assigns minibatch indices to process rows round-robin (process row `r`
@@ -283,12 +356,160 @@ mod tests {
                 })
                 .unwrap();
             for out in outs {
-                let p_block = out.value.unwrap();
-                assert!(
-                    p_block.approx_eq(&expected, 1e-9),
-                    "1.5D SpGEMM mismatch for p={p}, c={c}"
-                );
+                // The operands are 0/1, so every sum is exact.
+                assert_eq!(out.value.unwrap(), expected, "1.5D SpGEMM mismatch for p={p}, c={c}");
             }
+        }
+    }
+
+    /// The `Q` block of process row `row`: a few rows spread over the whole
+    /// vertex range, with several nonzeros each, so every rank reads rows
+    /// of every block row.
+    fn q_block(row: usize, n: usize) -> CsrMatrix {
+        let rows = (0..4)
+            .map(|i| {
+                let mut cols: Vec<usize> =
+                    (0..3).map(|j| (row * 7 + i * 13 + j * (n / 3 + 1)) % n).collect();
+                cols.sort_unstable();
+                cols.dedup();
+                cols.into_iter().map(|c| (c, 0.5 + c as f64)).collect()
+            })
+            .collect();
+        CsrMatrix::from_rows(4, n, rows).unwrap()
+    }
+
+    #[test]
+    fn slab_replies_are_word_neutral() {
+        // Each rank's words and messages inside the 1.5D SpGEMM, against
+        // their closed form: one request of `|needed|` words to each remote
+        // owner; as an owner, one slab of `rows + 2·nnz` words per remote
+        // requester (what one `(gid, row)` pair per row cost before the
+        // slab); and, when `c > 1`, the row all-reduce of 3-word triples
+        // (every member sends its partial sum to the row's first rank, which
+        // sends the concatenation back to the others).
+        let a = random_graph(7, 5, 9);
+        let n = a.rows();
+        for &(p, c) in &[(2usize, 1usize), (4, 2), (8, 2)] {
+            let grid = ProcessGrid::new(p, c).unwrap();
+            let rows = grid.rows();
+            let partition = OneDPartition::new(n, rows).unwrap();
+            let a_blocks = partition.split_csr(&a).unwrap();
+            let stages = rows.div_ceil(c);
+            let needed = |row: usize, k: usize| -> Vec<usize> {
+                let range = partition.range(k);
+                q_block(row, n)
+                    .nonzero_columns()
+                    .into_iter()
+                    .filter(|v| range.contains(v))
+                    .collect()
+            };
+            // Nonzeros of the partial sum of rank `(row, col)` before the
+            // all-reduce: its `Q` block times the block rows its column owns.
+            let partial_nnz = |row: usize, col: usize| -> usize {
+                let blocks = col * stages..((col + 1) * stages).min(rows);
+                let owned = |v: usize| blocks.contains(&partition.owner_of(v));
+                let kept = (0..n)
+                    .map(|v| {
+                        let entries = a.row_indices(v).iter().zip(a.row_values(v));
+                        entries.filter(|_| owned(v)).map(|(&c, &x)| (c, x)).collect()
+                    })
+                    .collect();
+                spgemm(&q_block(row, n), &CsrMatrix::from_rows(n, n, kept).unwrap()).unwrap().nnz()
+            };
+            let mut expected = vec![(0usize, 0usize); p];
+            for (rank, want) in expected.iter_mut().enumerate() {
+                let (row, col) = grid.coords(rank);
+                for k in (col * stages..(col + 1) * stages).filter(|&k| k < rows) {
+                    if grid.rank_at(k, col) != rank {
+                        *want = (want.0 + needed(row, k).len(), want.1 + 1);
+                        continue;
+                    }
+                    for peer_row in (0..rows).filter(|&r| r != row) {
+                        let served = needed(peer_row, k);
+                        let nnz: usize = served.iter().map(|&v| a.row_nnz(v)).sum();
+                        *want = (want.0 + served.len() + 2 * nnz, want.1 + 1);
+                    }
+                }
+                if c > 1 {
+                    let words = if col == 0 {
+                        let total: usize = (0..c).map(|j| partial_nnz(row, j)).sum();
+                        (c - 1) * 3 * total
+                    } else {
+                        3 * partial_nnz(row, col)
+                    };
+                    let messages = if col == 0 { c - 1 } else { 1 };
+                    *want = (want.0 + words, want.1 + messages);
+                }
+            }
+
+            let outs = Runtime::new(p)
+                .unwrap()
+                .run(|comm| {
+                    let (row, _) = grid.coords(comm.rank());
+                    let before = comm.stats();
+                    spgemm_1p5d_sparsity_aware(
+                        comm,
+                        &grid,
+                        &q_block(row, n),
+                        &a_blocks[row],
+                        &partition,
+                        &mut PhaseProfile::new(),
+                        Phase::Probability,
+                    )?;
+                    let after = comm.stats();
+                    Ok::<_, SamplingError>((
+                        after.words_sent - before.words_sent,
+                        after.messages - before.messages,
+                    ))
+                })
+                .unwrap();
+            let measured: Vec<(usize, usize)> =
+                outs.into_iter().map(|o| o.value.unwrap()).collect();
+            assert_eq!(measured, expected, "grid ({p}, {c}): (words, messages) per rank");
+            assert!(measured.iter().all(|&(words, _)| words > 0), "grid ({p}, {c}) moved nothing");
+        }
+    }
+
+    #[test]
+    fn forged_slabs_are_typed_errors_not_panics() {
+        let n = 8;
+        let q = CsrMatrix::from_rows(2, n, vec![vec![(1, 1.0), (2, 0.5)], vec![(2, 1.0)]]).unwrap();
+        let needed = [1, 2];
+        let p_hat = CsrMatrix::zeros(2, n);
+        let values = || vec![1.0, 2.0, 3.0];
+        let good: RowSlab = (vec![2, 1], vec![0, 7, 3], values());
+        let p = stage_multiply(&q, &needed, good, &p_hat).unwrap();
+        assert_eq!(p.row_indices(0), &[0, 3, 7]);
+        let forged: [(&str, RowSlab); 11] = [
+            ("fewer lengths than requested rows", (vec![3], vec![0, 7, 3], values())),
+            ("more lengths than requested rows", (vec![2, 1, 0], vec![0, 7, 3], values())),
+            ("lengths that overflow", (vec![usize::MAX, 2], vec![0, 7, 3], values())),
+            (
+                "lengths that wrap to the index count",
+                (vec![usize::MAX, 4], vec![0, 7, 3], values()),
+            ),
+            ("lengths short of the indices", (vec![1, 1], vec![0, 7, 3], values())),
+            ("lengths past the indices", (vec![2, 2], vec![0, 7, 3], values())),
+            ("fewer values than indices", (vec![2, 1], vec![0, 7, 3], vec![1.0, 2.0])),
+            ("a column equal to n", (vec![2, 1], vec![0, n, 3], values())),
+            ("a column far past n", (vec![2, 1], vec![0, 7, usize::MAX], values())),
+            ("an unsorted row", (vec![2, 1], vec![7, 0, 3], values())),
+            ("a duplicate column", (vec![2, 1], vec![3, 3, 3], values())),
+        ];
+        for (what, slab) in forged {
+            match stage_multiply(&q, &needed, slab, &p_hat) {
+                Err(SamplingError::Matrix(MatrixError::InvalidStructure(_))) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+        }
+        // The owner rejects a request for a row outside its block the same way.
+        let block = CsrMatrix::identity(4);
+        assert!(reply_slab(&block, &(4..8), &[4, 7]).is_ok());
+        for request in [[3usize], [8], [usize::MAX]] {
+            assert!(matches!(
+                reply_slab(&block, &(4..8), &request),
+                Err(SamplingError::InvalidConfig(_))
+            ));
         }
     }
 

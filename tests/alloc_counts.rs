@@ -6,11 +6,14 @@
 //! seed, so they are pinned as constants and CI re-derives them.
 //!
 //! Units: one forward step and one backward step of a 3-layer GraphSAGE
-//! model, one GraphSAGE bulk sampling step, one LADIES bulk sampling step
-//! and one served request.  Besides the pins, two properties hold without
-//! constants: propagation allocates the same number of times on a frontier
-//! four times as large (a fixed number of matrices per layer, none per row),
-//! and a sampling step allocates as much after five steps as after one.
+//! model, one GraphSAGE bulk sampling step, one LADIES bulk sampling step,
+//! one served request and one 1.5D probability step (the sparsity-aware
+//! SpGEMM on rank 0 of a 2 × 1 grid, counted inside its simulator rank
+//! thread).  Besides the pins, three properties hold without constants:
+//! propagation and the 1.5D probability step allocate the same number of
+//! times on a frontier four times as large (a fixed number of buffers per
+//! layer or stage, none per row), and a sampling step allocates as much
+//! after five steps as after one.
 //!
 //! **Re-pin rule.**  A change that moves a count fails
 //! `allocation_counts_are_pinned`, which prints the measured table.  Copy
@@ -19,10 +22,14 @@
 //! count that rises needs a reason, not just a re-pin.  A toolchain upgrade
 //! that moves a count is re-pinned the same way, saying so.
 
+use dmbs::comm::{Phase, PhaseProfile, ProcessGrid, Runtime};
 use dmbs::gnn::loss::cross_entropy;
 use dmbs::gnn::{ModelSnapshot, SageModel, ServingConfig, ServingSession};
 use dmbs::graph::datasets::{build_dataset, Dataset, DatasetConfig};
+use dmbs::graph::partition::OneDPartition;
+use dmbs::matrix::ops::row_selection_matrix;
 use dmbs::matrix::DenseMatrix;
+use dmbs::sampling::partitioned::spgemm_1p5d_sparsity_aware;
 use dmbs::sampling::{
     BulkSamplerConfig, GraphSageSampler, LadiesSampler, MinibatchSample, Sampler,
 };
@@ -95,12 +102,13 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
 }
 
 /// The pinned counts, one row per unit.
-const PINNED: [(&str, Allocs); 5] = [
+const PINNED: [(&str, Allocs); 6] = [
     ("forward step", Allocs { count: 20, bytes: 956_408 }),
     ("backward step", Allocs { count: 27, bytes: 460_440 }),
     ("graphsage bulk sampling step", Allocs { count: 369, bytes: 4_180_935 }),
     ("ladies bulk sampling step", Allocs { count: 276, bytes: 7_588_889 }),
     ("served request", Allocs { count: 185, bytes: 489_617 }),
+    ("1.5d probability step", Allocs { count: 28, bytes: 172_112 }),
 ];
 
 const FANOUTS: [usize; 3] = [15, 10, 5];
@@ -176,6 +184,43 @@ fn served_request(data: Dataset) -> Allocs {
     measure(|| session.serve_one(400).unwrap()).1
 }
 
+/// One 1.5D probability step `P = Q · A` on a 2 × 1 grid, `Q` selecting
+/// `batch_size` training vertices per process row, after two warm-up steps
+/// on the same rank threads; what each rank allocated, by rank.
+fn one_five_d_step(data: &Dataset, batch_size: usize) -> Vec<Allocs> {
+    let grid = ProcessGrid::new(2, 1).unwrap();
+    let adjacency = data.graph.adjacency();
+    let n = adjacency.rows();
+    let partition = OneDPartition::new(n, grid.rows()).unwrap();
+    let blocks = partition.split_csr(adjacency).unwrap();
+    let outs = Runtime::new(2)
+        .unwrap()
+        .run(|comm| {
+            let (row, _) = grid.coords(comm.rank());
+            let batch = &data.train_set[row * batch_size..(row + 1) * batch_size];
+            let q = row_selection_matrix(batch, n).unwrap();
+            let mut profile = PhaseProfile::new();
+            let mut step = || {
+                spgemm_1p5d_sparsity_aware(
+                    comm,
+                    &grid,
+                    &q,
+                    &blocks[row],
+                    &partition,
+                    &mut profile,
+                    Phase::Probability,
+                )
+                .unwrap()
+            };
+            for _ in 0..2 {
+                step();
+            }
+            measure(step).1
+        })
+        .unwrap();
+    outs.into_iter().map(|out| out.value).collect()
+}
+
 fn ladies() -> LadiesSampler {
     LadiesSampler::new(FANOUTS.len(), 128).with_previous_included()
 }
@@ -188,12 +233,14 @@ fn graphsage() -> GraphSageSampler {
 fn allocation_counts_are_pinned() {
     let data = dataset();
     let (forward, backward) = propagation_step(&data, 64);
+    let one_five_d = one_five_d_step(&data, 64)[0];
     let measured = [
         ("forward step", forward),
         ("backward step", backward),
         ("graphsage bulk sampling step", sampling_step(&data, &graphsage(), 2)),
         ("ladies bulk sampling step", sampling_step(&data, &ladies(), 2)),
         ("served request", served_request(data)),
+        ("1.5d probability step", one_five_d),
     ];
     let table: String = measured
         .iter()
@@ -213,6 +260,19 @@ fn propagation_allocations_do_not_grow_with_the_frontier() {
     let (large_fwd, large_bwd) = propagation_step(&data, 64);
     assert_eq!(small_fwd.count, large_fwd.count, "forward");
     assert_eq!(small_bwd.count, large_bwd.count, "backward");
+}
+
+/// The 1.5D probability step's allocations do not grow with the frontier:
+/// a fixed number of buffers per stage (request, slab, product), none per
+/// fetched or output row.
+#[test]
+fn one_five_d_allocations_do_not_grow_with_the_frontier() {
+    let data = dataset();
+    let small = one_five_d_step(&data, 16);
+    let large = one_five_d_step(&data, 64);
+    for (rank, (small, large)) in small.iter().zip(&large).enumerate() {
+        assert_eq!(small.count, large.count, "rank {rank}");
+    }
 }
 
 /// A sampling step allocates as much after five steps as after one: its
