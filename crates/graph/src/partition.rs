@@ -142,6 +142,17 @@ impl OneDPartition {
     /// Returns [`GraphError::InvalidConfig`] if the matrix row count does not
     /// match the partition length.
     pub fn split_csr(&self, matrix: &CsrMatrix) -> Result<Vec<CsrMatrix>, GraphError> {
+        (0..self.parts).map(|part| self.block_csr(matrix, part)).collect()
+    }
+
+    /// The block row of a CSR matrix that part `part` owns: one part of
+    /// [`OneDPartition::split_csr`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::InvalidConfig`] if the matrix row count does not
+    /// match the partition length or `part` is not a part.
+    pub fn block_csr(&self, matrix: &CsrMatrix, part: usize) -> Result<CsrMatrix, GraphError> {
         if matrix.rows() != self.n {
             return Err(GraphError::InvalidConfig(format!(
                 "matrix has {} rows but partition covers {}",
@@ -149,12 +160,14 @@ impl OneDPartition {
                 self.n
             )));
         }
-        Ok((0..self.parts)
-            .map(|p| {
-                let r = self.range(p);
-                matrix.row_block(r.start, r.end)
-            })
-            .collect())
+        if part >= self.parts {
+            return Err(GraphError::InvalidConfig(format!(
+                "part {part} out of range for {} parts",
+                self.parts
+            )));
+        }
+        let r = self.range(part);
+        Ok(matrix.row_block(r.start, r.end))
     }
 
     /// Splits a dense matrix into one block-row matrix per part.
@@ -408,6 +421,10 @@ mod tests {
         assert_eq!(blocks[1].get(1, 2), 2.0); // global row 3 = block 1 local row 1
         assert_eq!(blocks[2].get(1, 0), 3.0); // global row 5 = block 2 local row 1
         assert!(part.split_csr(&CsrMatrix::zeros(5, 4)).is_err());
+        for (p, block) in blocks.iter().enumerate() {
+            assert_eq!(&part.block_csr(&m, p).unwrap(), block);
+        }
+        assert!(part.block_csr(&m, 3).is_err());
     }
 
     #[test]

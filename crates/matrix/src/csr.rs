@@ -213,12 +213,6 @@ impl CsrMatrix {
         CsrMatrix { rows, cols, indptr, indices, values }
     }
 
-    /// Takes the matrix apart into its column-index and value buffers, for a
-    /// workspace to reuse.
-    pub(crate) fn into_buffers(self) -> (Vec<usize>, Vec<f64>) {
-        (self.indices, self.values)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -466,8 +460,10 @@ impl CsrMatrix {
     /// columns, one sweep derives the (sorted) kept list and the dense
     /// old→new remap, and one sweep renumbers the indices in place order.
     /// The remap is monotone over the kept columns, so rows stay sorted and
-    /// the structure (`indptr`, values, nnz) is reused verbatim — this sits
-    /// on the GraphSAGE extraction hot path.
+    /// the structure (`indptr`, values, nnz) is reused verbatim.  (The
+    /// samplers compact each batch straight from their draws on a
+    /// workspace [`crate::workspace::ColumnSet`] instead, and keep this as
+    /// their test oracle.)
     pub fn compact_columns(&self) -> (CsrMatrix, Vec<usize>) {
         let mut remap = vec![0usize; self.cols];
         for &c in &self.indices {
@@ -538,15 +534,27 @@ impl CsrMatrix {
     }
 
     /// Extracts the block of rows `[start, end)` as a new matrix with the same
-    /// column count.
+    /// column count: a copy of one contiguous run of the CSR arrays.
     ///
     /// # Panics
     ///
-    /// Panics if `start > end` or `end > rows`.
+    /// Panics if `start > end` or `end > rows` (a slice bound check; debug
+    /// builds name the invariant).
     pub fn row_block(&self, start: usize, end: usize) -> CsrMatrix {
-        assert!(start <= end && end <= self.rows, "row block out of range");
-        let rows: Vec<usize> = (start..end).collect();
-        self.gather_rows(&rows).expect("range is in bounds")
+        debug_assert!(
+            start <= end && end <= self.rows,
+            "row block [{start}, {end}) must lie within the {} rows",
+            self.rows
+        );
+        let bounds = &self.indptr[start..=end];
+        let (lo, hi) = (bounds[0], bounds[end - start]);
+        CsrMatrix {
+            rows: end - start,
+            cols: self.cols,
+            indptr: bounds.iter().map(|&p| p - lo).collect(),
+            indices: self.indices[lo..hi].to_vec(),
+            values: self.values[lo..hi].to_vec(),
+        }
     }
 
     /// Approximate equality of structure and values within `tol`.
@@ -850,6 +858,13 @@ mod tests {
         assert_eq!(block.rows(), 2);
         assert_eq!(block.row_indices(0), a.row_indices(2));
         assert_eq!(block.row_indices(1), a.row_indices(3));
+        // Every range, empty ones included, equals the gather of its rows.
+        for start in 0..=a.rows() {
+            for end in start..=a.rows() {
+                let rows: Vec<usize> = (start..end).collect();
+                assert_eq!(a.row_block(start, end), a.gather_rows(&rows).unwrap());
+            }
+        }
     }
 
     #[test]

@@ -21,21 +21,24 @@
 //!   formulation's dropping of stored zero values (the dot product of a
 //!   zero entry with the selection column is `0.0` and the CSC kernel
 //!   discards it).
+//! * [`extract_submatrix_with`] computes `Q_R · A · Q_C` for a sorted,
+//!   duplicate-free column selection in one pass over the selected rows of
+//!   `A`, without forming `Q_R · A`: the renumbering is monotone, so every
+//!   output row comes out sorted as it is read.  Pinned equivalent to the
+//!   two kernels above chained.
 //!
-//! Both kernels draw their scratch from a [`SpgemmWorkspace`] (thread-local
+//! All of them draw their scratch from a [`SpgemmWorkspace`] (thread-local
 //! by default, explicit via the `*_with` variants), so steady-state
-//! extraction performs exactly one allocation per call: the output CSR
-//! buffers themselves — and [`extract_rows_with`] not even that, once the
-//! caller hands the gathered matrices it is done with back through
-//! [`SpgemmWorkspace::recycle`].  The general [`crate::spgemm`] kernels
-//! remain the tier for products with arbitrary operand structure (LADIES'
-//! indicator probability step `P ← Q^L·A`, the 1.5D distributed multiplies).
+//! extraction allocates only its output.  The general [`crate::spgemm`]
+//! kernels remain the tier for products with arbitrary operand structure
+//! (LADIES' indicator probability step `P ← Q^L·A`, the 1.5D distributed
+//! multiplies).
 
 use crate::csr::CsrMatrix;
 use crate::error::MatrixError;
 use crate::pool::{block_ranges, Parallelism};
 use crate::prefix::counts_to_offsets;
-use crate::workspace::{with_workspace, SpgemmWorkspace};
+use crate::workspace::{column_set_in, with_workspace, SpgemmWorkspace};
 use crate::Result;
 use std::ops::Range;
 
@@ -43,15 +46,15 @@ use std::ops::Range;
 /// allowed) into a new CSR matrix, block-parallel over the selection.
 ///
 /// This is the row-extraction product `Q_R · A` of LADIES (§4.2.3) and the
-/// GraphSAGE probability step `P ← Q^L·A` (§4.1.1) computed without the
-/// SpGEMM machinery: because `Q_R` has exactly one unit nonzero per row,
+/// GraphSAGE probability step `P ← Q^L·A` (§4.1.1) as a matrix of its own
+/// (the samplers read those rows of `A` in place instead), computed without
+/// the SpGEMM machinery: because `Q_R` has exactly one unit nonzero per row,
 /// output row `i` is a verbatim copy of row `selected[i]` of `a`.  The
 /// result is byte-identical to
 /// `spgemm_parallel(&row_selection_matrix(selected, a.rows())?, &a, ..)` at
 /// any thread count (see the proptests in this module).
 ///
-/// Uses this thread's reusable [`SpgemmWorkspace`]; see [`extract_rows_with`]
-/// for an explicit workspace.
+/// Uses this thread's reusable [`SpgemmWorkspace`] for the symbolic counts.
 ///
 /// # Errors
 ///
@@ -83,46 +86,6 @@ pub fn extract_rows(
     selected: &[usize],
     parallelism: Parallelism,
 ) -> Result<CsrMatrix> {
-    // Fresh exact-size output buffers: the result belongs to the caller for
-    // as long as it likes, so it must not pin a recycled (larger) allocation.
-    with_workspace(|ws| {
-        gather_rows(a, selected, parallelism, &mut ws.counts, Vec::new(), Vec::new())
-    })
-}
-
-/// [`extract_rows`] with an explicit scratch workspace: the symbolic-count
-/// buffer is drawn from `ws`, and so are the output buffers when a matrix has
-/// been handed back through [`SpgemmWorkspace::recycle`] and is large enough.
-/// The output then keeps that (possibly larger) allocation, which suits the
-/// samplers' transient gathers: a matrix per layer and bulk group, recycled
-/// or dropped after the draw.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::IndexOutOfBounds`] if any selected row is
-/// `>= a.rows()`.
-pub fn extract_rows_with(
-    a: &CsrMatrix,
-    selected: &[usize],
-    parallelism: Parallelism,
-    ws: &mut SpgemmWorkspace,
-) -> Result<CsrMatrix> {
-    let indices = std::mem::take(&mut ws.spare_indices);
-    let values = std::mem::take(&mut ws.spare_values);
-    gather_rows(a, selected, parallelism, &mut ws.counts, indices, values)
-}
-
-/// The row gather behind [`extract_rows`] and [`extract_rows_with`].
-/// `indices` and `values` are allocations to write the output into when they
-/// are large enough; their contents are discarded.
-fn gather_rows(
-    a: &CsrMatrix,
-    selected: &[usize],
-    parallelism: Parallelism,
-    counts: &mut Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
-) -> Result<CsrMatrix> {
     if let Some(&bad) = selected.iter().find(|&&r| r >= a.rows()) {
         return Err(MatrixError::IndexOutOfBounds {
             row: bad,
@@ -135,24 +98,28 @@ fn gather_rows(
 
     // Symbolic pass: the output nnz of row `i` is row_nnz(selected[i]) —
     // an O(k) scan, no accumulation.
-    counts.clear();
-    counts.extend(selected.iter().map(|&r| a.row_nnz(r)));
-    let indptr = counts_to_offsets(counts);
+    let indptr = with_workspace(|ws| {
+        ws.counts.clear();
+        ws.counts.extend(selected.iter().map(|&r| a.row_nnz(r)));
+        counts_to_offsets(&ws.counts)
+    });
     let total = indptr[k];
 
-    // Numeric pass: the selected rows are copied into one output allocation.
-    let mut indices = emptied_with_room(indices, total);
-    let mut values = emptied_with_room(values, total);
+    // Numeric pass: the selected rows are copied into one exact-size output
+    // allocation.
     let blocks = block_ranges(k, parallelism.effective_blocks(k));
-    if blocks.len() <= 1 {
+    let (indices, values) = if blocks.len() <= 1 {
+        let mut indices = Vec::with_capacity(total);
+        let mut values = Vec::with_capacity(total);
         for &r in selected {
             indices.extend_from_slice(a.row_indices(r));
             values.extend_from_slice(a.row_values(r));
         }
+        (indices, values)
     } else {
         // Every block copies into its disjoint slice of the output.
-        indices.resize(total, 0);
-        values.resize(total, 0.0);
+        let mut indices = vec![0; total];
+        let mut values = vec![0.0; total];
         let fill =
             crossbeam::thread::scope(|scope| {
                 let mut idx_tail = indices.as_mut_slice();
@@ -178,19 +145,9 @@ fn gather_rows(
         if let Err(payload) = fill {
             std::panic::resume_unwind(payload);
         }
-    }
+        (indices, values)
+    };
     Ok(CsrMatrix::from_raw_unchecked(k, a.cols(), indptr, indices, values))
-}
-
-/// `buffer` emptied when it has room for `len` entries; otherwise a fresh
-/// allocation of exactly `len`, made after `buffer`'s is released.
-fn emptied_with_room<T>(mut buffer: Vec<T>, len: usize) -> Vec<T> {
-    if buffer.capacity() < len {
-        drop(buffer);
-        return Vec::with_capacity(len);
-    }
-    buffer.clear();
-    buffer
 }
 
 /// Copies the selected rows of `range` into this block's slice of the output
@@ -404,6 +361,96 @@ fn merge_join(
     }
 }
 
+/// `A[rows, cols]` in one pass: rows `rows` of `a` (in order, duplicates
+/// allowed), keeping only the columns `cols`, renumbered to their positions
+/// `0..cols.len()`.
+///
+/// This is LADIES' extraction `A_S = Q_R · A · Q_C` (§4.2.3) without
+/// forming `Q_R · A`.  `cols` is a sampled vertex set — sorted and
+/// duplicate-free — so the renumbering is monotone and each output row
+/// comes out sorted as `a`'s row is read: no per-row sort, and no symbolic
+/// pass (entries are staged in the workspace and copied out at their exact
+/// size).  The result is byte-identical to
+/// `extract_columns_masked(&extract_rows(a, rows, _)?, cols)`, including the
+/// dropping of stored zeros.
+///
+/// # Errors
+///
+/// Returns [`MatrixError::IndexOutOfBounds`] if a row is `>= a.rows()` or a
+/// column `>= a.cols()`, and [`MatrixError::InvalidStructure`] if `cols` is
+/// not strictly increasing.
+///
+/// # Example
+///
+/// ```
+/// use dmbs_matrix::extract::{extract_columns_masked, extract_rows, extract_submatrix_with};
+/// use dmbs_matrix::pool::Parallelism;
+/// use dmbs_matrix::workspace::SpgemmWorkspace;
+/// use dmbs_matrix::{CooMatrix, CsrMatrix};
+///
+/// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
+/// let a = CsrMatrix::from_coo(&CooMatrix::from_triples(
+///     3, 4, vec![(0, 0, 1.0), (0, 3, 2.0), (1, 1, 3.0), (2, 3, 4.0)],
+/// )?);
+/// let mut ws = SpgemmWorkspace::new();
+/// let a_s = extract_submatrix_with(&a, &[2, 0, 2], &[1, 3], &mut ws)?;
+/// assert_eq!(a_s.shape(), (3, 2));
+/// assert_eq!(a_s.get(1, 1), 2.0); // row 0, old column 3
+/// // The row gather and the masked column filter, in one pass.
+/// let gathered = extract_rows(&a, &[2, 0, 2], Parallelism::serial())?;
+/// assert_eq!(a_s, extract_columns_masked(&gathered, &[1, 3])?);
+/// # Ok(())
+/// # }
+/// ```
+pub fn extract_submatrix_with(
+    a: &CsrMatrix,
+    rows: &[usize],
+    cols: &[usize],
+    ws: &mut SpgemmWorkspace,
+) -> Result<CsrMatrix> {
+    if let Some(&bad) = rows.iter().find(|&&r| r >= a.rows()) {
+        return Err(MatrixError::IndexOutOfBounds {
+            row: bad,
+            col: 0,
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    if cols.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(MatrixError::InvalidStructure(
+            "a submatrix's columns must be strictly increasing".into(),
+        ));
+    }
+    let mut set = column_set_in(&mut ws.marks, &mut ws.ranks, a.cols());
+    for (pos, &c) in cols.iter().enumerate() {
+        set.insert_ranked(c, pos)?;
+    }
+    let ranks = set.into_inserted_ranks();
+    // Branch-free: every entry is written just past the kept ones, and the
+    // end advances over it only when it is kept.  The staging buffer only
+    // grows, so steady-state calls write each entry once.
+    let staged = &mut ws.row_buf;
+    let mut end = 0;
+    let mut indptr = Vec::with_capacity(rows.len() + 1);
+    indptr.push(0);
+    for &r in rows {
+        let (cols, values) = (a.row_indices(r), a.row_values(r));
+        if staged.len() < end + cols.len() {
+            staged.resize(end + cols.len(), (0, 0.0));
+        }
+        for (&c, &v) in cols.iter().zip(values) {
+            let member = ranks.marks[c / 64] >> (c % 64) & 1 != 0;
+            staged[end] = (ranks.ranks[c], v);
+            end += usize::from(member & (v != 0.0));
+        }
+        indptr.push(end);
+    }
+    let kept = &staged[..end];
+    let indices = kept.iter().map(|&(pos, _)| pos).collect();
+    let values = kept.iter().map(|&(_, v)| v).collect();
+    Ok(CsrMatrix::from_raw_unchecked(rows.len(), cols.len(), indptr, indices, values))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,22 +538,33 @@ mod tests {
 
     #[test]
     fn explicit_workspace_reuse_across_mixed_sizes() {
-        // One workspace serving interleaved gathers, masked extractions and
-        // SpGEMMs of different shapes must never contaminate results.
+        // One workspace serving interleaved submatrix extractions, masked
+        // extractions, column sets and SpGEMMs of different shapes must never
+        // contaminate results.
         let a = figure1_graph();
         let big = CsrMatrix::identity(40);
         let mut ws = SpgemmWorkspace::new();
         for round in 0..3 {
             let rows = vec![5 - round, round, round];
-            let fresh_rows = extract_rows(&a, &rows, Parallelism::new(2)).unwrap();
-            let reused_rows = extract_rows_with(&a, &rows, Parallelism::new(2), &mut ws).unwrap();
-            assert_eq!(fresh_rows, reused_rows);
+            let cols = vec![round, 4];
+            let gathered = extract_rows(&a, &rows, Parallelism::new(2)).unwrap();
+            assert_eq!(
+                extract_submatrix_with(&a, &rows, &cols, &mut ws).unwrap(),
+                extract_columns_masked(&gathered, &cols).unwrap()
+            );
 
             let big_rows: Vec<usize> = (0..40).rev().collect();
+            let big_cols: Vec<usize> = (round..40).step_by(3).collect();
             assert_eq!(
-                extract_rows_with(&big, &big_rows, Parallelism::new(3), &mut ws).unwrap(),
-                big.gather_rows(&big_rows).unwrap()
+                extract_submatrix_with(&big, &big_rows, &big_cols, &mut ws).unwrap(),
+                extract_columns_masked(&big.gather_rows(&big_rows).unwrap(), &big_cols).unwrap()
             );
+
+            let mut set = ws.column_set(40);
+            for c in [39 - round, round, 39 - round] {
+                set.insert(c).unwrap();
+            }
+            assert_eq!(set.into_ranks().0, vec![round, 39 - round]);
 
             let cols = vec![round, 4, 5 - round];
             assert_eq!(
@@ -522,48 +580,28 @@ mod tests {
     }
 
     #[test]
-    fn recycled_buffers_are_reused_and_never_leak_into_results() {
-        // Gathers of growing, shrinking and empty size through one workspace,
-        // each handed back: the result is the fresh gather's, and a gather
-        // that fits takes over the recycled allocation instead of a new one.
-        let a = CsrMatrix::identity(64);
+    fn extract_submatrix_rejects_bad_selections() {
+        let a = figure1_graph();
         let mut ws = SpgemmWorkspace::new();
-        for threads in [1usize, 2, 8] {
-            for len in [40usize, 64, 3, 0, 17] {
-                let rows: Vec<usize> = (0..len).map(|i| (i * 7) % 64).collect();
-                let spare = ws.spare_indices.as_ptr();
-                let fits = ws.spare_indices.capacity() >= len;
-                let gathered =
-                    extract_rows_with(&a, &rows, Parallelism::new(threads), &mut ws).unwrap();
-                assert_eq!(gathered, a.gather_rows(&rows).unwrap(), "{threads} threads, {len}");
-                assert_eq!(ws.spare_indices.capacity(), 0, "the spare buffer was taken");
-                if fits && len > 0 {
-                    assert_eq!(gathered.indices().as_ptr(), spare);
-                }
-                ws.recycle(gathered);
-                assert!(ws.spare_indices.capacity() >= len);
-            }
+        assert!(matches!(
+            extract_submatrix_with(&a, &[0, 6], &[1], &mut ws),
+            Err(MatrixError::IndexOutOfBounds { row: 6, .. })
+        ));
+        assert!(matches!(
+            extract_submatrix_with(&a, &[0], &[1, 6], &mut ws),
+            Err(MatrixError::IndexOutOfBounds { col: 6, .. })
+        ));
+        for unsorted in [vec![3, 1], vec![2, 2]] {
+            assert!(matches!(
+                extract_submatrix_with(&a, &[0], &unsorted, &mut ws),
+                Err(MatrixError::InvalidStructure(_))
+            ));
         }
-        // Recycling keeps the larger allocation, counts towards the held
-        // bytes, and is released with the rest of the scratch.
-        let held = ws.spare_indices.capacity();
-        ws.recycle(CsrMatrix::zeros(2, 2));
-        assert_eq!(ws.spare_indices.capacity(), held);
-        assert!(ws.nbytes() >= held * std::mem::size_of::<usize>());
-        ws.clear();
-        assert_eq!(ws.nbytes(), 0);
-
-        // The plain entry point's result is the caller's to keep: it never
-        // takes the spare of this thread's workspace.
-        let all: Vec<usize> = (0..64).collect();
-        let spare = with_workspace(|ws| {
-            ws.recycle(a.gather_rows(&all).unwrap());
-            ws.spare_indices.as_ptr()
-        });
-        let kept = extract_rows(&a, &[3], Parallelism::serial()).unwrap();
-        assert_ne!(kept.indices().as_ptr(), spare);
-        assert_eq!(with_workspace(|ws| ws.spare_indices.as_ptr()), spare);
-        crate::workspace::trim_thread_workspace(0);
+        // A rejected call leaves no member behind for the next one.
+        assert_eq!(
+            extract_submatrix_with(&a, &[1], &[0], &mut ws).unwrap(),
+            extract_columns_masked(&a.gather_rows(&[1]).unwrap(), &[0]).unwrap()
+        );
     }
 
     fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
@@ -603,6 +641,38 @@ mod tests {
             let cols: Vec<usize> = raw.iter().map(|&c| c % a.cols()).collect();
             let expected = CscMatrix::selection(a.cols(), &cols).left_multiply(&a).unwrap();
             prop_assert_eq!(extract_columns_masked(&a, &cols).unwrap(), expected);
+        }
+
+        #[test]
+        fn prop_extract_submatrix_equals_gather_then_mask(
+            a in arb_matrix(),
+            raw_rows in proptest::collection::vec(0usize..64, 0..16),
+            raw_cols in proptest::collection::vec(0usize..64, 0..12),
+            zeros in proptest::collection::vec(0usize..64, 0..6),
+        ) {
+            // Stored zeros (dropped by both), repeated and empty row
+            // selections, empty column selections.
+            let mut a = a;
+            let nnz = a.nnz();
+            if nnz > 0 {
+                let mut values = a.values().to_vec();
+                for z in &zeros {
+                    values[z % nnz] = 0.0;
+                }
+                a = CsrMatrix::from_raw(
+                    a.rows(), a.cols(), a.indptr().to_vec(), a.indices().to_vec(), values,
+                ).unwrap();
+            }
+            let rows: Vec<usize> = raw_rows.iter().map(|&r| r % a.rows()).collect();
+            let mut cols: Vec<usize> = raw_cols.iter().map(|&c| c % a.cols()).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let expected = extract_columns_masked(
+                &extract_rows(&a, &rows, Parallelism::serial()).unwrap(),
+                &cols,
+            ).unwrap();
+            let got = with_workspace(|ws| extract_submatrix_with(&a, &rows, &cols, ws)).unwrap();
+            prop_assert_eq!(got, expected);
         }
 
         #[test]

@@ -10,8 +10,9 @@
 //! Not every product needs the general machinery, though.  The extraction
 //! operands are selection matrices with one nonzero per row/column, and for
 //! those the [`crate::extract`] kernels compute the identical result as a
-//! row gather ([`crate::extract::extract_rows`]) or a masked column filter
-//! ([`crate::extract::extract_columns_masked`]) with no accumulation at all.
+//! row gather ([`crate::extract::extract_rows`]), a masked column filter
+//! ([`crate::extract::extract_columns_masked`]) or both in one pass
+//! ([`crate::extract::extract_submatrix_with`]) with no accumulation at all.
 //! The tiers, from general to structure-exploiting:
 //!
 //! 1. **Gustavson SpGEMM** (this module) — arbitrary operands: the LADIES
@@ -19,8 +20,10 @@
 //!    distributed 1.5D multiplies;
 //! 2. **masked column filter** — `A · Q_C` with one nonzero per column of
 //!    `Q_C`;
-//! 3. **row gather** — `Q_R · A` with one nonzero per row of `Q_R`
-//!    (GraphSAGE's entire probability step and LADIES row extraction).
+//! 3. **row gather** — `Q_R · A` with one nonzero per row of `Q_R`, as a
+//!    matrix of its own (the samplers read those rows in place instead);
+//! 4. **submatrix filter** — `Q_R · A · Q_C` in one pass (LADIES and
+//!    FastGCN extraction).
 //!
 //! The serial kernels ([`spgemm`]) are deliberately kept as an *independent
 //! reference implementation* of the two-pass kernel

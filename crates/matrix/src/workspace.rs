@@ -17,8 +17,8 @@
 //! Two ways to get a workspace:
 //!
 //! * the `*_with` kernel variants ([`crate::spgemm::spgemm_parallel_with`],
-//!   [`crate::extract::extract_rows_with`],
-//!   [`crate::extract::extract_columns_masked_with`]) take an explicit
+//!   [`crate::extract::extract_columns_masked_with`],
+//!   [`crate::extract::extract_submatrix_with`]) take an explicit
 //!   `&mut SpgemmWorkspace` the caller owns;
 //! * [`with_workspace`] borrows a **thread-local** workspace (the common
 //!   case), so the plain entry points (`spgemm_parallel`, `extract_rows`,
@@ -28,12 +28,9 @@
 //!   bound its resident scratch (the serving tier) calls
 //!   [`trim_thread_workspace`] between calls.
 //!
-//! The workspace also takes back the output buffers of a row gather the
-//! caller is done with ([`SpgemmWorkspace::recycle`]), which the next
-//! `extract_rows_with` fills instead of allocating: a sampler's per-step
-//! probability matrix is tens of megabytes, and mapping and unmapping that
-//! on every step costs page faults whose number depends on the allocator's
-//! mood.
+//! It also holds a bitmap over the global columns, lent out as a
+//! [`ColumnSet`]: the samplers' extraction steps number the columns a batch
+//! touches with it instead of allocating an `n`-sized remap per batch.
 //!
 //! The workspace never changes *what* a kernel computes — every kernel
 //! restores its scratch invariants (accumulators zeroed, markers cleared)
@@ -42,7 +39,8 @@
 //! workspace-backed kernels is pinned by the proptests in
 //! `crate::spgemm` and `crate::extract`.
 
-use crate::csr::CsrMatrix;
+use crate::error::MatrixError;
+use crate::Result;
 use std::cell::RefCell;
 
 /// Per-worker scratch of the dense-accumulator Gustavson kernels: one
@@ -119,12 +117,12 @@ pub struct SpgemmWorkspace {
     /// `(global column, output position)` pairs, sorted, for selections with
     /// duplicate columns.
     pub(crate) pairs: Vec<(usize, usize)>,
-    /// Column-index buffer of a gathered matrix handed back through
-    /// [`SpgemmWorkspace::recycle`]; the next row gather fills it instead of
-    /// allocating.
-    pub(crate) spare_indices: Vec<usize>,
-    /// Value buffer handed back alongside `spare_indices`.
-    pub(crate) spare_values: Vec<f64>,
+    /// Bitmap over global columns: the members of the current
+    /// [`ColumnSet`] (one bit per column).
+    pub(crate) marks: Vec<u64>,
+    /// `ranks[c]` is the rank of member column `c` of the current
+    /// [`ColumnSet`], valid only where its bit in `marks` is set.
+    pub(crate) ranks: Vec<usize>,
 }
 
 impl SpgemmWorkspace {
@@ -152,25 +150,8 @@ impl SpgemmWorkspace {
             + self.mask_stamp.capacity() * std::mem::size_of::<u64>()
             + self.row_buf.capacity() * std::mem::size_of::<(usize, f64)>()
             + self.pairs.capacity() * std::mem::size_of::<(usize, usize)>()
-            + self.spare_indices.capacity() * std::mem::size_of::<usize>()
-            + self.spare_values.capacity() * std::mem::size_of::<f64>()
-    }
-
-    /// Hands the buffers of a gathered matrix the caller is done with back to
-    /// the workspace, so the next [`crate::extract::extract_rows_with`] on it
-    /// writes into them instead of allocating.  A sampler gathers a
-    /// probability matrix per layer and bulk group and drops it after the
-    /// draw; without this the allocator maps and unmaps tens of megabytes
-    /// per call, and whether those pages are faulted in again each time
-    /// depends on the sizes a particular graph happens to produce.
-    pub fn recycle(&mut self, gathered: CsrMatrix) {
-        let (indices, values) = gathered.into_buffers();
-        if indices.capacity() > self.spare_indices.capacity() {
-            self.spare_indices = indices;
-        }
-        if values.capacity() > self.spare_values.capacity() {
-            self.spare_values = values;
-        }
+            + self.marks.capacity() * std::mem::size_of::<u64>()
+            + self.ranks.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Releases the scratch buffers if they currently hold more than
@@ -198,6 +179,128 @@ impl SpgemmWorkspace {
         }
         self.mask_gen += 1;
         self.mask_gen
+    }
+
+    /// An empty set of columns of `0..n`, held in this workspace's column
+    /// bitmap: building and numbering it allocates nothing `n`-sized once
+    /// the workspace has grown to `n` columns.
+    pub fn column_set(&mut self, n: usize) -> ColumnSet<'_> {
+        column_set_in(&mut self.marks, &mut self.ranks, n)
+    }
+}
+
+/// [`SpgemmWorkspace::column_set`] on the two buffers it needs, so a kernel
+/// can hold the set beside other scratch of the same workspace.
+pub(crate) fn column_set_in<'w>(
+    marks: &'w mut Vec<u64>,
+    ranks: &'w mut Vec<usize>,
+    n: usize,
+) -> ColumnSet<'w> {
+    let words = n.div_ceil(64);
+    if marks.len() < words {
+        marks.resize(words, 0);
+    }
+    if ranks.len() < n {
+        ranks.resize(n, 0);
+    }
+    let marks = &mut marks[..words];
+    marks.fill(0);
+    ColumnSet { marks, ranks: &mut ranks[..n], n }
+}
+
+/// A set of global columns `0..n` on a workspace's column bitmap (see
+/// [`SpgemmWorkspace::column_set`]).  Columns go in in any order, with
+/// repeats; [`ColumnSet::into_ranks`] lists the members ascending and
+/// numbers them `0..len`, which is how an extraction step drops the empty
+/// columns of a block without a remap the size of the graph.
+///
+/// # Example
+///
+/// ```
+/// use dmbs_matrix::workspace::SpgemmWorkspace;
+///
+/// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
+/// let mut ws = SpgemmWorkspace::new();
+/// let mut set = ws.column_set(100);
+/// for c in [70, 3, 70, 41] {
+///     set.insert(c)?;
+/// }
+/// assert!(set.insert(100).is_err());
+/// let (members, ranks) = set.into_ranks();
+/// assert_eq!(members, vec![3, 41, 70]);
+/// assert_eq!((ranks.rank(41), ranks.rank(42)), (Some(1), None));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug)]
+pub struct ColumnSet<'w> {
+    marks: &'w mut [u64],
+    ranks: &'w mut [usize],
+    n: usize,
+}
+
+impl<'w> ColumnSet<'w> {
+    /// Adds column `c` (adding a member again is a no-op).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::IndexOutOfBounds`] if `c >= n`.
+    #[inline]
+    pub fn insert(&mut self, c: usize) -> Result<()> {
+        if c >= self.n {
+            return Err(MatrixError::IndexOutOfBounds { row: 0, col: c, rows: 1, cols: self.n });
+        }
+        self.marks[c / 64] |= 1 << (c % 64);
+        Ok(())
+    }
+
+    /// Adds column `c` and ranks it `rank` directly, for a caller that
+    /// already knows the order (a sorted selection ranks each column by
+    /// its position).
+    pub(crate) fn insert_ranked(&mut self, c: usize, rank: usize) -> Result<()> {
+        self.insert(c)?;
+        self.ranks[c] = rank;
+        Ok(())
+    }
+
+    /// The ranks given by [`ColumnSet::insert_ranked`], without numbering
+    /// the members.
+    pub(crate) fn into_inserted_ranks(self) -> ColumnRanks<'w> {
+        ColumnRanks { marks: self.marks, ranks: self.ranks }
+    }
+
+    /// The members in ascending order (an exactly sized vector), and the
+    /// rank of each member among them.
+    pub fn into_ranks(self) -> (Vec<usize>, ColumnRanks<'w>) {
+        let len = self.marks.iter().map(|w| w.count_ones() as usize).sum();
+        let mut members = Vec::with_capacity(len);
+        for (w, &word) in self.marks.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let c = w * 64 + bits.trailing_zeros() as usize;
+                self.ranks[c] = members.len();
+                members.push(c);
+                bits &= bits - 1;
+            }
+        }
+        (members, ColumnRanks { marks: self.marks, ranks: self.ranks })
+    }
+}
+
+/// The ranks of a [`ColumnSet`]'s members, from [`ColumnSet::into_ranks`].
+#[derive(Debug)]
+pub struct ColumnRanks<'w> {
+    pub(crate) marks: &'w [u64],
+    pub(crate) ranks: &'w [usize],
+}
+
+impl ColumnRanks<'_> {
+    /// The rank of column `c` among the members, or `None` if `c` is not
+    /// one.
+    #[inline]
+    pub fn rank(&self, c: usize) -> Option<usize> {
+        let member = self.marks.get(c / 64).is_some_and(|w| w >> (c % 64) & 1 != 0);
+        member.then(|| self.ranks[c])
     }
 }
 
@@ -314,6 +417,30 @@ mod tests {
         assert_ne!(g1, g2);
         // The old entry no longer matches the current generation.
         assert_ne!(ws.mask_stamp[3], g2);
+    }
+
+    #[test]
+    fn column_sets_start_empty_whatever_the_last_one_held() {
+        let mut ws = SpgemmWorkspace::new();
+        let mut set = ws.column_set(200);
+        for c in (0..200).step_by(7) {
+            set.insert(c).unwrap();
+        }
+        // Left without being ranked: the next set must not see its bits.
+        for n in [200, 65, 64, 1] {
+            let mut set = ws.column_set(n);
+            set.insert(n - 1).unwrap();
+            set.insert(0).unwrap();
+            assert!(set.insert(n).is_err());
+            let (members, ranks) = set.into_ranks();
+            assert_eq!(members, if n == 1 { vec![0] } else { vec![0, n - 1] });
+            assert_eq!(ranks.rank(n - 1), Some(members.len() - 1));
+            assert_eq!(ranks.rank(n), None);
+            assert_eq!(ranks.rank(usize::MAX), None);
+        }
+        assert!(ws.nbytes() >= 200 * std::mem::size_of::<usize>());
+        ws.clear();
+        assert_eq!(ws.nbytes(), 0);
     }
 
     #[test]

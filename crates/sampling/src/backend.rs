@@ -729,8 +729,7 @@ impl SamplingBackend for Partitioned1p5dBackend {
         validate_batches(group, n)?;
         let vertex_partition = OneDPartition::new(n, grid.rows())?;
         let (my_row, my_col) = grid.coords(comm.rank());
-        let my_range = vertex_partition.range(my_row);
-        let my_a_block = adjacency.row_block(my_range.start, my_range.end);
+        let my_a_block = vertex_partition.block_csr(adjacency, my_row)?;
         let row_assignment = assign_batches_to_rows(group.len(), grid.rows());
         let my_indices = &row_assignment[my_row];
         let my_batches: Vec<Vec<usize>> = my_indices.iter().map(|&i| group[i].clone()).collect();

@@ -31,6 +31,18 @@
 //! formulation survives as the `#[cfg(test)]` oracle: both kernels are held to
 //! the exact successive-sampling inclusion probabilities by a chi-square
 //! test.
+//!
+//! # Drawing from rows where they live
+//!
+//! The samplers draw from rows of `A` (GraphSAGE) or of the LADIES product
+//! `Q·A`, read in place: no probability matrix `P` is copied out and
+//! normalised first.  The row's `NORM` law (`RowLaw`) is applied inside
+//! the prefix scan, with the operations of the pass it replaces, so the
+//! picks are bit-identical to the materialised formulation, which the tests
+//! keep as the oracle.  A row whose weights are all positive — every row of
+//! an unweighted graph — is scanned over its own positions: no `live` list
+//! is built until a rescan needs one, and the `taken` flags are reset
+//! through the picks, `O(s)` per row instead of `O(deg)`.
 
 use crate::error::SamplingError;
 use crate::Result;
@@ -40,39 +52,109 @@ use dmbs_matrix::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// How a row's stored values become its draw weights: the `NORM` step of
+/// Algorithm 1, applied inside the draw's prefix scan instead of as a pass
+/// of its own, with the same operations in the same order as the pass it
+/// replaces — so the picks are bit-identical to normalising first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowLaw {
+    /// The stored values themselves ([`sample_rows_par`]).
+    Raw,
+    /// `x / Σx`, as [`CsrMatrix::normalize_rows`] computes it: GraphSAGE's
+    /// uniform law over a neighbourhood.
+    Normalized,
+    /// `x² / Σx²`, as squaring every value and then `normalize_rows`
+    /// computes it: LADIES' law over an aggregated neighbourhood.
+    SquaredNormalized,
+}
+
 /// The buffers of one lazy-rescan draw, reused across the rows of a block so
 /// the kernel allocates nothing per row once they have grown.
 #[derive(Debug, Default)]
 struct DrawScratch {
     /// Inclusive prefix sum of the live positions' weights.
     scan: Vec<f64>,
-    /// The position in the weight row behind each scan entry.
+    /// The position in the weight row behind each scan entry, once the row
+    /// is not scanned over its own positions.
     live: Vec<usize>,
-    /// Whether each scan entry has been picked since the last rescan.
+    /// Whether each position of the row has been picked; all `false`
+    /// between draws (a draw resets the entries it set through `picked`).
     taken: Vec<bool>,
     /// The picked positions; sorted ascending when `draw` returns.
     picked: Vec<usize>,
 }
 
 impl DrawScratch {
-    /// Draws `min(s, support)` distinct positions of `weights` by
-    /// successive sampling and leaves them, sorted ascending, in
-    /// `self.picked`.  The support is the positive-weight positions, or every
-    /// position (taken uniformly) when no weight is positive.
-    fn draw<R: Rng + ?Sized>(&mut self, weights: &[f64], s: usize, rng: &mut R) -> Result<()> {
+    /// [`DrawScratch::draw`] over one stored row whose weights `law` derives
+    /// from `values`.
+    fn draw_row<R: Rng + ?Sized>(
+        &mut self,
+        values: &[f64],
+        law: RowLaw,
+        s: usize,
+        rng: &mut R,
+    ) -> Result<()> {
+        let len = values.len();
+        // A row summing to zero is left as it is, as `normalize_rows` does.
+        match law {
+            RowLaw::Raw => self.draw(len, |pos| values[pos], s, rng),
+            RowLaw::Normalized => {
+                let sum: f64 = values.iter().sum();
+                if sum != 0.0 {
+                    self.draw(len, |pos| values[pos] / sum, s, rng)
+                } else {
+                    self.draw(len, |pos| values[pos], s, rng)
+                }
+            }
+            RowLaw::SquaredNormalized => {
+                let sum: f64 = values.iter().map(|v| v * v).sum();
+                if sum != 0.0 {
+                    self.draw(len, |pos| values[pos] * values[pos] / sum, s, rng)
+                } else {
+                    self.draw(len, |pos| values[pos] * values[pos], s, rng)
+                }
+            }
+        }
+    }
+
+    /// Draws `min(s, support)` distinct positions of a row of `len` weights,
+    /// `weight(pos)` each, by successive sampling and leaves them, sorted
+    /// ascending, in `self.picked`.  The support is the positive-weight
+    /// positions, or every position (taken uniformly) when no weight is
+    /// positive.
+    ///
+    /// A row longer than `s` whose weights are all positive — every row of
+    /// an unweighted graph — is scanned over its own positions: no `live`
+    /// list is built unless a rescan needs one, and the first rescan hands
+    /// over to exactly the state the filtered path would have reached.
+    fn draw<R, W>(&mut self, len: usize, weight: W, s: usize, rng: &mut R) -> Result<()>
+    where
+        R: Rng + ?Sized,
+        W: Fn(usize) -> f64,
+    {
         self.picked.clear();
-        self.live.clear();
-        self.live.extend((0..weights.len()).filter(|&pos| weights[pos] > 0.0));
-        let uniform = self.live.is_empty();
-        if uniform {
-            self.live.extend(0..weights.len());
+        if self.taken.len() < len {
+            self.taken.resize(len, false);
         }
-        if self.live.len() <= s {
-            self.picked.extend_from_slice(&self.live);
-            return Ok(());
+        // Whether scan entry `i` is position `i` (no `live` list yet).
+        let mut in_place = len > s && self.scan_in_place(len, &weight)?;
+        let mut uniform = false;
+        if !in_place {
+            self.live.clear();
+            self.live.extend((0..len).filter(|&pos| weight(pos) > 0.0));
+            uniform = self.live.is_empty();
+            if uniform {
+                self.live.extend(0..len);
+            }
+            if self.live.len() <= s {
+                self.picked.extend_from_slice(&self.live);
+                return Ok(());
+            }
         }
-        let weight = |pos: usize| if uniform { 1.0 } else { weights[pos] };
-        self.rescan(weight)?;
+        let weight = |pos: usize| if uniform { 1.0 } else { weight(pos) };
+        if !in_place {
+            self.rescan(weight)?;
+        }
         let mut taken_mass = 0.0;
         while self.picked.len() < s {
             let total = self.scan[self.scan.len() - 1];
@@ -80,24 +162,51 @@ impl DrawScratch {
             // First entry strictly above the target.  `target < total` for
             // every normal total; the clamp covers subnormal round-up.
             let hit = self.scan.partition_point(|&c| c <= target).min(self.scan.len() - 1);
-            if self.taken[hit] {
+            let pos = if in_place { hit } else { self.live[hit] };
+            if self.taken[pos] {
                 continue;
             }
-            self.taken[hit] = true;
-            self.picked.push(self.live[hit]);
+            self.taken[pos] = true;
+            self.picked.push(pos);
             taken_mass += self.scan[hit] - if hit == 0 { 0.0 } else { self.scan[hit - 1] };
             if 2.0 * taken_mass > total && self.picked.len() < s {
-                let mut taken = self.taken.iter();
-                self.live.retain(|_| !*taken.next().expect("one flag per live entry"));
+                let taken = &self.taken;
+                if in_place {
+                    self.live.clear();
+                    self.live.extend((0..len).filter(|&pos| !taken[pos]));
+                    in_place = false;
+                } else {
+                    self.live.retain(|&pos| !taken[pos]);
+                }
                 self.rescan(weight)?;
                 taken_mass = 0.0;
             }
+        }
+        for &pos in &self.picked {
+            self.taken[pos] = false;
         }
         self.picked.sort_unstable();
         Ok(())
     }
 
-    /// Rebuilds `scan` over the current `live` positions and clears `taken`.
+    /// Scans all `len` positions; returns whether every weight is positive
+    /// (only then is the scan the draw's, and its total checked).
+    fn scan_in_place(&mut self, len: usize, weight: impl Fn(usize) -> f64) -> Result<bool> {
+        let (mut acc, mut positive) = (0.0, true);
+        self.scan.clear();
+        self.scan.extend((0..len).map(|pos| {
+            let w = weight(pos);
+            positive &= w > 0.0;
+            acc += w;
+            acc
+        }));
+        if positive {
+            finite_total(acc)?;
+        }
+        Ok(positive)
+    }
+
+    /// Rebuilds `scan` over the current `live` positions.
     fn rescan(&mut self, weight: impl Fn(usize) -> f64) -> Result<()> {
         let mut acc = 0.0;
         self.scan.clear();
@@ -105,13 +214,15 @@ impl DrawScratch {
             acc += weight(pos);
             acc
         }));
-        self.taken.clear();
-        self.taken.resize(self.live.len(), false);
-        if acc.is_finite() {
-            Ok(())
-        } else {
-            Err(SamplingError::InvalidConfig("ITS weights must have a finite sum".into()))
-        }
+        finite_total(acc)
+    }
+}
+
+fn finite_total(total: f64) -> Result<()> {
+    if total.is_finite() {
+        Ok(())
+    } else {
+        Err(SamplingError::InvalidConfig("ITS weights must have a finite sum".into()))
     }
 }
 
@@ -139,7 +250,7 @@ pub fn its_without_replacement<R: Rng + ?Sized>(
         return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
     }
     let mut scratch = DrawScratch::default();
-    scratch.draw(weights, s, rng)?;
+    scratch.draw(weights.len(), |pos| weights[pos], s, rng)?;
     Ok(scratch.picked)
 }
 
@@ -233,26 +344,63 @@ pub fn sample_rows_par(
     base_seed: u64,
     parallelism: Parallelism,
 ) -> Result<CsrMatrix> {
+    let row = |r| (p.row_indices(r), p.row_values(r));
+    let picks = sample_rows(p.rows(), row, RowLaw::Raw, s, base_seed, parallelism)?;
+    let values = vec![1.0; picks.indices.len()];
+    Ok(CsrMatrix::from_raw(p.rows(), p.cols(), picks.indptr, picks.indices, values)?)
+}
+
+/// The picked columns of every row of a draw, CSR-style without values:
+/// row `i` is `indices[indptr[i]..indptr[i + 1]]`, ascending.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Picks {
+    pub(crate) indptr: Vec<usize>,
+    pub(crate) indices: Vec<usize>,
+}
+
+impl Picks {
+    pub(crate) fn row(&self, i: usize) -> &[usize] {
+        &self.indices[self.indptr[i]..self.indptr[i + 1]]
+    }
+}
+
+/// The kernel behind [`sample_rows_par`] and the samplers' fused draw: row
+/// `i` of `rows` is `row(i)` — its columns and stored values, read in place
+/// wherever they live — and is drawn from under `law` with its own
+/// [`row_stream_seed`]`(base_seed, i)` stream.  Byte-identical at any thread
+/// count, and to materialising the rows, applying `law` as a pass and
+/// calling [`sample_rows_par`].
+pub(crate) fn sample_rows<'a, F>(
+    rows: usize,
+    row: F,
+    law: RowLaw,
+    s: usize,
+    base_seed: u64,
+    parallelism: Parallelism,
+) -> Result<Picks>
+where
+    F: Fn(usize) -> (&'a [usize], &'a [f64]) + Sync,
+{
     if s == 0 {
         return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
     }
     // Per block: the picked columns of its rows back to back, and each row's
     // length (`min(s, support)`, known only after the support is counted).
-    let blocks: Vec<Result<(Vec<usize>, Vec<usize>)>> = parallelism.map_blocks(p.rows(), |range| {
-        let block_nnz = p.indptr()[range.end] - p.indptr()[range.start];
+    let blocks: Vec<Result<(Vec<usize>, Vec<usize>)>> = parallelism.map_blocks(rows, |range| {
+        let block_nnz: usize = range.clone().map(|i| row(i).0.len()).sum();
         let mut picks = Vec::with_capacity(block_nnz.min(range.len().saturating_mul(s)));
         let mut lens = Vec::with_capacity(range.len());
         let mut scratch = DrawScratch::default();
-        for r in range {
-            let mut rng = StdRng::seed_from_u64(row_stream_seed(base_seed, r));
-            scratch.draw(p.row_values(r), s, &mut rng)?;
-            let cols = p.row_indices(r);
+        for i in range {
+            let (cols, values) = row(i);
+            let mut rng = StdRng::seed_from_u64(row_stream_seed(base_seed, i));
+            scratch.draw_row(values, law, s, &mut rng)?;
             picks.extend(scratch.picked.iter().map(|&pos| cols[pos]));
             lens.push(scratch.picked.len());
         }
         Ok((picks, lens))
     });
-    let mut indptr = Vec::with_capacity(p.rows() + 1);
+    let mut indptr = Vec::with_capacity(rows + 1);
     indptr.push(0);
     let mut indices: Vec<usize> = Vec::new();
     for block in blocks {
@@ -269,12 +417,11 @@ pub fn sample_rows_par(
             indices.extend_from_slice(&picks);
         }
     }
-    let values = vec![1.0; indices.len()];
-    Ok(CsrMatrix::from_raw(p.rows(), p.cols(), indptr, indices, values)?)
+    Ok(Picks { indptr, indices })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dmbs_matrix::CooMatrix;
     use proptest::prelude::*;
@@ -669,6 +816,184 @@ mod tests {
                 // Exactly min(s, nnz) picked.
                 prop_assert_eq!(q.row_nnz(r), s.min(p.row_nnz(r)));
             }
+        }
+    }
+
+    /// The materialised formulation the fused draw replaced, kept as its
+    /// oracle: gather the selected rows into `P`, apply the law as a pass
+    /// (`normalize_rows`, or squaring then `normalize_rows`), then
+    /// [`sample_rows_par`].
+    pub(crate) fn materialized_draw(
+        a: &CsrMatrix,
+        select: &[usize],
+        law: RowLaw,
+        s: usize,
+        seed: u64,
+        parallelism: Parallelism,
+    ) -> CsrMatrix {
+        let mut p = a.gather_rows(select).unwrap();
+        apply_law(&mut p, law);
+        sample_rows_par(&p, s, seed, parallelism).unwrap()
+    }
+
+    /// `law` applied to every row of `p` as a pass of its own.
+    fn apply_law(p: &mut CsrMatrix, law: RowLaw) {
+        match law {
+            RowLaw::Raw => {}
+            RowLaw::Normalized => p.normalize_rows(),
+            RowLaw::SquaredNormalized => {
+                p.map_values_inplace(|v| v * v);
+                p.normalize_rows();
+            }
+        }
+    }
+
+    /// The fused draw over rows `select` of `a`, read in place, as a matrix.
+    fn fused_draw(
+        a: &CsrMatrix,
+        select: &[usize],
+        law: RowLaw,
+        s: usize,
+        seed: u64,
+        parallelism: Parallelism,
+    ) -> CsrMatrix {
+        let row = |i: usize| (a.row_indices(select[i]), a.row_values(select[i]));
+        let picks = sample_rows(select.len(), row, law, s, seed, parallelism).unwrap();
+        let values = vec![1.0; picks.indices.len()];
+        CsrMatrix::from_raw(select.len(), a.cols(), picks.indptr, picks.indices, values).unwrap()
+    }
+
+    /// A row of `len` stored values of one `kind`: unit, weighted, weighted
+    /// with stored zeros, all zero, geometric (forcing rescans, and past
+    /// `2^-53` of the head weights that vanish in the running sum), or
+    /// negative and zero only (no positive weight: the uniform fallback).
+    fn row_values(kind: usize, len: usize, rng: &mut StdRng) -> Vec<f64> {
+        (0..len)
+            .map(|i| match kind {
+                0 => 1.0,
+                1 => rng.gen_range(0.1..5.0),
+                2 => [0.0, 0.0, rng.gen_range(0.1..5.0)][i % 3],
+                3 => 0.0,
+                4 => 0.5f64.powi(i as i32),
+                _ => -(i as f64),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_scan_is_bit_identical_to_scanning_the_normalised_row() {
+        // The picks can hide a last-bit difference in the weights; the scan
+        // cannot.  With `s = 1` the draw never rescans, so the scratch
+        // holds the scan it drew from: it must be the prefix sum of the
+        // normalised row's positive weights, bit for bit.
+        let mut rng = StdRng::seed_from_u64(31);
+        for kind in 0..6 {
+            for len in [2, 3, 17, 90] {
+                let row = CsrMatrix::from_rows(
+                    1,
+                    len,
+                    vec![(0..len).zip(row_values(kind, len, &mut rng)).collect()],
+                )
+                .unwrap();
+                for law in [RowLaw::Raw, RowLaw::Normalized, RowLaw::SquaredNormalized] {
+                    let mut scratch = DrawScratch::default();
+                    let mut draws = StdRng::seed_from_u64(1);
+                    scratch.draw_row(row.row_values(0), law, 1, &mut draws).unwrap();
+                    let mut normalized = row.clone();
+                    apply_law(&mut normalized, law);
+                    let mut positive: Vec<f64> =
+                        normalized.values().iter().copied().filter(|&w| w > 0.0).collect();
+                    if positive.is_empty() {
+                        positive = vec![1.0; len];
+                    }
+                    if positive.len() <= 1 {
+                        continue; // kept whole: nothing was drawn from a scan
+                    }
+                    let mut acc = 0.0;
+                    let expected: Vec<u64> = positive
+                        .iter()
+                        .map(|w| {
+                            acc += w;
+                            f64::to_bits(acc)
+                        })
+                        .collect();
+                    let scan: Vec<u64> = scratch.scan.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(scan, expected, "kind {kind}, len {len}, {law:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_draw_is_bit_identical_to_the_materialised_one() {
+        let mut rng = StdRng::seed_from_u64(30);
+        let (rows, cols) = (24, 90);
+        let mut row_data = Vec::with_capacity(rows);
+        for r in 0..rows {
+            // Lengths from empty through `s` (kept whole) to long.
+            let len = [0, 1, 3, 5, 12, 40, 90][r % 7];
+            let mut positions: Vec<usize> = (0..cols).collect();
+            for i in (1..cols).rev() {
+                positions.swap(i, rng.gen_range(0..=i));
+            }
+            positions.truncate(len);
+            positions.sort_unstable();
+            let values = row_values(r % 6, len, &mut rng);
+            row_data.push(positions.into_iter().zip(values).collect());
+        }
+        let a = CsrMatrix::from_rows(rows, cols, row_data).unwrap();
+        // Every row, then a stacked selection with repeated rows.
+        let all: Vec<usize> = (0..rows).collect();
+        let repeated: Vec<usize> = (0..60).map(|i| (i * 7) % rows).collect();
+        for select in [&all, &repeated] {
+            for law in [RowLaw::Raw, RowLaw::Normalized, RowLaw::SquaredNormalized] {
+                for s in [1, 3, 5, 30] {
+                    for threads in [1, 2, 8] {
+                        let par = Parallelism::new(threads);
+                        let seed = 17 + s as u64;
+                        assert_eq!(
+                            fused_draw(&a, select, law, s, seed, par),
+                            materialized_draw(&a, select, law, s, seed, par),
+                            "{law:?}, s = {s}, {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_fused_draw_equals_the_materialised_one(
+            rows in proptest::collection::vec(
+                (0usize..6, proptest::collection::vec(0usize..40, 0..40)),
+                1..10,
+            ),
+            raw_select in proptest::collection::vec(0usize..64, 0..20),
+            s in 1usize..12,
+            law_choice in 0usize..3,
+            thread_choice in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let row_data = rows
+                .iter()
+                .map(|(kind, cols)| {
+                    let mut cols = cols.clone();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    let values = row_values(*kind, cols.len(), &mut rng);
+                    cols.into_iter().zip(values).collect()
+                })
+                .collect();
+            let a = CsrMatrix::from_rows(rows.len(), 40, row_data).unwrap();
+            let select: Vec<usize> = raw_select.iter().map(|&r| r % a.rows()).collect();
+            let law = [RowLaw::Raw, RowLaw::Normalized, RowLaw::SquaredNormalized][law_choice];
+            let par = Parallelism::new([1usize, 2, 8][thread_choice]);
+            prop_assert_eq!(
+                fused_draw(&a, &select, law, s, seed, par),
+                materialized_draw(&a, &select, law, s, seed, par)
+            );
         }
     }
 }

@@ -16,7 +16,10 @@
 //! ```
 //!
 //! and samples `k` minibatches *in bulk* by vertically stacking their `Q`,
-//! `P` and `A^l` matrices (Equation 1).
+//! `P` and `A^l` matrices (Equation 1).  On one device `P = Q^l · A` for a
+//! one-nonzero-per-row `Q^l` is a row selection, so the implementation
+//! reads those rows of `A` in place and applies `NORM` inside `SAMPLE`'s
+//! prefix scan, bit-identical to the listing above.
 //!
 //! The crate's API mirrors the paper's central claim — one formulation for
 //! **every sampling algorithm × every distribution strategy** — with two

@@ -5,7 +5,7 @@
 //! one **micro-bulk** so the downstream feature gather and α–β fetch round
 //! are shared; the sampling step itself runs through the same bulk machinery
 //! as training ([`Sampler::sample_bulk`] with a one-vertex batch), so the
-//! `extract_rows` kernels and the reusable SpGEMM workspace serve the request
+//! fused in-place draw and the reusable SpGEMM workspace serve the request
 //! path too.
 //!
 //! The crucial twist mirrors [`crate::its::row_stream_seed`]: every request

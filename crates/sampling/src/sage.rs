@@ -10,12 +10,15 @@
 //! minibatches (Equation 1).
 //!
 //! This module holds the sampler's parameters and its `EXTRACT` step
-//! (`extract_block`); the node-wise driver of the crate's one pipeline runs
+//! (`extract_batch`); the node-wise driver of the crate's one pipeline runs
 //! the steps, locally and on the 1.5D grid alike.
 
+use crate::its::Picks;
 use crate::sampler::Sampler;
 use crate::Result;
+use dmbs_matrix::workspace::SpgemmWorkspace;
 use dmbs_matrix::CsrMatrix;
+use std::ops::Range;
 
 /// The GraphSAGE node-wise sampler.
 ///
@@ -81,10 +84,65 @@ impl GraphSageSampler {
     }
 }
 
-/// Extraction step for one minibatch block of `Q^{l-1}`: optionally add the
-/// self-loop `(i, frontier[i])` to every row, then drop the empty columns
-/// (§4.1.3).  Returns the compacted block and the kept columns — the next
-/// frontier.
+/// The extraction step (§4.1.3) for one batch, straight from the ITS
+/// output: rows `rows` of `picks` — with, under `self_loops`, the entry
+/// `(i, frontier[i])` added to every row — compacted to their nonempty
+/// columns among `0..n`.  Returns the batch's block, every value `1.0`, and
+/// its kept columns in ascending order: the next frontier.
+///
+/// The columns are numbered on the workspace's column bitmap, so a batch
+/// costs no copy of its rows and no remap the size of the graph.
+pub(crate) fn extract_batch(
+    picks: &Picks,
+    rows: Range<usize>,
+    frontier: &[usize],
+    n: usize,
+    self_loops: bool,
+    ws: &mut SpgemmWorkspace,
+) -> Result<(CsrMatrix, Vec<usize>)> {
+    debug_assert_eq!(frontier.len(), rows.len(), "one frontier vertex per batch row");
+    let entries = &picks.indices[picks.indptr[rows.start]..picks.indptr[rows.end]];
+    let mut set = ws.column_set(n);
+    let mut nnz = entries.len();
+    for &c in entries {
+        set.insert(c)?;
+    }
+    if self_loops {
+        for (i, &v) in rows.clone().zip(frontier) {
+            set.insert(v)?;
+            nnz += usize::from(picks.row(i).binary_search(&v).is_err());
+        }
+    }
+    let (kept, ranks) = set.into_ranks();
+    let rank = |c: &usize| ranks.rank(*c);
+    let mut indptr = Vec::with_capacity(rows.len() + 1);
+    indptr.push(0);
+    let mut indices = Vec::with_capacity(nnz);
+    for (i, &v) in rows.clone().zip(frontier) {
+        let cols = picks.row(i);
+        if self_loops {
+            // The self-loop goes in at its sorted place unless already drawn.
+            let at = cols.partition_point(|&c| c < v);
+            indices.extend(cols[..at].iter().filter_map(rank));
+            if cols.get(at) != Some(&v) {
+                indices.extend(rank(&v));
+            }
+            indices.extend(cols[at..].iter().filter_map(rank));
+        } else {
+            indices.extend(cols.iter().filter_map(rank));
+        }
+        indptr.push(indices.len());
+    }
+    let values = vec![1.0; indices.len()];
+    let block = CsrMatrix::from_raw(rows.len(), kept.len(), indptr, indices, values)?;
+    Ok((block, kept))
+}
+
+/// The materialised extraction [`extract_batch`] replaced, kept as its
+/// oracle: on a batch's `block` of the ITS output (copied out of it),
+/// optionally add the self-loop `(i, frontier[i])` to every row, then drop
+/// the empty columns.
+#[cfg(test)]
 pub(crate) fn extract_block(
     block: &CsrMatrix,
     frontier: &[usize],
@@ -100,8 +158,15 @@ pub(crate) fn extract_block(
 /// `block` with the entry `(i, frontier[i])` present in every row and every
 /// value `1.0`: one pass over the sorted rows, each self-loop inserted at its
 /// sorted position unless the row already holds it.
+#[cfg(test)]
 fn with_self_loops(block: &CsrMatrix, frontier: &[usize]) -> Result<CsrMatrix> {
-    assert_eq!(frontier.len(), block.rows(), "one frontier vertex per block row");
+    if frontier.len() != block.rows() {
+        return Err(crate::SamplingError::InvalidConfig(format!(
+            "{} frontier vertices for {} block rows: one per row is required",
+            frontier.len(),
+            block.rows()
+        )));
+    }
     let mut indptr = Vec::with_capacity(block.rows() + 1);
     let mut indices = Vec::with_capacity(block.nnz() + block.rows());
     indptr.push(0);
@@ -267,8 +332,46 @@ mod tests {
             assert_eq!(extract_block(&block, &frontier, true).unwrap(), expected.compact_columns());
             assert_eq!(extract_block(&block, &frontier, false).unwrap(), block.compact_columns());
         }
-        // A self-loop outside the block's columns is a typed error.
+        // A self-loop outside the block's columns is a typed error, and so
+        // is a frontier of the wrong length.
         assert!(with_self_loops(&CsrMatrix::zeros(1, 3), &[3]).is_err());
+        assert!(with_self_loops(&CsrMatrix::zeros(2, 3), &[1]).is_err());
+    }
+
+    #[test]
+    fn batch_extraction_equals_the_materialised_oracle() {
+        use dmbs_matrix::workspace::SpgemmWorkspace;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut ws = SpgemmWorkspace::new();
+        for _ in 0..200 {
+            // A stacked ITS output of random sorted rows (some empty).
+            let (rows, n) = (rng.gen_range(1..12usize), rng.gen_range(1..80usize));
+            let row_data = (0..rows)
+                .map(|_| {
+                    let mut cols: Vec<usize> =
+                        (0..rng.gen_range(0..6usize)).map(|_| rng.gen_range(0..n)).collect();
+                    cols.sort_unstable();
+                    cols.dedup();
+                    cols.into_iter().map(|c| (c, 1.0)).collect()
+                })
+                .collect();
+            let stacked = CsrMatrix::from_rows(rows, n, row_data).unwrap();
+            let picks =
+                Picks { indptr: stacked.indptr().to_vec(), indices: stacked.indices().to_vec() };
+            let start = rng.gen_range(0..=rows);
+            let end = rng.gen_range(start..=rows);
+            let frontier: Vec<usize> = (start..end).map(|_| rng.gen_range(0..n)).collect();
+            let block = stacked.gather_rows(&(start..end).collect::<Vec<_>>()).unwrap();
+            for self_loops in [false, true] {
+                let fused = extract_batch(&picks, start..end, &frontier, n, self_loops, &mut ws);
+                let oracle = extract_block(&block, &frontier, self_loops).unwrap();
+                assert_eq!(fused.unwrap(), oracle);
+            }
+        }
+        // A self-loop outside the graph's columns is a typed error.
+        let picks = Picks { indptr: vec![0, 0], indices: vec![] };
+        assert!(extract_batch(&picks, 0..1, &[3], 3, true, &mut ws).is_err());
     }
 
     #[test]

@@ -9,15 +9,21 @@
 //! model, one GraphSAGE bulk sampling step, one LADIES bulk sampling step,
 //! one served request and one 1.5D probability step (the sparsity-aware
 //! SpGEMM on rank 0 of a 2 × 1 grid, counted inside its simulator rank
-//! thread).  Besides the pins, three properties hold without constants:
+//! thread).  The allocator also books frees, so for the two sampling units
+//! the **high-water mark of live bytes** is pinned too: measured on a fresh
+//! thread (whose kernel workspace starts empty) over the warm-up steps and
+//! the measured one, it is the deterministic counterpart of the resident
+//! set size a sampling epoch needs.  Besides the pins, three properties hold
+//! without constants:
 //! propagation and the 1.5D probability step allocate the same number of
 //! times on a frontier four times as large (a fixed number of buffers per
 //! layer or stage, none per row), and a sampling step allocates as much
 //! after five steps as after one.
 //!
 //! **Re-pin rule.**  A change that moves a count fails
-//! `allocation_counts_are_pinned`, which prints the measured table.  Copy
-//! the new value into [`PINNED`] only for a unit the change meant to move,
+//! `allocation_counts_are_pinned` (or `sampling_live_bytes_are_pinned`),
+//! which prints the measured table.  Copy the new value into [`PINNED`]
+//! (or [`PINNED_LIVE_PEAK`]) only for a unit the change meant to move,
 //! and state the old and new numbers, with the reason, in `CHANGES.md`; a
 //! count that rises needs a reason, not just a re-pin.  A toolchain upgrade
 //! that moves a count is re-pinned the same way, saying so.
@@ -47,8 +53,17 @@ struct Allocs {
     bytes: u64,
 }
 
+/// Bytes allocated and not yet freed on this thread, and their high-water
+/// mark.  Signed: a thread may free what another allocated.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    now: i64,
+    peak: i64,
+}
+
 thread_local! {
     static COUNTED: Cell<Allocs> = const { Cell::new(Allocs { count: 0, bytes: 0 }) };
+    static LIVE: Cell<Live> = const { Cell::new(Live { now: 0, peak: 0 }) };
 }
 
 struct Counting;
@@ -61,30 +76,42 @@ fn note(bytes: usize) {
     });
 }
 
+/// Books `delta` bytes more (or fewer) live on this thread.
+fn note_live(delta: i64) {
+    let _ = LIVE.try_with(|l| {
+        let now = l.get().now + delta;
+        l.set(Live { now, peak: l.get().peak.max(now) });
+    });
+}
+
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s guarantees are this allocator's; the counter is a
 // const-initialised thread-local `Cell` that never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as i64);
         // SAFETY: forwarded unchanged; the caller upholds `alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as i64);
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        note_live(new_size as i64 - layout.size() as i64);
         // SAFETY: forwarded unchanged; `ptr` came from this allocator, that
         // is from `System`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as i64));
         // SAFETY: as in `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -105,11 +132,15 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
 const PINNED: [(&str, Allocs); 6] = [
     ("forward step", Allocs { count: 20, bytes: 956_408 }),
     ("backward step", Allocs { count: 27, bytes: 460_440 }),
-    ("graphsage bulk sampling step", Allocs { count: 369, bytes: 4_180_935 }),
-    ("ladies bulk sampling step", Allocs { count: 276, bytes: 7_588_889 }),
-    ("served request", Allocs { count: 185, bytes: 489_617 }),
+    ("graphsage bulk sampling step", Allocs { count: 124, bytes: 1_656_087 }),
+    ("ladies bulk sampling step", Allocs { count: 204, bytes: 1_984_561 }),
+    ("served request", Allocs { count: 110, bytes: 386_401 }),
     ("1.5d probability step", Allocs { count: 28, bytes: 172_112 }),
 ];
+
+/// The pinned high-water marks of live bytes of the two sampling units.
+const PINNED_LIVE_PEAK: [(&str, i64); 2] =
+    [("graphsage bulk sampling step", 1_327_624), ("ladies bulk sampling step", 2_017_488)];
 
 const FANOUTS: [usize; 3] = [15, 10, 5];
 
@@ -169,6 +200,20 @@ fn sampling_step(data: &Dataset, sampler: &dyn Sampler, warm: usize) -> Allocs {
     }
     let mut rng = StdRng::seed_from_u64(8);
     measure(|| sampler.sample_bulk(adjacency, &batches, &config, &mut rng).unwrap()).1
+}
+
+/// The high-water mark of live bytes on a fresh thread over two warm-up
+/// sampling steps and the measured one.
+fn sampling_live_peak(data: &Dataset, sampler: &(dyn Sampler + Sync)) -> i64 {
+    std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                sampling_step(data, sampler, 2);
+                LIVE.with(|l| l.get().peak)
+            })
+            .join()
+            .expect("the sampling thread finished")
+    })
 }
 
 /// One request served after eight warm-up requests.  The hot tier is off,
@@ -251,6 +296,18 @@ fn allocation_counts_are_pinned() {
     assert_eq!(measured, PINNED, "allocation counts moved; measured:\n{table}");
 }
 
+#[test]
+fn sampling_live_bytes_are_pinned() {
+    let data = dataset();
+    let measured = [
+        ("graphsage bulk sampling step", sampling_live_peak(&data, &graphsage())),
+        ("ladies bulk sampling step", sampling_live_peak(&data, &ladies())),
+    ];
+    let table: String =
+        measured.iter().map(|(unit, peak)| format!("    (\"{unit}\", {peak}),\n")).collect();
+    assert_eq!(measured, PINNED_LIVE_PEAK, "live-byte high-water marks moved; measured:\n{table}");
+}
+
 /// Propagation's allocations do not grow with the frontier: a fixed number
 /// of matrices per layer, none per row.
 #[test]
@@ -276,7 +333,7 @@ fn one_five_d_allocations_do_not_grow_with_the_frontier() {
 }
 
 /// A sampling step allocates as much after five steps as after one: its
-/// scratch is recycled, not regrown.
+/// scratch is reused, not regrown.
 #[test]
 fn sampling_allocations_do_not_grow_with_the_step_count() {
     let data = dataset();
