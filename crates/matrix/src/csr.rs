@@ -12,6 +12,7 @@ use crate::prefix::counts_to_offsets;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// A sparse matrix in Compressed Sparse Row format.
 ///
@@ -43,12 +44,32 @@ pub struct CsrMatrix {
     indptr: Vec<usize>,
     indices: Vec<usize>,
     values: Vec<f64>,
+    unit: UnitMemo,
+}
+
+/// The memo of [`CsrMatrix::is_unit_valued`], set on its first call and
+/// cleared by every method that hands out the values mutably.  A cache, not
+/// part of the matrix: any two memos compare equal.
+#[derive(Debug, Clone, Default)]
+struct UnitMemo(OnceLock<bool>);
+
+impl PartialEq for UnitMemo {
+    fn eq(&self, _: &UnitMemo) -> bool {
+        true
+    }
 }
 
 impl CsrMatrix {
     /// Creates an empty (all-zero) `rows x cols` matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        CsrMatrix { rows, cols, indptr: vec![0; rows + 1], indices: Vec::new(), values: Vec::new() }
+        CsrMatrix {
+            rows,
+            cols,
+            indptr: vec![0; rows + 1],
+            indices: Vec::new(),
+            values: Vec::new(),
+            unit: UnitMemo::default(),
+        }
     }
 
     /// Creates the `n x n` identity matrix.
@@ -59,6 +80,7 @@ impl CsrMatrix {
             indptr: (0..=n).collect(),
             indices: (0..n).collect(),
             values: vec![1.0; n],
+            unit: UnitMemo::default(),
         }
     }
 
@@ -82,7 +104,7 @@ impl CsrMatrix {
                 values.push(v);
             }
         }
-        CsrMatrix { rows, cols, indptr, indices, values }
+        CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() }
     }
 
     /// Builds a CSR matrix from sorted per-row `(col, value)` lists.
@@ -126,7 +148,7 @@ impl CsrMatrix {
                 values.push(v);
             }
         }
-        Ok(CsrMatrix { rows, cols, indptr, indices, values })
+        Ok(CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() })
     }
 
     /// Builds a CSR matrix from raw buffers, validating every invariant.
@@ -188,7 +210,7 @@ impl CsrMatrix {
                 }
             }
         }
-        Ok(CsrMatrix { rows, cols, indptr, indices, values })
+        Ok(CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() })
     }
 
     /// Builds a CSR matrix from raw buffers **without** revalidating the
@@ -210,7 +232,7 @@ impl CsrMatrix {
             let row = &indices[indptr[r]..indptr[r + 1]];
             row.windows(2).all(|w| w[0] < w[1]) && row.last().is_none_or(|&c| c < cols)
         }));
-        CsrMatrix { rows, cols, indptr, indices, values }
+        CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() }
     }
 
     /// Number of rows.
@@ -270,6 +292,7 @@ impl CsrMatrix {
     /// Panics if `r >= rows`.
     pub fn row_values_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row index out of bounds");
+        self.unit.0.take();
         &mut self.values[self.indptr[r]..self.indptr[r + 1]]
     }
 
@@ -286,6 +309,15 @@ impl CsrMatrix {
     /// All values in row-major order.
     pub fn values(&self) -> &[f64] {
         &self.values
+    }
+
+    /// Whether every stored value is exactly `1.0`, as in the adjacency
+    /// matrix of an unweighted graph (vacuously true with no nonzeros).
+    /// Computed on the first call and memoised; the memo is cleared by the
+    /// methods that change values ([`CsrMatrix::row_values_mut`],
+    /// [`CsrMatrix::map_values_inplace`], [`CsrMatrix::normalize_rows`]).
+    pub fn is_unit_valued(&self) -> bool {
+        *self.unit.0.get_or_init(|| self.values.iter().all(|&v| v == 1.0))
     }
 
     /// Returns the stored value at `(r, c)` or `0.0` if absent.
@@ -346,7 +378,14 @@ impl CsrMatrix {
                 next[c] += 1;
             }
         }
-        CsrMatrix { rows: self.cols, cols: self.rows, indptr, indices, values }
+        CsrMatrix {
+            rows: self.cols,
+            cols: self.rows,
+            indptr,
+            indices,
+            values,
+            unit: UnitMemo::default(),
+        }
     }
 
     /// Per-row sums of the stored values.
@@ -367,6 +406,7 @@ impl CsrMatrix {
     /// into a probability distribution.  Rows whose sum is zero are left
     /// unchanged.
     pub fn normalize_rows(&mut self) {
+        self.unit.0.take();
         for r in 0..self.rows {
             let sum: f64 = self.row_values(r).iter().sum();
             if sum != 0.0 {
@@ -379,6 +419,7 @@ impl CsrMatrix {
 
     /// Applies `f` to every stored value in place.
     pub fn map_values_inplace<F: Fn(f64) -> f64>(&mut self, f: F) {
+        self.unit.0.take();
         for v in &mut self.values {
             *v = f(*v);
         }
@@ -483,6 +524,7 @@ impl CsrMatrix {
             indptr: self.indptr.clone(),
             indices,
             values: self.values.clone(),
+            unit: self.unit.clone(),
         };
         (compacted, kept)
     }
@@ -554,6 +596,7 @@ impl CsrMatrix {
             indptr: bounds.iter().map(|&p| p - lo).collect(),
             indices: self.indices[lo..hi].to_vec(),
             values: self.values[lo..hi].to_vec(),
+            unit: UnitMemo::default(),
         }
     }
 
@@ -759,6 +802,48 @@ mod tests {
                 assert!((s - 1.0).abs() < 1e-12);
             }
         }
+    }
+
+    #[test]
+    fn unit_valued_memo_is_cleared_by_every_value_mutator() {
+        let a = figure1_graph();
+        assert!(a.is_unit_valued());
+        let mutators: [fn(&mut CsrMatrix); 3] = [
+            |m| m.row_values_mut(1)[0] = 2.0,
+            |m| m.map_values_inplace(|v| v * 3.0),
+            CsrMatrix::normalize_rows, // vertex 1's three neighbours each become 1/3
+        ];
+        for mutate in mutators {
+            let mut m = a.clone();
+            assert!(m.is_unit_valued(), "the clone carries the memo");
+            mutate(&mut m);
+            assert!(!m.is_unit_valued());
+            // And back: a memo of `false` is cleared just the same.
+            m.map_values_inplace(|_| 1.0);
+            assert!(m.is_unit_valued());
+        }
+        let weighted = CsrMatrix::from_rows(1, 2, vec![vec![(0, 1.0), (1, 0.5)]]).unwrap();
+        assert!(!weighted.is_unit_valued());
+        assert!(CsrMatrix::zeros(2, 2).is_unit_valued());
+    }
+
+    #[test]
+    fn the_unit_memo_takes_no_part_in_equality() {
+        let a = figure1_graph();
+        assert!(a.is_unit_valued());
+        let memoised = a.clone();
+        let fresh = CsrMatrix::from_raw(
+            a.rows(),
+            a.cols(),
+            a.indptr().to_vec(),
+            a.indices().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(memoised, fresh);
+        assert_eq!(fresh, memoised);
+        assert!(fresh.is_unit_valued());
+        assert_ne!(a, a.map_values(|v| v * 2.0));
     }
 
     #[test]

@@ -43,14 +43,30 @@
 //! an unweighted graph — is scanned over its own positions: no `live` list
 //! is built until a rescan needs one, and the `taken` flags are reset
 //! through the picks, `O(s)` per row instead of `O(deg)`.
+//!
+//! # Unit rows: one scan per length
+//!
+//! When every stored value of the matrix is exactly `1.0` — the adjacency of
+//! an unweighted graph, [`CsrMatrix::is_unit_valued`] — `Σx = Σx² = len`
+//! holds exactly, so under both normalising laws every weight of a row is
+//! `1.0 / len` and its prefix scan depends on its length alone.  Each
+//! distinct length's scan is built once per call and every row of that
+//! length draws from it without being read: at most Σ(distinct lengths) ≤
+//! nnz(rows drawn) scan work, never more than scanning row by row.  A
+//! rescan over `m` live positions needs no work either: constant weights
+//! over `m` positions sum to the table's first `m` entries.  The search
+//! starts where the target's share of the total falls and walks to the
+//! first entry strictly above the target, which is exactly what the binary
+//! search returns, in a load or two.
 
 use crate::error::SamplingError;
 use crate::Result;
 use dmbs_matrix::pool::Parallelism;
-use dmbs_matrix::prefix::{inclusive_scan, upper_bound};
+use dmbs_matrix::prefix::inclusive_scan;
 use dmbs_matrix::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 
 /// How a row's stored values become its draw weights: the `NORM` step of
 /// Algorithm 1, applied inside the draw's prefix scan instead of as a pass
@@ -82,6 +98,58 @@ struct DrawScratch {
     taken: Vec<bool>,
     /// The picked positions; sorted ascending when `draw` returns.
     picked: Vec<usize>,
+}
+
+/// The prefix scans of unit rows, one per row length.  On a row whose stored
+/// values are all exactly `1.0`, `Σx = Σx² = len` holds exactly, so under
+/// [`RowLaw::Normalized`] and [`RowLaw::SquaredNormalized`] every weight is
+/// `1.0 / len` and the row's scan depends on its length alone.
+#[derive(Debug, Default)]
+struct UnitScans {
+    /// `start[len]` is one past where length `len`'s scan begins in `scans`;
+    /// `0` while it is not built.
+    start: Vec<usize>,
+    /// The built scans, back to back.
+    scans: Vec<f64>,
+}
+
+impl UnitScans {
+    /// Forgets every scan, keeping the buffers.
+    fn clear(&mut self) {
+        self.start.clear();
+        self.scans.clear();
+    }
+
+    /// The scan of a unit row of `len` positions: `1.0 / len` added `len`
+    /// times in order, bit for bit what scanning the normalised row adds.
+    /// Built on the first request for `len`, so a table never holds more
+    /// entries than the rows it served.
+    fn get(&mut self, len: usize) -> &[f64] {
+        if self.start.len() <= len {
+            self.start.resize(len + 1, 0);
+        }
+        if self.start[len] == 0 {
+            self.start[len] = self.scans.len() + 1;
+            let (weight, mut acc) = (1.0 / len as f64, 0.0);
+            self.scans.extend((0..len).map(|_| {
+                acc += weight;
+                acc
+            }));
+        }
+        let begin = self.start[len] - 1;
+        &self.scans[begin..begin + len]
+    }
+}
+
+/// Where a draw's prefix scan comes from.
+enum Scan<'t, W> {
+    /// The row's own, in [`DrawScratch::scan`], rebuilt from the weights at
+    /// every rescan.
+    Own(W),
+    /// A unit row's length's [`UnitScans`] entry.  Constant weights over `m`
+    /// live positions sum to the entry's first `m` values, so after a
+    /// rescan the live scan is that prefix: nothing is rebuilt.
+    Unit(&'t [f64]),
 }
 
 impl DrawScratch {
@@ -117,6 +185,26 @@ impl DrawScratch {
         }
     }
 
+    /// [`DrawScratch::draw_row`] over a unit row of `len` positions under
+    /// [`RowLaw::Normalized`] or [`RowLaw::SquaredNormalized`], without
+    /// reading it: every weight is `1.0 / len`, so the row is drawn from its
+    /// length's scan in `tables` and the picks are the same.
+    fn draw_unit<R: Rng + ?Sized>(
+        &mut self,
+        len: usize,
+        tables: &mut UnitScans,
+        s: usize,
+        rng: &mut R,
+    ) -> Result<()> {
+        self.picked.clear();
+        if len <= s {
+            self.picked.extend(0..len);
+            return Ok(());
+        }
+        self.grow_taken(len);
+        self.draw_from(Scan::<fn(usize) -> f64>::Unit(tables.get(len)), true, s, rng)
+    }
+
     /// Draws `min(s, support)` distinct positions of a row of `len` weights,
     /// `weight(pos)` each, by successive sampling and leaves them, sorted
     /// ascending, in `self.picked`.  The support is the positive-weight
@@ -133,11 +221,9 @@ impl DrawScratch {
         W: Fn(usize) -> f64,
     {
         self.picked.clear();
-        if self.taken.len() < len {
-            self.taken.resize(len, false);
-        }
+        self.grow_taken(len);
         // Whether scan entry `i` is position `i` (no `live` list yet).
-        let mut in_place = len > s && self.scan_in_place(len, &weight)?;
+        let in_place = len > s && self.scan_in_place(len, &weight)?;
         let mut uniform = false;
         if !in_place {
             self.live.clear();
@@ -155,30 +241,66 @@ impl DrawScratch {
         if !in_place {
             self.rescan(weight)?;
         }
+        self.draw_from(Scan::Own(weight), in_place, s, rng)
+    }
+
+    /// The draw loop over a prepared scan of more than `s` live positions —
+    /// the row's own or a unit table — where `in_place` says whether scan
+    /// entry `i` is position `i` (no `live` list yet).
+    fn draw_from<R, W>(
+        &mut self,
+        source: Scan<'_, W>,
+        mut in_place: bool,
+        s: usize,
+        rng: &mut R,
+    ) -> Result<()>
+    where
+        R: Rng + ?Sized,
+        W: Fn(usize) -> f64,
+    {
+        // The number of live positions, and so of scan entries.
+        let mut m = match source {
+            Scan::Own(_) => self.scan.len(),
+            Scan::Unit(table) => table.len(),
+        };
         let mut taken_mass = 0.0;
         while self.picked.len() < s {
-            let total = self.scan[self.scan.len() - 1];
+            let scan = match source {
+                Scan::Own(_) => &self.scan[..],
+                Scan::Unit(table) => &table[..m],
+            };
+            let total = scan[m - 1];
             let target = rng.gen::<f64>() * total;
             // First entry strictly above the target.  `target < total` for
-            // every normal total; the clamp covers subnormal round-up.
-            let hit = self.scan.partition_point(|&c| c <= target).min(self.scan.len() - 1);
+            // every normal total; the clamp covers subnormal round-up.  A
+            // unit scan's entries grow by one weight each, so the entry is
+            // found by walking from where the target's share of the total
+            // falls, usually in a load or two.
+            let hit = match source {
+                Scan::Own(_) => scan.partition_point(|&c| c <= target),
+                Scan::Unit(_) => partition_from(scan, target, (target / total * m as f64) as usize),
+            }
+            .min(m - 1);
             let pos = if in_place { hit } else { self.live[hit] };
             if self.taken[pos] {
                 continue;
             }
             self.taken[pos] = true;
             self.picked.push(pos);
-            taken_mass += self.scan[hit] - if hit == 0 { 0.0 } else { self.scan[hit - 1] };
+            taken_mass += scan[hit] - if hit == 0 { 0.0 } else { scan[hit - 1] };
             if 2.0 * taken_mass > total && self.picked.len() < s {
                 let taken = &self.taken;
                 if in_place {
                     self.live.clear();
-                    self.live.extend((0..len).filter(|&pos| !taken[pos]));
+                    self.live.extend((0..m).filter(|&pos| !taken[pos]));
                     in_place = false;
                 } else {
                     self.live.retain(|&pos| !taken[pos]);
                 }
-                self.rescan(weight)?;
+                m = self.live.len();
+                if let Scan::Own(weight) = &source {
+                    self.rescan(weight)?;
+                }
                 taken_mass = 0.0;
             }
         }
@@ -187,6 +309,13 @@ impl DrawScratch {
         }
         self.picked.sort_unstable();
         Ok(())
+    }
+
+    /// Makes room for a row of `len` positions in `taken`.
+    fn grow_taken(&mut self, len: usize) {
+        if self.taken.len() < len {
+            self.taken.resize(len, false);
+        }
     }
 
     /// Scans all `len` positions; returns whether every weight is positive
@@ -216,6 +345,22 @@ impl DrawScratch {
         }));
         finite_total(acc)
     }
+}
+
+/// The first entry of the non-decreasing `scan` strictly above `target` —
+/// exactly what `scan.partition_point(|&c| c <= target)` returns — found by
+/// walking from `guess`: up past every entry `≤ target`, then down past
+/// every entry before it `> target`, so it stops only at the partition
+/// point.
+fn partition_from(scan: &[f64], target: f64, guess: usize) -> usize {
+    let mut i = guess.min(scan.len());
+    while i < scan.len() && scan[i] <= target {
+        i += 1;
+    }
+    while i > 0 && scan[i - 1] > target {
+        i -= 1;
+    }
+    i
 }
 
 fn finite_total(total: f64) -> Result<()> {
@@ -256,12 +401,14 @@ pub fn its_without_replacement<R: Rng + ?Sized>(
 
 /// Draws `s` positions *with* replacement using inverse transform sampling
 /// (a single prefix sum, `s` binary searches).  Used by samplers that allow
-/// repeated picks (e.g. FastGCN-style importance sampling).
+/// repeated picks (e.g. FastGCN-style importance sampling).  The search is
+/// the lazy-rescan draw's — the first scan entry strictly above the target —
+/// so a zero-weight position is never returned, even for `u == 0.0`.
 ///
 /// # Errors
 ///
-/// Returns [`SamplingError::InvalidConfig`] if `s == 0` or `weights` is empty,
-/// or [`SamplingError::InvalidConfig`] if all weights are zero.
+/// Returns [`SamplingError::InvalidConfig`] if `s == 0`, `weights` is empty,
+/// no weight is positive, or the weights do not have a finite sum.
 pub fn its_with_replacement<R: Rng + ?Sized>(
     weights: &[f64],
     s: usize,
@@ -276,11 +423,19 @@ pub fn its_with_replacement<R: Rng + ?Sized>(
         ));
     }
     let scan = inclusive_scan(weights);
-    let total = *scan.last().expect("non-empty");
-    if total <= 0.0 {
-        return Err(SamplingError::InvalidConfig("all weights are zero".into()));
+    let total = scan[scan.len() - 1];
+    finite_total(total)?;
+    match weights.iter().rposition(|&w| w > 0.0) {
+        // `target < total` for every normal total; the clamp covers
+        // subnormal round-up, and stops at the last positive weight.
+        Some(last) if total > 0.0 => Ok((0..s)
+            .map(|_| {
+                let target = rng.gen::<f64>() * total;
+                scan.partition_point(|&c| c <= target).min(last)
+            })
+            .collect()),
+        _ => Err(SamplingError::InvalidConfig("all weights are zero".into())),
     }
-    Ok((0..s).map(|_| upper_bound(&scan, rng.gen::<f64>() * total)).collect())
 }
 
 /// The RNG seed of `row`'s private stream under `base_seed` — a splitmix64
@@ -312,7 +467,7 @@ pub fn sample_rows_seeded(p: &CsrMatrix, s: usize, base_seed: u64) -> Result<Csr
 /// each row draws from its own [`row_stream_seed`]-seeded RNG stream, so the
 /// output is **byte-identical at any thread count** (and identical to
 /// [`sample_rows_seeded`]).  Each row draws with the lazy-rescan kernel of
-/// [`its_without_replacement`] from a per-block scratch, and the picks are
+/// [`its_without_replacement`] from its thread's scratch, and the picks are
 /// written straight into the output's `indices`: row `r` gets
 /// `min(s, support of r)` nonzeros, so rows with no nonzeros stay empty.
 ///
@@ -345,7 +500,7 @@ pub fn sample_rows_par(
     parallelism: Parallelism,
 ) -> Result<CsrMatrix> {
     let row = |r| (p.row_indices(r), p.row_values(r));
-    let picks = sample_rows(p.rows(), row, RowLaw::Raw, s, base_seed, parallelism)?;
+    let picks = sample_rows(p.rows(), row, RowLaw::Raw, false, s, base_seed, parallelism)?;
     let values = vec![1.0; picks.indices.len()];
     Ok(CsrMatrix::from_raw(p.rows(), p.cols(), picks.indptr, picks.indices, values)?)
 }
@@ -364,16 +519,34 @@ impl Picks {
     }
 }
 
+/// One thread's draw buffers, kept across calls of [`sample_rows`] so a
+/// call allocates only its output once they have grown.
+#[derive(Debug, Default)]
+struct Scratch {
+    draw: DrawScratch,
+    unit: UnitScans,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// The kernel behind [`sample_rows_par`] and the samplers' fused draw: row
 /// `i` of `rows` is `row(i)` — its columns and stored values, read in place
 /// wherever they live — and is drawn from under `law` with its own
 /// [`row_stream_seed`]`(base_seed, i)` stream.  Byte-identical at any thread
 /// count, and to materialising the rows, applying `law` as a pass and
 /// calling [`sample_rows_par`].
+///
+/// `unit_rows` says that every stored value is exactly `1.0`
+/// ([`CsrMatrix::is_unit_valued`]).  Under a normalising law each row is then
+/// drawn from its length's scan, built once per call and thread, and its
+/// values are never read; the scans this adds never exceed the rows' nonzeros.
 pub(crate) fn sample_rows<'a, F>(
     rows: usize,
     row: F,
     law: RowLaw,
+    unit_rows: bool,
     s: usize,
     base_seed: u64,
     parallelism: Parallelism,
@@ -384,21 +557,28 @@ where
     if s == 0 {
         return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
     }
+    let unit = unit_rows && law != RowLaw::Raw;
     // Per block: the picked columns of its rows back to back, and each row's
     // length (`min(s, support)`, known only after the support is counted).
     let blocks: Vec<Result<(Vec<usize>, Vec<usize>)>> = parallelism.map_blocks(rows, |range| {
         let block_nnz: usize = range.clone().map(|i| row(i).0.len()).sum();
         let mut picks = Vec::with_capacity(block_nnz.min(range.len().saturating_mul(s)));
         let mut lens = Vec::with_capacity(range.len());
-        let mut scratch = DrawScratch::default();
-        for i in range {
-            let (cols, values) = row(i);
-            let mut rng = StdRng::seed_from_u64(row_stream_seed(base_seed, i));
-            scratch.draw_row(values, law, s, &mut rng)?;
-            picks.extend(scratch.picked.iter().map(|&pos| cols[pos]));
-            lens.push(scratch.picked.len());
-        }
-        Ok((picks, lens))
+        SCRATCH.with_borrow_mut(|Scratch { draw, unit: tables }| {
+            tables.clear();
+            for i in range {
+                let (cols, values) = row(i);
+                let mut rng = StdRng::seed_from_u64(row_stream_seed(base_seed, i));
+                if unit {
+                    draw.draw_unit(values.len(), tables, s, &mut rng)?;
+                } else {
+                    draw.draw_row(values, law, s, &mut rng)?;
+                }
+                picks.extend(draw.picked.iter().map(|&pos| cols[pos]));
+                lens.push(draw.picked.len());
+            }
+            Ok((picks, lens))
+        })
     });
     let mut indptr = Vec::with_capacity(rows + 1);
     indptr.push(0);
@@ -423,6 +603,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use dmbs_matrix::prefix::upper_bound;
     use dmbs_matrix::CooMatrix;
     use proptest::prelude::*;
     use rand::RngCore;
@@ -691,6 +872,33 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn with_replacement_never_selects_zero_weight_positions() {
+        // u == 0.0 used to land on the leading zero-weight position.
+        let mut rng = ScriptedRng { script: vec![0], next: 0 };
+        assert_eq!(its_with_replacement(&[0.0, 1.0], 3, &mut rng).unwrap(), vec![1, 1, 1]);
+        let weights = [0.0, 3.0, 0.0, 1.0, 0.0];
+        for script in [vec![0], vec![u64::MAX], vec![0, u64::MAX]] {
+            let mut rng = ScriptedRng { script, next: 0 };
+            let picked = its_with_replacement(&weights, 4, &mut rng).unwrap();
+            assert!(picked.iter().all(|&i| weights[i] > 0.0), "{picked:?}");
+        }
+        // A subnormal total rounds u · total up to the total itself; the
+        // clamp stops at the last positive weight, not the trailing zero.
+        let tiny = [f64::from_bits(1), 0.0];
+        let mut rng = ScriptedRng { script: vec![u64::MAX], next: 0 };
+        assert_eq!(its_with_replacement(&tiny, 2, &mut rng).unwrap(), vec![0, 0]);
+    }
+
+    #[test]
+    fn with_replacement_rejects_non_finite_sums() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for weights in [[f64::INFINITY, 1.0], [f64::NAN, 1.0], [f64::MAX, f64::MAX]] {
+            let err = its_with_replacement(&weights, 2, &mut rng).unwrap_err();
+            assert!(matches!(err, SamplingError::InvalidConfig(_)), "{err}");
+        }
+    }
+
+    #[test]
     fn sample_rows_par_is_thread_count_invariant() {
         let mut rng = StdRng::seed_from_u64(21);
         let mut coo = CooMatrix::new(50, 64);
@@ -858,7 +1066,8 @@ pub(crate) mod tests {
         parallelism: Parallelism,
     ) -> CsrMatrix {
         let row = |i: usize| (a.row_indices(select[i]), a.row_values(select[i]));
-        let picks = sample_rows(select.len(), row, law, s, seed, parallelism).unwrap();
+        let unit = a.is_unit_valued();
+        let picks = sample_rows(select.len(), row, law, unit, s, seed, parallelism).unwrap();
         let values = vec![1.0; picks.indices.len()];
         CsrMatrix::from_raw(select.len(), a.cols(), picks.indptr, picks.indices, values).unwrap()
     }
@@ -993,6 +1202,121 @@ pub(crate) mod tests {
             prop_assert_eq!(
                 fused_draw(&a, &select, law, s, seed, par),
                 materialized_draw(&a, &select, law, s, seed, par)
+            );
+        }
+    }
+
+    /// A matrix whose rows are all unit-valued, of lengths `lens`, each over
+    /// a random run of `cols` columns.
+    fn unit_matrix(lens: &[usize], cols: usize, rng: &mut StdRng) -> CsrMatrix {
+        let rows = lens
+            .iter()
+            .map(|&len| {
+                let first = rng.gen_range(0..=cols - len);
+                (first..first + len).map(|c| (c, 1.0)).collect()
+            })
+            .collect();
+        CsrMatrix::from_rows(lens.len(), cols, rows).unwrap()
+    }
+
+    #[test]
+    fn unit_scans_are_bit_identical_to_scanning_the_normalised_unit_row() {
+        let mut tables = UnitScans::default();
+        // The scan the general path takes of a unit row: normalise it as a
+        // pass, then add up its weights in order.
+        let expected = |n: usize, law| {
+            let mut row =
+                CsrMatrix::from_rows(1, n, vec![(0..n).map(|c| (c, 1.0)).collect()]).unwrap();
+            apply_law(&mut row, law);
+            let mut acc = 0.0;
+            row.values()
+                .iter()
+                .map(|w| {
+                    acc += w;
+                    f64::to_bits(acc)
+                })
+                .collect::<Vec<_>>()
+        };
+        let bits = |scan: &[f64]| scan.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in 1..=3000 {
+            let table = bits(tables.get(n));
+            assert_eq!(table, expected(n, RowLaw::Normalized), "n = {n}");
+            assert_eq!(table, expected(n, RowLaw::SquaredNormalized), "n = {n}");
+        }
+        // A length built earlier is served from where it was built.
+        assert_eq!(bits(tables.get(17)), expected(17, RowLaw::Normalized));
+        tables.clear();
+        assert_eq!(bits(tables.get(5)), expected(5, RowLaw::Normalized));
+    }
+
+    #[test]
+    fn one_non_unit_row_sends_the_matrix_down_the_general_path() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut a = unit_matrix(&[12, 30, 12, 7, 30], 64, &mut rng);
+        assert!(a.is_unit_valued());
+        // A skewed row among unit ones: a unit-path draw of it would pick
+        // from the wrong law.
+        a.row_values_mut(2).iter_mut().step_by(3).for_each(|v| *v = 9.0);
+        assert!(!a.is_unit_valued());
+        let select = [0, 2, 1, 2, 4, 3, 2];
+        let mut forced_differs = false;
+        for law in [RowLaw::Normalized, RowLaw::SquaredNormalized] {
+            for s in [1, 2, 5] {
+                for threads in [1, 2, 8] {
+                    let par = Parallelism::new(threads);
+                    for seed in 0..20 {
+                        let oracle = materialized_draw(&a, &select, law, s, seed, par);
+                        assert_eq!(fused_draw(&a, &select, law, s, seed, par), oracle);
+                        let row = |i: usize| (a.row_indices(select[i]), a.row_values(select[i]));
+                        let forced = sample_rows(select.len(), row, law, true, s, seed, par);
+                        forced_differs |= forced.unwrap().indices != oracle.indices();
+                    }
+                }
+            }
+        }
+        assert!(forced_differs, "the skewed row must be told apart from a unit one");
+    }
+
+    proptest! {
+        #[test]
+        fn prop_unit_rows_draw_what_the_materialised_law_draws(
+            s in 1usize..12,
+            kinds in proptest::collection::vec(0usize..7, 1..10),
+            long in 1usize..5000,
+            raw_select in proptest::collection::vec(0usize..64, 0..24),
+            law_choice in 0usize..2,
+            thread_choice in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            // Empty, kept whole, one over `s` and its multiples (which
+            // force rescans), and long rows.
+            let lens: Vec<usize> =
+                kinds.iter().map(|&k| [0, 1, s, s + 1, 2 * s, 3 * s, long][k]).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = unit_matrix(&lens, 5000, &mut rng);
+            prop_assert!(a.is_unit_valued());
+            let mut select: Vec<usize> = raw_select.iter().map(|&r| r % a.rows()).collect();
+            // Stacked selections repeat rows.
+            select.extend_from_within(..select.len() / 2);
+            let law = [RowLaw::Normalized, RowLaw::SquaredNormalized][law_choice];
+            let par = Parallelism::new([1usize, 2, 8][thread_choice]);
+            prop_assert_eq!(
+                fused_draw(&a, &select, law, s, seed, par),
+                materialized_draw(&a, &select, law, s, seed, par)
+            );
+        }
+
+        #[test]
+        fn prop_partition_from_any_guess_is_the_partition_point(
+            weights in proptest::collection::vec(0.0f64..3.0, 1..60),
+            u in 0.0f64..1.2,
+            guess in 0usize..80,
+        ) {
+            let scan = inclusive_scan(&weights);
+            let target = u * scan[scan.len() - 1];
+            prop_assert_eq!(
+                partition_from(&scan, target, guess),
+                scan.partition_point(|&c| c <= target)
             );
         }
     }

@@ -70,9 +70,12 @@ impl RowView<'_> {
     }
 
     /// `SAMPLE(NORM(P), s)`: up to `s` columns of every row, drawn under
-    /// `law` with the per-row streams of `seed`.
+    /// `law` with the per-row streams of `seed`.  Unit-ness is a property of
+    /// the matrix, memoised there: `A` of an unweighted graph, and the 1.5D
+    /// product of a 0/1 selection with it.
     fn draw(&self, law: RowLaw, s: usize, seed: u64, parallelism: Parallelism) -> Result<Picks> {
-        sample_rows(self.len(), |i| self.row(i), law, s, seed, parallelism)
+        let unit = self.a.is_unit_valued();
+        sample_rows(self.len(), |i| self.row(i), law, unit, s, seed, parallelism)
     }
 
     /// The rows `rows` of the view restricted to the sorted vertex set

@@ -132,15 +132,15 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
 const PINNED: [(&str, Allocs); 6] = [
     ("forward step", Allocs { count: 20, bytes: 956_408 }),
     ("backward step", Allocs { count: 27, bytes: 460_440 }),
-    ("graphsage bulk sampling step", Allocs { count: 124, bytes: 1_656_087 }),
-    ("ladies bulk sampling step", Allocs { count: 204, bytes: 1_984_561 }),
-    ("served request", Allocs { count: 110, bytes: 386_401 }),
+    ("graphsage bulk sampling step", Allocs { count: 98, bytes: 1_634_424 }),
+    ("ladies bulk sampling step", Allocs { count: 151, bytes: 1_889_544 }),
+    ("served request", Allocs { count: 92, bytes: 374_624 }),
     ("1.5d probability step", Allocs { count: 28, bytes: 172_112 }),
 ];
 
 /// The pinned high-water marks of live bytes of the two sampling units.
 const PINNED_LIVE_PEAK: [(&str, i64); 2] =
-    [("graphsage bulk sampling step", 1_327_624), ("ladies bulk sampling step", 2_017_488)];
+    [("graphsage bulk sampling step", 1_499_792), ("ladies bulk sampling step", 2_041_268)];
 
 const FANOUTS: [usize; 3] = [15, 10, 5];
 
