@@ -249,9 +249,10 @@ struct KernelWorkload {
     a: CsrMatrix,
     stacked: Vec<usize>,
     q: CsrMatrix,
-    /// `Q · A` by the serial kernel, computed once (untimed): the
-    /// byte-identity reference.  The speedup baseline is the *timed*
-    /// 1-thread record of each sweep.
+    /// `Q · A` by the one-thread call of the SpGEMM kernel, computed once
+    /// (untimed): the reference of the thread-count invariance checks and of
+    /// the extraction kernels' byte-identity.  The speedup baseline is the
+    /// *timed* 1-thread record of each sweep.
     serial_p: CsrMatrix,
 }
 

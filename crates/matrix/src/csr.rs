@@ -631,29 +631,25 @@ pub(crate) fn merge_add_row(
 ) {
     let mut a = a.into_iter().peekable();
     let mut b = b.into_iter().peekable();
-    loop {
-        let (c, v) = match (a.peek().copied(), b.peek().copied()) {
-            (Some((ca, va)), Some((cb, vb))) if ca == cb => {
-                a.next();
-                b.next();
-                (ca, (0.0 + va) + vb)
-            }
-            (Some((ca, va)), Some((cb, _))) if ca < cb => {
-                a.next();
-                (ca, 0.0 + va)
-            }
-            (Some((ca, va)), None) => {
-                a.next();
-                (ca, 0.0 + va)
-            }
-            (_, Some((cb, vb))) => {
-                b.next();
-                (cb, 0.0 + vb)
-            }
-            (None, None) => break,
+    while let (Some(&(ca, va)), Some(&(cb, vb))) = (a.peek(), b.peek()) {
+        let (c, v) = if ca == cb {
+            a.next();
+            b.next();
+            (ca, (0.0 + va) + vb)
+        } else if ca < cb {
+            a.next();
+            (ca, 0.0 + va)
+        } else {
+            b.next();
+            (cb, 0.0 + vb)
         };
         indices.push(c);
         values.push(v);
+    }
+    // One row is used up: the rest of the other is copied through.
+    for (c, v) in a.chain(b) {
+        indices.push(c);
+        values.push(0.0 + v);
     }
 }
 

@@ -11,8 +11,8 @@
 //!
 //! * [`CooMatrix`], [`CsrMatrix`] and [`CscMatrix`] sparse formats with
 //!   conversions between them,
-//! * a hash-based row-wise (Gustavson) SpGEMM ([`spgemm::spgemm`]) standing in
-//!   for cuSPARSE / nsparse,
+//! * a dense-accumulator row-wise (Gustavson) SpGEMM ([`spgemm::spgemm`])
+//!   standing in for cuSPARSE / nsparse,
 //! * structure-aware extraction kernels ([`extract`]) that compute the
 //!   selection-matrix products (`Q_R · A`, `A · Q_C`) as a row gather and a
 //!   masked column filter, byte-identical to their SpGEMM formulation,

@@ -186,19 +186,15 @@ impl Default for Parallelism {
 /// ```
 pub fn block_ranges(items: usize, blocks: usize) -> Vec<Range<usize>> {
     let blocks = blocks.min(items);
-    if blocks == 0 {
-        return Vec::new();
-    }
-    let base = items / blocks;
-    let remainder = items % blocks;
-    let mut out = Vec::with_capacity(blocks);
-    let mut start = 0;
-    for b in 0..blocks {
-        let len = base + usize::from(b < remainder);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    (0..blocks).map(|b| block_range(items, blocks, b)).collect()
+}
+
+/// Block `b` of [`block_ranges`]`(items, blocks)`, without building the
+/// list (`blocks` must be at least one and at most `max(items, 1)`).
+pub(crate) fn block_range(items: usize, blocks: usize, b: usize) -> Range<usize> {
+    let (base, remainder) = (items / blocks, items % blocks);
+    let start = b * base + b.min(remainder);
+    start..start + base + usize::from(b < remainder)
 }
 
 #[cfg(test)]

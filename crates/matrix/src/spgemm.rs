@@ -5,7 +5,7 @@
 //! produced by `P ← Q^l · A` and LADIES extraction by `Q_R · A · Q_C`, all of
 //! which are sparse × sparse products.  The paper uses nsparse / cuSPARSE on
 //! GPU; here we implement the same row-wise (Gustavson) formulation with a
-//! dense-accumulator or hash-map accumulator chosen per row.
+//! dense accumulator.
 //!
 //! Not every product needs the general machinery, though.  The extraction
 //! operands are selection matrices with one nonzero per row/column, and for
@@ -25,54 +25,48 @@
 //! 4. **submatrix filter** — `Q_R · A · Q_C` in one pass (LADIES and
 //!    FastGCN extraction).
 //!
-//! The serial kernels ([`spgemm`]) are deliberately kept as an *independent
-//! reference implementation* of the two-pass kernel
-//! ([`spgemm_parallel`] / [`spgemm_parallel_with`]): the inner Gustavson
-//! loops exist in both, and the byte-identity contract between them is
-//! pinned by `prop_spgemm_parallel_byte_identical_to_serial` (random inputs,
-//! 1/2/8 threads, including cancellation zeros).  When editing either copy,
-//! keep the accumulation order, the dense/hash `DENSE_ACCUM_MAX_COLS`
-//! dispatch and the explicit-zero retention in sync — the proptests will
-//! fail loudly if they drift.
+//! **One kernel.**  [`spgemm`], [`spgemm_parallel`] / [`spgemm_parallel_with`]
+//! and the 1.5D stage multiply [`spgemm_with_fetched_rows`] all run one
+//! Gustavson row loop under one driver.  The row loop reads the right
+//! operand through a row lookup (the identity, or the slot of a fetched
+//! row), accumulates every entry from `+0.0` over the left row's columns in
+//! ascending order on a dense accumulator, sorts the touched columns, and
+//! merges the row into a running sum's row with [`CsrMatrix::add`]'s merge
+//! (an empty row for a plain product).  The driver runs the rows in one
+//! pass over the row blocks of a [`Parallelism`], each worker staging its
+//! block's rows in its [`SpgemmWorkspace`] scratch, then copies the blocks
+//! out in order at their exact size.  A row's result depends on the row
+//! alone, so the output is byte-identical at any thread count.
 //!
-//! The two-pass kernel draws its dense accumulators, marker arrays and
-//! symbolic-count scratch from a [`SpgemmWorkspace`] (thread-local by
-//! default), so repeated probability steps stop reallocating their scratch
-//! on every call — see [`crate::workspace`].
+//! Merging against an empty row emits `0.0 + v`, which is `v` bit for bit:
+//! the accumulator starts at `+0.0`, and a round-to-nearest sum that is
+//! exactly zero is `+0.0`, so it never holds `-0.0`.
 //!
-//! The stage multiply of the distributed 1.5D SpGEMM,
-//! [`spgemm_with_fetched_rows`], is the same dense-accumulator loop on the
-//! same scratch, with the right operand given as the fetched rows of a
-//! larger matrix and the product merged into the earlier stages' sum as it
-//! is produced.  Its `#[cfg(test)]` oracle is the hash-map formulation it
-//! replaced, followed by the `BTreeMap` add; the proptest
-//! `prop_staged_fetched_multiply_is_bit_identical_to_the_oracle` pins the
-//! two to the bit across stages, signed zeros and cancellation.
+//! The `#[cfg(test)]` oracle is the textbook hash-map Gustavson loop (for
+//! the stage multiply, followed by the `BTreeMap` add).  The proptests
+//! compare the kernel to it with `to_bits` at 1, 2 and 8 threads, over
+//! signed zeros, cancelling sums, outputs wider than 65,536 columns and
+//! sums built stage by stage.
 
 use crate::csr::{merge_add_row, CsrMatrix};
 use crate::error::MatrixError;
-use crate::pool::{block_ranges, Parallelism};
-use crate::prefix::counts_to_offsets;
+use crate::pool::{block_range, Parallelism};
 use crate::workspace::{with_workspace, SpgemmWorkspace, WorkerScratch};
 use crate::Result;
-use std::collections::{HashMap, HashSet};
-use std::ops::Range;
-
-/// Threshold on the number of columns below which a dense accumulator row is
-/// used instead of a hash map.  Dense accumulation is faster but costs
-/// `O(cols)` scratch per call.
-const DENSE_ACCUM_MAX_COLS: usize = 1 << 16;
 
 /// Computes the sparse product `lhs * rhs` of two CSR matrices.
 ///
 /// Uses Gustavson's row-wise algorithm: row `i` of the output is the linear
 /// combination of the rows of `rhs` selected by the nonzeros of row `i` of
 /// `lhs`.  Numerically zero entries produced by cancellation are kept (they
-/// are structurally meaningful for sampling masks).
+/// are structurally meaningful for sampling masks).  This is
+/// [`spgemm_parallel`] at [`Parallelism::serial`].
 ///
 /// # Errors
 ///
-/// Returns [`MatrixError::DimensionMismatch`] if `lhs.cols() != rhs.rows()`.
+/// Returns [`MatrixError::DimensionMismatch`] if `lhs.cols() != rhs.rows()`,
+/// and [`MatrixError::InvalidStructure`] if the accumulator for `rhs.cols()`
+/// columns cannot be allocated.
 ///
 /// # Example
 ///
@@ -88,32 +82,19 @@ const DENSE_ACCUM_MAX_COLS: usize = 1 << 16;
 /// # }
 /// ```
 pub fn spgemm(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-    if lhs.cols() != rhs.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "spgemm",
-            lhs: lhs.shape(),
-            rhs: rhs.shape(),
-        });
-    }
-    if rhs.cols() <= DENSE_ACCUM_MAX_COLS {
-        spgemm_dense_accum(lhs, rhs)
-    } else {
-        spgemm_hash_accum(lhs, rhs)
-    }
+    spgemm_parallel(lhs, rhs, Parallelism::serial())
 }
 
 /// Computes the sparse product `lhs * rhs` on a scoped worker pool.
 ///
-/// Row-blocked Gustavson SpGEMM in two passes: a **symbolic** pass counts the
-/// output nonzeros of every row (parallel over contiguous row blocks, one
-/// dense/hash scratch per worker), a prefix sum turns the counts into CSR
-/// offsets, and a **numeric** pass fills each block's disjoint slice of the
-/// output `indices`/`values` buffers in place.  Because every output row is
-/// computed exactly as the serial kernel computes it (same accumulation
-/// order, same sort), the result is **byte-identical to [`spgemm`] at any
-/// thread count** — see the determinism proptests.
+/// Row-blocked Gustavson SpGEMM in one pass: every block of rows is
+/// computed by its own worker into that worker's staging buffers, and the
+/// blocks are copied out in order into output buffers of exactly the
+/// product's size.  Every output row is computed the same way whatever the
+/// split, so the result is **byte-identical at any thread count** — see the
+/// determinism proptests.
 ///
-/// Scratch (dense accumulators, markers, symbolic counts) comes from this
+/// Scratch (dense accumulators, markers, staged rows) comes from this
 /// thread's reusable [`SpgemmWorkspace`], so back-to-back products — the
 /// per-layer probability steps of a bulk sampling epoch — allocate nothing
 /// but their output buffers.  Use [`spgemm_parallel_with`] to supply an
@@ -121,7 +102,9 @@ pub fn spgemm(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
 ///
 /// # Errors
 ///
-/// Returns [`MatrixError::DimensionMismatch`] if `lhs.cols() != rhs.rows()`.
+/// Returns [`MatrixError::DimensionMismatch`] if `lhs.cols() != rhs.rows()`,
+/// and [`MatrixError::InvalidStructure`] if the accumulators for
+/// `rhs.cols()` columns cannot be allocated.
 ///
 /// # Example
 ///
@@ -150,14 +133,12 @@ pub fn spgemm_parallel(
 
 /// [`spgemm_parallel`] with an explicit scratch workspace.
 ///
-/// Runs the two-pass kernel at any block count (including one, where the
-/// preallocated-buffer fill still beats the serial `from_rows` path), and is
-/// byte-identical to [`spgemm`] regardless of `parallelism` or the state of
+/// Byte-identical to [`spgemm`] regardless of `parallelism` or the state of
 /// `ws`.
 ///
 /// # Errors
 ///
-/// Returns [`MatrixError::DimensionMismatch`] if `lhs.cols() != rhs.rows()`.
+/// As [`spgemm_parallel`].
 pub fn spgemm_parallel_with(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
@@ -166,268 +147,12 @@ pub fn spgemm_parallel_with(
 ) -> Result<CsrMatrix> {
     if lhs.cols() != rhs.rows() {
         return Err(MatrixError::DimensionMismatch {
-            op: "spgemm_parallel",
+            op: "spgemm",
             lhs: lhs.shape(),
             rhs: rhs.shape(),
         });
     }
-    let rows = lhs.rows();
-    if rows == 0 {
-        return Ok(CsrMatrix::zeros(0, rhs.cols()));
-    }
-    let blocks = block_ranges(rows, parallelism.effective_blocks(rows));
-    let use_dense = rhs.cols() <= DENSE_ACCUM_MAX_COLS;
-    let dense_cols = if use_dense { rhs.cols() } else { 0 };
-
-    // Disjoint borrows of the workspace fields used by the two passes.
-    let counts = &mut ws.counts;
-    counts.clear();
-    counts.resize(rows, 0);
-    if ws.workers.len() < blocks.len() {
-        ws.workers.resize_with(blocks.len(), WorkerScratch::default);
-    }
-    let workers = &mut ws.workers[..blocks.len()];
-    for w in workers.iter_mut() {
-        w.ensure_cols(dense_cols);
-    }
-
-    // Pass 1 (symbolic): per-row output nnz, computed block-parallel with
-    // one reusable scratch set per block.
-    if blocks.len() <= 1 {
-        symbolic_count_block(lhs, rhs, blocks[0].clone(), counts, &mut workers[0], use_dense);
-    } else {
-        let pass = crossbeam::thread::scope(|scope| {
-            let mut counts_tail = counts.as_mut_slice();
-            let mut workers_tail = &mut workers[..];
-            let mut handles = Vec::with_capacity(blocks.len());
-            for range in &blocks {
-                let (counts_head, rest) =
-                    std::mem::take(&mut counts_tail).split_at_mut(range.len());
-                counts_tail = rest;
-                let (scratch, rest) = std::mem::take(&mut workers_tail).split_at_mut(1);
-                workers_tail = rest;
-                let range = range.clone();
-                handles.push(scope.spawn(move || {
-                    symbolic_count_block(lhs, rhs, range, counts_head, &mut scratch[0], use_dense)
-                }));
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        if let Err(payload) = pass {
-            std::panic::resume_unwind(payload);
-        }
-    }
-
-    // Prefix: counts -> CSR row offsets.
-    let indptr = counts_to_offsets(counts);
-    let total = indptr[rows];
-
-    // Pass 2 (numeric): every block fills its disjoint slice of the output.
-    let mut indices = vec![0usize; total];
-    let mut values = vec![0.0f64; total];
-    if blocks.len() <= 1 {
-        numeric_fill_block(
-            lhs,
-            rhs,
-            blocks[0].clone(),
-            &indptr,
-            &mut indices,
-            &mut values,
-            &mut workers[0],
-            use_dense,
-        );
-    } else {
-        let fill = crossbeam::thread::scope(|scope| {
-            let mut idx_tail = indices.as_mut_slice();
-            let mut val_tail = values.as_mut_slice();
-            let mut workers_tail = &mut workers[..];
-            let mut handles = Vec::with_capacity(blocks.len());
-            for range in blocks {
-                let len = indptr[range.end] - indptr[range.start];
-                let (idx_head, rest) = std::mem::take(&mut idx_tail).split_at_mut(len);
-                idx_tail = rest;
-                let (val_head, rest) = std::mem::take(&mut val_tail).split_at_mut(len);
-                val_tail = rest;
-                let (scratch, rest) = std::mem::take(&mut workers_tail).split_at_mut(1);
-                workers_tail = rest;
-                let indptr = &indptr;
-                handles.push(scope.spawn(move || {
-                    numeric_fill_block(
-                        lhs,
-                        rhs,
-                        range,
-                        indptr,
-                        idx_head,
-                        val_head,
-                        &mut scratch[0],
-                        use_dense,
-                    )
-                }));
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        if let Err(payload) = fill {
-            std::panic::resume_unwind(payload);
-        }
-    }
-    CsrMatrix::from_raw(rows, rhs.cols(), indptr, indices, values)
-}
-
-/// Symbolic pass: writes the number of distinct output columns of every row
-/// in `range` into `counts` (one slot per row of the range), using the
-/// worker's reusable dense mark vector or a hash set.
-fn symbolic_count_block(
-    lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
-    range: Range<usize>,
-    counts: &mut [usize],
-    scratch: &mut WorkerScratch,
-    use_dense: bool,
-) {
-    let start = range.start;
-    if use_dense {
-        let marked = &mut scratch.marked;
-        let touched = &mut scratch.touched;
-        for i in range {
-            for &k in lhs.row_indices(i) {
-                for &j in rhs.row_indices(k) {
-                    if !marked[j] {
-                        marked[j] = true;
-                        touched.push(j);
-                    }
-                }
-            }
-            counts[i - start] = touched.len();
-            for &j in touched.iter() {
-                marked[j] = false;
-            }
-            touched.clear();
-        }
-    } else {
-        let mut seen: HashSet<usize> = HashSet::new();
-        for i in range {
-            for &k in lhs.row_indices(i) {
-                seen.extend(rhs.row_indices(k).iter().copied());
-            }
-            counts[i - start] = seen.len();
-            seen.clear();
-        }
-    }
-}
-
-/// Numeric pass: recomputes the rows of `range` with the same accumulation
-/// order as the serial kernel and writes them into this block's slice of the
-/// output buffers (`indices`/`values` start at `indptr[range.start]`).
-#[allow(clippy::too_many_arguments)]
-fn numeric_fill_block(
-    lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
-    range: Range<usize>,
-    indptr: &[usize],
-    indices: &mut [usize],
-    values: &mut [f64],
-    scratch: &mut WorkerScratch,
-    use_dense: bool,
-) {
-    let base = indptr[range.start];
-    if use_dense {
-        let accum = &mut scratch.accum;
-        let marked = &mut scratch.marked;
-        let touched = &mut scratch.touched;
-        for i in range {
-            for (&k, &lv) in lhs.row_indices(i).iter().zip(lhs.row_values(i)) {
-                for (&j, &rv) in rhs.row_indices(k).iter().zip(rhs.row_values(k)) {
-                    if !marked[j] {
-                        marked[j] = true;
-                        touched.push(j);
-                    }
-                    accum[j] += lv * rv;
-                }
-            }
-            touched.sort_unstable();
-            let start = indptr[i] - base;
-            for (slot, &j) in touched.iter().enumerate() {
-                indices[start + slot] = j;
-                values[start + slot] = accum[j];
-                accum[j] = 0.0;
-                marked[j] = false;
-            }
-            touched.clear();
-        }
-    } else {
-        for i in range {
-            let mut accum: HashMap<usize, f64> = HashMap::new();
-            for (&k, &lv) in lhs.row_indices(i).iter().zip(lhs.row_values(i)) {
-                for (&j, &rv) in rhs.row_indices(k).iter().zip(rhs.row_values(k)) {
-                    *accum.entry(j).or_insert(0.0) += lv * rv;
-                }
-            }
-            let mut row: Vec<(usize, f64)> = accum.into_iter().collect();
-            row.sort_unstable_by_key(|&(c, _)| c);
-            let start = indptr[i] - base;
-            for (slot, (j, v)) in row.into_iter().enumerate() {
-                indices[start + slot] = j;
-                values[start + slot] = v;
-            }
-        }
-    }
-}
-
-/// Row-wise SpGEMM using a dense accumulator of length `rhs.cols()`.
-fn spgemm_dense_accum(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-    let out_cols = rhs.cols();
-    let mut accum: Vec<f64> = vec![0.0; out_cols];
-    let mut touched: Vec<usize> = Vec::new();
-    let mut marked: Vec<bool> = vec![false; out_cols];
-    let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(lhs.rows());
-
-    for i in 0..lhs.rows() {
-        for (&k, &lv) in lhs.row_indices(i).iter().zip(lhs.row_values(i)) {
-            for (&j, &rv) in rhs.row_indices(k).iter().zip(rhs.row_values(k)) {
-                if !marked[j] {
-                    marked[j] = true;
-                    touched.push(j);
-                }
-                accum[j] += lv * rv;
-            }
-        }
-        touched.sort_unstable();
-        let row: Vec<(usize, f64)> = touched.iter().map(|&j| (j, accum[j])).collect();
-        for &j in &touched {
-            accum[j] = 0.0;
-            marked[j] = false;
-        }
-        touched.clear();
-        row_data.push(row);
-    }
-    CsrMatrix::from_rows(lhs.rows(), out_cols, row_data)
-}
-
-/// Row-wise SpGEMM using a hash-map accumulator; used for very wide outputs
-/// where a dense scratch row would be wasteful.
-fn spgemm_hash_accum(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-    let out_cols = rhs.cols();
-    let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(lhs.rows());
-    for i in 0..lhs.rows() {
-        let mut accum: HashMap<usize, f64> = HashMap::new();
-        for (&k, &lv) in lhs.row_indices(i).iter().zip(lhs.row_values(i)) {
-            for (&j, &rv) in rhs.row_indices(k).iter().zip(rhs.row_values(k)) {
-                *accum.entry(j).or_insert(0.0) += lv * rv;
-            }
-        }
-        let mut row: Vec<(usize, f64)> = accum.into_iter().collect();
-        row.sort_unstable_by_key(|&(c, _)| c);
-        row_data.push(row);
-    }
-    CsrMatrix::from_rows(lhs.rows(), out_cols, row_data)
+    gustavson(lhs, rhs, Some, None, parallelism, &mut ws.workers)
 }
 
 /// Computes `acc + lhs · R`, where the right operand `R` is given as a *set
@@ -441,21 +166,20 @@ fn spgemm_hash_accum(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
 /// the stage's product is added to the running sum `acc` of the earlier
 /// stages.
 ///
-/// The kernel is Gustavson's dense-accumulator loop on `ws`'s scratch: a
-/// stamped dense lookup over `needed`'s span maps a column of `lhs` to its
-/// fetched row, every output entry is accumulated from `+0.0` over the
-/// `lhs` row's columns in ascending order, the touched columns are sorted,
-/// and the row is merged into `acc`'s row with [`CsrMatrix::add`]'s merge.
-/// The result is therefore bit-identical to multiplying through a hash map
-/// per row and then adding with a `BTreeMap` per row, and cancellation
-/// zeros stay stored.
+/// The kernel is the module's Gustavson row loop on `ws`'s scratch, in one
+/// block: a stamped dense lookup over `needed`'s span maps a column of
+/// `lhs` to its fetched row, and each finished row is merged into `acc`'s
+/// row with [`CsrMatrix::add`]'s merge.  The result is therefore
+/// bit-identical to multiplying through a hash map per row and then adding
+/// with a `BTreeMap` per row, and cancellation zeros stay stored.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::DimensionMismatch`] if `fetched` does not have one
 /// row per entry of `needed`, or `acc` is not `lhs.rows() × fetched.cols()`,
 /// and [`MatrixError::InvalidStructure`] if `needed` is not strictly
-/// increasing or names a row `>= lhs.cols()`.
+/// increasing or names a row `>= lhs.cols()`, or if the accumulator for
+/// `fetched.cols()` columns cannot be allocated.
 ///
 /// # Example
 ///
@@ -517,87 +241,119 @@ pub fn spgemm_with_fetched_rows(
         ws.mask_stamp[k - lo] = generation;
         ws.mask_pos[k - lo] = r;
     }
-    if ws.workers.is_empty() {
-        ws.workers.push(WorkerScratch::default());
-    }
     let (stamp, pos) = (&ws.mask_stamp, &ws.mask_pos);
     let slot = |k: usize| {
         let t = k.wrapping_sub(lo);
         (t < span && stamp[t] == generation).then(|| pos[t])
     };
+    gustavson(lhs, fetched, slot, Some(acc), Parallelism::serial(), &mut ws.workers)
+}
 
-    // One allocation per output buffer: the sum has at most `acc`'s entries
-    // plus one per multiply, and at most every column of every row.
-    let flops = lhs
-        .indices()
-        .iter()
-        .filter_map(|&k| slot(k))
-        .fold(0usize, |sum, r| sum.saturating_add(fetched.row_nnz(r)));
-    let bound = acc.nnz().saturating_add(flops).min(lhs.rows().saturating_mul(out_cols));
-    let mut indptr = Vec::with_capacity(lhs.rows() + 1);
+/// The one SpGEMM driver: `acc + lhs · R`, where row `k` of `R` is row
+/// `row_of(k)` of `rhs` (empty where it is `None`) and a missing `acc` is
+/// all zeros.
+///
+/// One pass over the row blocks of `parallelism`, each on its own worker
+/// scratch: the worker stages its rows, then the blocks are copied out in
+/// order into buffers of the product's exact size.
+fn gustavson(
+    lhs: &CsrMatrix,
+    rhs: &CsrMatrix,
+    row_of: impl Fn(usize) -> Option<usize> + Sync,
+    acc: Option<&CsrMatrix>,
+    parallelism: Parallelism,
+    workers: &mut Vec<WorkerScratch>,
+) -> Result<CsrMatrix> {
+    let rows = lhs.rows();
+    let blocks = parallelism.effective_blocks(rows);
+    if workers.len() < blocks {
+        workers.resize_with(blocks, WorkerScratch::default);
+    }
+    let workers = &mut workers[..blocks];
+    for w in workers.iter_mut() {
+        w.ensure_cols(rhs.cols())?;
+    }
+    // The pool splits the workers one per block, so block `b` runs rows
+    // `block_range(rows, blocks, b)` on worker `b`.
+    parallelism.for_each_row_block(workers, 1, 1, |b, worker| {
+        let w = &mut worker[0];
+        w.staged_indices.clear();
+        w.staged_values.clear();
+        w.staged_ends.clear();
+        for i in block_range(rows, blocks, b.start) {
+            let acc_row = acc.map_or((&[][..], &[][..]), |a| (a.row_indices(i), a.row_values(i)));
+            gustavson_row(lhs, i, rhs, &row_of, acc_row, w);
+        }
+    });
+
+    let nnz = workers.iter().map(|w| w.staged_indices.len()).sum();
+    let mut indptr = Vec::with_capacity(rows + 1);
     indptr.push(0);
-    let mut indices = Vec::with_capacity(bound);
-    let mut values = Vec::with_capacity(bound);
-
-    let scratch = &mut ws.workers[0];
-    scratch.ensure_cols(out_cols);
-    let WorkerScratch { accum, marked, touched } = scratch;
-    for i in 0..lhs.rows() {
-        for (k, lv) in lhs.row_entries(i) {
-            let Some(r) = slot(k) else { continue };
-            for (j, rv) in fetched.row_entries(r) {
-                if !marked[j] {
-                    marked[j] = true;
-                    touched.push(j);
-                }
-                accum[j] += lv * rv;
-            }
-        }
-        touched.sort_unstable();
-        merge_add_row(
-            acc.row_entries(i),
-            touched.iter().map(|&j| (j, accum[j])),
-            &mut indices,
-            &mut values,
-        );
-        for &j in touched.iter() {
-            accum[j] = 0.0;
-            marked[j] = false;
-        }
-        touched.clear();
-        indptr.push(indices.len());
+    let mut indices = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz);
+    for w in workers.iter() {
+        let base = indices.len();
+        indptr.extend(w.staged_ends.iter().map(|&end| base + end));
+        indices.extend_from_slice(&w.staged_indices);
+        values.extend_from_slice(&w.staged_values);
     }
-    Ok(CsrMatrix::from_raw_unchecked(lhs.rows(), out_cols, indptr, indices, values))
+    Ok(CsrMatrix::from_raw_unchecked(rows, rhs.cols(), indptr, indices, values))
 }
 
-/// Reference SpGEMM that multiplies via dense matrices.  Only for testing the
-/// sparse kernels on small inputs.
-pub fn spgemm_dense_reference(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-    if lhs.cols() != rhs.rows() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "spgemm_dense_reference",
-            lhs: lhs.shape(),
-            rhs: rhs.shape(),
-        });
-    }
-    let dense = lhs.to_dense().matmul(&rhs.to_dense())?;
-    let mut coo = crate::CooMatrix::new(lhs.rows(), rhs.cols());
-    for r in 0..lhs.rows() {
-        for c in 0..rhs.cols() {
-            let v = dense.get(r, c);
-            if v != 0.0 {
-                coo.push(r, c, v)?;
+/// Gustavson's row loop: appends row `i` of `acc + lhs · R` (see
+/// [`gustavson`]) to the worker's staged rows, given `acc`'s row `i` as its
+/// columns and values.
+#[inline]
+fn gustavson_row(
+    lhs: &CsrMatrix,
+    i: usize,
+    rhs: &CsrMatrix,
+    row_of: &impl Fn(usize) -> Option<usize>,
+    (acc_cols, acc_vals): (&[usize], &[f64]),
+    w: &mut WorkerScratch,
+) {
+    let WorkerScratch { accum, marked, touched, staged_indices, staged_values, staged_ends } = w;
+    for (k, lv) in lhs.row_entries(i) {
+        let Some(r) = row_of(k) else { continue };
+        for (j, rv) in rhs.row_entries(r) {
+            if !marked[j] {
+                marked[j] = true;
+                touched.push(j);
             }
+            accum[j] += lv * rv;
         }
     }
-    Ok(CsrMatrix::from_coo(&coo))
+    touched.sort_unstable();
+    if acc_cols.is_empty() {
+        // The merge against an empty row, in bulk: `0.0 + v` per entry.
+        staged_indices.extend_from_slice(touched);
+        staged_values.extend(touched.iter().map(|&j| 0.0 + accum[j]));
+    } else {
+        let acc_row = acc_cols.iter().copied().zip(acc_vals.iter().copied());
+        let row = touched.iter().map(|&j| (j, accum[j]));
+        merge_add_row(acc_row, row, staged_indices, staged_values);
+    }
+    staged_ends.push(staged_indices.len());
+    for &j in touched.iter() {
+        accum[j] = 0.0;
+        marked[j] = false;
+    }
+    touched.clear();
 }
 
-/// The fetched-rows multiply the dense-accumulator stage kernel replaced,
-/// kept as its oracle.
+/// The textbook Gustavson loop, kept as the kernel's oracle.
 #[cfg(test)]
 mod oracle {
-    use super::{CsrMatrix, HashMap};
+    use super::CsrMatrix;
+    use std::collections::HashMap;
+
+    /// `lhs · rhs` through a `HashMap` accumulator per output row.
+    pub(super) fn spgemm(lhs: &CsrMatrix, rhs: &CsrMatrix) -> CsrMatrix {
+        let ids: Vec<usize> = (0..rhs.rows()).collect();
+        let rows: Vec<Vec<(usize, f64)>> =
+            ids.iter().map(|&k| rhs.row_entries(k).collect()).collect();
+        spgemm_with_fetched_rows(lhs, &ids, &rows, rhs.cols())
+    }
 
     /// `lhs · R` where row `row_ids[r]` of `R` is `rhs_rows[r]`, through a
     /// `HashMap` lookup and a `HashMap` accumulator per output row.
@@ -703,24 +459,21 @@ mod tests {
         assert_eq!(p.get(0, 5), 0.0);
     }
 
+    /// A product too wide for its accumulator to be allocated is a typed
+    /// error, not an allocation failure that aborts the process.
     #[test]
-    fn hash_and_dense_accumulators_agree() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut coo_a = CooMatrix::new(30, 40);
-        let mut coo_b = CooMatrix::new(40, 25);
-        for _ in 0..200 {
-            coo_a
-                .push(rng.gen_range(0..30), rng.gen_range(0..40), rng.gen_range(-2.0..2.0))
-                .unwrap();
-            coo_b
-                .push(rng.gen_range(0..40), rng.gen_range(0..25), rng.gen_range(-2.0..2.0))
-                .unwrap();
-        }
-        let a = CsrMatrix::from_coo(&coo_a);
-        let b = CsrMatrix::from_coo(&coo_b);
-        let dense = spgemm_dense_accum(&a, &b).unwrap();
-        let hash = spgemm_hash_accum(&a, &b).unwrap();
-        assert!(dense.approx_eq(&hash, 1e-9));
+    fn wide_scratch_is_a_typed_error_not_an_abort() {
+        let wide = 1usize << 50;
+        let too_wide = |r: Result<CsrMatrix>| match r {
+            Err(MatrixError::InvalidStructure(m)) => m.contains(&wide.to_string()),
+            _ => false,
+        };
+        let (zero, ws) = (CsrMatrix::zeros(1, 1), &mut SpgemmWorkspace::new());
+        let (no_rows, acc) = (CsrMatrix::zeros(0, wide), CsrMatrix::zeros(1, wide));
+        assert!(too_wide(spgemm_with_fetched_rows(&zero, &[], &no_rows, &acc, ws)));
+        assert!(too_wide(spgemm_parallel(&zero, &acc, Parallelism::new(2))));
+        // The failed growth left the scratch usable.
+        assert_eq!(spgemm_with_fetched_rows(&zero, &[0], &zero, &zero, ws).unwrap(), zero);
     }
 
     /// `lhs · R` for the rows `needed` of `a`, added to nothing.
@@ -883,29 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_hash_path_matches_serial() {
-        // Force the hash accumulator by exceeding the dense-column threshold.
-        let wide = DENSE_ACCUM_MAX_COLS + 10;
-        let mut rng = StdRng::seed_from_u64(8);
-        let mut coo_a = CooMatrix::new(20, 30);
-        let mut coo_b = CooMatrix::new(30, wide);
-        for _ in 0..200 {
-            coo_a
-                .push(rng.gen_range(0..20), rng.gen_range(0..30), rng.gen_range(-2.0..2.0))
-                .unwrap();
-            coo_b
-                .push(rng.gen_range(0..30), rng.gen_range(0..wide), rng.gen_range(-2.0..2.0))
-                .unwrap();
-        }
-        let a = CsrMatrix::from_coo(&coo_a);
-        let b = CsrMatrix::from_coo(&coo_b);
-        let serial = spgemm(&a, &b).unwrap();
-        for threads in [2usize, 8] {
-            assert_eq!(spgemm_parallel(&a, &b, Parallelism::new(threads)).unwrap(), serial);
-        }
-    }
-
-    #[test]
     fn parallel_dimension_mismatch_and_empty() {
         let a = CsrMatrix::zeros(2, 3);
         assert!(matches!(
@@ -917,17 +647,34 @@ mod tests {
         assert_eq!(c.shape(), (0, 0));
     }
 
+    /// `lhs · rhs` operands of `awkward_value` entries whose columns
+    /// collide often.  In a quarter of the cases `rhs` is wider than 65,536
+    /// columns, where an earlier kernel switched to a hash-map accumulator.
+    fn arb_awkward_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+        let shape = (1usize..10, 1usize..10, (0usize..4, 1usize..10, 65_537usize..70_001));
+        shape.prop_flat_map(|(m, k, (kind, narrow, wide))| {
+            let n = if kind == 0 { wide } else { narrow };
+            // Twelve column slots spread over `0..n`, first and last included.
+            let lhs = collection::vec((0..m, 0..k, awkward_value()), 0..40);
+            let rhs = collection::vec((0..k, 0usize..12, awkward_value()), 0..40);
+            (lhs, rhs).prop_map(move |(le, re)| {
+                let re = re.into_iter().map(|(r, c, v)| (r, c * (n - 1) / 11, v)).collect();
+                (exact(m, k, le), exact(k, n, re))
+            })
+        })
+    }
+
     proptest! {
+        /// The kernel equals the textbook hash-map loop bit for bit, and so
+        /// does every thread count's run of it.
         #[test]
-        fn prop_spgemm_parallel_byte_identical_to_serial(
-            (a, b) in arb_pair(),
-            thread_choice in 0usize..3,
-        ) {
-            let threads = [1usize, 2, 8][thread_choice];
-            let serial = spgemm(&a, &b).unwrap();
-            let parallel = spgemm_parallel(&a, &b, Parallelism::new(threads)).unwrap();
-            // Structural and value equality must be exact (not approximate).
-            prop_assert_eq!(parallel, serial);
+        fn prop_spgemm_parallel_byte_identical_to_serial((a, b) in arb_awkward_pair()) {
+            let want = bits(&oracle::spgemm(&a, &b));
+            prop_assert_eq!(bits(&spgemm(&a, &b).unwrap()), want);
+            for threads in [1usize, 2, 8] {
+                let parallel = spgemm_parallel(&a, &b, Parallelism::new(threads)).unwrap();
+                prop_assert_eq!(bits(&parallel), want, "threads = {}", threads);
+            }
         }
     }
 

@@ -1,18 +1,23 @@
 //! Reusable scratch memory for the SpGEMM and extraction kernels.
 //!
-//! PR 2's perf trajectory (`perf_baseline`'s SpGEMM sweep) showed that on
-//! this class of workload the measurable wins come from *allocation and work
-//! avoidance*, not thread count: the two-pass SpGEMM's advantage over the
-//! serial `from_rows` path was its preallocated output buffers.  This module pushes
-//! that one level further: the per-row dense accumulators, marker arrays,
-//! column masks and symbolic-count scratch that every SpGEMM / extraction
-//! call needs are collected into one [`SpgemmWorkspace`] that is **reused
-//! across calls**: across layers of one bulk sampling step, across
-//! minibatches and bulk groups of an epoch, and across epochs for as long
-//! as sampling stays on one thread (a caller looping `sample_epoch`, or a
-//! distributed rank alive for the whole run; a pipeline that spawns a fresh
-//! sampling worker per epoch regrows the worker's workspace once per
-//! epoch).
+//! On this class of workload the measurable wins come from *allocation and
+//! work avoidance*, not thread count.  The dense accumulators, marker
+//! arrays, staged output rows, column masks and per-row counts that every
+//! SpGEMM / extraction call needs are collected into one [`SpgemmWorkspace`]
+//! that is **reused across calls**: across layers of one bulk sampling
+//! step, across minibatches and bulk groups of an epoch, and across epochs
+//! for as long as sampling stays on one thread (a caller looping
+//! `sample_epoch`, or a distributed rank alive for the whole run; a pipeline
+//! that spawns a fresh sampling worker per epoch regrows the worker's
+//! workspace once per epoch).
+//!
+//! **What stays resident.**  Each SpGEMM worker (one per row block) holds
+//! 9 bytes per output column — an `f64` accumulator and a `bool` marker —
+//! plus its `touched` list, and stages its block's output rows in grow-only
+//! buffers before the kernel copies them out at their exact size: 16 bytes
+//! per output nonzero and 8 per output row, up to the largest block's
+//! output so far.  [`SpgemmWorkspace::nbytes`] counts all of it, so
+//! [`trim_thread_workspace`] bounds it too.
 //!
 //! Two ways to get a workspace:
 //!
@@ -43,11 +48,13 @@ use crate::error::MatrixError;
 use crate::Result;
 use std::cell::RefCell;
 
-/// Per-worker scratch of the dense-accumulator Gustavson kernels: one
-/// instance per parallel row block, reused across calls.
+/// Per-worker scratch of the Gustavson SpGEMM kernel: one instance per
+/// parallel row block, reused across calls.
 ///
 /// Invariant between uses: `accum` is all-zero, `marked` is all-`false` and
-/// `touched` is empty — each kernel resets exactly the entries it touched.
+/// `touched` is empty — the kernel resets exactly the entries it touched.
+/// The `staged_*` buffers hold the worker's last block of output rows; each
+/// call clears them and they only grow.
 #[derive(Debug, Default)]
 pub(crate) struct WorkerScratch {
     /// Dense value accumulator, grown to the output column count.
@@ -56,22 +63,43 @@ pub(crate) struct WorkerScratch {
     pub(crate) marked: Vec<bool>,
     /// The columns touched while accumulating the current row.
     pub(crate) touched: Vec<usize>,
+    /// Column indices of the block's output rows, in row order.
+    pub(crate) staged_indices: Vec<usize>,
+    /// Values matching `staged_indices`.
+    pub(crate) staged_values: Vec<f64>,
+    /// The end of each of the block's rows within `staged_indices`.
+    pub(crate) staged_ends: Vec<usize>,
 }
 
 impl WorkerScratch {
     /// Grows the dense accumulator and marker array to at least `cols`
     /// entries.  Growth preserves the all-zero / all-`false` invariant.
-    pub(crate) fn ensure_cols(&mut self, cols: usize) {
-        if self.accum.len() < cols {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::InvalidStructure`] if the memory for `cols`
+    /// columns cannot be allocated; the scratch keeps its contents and its
+    /// invariant.
+    pub(crate) fn ensure_cols(&mut self, cols: usize) -> Result<()> {
+        let more = cols.saturating_sub(self.accum.len());
+        if more > 0 {
+            let reserved = self.accum.try_reserve_exact(more);
+            if reserved.and_then(|()| self.marked.try_reserve_exact(more)).is_err() {
+                return Err(MatrixError::InvalidStructure(format!(
+                    "cannot allocate SpGEMM scratch for {cols} output columns"
+                )));
+            }
             self.accum.resize(cols, 0.0);
             self.marked.resize(cols, false);
         }
+        Ok(())
     }
 }
 
 /// Reusable scratch for the SpGEMM and extraction kernels: per-worker dense
-/// accumulators and marker arrays, the symbolic-count buffer of the two-pass
-/// kernels, and the stamped column mask of the masked column filter.
+/// accumulators, marker arrays and staged output rows, the per-row count
+/// buffer of the extraction kernels, and the stamped column mask of the
+/// masked column filter.
 ///
 /// A workspace is cheap to create empty and grows lazily to the largest
 /// problem it has seen; [`SpgemmWorkspace::clear`] releases the memory.  It
@@ -102,7 +130,7 @@ impl WorkerScratch {
 pub struct SpgemmWorkspace {
     /// One scratch set per parallel row block.
     pub(crate) workers: Vec<WorkerScratch>,
-    /// Symbolic-pass output-nnz counts (length = output rows).
+    /// Per-row output-nnz counts of the extraction kernels.
     pub(crate) counts: Vec<usize>,
     /// Column mask: `mask_pos[c]` is the output position of global column
     /// `c`, valid only when `mask_stamp[c] == mask_gen`.
@@ -143,6 +171,9 @@ impl SpgemmWorkspace {
             w.accum.capacity() * std::mem::size_of::<f64>()
                 + w.marked.capacity()
                 + w.touched.capacity() * std::mem::size_of::<usize>()
+                + w.staged_indices.capacity() * std::mem::size_of::<usize>()
+                + w.staged_values.capacity() * std::mem::size_of::<f64>()
+                + w.staged_ends.capacity() * std::mem::size_of::<usize>()
         };
         self.workers.iter().map(per_worker).sum::<usize>()
             + self.counts.capacity() * std::mem::size_of::<usize>()
@@ -362,11 +393,11 @@ mod tests {
         assert_eq!(ws.nbytes(), 0);
         ws.workers.resize_with(3, WorkerScratch::default);
         for w in &mut ws.workers {
-            w.ensure_cols(64);
+            w.ensure_cols(64).unwrap();
             assert!(w.accum.len() >= 64);
             assert!(w.marked.len() >= 64);
             // Growth never shrinks.
-            w.ensure_cols(8);
+            w.ensure_cols(8).unwrap();
             assert!(w.accum.len() >= 64);
         }
         assert!(ws.nbytes() > 0);
@@ -403,6 +434,20 @@ mod tests {
         // A generous bound leaves the scratch resident…
         assert_eq!(trim_thread_workspace(usize::MAX), held);
         // …and a zero bound releases it.
+        assert_eq!(trim_thread_workspace(0), 0);
+        assert_eq!(with_workspace(|ws| ws.nbytes()), 0);
+        // A product's staged output rows are counted, and released too.
+        let a = crate::CsrMatrix::identity(64);
+        crate::spgemm::spgemm(&a, &a).unwrap();
+        let (held, staged) = with_workspace(|ws| {
+            let w = &ws.workers[0];
+            let word = std::mem::size_of::<usize>();
+            let staged = (w.staged_indices.capacity() + w.staged_ends.capacity()) * word
+                + w.staged_values.capacity() * std::mem::size_of::<f64>();
+            (ws.nbytes(), staged)
+        });
+        assert!(staged >= 64 * 24, "64 rows of one nonzero each were staged");
+        assert!(held >= staged + 64 * 9, "the accumulator and markers are counted too");
         assert_eq!(trim_thread_workspace(0), 0);
         assert_eq!(with_workspace(|ws| ws.nbytes()), 0);
     }
