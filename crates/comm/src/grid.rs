@@ -67,9 +67,10 @@ impl ProcessGrid {
         self.p / self.c
     }
 
-    /// Number of stages of the 1.5D SpGEMM (`p / c²`, at least 1).
+    /// Number of stages of the 1.5D SpGEMM, `⌈p/c²⌉`: each process column
+    /// multiplies a contiguous chunk of that many block rows, one per stage.
     pub fn num_stages(&self) -> usize {
-        (self.p / (self.c * self.c)).max(1)
+        self.rows().div_ceil(self.c)
     }
 
     /// Grid coordinates `(row, col)` of `rank`.
@@ -149,6 +150,17 @@ mod tests {
         assert_eq!(g.row_ranks(2), vec![2]);
         assert_eq!(g.col_ranks(2), vec![0, 1, 2, 3]);
         assert_eq!(g.num_stages(), 4);
+    }
+
+    #[test]
+    fn num_stages_cover_every_block_row() {
+        // Column j owns block rows [j·s, (j+1)·s); the last chunk may be
+        // short, so the count rounds up, and p ≤ c² leaves one stage.
+        assert_eq!(ProcessGrid::new(6, 2).unwrap().num_stages(), 2);
+        assert_eq!(ProcessGrid::new(10, 2).unwrap().num_stages(), 3);
+        assert_eq!(ProcessGrid::new(4, 2).unwrap().num_stages(), 1);
+        assert_eq!(ProcessGrid::new(4, 4).unwrap().num_stages(), 1);
+        assert_eq!(ProcessGrid::new(16, 2).unwrap().num_stages(), 4);
     }
 
     proptest! {

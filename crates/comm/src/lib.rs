@@ -5,7 +5,7 @@
 //!
 //! The paper runs on 4–128 GPUs with NCCL collectives.  This crate provides
 //! the same collective surface (broadcast, gather, all-gather, all-reduce,
-//! all-to-allv, barrier — blocking and nonblocking — over the full world and
+//! all-to-allv, barrier, plus a posted all-to-allv — over the full world and
 //! over arbitrary sub-groups such as process rows / columns of the 1.5D
 //! grid) on top of a pluggable [`Transport`]:
 //!
@@ -75,7 +75,7 @@ pub use collectives::{Communicator, Group, Payload};
 pub use cost::{CommStats, CostModel};
 pub use error::CommError;
 pub use grid::ProcessGrid;
-pub use nonblocking::{PendingCollective, PendingResult};
+pub use nonblocking::PendingCollective;
 pub use process::{run_if_worker, SocketLaunch, WorkerFn, WorkerRegistry};
 pub use profile::{Phase, PhaseProfile};
 pub use runtime::{RankOutput, Runtime, TransportSelect};

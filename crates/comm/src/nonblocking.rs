@@ -1,13 +1,14 @@
-//! Nonblocking (posted) collectives: `post → PendingCollective → wait`.
+//! The nonblocking (posted) all-to-allv: `post → PendingCollective → wait`.
 //!
 //! The paper's pipeline breakdowns (Figures 4/6/7) show epoch time split
 //! between sampling, feature fetching and propagation; the communication of
 //! one pipeline stage can be hidden behind the computation of another, but
 //! only if the collectives have an `MPI_Ialltoallv`-style handle API.  This
-//! module provides that API on either transport: `post_*` sends a
-//! collective's outgoing messages immediately (sends never wait for the
-//! receiver) and returns a [`PendingCollective`] handle; `wait` completes the
-//! receives and returns the result.
+//! module provides that API on either transport for the one collective the
+//! pipeline overlaps, the feature fetch's all-to-allv: `post_*` sends the
+//! outgoing messages immediately (sends never wait for the receiver) and
+//! returns a [`PendingCollective`] handle; `wait` completes the receives and
+//! returns the result.
 //!
 //! Each posted round reserves a fresh message tag, so in-flight rounds can
 //! interleave arbitrarily with blocking traffic (and with each other): a
@@ -49,7 +50,7 @@ use crate::collectives::{Communicator, Group, Payload};
 use crate::error::CommError;
 use crate::Result;
 
-/// An in-flight posted collective; call [`PendingCollective::wait`] to
+/// An in-flight posted all-to-allv; call [`PendingCollective::wait`] to
 /// complete it and obtain the result.
 ///
 /// Because every round owns a fresh tag, a rank may wait its outstanding
@@ -65,177 +66,32 @@ use crate::Result;
 #[must_use = "a posted collective does nothing until waited"]
 #[derive(Debug)]
 pub struct PendingCollective<T> {
-    kind: PendingKind<T>,
+    group: Group,
+    tag: u64,
+    /// The caller's own contribution (never travels).
+    own: Option<T>,
 }
 
-#[derive(Debug)]
-enum PendingKind<T> {
-    /// All-to-allv: everything was sent at post time; wait only receives.
-    AllToAllv {
-        group: Group,
-        tag: u64,
-        /// The caller's own contribution (never travels).
-        own: Option<T>,
-    },
-    /// Root-gather + broadcast rounds (allgather / allreduce).  Non-roots
-    /// sent their value at post time; the root's fan-out happens at wait.
-    Rooted {
-        group: Group,
-        gather_tag: u64,
-        bcast_tag: u64,
-        /// The root's own contribution (`None` on non-roots, which already
-        /// sent theirs at post time).
-        own: Option<T>,
-        /// How the root combines the gathered values before fanning out.
-        combine: RootCombine<T>,
-    },
-}
-
-/// A boxed associative combiner for posted all-reduces.
-type ReduceFn<T> = Box<dyn Fn(&T, &T) -> T + Send>;
-
-/// What the root does with the gathered per-member values.
-enum RootCombine<T> {
-    /// All-gather: broadcast the whole vector (boxed up as `Vec<T>`).
-    Concat,
-    /// All-reduce: fold with the supplied associative combiner.
-    Reduce(ReduceFn<T>),
-}
-
-impl<T> std::fmt::Debug for RootCombine<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RootCombine::Concat => f.write_str("Concat"),
-            RootCombine::Reduce(_) => f.write_str("Reduce(..)"),
-        }
-    }
-}
-
-impl<T: Payload + Clone> PendingCollective<T> {
-    /// Completes the collective: receives the peers' in-flight messages (and,
-    /// for rooted collectives, performs the root's fan-out) and returns the
-    /// result — element-per-member for all-to-allv and all-gather (as
-    /// [`PendingResult::Many`]), a single value for all-reduce
-    /// ([`PendingResult::One`]).
+impl<T: Payload> PendingCollective<T> {
+    /// Completes the all-to-allv: receives the peers' in-flight messages and
+    /// returns one value per group member, in ascending rank order.
     ///
     /// # Errors
     ///
     /// Propagates point-to-point errors ([`CommError::Disconnected`],
     /// [`CommError::TypeMismatch`] on mismatched post/wait schedules).
-    pub fn wait_result(self, comm: &mut Communicator) -> Result<PendingResult<T>> {
-        match self.kind {
-            PendingKind::AllToAllv { group, tag, own } => {
-                let my_pos = group.position_of(comm.rank()).expect("poster was a member");
-                let mut received: Vec<Option<T>> = Vec::with_capacity(group.len());
-                for _ in 0..group.len() {
-                    received.push(None);
-                }
-                received[my_pos] = own;
-                for (pos, &peer) in group.ranks().iter().enumerate() {
-                    if peer != comm.rank() {
-                        received[pos] = Some(comm.recv_tagged(peer, tag)?);
-                    }
-                }
-                Ok(PendingResult::Many(
-                    received
-                        .into_iter()
-                        .map(|v| v.expect("every member sends exactly one value"))
-                        .collect(),
-                ))
-            }
-            PendingKind::Rooted { group, gather_tag, bcast_tag, own, combine } => {
-                let root = group.ranks()[0];
-                if comm.rank() == root {
-                    let own = own.expect("root keeps its own value at post time");
-                    let mut gathered: Vec<T> = Vec::with_capacity(group.len());
-                    for &peer in group.ranks() {
-                        if peer == root {
-                            gathered.push(own.clone());
-                        } else {
-                            gathered.push(comm.recv_tagged(peer, gather_tag)?);
-                        }
-                    }
-                    match combine {
-                        RootCombine::Concat => {
-                            for &peer in group.ranks() {
-                                if peer != root {
-                                    comm.send_tagged(peer, bcast_tag, gathered.clone())?;
-                                }
-                            }
-                            Ok(PendingResult::Many(gathered))
-                        }
-                        RootCombine::Reduce(f) => {
-                            let mut iter = gathered.into_iter();
-                            let first = iter.next().expect("group is non-empty");
-                            let reduced = iter.fold(first, |acc, v| f(&acc, &v));
-                            for &peer in group.ranks() {
-                                if peer != root {
-                                    comm.send_tagged(peer, bcast_tag, reduced.clone())?;
-                                }
-                            }
-                            Ok(PendingResult::One(reduced))
-                        }
-                    }
-                } else {
-                    match combine {
-                        RootCombine::Concat => {
-                            Ok(PendingResult::Many(comm.recv_tagged(root, bcast_tag)?))
-                        }
-                        RootCombine::Reduce(_) => {
-                            Ok(PendingResult::One(comm.recv_tagged(root, bcast_tag)?))
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`PendingCollective::wait_result`] for vector-shaped collectives
-    /// (all-to-allv, all-gather): returns one value per group member.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PendingCollective::wait_result`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on an all-reduce handle (use
-    /// [`PendingCollective::wait_reduced`]).
     pub fn wait(self, comm: &mut Communicator) -> Result<Vec<T>> {
-        match self.wait_result(comm)? {
-            PendingResult::Many(v) => Ok(v),
-            PendingResult::One(_) => panic!("wait() on an all-reduce handle; use wait_reduced()"),
-        }
-    }
-
-    /// [`PendingCollective::wait_result`] for all-reduce handles: returns the
-    /// single reduced value.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PendingCollective::wait_result`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on an all-to-allv / all-gather handle (use
-    /// [`PendingCollective::wait`]).
-    pub fn wait_reduced(self, comm: &mut Communicator) -> Result<T> {
-        match self.wait_result(comm)? {
-            PendingResult::One(v) => Ok(v),
-            PendingResult::Many(_) => {
-                panic!("wait_reduced() on a vector-shaped handle; use wait()")
+        let PendingCollective { group, tag, mut own } = self;
+        let mut received = Vec::with_capacity(group.len());
+        for &peer in group.ranks() {
+            if peer == comm.rank() {
+                received.push(own.take().expect("the poster keeps its own value"));
+            } else {
+                received.push(comm.recv_tagged(peer, tag)?);
             }
         }
+        Ok(received)
     }
-}
-
-/// The completed value of a [`PendingCollective`].
-#[derive(Debug)]
-pub enum PendingResult<T> {
-    /// One value per group member (all-to-allv, all-gather).
-    Many(Vec<T>),
-    /// A single reduced value (all-reduce).
-    One(T),
 }
 
 impl Communicator {
@@ -286,83 +142,7 @@ impl Communicator {
                 self.send_tagged(peer, tag, value)?;
             }
         }
-        Ok(PendingCollective { kind: PendingKind::AllToAllv { group: group.clone(), tag, own } })
-    }
-
-    /// Posts an all-gather within `group`; complete with
-    /// [`PendingCollective::wait`], which returns the member values in
-    /// ascending rank order.  Identical traffic to
-    /// [`Communicator::group_allgather`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::NotInGroup`] if the caller is not a member, plus
-    /// any point-to-point send error.
-    pub fn post_group_allgather<T: Payload + Clone>(
-        &mut self,
-        group: &Group,
-        value: T,
-    ) -> Result<PendingCollective<T>> {
-        self.post_rooted(group, value, RootCombine::Concat)
-    }
-
-    /// Posts an all-reduce within `group` with an associative `combine`;
-    /// complete with [`PendingCollective::wait_reduced`].  Identical traffic
-    /// to [`Communicator::group_allreduce`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CommError::NotInGroup`] if the caller is not a member, plus
-    /// any point-to-point send error.
-    pub fn post_group_allreduce<T, F>(
-        &mut self,
-        group: &Group,
-        value: T,
-        combine: F,
-    ) -> Result<PendingCollective<T>>
-    where
-        T: Payload + Clone,
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        self.post_rooted(group, value, RootCombine::Reduce(Box::new(combine)))
-    }
-
-    /// Posts an all-reduce over the whole world; complete with
-    /// [`PendingCollective::wait_reduced`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Communicator::post_group_allreduce`] errors.
-    pub fn post_allreduce<T, F>(&mut self, value: T, combine: F) -> Result<PendingCollective<T>>
-    where
-        T: Payload + Clone,
-        F: Fn(&T, &T) -> T + Send + 'static,
-    {
-        let world = self.world();
-        self.post_group_allreduce(&world, value, combine)
-    }
-
-    fn post_rooted<T: Payload + Clone>(
-        &mut self,
-        group: &Group,
-        value: T,
-        combine: RootCombine<T>,
-    ) -> Result<PendingCollective<T>> {
-        if !group.contains(self.rank()) {
-            return Err(CommError::NotInGroup { rank: self.rank() });
-        }
-        let root = group.ranks()[0];
-        let gather_tag = self.fresh_round_tag();
-        let bcast_tag = self.fresh_round_tag();
-        let own = if self.rank() == root {
-            Some(value)
-        } else {
-            self.send_tagged(root, gather_tag, value)?;
-            None
-        };
-        Ok(PendingCollective {
-            kind: PendingKind::Rooted { group: group.clone(), gather_tag, bcast_tag, own, combine },
-        })
+        Ok(PendingCollective { group: group.clone(), tag, own })
     }
 }
 
@@ -430,27 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn posted_allreduce_and_allgather_match_blocking() {
-        let rt = Runtime::new(4).unwrap();
-        let outs = rt
-            .run(|comm| {
-                let pr = comm.post_allreduce(comm.rank() + 1, |a, b| a + b).unwrap();
-                let world = comm.world();
-                let pg = comm.post_group_allgather(&world, comm.rank() * 3).unwrap();
-                // Interleave blocking traffic between post and wait.
-                comm.barrier().unwrap();
-                let reduced = pr.wait_reduced(comm).unwrap();
-                let gathered = pg.wait(comm).unwrap();
-                (reduced, gathered)
-            })
-            .unwrap();
-        for o in outs {
-            assert_eq!(o.value.0, 10);
-            assert_eq!(o.value.1, vec![0, 3, 6, 9]);
-        }
-    }
-
-    #[test]
     fn posted_traffic_costs_the_same_as_blocking() {
         // Same messages, same words, same α–β time — only the schedule moves.
         let model = CostModel::new(1.0, 0.5);
@@ -487,9 +246,7 @@ mod tests {
                 let wrong_len = comm.post_all_to_allv(vec![1usize]).is_err();
                 let other = crate::Group::new(&[(comm.rank() + 1) % comm.size()]).unwrap();
                 let not_member = comm.post_group_all_to_allv(&other, vec![1usize]).is_err();
-                let not_member_reduce =
-                    comm.post_group_allreduce(&other, 1usize, |a, b| a + b).is_err();
-                wrong_len && not_member && not_member_reduce
+                wrong_len && not_member
             })
             .unwrap();
         assert!(outs.iter().all(|o| o.value));

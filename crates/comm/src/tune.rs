@@ -67,13 +67,13 @@ pub enum FeatureCacheConfig {
     /// each remote row crosses the wire at most once per epoch and the
     /// per-step collectives vanish.
     EpochPinned,
-    /// A bounded read-through cache for the streaming path: resident rows up
-    /// to the byte budget, least-recently-used eviction.  The per-step
-    /// collective still runs (so ranks stay matched), but only misses cross
-    /// the wire.  The tuner scores it **pessimistically** (no savings
-    /// credited): how much an LRU with an arbitrary budget saves depends on
-    /// access locality the probes do not measure, and the tuner never claims
-    /// a benefit it cannot predict.
+    /// A bounded read-through cache on the distributed per-step fetch:
+    /// resident rows up to the byte budget, least-recently-used eviction.
+    /// The per-step collective still runs (so ranks stay matched), but only
+    /// misses cross the wire.  The tuner scores it **pessimistically** (no
+    /// savings credited): how much an LRU with an arbitrary budget saves
+    /// depends on access locality the probes do not measure, and the tuner
+    /// never claims a benefit it cannot predict.
     Lru {
         /// Maximum resident feature bytes (8 bytes per `f64` word).
         byte_budget: usize,
@@ -111,6 +111,11 @@ impl FeatureCacheConfig {
 /// session builder fills, the tuner enumerates and returns, and the rank
 /// processes decode — the schedule the model scores *is* the schedule the
 /// ranks run.
+///
+/// A schedule describes the distributed wire.  Local sessions and the
+/// serving tier have no wire — they read every feature row from the one
+/// in-memory matrix — so they ignore it, as local sessions ignore the
+/// transport.
 ///
 /// The default is the untuned schedule — no cache, bit-exact codec,
 /// synchronous pipeline — and always the first candidate of every grid, so an

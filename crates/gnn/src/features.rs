@@ -25,8 +25,8 @@
 //!   ([`FeatureCache::prefetch`]) and pinned; per-step gathers
 //!   ([`FeatureCache::gather_pinned`]) are then purely local, so the
 //!   per-step collectives disappear entirely (α *and* β savings);
-//! * [`FeatureCacheConfig::Lru`] — a byte-budgeted read-through cache for
-//!   the streaming path ([`FeatureCache::fetch_through`]): the per-step
+//! * [`FeatureCacheConfig::Lru`] — a byte-budgeted read-through cache on
+//!   the per-step fetch ([`FeatureCache::fetch_through`]): the per-step
 //!   all-to-allv still runs on every rank (keeping collectives matched), but
 //!   only cache *misses* cross the wire, and resident rows are evicted
 //!   least-recently-used.
@@ -36,6 +36,11 @@
 //! uncached training are byte-identical (pinned by the
 //! `tests/backend_equivalence.rs` sweep).  Hits, misses and the α–β words
 //! kept off the wire are recorded in [`CommStats`].
+//!
+//! The cache lives only here, in front of the wire.  Single-device training
+//! and the serving tier read rows straight from the one in-memory feature
+//! matrix (`DenseMatrix::gather_rows`): without a wire there is nothing for
+//! a cache to avoid, so they ignore the cache mode.
 
 use crate::error::GnnError;
 use crate::Result;
@@ -618,9 +623,7 @@ impl FeatureCache {
         for (i, &v) in missing.iter().enumerate() {
             self.in_flight.remove(&v);
             // A prefetched row is a cache *miss* — it was fetched fresh —
-            // exactly as `prime_local` counts on the streaming path, so hit
-            // rates are comparable across the two paths and a cold cache is
-            // visible in the counters.
+            // so a cold cache is visible in the counters.
             self.stats.record_cache_miss();
             self.insert(v, fetched.row(i), true);
         }
@@ -710,65 +713,6 @@ impl FeatureCache {
         // Insert after assembly: the inserting use is the one that paid.
         for (slot, &v) in missing.iter().enumerate() {
             self.insert(v, fetched.row(slot), false);
-        }
-        Ok(out)
-    }
-
-    /// Primes the cache from a *local* full feature matrix — the streaming
-    /// analogue of [`FeatureCache::prefetch`]: every not-yet-resident vertex
-    /// of `vertices` (typically a bulk group's
-    /// [`FetchPlan`](dmbs_sampling::FetchPlan) union) is copied in, so the
-    /// per-minibatch [`FeatureCache::gather_local`] calls all hit.  Returns
-    /// the number of rows inserted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::VertexOutOfRange`] for vertices outside
-    /// `features`.
-    pub fn prime_local(&mut self, features: &DenseMatrix, vertices: &[usize]) -> Result<usize> {
-        let mut inserted = 0;
-        for &v in vertices {
-            if self.rows.contains_key(&v) {
-                continue;
-            }
-            if v >= features.rows() {
-                return Err(GnnError::VertexOutOfRange { vertex: v, limit: features.rows() });
-            }
-            self.stats.record_cache_miss();
-            self.insert(v, features.row(v), false);
-            inserted += 1;
-        }
-        Ok(inserted)
-    }
-
-    /// Read-through gather against a *local* full feature matrix — the
-    /// single-device streaming path.  Nothing crosses a wire here, so hits
-    /// save no α–β words; they only avoid re-copying rows (and exercise the
-    /// same cache machinery the distributed path relies on).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::VertexOutOfRange`] for vertices outside
-    /// `features`.
-    pub fn gather_local(
-        &mut self,
-        features: &DenseMatrix,
-        vertices: &[usize],
-    ) -> Result<DenseMatrix> {
-        let mut out = DenseMatrix::zeros(vertices.len(), self.feature_dim);
-        for (i, &v) in vertices.iter().enumerate() {
-            if let Some(row) = self.rows.get(&v) {
-                out.row_mut(i).copy_from_slice(&row.data);
-                self.touch(v);
-                self.stats.record_cache_hit(0);
-            } else {
-                if v >= features.rows() {
-                    return Err(GnnError::VertexOutOfRange { vertex: v, limit: features.rows() });
-                }
-                out.row_mut(i).copy_from_slice(features.row(v));
-                self.stats.record_cache_miss();
-                self.insert(v, features.row(v), false);
-            }
         }
         Ok(out)
     }
@@ -1145,26 +1089,5 @@ mod tests {
             })
             .unwrap();
         assert!(outs.iter().all(|o| o.value));
-    }
-
-    #[test]
-    fn gather_local_read_through_matches_gather_rows() {
-        let h = full_features(10, 3);
-        let mut cache = FeatureCache::new(FeatureCacheConfig::EpochPinned, 3);
-        let wanted = vec![2, 7, 2, 9, 7];
-        let via_cache = cache.gather_local(&h, &wanted).unwrap();
-        let direct = h.gather_rows(&wanted).unwrap();
-        assert_eq!(via_cache, direct);
-        assert_eq!(cache.stats().cache_misses, 3); // 2, 7, 9
-        assert_eq!(cache.stats().cache_hits, 2); // the repeats
-        assert_eq!(cache.stats().words_saved, 0); // nothing crosses a wire
-        assert_eq!(
-            cache.gather_local(&h, &[99]).unwrap_err(),
-            GnnError::VertexOutOfRange { vertex: 99, limit: 10 }
-        );
-        assert!(FeatureCacheConfig::EpochPinned.is_enabled());
-        assert!(!FeatureCacheConfig::Off.is_enabled());
-        cache.clear();
-        assert_eq!(cache.resident_rows(), 0);
     }
 }

@@ -9,27 +9,29 @@
 //! growing a parallel implementation:
 //!
 //! ```text
-//! request ─▶ admission ─▶ coalesce ─▶ micro-bulk ─▶ cached ─▶ forward ─▶ reply
-//!            control      window      sample         fetch
+//! request ─▶ admission ─▶ coalesce ─▶ micro-bulk ─▶ fetch ─▶ forward ─▶ reply
+//!            control      window      sample         books
 //!            (queue depth  (batch up   (bulk sampler, (hot tier,
-//!             + timeout)    to k reqs)  shared SpGEMM  FeatureCache,
-//!                                       workspace)     one α per bulk)
+//!             + timeout)    to k reqs)  shared SpGEMM  one α per bulk)
+//!                                       workspace)
 //! ```
 //!
 //! * **Micro-bulk coalescing.**  Requests that arrive within a configurable
 //!   window (bounded by [`ServingConfig::max_micro_bulk`]) are batched into
 //!   one micro-bulk: one sampling pass per request through the bulk kernels
 //!   (sharing the thread-local SpGEMM workspace), then **one** deduplicated
-//!   feature gather and one modeled α–β fetch message for the whole bulk.
+//!   modeled α–β fetch message for the whole bulk.  Each request's input
+//!   rows are read straight from the one feature matrix: serving has no
+//!   wire, so it keeps no feature cache and ignores the training
+//!   [`Schedule`](dmbs_comm::Schedule).
 //!   Each request samples from its own seeded RNG stream
 //!   ([`dmbs_sampling::micro`]), so coalescing is *byte-transparent*: a
 //!   request's prediction is bit-for-bit independent of which other requests
 //!   share its bulk.
 //! * **Hot-vertex pinned tier.**  A running frequency count over gathered
-//!   vertices periodically re-pins the hottest feature rows; pinned rows are
-//!   served without being charged to the modeled fetch message.  Under a
-//!   Zipf request mix (the open-loop bench) the tier absorbs the head of the
-//!   distribution.
+//!   vertices periodically re-pins the hottest vertices; their rows are left
+//!   out of the modeled fetch message.  Under a Zipf request mix (the
+//!   open-loop bench) the tier absorbs the head of the distribution.
 //! * **Admission control.**  A queue-depth bound sheds arrivals and a
 //!   per-request timeout budget sheds stale queue entries, both with typed
 //!   [`ServeError`]s — overload degrades into counted rejections, not
@@ -76,13 +78,11 @@
 //! ```
 
 use crate::error::GnnError;
-use crate::features::{FeatureCache, FeatureCacheConfig};
 use crate::model::SageModel;
 use dmbs_comm::{CommStats, CostModel};
 use dmbs_graph::datasets::Dataset;
 use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::workspace::trim_thread_workspace;
-use dmbs_matrix::DenseMatrix;
 use dmbs_sampling::micro::{request_stream_seed, sample_micro_bulk, MicroRequest};
 use dmbs_sampling::{BulkSamplerConfig, Sampler, SamplingError};
 use rand::rngs::StdRng;
@@ -276,9 +276,6 @@ pub struct ServingConfig {
     /// Re-pin the hot tier from the running frequency counts every this many
     /// micro-bulks.
     pub hot_warm_interval: usize,
-    /// Feature-cache mode of the request fetch path (pure copy avoidance,
-    /// byte-identical across modes, exactly as in training).
-    pub feature_cache: FeatureCacheConfig,
     /// Base seed of the per-request sampling streams.
     pub seed: u64,
     /// α–β model billing the coalesced fetch message of each micro-bulk.
@@ -309,7 +306,6 @@ impl Default for ServingConfig {
             timeout_budget: 0.1,
             hot_capacity: 256,
             hot_warm_interval: 8,
-            feature_cache: FeatureCacheConfig::Off,
             seed: 0,
             cost: CostModel::slingshot(),
             seconds_per_batch: 2.0e-4,
@@ -364,10 +360,11 @@ pub struct ServeStats {
     pub shed_timeout: usize,
     /// Micro-bulks executed.
     pub batches: usize,
-    /// Fetch rows served from the hot-vertex pinned tier.
-    pub hot_hits: usize,
-    /// Fetch rows not resident in the hot tier (charged to the fetch
+    /// Fetch rows of vertices pinned in the hot tier (left out of the fetch
     /// message).
+    pub hot_hits: usize,
+    /// Fetch rows of vertices not pinned in the hot tier (charged to the
+    /// fetch message).
     pub hot_misses: usize,
 }
 
@@ -395,12 +392,14 @@ impl ServeStats {
 }
 
 /// The hot-vertex pinned tier: running frequency counts over gathered
-/// vertices, and the currently pinned feature rows of the hottest ones.
+/// vertices, and the currently pinned hottest ones.  It pins vertex ids, not
+/// row copies: the rows live in the feature matrix, which ingest never
+/// changes.
 #[derive(Debug, Default)]
 struct HotVertexTier {
     capacity: usize,
     counts: HashMap<usize, u64>,
-    pinned: HashMap<usize, Vec<f64>>,
+    pinned: HashSet<usize>,
     /// Pinned vertices whose neighborhood a graph ingest dirtied since the
     /// last rewarm.  Serving one is a typed error, never a silent answer
     /// against the pre-ingest graph.
@@ -418,8 +417,8 @@ impl HotVertexTier {
         }
     }
 
-    fn get(&self, vertex: usize) -> Option<&[f64]> {
-        self.pinned.get(&vertex).map(Vec::as_slice)
+    fn contains(&self, vertex: usize) -> bool {
+        self.pinned.contains(&vertex)
     }
 
     /// Marks every pinned row among `dirty` stale; returns how many newly
@@ -427,7 +426,7 @@ impl HotVertexTier {
     fn mark_stale(&mut self, dirty: &[usize]) -> usize {
         let mut marked = 0;
         for &v in dirty {
-            if self.pinned.contains_key(&v) && self.stale.insert(v) {
+            if self.pinned.contains(&v) && self.stale.insert(v) {
                 marked += 1;
             }
         }
@@ -441,19 +440,17 @@ impl HotVertexTier {
     /// Re-pins the `capacity` hottest vertices.  Ties break by vertex id so
     /// the pinned set is a pure function of the counts — rewarming is
     /// deterministic.
-    fn rewarm(&mut self, features: &DenseMatrix) {
+    fn rewarm(&mut self) {
         if self.capacity == 0 {
             return;
         }
         let mut by_freq: Vec<(u64, usize)> = self.counts.iter().map(|(&v, &c)| (c, v)).collect();
         by_freq.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         self.pinned.clear();
-        // Rewarming repins from the current feature matrix against the
-        // current graph, so staleness is discharged wholesale.
+        // Rewarming repins against the current graph, so staleness is
+        // discharged wholesale.
         self.stale.clear();
-        for &(_, v) in by_freq.iter().take(self.capacity) {
-            self.pinned.insert(v, features.row(v).to_vec());
-        }
+        self.pinned.extend(by_freq.iter().take(self.capacity).map(|&(_, v)| v));
     }
 
     fn resident(&self) -> usize {
@@ -471,7 +468,6 @@ pub struct ServingSession<S> {
     sampler: S,
     snapshot: ModelSnapshot,
     config: ServingConfig,
-    cache: Option<FeatureCache>,
     hot: HotVertexTier,
     stats: ServeStats,
     comm: CommStats,
@@ -525,17 +521,12 @@ impl<S: Sampler> ServingSession<S> {
                 graph: sampler.num_layers(),
             });
         }
-        let cache = config
-            .feature_cache
-            .is_enabled()
-            .then(|| FeatureCache::new(config.feature_cache, snapshot.feature_dim()));
         let hot = HotVertexTier::new(config.hot_capacity);
         Ok(ServingSession {
             dataset,
             sampler,
             snapshot,
             config,
-            cache,
             hot,
             stats: ServeStats::default(),
             comm: CommStats::default(),
@@ -567,8 +558,7 @@ impl<S: Sampler> ServingSession<S> {
     /// Explicitly re-pins the hot tier from the running frequency counts,
     /// discharging any ingest staleness.
     pub fn rewarm(&mut self) {
-        let features = self.dataset.graph.features().expect("validated at new()");
-        self.hot.rewarm(features);
+        self.hot.rewarm();
         self.hot_pinned_version = self.graph_version;
         self.batches_since_warm = 0;
     }
@@ -629,8 +619,9 @@ impl<S: Sampler> ServingSession<S> {
     }
 
     /// Serves one micro-bulk of already-admitted requests: per-request
-    /// seeded sampling, one deduplicated hot-tier/cache-aware feature
-    /// gather, one amortized fetch message, and a forward pass per request.
+    /// seeded sampling, one deduplicated hot-tier-aware fetch message
+    /// amortized over the bulk, and a forward pass per request over its
+    /// input rows of the feature matrix.
     ///
     /// Responses come back in request order.  Because every request samples
     /// from its own stream, the responses are bit-for-bit what each request
@@ -685,16 +676,12 @@ impl<S: Sampler> ServingSession<S> {
             &bulk_cfg,
         )?;
 
-        // --- One feature gather for the whole micro-bulk: hot-tier rows are
-        // free, everything else is charged to a single coalesced fetch.
+        // --- One coalesced fetch message for the whole micro-bulk: hot-tier
+        // rows are free, everything else is charged to it.
         let fdim = self.snapshot.feature_dim();
         let union = micro.plan.unique_vertices();
-        let mut union_feats = DenseMatrix::zeros(union.len(), fdim);
-        let mut position: HashMap<usize, usize> = HashMap::with_capacity(union.len());
-        let mut charged: Vec<usize> = Vec::new();
-        let mut charged_slots: Vec<usize> = Vec::new();
-        for (i, &v) in union.iter().enumerate() {
-            position.insert(v, i);
+        let mut charged_rows = 0;
+        for &v in union {
             if self.hot.is_stale(v) {
                 // A pinned row dirtied by an ingest: refuse with the same
                 // typed staleness error the training tier's fetch plans use,
@@ -704,46 +691,28 @@ impl<S: Sampler> ServingSession<S> {
                     graph_version: self.graph_version,
                 }));
             }
-            if let Some(row) = self.hot.get(v) {
-                union_feats.row_mut(i).copy_from_slice(row);
+            if self.hot.contains(v) {
                 self.stats.hot_hits += 1;
                 // A pinned row never enters the fetch message: one α–β row
                 // (features + the request id word) stayed off the wire.
                 self.comm.record_cache_hit(fdim + 1);
             } else {
                 self.stats.hot_misses += 1;
-                charged.push(v);
-                charged_slots.push(i);
-            }
-        }
-        if !charged.is_empty() {
-            let fetched = match self.cache.as_mut() {
-                Some(cache) => cache.gather_local(features, &charged)?,
-                None => features.gather_rows(&charged)?,
-            };
-            for (j, &slot) in charged_slots.iter().enumerate() {
-                union_feats.row_mut(slot).copy_from_slice(fetched.row(j));
+                charged_rows += 1;
             }
         }
         let k = requests.len();
-        let charged_words = charged.len() * (fdim + 1);
+        let charged_words = charged_rows * (fdim + 1);
         if charged_words > 0 {
             // One message for the whole micro-bulk: α paid once, amortized
             // over its k requests in the per-request books.
             self.comm.record_amortized(charged_words, &self.config.cost, k);
         }
-        if let Some(cache) = self.cache.as_mut() {
-            self.comm.merge(&cache.take_stats());
-        }
 
-        // --- Forward pass per request, inputs gathered from the union.
+        // --- Forward pass per request over its input rows.
         let mut responses = Vec::with_capacity(k);
         for (request, sample) in requests.iter().zip(&micro.samples) {
-            let inputs = sample.input_vertices();
-            let mut input = DenseMatrix::zeros(inputs.len(), fdim);
-            for (i, v) in inputs.iter().enumerate() {
-                input.row_mut(i).copy_from_slice(union_feats.row(position[v]));
-            }
+            let input = features.gather_rows(sample.input_vertices())?;
             let logits = self.snapshot.model().logits(sample, &input)?;
             let prediction = logits.row_argmax()[0];
             responses.push(ServeResponse {
@@ -766,7 +735,7 @@ impl<S: Sampler> ServingSession<S> {
         if self.config.hot_capacity > 0
             && self.batches_since_warm >= self.config.hot_warm_interval.max(1)
         {
-            self.hot.rewarm(features);
+            self.hot.rewarm();
             self.hot_pinned_version = self.graph_version;
             self.batches_since_warm = 0;
         }

@@ -206,7 +206,7 @@ pub struct Minibatch {
     pub sample: MinibatchSample,
 }
 
-type GroupMessage = Result<(usize, usize, BulkSampleOutput, FetchPlan)>;
+type GroupMessage = Result<(usize, usize, BulkSampleOutput)>;
 
 /// One stage of the distributed training pipeline: a sampled bulk group whose
 /// pinned prefetch (if any) has been posted but not yet completed, plus the
@@ -242,10 +242,6 @@ pub struct MinibatchStream {
     pending: VecDeque<Minibatch>,
     profile: PhaseProfile,
     comm: CommStats,
-    /// Per-group communication-avoiding fetch plans, indexed by group.  The
-    /// worker thread computes each plan right after sampling its group, so
-    /// planning overlaps the consumer's compute on the previous group.
-    plans: Vec<FetchPlan>,
     worker: Option<JoinHandle<()>>,
     failed: bool,
 }
@@ -260,14 +256,6 @@ impl MinibatchStream {
     /// so far.
     pub fn comm_stats(&self) -> &CommStats {
         &self.comm
-    }
-
-    /// The communication-avoiding fetch plan of bulk group `group` — the
-    /// deduplicated union of the group's layer-0 frontiers, computed on the
-    /// sampling worker thread (§6 overlap).  Available from the moment the
-    /// group's first minibatch is yielded.
-    pub fn group_plan(&self, group: usize) -> Option<&FetchPlan> {
-        self.plans.get(group)
     }
 
     /// Joins the worker thread; returns `true` if it panicked.
@@ -307,11 +295,9 @@ impl Iterator for MinibatchStream {
                 }
             };
             match message {
-                Ok((group, base_index, output, plan)) => {
+                Ok((group, base_index, output)) => {
                     self.profile.merge_sum(&output.profile);
                     self.comm.merge(&output.comm_stats);
-                    debug_assert_eq!(self.plans.len(), group, "groups arrive in order");
-                    self.plans.push(plan);
                     let epoch = self.epoch;
                     self.pending.extend(output.minibatches.into_iter().enumerate().map(
                         |(offset, sample)| Minibatch {
@@ -503,6 +489,11 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// The cache is pure work avoidance: cached and uncached training are
     /// byte-identical (see the `tests/backend_equivalence.rs` sweep), only
     /// [`CommStats`] — words sent, cache hits/misses, words saved — differs.
+    ///
+    /// Like every [`Schedule`] knob (cache, [`SessionBuilder::wire_codec`],
+    /// [`SessionBuilder::overlap`]) it describes the distributed wire: a
+    /// local backend has none, reads every row from the one feature matrix
+    /// and ignores it.
     pub fn feature_cache(mut self, cache: FeatureCacheConfig) -> Self {
         self.config.schedule.cache = cache;
         self
@@ -526,9 +517,10 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// `tests/overlap_pipeline.rs` sweep).  Degradations are graceful, never
     /// errors: with the [`FeatureCacheConfig::Lru`] cache (or no cache) the
     /// per-step fetch collectives stay synchronous so ranks stay matched and
-    /// only group `k + 1`'s sampling is hoisted; the streaming (local) path
-    /// ignores the knob entirely, since its [`MinibatchStream`] worker thread
-    /// already overlaps sampling with training.
+    /// only group `k + 1`'s sampling is hoisted.  Like the rest of the
+    /// [`Schedule`], a local backend ignores the knob: its
+    /// [`MinibatchStream`] worker thread already overlaps sampling with
+    /// training.
     pub fn overlap(mut self, overlap: bool) -> Self {
         self.config.schedule.overlap = overlap;
         self
@@ -574,7 +566,8 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// modeled β charge follows the real encoded bytes, so compressed runs
     /// model a genuinely smaller communication bill.  Decoded rows are what
     /// the trainer (and the [`SessionBuilder::feature_cache`]) sees, so
-    /// cached and uncached runs stay byte-identical under any one codec.
+    /// cached and uncached runs stay byte-identical under any one codec.  A
+    /// local backend has no wire and ignores the codec.
     pub fn wire_codec(mut self, codec: Codec) -> Self {
         self.config.schedule.codec = codec;
         self
@@ -961,13 +954,7 @@ where
             for (gi, group) in batches.chunks(bulk_size).enumerate() {
                 let result = backend
                     .sample_epoch(&*sampler, dataset.graph.adjacency(), group, group_seed(seed, gi))
-                    .map(|epoch_samples| {
-                        // Plan the group's feature fetch here, on the worker:
-                        // deduplicating the frontier union overlaps the
-                        // consumer's compute on the previous group.
-                        let plan = epoch_samples.fetch_plan();
-                        (gi, base_index, epoch_samples.output, plan)
-                    })
+                    .map(|epoch_samples| (gi, base_index, epoch_samples.output))
                     .map_err(GnnError::Sampling);
                 let failed = result.is_err();
                 if tx.send(result).is_err() || failed {
@@ -983,7 +970,6 @@ where
             pending: VecDeque::new(),
             profile: PhaseProfile::new(),
             comm: CommStats::default(),
-            plans: Vec::new(),
             worker: Some(worker),
             failed: false,
         })
@@ -1068,51 +1054,20 @@ where
         let mut model = self.initial_model(feature_dim, num_classes)?;
         let mut optimizer = Sgd::new(self.config.learning_rate);
 
-        // The per-rank feature cache of the §6.2 pipeline; for the local
-        // path nothing crosses a wire, so the cache is pure copy avoidance
-        // (plus the hit-rate bookkeeping the harnesses report).
-        let mut cache = self
-            .config
-            .schedule
-            .cache
-            .is_enabled()
-            .then(|| FeatureCache::new(self.config.schedule.cache, feature_dim));
-        let pinned = self.config.schedule.cache == FeatureCacheConfig::EpochPinned;
-
+        // Every input row is read straight from the one feature matrix:
+        // nothing crosses a wire, so the schedule (cache, codec, overlap)
+        // has nothing to act on here.
         let mut report = TrainingReport::default();
         for epoch in 0..self.config.epochs {
             let mut stream = self.stream(epoch)?;
             let mut profile = PhaseProfile::new();
             let mut loss = RunningMean::new();
-            if pinned {
-                // Epoch-static pinning: resident rows live for one epoch.
-                cache.as_mut().expect("pinned implies enabled").clear();
-            }
-            let mut primed_group = None;
-            while let Some(minibatch) = stream.next() {
+            for minibatch in stream.by_ref() {
                 let minibatch = minibatch?;
                 let sample = &minibatch.sample;
-                let input = if let Some(cache) = cache.as_mut() {
-                    // Prime the group's deduplicated frontier union once; the
-                    // plan itself was computed on the sampling worker thread,
-                    // overlapping the previous group's compute.
-                    if pinned && primed_group != Some(minibatch.group) {
-                        primed_group = Some(minibatch.group);
-                        if let Some(plan) = stream.group_plan(minibatch.group) {
-                            let union = plan.unique_vertices().to_vec();
-                            profile.time_compute(Phase::FeatureFetch, || {
-                                cache.prime_local(features, &union)
-                            })?;
-                        }
-                    }
-                    profile.time_compute(Phase::FeatureFetch, || {
-                        cache.gather_local(features, sample.input_vertices())
-                    })?
-                } else {
-                    profile.time_compute(Phase::FeatureFetch, || {
-                        features.gather_rows(sample.input_vertices())
-                    })?
-                };
+                let input = profile.time_compute(Phase::FeatureFetch, || {
+                    features.gather_rows(sample.input_vertices())
+                })?;
                 let labels = self.batch_labels(&sample.batch);
                 let step_loss = profile.time_compute(Phase::Propagation, || -> Result<f64> {
                     let (l, _, grads) = model.loss_and_gradients(sample, &input, &labels)?;
@@ -1122,10 +1077,7 @@ where
                 loss.push(step_loss);
             }
             profile.merge_sum(stream.sampling_profile());
-            let mut comm = *stream.comm_stats();
-            if let Some(cache) = cache.as_mut() {
-                comm.merge(&cache.take_stats());
-            }
+            let comm = *stream.comm_stats();
             report.epochs.push(EpochStats { epoch, profile, comm, mean_loss: loss.mean() });
         }
 
@@ -1842,62 +1794,43 @@ mod tests {
     }
 
     #[test]
-    fn stream_exposes_the_worker_computed_fetch_plans() {
-        let session = local_session(8);
-        let eager = session.sample_epoch_eager(0).unwrap();
-        let mut stream = session.stream(0).unwrap();
-        let mut groups_seen = Vec::new();
-        while let Some(mb) = stream.next() {
-            let mb = mb.unwrap();
-            let plan = stream.group_plan(mb.group).expect("plan arrives with the group");
-            assert!(!plan.unique_vertices().is_empty());
-            if groups_seen.last() != Some(&mb.group) {
-                groups_seen.push(mb.group);
-            }
-        }
-        // Per-group plans match planning the eager groups directly.
-        for &g in &groups_seen {
-            let group_mbs: Vec<_> = eager.minibatches.iter().skip(g * 4).take(4).cloned().collect();
-            assert_eq!(
-                stream.group_plan(g).unwrap(),
-                &dmbs_sampling::FetchPlan::from_minibatches(&group_mbs),
-                "group {g} plan mismatch"
-            );
-        }
-    }
-
-    #[test]
     fn feature_cache_modes_leave_local_training_byte_identical() {
-        // The cache is pure work avoidance: same losses, same accuracy, bit
-        // for bit — only the hit/miss bookkeeping differs.
+        // A local backend has no wire, so every schedule knob — cache mode,
+        // codec, overlap — is ignored: losses, accuracy and every comm
+        // counter equal the default schedule's, bit for bit.
         let base = local_base(9).epochs(2).seed(31);
-        let off = base.clone().build().unwrap().train().unwrap();
-        let pinned = base
-            .clone()
-            .feature_cache(FeatureCacheConfig::EpochPinned)
-            .build()
-            .unwrap()
-            .train()
-            .unwrap();
-        let lru = base
-            .feature_cache(FeatureCacheConfig::Lru { byte_budget: 1 << 16 })
-            .build()
-            .unwrap()
-            .train()
-            .unwrap();
-        for cached in [&pinned, &lru] {
-            for (a, b) in off.epochs.iter().zip(&cached.epochs) {
-                assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
+        let reference = base.clone().build().unwrap().train().unwrap();
+        let caches = [
+            FeatureCacheConfig::Off,
+            FeatureCacheConfig::EpochPinned,
+            FeatureCacheConfig::Lru { byte_budget: 1 << 16 },
+        ];
+        for cache in caches {
+            for codec in [Codec::Exact, Codec::Int8] {
+                for overlap in [false, true] {
+                    let run = base
+                        .clone()
+                        .feature_cache(cache)
+                        .wire_codec(codec)
+                        .overlap(overlap)
+                        .build()
+                        .unwrap()
+                        .train()
+                        .unwrap();
+                    let label = format!("{cache:?} {codec} overlap={overlap}");
+                    assert_eq!(run.epochs.len(), reference.epochs.len(), "{label}");
+                    for (a, b) in reference.epochs.iter().zip(&run.epochs) {
+                        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "{label}");
+                        assert_eq!(a.comm, b.comm, "{label}");
+                    }
+                    assert_eq!(
+                        reference.test_accuracy.unwrap().to_bits(),
+                        run.test_accuracy.unwrap().to_bits(),
+                        "{label}"
+                    );
+                }
             }
-            assert_eq!(
-                off.test_accuracy.unwrap().to_bits(),
-                cached.test_accuracy.unwrap().to_bits()
-            );
         }
-        // The uncached run reports no cache activity; cached runs do.
-        assert_eq!(off.epochs[0].cache_hit_rate(), None);
-        assert!(pinned.epochs[0].cache_hit_rate().unwrap() > 0.0);
-        assert!(lru.epochs[0].cache_hit_rate().is_some());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! * synthetic generators ([`generators`]) — R-MAT, Erdős–Rényi, Chung–Lu and
 //!   small deterministic graphs — used to build scaled-down stand-ins with the
 //!   same average degree and skew as the paper's datasets ([`datasets`]),
-//! * 1D and 1.5D block-row partitioners ([`partition`]) matching the process
-//!   grids of §5 and §6 of the paper,
+//! * the block-row partitioner ([`partition`]) behind the 1D and 1.5D
+//!   layouts of §5 and §6 of the paper,
 //! * versioned incremental edge ingest ([`ingest`]) applying
 //!   [`dmbs_matrix::DeltaBatch`]es with partition-aware owner routing,
 //! * training-set shuffling and minibatch construction ([`minibatch`]).
@@ -47,7 +47,7 @@ pub mod partition;
 pub use graph::{Graph, GraphError};
 pub use ingest::{GraphIngest, IngestMode, IngestReceipt};
 pub use minibatch::MinibatchPlan;
-pub use partition::{OneDPartition, OneFiveDPartition};
+pub use partition::OneDPartition;
 
 /// Crate-wide result type.
 pub type Result<T> = std::result::Result<T, GraphError>;

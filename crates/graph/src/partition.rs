@@ -1,4 +1,4 @@
-//! 1D and 1.5D partitionings of matrices across a process grid.
+//! Block-row partitionings of matrices across a process grid.
 //!
 //! The paper distributes the sampler matrix `Q^l`, the adjacency matrix `A`
 //! and the feature matrix `H` with block-row partitionings:
@@ -12,6 +12,10 @@
 //! * the training pipeline (§6) partitions the feature matrix `H` with the
 //!   same 1.5D scheme so that feature fetching is an all-to-allv within a
 //!   process column.
+//!
+//! Every scheme is a [`OneDPartition`] of the rows over the right number of
+//! block rows (`p`, or `p/c` for 1.5D); the grid that maps ranks to block
+//! rows is `dmbs_comm::ProcessGrid`.
 
 use crate::graph::GraphError;
 use dmbs_matrix::{CsrMatrix, DenseMatrix};
@@ -194,174 +198,20 @@ impl OneDPartition {
     }
 }
 
-/// A 1.5D partition: `p` processes arranged as a `p/c × c` grid, with matrices
-/// split into `p/c` block rows, each replicated across the `c` processes of
-/// its process row.
-///
-/// Process ranks are laid out row-major: rank = `i * c + j` for process
-/// coordinates `(i, j)`.
-///
-/// # Example
-///
-/// ```
-/// use dmbs_graph::partition::OneFiveDPartition;
-///
-/// # fn main() -> Result<(), dmbs_graph::GraphError> {
-/// let grid = OneFiveDPartition::new(8, 2, 100)?;
-/// assert_eq!(grid.grid_rows(), 4);
-/// assert_eq!(grid.coords_of(5), (2, 1));
-/// assert_eq!(grid.rank_of(2, 1), 5);
-/// // Rank 5 stores block row 2.
-/// assert_eq!(grid.block_row_of_rank(5), 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OneFiveDPartition {
-    p: usize,
-    c: usize,
-    rows: OneDPartition,
-}
-
-impl OneFiveDPartition {
-    /// Creates a 1.5D partition of `n` matrix rows over `p` processes with
-    /// replication factor `c`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidConfig`] if `p == 0`, `c == 0` or `c`
-    /// does not divide `p`.
-    pub fn new(p: usize, c: usize, n: usize) -> Result<Self, GraphError> {
-        if p == 0 || c == 0 {
-            return Err(GraphError::InvalidConfig("p and c must be positive".into()));
-        }
-        if !p.is_multiple_of(c) {
-            return Err(GraphError::InvalidConfig(format!(
-                "replication factor {c} must divide the number of processes {p}"
-            )));
-        }
-        let rows = OneDPartition::new(n, p / c)?;
-        Ok(OneFiveDPartition { p, c, rows })
-    }
-
-    /// Total number of processes.
-    pub fn num_processes(&self) -> usize {
-        self.p
-    }
-
-    /// Replication factor `c` (number of process columns).
-    pub fn replication(&self) -> usize {
-        self.c
-    }
-
-    /// Number of process rows (`p / c`), which equals the number of block
-    /// rows.
-    pub fn grid_rows(&self) -> usize {
-        self.p / self.c
-    }
-
-    /// The underlying 1D block-row partition (over `p/c` block rows).
-    pub fn row_partition(&self) -> &OneDPartition {
-        &self.rows
-    }
-
-    /// Number of stages of the 1.5D SpGEMM algorithm (Algorithm 2):
-    /// `p / c^2`, rounded up to at least 1.
-    pub fn num_stages(&self) -> usize {
-        (self.p / (self.c * self.c)).max(1)
-    }
-
-    /// Grid coordinates `(i, j)` of a rank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank >= p`.
-    pub fn coords_of(&self, rank: usize) -> (usize, usize) {
-        assert!(rank < self.p, "rank out of range");
-        (rank / self.c, rank % self.c)
-    }
-
-    /// Rank of grid coordinates `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= grid_rows` or `j >= c`.
-    pub fn rank_of(&self, i: usize, j: usize) -> usize {
-        assert!(i < self.grid_rows() && j < self.c, "grid coordinates out of range");
-        i * self.c + j
-    }
-
-    /// The block-row index stored by `rank` (its process-row index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank >= p`.
-    pub fn block_row_of_rank(&self, rank: usize) -> usize {
-        self.coords_of(rank).0
-    }
-
-    /// Ranks in process row `i` (all of which replicate block row `i`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= grid_rows`.
-    pub fn ranks_in_row(&self, i: usize) -> Vec<usize> {
-        assert!(i < self.grid_rows(), "process row out of range");
-        (0..self.c).map(|j| self.rank_of(i, j)).collect()
-    }
-
-    /// Ranks in process column `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= c`.
-    pub fn ranks_in_col(&self, j: usize) -> Vec<usize> {
-        assert!(j < self.c, "process column out of range");
-        (0..self.grid_rows()).map(|i| self.rank_of(i, j)).collect()
-    }
-
-    /// Global row range of block row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= grid_rows`.
-    pub fn block_row_range(&self, i: usize) -> std::ops::Range<usize> {
-        self.rows.range(i)
-    }
-
-    /// The block row that owns global matrix row `row`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` is out of range.
-    pub fn block_row_of_global(&self, row: usize) -> usize {
-        self.rows.owner_of(row)
-    }
-
-    /// Splits a CSR matrix into its `p/c` block rows (one per process row).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidConfig`] if the row count does not match.
-    pub fn split_csr(&self, matrix: &CsrMatrix) -> Result<Vec<CsrMatrix>, GraphError> {
-        self.rows.split_csr(matrix)
-    }
-
-    /// Splits a dense matrix into its `p/c` block rows (one per process row).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidConfig`] if the row count does not match.
-    pub fn split_dense(&self, matrix: &DenseMatrix) -> Result<Vec<DenseMatrix>, GraphError> {
-        self.rows.split_dense(matrix)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmbs_comm::ProcessGrid;
     use dmbs_matrix::CooMatrix;
     use proptest::prelude::*;
+
+    /// The 1.5D layout every backend builds: a `p/c × c` process grid and a
+    /// 1D partition of the `n` rows over its `p/c` process rows.
+    fn one_five_d(p: usize, c: usize, n: usize) -> (ProcessGrid, OneDPartition) {
+        let grid = ProcessGrid::new(p, c).unwrap();
+        let rows = OneDPartition::new(n, grid.rows()).unwrap();
+        (grid, rows)
+    }
 
     #[test]
     fn one_d_even_and_uneven() {
@@ -438,42 +288,47 @@ mod tests {
 
     #[test]
     fn one_five_d_grid_layout() {
-        let g = OneFiveDPartition::new(8, 2, 100).unwrap();
-        assert_eq!(g.num_processes(), 8);
-        assert_eq!(g.replication(), 2);
-        assert_eq!(g.grid_rows(), 4);
+        let (g, rows) = one_five_d(8, 2, 100);
+        assert_eq!(g.size(), 8);
+        assert_eq!(g.cols(), 2);
+        assert_eq!(g.rows(), 4);
+        assert_eq!(rows.num_parts(), 4);
         assert_eq!(g.num_stages(), 2);
-        assert_eq!(g.coords_of(0), (0, 0));
-        assert_eq!(g.coords_of(7), (3, 1));
-        assert_eq!(g.rank_of(3, 1), 7);
-        assert_eq!(g.ranks_in_row(1), vec![2, 3]);
-        assert_eq!(g.ranks_in_col(0), vec![0, 2, 4, 6]);
-        assert_eq!(g.block_row_of_rank(6), 3);
+        assert_eq!(g.coords(0), (0, 0));
+        assert_eq!(g.coords(7), (3, 1));
+        assert_eq!(g.rank_at(3, 1), 7);
+        assert_eq!(g.row_ranks(2), vec![2, 3]);
+        assert_eq!(g.col_ranks(0), vec![0, 2, 4, 6]);
+        // Rank 6 sits in process row 3, so it stores block row 3.
+        assert_eq!(rows.range(g.coords(6).0), 75..100);
     }
 
     #[test]
     fn one_five_d_block_ranges_cover_rows() {
-        let g = OneFiveDPartition::new(6, 3, 10).unwrap();
-        assert_eq!(g.grid_rows(), 2);
-        let total: usize = (0..g.grid_rows()).map(|i| g.block_row_range(i).len()).sum();
+        let (g, rows) = one_five_d(6, 3, 10);
+        assert_eq!(g.rows(), 2);
+        let total: usize = (0..g.rows()).map(|i| rows.range(i).len()).sum();
         assert_eq!(total, 10);
-        assert_eq!(g.block_row_of_global(9), 1);
+        assert_eq!(rows.owner_of(9), 1);
     }
 
     #[test]
     fn one_five_d_validation() {
-        assert!(OneFiveDPartition::new(0, 1, 10).is_err());
-        assert!(OneFiveDPartition::new(4, 0, 10).is_err());
-        assert!(OneFiveDPartition::new(6, 4, 10).is_err());
-        assert!(OneFiveDPartition::new(4, 4, 10).is_ok()); // c = p: fully replicated
+        assert!(ProcessGrid::new(0, 1).is_err());
+        assert!(ProcessGrid::new(4, 0).is_err());
+        assert!(ProcessGrid::new(6, 4).is_err());
+        // c = p: fully replicated, one block row holding every row.
+        let (g, rows) = one_five_d(4, 4, 10);
+        assert_eq!(g.rows(), 1);
+        assert_eq!(rows.range(0), 0..10);
     }
 
     #[test]
     fn one_five_d_num_stages_minimum_one() {
         // p = c^2 gives exactly 1 stage; p < c^2 clamps to 1.
-        assert_eq!(OneFiveDPartition::new(4, 2, 10).unwrap().num_stages(), 1);
-        assert_eq!(OneFiveDPartition::new(4, 4, 10).unwrap().num_stages(), 1);
-        assert_eq!(OneFiveDPartition::new(16, 2, 10).unwrap().num_stages(), 4);
+        assert_eq!(one_five_d(4, 2, 10).0.num_stages(), 1);
+        assert_eq!(one_five_d(4, 4, 10).0.num_stages(), 1);
+        assert_eq!(one_five_d(16, 2, 10).0.num_stages(), 4);
     }
 
     proptest! {
@@ -500,11 +355,11 @@ mod tests {
 
         #[test]
         fn prop_grid_rank_coords_roundtrip(pc in 1usize..8, c in 1usize..5) {
-            let p = pc * c;
-            let g = OneFiveDPartition::new(p, c, 64).unwrap();
-            for rank in 0..p {
-                let (i, j) = g.coords_of(rank);
-                prop_assert_eq!(g.rank_of(i, j), rank);
+            let (g, rows) = one_five_d(pc * c, c, 64);
+            for rank in 0..g.size() {
+                let (i, j) = g.coords(rank);
+                prop_assert_eq!(g.rank_at(i, j), rank);
+                prop_assert!(i < rows.num_parts());
             }
         }
     }

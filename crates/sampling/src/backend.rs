@@ -188,14 +188,6 @@ impl EpochSamples {
         self.per_unit.iter().map(|u| u.comm_stats.messages).max().unwrap_or(0)
     }
 
-    /// The communication-avoiding fetch plan of this epoch: the deduplicated
-    /// union of every minibatch's layer-0 frontier (see
-    /// [`crate::FetchPlan`]), which the feature pipeline prefetches once
-    /// instead of re-requesting per minibatch.
-    pub fn fetch_plan(&self) -> crate::FetchPlan {
-        crate::FetchPlan::from_minibatches(&self.output.minibatches)
-    }
-
     /// Appends one bulk group sampled by `units` round-robin (unit `u` owns
     /// the group's batches `u, u + units.len(), …`): books each unit's
     /// statistics and restores the group's batch order.
@@ -1001,7 +993,7 @@ mod tests {
         let backend = LocalBackend::new(BulkSamplerConfig::new(2, 2)).unwrap();
         let epoch =
             backend.sample_epoch(&sampler, &a, &[vec![1, 5], vec![0, 3], vec![2, 4]], 13).unwrap();
-        let plan = epoch.fetch_plan();
+        let plan = crate::FetchPlan::from_minibatches(epoch.minibatches());
         let mut expected: Vec<usize> =
             epoch.minibatches().iter().flat_map(|mb| mb.input_vertices().to_vec()).collect();
         assert_eq!(plan.total_requests(), expected.len());

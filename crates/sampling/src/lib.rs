@@ -39,9 +39,8 @@
 //!
 //! Because bulk sampling materializes every frontier up front, the
 //! feature-fetching phase can be planned: [`FetchPlan`] deduplicates the
-//! union of the sampled layer-0 frontiers (via
-//! [`EpochSamples::fetch_plan`]), the basis of the `dmbs-gnn` feature
-//! cache's prefetch-once pipeline.
+//! union of the sampled layer-0 frontiers, the basis of the `dmbs-gnn`
+//! feature cache's prefetch-once pipeline.
 //!
 //! Both axes meet in one pipeline: the same node-wise or layer-wise driver
 //! runs a sampler's [`SamplerSpec`] on one device or on a 1.5D process row.

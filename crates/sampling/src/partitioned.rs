@@ -4,11 +4,11 @@
 //! and the adjacency matrix `A` are partitioned into `p/c` block rows on a
 //! `p/c × c` process grid, each block row replicated on the `c` ranks of its
 //! process row.  The probability-generation SpGEMM `P ← Q^l A` then becomes
-//! the **sparsity-aware 1.5D algorithm** of Algorithm 2: in each of `p/c²`
-//! stages, the owner of a block row of `A` sends each requester only the rows
-//! its local multiply actually needs (the nonzero columns of its `Q` block),
-//! and a final all-reduce across the process row combines the partial
-//! products.
+//! the **sparsity-aware 1.5D algorithm** of Algorithm 2: in each of
+//! `⌈p/c²⌉` stages ([`dmbs_comm::ProcessGrid::num_stages`]), the owner of a
+//! block row of `A` sends each requester only the rows its local multiply
+//! actually needs (the nonzero columns of its `Q` block), and a final
+//! all-reduce across the process row combines the partial products.
 //!
 //! Per stage the traffic is a gather of request lists over the process
 //! column, then one point-to-point reply per remote requester.  A reply is
@@ -113,7 +113,7 @@ pub fn spgemm_1p5d_sparsity_aware(
 
     // Each process column j is responsible for a contiguous chunk of block
     // rows of A: block rows [j * stages, (j+1) * stages).
-    let stages = grid.rows().div_ceil(grid.cols());
+    let stages = grid.num_stages();
     let mut p_hat = CsrMatrix::zeros(my_q_block.rows(), n);
 
     for stage in 0..stages {

@@ -134,7 +134,7 @@ const PINNED: [(&str, Allocs); 6] = [
     ("backward step", Allocs { count: 27, bytes: 460_440 }),
     ("graphsage bulk sampling step", Allocs { count: 98, bytes: 1_634_424 }),
     ("ladies bulk sampling step", Allocs { count: 148, bytes: 1_889_496 }),
-    ("served request", Allocs { count: 92, bytes: 374_624 }),
+    ("served request", Allocs { count: 73, bytes: 214_672 }),
     ("1.5d probability step", Allocs { count: 28, bytes: 172_112 }),
 ];
 

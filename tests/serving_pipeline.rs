@@ -3,16 +3,15 @@
 //! The coalescing contract is the serving twin of the training pipeline's
 //! bulk contract: a micro-bulk of `k` requests must produce **bit-for-bit**
 //! the same per-request predictions as the same `k` requests served alone,
-//! for every batch size and every feature-cache mode — coalescing, the
-//! hot-vertex tier and the cache are pure work avoidance, never
-//! approximation.  On top of that ride the typed admission/timeout errors
+//! for every batch size — coalescing and the hot-vertex tier are pure work
+//! avoidance, never approximation.  On top of that ride the typed admission/timeout errors
 //! and the open-loop replay determinism the CI serve gate pins.
 
 mod common;
 
 use dmbs::gnn::{
-    FeatureCacheConfig, ModelSnapshot, RequestTrace, ServeError, ServeRequest, ServingConfig,
-    ServingSession, TrainingSession,
+    ModelSnapshot, RequestTrace, ServeError, ServeRequest, ServingConfig, ServingSession,
+    TrainingSession,
 };
 use dmbs::graph::datasets::{build_dataset, Dataset, DatasetConfig};
 use dmbs::sampling::{BulkSamplerConfig, GraphSageSampler, LocalBackend};
@@ -54,59 +53,52 @@ fn session(
 
 /// The tentpole contract: a coalesced micro-bulk answers every request
 /// bit-for-bit identically to serving the same requests one at a time,
-/// across batch sizes and cache modes.  Per-request sampling streams are
-/// keyed by (session seed, request id), so a request's companions — and the
-/// hot tier or cache state it happens to hit — can never leak into its
-/// prediction.
+/// across batch sizes.  Per-request sampling streams are keyed by (session
+/// seed, request id), so a request's companions — and the hot-tier state it
+/// happens to hit — can never leak into its prediction.
 #[test]
 fn micro_bulk_is_byte_identical_to_singletons() {
     let (dataset, snapshot) = trained(3);
     let n = dataset.num_vertices();
-    for cache in common::cache_modes(1 << 14) {
-        for k in [1usize, 2, 4, 8] {
-            let config = ServingConfig {
-                max_micro_bulk: k.max(1),
-                feature_cache: cache,
-                seed: 77,
-                ..ServingConfig::default()
-            };
-            let requests: Vec<ServeRequest> =
-                (0..k).map(|i| ServeRequest { id: i as u64, vertex: (i * 11 + 3) % n }).collect();
+    for k in [1usize, 2, 4, 8] {
+        let config =
+            ServingConfig { max_micro_bulk: k.max(1), seed: 77, ..ServingConfig::default() };
+        let requests: Vec<ServeRequest> =
+            (0..k).map(|i| ServeRequest { id: i as u64, vertex: (i * 11 + 3) % n }).collect();
 
-            let mut bulk = session(&dataset, &snapshot, config);
-            let coalesced = bulk.serve(&requests).unwrap();
+        let mut bulk = session(&dataset, &snapshot, config);
+        let coalesced = bulk.serve(&requests).unwrap();
 
-            let mut solo = session(&dataset, &snapshot, config);
-            for (req, got) in requests.iter().zip(&coalesced) {
-                let alone = solo.serve(std::slice::from_ref(req)).unwrap();
-                assert_eq!(alone.len(), 1);
-                let alone = &alone[0];
-                assert_eq!(got.id, alone.id);
-                assert_eq!(got.vertex, alone.vertex);
+        let mut solo = session(&dataset, &snapshot, config);
+        for (req, got) in requests.iter().zip(&coalesced) {
+            let alone = solo.serve(std::slice::from_ref(req)).unwrap();
+            assert_eq!(alone.len(), 1);
+            let alone = &alone[0];
+            assert_eq!(got.id, alone.id);
+            assert_eq!(got.vertex, alone.vertex);
+            assert_eq!(
+                got.prediction, alone.prediction,
+                "k = {k}: prediction diverged for request {}",
+                req.id
+            );
+            assert_eq!(got.logits.len(), alone.logits.len());
+            for (a, b) in got.logits.iter().zip(&alone.logits) {
                 assert_eq!(
-                    got.prediction, alone.prediction,
-                    "cache {cache:?} k = {k}: prediction diverged for request {}",
+                    a.to_bits(),
+                    b.to_bits(),
+                    "k = {k}: logits diverged for request {}",
                     req.id
                 );
-                assert_eq!(got.logits.len(), alone.logits.len());
-                for (a, b) in got.logits.iter().zip(&alone.logits) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "cache {cache:?} k = {k}: logits diverged for request {}",
-                        req.id
-                    );
-                }
             }
-            // The micro-bulk did the same work in fewer batches.
-            assert_eq!(bulk.stats().requests_served, k);
-            assert_eq!(bulk.stats().batches, 1);
-            assert_eq!(solo.stats().batches, k);
         }
+        // The micro-bulk did the same work in fewer batches.
+        assert_eq!(bulk.stats().requests_served, k);
+        assert_eq!(bulk.stats().batches, 1);
+        assert_eq!(solo.stats().batches, k);
     }
 }
 
-/// A warm hot tier and a warm cache are invisible in the answers: replaying
+/// A warm hot tier is invisible in the answers: replaying
 /// the same request ids against a session that has already served (and
 /// re-pinned its hot tier) returns bit-identical logits.
 #[test]
@@ -116,7 +108,6 @@ fn warm_state_never_changes_answers() {
     let config = ServingConfig {
         hot_capacity: 16,
         hot_warm_interval: 1, // re-warm after every batch
-        feature_cache: FeatureCacheConfig::EpochPinned,
         seed: 9,
         ..ServingConfig::default()
     };
@@ -125,7 +116,7 @@ fn warm_state_never_changes_answers() {
 
     let mut cold = session(&dataset, &snapshot, config);
     let first = cold.serve(&requests).unwrap();
-    // Several more batches to warm the tier and the cache…
+    // Several more batches to warm the tier…
     for _ in 0..4 {
         cold.serve(&requests).unwrap();
     }
