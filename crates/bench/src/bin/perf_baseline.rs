@@ -1103,9 +1103,9 @@ fn autotune_sweep(smoke: bool) -> (Workload, Vec<Record>) {
             let (report, _) = train(p, c, &schedule, 1);
             ProbeEpoch::from_books(&report.epochs[0].profile, &report.epochs[0].comm)
         };
-        let pinned = Schedule { cache: FeatureCacheConfig::EpochPinned, ..Schedule::default() };
+        let pinned = Schedule::default();
         let probes = ProbeSet {
-            baseline: probe(Schedule::default()),
+            baseline: probe(Schedule { cache: FeatureCacheConfig::Off, ..pinned }),
             pinned: probe(pinned),
             fp16: Some(probe(Schedule { codec: Codec::Fp16, ..pinned })),
             int8: Some(probe(Schedule { codec: Codec::Int8, ..pinned })),

@@ -34,8 +34,8 @@
 //!
 //! Missing probes degrade gracefully: a knob whose probe was not run scores
 //! **no benefit**, so it ties with the cheaper-to-probe candidate and the
-//! deterministic lexicographic tie-break keeps the earlier (more
-//! conservative) choice.
+//! deterministic lexicographic tie-break keeps the earlier choice — the
+//! default schedule first, then the plainer knob.
 //!
 //! The searched grid is deliberately the *schedule* knobs at a fixed
 //! `(p, c)` shape — the knobs a built session can change without resampling
@@ -54,18 +54,24 @@ use std::fmt;
 
 /// The per-rank feature-cache mode of a [`Schedule`] (the cache itself is
 /// `FeatureCache` in the `gnn` crate, which re-exports this enum).
-/// Declaration order is the lexicographic rank used by the tuner's
-/// deterministic tie-break: `Off < EpochPinned < Lru`.
+///
+/// The default is [`FeatureCacheConfig::EpochPinned`], the §6.2 pipeline:
+/// it never moves more words or messages than `Off` and trains
+/// bit-identically.  Declaration order is the wire tag
+/// (`Off = 0, EpochPinned = 1, Lru = 2`), not the tuner's tie-break order,
+/// which puts the default first: `EpochPinned < Off < Lru`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FeatureCacheConfig {
     /// No caching: every minibatch re-fetches its full frontier (the
-    /// baseline all-to-allv pipeline).
-    #[default]
+    /// uncached all-to-allv pipeline every cached run is balanced against).
     Off,
-    /// Epoch-static pinning: the union of the planned frontiers is
-    /// prefetched once per bulk group and stays resident for the epoch, so
-    /// each remote row crosses the wire at most once per epoch and the
-    /// per-step collectives vanish.
+    /// Epoch-static pinning (the default): the union of the planned
+    /// frontiers is prefetched once per bulk group and stays resident for
+    /// the epoch, so each remote row crosses the wire at most once per epoch
+    /// and the per-step collectives vanish.  The rows it pins are at most
+    /// the epoch's distinct input vertices, so a rank never holds more than
+    /// one more copy of the `n × f` feature matrix it already decoded.
+    #[default]
     EpochPinned,
     /// A bounded read-through cache on the distributed per-step fetch:
     /// resident rows up to the byte budget, least-recently-used eviction.
@@ -96,11 +102,21 @@ impl FeatureCacheConfig {
         }
     }
 
-    /// Position in the canonical enumeration order; doubles as the wire tag.
-    fn rank(self) -> u64 {
+    /// The wire tag of the mode (its declaration order).
+    fn tag(self) -> u64 {
         match self {
             FeatureCacheConfig::Off => 0,
             FeatureCacheConfig::EpochPinned => 1,
+            FeatureCacheConfig::Lru { .. } => 2,
+        }
+    }
+
+    /// Position in the tuner's enumeration and tie-break order: the default
+    /// first, then the uncached pipeline, then the opt-in LRU.
+    fn tie_break(self) -> u64 {
+        match self {
+            FeatureCacheConfig::EpochPinned => 0,
+            FeatureCacheConfig::Off => 1,
             FeatureCacheConfig::Lru { .. } => 2,
         }
     }
@@ -117,20 +133,20 @@ impl FeatureCacheConfig {
 /// in-memory matrix — so they ignore it, as local sessions ignore the
 /// transport.
 ///
-/// The default is the untuned schedule — no cache, bit-exact codec,
-/// synchronous pipeline — and always the first candidate of every grid, so an
-/// all-ties search (e.g. a shape with no communication at all)
-/// deterministically keeps it.
+/// The default is the schedule a session runs without tuning — the §6.2
+/// epoch-pinned cache, bit-exact codec, synchronous pipeline — and always the
+/// first candidate of every grid, so an all-ties search (e.g. a shape with no
+/// communication at all) deterministically keeps it.
 ///
 /// ```
 /// use dmbs_comm::tune::{FeatureCacheConfig, Schedule};
 /// use dmbs_comm::Codec;
 ///
 /// let default = Schedule::default();
-/// assert_eq!(default.cache, FeatureCacheConfig::Off);
+/// assert_eq!(default.cache, FeatureCacheConfig::EpochPinned);
 /// assert_eq!(default.codec, Codec::Exact);
 /// assert!(!default.overlap);
-/// assert_eq!(default.to_string(), "cache=off codec=exact overlap=off");
+/// assert_eq!(default.to_string(), "cache=pinned codec=exact overlap=off");
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Schedule {
@@ -145,10 +161,10 @@ pub struct Schedule {
 
 impl Schedule {
     /// Lexicographic key `(cache, codec, overlap)` implementing the
-    /// deterministic tie-break order (`Off < EpochPinned < Lru`, then
+    /// deterministic tie-break order (`EpochPinned < Off < Lru`, then
     /// `Exact < Fp16 < Int8`, then `off < on`).
     fn lex_key(&self) -> (u64, u64, bool) {
-        (self.cache.rank(), self.codec.tag(), self.overlap)
+        (self.cache.tie_break(), self.codec.tag(), self.overlap)
     }
 
     /// The one validity rule of the schedule knobs: an overlapped schedule
@@ -190,7 +206,7 @@ impl Payload for Schedule {
         wire::compose_type_code(33, &[])
     }
     fn encode(&self, out: &mut Vec<u8>) {
-        wire::put_u64(out, self.cache.rank());
+        wire::put_u64(out, self.cache.tag());
         if let FeatureCacheConfig::Lru { byte_budget } = self.cache {
             wire::put_usize(out, byte_budget);
         }
@@ -258,9 +274,11 @@ impl ProbeEpoch {
 /// calibrates, and a knob without its probe scores no benefit.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProbeSet {
-    /// The default schedule: cache off, `Codec::Exact`, synchronous.
+    /// The uncached reference every cached probe is balanced against: cache
+    /// [`FeatureCacheConfig::Off`], `Codec::Exact`, synchronous.
     pub baseline: ProbeEpoch,
-    /// Cache [`FeatureCacheConfig::EpochPinned`], `Codec::Exact`, synchronous.
+    /// Cache [`FeatureCacheConfig::EpochPinned`], `Codec::Exact`, synchronous
+    /// — the default schedule.
     pub pinned: ProbeEpoch,
     /// Cache pinned, `Codec::Fp16`, synchronous — calibrates the fp16
     /// bytes-on-wire term.
@@ -386,11 +404,11 @@ impl TuningGrid {
     }
 
     /// Enumerates every valid candidate in canonical lexicographic order:
-    /// cache (`Off < EpochPinned < Lru`), then codec
+    /// cache (`EpochPinned < Off < Lru`), then codec
     /// (`Exact < Fp16 < Int8`), then overlap (`off < on`).  The first
     /// candidate is always [`Schedule::default`].
     pub fn candidates(&self) -> Vec<Schedule> {
-        let mut caches = vec![FeatureCacheConfig::Off, FeatureCacheConfig::EpochPinned];
+        let mut caches = vec![FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Off];
         if let Some(byte_budget) = self.lru_budget {
             caches.push(FeatureCacheConfig::Lru { byte_budget });
         }
@@ -684,11 +702,15 @@ mod tests {
                 assert_eq!(Schedule::decode(&mut &bytes[..len]), None, "{schedule} prefix {len}");
             }
         }
-        // Words of the default schedule: cache tag, overlap flag, codec tag.
+        // Words of a synchronous exact schedule: cache tag, overlap flag,
+        // codec tag.  The tags are the declaration order, not the tie-break
+        // order: tag 0 is the uncached schedule, tag 1 the (pinned) default.
         let words = |cache: u64, overlap: u64, codec: u64| -> Vec<u8> {
             [cache, overlap, codec].iter().flat_map(|w| w.to_le_bytes()).collect()
         };
-        assert_eq!(Schedule::decode(&mut &words(0, 0, 0)[..]), Some(Schedule::default()));
+        let off = Schedule { cache: FeatureCacheConfig::Off, ..Schedule::default() };
+        assert_eq!(Schedule::decode(&mut &words(0, 0, 0)[..]), Some(off));
+        assert_eq!(Schedule::decode(&mut &words(1, 0, 0)[..]), Some(Schedule::default()));
         assert_eq!(Schedule::decode(&mut &words(3, 0, 0)[..]), None, "unknown cache tag");
         assert_eq!(Schedule::decode(&mut &words(0, 2, 0)[..]), None, "non-0/1 overlap flag");
         assert_eq!(Schedule::decode(&mut &words(0, 0, 3)[..]), None, "unknown codec tag");
@@ -715,7 +737,7 @@ mod tests {
     #[test]
     fn lru_and_lossy_are_opt_in() {
         let plain = TuningGrid::new(4, 2).unwrap();
-        assert_eq!(plain.candidates().len(), 3); // off, pinned, pinned+overlap
+        assert_eq!(plain.candidates().len(), 3); // pinned, pinned+overlap, off
         assert!(plain
             .candidates()
             .iter()
@@ -763,10 +785,11 @@ mod tests {
         // the synchronous schedule is kept by the tie-break.
         assert!(!outcome.chosen().choice.overlap);
         let chosen = outcome.chosen().cost;
-        let default = outcome.scored[0].cost;
-        assert!(chosen.total_s() < default.total_s());
+        let off = outcome.scored.iter().find(|s| s.choice.cache == FeatureCacheConfig::Off);
+        let off = off.expect("every grid enumerates the uncached schedule").cost;
+        assert!(chosen.total_s() < off.total_s());
         assert_eq!(chosen.words, 1000);
-        assert_eq!(default.words, 2000);
+        assert_eq!(off.words, 2000);
     }
 
     #[test]
@@ -857,7 +880,8 @@ mod tests {
     #[test]
     fn breakdown_arithmetic() {
         let model = fitted(basic_probes());
-        let cost = model.predict(&Schedule::default());
+        let cost =
+            model.predict(&Schedule { cache: FeatureCacheConfig::Off, ..Schedule::default() });
         assert_eq!(cost.bytes_on_wire, 8 * cost.words);
         let expected = (2.0e-4 * 80.0 + 5.0e-8 * 2000.0) / 4.0;
         assert!((cost.comm_s - expected).abs() < 1e-15);

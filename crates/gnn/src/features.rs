@@ -335,7 +335,10 @@ impl PendingFetch {
 /// they differ only in the refetch bill, which the
 /// [`CommStats`] invalidation books account for exactly:
 /// `invalidation_words(FlushAll) == invalidation_words(Precise) +
-/// retained_words(Precise)` for the same ingest schedule.
+/// retained_words(Precise)` for the same ingest schedule.  Ingest lands
+/// between epochs, after the [`FeatureCacheConfig::EpochPinned`] cache has
+/// dropped its epoch's rows, so the policies only differ for the
+/// [`FeatureCacheConfig::Lru`] cache; the pinned cache books nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InvalidationPolicy {
     /// Evict exactly the resident rows whose vertex lies in the ingest's

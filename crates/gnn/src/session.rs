@@ -475,13 +475,17 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     }
 
     /// The per-rank feature cache of the communication-avoiding §6.2
-    /// pipeline (default [`FeatureCacheConfig::Off`]):
+    /// pipeline (default [`FeatureCacheConfig::EpochPinned`]):
     ///
     /// * [`FeatureCacheConfig::EpochPinned`] — each bulk group's
     ///   [`FetchPlan`] (the deduplicated union of its layer-0 frontiers) is
     ///   prefetched with one all-to-allv round and pinned for the epoch, so
     ///   each remote feature row crosses the wire at most once per epoch and
-    ///   the per-step fetch collectives disappear;
+    ///   the per-step fetch collectives disappear.  The pinned rows are at
+    ///   most the epoch's distinct input vertices, so a rank holds at most
+    ///   one more copy of the feature matrix;
+    /// * [`FeatureCacheConfig::Off`] — every step re-fetches its full
+    ///   frontier (the uncached reference the cache books balance against);
     /// * [`FeatureCacheConfig::Lru`] — a byte-budgeted read-through cache:
     ///   per-step collectives still run (ranks stay matched) but carry only
     ///   the misses.
@@ -788,10 +792,11 @@ where
 
         // Probes share the session seed, so every probe sees the identical
         // epoch-0 schedule and the cross-probe double-entry identities that
-        // TuningModel::fit verifies hold exactly.
-        let pinned = Schedule { cache: FeatureCacheConfig::EpochPinned, ..Schedule::default() };
+        // TuningModel::fit verifies hold exactly.  The baseline is the
+        // uncached reference; the pinned probe is the default schedule.
+        let pinned = Schedule::default();
         let probes = ProbeSet {
-            baseline: probe(Schedule::default())?,
+            baseline: probe(Schedule { cache: FeatureCacheConfig::Off, ..pinned })?,
             pinned: probe(pinned)?,
             fp16: allow_lossy
                 .then(|| probe(Schedule { codec: Codec::Fp16, ..pinned }))
@@ -1165,12 +1170,6 @@ where
             // adjacency reference is live.
             let graph_version = ingest.version();
             let adjacency = ingest.adjacency();
-            if pinned {
-                // Epoch-static pinning: resident rows live for one
-                // epoch, so a remote row crosses at most once per
-                // epoch even when bulk groups share frontiers.
-                cache.as_mut().expect("pinned implies enabled").clear();
-            }
 
             // The software pipeline of §6 / Figure 3, one loop for both
             // schedules: stages up to `k + lookahead` are sampled and their
@@ -1254,6 +1253,14 @@ where
                 // Fold in this epoch's hit/miss/saved-words counters
                 // (and reset them for the next epoch).
                 comm_delta.merge(&cache.take_stats());
+                if pinned {
+                    // Epoch-static pinning: resident rows live for one
+                    // epoch, so a remote row crosses at most once per epoch
+                    // even when bulk groups share frontiers.  They are
+                    // dropped here, before any ingest lands, so an ingest
+                    // finds nothing pinned and books nothing as retained.
+                    cache.clear();
+                }
             }
             epochs.push((profile, comm_delta, loss.mean()));
 
@@ -1839,7 +1846,8 @@ mod tests {
         // so the words the pinned pipeline kept off the wire must equal the
         // difference in total words sent: saved + sent == uncached bill.
         let base = replicated_base(10, 33);
-        let off = base.clone().build().unwrap().train().unwrap();
+        let off =
+            base.clone().feature_cache(FeatureCacheConfig::Off).build().unwrap().train().unwrap();
         for cache in
             [FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Lru { byte_budget: 1 << 20 }]
         {

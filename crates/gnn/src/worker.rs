@@ -450,6 +450,7 @@ fn train_worker(comm: &mut Communicator, job: &[u8]) -> std::result::Result<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::FeatureCacheConfig;
     use dmbs_comm::Codec;
     use dmbs_graph::datasets::{build_dataset, DatasetConfig};
     use dmbs_matrix::DeltaBatch;
@@ -478,6 +479,7 @@ mod tests {
             .hidden_dim(8)
             .epochs(2)
             .seed(seed)
+            .feature_cache(FeatureCacheConfig::Off)
             .wire_codec(Codec::Int8)
             .grad_top_k(5)
             .ingest(0, batch)
@@ -503,9 +505,9 @@ mod tests {
         assert_eq!(decoded.dataset.train_set, session.dataset().train_set);
         assert_eq!(decoded.sampler, session.sampler().spec().unwrap());
         assert_eq!(decoded.backend, session.backend().spec().unwrap());
-        // Every config field survives the trip (the fixture sets the codec,
-        // top-k, ingest schedule and invalidation policy off their defaults),
-        // the ingest batch op for op.
+        // Every config field survives the trip (the fixture sets the cache,
+        // codec, top-k, ingest schedule and invalidation policy off their
+        // defaults), the ingest batch op for op.
         assert_eq!(&decoded.config, session.config());
         assert_eq!(decoded.config.schedule.codec, Codec::Int8);
         assert_eq!(

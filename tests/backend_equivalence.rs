@@ -8,7 +8,7 @@ mod common;
 
 use common::GRID_SHAPES;
 use dmbs::comm::{Codec, Group, ProcessGrid, Runtime};
-use dmbs::gnn::{FeatureCache, FeatureCacheConfig, FeatureStore, TrainingSession};
+use dmbs::gnn::{FeatureCache, FeatureCacheConfig, FeatureStore, SessionBuilder, TrainingSession};
 use dmbs::graph::datasets::Dataset;
 use dmbs::graph::generators::figure1_example;
 use dmbs::matrix::DenseMatrix;
@@ -19,6 +19,7 @@ use dmbs::sampling::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 #[test]
 fn replicated_backend_matches_hand_rolled_per_rank_sampling() {
@@ -150,11 +151,95 @@ fn equivalence_dataset(seed: u64) -> Dataset {
     common::products_dataset(7, 12, 4, 0.5, Some(0.6), seed) // 128 vertices
 }
 
+/// Trains `base` uncached and under each cache `mode` and asserts, epoch by
+/// epoch, that the cache is pure work avoidance: bit-identical losses and
+/// accuracy, no more words than the uncached run, and balanced books
+/// (`sent + saved == uncached`).  The pinned prefetch also never sends more
+/// messages: it replaces each group's per-step collectives with one round.
+fn assert_cache_is_work_avoidance(
+    base: &SessionBuilder<GraphSageSampler, ReplicatedBackend>,
+    modes: &[FeatureCacheConfig],
+    label: &str,
+) {
+    let off = base.clone().feature_cache(FeatureCacheConfig::Off).build().unwrap().train().unwrap();
+    for &mode in modes {
+        let on = base.clone().feature_cache(mode).build().unwrap().train().unwrap();
+        assert_eq!(off.epochs.len(), on.epochs.len());
+        for (a, b) in off.epochs.iter().zip(&on.epochs) {
+            let e = a.epoch;
+            assert_eq!(
+                a.mean_loss.to_bits(),
+                b.mean_loss.to_bits(),
+                "{label} {mode:?} epoch {e}: losses diverged"
+            );
+            assert!(b.comm.words_sent <= a.comm.words_sent, "{label} {mode:?} epoch {e}: words");
+            if mode == FeatureCacheConfig::EpochPinned {
+                assert!(b.comm.messages <= a.comm.messages, "{label} epoch {e}: messages");
+            }
+            assert_eq!(
+                b.comm.words_sent + b.comm.words_saved,
+                a.comm.words_sent,
+                "{label} {mode:?} epoch {e}: books must balance"
+            );
+        }
+        assert_eq!(
+            off.test_accuracy.map(f64::to_bits),
+            on.test_accuracy.map(f64::to_bits),
+            "{label} {mode:?}: accuracy diverged"
+        );
+    }
+}
+
+/// The shapes the random-plan dominance property runs on.
+const DOMINANCE_SHAPES: [(usize, usize); 2] = [(2, 1), (4, 2)];
+
+/// Random plans whose last bulk group is ragged and leaves some rank of the
+/// shape without a sample, counted per [`DOMINANCE_SHAPES`] entry.
+static RAGGED_PLANS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
+
+proptest! {
+    /// The dominance property that licenses the pinned default: on random
+    /// plans (dataset seed, batch size, bulk k, train fraction) the pinned
+    /// cache never moves more words or messages than the uncached pipeline,
+    /// trains bit-identically and balances its books, epoch by epoch.
+    fn pinned_cache_dominates_off_on_random_plans(
+        dataset_seed in 0u64..1_000_000,
+        batch in 2usize..24,
+        bulk in 1usize..7,
+        train_fraction in 0.15f64..0.8,
+    ) {
+        let dataset =
+            common::arc_products_dataset(7, 12, 4, train_fraction, Some(0.6), dataset_seed);
+        let batches = dataset.num_batches(batch);
+        for (&(p, c), ragged) in DOMINANCE_SHAPES.iter().zip(&RAGGED_PLANS) {
+            if !batches.is_multiple_of(bulk) && batches % bulk < p {
+                ragged.fetch_add(1, Ordering::Relaxed);
+            }
+            let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch, bulk));
+            let base = TrainingSession::builder()
+                .dataset(std::sync::Arc::clone(&dataset))
+                .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
+                .backend(ReplicatedBackend::new(dist).unwrap())
+                .hidden_dim(8)
+                .learning_rate(0.05)
+                .epochs(2)
+                .seed(dataset_seed)
+                .without_evaluation();
+            let label = format!(
+                "p={p} c={c} dataset_seed={dataset_seed} b={batch} k={bulk} \
+                 train_fraction={train_fraction}"
+            );
+            assert_cache_is_work_avoidance(&base, &[FeatureCacheConfig::EpochPinned], &label);
+        }
+    }
+}
+
 /// Distributed-equivalence sweep at the full-pipeline level: across every
 /// grid shape, `train()` through the distributed path produces bit-identical
 /// per-epoch losses and test accuracy with the cache off, epoch-pinned, and
-/// LRU — the cache is pure work avoidance — while the pinned pipeline never
-/// moves more words and its books balance exactly.
+/// LRU — the cache is pure work avoidance — while the cached pipelines never
+/// move more words and their books balance exactly.  Then the same holds
+/// for the pinned cache on random plans, ragged last groups included.
 #[test]
 fn train_distributed_is_byte_identical_cache_on_vs_off_across_grid_shapes() {
     let dataset = std::sync::Arc::new(equivalence_dataset(40));
@@ -170,31 +255,17 @@ fn train_distributed_is_byte_identical_cache_on_vs_off_across_grid_shapes() {
             .learning_rate(0.05)
             .epochs(2)
             .seed(19);
-        let off = base.clone().build().unwrap().train().unwrap();
-        for mode in
-            [FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Lru { byte_budget: 1 << 20 }]
-        {
-            let on = base.clone().feature_cache(mode).build().unwrap().train().unwrap();
-            assert_eq!(off.epochs.len(), on.epochs.len());
-            for (a, b) in off.epochs.iter().zip(&on.epochs) {
-                assert_eq!(
-                    a.mean_loss.to_bits(),
-                    b.mean_loss.to_bits(),
-                    "p={p} c={c} {mode:?}: losses diverged"
-                );
-                assert!(b.comm.words_sent <= a.comm.words_sent, "p={p} c={c} {mode:?}");
-                assert_eq!(
-                    b.comm.words_sent + b.comm.words_saved,
-                    a.comm.words_sent,
-                    "p={p} c={c} {mode:?}: books must balance"
-                );
-            }
-            assert_eq!(
-                off.test_accuracy.unwrap().to_bits(),
-                on.test_accuracy.unwrap().to_bits(),
-                "p={p} c={c} {mode:?}: accuracy diverged"
-            );
-        }
+        let modes =
+            [FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Lru { byte_budget: 1 << 20 }];
+        assert_cache_is_work_avoidance(&base, &modes, &format!("p={p} c={c}"));
+    }
+
+    pinned_cache_dominates_off_on_random_plans();
+    for (&(p, c), ragged) in DOMINANCE_SHAPES.iter().zip(&RAGGED_PLANS) {
+        assert!(
+            ragged.load(Ordering::Relaxed) > 0,
+            "p={p} c={c}: no random plan left a rank without a sample in its last group"
+        );
     }
 }
 
@@ -221,6 +292,7 @@ fn train_distributed_codec_sweep_balances_bytes_across_grid_shapes() {
             .learning_rate(0.05)
             .epochs(2)
             .seed(29)
+            .feature_cache(FeatureCacheConfig::Off)
             .without_evaluation();
         let exact = base.clone().build().unwrap().train().unwrap();
         for e in &exact.epochs {
@@ -308,7 +380,8 @@ fn train_partitioned_is_byte_identical_cache_on_vs_off() {
             .epochs(1)
             .seed(23)
             .without_evaluation();
-        let off = base.clone().build().unwrap().train().unwrap();
+        let off =
+            base.clone().feature_cache(FeatureCacheConfig::Off).build().unwrap().train().unwrap();
         let on =
             base.feature_cache(FeatureCacheConfig::EpochPinned).build().unwrap().train().unwrap();
         for (a, b) in off.epochs.iter().zip(&on.epochs) {

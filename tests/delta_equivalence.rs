@@ -281,6 +281,39 @@ fn precise_and_flush_all_books_balance_exactly() {
     assert_eq!(words(&flush) + saved(&flush), words(&uncached), "flush-all balance broke");
 }
 
+/// Pinned rows live for one epoch and are dropped when it ends, before an
+/// ingest lands.  So the ingest finds nothing pinned: neither policy books a
+/// row or word as invalidated or retained (the next epoch re-fetches its
+/// frontier anyway, and booking the rows it drops as retained would claim a
+/// saving that never happens), and the cache books still balance against
+/// the uncached run.
+#[test]
+fn pinned_cache_books_nothing_when_an_ingest_lands() {
+    let dataset = tiny_dataset();
+    let events = schedule(&dataset);
+    let single = &events[..1];
+    let run = |cache: FeatureCacheConfig, policy: InvalidationPolicy| {
+        train(&dataset, 4, 2, cache, IngestMode::Delta, policy, single, TransportSelect::Simulator)
+    };
+    let uncached = run(FeatureCacheConfig::Off, InvalidationPolicy::Precise);
+    for policy in [InvalidationPolicy::Precise, InvalidationPolicy::FlushAll] {
+        let pinned = run(FeatureCacheConfig::EpochPinned, policy);
+        for (p, u) in pinned.epochs.iter().zip(&uncached.epochs) {
+            let label = format!("{policy:?} epoch {}", p.epoch);
+            assert_eq!(p.mean_loss.to_bits(), u.mean_loss.to_bits(), "{label}: loss");
+            assert_eq!(p.comm.rows_invalidated, 0, "{label}: invalidated rows");
+            assert_eq!(p.comm.invalidation_words, 0, "{label}: invalidated words");
+            assert_eq!(p.comm.rows_retained, 0, "{label}: retained rows");
+            assert_eq!(p.comm.retained_words, 0, "{label}: retained words");
+            assert_eq!(
+                p.comm.words_sent + p.comm.words_saved,
+                u.comm.words_sent,
+                "{label}: sent + saved must equal the uncached bill"
+            );
+        }
+    }
+}
+
 /// Flaky-guard for the dynamic path: two identically-seeded runs of the same
 /// ingest schedule agree bit for bit on every loss and exactly on every
 /// counter — including the invalidation books, which a scheduling race in
