@@ -33,7 +33,7 @@ fn bench_pipeline(criterion: &mut Criterion) {
     });
 
     group.bench_function("distributed_epoch_4ranks_c2", |bench| {
-        bench.iter(|| train_replicated(&dataset, &config, 4, 2, true, SamplerChoice::MatrixSage));
+        bench.iter(|| train_replicated(&dataset, &config, 4, 2, SamplerChoice::MatrixSage));
     });
     group.finish();
 }

@@ -2,10 +2,10 @@
 //! Quiver-like baseline, broken into sampling / feature fetching /
 //! propagation, across simulated GPU (rank) counts.
 //!
-//! The Quiver stand-in uses per-vertex sampling (no bulk amortization) and a
-//! non-replication-aware feature store (every rank fetches from the whole
-//! world), which are the two properties the paper attributes to Quiver's
-//! scaling behaviour.
+//! The Quiver stand-in uses per-vertex sampling (no bulk amortization) on a
+//! `c = 1` backend, whose feature store is not replication-aware (every rank
+//! fetches from the whole world): the two properties the paper attributes to
+//! Quiver's scaling behaviour.
 
 use dmbs_bench::{
     dataset, print_table, replication_for, sage_training_config, secs, train_replicated,
@@ -23,8 +23,8 @@ fn main() {
         for &p in &scale.rank_counts() {
             let c = replication_for(p).min(p);
 
-            let ours = train_replicated(&ds, &config, p, c, true, SamplerChoice::MatrixSage);
-            let quiver = train_replicated(&ds, &config, p, 1, false, SamplerChoice::PerVertexSage);
+            let ours = train_replicated(&ds, &config, p, c, SamplerChoice::MatrixSage);
+            let quiver = train_replicated(&ds, &config, p, 1, SamplerChoice::PerVertexSage);
             let o = &ours[0];
             let q = &quiver[0];
             rows.push(vec![

@@ -1,9 +1,10 @@
 //! Figure 6: the Graph-Replicated pipeline with and without feature
 //! replication ("NoRep") on the Papers and Protein stand-ins.
 //!
-//! NoRep splits the feature matrix across every rank (replication factor 1),
-//! so feature fetching spans the whole world instead of one process column —
-//! the degradation the paper reports (over 2x slower on Papers).
+//! NoRep is the same backend at replication factor `c = 1`: the feature
+//! matrix is split across every rank, so feature fetching spans the whole
+//! world instead of one process column — the degradation the paper reports
+//! (over 2x slower on Papers).
 
 use dmbs_bench::{
     dataset, print_table, replication_for, sage_training_config, secs, train_replicated,
@@ -20,8 +21,8 @@ fn main() {
         let mut rows = Vec::new();
         for &p in &scale.rank_counts() {
             let c = replication_for(p).min(p);
-            let rep = train_replicated(&ds, &config, p, c, true, SamplerChoice::MatrixSage);
-            let norep = train_replicated(&ds, &config, p, 1, false, SamplerChoice::MatrixSage);
+            let rep = train_replicated(&ds, &config, p, c, SamplerChoice::MatrixSage);
+            let norep = train_replicated(&ds, &config, p, 1, SamplerChoice::MatrixSage);
             let r = &rep[0];
             let n = &norep[0];
             rows.push(vec![

@@ -446,9 +446,8 @@ fn epoch_sweep<S: Sampler + Sync>(
         .map(|i| (0..batch_size).map(|j| (i * batch_size + j * 7) % n).collect())
         .collect();
     let run_epoch = |t: usize| {
-        let backend = LocalBackend::new(BulkSamplerConfig::new(batch_size, 4))
-            .expect("valid bulk config")
-            .with_parallelism(Parallelism::new(t));
+        let bulk = BulkSamplerConfig::new(batch_size, 4).with_parallelism(Parallelism::new(t));
+        let backend = LocalBackend::new(bulk).expect("valid bulk config");
         let epoch = backend.sample_epoch(sampler, &k.a, &batches, 7).expect("epoch");
         (epoch.output.minibatches, epoch.output.profile)
     };

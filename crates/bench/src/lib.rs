@@ -178,7 +178,9 @@ pub fn train_local(
 }
 
 /// Trains data-parallel over `p` simulated ranks through a
-/// [`TrainingSession`] with a [`ReplicatedBackend`].
+/// [`TrainingSession`] with a [`ReplicatedBackend`] on the `p/c × c` grid.
+/// Features are split into the grid's `p/c` block rows and fetched within a
+/// process column, so `c = 1` is the "NoRep" configuration of Figure 6.
 ///
 /// # Panics
 ///
@@ -188,18 +190,13 @@ pub fn train_replicated(
     config: &TrainingConfig,
     p: usize,
     c: usize,
-    replicate_features: bool,
     choice: SamplerChoice,
 ) -> Vec<EpochStats> {
     fn run<S: Sampler + Send + Sync + 'static>(
         builder: SessionBuilder<S, ReplicatedBackend>,
-        c: usize,
-        replicate_features: bool,
     ) -> Vec<EpochStats> {
-        let builder = builder.partition(c).without_evaluation();
-        let builder =
-            if replicate_features { builder } else { builder.without_feature_replication() };
-        builder.build().and_then(|s| s.train()).expect("distributed training failed").epochs
+        let report = builder.without_evaluation().build().and_then(|s| s.train());
+        report.expect("distributed training failed").epochs
     }
     let dist = DistConfig::new(p, c, BulkSamplerConfig::new(config.batch_size, config.bulk_size));
     let backend = ReplicatedBackend::new(dist).expect("valid distribution configuration");
@@ -207,11 +204,11 @@ pub fn train_replicated(
     match choice {
         SamplerChoice::MatrixSage => {
             let sampler = GraphSageSampler::new(fanouts).with_self_loops();
-            run(session_builder(dataset, config, sampler, backend), c, replicate_features)
+            run(session_builder(dataset, config, sampler, backend))
         }
         SamplerChoice::PerVertexSage => {
             let sampler = PerVertexSageSampler::new(fanouts).with_self_loops();
-            run(session_builder(dataset, config, sampler, backend), c, replicate_features)
+            run(session_builder(dataset, config, sampler, backend))
         }
     }
 }
@@ -1118,12 +1115,13 @@ mod tests {
     #[test]
     fn norep_fetches_more_data_than_replicated() {
         // With c = p the whole feature matrix sits in every rank's process
-        // row, so feature fetching ships nothing; NoRep must ship feature rows.
+        // row, so feature fetching ships nothing; NoRep (c = 1) must ship
+        // feature rows.
         let (dataset, mut config) = tiny_run();
         config.epochs = 1;
         for choice in [SamplerChoice::MatrixSage, SamplerChoice::PerVertexSage] {
-            let rep = train_replicated(&dataset, &config, 4, 4, true, choice);
-            let norep = train_replicated(&dataset, &config, 4, 4, false, choice);
+            let rep = train_replicated(&dataset, &config, 4, 4, choice);
+            let norep = train_replicated(&dataset, &config, 4, 1, choice);
             assert!(norep[0].comm.words_sent > rep[0].comm.words_sent, "{choice:?}");
         }
     }

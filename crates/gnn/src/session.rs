@@ -75,7 +75,6 @@ use dmbs_comm::{
 use dmbs_graph::datasets::Dataset;
 use dmbs_graph::minibatch::MinibatchPlan;
 use dmbs_graph::{GraphIngest, IngestMode};
-use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::{CsrMatrix, DeltaBatch, DenseMatrix};
 use dmbs_sampling::backend::group_seed;
 use dmbs_sampling::{BulkSampleOutput, FetchPlan, MinibatchSample, Sampler, SamplingBackend};
@@ -103,21 +102,19 @@ pub struct IngestEvent {
     pub batch: DeltaBatch,
 }
 
-/// Hyper-parameters a session adds on top of its sampler and backend.
+/// Hyper-parameters a session adds on top of its sampler and backend.  The
+/// run's shape — batch size `b`, bulk count `k`, replication `c` and the
+/// kernels' thread count — is not among them: it lives in the backend's
+/// [`SamplingBackend::bulk`] / [`SamplingBackend::dist`] and nowhere else.
 /// `pub(crate)` (fields included) so the [`crate::worker`] module can rebuild
 /// an exact session from a wire-decoded spec in a rank process.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SessionConfig {
-    pub(crate) batch_size: usize,
-    pub(crate) bulk_size: usize,
     pub(crate) hidden_dim: usize,
     pub(crate) learning_rate: f64,
     pub(crate) epochs: usize,
     pub(crate) seed: u64,
-    pub(crate) replicate_features: bool,
-    pub(crate) feature_replication: Option<usize>,
     pub(crate) evaluate: bool,
-    pub(crate) parallelism: Parallelism,
     pub(crate) schedule: Schedule,
     pub(crate) transport: TransportSelect,
     pub(crate) grad_top_k: Option<usize>,
@@ -136,19 +133,17 @@ impl SessionConfig {
         backend: &B,
         dataset: &Dataset,
     ) -> Result<()> {
-        if self.batch_size == 0 || self.bulk_size == 0 {
-            return Err(GnnError::InvalidConfig("batch_size and bulk k must be positive".into()));
-        }
-        if self.bulk_size > backend.bulk().bulk_size {
-            return Err(GnnError::InvalidConfig(format!(
-                "session bulk k = {} exceeds the backend's bulk_size = {}; size the backend's \
-                 BulkSamplerConfig instead so every session group is one backend group",
-                self.bulk_size,
-                backend.bulk().bulk_size
-            )));
-        }
+        // The built-in backends validate on construction; a custom one could
+        // still report a zero `b` or `k`.
+        backend.bulk().validate().map_err(GnnError::Sampling)?;
         if self.hidden_dim == 0 || self.epochs == 0 {
             return Err(GnnError::InvalidConfig("hidden_dim and epochs must be positive".into()));
+        }
+        if !(self.learning_rate.is_finite() && self.learning_rate > 0.0) {
+            return Err(GnnError::InvalidConfig(format!(
+                "learning_rate must be positive and finite, got {}",
+                self.learning_rate
+            )));
         }
         if self.grad_top_k == Some(0) {
             return Err(GnnError::InvalidConfig("grad_top_k must be positive".into()));
@@ -332,14 +327,8 @@ pub struct SessionBuilder<S, B> {
     dataset: Option<Arc<Dataset>>,
     sampler: Option<S>,
     backend: Option<B>,
-    /// Overrides resolved against the backend's own settings in
-    /// [`SessionBuilder::build`]; `None` inherits the backend's.
-    batch_size: Option<usize>,
-    bulk_size: Option<usize>,
-    parallelism: Option<Parallelism>,
     /// Everything else, with its defaults; the setters write straight into
-    /// it.  `batch_size`, `bulk_size` and `parallelism` stay unresolved
-    /// (zero / serial) until `build` fills them from the overrides above.
+    /// it.
     config: SessionConfig,
 }
 
@@ -349,20 +338,12 @@ impl<S, B> Default for SessionBuilder<S, B> {
             dataset: None,
             sampler: None,
             backend: None,
-            batch_size: None,
-            bulk_size: None,
-            parallelism: None,
             config: SessionConfig {
-                batch_size: 0,
-                bulk_size: 0,
                 hidden_dim: 256,
                 learning_rate: 0.01,
                 epochs: 3,
                 seed: 0,
-                replicate_features: true,
-                feature_replication: None,
                 evaluate: true,
-                parallelism: Parallelism::serial(),
                 schedule: Schedule::default(),
                 transport: TransportSelect::Simulator,
                 grad_top_k: None,
@@ -391,43 +372,14 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
 
     /// The distribution strategy ([`dmbs_sampling::LocalBackend`],
     /// [`dmbs_sampling::ReplicatedBackend`] or
-    /// [`dmbs_sampling::Partitioned1p5dBackend`]).
+    /// [`dmbs_sampling::Partitioned1p5dBackend`]).  Its configuration is the
+    /// run's shape: the session plans minibatches of the backend's batch size
+    /// `b`, samples bulk groups of its `k`, runs sampling *and* propagation
+    /// kernels on its [`dmbs_sampling::BulkSamplerConfig::parallelism`], and
+    /// partitions features on its `p/c × c` grid (§6.2).  The "NoRep"
+    /// configuration of Figure 6 is a backend with `c = 1`.
     pub fn backend(mut self, backend: B) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Overrides the minibatch size `b` (default: the backend's bulk
-    /// configuration).
-    pub fn batch_size(mut self, b: usize) -> Self {
-        self.batch_size = Some(b);
-        self
-    }
-
-    /// Overrides the bulk group size `k` — how many minibatches each
-    /// prefetched sampling step covers (default: the backend's bulk
-    /// configuration).  Must not exceed the backend's `bulk_size`: each
-    /// session group must map to a single backend bulk group so the stream,
-    /// eager sampling and the distributed training pipeline all draw
-    /// identical samples.
-    pub fn bulk(mut self, k: usize) -> Self {
-        self.bulk_size = Some(k);
-        self
-    }
-
-    /// Replication factor of the 1.5D feature-store partition used by
-    /// distributed training (§6.2).  Defaults to the backend's
-    /// `replication_c`.
-    pub fn partition(mut self, c: usize) -> Self {
-        self.config.feature_replication = Some(c);
-        self
-    }
-
-    /// Disables feature replication (the "NoRep" configuration of Figure 6):
-    /// the feature matrix is split across all ranks and fetching spans the
-    /// whole world.
-    pub fn without_feature_replication(mut self) -> Self {
-        self.config.replicate_features = false;
         self
     }
 
@@ -458,19 +410,6 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// Skips the post-training test-set evaluation.
     pub fn without_evaluation(mut self) -> Self {
         self.config.evaluate = false;
-        self
-    }
-
-    /// Shared-memory parallelism of the session's matrix kernels: the
-    /// backend's bulk SpGEMM / per-row ITS *and* the model's propagation
-    /// kernels (SpMMs and dense products) all run on this many worker threads
-    /// (default: the backend's own setting, serial unless configured).
-    ///
-    /// The parallel kernels are byte-identical to their serial forms, so
-    /// this knob never changes what is sampled or trained — see the
-    /// `stream_is_invariant_under_parallelism` test.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = Some(parallelism);
         self
     }
 
@@ -636,7 +575,8 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// # Errors
     ///
     /// Returns [`GnnError::InvalidConfig`] when a required component is
-    /// missing or a numeric parameter is zero, and propagates typed
+    /// missing, a numeric parameter is zero or the learning rate is not
+    /// positive and finite, and propagates typed
     /// [`dmbs_sampling::SamplingError`]s from backend validation.
     pub fn build(self) -> Result<TrainingSession<S, B>> {
         let dataset = self
@@ -648,19 +588,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
         let backend = self
             .backend
             .ok_or_else(|| GnnError::InvalidConfig("session needs a backend".into()))?;
-        // An explicit session-level parallelism overrides the backend's own;
-        // otherwise the backend keeps whatever it was configured with.
-        let backend = match self.parallelism {
-            Some(parallelism) => backend.with_parallelism(parallelism),
-            None => backend,
-        };
-        let config = SessionConfig {
-            batch_size: self.batch_size.unwrap_or(backend.bulk().batch_size),
-            bulk_size: self.bulk_size.unwrap_or(backend.bulk().bulk_size),
-            parallelism: backend.parallelism(),
-            ..self.config
-        };
-        TrainingSession::from_parts(dataset, sampler, backend, config)
+        TrainingSession::from_parts(dataset, sampler, backend, self.config)
     }
 }
 
@@ -752,11 +680,9 @@ where
         };
         let mut session = self.build()?;
         let (p, cost, c) = match (session.backend.runtime(), session.backend.dist()) {
-            (Some(runtime), Some(dist)) => (
-                runtime.size(),
-                runtime.cost_model(),
-                session.config.feature_replication.unwrap_or(dist.replication_c).max(1),
-            ),
+            (Some(runtime), Some(dist)) => {
+                (runtime.size(), runtime.cost_model(), dist.replication_c)
+            }
             // Local backends have no communication to tune; the built
             // session is already the arg-min.
             _ => return Ok(session),
@@ -891,7 +817,7 @@ impl<S: Sampler, B: SamplingBackend> TrainingSession<S, B> {
     /// seed, identical on every rank).
     fn plan(&self, epoch: usize) -> Result<MinibatchPlan> {
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1 + epoch as u64));
-        Ok(MinibatchPlan::new(&self.dataset.train_set, self.config.batch_size, &mut rng)?)
+        Ok(MinibatchPlan::new(&self.dataset.train_set, self.backend.bulk().batch_size, &mut rng)?)
     }
 
     /// The sampling seed of an epoch (bulk groups derive theirs with
@@ -916,7 +842,7 @@ where
         let plan = self.plan(epoch)?;
         let mut merged = BulkSampleOutput::default();
         let seed = self.epoch_sample_seed(epoch);
-        for (gi, group) in plan.batches().chunks(self.config.bulk_size).enumerate() {
+        for (gi, group) in plan.batches().chunks(self.backend.bulk().bulk_size).enumerate() {
             let epoch_samples = self
                 .backend
                 .sample_epoch(
@@ -942,7 +868,7 @@ where
     pub fn stream(&self, epoch: usize) -> Result<MinibatchStream> {
         let plan = self.plan(epoch)?;
         let batches: Vec<Vec<usize>> = plan.batches().to_vec();
-        let bulk_size = self.config.bulk_size;
+        let bulk_size = self.backend.bulk().bulk_size;
         let seed = self.epoch_sample_seed(epoch);
         let dataset = Arc::clone(&self.dataset);
         let sampler = Arc::clone(&self.sampler);
@@ -1041,7 +967,7 @@ where
         let layers = self.sampler.num_layers();
         let model =
             SageModel::new(feature_dim, self.config.hidden_dim, num_classes, layers, &mut rng)?;
-        Ok(model.with_parallelism(self.config.parallelism))
+        Ok(model.with_parallelism(self.backend.bulk().parallelism))
     }
 
     fn batch_labels(&self, batch: &[usize]) -> Vec<usize> {
@@ -1108,8 +1034,7 @@ where
         let features = self.dataset.graph.features().expect("validated");
         let p = comm.size();
         let config = &self.config;
-        let replication = config.feature_replication.unwrap_or(dist.replication_c).max(1);
-        let grid = ProcessGrid::new(p, replication)?;
+        let grid = ProcessGrid::new(p, dist.replication_c)?;
 
         // Per-epoch plans are identical on every rank.
         let mut plans = Vec::with_capacity(config.epochs);
@@ -1118,20 +1043,16 @@ where
         }
 
         let rank = comm.rank();
-        // The wire codec rides on the store: reply rows of every fetch
-        // lane (uncached, LRU read-through, pinned prefetch) encode the
-        // same way, so cache modes stay byte-identical under any codec.
-        let (store, fetch_group) = if config.replicate_features {
-            let (my_row, _) = grid.coords(rank);
-            let store = FeatureStore::from_full(features, grid.rows(), my_row)?
-                .with_codec(config.schedule.codec);
-            let group = Group::new(&grid.col_ranks(rank))?;
-            (store, group)
-        } else {
-            let store =
-                FeatureStore::from_full(features, p, rank)?.with_codec(config.schedule.codec);
-            (store, comm.world())
-        };
+        // The feature matrix is split into the grid's `p/c` block rows and
+        // fetched within this rank's process column (§6.2); at `c = 1` the
+        // column is the whole world.  The wire codec rides on the store:
+        // reply rows of every fetch lane (uncached, LRU read-through, pinned
+        // prefetch) encode the same way, so cache modes stay byte-identical
+        // under any codec.
+        let (my_row, _) = grid.coords(rank);
+        let store = FeatureStore::from_full(features, grid.rows(), my_row)?
+            .with_codec(config.schedule.codec);
+        let fetch_group = Group::new(&grid.col_ranks(rank))?;
 
         let mut model = self.initial_model(feature_dim, num_classes)?;
         let mut optimizer = Sgd::new(config.learning_rate);
@@ -1179,7 +1100,8 @@ where
             // k's training; the synchronous schedule is the same pipeline
             // with nothing hoisted.
             let lookahead = usize::from(config.schedule.overlap);
-            let groups: Vec<&[Vec<usize>]> = plan.batches().chunks(config.bulk_size).collect();
+            let groups: Vec<&[Vec<usize>]> =
+                plan.batches().chunks(self.backend.bulk().bulk_size).collect();
             let mut posted: VecDeque<PipelineStage> = VecDeque::with_capacity(lookahead + 1);
             let mut prev_steps_secs = 0.0f64;
             for k in 0..groups.len() {
@@ -1540,7 +1462,7 @@ where
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(0xE7A1));
         let mut predictions = Vec::with_capacity(vertices.len());
         let mut truth = Vec::with_capacity(vertices.len());
-        for chunk in vertices.chunks(self.config.batch_size) {
+        for chunk in vertices.chunks(self.backend.bulk().batch_size) {
             let sample =
                 self.sampler.sample_minibatch(self.dataset.graph.adjacency(), chunk, &mut rng)?;
             let input = features.gather_rows(sample.input_vertices())?;
@@ -1655,10 +1577,16 @@ mod tests {
         };
         assert!(complete().build().is_ok());
         assert!(complete().epochs(0).build().is_err());
-        assert!(complete().bulk(0).build().is_err());
-        // A session bulk k larger than the backend's would make the stream
-        // and the distributed pipeline draw different samples: rejected.
-        assert!(complete().bulk(8).build().is_err());
+        // A learning rate that is not positive and finite trains to garbage
+        // without an error: rejected.
+        for lr in [f64::NAN, f64::INFINITY, 0.0, -0.05] {
+            match complete().learning_rate(lr).build() {
+                Err(GnnError::InvalidConfig(message)) => {
+                    assert!(message.contains("learning_rate must be positive"), "{lr}: {message}")
+                }
+                other => panic!("learning_rate {lr}: expected InvalidConfig, got {other:?}"),
+            }
+        }
         // Top-0 gradient compression would ship nothing, ever: rejected.
         assert!(complete().grad_top_k(0).build().is_err());
     }
@@ -1918,18 +1846,24 @@ mod tests {
 
     #[test]
     fn norep_moves_more_feature_data() {
+        // NoRep (Figure 6) is the `c = 1` grid: every rank's process column
+        // is the whole world, so feature rows cross where `c = p` ships none.
         let dataset = Arc::new(tiny_dataset(7));
-        let backend =
-            ReplicatedBackend::new(DistConfig::new(4, 4, BulkSamplerConfig::new(16, 4))).unwrap();
-        let base = TrainingSession::builder()
-            .dataset(Arc::clone(&dataset))
-            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
-            .backend(backend.clone())
-            .hidden_dim(16)
-            .epochs(1)
-            .seed(9);
-        let rep = base.clone().build().unwrap().train().unwrap();
-        let norep = base.without_feature_replication().build().unwrap().train().unwrap();
+        let train = |c: usize| {
+            let dist = DistConfig::new(4, c, BulkSamplerConfig::new(16, 4));
+            TrainingSession::builder()
+                .dataset(Arc::clone(&dataset))
+                .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
+                .backend(ReplicatedBackend::new(dist).unwrap())
+                .hidden_dim(16)
+                .epochs(1)
+                .seed(9)
+                .build()
+                .unwrap()
+                .train()
+                .unwrap()
+        };
+        let (rep, norep) = (train(4), train(1));
         assert!(norep.epochs[0].comm.words_sent > rep.epochs[0].comm.words_sent);
     }
 }

@@ -45,9 +45,11 @@ pub const TRAIN_WORKER: &str = "dmbs.gnn.train";
 /// instead of misdecoding.  v2 added the wire codec and the top-k gradient
 /// compression knob to the session config; v3 added the dynamic-graph ingest
 /// schedule (per-epoch edge batches, ingest mode, invalidation policy); v4
-/// dropped the workspace-reuse byte of the bulk config (the knob is gone).
+/// dropped the workspace-reuse byte of the bulk config (the knob is gone);
+/// v5 dropped the session's shape overrides (`b`, `k`, `c` and the thread
+/// count travel only in the backend spec).
 /// Bump it whenever `job_layout_is_pinned` has to be re-pinned.
-const JOB_VERSION: u64 = 4;
+const JOB_VERSION: u64 = 5;
 
 /// The worker registry of this crate: currently the single
 /// [`TRAIN_WORKER`].  Pass it to [`dmbs_comm::run_if_worker`] at the top of
@@ -223,16 +225,11 @@ type WireIngestEvent = (usize, Vec<(usize, usize, Option<f64>)>);
 /// Field by field through the fields' own [`Payload`] impls, in declaration
 /// order (`transport` excepted — see [`decode_session_config`]).
 fn encode_session_config(out: &mut Vec<u8>, config: &SessionConfig) {
-    config.batch_size.encode(out);
-    config.bulk_size.encode(out);
     config.hidden_dim.encode(out);
     config.learning_rate.encode(out);
     config.epochs.encode(out);
     config.seed.encode(out);
-    config.replicate_features.encode(out);
-    config.feature_replication.encode(out);
     config.evaluate.encode(out);
-    config.parallelism.threads().encode(out);
     config.schedule.encode(out);
     config.grad_top_k.encode(out);
     // Rank processes replay the identical edge batches at the identical
@@ -259,16 +256,11 @@ fn encode_session_config(out: &mut Vec<u8>, config: &SessionConfig) {
 
 fn decode_session_config(input: &mut &[u8]) -> Option<SessionConfig> {
     Some(SessionConfig {
-        batch_size: Payload::decode(input)?,
-        bulk_size: Payload::decode(input)?,
         hidden_dim: Payload::decode(input)?,
         learning_rate: Payload::decode(input)?,
         epochs: Payload::decode(input)?,
         seed: Payload::decode(input)?,
-        replicate_features: Payload::decode(input)?,
-        feature_replication: Payload::decode(input)?,
         evaluate: Payload::decode(input)?,
-        parallelism: Parallelism::new(Payload::decode(input)?),
         schedule: Payload::decode(input)?,
         // A rank process never re-dispatches: its communicator is already on
         // the socket transport, and `distributed_rank_main` runs in place.
@@ -518,21 +510,24 @@ mod tests {
 
     #[test]
     fn job_layout_is_pinned() {
-        // Length and FNV-1a fold of the `session(5)` job at JOB_VERSION 4.
+        // Length and FNV-1a fold of the `session(5)` job at JOB_VERSION 5.
         // A change here is a layout change: bump JOB_VERSION, then re-pin.
         let job = encode_train_job(&session(5)).unwrap();
         let fnv = job.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((job.len(), fnv), (55_712, 0xf65f_36cf_832e_acfb));
+        assert_eq!((job.len(), fnv), (55_672, 0xff34_9b30_9f51_218c));
     }
 
-    /// Byte length of the session-config tail of a `session(..)` job: ten
-    /// scalar words (`feature_replication = None` is one), the three-word
-    /// schedule, `grad_top_k = Some(5)` (two), the one-event ingest schedule
-    /// (event count, epoch, op count, insert = 4 words, delete = 3) and the
-    /// two policy tags.
-    const CONFIG_TAIL: usize = 8 * (10 + 3 + 2 + 10 + 2);
+    /// Byte length of the session-config tail of a `session(..)` job: five
+    /// scalar words, the three-word schedule, `grad_top_k = Some(5)` (two),
+    /// the one-event ingest schedule (event count, epoch, op count, insert =
+    /// 4 words, delete = 3) and the two policy tags.
+    const CONFIG_TAIL: usize = 8 * (5 + 3 + 2 + 10 + 2);
+
+    /// Byte length of the backend spec that precedes the config tail: tag,
+    /// ranks, `replication_c`, `batch_size`, `bulk_size`, threads.
+    const BACKEND_SPEC: usize = 8 * 6;
 
     #[test]
     fn corrupt_jobs_are_typed_errors_not_panics() {
@@ -558,32 +553,48 @@ mod tests {
 
     #[test]
     fn forged_config_fields_fail_on_every_rank_without_panicking() {
-        // A job whose bytes decode cleanly but whose config the builder
-        // would have refused: the rank process must return the same typed
-        // error, not reach the training loop (`chunks(0)` panics).
+        // A job whose bytes decode cleanly but whose backend spec or config
+        // the builder would have refused: the rank process must return the
+        // same typed error naming the field, not reach the training loop
+        // (`chunks(0)` panics).
         let session = session(7);
         let job = encode_train_job(&session).unwrap();
         let runtime = session.backend().runtime().unwrap();
         let tail = job.len() - CONFIG_TAIL;
-        // Word offsets within the config tail; `grad_top_k`'s value follows
-        // its `Some` tag at word 13 + 1.
-        for (field, word) in
-            [("batch_size", 0), ("bulk_size", 1), ("hidden_dim", 2), ("grad_top_k", 14)]
-        {
+        let spec = tail - BACKEND_SPEC;
+        // Byte offsets of the forged words: the backend spec's
+        // `replication_c`, `batch_size` and `bulk_size` (words 2–4), then
+        // the config tail's `hidden_dim` and `learning_rate` (words 0–1) and
+        // `grad_top_k`'s value, which follows its `Some` tag at word 8 + 1.
+        for (field, offset) in [
+            ("replication_c", spec + 8 * 2),
+            ("batch_size", spec + 8 * 3),
+            ("bulk_size", spec + 8 * 4),
+            ("hidden_dim", tail),
+            ("learning_rate", tail + 8),
+            ("grad_top_k", tail + 8 * 9),
+        ] {
             let mut forged = job.clone();
-            forged[tail + 8 * word..tail + 8 * (word + 1)].fill(0);
+            forged[offset..offset + 8].fill(0);
             let decoded = decode_train_job(&forged).expect("forged job still decodes");
-            assert_ne!(&decoded.config, session.config(), "{field} was not forged");
+            assert!(
+                decoded.backend != session.backend().spec().unwrap()
+                    || &decoded.config != session.config(),
+                "{field} was not forged"
+            );
             match runtime.run_worker(&registry(), TRAIN_WORKER, &forged) {
                 Err(dmbs_comm::CommError::WorkerFailed { message, .. }) => {
-                    assert!(message.contains("must be positive"), "{field}: {message}")
+                    assert!(message.contains(field), "{field}: {message}")
                 }
                 other => panic!("{field}: expected a typed worker failure, got {other:?}"),
             }
             // `run_worker` reports the first failing rank; every rank sees
             // the same job, so check each one fails on its own.
             let per_rank = runtime.run(|comm| train_worker(comm, &forged)).unwrap();
-            assert!(per_rank.iter().all(|o| o.value.is_err()), "{field}: a rank accepted the job");
+            assert!(
+                per_rank.iter().all(|o| matches!(&o.value, Err(m) if m.contains(field))),
+                "{field}: a rank accepted the job or failed on another field"
+            );
         }
     }
 

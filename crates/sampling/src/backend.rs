@@ -57,7 +57,6 @@ use crate::spec::SamplerSpec;
 use crate::{Result, SamplingError};
 use dmbs_comm::{CommStats, Communicator, PhaseProfile, ProcessGrid, Runtime};
 use dmbs_graph::partition::OneDPartition;
-use dmbs_matrix::pool::Parallelism;
 use dmbs_matrix::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,25 +81,6 @@ impl DistConfig {
     /// [`DistConfig::validate`] (backends validate on construction).
     pub fn new(ranks: usize, replication_c: usize, bulk: BulkSamplerConfig) -> Self {
         DistConfig { ranks, replication_c, bulk }
-    }
-
-    /// Returns this configuration with every rank's local matrix kernels
-    /// (SpGEMM, per-row ITS) running on `parallelism` worker threads —
-    /// shorthand for setting [`BulkSamplerConfig::parallelism`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dmbs_matrix::pool::Parallelism;
-    /// use dmbs_sampling::{BulkSamplerConfig, DistConfig};
-    ///
-    /// let dist = DistConfig::new(4, 2, BulkSamplerConfig::new(1024, 4))
-    ///     .with_parallelism(Parallelism::new(8));
-    /// assert_eq!(dist.bulk.parallelism.threads(), 8);
-    /// ```
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.bulk.parallelism = parallelism;
-        self
     }
 
     /// Rejects zero ranks, zero/non-dividing replication and zero bulk
@@ -253,21 +233,10 @@ pub trait SamplingBackend {
     /// `p/c` process rows for partitioned).
     fn units(&self) -> usize;
 
-    /// The bulk sampling shape this backend was configured with.
+    /// The bulk sampling shape this backend was configured with: batch size
+    /// `b`, bulk count `k` and the kernels' thread count.  A session reads
+    /// all three from here; nothing overrides them.
     fn bulk(&self) -> &BulkSamplerConfig;
-
-    /// The shared-memory parallelism the backend's matrix kernels run with.
-    fn parallelism(&self) -> Parallelism {
-        self.bulk().parallelism
-    }
-
-    /// Returns this backend with its matrix-kernel parallelism replaced.
-    /// Parallelism never changes *what* is sampled — the parallel kernels
-    /// are byte-identical to their serial forms — so this is always safe to
-    /// apply to an already-configured backend.
-    fn with_parallelism(self, parallelism: Parallelism) -> Self
-    where
-        Self: Sized;
 
     /// The simulated runtime, when the backend is distributed.
     fn runtime(&self) -> Option<&Runtime> {
@@ -385,11 +354,6 @@ impl SamplingBackend for LocalBackend {
         &self.bulk
     }
 
-    fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.bulk.parallelism = parallelism;
-        self
-    }
-
     fn sample_epoch<S: Sampler + Sync>(
         &self,
         sampler: &S,
@@ -477,11 +441,6 @@ impl SamplingBackend for ReplicatedBackend {
 
     fn bulk(&self) -> &BulkSamplerConfig {
         &self.dist.bulk
-    }
-
-    fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.dist.bulk.parallelism = parallelism;
-        self
     }
 
     fn runtime(&self) -> Option<&Runtime> {
@@ -654,11 +613,6 @@ impl SamplingBackend for Partitioned1p5dBackend {
         &self.dist.bulk
     }
 
-    fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.dist.bulk.parallelism = parallelism;
-        self
-    }
-
     fn runtime(&self) -> Option<&Runtime> {
         Some(&self.runtime)
     }
@@ -753,6 +707,7 @@ mod tests {
     use super::*;
     use crate::{FastGcnSampler, GraphSageSampler, LadiesSampler};
     use dmbs_graph::generators::{figure1_example, rmat, RmatConfig};
+    use dmbs_matrix::pool::Parallelism;
 
     fn adjacency() -> CsrMatrix {
         figure1_example().adjacency().clone()

@@ -38,11 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .backend(ReplicatedBackend::new(DistConfig::new(p, c, bulk))?)
             .build()?
             .train()?;
-        let norep = base
-            .backend(ReplicatedBackend::new(DistConfig::new(p, 1, bulk))?)
-            .without_feature_replication()
-            .build()?
-            .train()?;
+        // NoRep is the `c = 1` grid: features split over all p ranks.
+        let norep =
+            base.backend(ReplicatedBackend::new(DistConfig::new(p, 1, bulk))?).build()?.train()?;
 
         let r = replicated.epochs.last().expect("at least one epoch");
         let n = norep.epochs.last().expect("at least one epoch");

@@ -35,9 +35,8 @@ fn local_backend_epochs_are_thread_count_invariant() {
         .sample_epoch(&sampler, a, &batches, 11)
         .unwrap();
     for threads in THREAD_COUNTS {
-        let backend = LocalBackend::new(BulkSamplerConfig::new(8, 3))
-            .unwrap()
-            .with_parallelism(Parallelism::new(threads));
+        let bulk = BulkSamplerConfig::new(8, 3).with_parallelism(Parallelism::new(threads));
+        let backend = LocalBackend::new(bulk).unwrap();
         let epoch = backend.sample_epoch(&sampler, a, &batches, 11).unwrap();
         assert_eq!(
             epoch.output.minibatches, serial.output.minibatches,
@@ -54,22 +53,21 @@ fn replicated_and_partitioned_backends_are_thread_count_invariant() {
     let sage = GraphSageSampler::new(vec![4, 3]);
     let ladies = LadiesSampler::new(2, 12);
 
-    let dist = DistConfig::new(4, 2, BulkSamplerConfig::new(8, 6));
+    let bulk = BulkSamplerConfig::new(8, 6);
+    let dist = DistConfig::new(4, 2, bulk);
     let rep_serial =
         ReplicatedBackend::new(dist).unwrap().sample_epoch(&sage, a, &batches, 5).unwrap();
     let part_serial =
         Partitioned1p5dBackend::new(dist).unwrap().sample_epoch(&ladies, a, &batches, 5).unwrap();
     for threads in THREAD_COUNTS {
-        let par = Parallelism::new(threads);
-        let rep = ReplicatedBackend::new(dist.with_parallelism(par))
-            .unwrap()
-            .sample_epoch(&sage, a, &batches, 5)
-            .unwrap();
+        let dist = DistConfig::new(4, 2, bulk.with_parallelism(Parallelism::new(threads)));
+        let rep =
+            ReplicatedBackend::new(dist).unwrap().sample_epoch(&sage, a, &batches, 5).unwrap();
         assert_eq!(
             rep.output.minibatches, rep_serial.output.minibatches,
             "replicated backend diverged at {threads} threads"
         );
-        let part = Partitioned1p5dBackend::new(dist.with_parallelism(par))
+        let part = Partitioned1p5dBackend::new(dist)
             .unwrap()
             .sample_epoch(&ladies, a, &batches, 5)
             .unwrap();
@@ -80,12 +78,17 @@ fn replicated_and_partitioned_backends_are_thread_count_invariant() {
     }
 }
 
+/// A local backend of shape `(16, 4)` whose kernels run on `threads`.
+fn local_backend(threads: usize) -> LocalBackend {
+    LocalBackend::new(BulkSamplerConfig::new(16, 4).with_parallelism(Parallelism::new(threads)))
+        .unwrap()
+}
+
 fn streamed_epochs(threads: usize) -> Vec<Vec<Minibatch>> {
     let session = TrainingSession::builder()
         .dataset(tiny_dataset(9))
         .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
-        .backend(LocalBackend::new(BulkSamplerConfig::new(16, 4)).unwrap())
-        .parallelism(Parallelism::new(threads))
+        .backend(local_backend(threads))
         .hidden_dim(16)
         .epochs(2)
         .seed(42)
@@ -113,8 +116,7 @@ fn training_is_invariant_under_parallelism() {
         TrainingSession::builder()
             .dataset(tiny_dataset(13))
             .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
-            .backend(LocalBackend::new(BulkSamplerConfig::new(16, 4)).unwrap())
-            .parallelism(Parallelism::new(threads))
+            .backend(local_backend(threads))
             .hidden_dim(16)
             .epochs(1)
             .seed(7)

@@ -1,8 +1,8 @@
 //! Cross-crate integration tests for the end-to-end training pipeline driven
 //! through `TrainingSession`: learning above chance level, matching accuracy
 //! between bulk matrix sampling and per-vertex sampling, consistent phase
-//! accounting in the distributed pipeline, and how the builder's overrides
-//! resolve against the backend.
+//! accounting in the distributed pipeline, and how a session takes its
+//! shape (`b`, `k`, `c`, threads) from its backend.
 
 mod common;
 
@@ -11,7 +11,7 @@ use dmbs::graph::datasets::Dataset;
 use dmbs::sampling::baseline::PerVertexSageSampler;
 use dmbs::sampling::{
     BulkSamplerConfig, DistConfig, GraphSageSampler, LocalBackend, ReplicatedBackend, Sampler,
-    SamplingBackend,
+    SamplingBackend, SamplingError,
 };
 
 fn dataset(seed: u64) -> Dataset {
@@ -132,45 +132,29 @@ fn distributed_and_single_device_losses_are_comparable() {
 
 #[test]
 fn builder_overrides_resolve_against_the_backend() {
-    // No override: the session inherits the backend's (batch, k) shape and
-    // thread count.  An explicit override wins, and the thread count reaches
-    // the backend the session samples through.
-    let backend = LocalBackend::new(BulkSamplerConfig::new(32, 4)).unwrap();
-    let base = || {
-        TrainingSession::builder()
-            .dataset(dataset(5))
-            .sampler(GraphSageSampler::new(vec![8, 4]).with_self_loops())
-            .backend(backend)
-    };
-    let largest_batch = |session: &TrainingSession<GraphSageSampler, LocalBackend>| {
-        let stream = session.stream(0).unwrap();
-        stream.map(|mb| mb.unwrap().sample.batch.len()).max().unwrap()
-    };
-    let inherited = base().build().unwrap();
-    assert_eq!(largest_batch(&inherited), 32);
-    assert_eq!(inherited.backend().parallelism().threads(), 1);
-    let overridden = base()
-        .batch_size(8)
-        .bulk(2)
-        .parallelism(dmbs::matrix::Parallelism::new(3))
+    // The backend's configuration is the run's shape: the session plans
+    // minibatches of the backend's `b`, streams bulk groups of its `k`, and
+    // its thread count is the one the backend samples with.
+    let bulk = BulkSamplerConfig::new(8, 2).with_parallelism(dmbs::matrix::Parallelism::new(3));
+    let session = TrainingSession::builder()
+        .dataset(dataset(5))
+        .sampler(GraphSageSampler::new(vec![8, 4]).with_self_loops())
+        .backend(LocalBackend::new(bulk).unwrap())
         .build()
         .unwrap();
-    assert_eq!(largest_batch(&overridden), 8);
-    assert_eq!(overridden.backend().parallelism().threads(), 3);
+    let minibatches: Vec<_> = session.stream(0).unwrap().map(Result::unwrap).collect();
+    assert_eq!(minibatches.iter().map(|mb| mb.sample.batch.len()).max(), Some(8));
+    assert!(minibatches.iter().all(|mb| mb.group == mb.index / 2));
+    assert_eq!(session.backend().bulk().parallelism.threads(), 3);
 }
 
 #[test]
-fn feature_replication_that_does_not_divide_p_is_a_typed_error() {
-    let session = TrainingSession::builder()
-        .dataset(dataset(6))
-        .sampler(GraphSageSampler::new(vec![8, 4]).with_self_loops())
-        .backend(
-            ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(32, 4))).unwrap(),
-        )
-        .partition(3)
-        .hidden_dim(24)
-        .epochs(1)
-        .build()
-        .unwrap();
-    assert!(session.train().is_err());
+fn replication_that_does_not_divide_p_is_a_typed_error() {
+    // `c` has one home, the backend's `DistConfig`, so a `c` that does not
+    // divide `p` is refused before any session exists.
+    let dist = DistConfig::new(4, 3, BulkSamplerConfig::new(32, 4));
+    assert_eq!(
+        ReplicatedBackend::new(dist).err(),
+        Some(SamplingError::InvalidDistConfig { field: "replication_c", value: 3 })
+    );
 }
