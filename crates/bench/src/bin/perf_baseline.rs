@@ -9,7 +9,7 @@
 //!
 //! * `key` — identifies the record in its file (`p`, `c`, `mode`, `codec`, …);
 //! * `exact` — a counter of the seeded schedule (words, messages, byte, cache,
-//!   serving, invalidation and tuner books): must equal `ci/baseline/`;
+//!   serving, ingest and tuner books): must equal `ci/baseline/`;
 //! * `soft` — measured or fitted seconds: slower than the baseline beyond
 //!   `--tolerance` only warns;
 //! * `identity` — a byte-identity contract against a reference formulation:
@@ -62,8 +62,8 @@ use dmbs_comm::{
     Codec, CommStats, CostModel, Group, Phase, ProcessGrid, Runtime, SocketLaunch, TransportSelect,
 };
 use dmbs_gnn::{
-    FeatureCache, FeatureCacheConfig, FeatureStore, InvalidationPolicy, RequestTrace, ServeReport,
-    ServingConfig, ServingSession, SessionBuilder, TrainingReport, TrainingSession,
+    FeatureCache, FeatureCacheConfig, FeatureStore, RequestTrace, ServeReport, ServingConfig,
+    ServingSession, SessionBuilder, TrainingReport, TrainingSession,
 };
 use dmbs_graph::datasets::{build_dataset, Dataset, DatasetConfig};
 use dmbs_graph::generators::{rmat, RmatConfig};
@@ -214,18 +214,7 @@ where
 /// same loss bits and the same value of every deterministic counter.
 fn same_run(a: &TrainingReport, b: &TrainingReport) -> bool {
     let counters = |s: &CommStats| {
-        [
-            s.words_sent,
-            s.messages,
-            s.bytes_on_wire,
-            s.cache_hits,
-            s.cache_misses,
-            s.words_saved,
-            s.rows_invalidated,
-            s.rows_retained,
-            s.invalidation_words,
-            s.retained_words,
-        ]
+        [s.words_sent, s.messages, s.bytes_on_wire, s.cache_hits, s.cache_misses, s.words_saved]
     };
     a.epochs.len() == b.epochs.len()
         && a.epochs.iter().zip(&b.epochs).all(|(x, y)| {
@@ -515,8 +504,8 @@ fn run_fetch_epoch(
             let group = Group::new(&grid.col_ranks(rank)).expect("group");
             let my_mbs: Vec<&MinibatchSample> =
                 w.minibatches.iter().skip(rank).step_by(p).collect();
-            let mut cache = mode.is_enabled().then(|| FeatureCache::new(mode, store.feature_dim()));
-            if let (Some(cache), FeatureCacheConfig::EpochPinned) = (cache.as_mut(), mode) {
+            let mut cache = mode.is_enabled().then(|| FeatureCache::new(store.feature_dim()));
+            if let Some(cache) = cache.as_mut() {
                 let plan = FetchPlan::from_sample_iter(my_mbs.iter().copied());
                 cache.prefetch(&store, comm, &group, plan.unique_vertices()).expect("prefetch");
             }
@@ -525,12 +514,7 @@ fn run_fetch_epoch(
                 let wanted: Vec<usize> =
                     my_mbs.get(step).map(|mb| mb.input_vertices().to_vec()).unwrap_or_default();
                 let rows = match cache.as_mut() {
-                    Some(cache) if mode == FeatureCacheConfig::EpochPinned => {
-                        cache.gather_pinned(&store, &wanted).expect("gather")
-                    }
-                    Some(cache) => {
-                        cache.fetch_through(&store, comm, &group, &wanted).expect("fetch")
-                    }
+                    Some(cache) => cache.gather_pinned(&store, &wanted).expect("gather"),
                     None => store.fetch(comm, &group, &wanted).expect("fetch"),
                 };
                 if step < my_mbs.len() {
@@ -609,10 +593,10 @@ fn fetch_workload(smoke: bool, f_full: usize) -> FetchWorkload {
 }
 
 /// The `--fetch` sweep: the feature-fetching phase of one bulk-sampled epoch
-/// across grid shapes, cache-off vs epoch-pinned vs LRU, asserting that every
-/// cached run returns byte-identical rows, moves no more all-to-allv words
-/// than the uncached baseline, and that `sent + saved == uncached` (the α–β
-/// books balance).  `BENCH_fetch.json`.
+/// across grid shapes, cache off vs pinned, asserting that the pinned run
+/// returns byte-identical rows, moves no more all-to-allv words than the
+/// uncached baseline, and that `sent + saved == uncached` (the α–β books
+/// balance).  `BENCH_fetch.json`.
 fn fetch_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let w = fetch_workload(smoke, 64);
     let (n, f, plan) = (w.n, w.f, &w.plan);
@@ -679,26 +663,20 @@ fn fetch_sweep(smoke: bool) -> (Workload, Vec<Record>) {
         let (base_wall, (base_rows, base)) = fetch(FeatureCacheConfig::Off);
         let base_words = base.words_sent;
         records.push(record((p, c), "uncached", base_wall, &base, base_words, true));
-        let lru_budget = n * f * std::mem::size_of::<f64>() / 4; // a quarter of H
-        for (mode, label) in [
-            (FeatureCacheConfig::EpochPinned, "pinned"),
-            (FeatureCacheConfig::Lru { byte_budget: lru_budget }, "lru"),
-        ] {
-            let (wall, (rows, books)) = fetch(mode);
-            let identical = rows == base_rows;
-            assert!(identical, "p={p} c={c} {label}: cached fetch diverged from uncached");
-            assert!(
-                books.words_sent <= base_words,
-                "p={p} c={c} {label}: cache moved more words ({} > {base_words})",
-                books.words_sent
-            );
-            assert_eq!(
-                books.words_sent + books.words_saved,
-                base_words,
-                "p={p} c={c} {label}: sent + saved must equal the uncached bill"
-            );
-            records.push(record((p, c), label, wall, &books, base_words, identical));
-        }
+        let (wall, (rows, books)) = fetch(FeatureCacheConfig::Pinned);
+        let identical = rows == base_rows;
+        assert!(identical, "p={p} c={c}: pinned fetch diverged from uncached");
+        assert!(
+            books.words_sent <= base_words,
+            "p={p} c={c}: the pinned cache moved more words ({} > {base_words})",
+            books.words_sent
+        );
+        assert_eq!(
+            books.words_sent + books.words_saved,
+            base_words,
+            "p={p} c={c}: sent + saved must equal the uncached bill"
+        );
+        records.push(record((p, c), "pinned", wall, &books, base_words, identical));
     }
 
     let workload = Workload {
@@ -956,7 +934,7 @@ fn overlap_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let train = |p: usize, c: usize, overlap: bool| {
         train_timed(
             stress_builder(&dataset, (p, c), batch_size, epochs)
-                .feature_cache(FeatureCacheConfig::EpochPinned)
+                .feature_cache(FeatureCacheConfig::Pinned)
                 .overlap(overlap),
         )
     };
@@ -1054,7 +1032,7 @@ fn overlap_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let workload = Workload {
         name: "overlap_epoch",
         detail: format!(
-            "distributed GraphSAGE [10, 5] training, replicated backend + EpochPinned cache, \
+            "distributed GraphSAGE [10, 5] training, replicated backend + pinned cache, \
              sync vs software-pipelined schedule; products-like scale {scale} (f = \
              {feature_dim}, batch {batch_size}, bulk k = 2, {epochs} epochs), stress cost \
              model alpha = {:.1e}s beta = {:.1e}s/word",
@@ -1077,9 +1055,6 @@ fn overlap_sweep(smoke: bool) -> (Workload, Vec<Record>) {
 fn autotune_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let shapes: &[(usize, usize)] = if smoke { &[(2, 1), (4, 2)] } else { &[(4, 2), (8, 4)] };
     let (scale, feature_dim, epochs) = if smoke { (7, 16, 2) } else { (9, 32, 3) };
-    // Budget for the LRU candidates the lossy grid enumerates (the tuner
-    // scores them pessimistically; they document the knob, they never win).
-    let lru_budget = 1usize << 16;
 
     let dataset = products_dataset(scale, feature_dim, 4, 5);
     let batch_size = (dataset.train_set.len() / 8).max(8);
@@ -1113,10 +1088,9 @@ fn autotune_sweep(smoke: bool) -> (Workload, Vec<Record>) {
         let model = TuningModel::fit(STRESS_COST, p, probes).expect("probe books must balance");
 
         // Search: the lossless grid is exactly `builder().auto()`'s; the
-        // lossy-admitted grid additionally enumerates fp16/int8 and LRU.
+        // lossy-admitted grid additionally enumerates fp16/int8.
         let lossless_grid = TuningGrid::new(p, c).expect("shape");
-        let lossy_grid =
-            TuningGrid::new(p, c).expect("shape").with_lru_budget(lru_budget).with_lossy(true);
+        let lossy_grid = TuningGrid::new(p, c).expect("shape").with_lossy(true);
         let lossless = tune::search(&model, &lossless_grid);
         let lossy = tune::search(&model, &lossy_grid);
         assert_eq!(
@@ -1193,7 +1167,7 @@ fn autotune_sweep(smoke: bool) -> (Workload, Vec<Record>) {
                     .key("c", c)
                     .key("mode", *mode)
                     // The chosen rows' knobs are part of the record key
-                    // (`policy` = cache mode `"off"` / `"pinned"` / `"lru"`,
+                    // (`policy` = cache mode `"off"` / `"pinned"`,
                     // `codec`), so any drift in the tuner's choice
                     // hard-fails the CI check as a missing record.
                     .key("policy", pred.choice.cache.name())
@@ -1256,32 +1230,26 @@ fn autotune_sweep(smoke: bool) -> (Workload, Vec<Record>) {
 /// Part one folds a stream of delta batches into an RMAT adjacency through
 /// [`GraphIngest`] under both modes and asserts the lazily-compacted CSR is
 /// byte-identical to the eagerly-rebuilt one (ops/s is the trajectory).
-/// Part two trains each grid shape with a live ingest schedule under
-/// delta × rebuild × {precise, flush-all}; rebuild must reproduce delta bit
-/// for bit, the invalidation policy must not move a loss, and the
-/// double-entry invalidation books plus the words precise invalidation
-/// avoids refetching are recorded for the CI gate to pin.
-/// `BENCH_dynamic.json`.
+/// Part two trains each grid shape with a live ingest schedule under the
+/// default (pinned) feature cache, delta × rebuild; rebuild must reproduce
+/// delta bit for bit, and the run's wire books are recorded for the CI gate
+/// to pin.  `BENCH_dynamic.json`.
 fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     // One row is either a standalone ingest-apply microbench (`mode`
     // `"apply_delta"` / `"apply_rebuild"`, `p = c = 1`, zero books) or a
     // distributed training run with a live ingest schedule (`mode`
-    // `"train"`, keyed additionally by invalidation `policy`).
+    // `"train"`).
     let record = |(p, c): (usize, usize),
                   mode: &str,
-                  policy: &str,
                   wall: f64,
                   ops: usize,
                   throughput: f64,
                   books: &CommStats,
-                  avoided: usize,
                   identical: bool| {
         Record::new()
             .key("p", p)
             .key("c", c)
             .key("mode", mode)
-            // `"precise"` / `"flush_all"` on train rows, `"-"` on apply rows.
-            .key("policy", policy)
             .soft("wall_s", wall)
             // Delta ops applied over the run (inserts + deletes,
             // post-coalescing).
@@ -1290,14 +1258,6 @@ fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
             .info("throughput", throughput)
             .exact("words_total", books.words_sent)
             .exact("messages", books.messages)
-            .exact("rows_invalidated", books.rows_invalidated)
-            .exact("rows_retained", books.rows_retained)
-            .exact("invalidation_words", books.invalidation_words)
-            .exact("retained_words", books.retained_words)
-            // Words the flush-all run refetched that this run did not
-            // (precise rows; `0` elsewhere) — the payoff precise
-            // invalidation is for.
-            .exact("refetch_words_avoided", avoided)
             // Losses and every counter bit-identical to the eager-rebuild
             // run of the same configuration.
             .identity("identical_to_rebuild", identical)
@@ -1341,17 +1301,7 @@ fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     for (mode, wall) in [("apply_delta", delta_wall), ("apply_rebuild", rebuild_wall)] {
         let throughput = total_ops as f64 / wall;
         let no_books = CommStats::default();
-        records.push(record(
-            (1, 1),
-            mode,
-            "-",
-            wall,
-            total_ops,
-            throughput,
-            &no_books,
-            0,
-            apply_identical,
-        ));
+        records.push(record((1, 1), mode, wall, total_ops, throughput, &no_books, apply_identical));
     }
 
     // ---- Part two: training with a live ingest schedule.
@@ -1392,9 +1342,8 @@ fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     }
     let events = [(0usize, first), (1usize, second)];
     let schedule_ops: usize = events.iter().map(|(_, b)| b.len()).sum();
-    let lru_budget = dn * feature_dim * std::mem::size_of::<f64>() / 2;
 
-    let train = |p: usize, c: usize, mode: IngestMode, policy: InvalidationPolicy| {
+    let train = |p: usize, c: usize, mode: IngestMode| {
         let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch_size, 2));
         let backend = ReplicatedBackend::new(dist).expect("backend");
         let mut builder = TrainingSession::builder()
@@ -1405,9 +1354,7 @@ fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
             .learning_rate(0.05)
             .epochs(3)
             .seed(42)
-            .feature_cache(FeatureCacheConfig::Lru { byte_budget: lru_budget })
             .ingest_mode(mode)
-            .invalidation(policy)
             .without_evaluation();
         for (after_epoch, batch) in &events {
             builder = builder.ingest(*after_epoch, batch.clone());
@@ -1415,47 +1362,12 @@ fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
         train_timed(builder)
     };
     for &(p, c) in shapes {
-        let mut by_policy = Vec::new();
-        for (policy, label) in
-            [(InvalidationPolicy::Precise, "precise"), (InvalidationPolicy::FlushAll, "flush_all")]
-        {
-            let (delta, wall) = train(p, c, IngestMode::Delta, policy);
-            let (rebuild, _) = train(p, c, IngestMode::Rebuild, policy);
-            assert!(
-                same_run(&delta, &rebuild),
-                "p={p} c={c} {label}: rebuild diverged from the delta overlay"
-            );
-            by_policy.push((label, wall, run_books(&delta), delta));
-        }
-        let (_, _, precise_books, precise) = &by_policy[0];
-        let (_, _, flush_books, flush) = &by_policy[1];
-        assert!(
-            precise
-                .epochs
-                .iter()
-                .zip(&flush.epochs)
-                .all(|(x, y)| x.mean_loss.to_bits() == y.mean_loss.to_bits()),
-            "p={p} c={c}: the invalidation policy moved a loss"
-        );
-        assert!(
-            precise_books.words_sent <= flush_books.words_sent,
-            "p={p} c={c}: precise invalidation refetched more than flush-all"
-        );
-        let avoided = flush_books.words_sent - precise_books.words_sent;
-        for (label, wall, books, _) in &by_policy {
-            let avoided = if *label == "precise" { avoided } else { 0 };
-            records.push(record(
-                (p, c),
-                "train",
-                label,
-                *wall,
-                schedule_ops,
-                f64::NAN,
-                books,
-                avoided,
-                true,
-            ));
-        }
+        let (delta, wall) = train(p, c, IngestMode::Delta);
+        let (rebuild, _) = train(p, c, IngestMode::Rebuild);
+        let identical = same_run(&delta, &rebuild);
+        assert!(identical, "p={p} c={c}: rebuild diverged from the delta overlay");
+        let books = run_books(&delta);
+        records.push(record((p, c), "train", wall, schedule_ops, f64::NAN, &books, identical));
     }
 
     let workload = Workload {
@@ -1465,7 +1377,7 @@ fn dynamic_sweep(smoke: bool) -> (Workload, Vec<Record>) {
              {scale} deg {degree} (lazy overlay vs eager rebuild), plus distributed GraphSAGE \
              [4, 3] training with a 2-event ingest schedule ({schedule_ops} ops) on \
              products-like scale {dscale} (f = {feature_dim}, batch {batch_size}, 3 epochs, \
-             LRU cache) under delta x rebuild x {{precise, flush-all}}"
+             pinned cache) under delta x rebuild"
         ),
         items: total_ops + schedule_ops,
         throughput_unit: "delta-ops/run",
@@ -1545,7 +1457,7 @@ fn calibrate_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let train = |p: usize, c: usize, transport: TransportSelect| {
         train_timed(
             stress_builder(&dataset, (p, c), batch_size, epochs)
-                .feature_cache(FeatureCacheConfig::EpochPinned)
+                .feature_cache(FeatureCacheConfig::Pinned)
                 .transport(transport),
         )
     };
@@ -1617,7 +1529,7 @@ fn calibrate_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     let workload = Workload {
         name: "transport_epoch",
         detail: format!(
-            "distributed GraphSAGE [10, 5] training, replicated backend + EpochPinned cache, \
+            "distributed GraphSAGE [10, 5] training, replicated backend + pinned cache, \
              in-process simulator vs Unix-socket rank processes; products-like scale {scale} \
              (f = {feature_dim}, batch {batch_size}, bulk k = 2, {epochs} epochs), stress cost \
              model alpha = {:.1e}s beta = {:.1e}s/word; probe sizes {sizes:?} x {rounds} rounds",

@@ -274,13 +274,14 @@ impl<T: Payload> Payload for Vec<T> {
 
 impl Payload for CommStats {
     fn word_count(&self) -> usize {
-        14
+        10
     }
     fn type_code() -> u64 {
-        // Constructor 32, not 31: the layout grew the invalidation books, so
-        // old and new frames must never decode as each other (the same
-        // reason 31 displaced 30 when the bytes-on-wire book arrived).
-        wire::compose_type_code(32, &[])
+        // Constructor 34, used by no other payload: the layout lost the four
+        // invalidation books, so old and new frames must never decode as
+        // each other (30, 31 and 32 were its earlier layouts; 33 is the
+        // `Schedule`).
+        wire::compose_type_code(34, &[])
     }
     fn encode(&self, out: &mut Vec<u8>) {
         wire::put_usize(out, self.messages);
@@ -293,10 +294,6 @@ impl Payload for CommStats {
         wire::put_usize(out, self.amortized_requests);
         wire::put_usize(out, self.bytes_on_wire);
         wire::put_usize(out, self.bytes_saved);
-        wire::put_usize(out, self.rows_invalidated);
-        wire::put_usize(out, self.rows_retained);
-        wire::put_usize(out, self.invalidation_words);
-        wire::put_usize(out, self.retained_words);
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
         Some(CommStats {
@@ -310,10 +307,6 @@ impl Payload for CommStats {
             amortized_requests: wire::get_usize(input)?,
             bytes_on_wire: wire::get_usize(input)?,
             bytes_saved: wire::get_usize(input)?,
-            rows_invalidated: wire::get_usize(input)?,
-            rows_retained: wire::get_usize(input)?,
-            invalidation_words: wire::get_usize(input)?,
-            retained_words: wire::get_usize(input)?,
         })
     }
 }

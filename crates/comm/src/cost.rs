@@ -173,25 +173,6 @@ pub struct CommStats {
     ///
     /// [`words_saved`]: CommStats::words_saved
     pub bytes_saved: usize,
-    /// Cached feature rows evicted by a graph-ingest invalidation (their
-    /// layer-0 vertex landed in a dirty set).
-    pub rows_invalidated: usize,
-    /// Cached feature rows that *survived* a precise invalidation (resident
-    /// at ingest time, not dirty).  A flush-all policy books these as
-    /// invalidated instead, which is what makes the invalidation books
-    /// double-entry: `rows_invalidated(flush) ==
-    /// rows_invalidated(precise) + rows_retained(precise)` for the same
-    /// ingest schedule.
-    pub rows_retained: usize,
-    /// α–β words the invalidated rows will cost to refetch (request id plus
-    /// feature row per remote-owned row, zero for locally-owned rows) — the
-    /// refetch bill an ingest actually incurs.
-    pub invalidation_words: usize,
-    /// α–β words the retained rows would have cost to refetch — the bill
-    /// precise invalidation avoided relative to a flush-all policy.  Balances
-    /// exactly: `invalidation_words(flush) == invalidation_words(precise) +
-    /// retained_words(precise)`.
-    pub retained_words: usize,
 }
 
 impl CommStats {
@@ -252,20 +233,6 @@ impl CommStats {
         (self.amortized_requests > 0).then(|| self.modeled_time / self.amortized_requests as f64)
     }
 
-    /// Records one cached row evicted by a graph-ingest invalidation, whose
-    /// refetch will cost `words` α–β words (zero for locally-owned rows).
-    pub fn record_invalidation(&mut self, words: usize) {
-        self.rows_invalidated += 1;
-        self.invalidation_words += words;
-    }
-
-    /// Records one cached row a precise invalidation kept, whose refetch
-    /// would have cost `words` α–β words had it been flushed.
-    pub fn record_retention(&mut self, words: usize) {
-        self.rows_retained += 1;
-        self.retained_words += words;
-    }
-
     /// Records `seconds` of modeled communication as overlapped with compute
     /// (hidden by a pipelined schedule).  Callers must never credit more than
     /// the modeled time actually spent — see
@@ -300,10 +267,6 @@ impl CommStats {
         self.amortized_requests += other.amortized_requests;
         self.bytes_on_wire += other.bytes_on_wire;
         self.bytes_saved += other.bytes_saved;
-        self.rows_invalidated += other.rows_invalidated;
-        self.rows_retained += other.rows_retained;
-        self.invalidation_words += other.invalidation_words;
-        self.retained_words += other.retained_words;
     }
 
     /// The statistics accumulated since the snapshot `before` was taken:
@@ -320,10 +283,6 @@ impl CommStats {
             amortized_requests: self.amortized_requests - before.amortized_requests,
             bytes_on_wire: self.bytes_on_wire - before.bytes_on_wire,
             bytes_saved: self.bytes_saved - before.bytes_saved,
-            rows_invalidated: self.rows_invalidated - before.rows_invalidated,
-            rows_retained: self.rows_retained - before.rows_retained,
-            invalidation_words: self.invalidation_words - before.invalidation_words,
-            retained_words: self.retained_words - before.retained_words,
         }
     }
 
@@ -411,7 +370,6 @@ mod tests {
         let mut before = CommStats::new();
         before.record_wire(10, 48, &model);
         before.record_cache_hit(3);
-        before.record_invalidation(2);
         let mut delta = CommStats::new();
         delta.record(7, &model);
         delta.record_wire(4, 20, &model);
@@ -419,8 +377,6 @@ mod tests {
         delta.record_cache_miss();
         delta.record_cache_hit(5);
         delta.record_overlap(0.5);
-        delta.record_invalidation(6);
-        delta.record_retention(1);
         let mut after = before;
         after.merge(&delta);
         assert_eq!(after.since(&before), delta);

@@ -18,7 +18,7 @@
 //! [`PhaseProfile`] with **predicted** α–β communication from
 //! [`CostModel`], extended with one term per knob:
 //!
-//! * **cache words-saved** — the [`FeatureCacheConfig::EpochPinned`]
+//! * **cache words-saved** — the [`FeatureCacheConfig::Pinned`]
 //!   candidate is charged the pinned probe's word count; the uncached
 //!   candidate the baseline probe's.  The two are tied by the double-entry
 //!   identity `words(pinned) + words_saved(pinned) == words(uncached)`,
@@ -55,35 +55,26 @@ use std::fmt;
 /// The per-rank feature-cache mode of a [`Schedule`] (the cache itself is
 /// `FeatureCache` in the `gnn` crate, which re-exports this enum).
 ///
-/// The default is [`FeatureCacheConfig::EpochPinned`], the §6.2 pipeline:
-/// it never moves more words or messages than `Off` and trains
-/// bit-identically.  Declaration order is the wire tag
-/// (`Off = 0, EpochPinned = 1, Lru = 2`), not the tuner's tie-break order,
-/// which puts the default first: `EpochPinned < Off < Lru`.
+/// The default is [`FeatureCacheConfig::Pinned`], the §6.2 pipeline: it
+/// never moves more words or messages than `Off` and trains bit-identically.
+/// Declaration order is the wire tag (`Off = 0, Pinned = 1`; tag 2 is
+/// retired and rejected), not the tuner's tie-break order, which puts the
+/// default first: `Pinned < Off`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FeatureCacheConfig {
     /// No caching: every minibatch re-fetches its full frontier (the
     /// uncached all-to-allv pipeline every cached run is balanced against).
     Off,
-    /// Epoch-static pinning (the default): the union of the planned
-    /// frontiers is prefetched once per bulk group and stays resident for
-    /// the epoch, so each remote row crosses the wire at most once per epoch
-    /// and the per-step collectives vanish.  The rows it pins are at most
-    /// the epoch's distinct input vertices, so a rank never holds more than
-    /// one more copy of the `n × f` feature matrix it already decoded.
+    /// Run-long pinning (the default): the union of the planned frontiers is
+    /// prefetched once per bulk group and stays resident for the whole
+    /// training run, so each remote row crosses the wire at most once per
+    /// run and the per-step collectives vanish.  An ingest edits only the
+    /// adjacency, never a feature row, so pinned rows outlive it.  The rows
+    /// it pins are at most the graph's `n` vertices, so a rank never holds
+    /// more than one more copy of the `n × f` feature matrix it already
+    /// decoded.
     #[default]
-    EpochPinned,
-    /// A bounded read-through cache on the distributed per-step fetch:
-    /// resident rows up to the byte budget, least-recently-used eviction.
-    /// The per-step collective still runs (so ranks stay matched), but only
-    /// misses cross the wire.  The tuner scores it **pessimistically** (no
-    /// savings credited): how much an LRU with an arbitrary budget saves
-    /// depends on access locality the probes do not measure, and the tuner
-    /// never claims a benefit it cannot predict.
-    Lru {
-        /// Maximum resident feature bytes (8 bytes per `f64` word).
-        byte_budget: usize,
-    },
+    Pinned,
 }
 
 impl FeatureCacheConfig {
@@ -92,13 +83,11 @@ impl FeatureCacheConfig {
         !matches!(self, FeatureCacheConfig::Off)
     }
 
-    /// Lower-case name used by harness JSON records ("off", "pinned",
-    /// "lru").
+    /// Lower-case name used by harness JSON records ("off", "pinned").
     pub fn name(self) -> &'static str {
         match self {
             FeatureCacheConfig::Off => "off",
-            FeatureCacheConfig::EpochPinned => "pinned",
-            FeatureCacheConfig::Lru { .. } => "lru",
+            FeatureCacheConfig::Pinned => "pinned",
         }
     }
 
@@ -106,18 +95,16 @@ impl FeatureCacheConfig {
     fn tag(self) -> u64 {
         match self {
             FeatureCacheConfig::Off => 0,
-            FeatureCacheConfig::EpochPinned => 1,
-            FeatureCacheConfig::Lru { .. } => 2,
+            FeatureCacheConfig::Pinned => 1,
         }
     }
 
     /// Position in the tuner's enumeration and tie-break order: the default
-    /// first, then the uncached pipeline, then the opt-in LRU.
+    /// first, then the uncached pipeline.
     fn tie_break(self) -> u64 {
         match self {
-            FeatureCacheConfig::EpochPinned => 0,
+            FeatureCacheConfig::Pinned => 0,
             FeatureCacheConfig::Off => 1,
-            FeatureCacheConfig::Lru { .. } => 2,
         }
     }
 }
@@ -134,7 +121,7 @@ impl FeatureCacheConfig {
 /// transport.
 ///
 /// The default is the schedule a session runs without tuning — the §6.2
-/// epoch-pinned cache, bit-exact codec, synchronous pipeline — and always the
+/// pinned cache, bit-exact codec, synchronous pipeline — and always the
 /// first candidate of every grid, so an all-ties search (e.g. a shape with no
 /// communication at all) deterministically keeps it.
 ///
@@ -143,7 +130,7 @@ impl FeatureCacheConfig {
 /// use dmbs_comm::Codec;
 ///
 /// let default = Schedule::default();
-/// assert_eq!(default.cache, FeatureCacheConfig::EpochPinned);
+/// assert_eq!(default.cache, FeatureCacheConfig::Pinned);
 /// assert_eq!(default.codec, Codec::Exact);
 /// assert!(!default.overlap);
 /// assert_eq!(default.to_string(), "cache=pinned codec=exact overlap=off");
@@ -161,7 +148,7 @@ pub struct Schedule {
 
 impl Schedule {
     /// Lexicographic key `(cache, codec, overlap)` implementing the
-    /// deterministic tie-break order (`EpochPinned < Off < Lru`, then
+    /// deterministic tie-break order (`Pinned < Off`, then
     /// `Exact < Fp16 < Int8`, then `off < on`).
     fn lex_key(&self) -> (u64, u64, bool) {
         (self.cache.tie_break(), self.codec.tag(), self.overlap)
@@ -169,7 +156,7 @@ impl Schedule {
 
     /// The one validity rule of the schedule knobs: an overlapped schedule
     /// is *creditable* on a `p/c × c` grid only with `c > 1` **and** the
-    /// [`FeatureCacheConfig::EpochPinned`] cache — only the pinned prefetch
+    /// [`FeatureCacheConfig::Pinned`] cache — only the pinned prefetch
     /// all-to-allv is hoisted by the pipelined schedule, and a
     /// single-column shape leaves it nothing to hide behind.  Synchronous
     /// schedules always pass.
@@ -179,7 +166,7 @@ impl Schedule {
     /// bit-identically to the synchronous schedule, hoisting only what it
     /// can (the next group's sampling).
     pub fn overlap_creditable(&self, c: usize) -> bool {
-        !self.overlap || (c > 1 && self.cache == FeatureCacheConfig::EpochPinned)
+        !self.overlap || (c > 1 && self.cache == FeatureCacheConfig::Pinned)
     }
 }
 
@@ -197,27 +184,24 @@ impl fmt::Display for Schedule {
 
 /// Wire order is cache, overlap, codec — the layout the train job has carried
 /// since its v3, so moving the codec here left every encoded job
-/// byte-identical.
+/// byte-identical.  Three words, always: the cache tag 2 that once carried a
+/// byte budget is retired, so a stale or forged schedule is rejected.
 impl Payload for Schedule {
     fn word_count(&self) -> usize {
-        3 + usize::from(matches!(self.cache, FeatureCacheConfig::Lru { .. }))
+        3
     }
     fn type_code() -> u64 {
         wire::compose_type_code(33, &[])
     }
     fn encode(&self, out: &mut Vec<u8>) {
         wire::put_u64(out, self.cache.tag());
-        if let FeatureCacheConfig::Lru { byte_budget } = self.cache {
-            wire::put_usize(out, byte_budget);
-        }
         self.overlap.encode(out);
         wire::put_u64(out, self.codec.tag());
     }
     fn decode(input: &mut &[u8]) -> Option<Self> {
         let cache = match wire::get_u64(input)? {
             0 => FeatureCacheConfig::Off,
-            1 => FeatureCacheConfig::EpochPinned,
-            2 => FeatureCacheConfig::Lru { byte_budget: wire::get_usize(input)? },
+            1 => FeatureCacheConfig::Pinned,
             _ => return None,
         };
         let overlap = bool::decode(input)?;
@@ -277,7 +261,7 @@ pub struct ProbeSet {
     /// The uncached reference every cached probe is balanced against: cache
     /// [`FeatureCacheConfig::Off`], `Codec::Exact`, synchronous.
     pub baseline: ProbeEpoch,
-    /// Cache [`FeatureCacheConfig::EpochPinned`], `Codec::Exact`, synchronous
+    /// Cache [`FeatureCacheConfig::Pinned`], `Codec::Exact`, synchronous
     /// — the default schedule.
     pub pinned: ProbeEpoch,
     /// Cache pinned, `Codec::Fp16`, synchronous — calibrates the fp16
@@ -346,8 +330,6 @@ pub struct ScoredChoice {
 ///   [`ProcessGrid`] at construction);
 /// * `overlap` must be creditable at this `c`
 ///   ([`Schedule::overlap_creditable`]);
-/// * [`FeatureCacheConfig::Lru`] candidates appear only when a byte budget
-///   was supplied via [`TuningGrid::with_lru_budget`];
 /// * lossy codecs appear only after [`TuningGrid::with_lossy`] — bit-exact
 ///   training is the default and quantization is strictly opt-in.
 ///
@@ -364,7 +346,6 @@ pub struct ScoredChoice {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuningGrid {
     c: usize,
-    lru_budget: Option<usize>,
     allow_lossy: bool,
 }
 
@@ -377,14 +358,7 @@ impl TuningGrid {
     /// 1.5D process grid (`c` must divide `p`, both positive).
     pub fn new(p: usize, c: usize) -> Result<Self> {
         ProcessGrid::new(p, c)?;
-        Ok(TuningGrid { c, lru_budget: None, allow_lossy: false })
-    }
-
-    /// Admits [`FeatureCacheConfig::Lru`] candidates with this byte budget.
-    /// A zero budget admits nothing.
-    pub fn with_lru_budget(mut self, byte_budget: usize) -> Self {
-        self.lru_budget = if byte_budget > 0 { Some(byte_budget) } else { None };
-        self
+        Ok(TuningGrid { c, allow_lossy: false })
     }
 
     /// Admits the lossy codecs (`Fp16`, `Int8`) to the grid.
@@ -395,23 +369,16 @@ impl TuningGrid {
 
     /// Whether a candidate is a member of this grid.
     pub fn is_valid(&self, choice: &Schedule) -> bool {
-        let cache_ok = match choice.cache {
-            FeatureCacheConfig::Off | FeatureCacheConfig::EpochPinned => true,
-            FeatureCacheConfig::Lru { byte_budget } => self.lru_budget == Some(byte_budget),
-        };
         let codec_ok = choice.codec == Codec::Exact || self.allow_lossy;
-        cache_ok && codec_ok && choice.overlap_creditable(self.c)
+        codec_ok && choice.overlap_creditable(self.c)
     }
 
     /// Enumerates every valid candidate in canonical lexicographic order:
-    /// cache (`EpochPinned < Off < Lru`), then codec
-    /// (`Exact < Fp16 < Int8`), then overlap (`off < on`).  The first
-    /// candidate is always [`Schedule::default`].
+    /// cache (`Pinned < Off`), then codec (`Exact < Fp16 < Int8`), then
+    /// overlap (`off < on`).  The first candidate is always
+    /// [`Schedule::default`].
     pub fn candidates(&self) -> Vec<Schedule> {
-        let mut caches = vec![FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Off];
-        if let Some(byte_budget) = self.lru_budget {
-            caches.push(FeatureCacheConfig::Lru { byte_budget });
-        }
+        let caches = [FeatureCacheConfig::Pinned, FeatureCacheConfig::Off];
         let codecs: &[Codec] = if self.allow_lossy {
             &[Codec::Exact, Codec::Fp16, Codec::Int8]
         } else {
@@ -465,7 +432,7 @@ impl TuningGrid {
 /// let grid = TuningGrid::new(4, 2).unwrap();
 /// let outcome = search(&model, &grid);
 /// // Fewer words and fewer messages: the pinned cache wins.
-/// assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::EpochPinned);
+/// assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::Pinned);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TuningModel {
@@ -542,12 +509,8 @@ impl TuningModel {
     pub fn predict(&self, choice: &Schedule) -> CostBreakdown {
         let probes = &self.probes;
         let (words, messages) = match choice.cache {
-            // The LRU knob is scored pessimistically — see
-            // [`FeatureCacheConfig::Lru`].
-            FeatureCacheConfig::Off | FeatureCacheConfig::Lru { .. } => {
-                (probes.baseline.words_sent, probes.baseline.messages)
-            }
-            FeatureCacheConfig::EpochPinned => (probes.pinned.words_sent, probes.pinned.messages),
+            FeatureCacheConfig::Off => (probes.baseline.words_sent, probes.baseline.messages),
+            FeatureCacheConfig::Pinned => (probes.pinned.words_sent, probes.pinned.messages),
         };
         let saved_at_pinned = match choice.codec {
             Codec::Exact => 0,
@@ -661,18 +624,18 @@ mod tests {
 
     #[test]
     fn grid_enumerates_only_valid_candidates() {
-        let grid = TuningGrid::new(8, 4).unwrap().with_lru_budget(1 << 16).with_lossy(true);
+        let grid = TuningGrid::new(8, 4).unwrap().with_lossy(true);
         let candidates = grid.candidates();
         assert!(!candidates.is_empty());
         for choice in &candidates {
             assert!(grid.is_valid(choice), "enumerated invalid candidate {choice}");
             if choice.overlap {
-                assert_eq!(choice.cache, FeatureCacheConfig::EpochPinned);
+                assert_eq!(choice.cache, FeatureCacheConfig::Pinned);
             }
         }
-        // Full grid: 3 caches × 3 codecs × sync, plus overlap only for the
+        // Full grid: 2 caches × 3 codecs × sync, plus overlap only for the
         // pinned cache.
-        assert_eq!(candidates.len(), 3 * 3 + 3);
+        assert_eq!(candidates.len(), 2 * 3 + 3);
         assert_eq!(candidates[0], Schedule::default());
         // Canonical order is strictly lexicographic, so the strict-< arg-min
         // of `search` breaks every tie toward the plainer schedule.
@@ -681,16 +644,15 @@ mod tests {
 
     #[test]
     fn cache_names_are_the_bench_record_keys() {
-        // `policy: off|pinned|lru` keys the committed ci/baseline records.
-        let lru = FeatureCacheConfig::Lru { byte_budget: 1 };
-        let modes = [FeatureCacheConfig::Off, FeatureCacheConfig::EpochPinned, lru];
-        assert_eq!(modes.map(FeatureCacheConfig::name), ["off", "pinned", "lru"]);
-        assert_eq!(modes.map(|m| m.is_enabled()), [false, true, true]);
+        // `policy: off|pinned` keys the committed ci/baseline records.
+        let modes = [FeatureCacheConfig::Off, FeatureCacheConfig::Pinned];
+        assert_eq!(modes.map(FeatureCacheConfig::name), ["off", "pinned"]);
+        assert_eq!(modes.map(|m| m.is_enabled()), [false, true]);
     }
 
     #[test]
     fn schedule_payload_round_trips_and_rejects_malformed_tags() {
-        let grid = TuningGrid::new(4, 2).unwrap().with_lossy(true).with_lru_budget(12_345);
+        let grid = TuningGrid::new(4, 2).unwrap().with_lossy(true);
         for schedule in grid.candidates() {
             let mut bytes = Vec::new();
             schedule.encode(&mut bytes);
@@ -711,6 +673,7 @@ mod tests {
         let off = Schedule { cache: FeatureCacheConfig::Off, ..Schedule::default() };
         assert_eq!(Schedule::decode(&mut &words(0, 0, 0)[..]), Some(off));
         assert_eq!(Schedule::decode(&mut &words(1, 0, 0)[..]), Some(Schedule::default()));
+        assert_eq!(Schedule::decode(&mut &words(2, 0, 0)[..]), None, "retired cache tag");
         assert_eq!(Schedule::decode(&mut &words(3, 0, 0)[..]), None, "unknown cache tag");
         assert_eq!(Schedule::decode(&mut &words(0, 2, 0)[..]), None, "non-0/1 overlap flag");
         assert_eq!(Schedule::decode(&mut &words(0, 0, 3)[..]), None, "unknown codec tag");
@@ -718,40 +681,28 @@ mod tests {
 
     #[test]
     fn overlap_requires_wide_shape_and_pinned_cache() {
-        let narrow = TuningGrid::new(4, 1).unwrap().with_lru_budget(1 << 16);
+        let narrow = TuningGrid::new(4, 1).unwrap();
         assert!(narrow.candidates().iter().all(|choice| !choice.overlap));
-        let cache = FeatureCacheConfig::EpochPinned;
+        let cache = FeatureCacheConfig::Pinned;
         let pinned_overlap = Schedule { cache, codec: Codec::Exact, overlap: true };
         assert!(!narrow.is_valid(&pinned_overlap));
 
-        let wide = TuningGrid::new(4, 2).unwrap().with_lru_budget(1 << 16);
+        let wide = TuningGrid::new(4, 2).unwrap();
         assert!(wide.is_valid(&pinned_overlap));
         assert!(wide.candidates().contains(&pinned_overlap));
-        for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::Lru { byte_budget: 1 << 16 }] {
-            let choice = Schedule { cache, codec: Codec::Exact, overlap: true };
-            assert!(!wide.is_valid(&choice), "{choice} must be rejected");
-            assert!(!wide.candidates().contains(&choice));
-        }
+        let off_overlap = Schedule { cache: FeatureCacheConfig::Off, ..pinned_overlap };
+        assert!(!wide.is_valid(&off_overlap), "{off_overlap} must be rejected");
+        assert!(!wide.candidates().contains(&off_overlap));
     }
 
     #[test]
-    fn lru_and_lossy_are_opt_in() {
+    fn lossy_codecs_are_opt_in() {
         let plain = TuningGrid::new(4, 2).unwrap();
         assert_eq!(plain.candidates().len(), 3); // pinned, pinned+overlap, off
-        assert!(plain
-            .candidates()
-            .iter()
-            .all(|ch| ch.codec == Codec::Exact
-                && !matches!(ch.cache, FeatureCacheConfig::Lru { .. })));
-        // An Lru candidate with a *different* budget than configured is
-        // invalid too.
-        let budgeted = plain.with_lru_budget(4096);
-        let lru = |byte_budget| Schedule {
-            cache: FeatureCacheConfig::Lru { byte_budget },
-            ..Schedule::default()
-        };
-        assert!(budgeted.is_valid(&lru(4096)));
-        assert!(!budgeted.is_valid(&lru(8192)));
+        assert!(plain.candidates().iter().all(|ch| ch.codec == Codec::Exact));
+        let int8 = Schedule { codec: Codec::Int8, ..Schedule::default() };
+        assert!(!plain.is_valid(&int8));
+        assert!(plain.with_lossy(true).is_valid(&int8));
     }
 
     #[test]
@@ -768,7 +719,7 @@ mod tests {
         let probes =
             ProbeSet { baseline: probe(0, 0, 0), pinned: probe(0, 0, 0), ..ProbeSet::default() };
         let model = fitted(probes);
-        let grid = TuningGrid::new(4, 2).unwrap().with_lru_budget(1 << 16).with_lossy(true);
+        let grid = TuningGrid::new(4, 2).unwrap().with_lossy(true);
         let outcome = search(&model, &grid);
         assert_eq!(outcome.chosen_index, 0);
         assert_eq!(outcome.chosen().choice, Schedule::default());
@@ -780,7 +731,7 @@ mod tests {
     fn pinned_cache_wins_when_it_saves_words() {
         let model = fitted(basic_probes());
         let outcome = search(&model, &TuningGrid::new(4, 2).unwrap());
-        assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::EpochPinned);
+        assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::Pinned);
         // Without an overlapped probe the overlap knob scores no benefit, so
         // the synchronous schedule is kept by the tie-break.
         assert!(!outcome.chosen().choice.overlap);
@@ -802,7 +753,7 @@ mod tests {
         let outcome = search(&model, &TuningGrid::new(4, 2).unwrap());
         let chosen = outcome.chosen();
         assert!(chosen.choice.overlap);
-        assert_eq!(chosen.choice.cache, FeatureCacheConfig::EpochPinned);
+        assert_eq!(chosen.choice.cache, FeatureCacheConfig::Pinned);
         assert!(chosen.cost.overlap_credit_s > 0.0);
         // The credit never exceeds the candidate's own communication bill.
         assert!(chosen.cost.overlap_credit_s <= chosen.cost.comm_s);

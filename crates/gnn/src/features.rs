@@ -16,24 +16,20 @@
 //! Feature fetching is the dominant communication cost of minibatch training,
 //! yet bulk sampling (§4) materializes *every* frontier of a bulk group
 //! before the first gradient step — exactly the information needed to move
-//! each remote feature row at most once.  [`FeatureCache`] exploits that in
-//! two modes:
+//! each remote feature row at most once.  [`FeatureCache`] exploits that: a
+//! [`FetchPlan`](dmbs_sampling::FetchPlan) built from the sampled
+//! minibatches is prefetched with **one** all-to-allv round
+//! ([`FeatureCache::prefetch`]) and pinned; per-step gathers
+//! ([`FeatureCache::gather_pinned`]) are then purely local, so the per-step
+//! collectives disappear entirely (α *and* β savings).  Pinned rows stay
+//! resident for the whole training run: a graph ingest edits only the
+//! adjacency, never a feature row, so a row once fetched is exactly what
+//! every later fetch would return, and a remote row crosses the wire at most
+//! once per run.  A rank therefore pins at most `n` rows.
 //!
-//! * [`FeatureCacheConfig::EpochPinned`] — a
-//!   [`FetchPlan`](dmbs_sampling::FetchPlan) built from the sampled
-//!   minibatches is prefetched with **one** all-to-allv round
-//!   ([`FeatureCache::prefetch`]) and pinned; per-step gathers
-//!   ([`FeatureCache::gather_pinned`]) are then purely local, so the
-//!   per-step collectives disappear entirely (α *and* β savings);
-//! * [`FeatureCacheConfig::Lru`] — a byte-budgeted read-through cache on
-//!   the per-step fetch ([`FeatureCache::fetch_through`]): the per-step
-//!   all-to-allv still runs on every rank (keeping collectives matched), but
-//!   only cache *misses* cross the wire, and resident rows are evicted
-//!   least-recently-used.
-//!
-//! Both modes are pure work avoidance: the rows a cache serves are exact
-//! copies of what [`FeatureStore::fetch`] would have returned, so cached and
-//! uncached training are byte-identical (pinned by the
+//! The cache is pure work avoidance: the rows it serves are exact copies of
+//! what [`FeatureStore::fetch`] would have returned, so cached and uncached
+//! ([`FeatureCacheConfig::Off`]) training are byte-identical (pinned by the
 //! `tests/backend_equivalence.rs` sweep).  Hits, misses and the α–β words
 //! kept off the wire are recorded in [`CommStats`].
 //!
@@ -50,7 +46,7 @@ pub use dmbs_comm::FeatureCacheConfig;
 use dmbs_comm::{Codec, CommStats, Communicator, Group, PendingCollective, WireRows};
 use dmbs_graph::partition::OneDPartition;
 use dmbs_matrix::DenseMatrix;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// One rank's shard of the vertex feature matrix.
 #[derive(Debug, Clone)]
@@ -325,31 +321,6 @@ impl PendingFetch {
     }
 }
 
-/// How cached feature state reacts to a graph ingest
-/// ([`dmbs_graph::ingest::GraphIngest`]).
-///
-/// Edge batches never change *feature rows* — features live on vertices — so
-/// invalidation here is about derived state: fetch plans computed against the
-/// old adjacency and the rows they pinned.  Both policies leave training
-/// byte-identical (the rows a refetch returns are the rows the cache held);
-/// they differ only in the refetch bill, which the
-/// [`CommStats`] invalidation books account for exactly:
-/// `invalidation_words(FlushAll) == invalidation_words(Precise) +
-/// retained_words(Precise)` for the same ingest schedule.  Ingest lands
-/// between epochs, after the [`FeatureCacheConfig::EpochPinned`] cache has
-/// dropped its epoch's rows, so the policies only differ for the
-/// [`FeatureCacheConfig::Lru`] cache; the pinned cache books nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InvalidationPolicy {
-    /// Evict exactly the resident rows whose vertex lies in the ingest's
-    /// dirty set, and book every survivor as retained (the default).
-    #[default]
-    Precise,
-    /// Evict everything resident, booking it all as invalidated — the
-    /// brute-force baseline precise invalidation is measured against.
-    FlushAll,
-}
-
 /// Checks a [`FetchPlan`](dmbs_sampling::FetchPlan) against the current
 /// graph version: a plan computed before the last ingest must be recomputed,
 /// not served.
@@ -368,8 +339,6 @@ pub fn ensure_plan_fresh(plan: &dmbs_sampling::FetchPlan, graph_version: u64) ->
 #[derive(Debug, Clone)]
 struct CachedRow {
     data: Vec<f64>,
-    /// Last-use tick, mirrored in the LRU index.
-    tick: u64,
     /// True while the wire cost of this row has been paid (by a prefetch)
     /// but not yet consumed by a lookup.  The first hit on a charged row
     /// saves nothing — the baseline would have paid the same single
@@ -379,7 +348,7 @@ struct CachedRow {
 
 /// A per-rank feature cache layered on a [`FeatureStore`] — the
 /// communication-avoiding tier of the §6.2 feature pipeline (see the module
-/// docs for the two modes).
+/// docs).  Rows are pinned for the cache's lifetime; nothing is evicted.
 ///
 /// All accounting flows into a [`CommStats`] whose cache counters obey the
 /// invariant that, summed across ranks,
@@ -387,62 +356,25 @@ struct CachedRow {
 /// the feature-fetch phase.
 #[derive(Debug, Clone)]
 pub struct FeatureCache {
-    config: FeatureCacheConfig,
     feature_dim: usize,
     rows: HashMap<usize, CachedRow>,
-    /// LRU index: last-use tick → vertex.  Ticks are unique, so eviction
-    /// (pop the smallest tick) is deterministic.
-    by_tick: BTreeMap<u64, usize>,
     /// Vertices requested by a posted-but-not-yet-completed prefetch
     /// ([`FeatureCache::post_prefetch`]).  A later post must not re-request
     /// them — that keeps the overlapped schedule's per-epoch word counts
     /// byte-identical to the synchronous schedule's.
     in_flight: HashSet<usize>,
-    /// Maximum resident rows (`usize::MAX` when pinned, 0 when off).
-    max_rows: usize,
-    tick: u64,
     stats: CommStats,
 }
 
 impl FeatureCache {
-    /// Creates a cache for rows of width `feature_dim`.
-    ///
-    /// An [`FeatureCacheConfig::Lru`] budget smaller than one row yields a
-    /// cache that stores nothing (every lookup misses); this is well-defined
-    /// and still byte-identical, just save-free.
-    pub fn new(config: FeatureCacheConfig, feature_dim: usize) -> Self {
-        let max_rows = match config {
-            FeatureCacheConfig::Off => 0,
-            FeatureCacheConfig::EpochPinned => usize::MAX,
-            FeatureCacheConfig::Lru { byte_budget } => {
-                byte_budget / (feature_dim.max(1) * std::mem::size_of::<f64>())
-            }
-        };
+    /// Creates an empty cache for rows of width `feature_dim`.
+    pub fn new(feature_dim: usize) -> Self {
         FeatureCache {
-            config,
             feature_dim,
             rows: HashMap::new(),
-            by_tick: BTreeMap::new(),
             in_flight: HashSet::new(),
-            max_rows,
-            tick: 0,
             stats: CommStats::default(),
         }
-    }
-
-    /// The configured mode.
-    pub fn config(&self) -> FeatureCacheConfig {
-        self.config
-    }
-
-    /// Number of rows currently resident.
-    pub fn resident_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Bytes currently resident (feature data only).
-    pub fn resident_bytes(&self) -> usize {
-        self.rows.len() * self.feature_dim * std::mem::size_of::<f64>()
     }
 
     /// Accumulated hit/miss/words-saved counters (the wire counters of the
@@ -457,55 +389,6 @@ impl FeatureCache {
         std::mem::take(&mut self.stats)
     }
 
-    /// Drops every resident row (epoch boundary for the pinned mode); the
-    /// stats counters are kept.  Any in-flight posted prefetch is forgotten —
-    /// the pipelined trainer drains its pipeline before the epoch boundary,
-    /// so nothing is in flight when this runs.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-        self.by_tick.clear();
-        self.in_flight.clear();
-    }
-
-    /// Evicts exactly the resident rows whose vertex lies in `dirty` (the
-    /// [`InvalidationPolicy::Precise`] reaction to a graph ingest), books
-    /// each eviction's refetch words into the
-    /// [`CommStats::rows_invalidated`] /
-    /// [`CommStats::invalidation_words`] books, and books every surviving
-    /// resident row as retained.  Pending in-flight requests for dirty
-    /// vertices are forgotten too.  Returns the number of rows evicted.
-    pub fn invalidate(&mut self, store: &FeatureStore, dirty: &[usize]) -> usize {
-        let mut evicted = 0;
-        for &v in dirty {
-            if let Some(row) = self.rows.remove(&v) {
-                self.by_tick.remove(&row.tick);
-                let words = self.words_for_remote(store, v);
-                self.stats.record_invalidation(words);
-                evicted += 1;
-            }
-            self.in_flight.remove(&v);
-        }
-        let survivors: Vec<usize> = self.rows.keys().copied().collect();
-        for v in survivors {
-            let words = self.words_for_remote(store, v);
-            self.stats.record_retention(words);
-        }
-        evicted
-    }
-
-    /// Evicts everything resident (the [`InvalidationPolicy::FlushAll`]
-    /// reaction to a graph ingest), booking every row as invalidated.
-    /// Returns the number of rows evicted.
-    pub fn invalidate_all(&mut self, store: &FeatureStore) -> usize {
-        let vertices: Vec<usize> = self.rows.keys().copied().collect();
-        for &v in &vertices {
-            let words = self.words_for_remote(store, v);
-            self.stats.record_invalidation(words);
-        }
-        self.clear();
-        vertices.len()
-    }
-
     /// Words a hit on `vertex` keeps off the wire: one request id plus one
     /// feature row for remote-owned vertices, nothing for locally-owned ones
     /// (they never travel in the baseline either).
@@ -514,36 +397,6 @@ impl FeatureCache {
             0
         } else {
             self.feature_dim + 1
-        }
-    }
-
-    /// Bumps `vertex` to most-recently-used.
-    fn touch(&mut self, vertex: usize) {
-        if let Some(row) = self.rows.get_mut(&vertex) {
-            self.by_tick.remove(&row.tick);
-            self.tick += 1;
-            row.tick = self.tick;
-            self.by_tick.insert(self.tick, vertex);
-        }
-    }
-
-    /// Inserts a row, evicting least-recently-used entries beyond the
-    /// capacity.  `charged` marks a prefetched row whose first lookup must
-    /// not count as a saving.
-    fn insert(&mut self, vertex: usize, data: &[f64], charged: bool) {
-        if self.max_rows == 0 {
-            return;
-        }
-        self.tick += 1;
-        if let Some(old) =
-            self.rows.insert(vertex, CachedRow { data: data.to_vec(), tick: self.tick, charged })
-        {
-            self.by_tick.remove(&old.tick);
-        }
-        self.by_tick.insert(self.tick, vertex);
-        while self.rows.len() > self.max_rows {
-            let (_, evicted) = self.by_tick.pop_first().expect("rows and index stay in sync");
-            self.rows.remove(&evicted);
         }
     }
 
@@ -628,15 +481,15 @@ impl FeatureCache {
             // A prefetched row is a cache *miss* — it was fetched fresh —
             // so a cold cache is visible in the counters.
             self.stats.record_cache_miss();
-            self.insert(v, fetched.row(i), true);
+            self.rows.insert(v, CachedRow { data: fetched.row(i).to_vec(), charged: true });
         }
         Ok(missing.len())
     }
 
-    /// Serves `vertices` purely from resident rows — the per-step gather of
-    /// the pinned mode, after [`FeatureCache::prefetch`] covered the plan.
-    /// No collective is issued, so **every** rank must be in pinned mode for
-    /// the pipeline to stay matched (the session builder guarantees this).
+    /// Serves `vertices` purely from resident rows — the per-step gather,
+    /// after [`FeatureCache::prefetch`] covered the plan.  No collective is
+    /// issued, so **every** rank must run the cache for the pipeline to stay
+    /// matched (the session builder guarantees this).
     ///
     /// # Errors
     ///
@@ -655,67 +508,6 @@ impl FeatureCache {
             let first_use_of_charged = std::mem::replace(&mut row.charged, false);
             let saved = if first_use_of_charged { 0 } else { self.words_for_remote(store, v) };
             self.stats.record_cache_hit(saved);
-        }
-        Ok(out)
-    }
-
-    /// Read-through fetch for the LRU mode: the collective
-    /// [`FeatureStore::fetch`] is **always** issued (so ranks stay matched),
-    /// but it carries only the deduplicated cache misses; hits are served
-    /// from resident rows and the fetched rows are inserted (evicting LRU
-    /// entries beyond the byte budget).
-    ///
-    /// Returns the rows in the order of `vertices`, byte-identical to an
-    /// uncached [`FeatureStore::fetch`] of the full list.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FeatureStore::fetch`] errors.
-    pub fn fetch_through(
-        &mut self,
-        store: &FeatureStore,
-        comm: &mut Communicator,
-        group: &Group,
-        vertices: &[usize],
-    ) -> Result<DenseMatrix> {
-        // Deduplicated misses: even within one call, a repeated vertex
-        // crosses the wire once.
-        let mut missing: Vec<usize> = Vec::new();
-        let mut seen_missing: HashMap<usize, usize> = HashMap::new();
-        for &v in vertices {
-            if !self.rows.contains_key(&v) && !seen_missing.contains_key(&v) {
-                seen_missing.insert(v, missing.len());
-                missing.push(v);
-            }
-        }
-        let fetched = store.fetch(comm, group, &missing)?;
-
-        let mut out = DenseMatrix::zeros(vertices.len(), self.feature_dim);
-        let mut first_use: Vec<bool> = vec![true; missing.len()];
-        for (i, &v) in vertices.iter().enumerate() {
-            if let Some(&slot) = seen_missing.get(&v) {
-                out.row_mut(i).copy_from_slice(fetched.row(slot));
-                if first_use[slot] {
-                    // The use that paid for the transfer.
-                    first_use[slot] = false;
-                    self.stats.record_cache_miss();
-                } else {
-                    // A duplicate of a miss within the same call: the
-                    // baseline would have shipped the row again.
-                    let saved = self.words_for_remote(store, v);
-                    self.stats.record_cache_hit(saved);
-                }
-            } else {
-                let row = self.rows.get(&v).expect("resident: not in the miss set");
-                out.row_mut(i).copy_from_slice(&row.data);
-                self.touch(v);
-                let saved = self.words_for_remote(store, v);
-                self.stats.record_cache_hit(saved);
-            }
-        }
-        // Insert after assembly: the inserting use is the one that paid.
-        for (slot, &v) in missing.iter().enumerate() {
-            self.insert(v, fetched.row(slot), false);
         }
         Ok(out)
     }
@@ -908,7 +700,7 @@ mod tests {
             .run(|comm| {
                 let store = FeatureStore::from_full(&h, comm.size(), comm.rank()).unwrap();
                 let world = comm.world();
-                let mut cache = FeatureCache::new(FeatureCacheConfig::EpochPinned, f);
+                let mut cache = FeatureCache::new(f);
                 let mut plan = wanted.clone();
                 plan.sort_unstable();
                 plan.dedup();
@@ -988,7 +780,7 @@ mod tests {
             .run(|comm| {
                 let store = FeatureStore::from_full(&h, comm.size(), comm.rank()).unwrap();
                 let world = comm.world();
-                let mut cache = FeatureCache::new(FeatureCacheConfig::EpochPinned, f);
+                let mut cache = FeatureCache::new(f);
                 cache.prefetch(&store, comm, &world, &plan0).unwrap();
                 let a = cache.gather_pinned(&store, &plan0).unwrap();
                 cache.prefetch(&store, comm, &world, &plan1).unwrap();
@@ -1000,7 +792,7 @@ mod tests {
             .run(|comm| {
                 let store = FeatureStore::from_full(&h, comm.size(), comm.rank()).unwrap();
                 let world = comm.world();
-                let mut cache = FeatureCache::new(FeatureCacheConfig::EpochPinned, f);
+                let mut cache = FeatureCache::new(f);
                 // Software pipeline: both posts in flight before either wait.
                 let p0 = cache.post_prefetch(&store, comm, &world, &plan0).unwrap();
                 let p1 = cache.post_prefetch(&store, comm, &world, &plan1).unwrap();
@@ -1028,69 +820,11 @@ mod tests {
             .run(|comm| {
                 let store = FeatureStore::from_full(&h, 1, 0).unwrap();
                 let world = comm.world();
-                let mut cache = FeatureCache::new(FeatureCacheConfig::EpochPinned, 2);
+                let mut cache = FeatureCache::new(2);
                 cache.prefetch(&store, comm, &world, &[1, 2]).unwrap();
                 cache.gather_pinned(&store, &[1, 5]).unwrap_err()
             })
             .unwrap();
         assert_eq!(outs[0].value, GnnError::CacheMiss { vertex: 5 });
-    }
-
-    #[test]
-    fn lru_fetch_through_matches_direct_fetch_and_respects_budget() {
-        let n = 12;
-        let f = 3;
-        let h = full_features(n, f);
-        let runtime = Runtime::new(2).unwrap();
-        let steps: Vec<Vec<usize>> = vec![vec![0, 5, 5, 9], vec![5, 9, 1], vec![0, 1, 11]];
-        let outs = runtime
-            .run(|comm| {
-                let store = FeatureStore::from_full(&h, comm.size(), comm.rank()).unwrap();
-                let world = comm.world();
-                // Budget for exactly two rows of 3 f64 words.
-                let budget = 2 * f * std::mem::size_of::<f64>();
-                let mut cache =
-                    FeatureCache::new(FeatureCacheConfig::Lru { byte_budget: budget }, f);
-                let mut outputs = Vec::new();
-                for wanted in &steps {
-                    let via_cache = cache.fetch_through(&store, comm, &world, wanted).unwrap();
-                    outputs.push(via_cache);
-                    assert!(cache.resident_rows() <= 2, "budget exceeded");
-                }
-                (outputs, *cache.stats())
-            })
-            .unwrap();
-        // Reference without any cache.
-        let reference = runtime
-            .run(|comm| {
-                let store = FeatureStore::from_full(&h, comm.size(), comm.rank()).unwrap();
-                let world = comm.world();
-                steps.iter().map(|w| store.fetch(comm, &world, w).unwrap()).collect::<Vec<_>>()
-            })
-            .unwrap();
-        for (o, r) in outs.iter().zip(&reference) {
-            assert_eq!(o.value.0, r.value, "LRU read-through diverged from direct fetch");
-            // The duplicate 5 in step one is served without a second transfer.
-            assert!(o.value.1.cache_hits > 0);
-            assert!(o.value.1.cache_misses > 0);
-        }
-    }
-
-    #[test]
-    fn zero_budget_lru_caches_nothing_but_stays_correct() {
-        let h = full_features(8, 2);
-        let runtime = Runtime::new(2).unwrap();
-        let outs = runtime
-            .run(|comm| {
-                let store = FeatureStore::from_full(&h, comm.size(), comm.rank()).unwrap();
-                let world = comm.world();
-                let mut cache = FeatureCache::new(FeatureCacheConfig::Lru { byte_budget: 0 }, 2);
-                let a = cache.fetch_through(&store, comm, &world, &[3, 3, 6]).unwrap();
-                let direct = store.fetch(comm, &world, &[3, 3, 6]).unwrap();
-                assert_eq!(cache.resident_rows(), 0);
-                a == direct
-            })
-            .unwrap();
-        assert!(outs.iter().all(|o| o.value));
     }
 }

@@ -18,9 +18,9 @@
 //!   sampling crate;
 //! * [`features`] — the 1.5D-partitioned feature store with all-to-allv
 //!   fetching (§6.2), including the no-replication variant of Figure 6, plus
-//!   the communication-avoiding [`FeatureCache`] (epoch-pinned prefetch of a
-//!   [`FetchPlan`](dmbs_sampling::FetchPlan), or byte-budgeted LRU) behind
-//!   the `TrainingSession::builder().feature_cache(...)` knob;
+//!   the communication-avoiding [`FeatureCache`] (run-long pinned prefetch
+//!   of each [`FetchPlan`](dmbs_sampling::FetchPlan)) behind the
+//!   `TrainingSession::builder().feature_cache(...)` knob;
 //! * [`session`] — the [`TrainingSession`] builder that binds dataset ×
 //!   sampler × backend and runs the streaming or distributed training loop;
 //! * [`trainer`] — the per-phase epoch breakdowns ([`EpochStats`]) it
@@ -44,8 +44,8 @@ pub mod worker;
 
 pub use error::GnnError;
 pub use features::{
-    ensure_plan_fresh, FeatureCache, FeatureCacheConfig, FeatureStore, InvalidationPolicy,
-    PendingFetch, PendingPrefetch,
+    ensure_plan_fresh, FeatureCache, FeatureCacheConfig, FeatureStore, PendingFetch,
+    PendingPrefetch,
 };
 pub use model::SageModel;
 pub use serve::{

@@ -58,8 +58,7 @@
 
 use crate::error::GnnError;
 use crate::features::{
-    ensure_plan_fresh, FeatureCache, FeatureCacheConfig, FeatureStore, InvalidationPolicy,
-    PendingPrefetch,
+    ensure_plan_fresh, FeatureCache, FeatureCacheConfig, FeatureStore, PendingPrefetch,
 };
 use crate::metrics::{accuracy, RunningMean};
 use crate::model::SageModel;
@@ -91,8 +90,8 @@ pub type Session<S, B> = TrainingSession<S, B>;
 
 /// One scheduled graph mutation of a dynamic-graph training run: after epoch
 /// `after_epoch` finishes (its stats already booked), every rank applies
-/// `batch` to its adjacency and invalidates cached feature state per the
-/// session's [`InvalidationPolicy`].
+/// `batch` to its adjacency.  Pinned feature rows survive it: an edge batch
+/// never changes a feature row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestEvent {
     /// Epoch after which the batch lands (0-based).  At least one epoch must
@@ -120,7 +119,6 @@ pub(crate) struct SessionConfig {
     pub(crate) grad_top_k: Option<usize>,
     pub(crate) ingest: Vec<IngestEvent>,
     pub(crate) ingest_mode: IngestMode,
-    pub(crate) invalidation: InvalidationPolicy,
 }
 
 impl SessionConfig {
@@ -349,7 +347,6 @@ impl<S, B> Default for SessionBuilder<S, B> {
                 grad_top_k: None,
                 ingest: Vec::new(),
                 ingest_mode: IngestMode::default(),
-                invalidation: InvalidationPolicy::default(),
             },
         }
     }
@@ -414,20 +411,17 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     }
 
     /// The per-rank feature cache of the communication-avoiding §6.2
-    /// pipeline (default [`FeatureCacheConfig::EpochPinned`]):
+    /// pipeline (default [`FeatureCacheConfig::Pinned`]):
     ///
-    /// * [`FeatureCacheConfig::EpochPinned`] — each bulk group's
-    ///   [`FetchPlan`] (the deduplicated union of its layer-0 frontiers) is
-    ///   prefetched with one all-to-allv round and pinned for the epoch, so
-    ///   each remote feature row crosses the wire at most once per epoch and
-    ///   the per-step fetch collectives disappear.  The pinned rows are at
-    ///   most the epoch's distinct input vertices, so a rank holds at most
+    /// * [`FeatureCacheConfig::Pinned`] — each bulk group's [`FetchPlan`]
+    ///   (the deduplicated union of its layer-0 frontiers) is prefetched
+    ///   with one all-to-allv round, missing rows only, and pinned for the
+    ///   whole run, so each remote feature row crosses the wire at most once
+    ///   per run and the per-step fetch collectives disappear.  The pinned
+    ///   rows are at most the graph's `n` vertices, so a rank holds at most
     ///   one more copy of the feature matrix;
     /// * [`FeatureCacheConfig::Off`] — every step re-fetches its full
-    ///   frontier (the uncached reference the cache books balance against);
-    /// * [`FeatureCacheConfig::Lru`] — a byte-budgeted read-through cache:
-    ///   per-step collectives still run (ranks stay matched) but carry only
-    ///   the misses.
+    ///   frontier (the uncached reference the cache books balance against).
     ///
     /// The cache is pure work avoidance: cached and uncached training are
     /// byte-identical (see the `tests/backend_equivalence.rs` sweep), only
@@ -444,7 +438,7 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
 
     /// Software-pipelines the distributed training loop (default off): while
     /// bulk group `k` trains, group `k + 1` is sampled and — with the
-    /// [`FeatureCacheConfig::EpochPinned`] cache — its prefetch all-to-allv
+    /// [`FeatureCacheConfig::Pinned`] cache — its prefetch all-to-allv
     /// is posted nonblocking, so the α–β communication bill hides behind
     /// propagation compute instead of adding to it.  Off runs the same
     /// pipeline with a look-ahead of zero: each group is sampled, fetched and
@@ -458,11 +452,10 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// same losses, same accuracy, same fetched rows, same per-epoch word
     /// counts — for every grid shape and cache mode (pinned by the
     /// `tests/overlap_pipeline.rs` sweep).  Degradations are graceful, never
-    /// errors: with the [`FeatureCacheConfig::Lru`] cache (or no cache) the
-    /// per-step fetch collectives stay synchronous so ranks stay matched and
-    /// only group `k + 1`'s sampling is hoisted.  Like the rest of the
-    /// [`Schedule`], a local backend ignores the knob: its
-    /// [`MinibatchStream`] worker thread already overlaps sampling with
+    /// errors: with no cache the per-step fetch collectives stay synchronous
+    /// so ranks stay matched and only group `k + 1`'s sampling is hoisted.
+    /// Like the rest of the [`Schedule`], a local backend ignores the knob:
+    /// its [`MinibatchStream`] worker thread already overlaps sampling with
     /// training.
     pub fn overlap(mut self, overlap: bool) -> Self {
         self.config.schedule.overlap = overlap;
@@ -539,9 +532,10 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
 
     /// Schedules an edge insert/delete batch to land after epoch
     /// `after_epoch` finishes (0-based).  Every rank applies the batch to
-    /// its adjacency under [`GraphIngest`] and invalidates affected cached
-    /// feature rows per [`SessionBuilder::invalidation`] before the next
-    /// epoch samples.  Events accumulate in call order; several may share an
+    /// its adjacency under [`GraphIngest`] before the next epoch samples;
+    /// pinned feature rows stay resident, since an edge batch changes no
+    /// feature row, and fetch plans carry the graph version they were
+    /// sampled at.  Events accumulate in call order; several may share an
     /// epoch.  Requires a distributed backend (the ingest path routes by the
     /// 1.5D owner partition).
     pub fn ingest(mut self, after_epoch: usize, batch: DeltaBatch) -> Self {
@@ -556,17 +550,6 @@ impl<S: Sampler, B: SamplingBackend> SessionBuilder<S, B> {
     /// `tests/delta_equivalence.rs` sweep pins this.
     pub fn ingest_mode(mut self, mode: IngestMode) -> Self {
         self.config.ingest_mode = mode;
-        self
-    }
-
-    /// Cache-invalidation policy applied when an ingest batch lands:
-    /// [`InvalidationPolicy::Precise`] (default) evicts only cached rows
-    /// whose vertices the batch dirtied; [`InvalidationPolicy::FlushAll`]
-    /// drops the whole cache.  Both book their work into the
-    /// [`CommStats`] invalidation ledger, whose
-    /// double-entry identity the delta-equivalence sweep checks.
-    pub fn invalidation(mut self, policy: InvalidationPolicy) -> Self {
-        self.config.invalidation = policy;
         self
     }
 
@@ -613,8 +596,6 @@ where
     /// * **lossy codecs are opt-in** — the grid admits `Fp16`/`Int8` only
     ///   when the builder explicitly set a lossy [`SessionBuilder::wire_codec`]
     ///   (and then two extra probes calibrate their real byte savings);
-    ///   likewise an [`FeatureCacheConfig::Lru`] setting admits LRU
-    ///   candidates with that byte budget;
     /// * **ties keep the default** — a workload the knobs cannot improve
     ///   (e.g. a fully-replicated shape with nothing on the wire) trains
     ///   with the same configuration [`SessionBuilder::build`] would have
@@ -671,13 +652,9 @@ where
     /// (which would mean a double-entry accounting bug — see
     /// [`TuningModel::fit`]).
     pub fn auto(self) -> Result<TrainingSession<S, B>> {
-        // Lossy codecs and the byte-budgeted LRU cache are strictly opt-in:
-        // only an explicit builder setting admits them to the searched grid.
+        // Lossy codecs are strictly opt-in: only an explicit builder
+        // setting admits them to the searched grid.
         let allow_lossy = self.config.schedule.codec != Codec::Exact;
-        let lru_budget = match self.config.schedule.cache {
-            FeatureCacheConfig::Lru { byte_budget } => byte_budget,
-            _ => 0,
-        };
         let mut session = self.build()?;
         let (p, cost, c) = match (session.backend.runtime(), session.backend.dist()) {
             (Some(runtime), Some(dist)) => {
@@ -687,7 +664,7 @@ where
             // session is already the arg-min.
             _ => return Ok(session),
         };
-        let grid = TuningGrid::new(p, c)?.with_lru_budget(lru_budget).with_lossy(allow_lossy);
+        let grid = TuningGrid::new(p, c)?.with_lossy(allow_lossy);
 
         let probe = |schedule: Schedule| -> Result<ProbeEpoch> {
             let probe_session = TrainingSession {
@@ -1046,9 +1023,8 @@ where
         // The feature matrix is split into the grid's `p/c` block rows and
         // fetched within this rank's process column (§6.2); at `c = 1` the
         // column is the whole world.  The wire codec rides on the store:
-        // reply rows of every fetch lane (uncached, LRU read-through, pinned
-        // prefetch) encode the same way, so cache modes stay byte-identical
-        // under any codec.
+        // reply rows of both fetch lanes (uncached, pinned prefetch) encode
+        // the same way, so cache modes stay byte-identical under any codec.
         let (my_row, _) = grid.coords(rank);
         let store = FeatureStore::from_full(features, grid.rows(), my_row)?
             .with_codec(config.schedule.codec);
@@ -1060,17 +1036,12 @@ where
         // gradient mass this rank has not yet shipped.  Lives for the whole
         // run so nothing is dropped at epoch boundaries, only delayed.
         let mut grad_residual = config.grad_top_k.map(|_| vec![0.0; model.num_parameters()]);
-        // The communication-avoiding feature cache (§6.2).  Every
-        // rank makes the same mode decision, so the collective
-        // schedule stays matched: pinned mode replaces the per-step
-        // all-to-allv with one prefetch round per bulk group, LRU
-        // mode keeps the per-step round but ships only misses.
-        let pinned = config.schedule.cache == FeatureCacheConfig::EpochPinned;
-        let mut cache = config
-            .schedule
-            .cache
-            .is_enabled()
-            .then(|| FeatureCache::new(config.schedule.cache, store.feature_dim()));
+        // The communication-avoiding feature cache (§6.2).  Every rank makes
+        // the same mode decision, so the collective schedule stays matched:
+        // the cache replaces the per-step all-to-allv with one prefetch
+        // round per bulk group.  Its rows live for the whole run.
+        let mut cache =
+            config.schedule.cache.is_enabled().then(|| FeatureCache::new(store.feature_dim()));
 
         // Dynamic-graph state: every rank folds scheduled ingest batches
         // into its own replica of the adjacency.  Static sessions pay one
@@ -1117,7 +1088,6 @@ where
                         &store,
                         &fetch_group,
                         &mut cache,
-                        pinned,
                         &mut profile,
                     )?);
                 }
@@ -1157,7 +1127,6 @@ where
                     &store,
                     &fetch_group,
                     &mut cache,
-                    pinned,
                     &mut model,
                     &mut optimizer,
                     &mut grad_residual,
@@ -1172,17 +1141,9 @@ where
             // harnesses see one number per epoch.
             comm_delta.record_overlap(profile.total_overlap());
             if let Some(cache) = cache.as_mut() {
-                // Fold in this epoch's hit/miss/saved-words counters
-                // (and reset them for the next epoch).
+                // Fold in this epoch's hit/miss/saved-words counters (and
+                // reset them for the next epoch).  The rows stay pinned.
                 comm_delta.merge(&cache.take_stats());
-                if pinned {
-                    // Epoch-static pinning: resident rows live for one
-                    // epoch, so a remote row crosses at most once per epoch
-                    // even when bulk groups share frontiers.  They are
-                    // dropped here, before any ingest lands, so an ingest
-                    // finds nothing pinned and books nothing as retained.
-                    cache.clear();
-                }
             }
             epochs.push((profile, comm_delta, loss.mean()));
 
@@ -1191,9 +1152,8 @@ where
             // full batch; the owner routing is still computed (and its
             // sub-batches checked to repartition the batch exactly) because
             // that is the lane a sharded adjacency would ship updates over.
-            // The invalidation work books into the cache stats, i.e. into
-            // the NEXT epoch's comm delta — an ingest between epochs is
-            // charged to the epoch that pays its refetches.
+            // The pinned rows stay: an edge batch changes no feature row,
+            // and the next epoch's plans carry the new graph version.
             for event in config.ingest.iter().filter(|e| e.after_epoch == epoch) {
                 let routed = GraphIngest::route_by_owner(&event.batch, store.partition())
                     .map_err(GnnError::Graph)?;
@@ -1202,17 +1162,7 @@ where
                     event.batch.len(),
                     "owner routing must partition the batch exactly"
                 );
-                let receipt = ingest.apply(&event.batch).map_err(GnnError::Graph)?;
-                if let Some(cache) = cache.as_mut() {
-                    match config.invalidation {
-                        InvalidationPolicy::Precise => {
-                            cache.invalidate(&store, &receipt.dirty);
-                        }
-                        InvalidationPolicy::FlushAll => {
-                            cache.invalidate_all(&store);
-                        }
-                    }
-                }
+                ingest.apply(&event.batch).map_err(GnnError::Graph)?;
             }
         }
         let params = model.parameters().to_vec();
@@ -1307,7 +1257,6 @@ where
         store: &FeatureStore,
         fetch_group: &Group,
         cache: &mut Option<FeatureCache>,
-        pinned: bool,
         profile: &mut PhaseProfile,
     ) -> Result<PipelineStage> {
         let shard = self
@@ -1322,8 +1271,7 @@ where
                 hoisted.add_comm(phase, comm_secs);
             }
         }
-        let pending = if pinned {
-            let cache = cache.as_mut().expect("pinned implies enabled");
+        let pending = if let Some(cache) = cache.as_mut() {
             let fetch_plan = FetchPlan::from_sample_iter(shard.samples.iter().map(|(_, mb)| mb))
                 .with_version(graph_version);
             // Load-bearing guard: a plan computed before an ingest must
@@ -1348,9 +1296,9 @@ where
     /// takes the same number of steps so the collectives stay matched.  Each
     /// step reduces the contributing-rank count, then the gradient — dense,
     /// or top-k sparse with error feedback — with blocking all-reduces.  The
-    /// per-step *fetch* collectives of the LRU / uncached modes are blocking
-    /// too: they are demand-driven, and keeping them blocking is what keeps
-    /// ranks matched.  Returns the measured wall seconds of the step loop —
+    /// per-step *fetch* collectives of the uncached mode are blocking too:
+    /// they are demand-driven, and keeping them blocking is what keeps ranks
+    /// matched.  Returns the measured wall seconds of the step loop —
     /// the compute budget the next stage's hoisted communication can hide
     /// behind.
     #[allow(clippy::too_many_arguments)]
@@ -1361,7 +1309,6 @@ where
         store: &FeatureStore,
         fetch_group: &Group,
         cache: &mut Option<FeatureCache>,
-        pinned: bool,
         model: &mut SageModel,
         optimizer: &mut Sgd,
         grad_residual: &mut Option<Vec<f64>>,
@@ -1379,9 +1326,7 @@ where
                 sample.map(|s| s.input_vertices().to_vec()).unwrap_or_default();
             let input = match cache.as_mut() {
                 // Pinned: served locally, no collective.
-                Some(cache) if pinned => cache.gather_pinned(store, &wanted)?,
-                // LRU: the collective always runs, carrying only the misses.
-                Some(cache) => cache.fetch_through(store, comm, fetch_group, &wanted)?,
+                Some(cache) => cache.gather_pinned(store, &wanted)?,
                 None => store.fetch(comm, fetch_group, &wanted)?,
             };
             profile.add_compute(Phase::FeatureFetch, fetch_start.elapsed().as_secs_f64());
@@ -1735,12 +1680,7 @@ mod tests {
         // counter equal the default schedule's, bit for bit.
         let base = local_base(9).epochs(2).seed(31);
         let reference = base.clone().build().unwrap().train().unwrap();
-        let caches = [
-            FeatureCacheConfig::Off,
-            FeatureCacheConfig::EpochPinned,
-            FeatureCacheConfig::Lru { byte_budget: 1 << 16 },
-        ];
-        for cache in caches {
+        for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::Pinned] {
             for codec in [Codec::Exact, Codec::Int8] {
                 for overlap in [false, true] {
                     let run = base
@@ -1776,19 +1716,15 @@ mod tests {
         let base = replicated_base(10, 33);
         let off =
             base.clone().feature_cache(FeatureCacheConfig::Off).build().unwrap().train().unwrap();
-        for cache in
-            [FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Lru { byte_budget: 1 << 20 }]
-        {
-            let on = base.clone().feature_cache(cache).build().unwrap().train().unwrap();
-            for (a, b) in off.epochs.iter().zip(&on.epochs) {
-                assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "{cache:?}");
-                assert!(b.comm.words_sent <= a.comm.words_sent, "{cache:?}");
-                assert_eq!(
-                    b.comm.words_sent + b.comm.words_saved,
-                    a.comm.words_sent,
-                    "{cache:?}: the α–β books must balance"
-                );
-            }
+        let on = base.feature_cache(FeatureCacheConfig::Pinned).build().unwrap().train().unwrap();
+        for (a, b) in off.epochs.iter().zip(&on.epochs) {
+            assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits());
+            assert!(b.comm.words_sent <= a.comm.words_sent);
+            assert_eq!(
+                b.comm.words_sent + b.comm.words_saved,
+                a.comm.words_sent,
+                "the α–β books must balance"
+            );
         }
     }
 

@@ -20,7 +20,6 @@
 //! [`dmbs_comm::run_if_worker`] with [`registry`] before doing anything else;
 //! see that function's docs for the env-var protocol.
 
-use crate::features::InvalidationPolicy;
 use crate::session::{IngestEvent, RankEpochs, SessionConfig, TrainingSession};
 use crate::{GnnError, Result};
 use dmbs_comm::wire::{
@@ -47,9 +46,10 @@ pub const TRAIN_WORKER: &str = "dmbs.gnn.train";
 /// schedule (per-epoch edge batches, ingest mode, invalidation policy); v4
 /// dropped the workspace-reuse byte of the bulk config (the knob is gone);
 /// v5 dropped the session's shape overrides (`b`, `k`, `c` and the thread
-/// count travel only in the backend spec).
+/// count travel only in the backend spec); v6 dropped the invalidation-policy
+/// word.
 /// Bump it whenever `job_layout_is_pinned` has to be re-pinned.
-const JOB_VERSION: u64 = 5;
+const JOB_VERSION: u64 = 6;
 
 /// The worker registry of this crate: currently the single
 /// [`TRAIN_WORKER`].  Pass it to [`dmbs_comm::run_if_worker`] at the top of
@@ -245,13 +245,6 @@ fn encode_session_config(out: &mut Vec<u8>, config: &SessionConfig) {
             IngestMode::Rebuild => 1,
         },
     );
-    put_u64(
-        out,
-        match config.invalidation {
-            InvalidationPolicy::Precise => 0,
-            InvalidationPolicy::FlushAll => 1,
-        },
-    );
 }
 
 fn decode_session_config(input: &mut &[u8]) -> Option<SessionConfig> {
@@ -273,11 +266,6 @@ fn decode_session_config(input: &mut &[u8]) -> Option<SessionConfig> {
         ingest_mode: match get_u64(input)? {
             0 => IngestMode::Delta,
             1 => IngestMode::Rebuild,
-            _ => return None,
-        },
-        invalidation: match get_u64(input)? {
-            0 => InvalidationPolicy::Precise,
-            1 => InvalidationPolicy::FlushAll,
             _ => return None,
         },
     })
@@ -475,7 +463,6 @@ mod tests {
             .wire_codec(Codec::Int8)
             .grad_top_k(5)
             .ingest(0, batch)
-            .invalidation(InvalidationPolicy::FlushAll)
             .build()
             .unwrap()
     }
@@ -498,8 +485,8 @@ mod tests {
         assert_eq!(decoded.sampler, session.sampler().spec().unwrap());
         assert_eq!(decoded.backend, session.backend().spec().unwrap());
         // Every config field survives the trip (the fixture sets the cache,
-        // codec, top-k, ingest schedule and invalidation policy off their
-        // defaults), the ingest batch op for op.
+        // codec, top-k and ingest schedule off their defaults), the ingest
+        // batch op for op.
         assert_eq!(&decoded.config, session.config());
         assert_eq!(decoded.config.schedule.codec, Codec::Int8);
         assert_eq!(
@@ -510,20 +497,20 @@ mod tests {
 
     #[test]
     fn job_layout_is_pinned() {
-        // Length and FNV-1a fold of the `session(5)` job at JOB_VERSION 5.
+        // Length and FNV-1a fold of the `session(5)` job at JOB_VERSION 6.
         // A change here is a layout change: bump JOB_VERSION, then re-pin.
         let job = encode_train_job(&session(5)).unwrap();
         let fnv = job.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((job.len(), fnv), (55_672, 0xff34_9b30_9f51_218c));
+        assert_eq!((job.len(), fnv), (55_664, 0xf3cf_0a7d_7307_cfe6));
     }
 
     /// Byte length of the session-config tail of a `session(..)` job: five
     /// scalar words, the three-word schedule, `grad_top_k = Some(5)` (two),
     /// the one-event ingest schedule (event count, epoch, op count, insert =
-    /// 4 words, delete = 3) and the two policy tags.
-    const CONFIG_TAIL: usize = 8 * (5 + 3 + 2 + 10 + 2);
+    /// 4 words, delete = 3) and the ingest-mode tag.
+    const CONFIG_TAIL: usize = 8 * (5 + 3 + 2 + 10 + 1);
 
     /// Byte length of the backend spec that precedes the config tail: tag,
     /// ranks, `replication_c`, `batch_size`, `bulk_size`, threads.
@@ -562,26 +549,35 @@ mod tests {
         let runtime = session.backend().runtime().unwrap();
         let tail = job.len() - CONFIG_TAIL;
         let spec = tail - BACKEND_SPEC;
-        // Byte offsets of the forged words: the backend spec's
+        // Byte offsets and forged values of the words: the backend spec's
         // `replication_c`, `batch_size` and `bulk_size` (words 2–4), then
-        // the config tail's `hidden_dim` and `learning_rate` (words 0–1) and
+        // the config tail's `hidden_dim` and `learning_rate` (words 0–1),
+        // the schedule's cache tag (word 5) set to the retired tag 2, and
         // `grad_top_k`'s value, which follows its `Some` tag at word 8 + 1.
-        for (field, offset) in [
-            ("replication_c", spec + 8 * 2),
-            ("batch_size", spec + 8 * 3),
-            ("bulk_size", spec + 8 * 4),
-            ("hidden_dim", tail),
-            ("learning_rate", tail + 8),
-            ("grad_top_k", tail + 8 * 9),
+        for (field, offset, value) in [
+            ("replication_c", spec + 8 * 2, 0u64),
+            ("batch_size", spec + 8 * 3, 0),
+            ("bulk_size", spec + 8 * 4, 0),
+            ("hidden_dim", tail, 0),
+            ("learning_rate", tail + 8, 0),
+            ("session config", tail + 8 * 5, 2),
+            ("grad_top_k", tail + 8 * 9, 0),
         ] {
             let mut forged = job.clone();
-            forged[offset..offset + 8].fill(0);
-            let decoded = decode_train_job(&forged).expect("forged job still decodes");
-            assert!(
-                decoded.backend != session.backend().spec().unwrap()
-                    || &decoded.config != session.config(),
-                "{field} was not forged"
-            );
+            forged[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            match decode_train_job(&forged) {
+                Ok(decoded) => assert!(
+                    decoded.backend != session.backend().spec().unwrap()
+                        || &decoded.config != session.config(),
+                    "{field} was not forged"
+                ),
+                // The retired cache tag: the schedule itself refuses to
+                // decode, so the codec error names the session config.
+                Err(e) => assert!(
+                    field == "session config" && e.to_string().contains(field),
+                    "{field}: {e}"
+                ),
+            }
             match runtime.run_worker(&registry(), TRAIN_WORKER, &forged) {
                 Err(dmbs_comm::CommError::WorkerFailed { message, .. }) => {
                     assert!(message.contains(field), "{field}: {message}")

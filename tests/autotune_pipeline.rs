@@ -96,7 +96,7 @@ fn auto_picks_the_communication_avoiding_schedule() {
     let session = builder(&dataset, 4, 2).auto().expect("auto build");
     let outcome = session.tuning_outcome().expect("tuned");
     let chosen = outcome.chosen();
-    assert_eq!(chosen.choice.cache, FeatureCacheConfig::EpochPinned, "pinned cache saves words");
+    assert_eq!(chosen.choice.cache, FeatureCacheConfig::Pinned, "pinned cache saves words");
     assert_eq!(chosen.choice.codec, Codec::Exact, "lossy codecs are opt-in");
     assert!(chosen.choice.overlap, "the overlap probe demonstrated hidden seconds");
     let default = &outcome.scored[0];
@@ -179,22 +179,4 @@ fn auto_admits_lossy_codecs_only_on_opt_in() {
     let auto_report = session.train().expect("auto train");
     let explicit_report = explicit.train().expect("explicit train");
     assert_reports_identical(&auto_report, &explicit_report, "lossy opt-in");
-}
-
-/// Likewise the byte-budgeted LRU cache: its candidates (with exactly the
-/// builder's budget) are searched only when the builder set one — and,
-/// scored pessimistically, they never beat the pinned cache.
-#[test]
-fn auto_admits_lru_candidates_only_on_opt_in() {
-    let dataset = tiny_dataset(9);
-    let is_lru = |s: &Schedule| matches!(s.cache, FeatureCacheConfig::Lru { .. });
-    let plain = builder(&dataset, 4, 2).auto().expect("auto build");
-    assert!(!plain.tuning_outcome().expect("tuned").scored.iter().any(|s| is_lru(&s.choice)));
-
-    let lru = FeatureCacheConfig::Lru { byte_budget: 1 << 14 };
-    let session = builder(&dataset, 4, 2).feature_cache(lru).auto().expect("auto build");
-    let outcome = session.tuning_outcome().expect("tuned");
-    let admitted: Vec<_> = outcome.scored.iter().filter(|s| is_lru(&s.choice)).collect();
-    assert!(!admitted.is_empty() && admitted.iter().all(|s| s.choice.cache == lru));
-    assert_eq!(outcome.chosen().choice.cache, FeatureCacheConfig::EpochPinned);
 }

@@ -8,7 +8,9 @@ mod common;
 
 use common::GRID_SHAPES;
 use dmbs::comm::{Codec, Group, ProcessGrid, Runtime};
-use dmbs::gnn::{FeatureCache, FeatureCacheConfig, FeatureStore, SessionBuilder, TrainingSession};
+use dmbs::gnn::{
+    FeatureCache, FeatureCacheConfig, FeatureStore, SessionBuilder, TrainingReport, TrainingSession,
+};
 use dmbs::graph::datasets::Dataset;
 use dmbs::graph::generators::figure1_example;
 use dmbs::matrix::DenseMatrix;
@@ -64,10 +66,9 @@ fn feature_matrix(n: usize, f: usize) -> DenseMatrix {
 proptest! {
     /// Distributed-equivalence sweep at the feature-store level: across
     /// every grid shape, the rows served through the pinned prefetch cache
-    /// and the LRU read-through cache are byte-identical to the uncached
-    /// all-to-allv fetch, for arbitrary per-rank request lists (including
-    /// duplicates), and each cached run moves no more words than the
-    /// baseline.
+    /// are byte-identical to the uncached all-to-allv fetch, for arbitrary
+    /// per-rank request lists (including duplicates), and the cached run
+    /// moves no more words than the baseline.
     #[test]
     fn fetched_features_are_byte_identical_cache_on_vs_off(
         wanted_a in proptest::collection::vec(0usize..48, 1..24),
@@ -91,58 +92,36 @@ proptest! {
                     (outs, comm.stats().words_sent)
                 })
                 .unwrap();
-            for (mode, label) in [
-                (FeatureCacheConfig::EpochPinned, "pinned"),
-                (FeatureCacheConfig::Lru { byte_budget: 1 << 20 }, "lru"),
-                (FeatureCacheConfig::Lru { byte_budget: 4 * f * 8 }, "lru-tiny"),
-            ] {
-                let cached = runtime
-                    .run(|comm| {
-                        let grid = ProcessGrid::new(comm.size(), c).unwrap();
-                        let (my_row, _) = grid.coords(comm.rank());
-                        let store = FeatureStore::from_full(&h, grid.rows(), my_row).unwrap();
-                        let group = Group::new(&grid.col_ranks(comm.rank())).unwrap();
-                        let mut cache = FeatureCache::new(mode, f);
-                        let outs: Vec<DenseMatrix> = if mode == FeatureCacheConfig::EpochPinned {
-                            let mut union: Vec<usize> =
-                                steps.iter().flatten().copied().collect();
-                            union.sort_unstable();
-                            union.dedup();
-                            cache.prefetch(&store, comm, &group, &union).unwrap();
-                            steps
-                                .iter()
-                                .map(|w| cache.gather_pinned(&store, w).unwrap())
-                                .collect()
-                        } else {
-                            steps
-                                .iter()
-                                .map(|w| cache.fetch_through(&store, comm, &group, w).unwrap())
-                                .collect()
-                        };
-                        (outs, comm.stats().words_sent, *cache.stats())
-                    })
-                    .unwrap();
-                let mut words_uncached = 0;
-                let mut words_cached = 0;
-                let mut words_saved = 0;
-                for (u, cc) in uncached.iter().zip(&cached) {
-                    prop_assert_eq!(
-                        &u.value.0, &cc.value.0,
-                        "p={} c={} mode={}: fetched rows diverged", p, c, label
-                    );
-                    words_uncached += u.value.1;
-                    words_cached += cc.value.1;
-                    words_saved += cc.value.2.words_saved;
-                }
-                prop_assert!(
-                    words_cached <= words_uncached,
-                    "p={} c={} mode={}: cache moved more words", p, c, label
-                );
-                prop_assert_eq!(
-                    words_cached + words_saved, words_uncached,
-                    "p={} c={} mode={}: saved + sent must equal the uncached bill", p, c, label
-                );
+            let cached = runtime
+                .run(|comm| {
+                    let grid = ProcessGrid::new(comm.size(), c).unwrap();
+                    let (my_row, _) = grid.coords(comm.rank());
+                    let store = FeatureStore::from_full(&h, grid.rows(), my_row).unwrap();
+                    let group = Group::new(&grid.col_ranks(comm.rank())).unwrap();
+                    let mut cache = FeatureCache::new(f);
+                    let mut union: Vec<usize> = steps.iter().flatten().copied().collect();
+                    union.sort_unstable();
+                    union.dedup();
+                    cache.prefetch(&store, comm, &group, &union).unwrap();
+                    let outs: Vec<DenseMatrix> =
+                        steps.iter().map(|w| cache.gather_pinned(&store, w).unwrap()).collect();
+                    (outs, comm.stats().words_sent, *cache.stats())
+                })
+                .unwrap();
+            let mut words_uncached = 0;
+            let mut words_cached = 0;
+            let mut words_saved = 0;
+            for (u, cc) in uncached.iter().zip(&cached) {
+                prop_assert_eq!(&u.value.0, &cc.value.0, "p={} c={}: fetched rows diverged", p, c);
+                words_uncached += u.value.1;
+                words_cached += cc.value.1;
+                words_saved += cc.value.2.words_saved;
             }
+            prop_assert!(words_cached <= words_uncached, "p={} c={}: cache moved more words", p, c);
+            prop_assert_eq!(
+                words_cached + words_saved, words_uncached,
+                "p={} c={}: saved + sent must equal the uncached bill", p, c
+            );
         }
     }
 }
@@ -151,43 +130,36 @@ fn equivalence_dataset(seed: u64) -> Dataset {
     common::products_dataset(7, 12, 4, 0.5, Some(0.6), seed) // 128 vertices
 }
 
-/// Trains `base` uncached and under each cache `mode` and asserts, epoch by
+/// Trains `base` uncached and with the pinned cache and asserts, epoch by
 /// epoch, that the cache is pure work avoidance: bit-identical losses and
-/// accuracy, no more words than the uncached run, and balanced books
-/// (`sent + saved == uncached`).  The pinned prefetch also never sends more
-/// messages: it replaces each group's per-step collectives with one round.
+/// accuracy, no more words or messages than the uncached run (the prefetch
+/// replaces each group's per-step collectives with one round), and balanced
+/// books (`sent + saved == uncached`).  Returns the pinned run's report.
 fn assert_cache_is_work_avoidance(
     base: &SessionBuilder<GraphSageSampler, ReplicatedBackend>,
-    modes: &[FeatureCacheConfig],
     label: &str,
-) {
+) -> TrainingReport {
     let off = base.clone().feature_cache(FeatureCacheConfig::Off).build().unwrap().train().unwrap();
-    for &mode in modes {
-        let on = base.clone().feature_cache(mode).build().unwrap().train().unwrap();
-        assert_eq!(off.epochs.len(), on.epochs.len());
-        for (a, b) in off.epochs.iter().zip(&on.epochs) {
-            let e = a.epoch;
-            assert_eq!(
-                a.mean_loss.to_bits(),
-                b.mean_loss.to_bits(),
-                "{label} {mode:?} epoch {e}: losses diverged"
-            );
-            assert!(b.comm.words_sent <= a.comm.words_sent, "{label} {mode:?} epoch {e}: words");
-            if mode == FeatureCacheConfig::EpochPinned {
-                assert!(b.comm.messages <= a.comm.messages, "{label} epoch {e}: messages");
-            }
-            assert_eq!(
-                b.comm.words_sent + b.comm.words_saved,
-                a.comm.words_sent,
-                "{label} {mode:?} epoch {e}: books must balance"
-            );
-        }
+    let on =
+        base.clone().feature_cache(FeatureCacheConfig::Pinned).build().unwrap().train().unwrap();
+    assert_eq!(off.epochs.len(), on.epochs.len());
+    for (a, b) in off.epochs.iter().zip(&on.epochs) {
+        let e = a.epoch;
+        assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "{label} epoch {e}: losses");
+        assert!(b.comm.words_sent <= a.comm.words_sent, "{label} epoch {e}: words");
+        assert!(b.comm.messages <= a.comm.messages, "{label} epoch {e}: messages");
         assert_eq!(
-            off.test_accuracy.map(f64::to_bits),
-            on.test_accuracy.map(f64::to_bits),
-            "{label} {mode:?}: accuracy diverged"
+            b.comm.words_sent + b.comm.words_saved,
+            a.comm.words_sent,
+            "{label} epoch {e}: books must balance"
         );
     }
+    assert_eq!(
+        off.test_accuracy.map(f64::to_bits),
+        on.test_accuracy.map(f64::to_bits),
+        "{label}: accuracy diverged"
+    );
+    on
 }
 
 /// The shapes the random-plan dominance property runs on.
@@ -201,7 +173,9 @@ proptest! {
     /// The dominance property that licenses the pinned default: on random
     /// plans (dataset seed, batch size, bulk k, train fraction) the pinned
     /// cache never moves more words or messages than the uncached pipeline,
-    /// trains bit-identically and balances its books, epoch by epoch.
+    /// trains bit-identically and balances its books, epoch by epoch.  Its
+    /// rows live for the whole run, so over three epochs each rank pins each
+    /// of the `n` rows at most once: the run's misses stay within `p · n`.
     fn pinned_cache_dominates_off_on_random_plans(
         dataset_seed in 0u64..1_000_000,
         batch in 2usize..24,
@@ -222,23 +196,26 @@ proptest! {
                 .backend(ReplicatedBackend::new(dist).unwrap())
                 .hidden_dim(8)
                 .learning_rate(0.05)
-                .epochs(2)
+                .epochs(3)
                 .seed(dataset_seed)
                 .without_evaluation();
             let label = format!(
                 "p={p} c={c} dataset_seed={dataset_seed} b={batch} k={bulk} \
                  train_fraction={train_fraction}"
             );
-            assert_cache_is_work_avoidance(&base, &[FeatureCacheConfig::EpochPinned], &label);
+            let pinned = assert_cache_is_work_avoidance(&base, &label);
+            let n = dataset.graph.num_vertices();
+            let misses: usize = pinned.epochs.iter().map(|e| e.comm.cache_misses).sum();
+            assert!(misses <= p * n, "{label}: {misses} misses > p · n = {}", p * n);
         }
     }
 }
 
 /// Distributed-equivalence sweep at the full-pipeline level: across every
 /// grid shape, `train()` through the distributed path produces bit-identical
-/// per-epoch losses and test accuracy with the cache off, epoch-pinned, and
-/// LRU — the cache is pure work avoidance — while the cached pipelines never
-/// move more words and their books balance exactly.  Then the same holds
+/// per-epoch losses and test accuracy with the cache off and pinned — the
+/// cache is pure work avoidance — while the pinned pipeline never moves more
+/// words and its books balance exactly.  Then the same holds
 /// for the pinned cache on random plans, ragged last groups included.
 #[test]
 fn train_distributed_is_byte_identical_cache_on_vs_off_across_grid_shapes() {
@@ -255,9 +232,7 @@ fn train_distributed_is_byte_identical_cache_on_vs_off_across_grid_shapes() {
             .learning_rate(0.05)
             .epochs(2)
             .seed(19);
-        let modes =
-            [FeatureCacheConfig::EpochPinned, FeatureCacheConfig::Lru { byte_budget: 1 << 20 }];
-        assert_cache_is_work_avoidance(&base, &modes, &format!("p={p} c={c}"));
+        assert_cache_is_work_avoidance(&base, &format!("p={p} c={c}"));
     }
 
     pinned_cache_dominates_off_on_random_plans();
@@ -311,7 +286,7 @@ fn train_distributed_codec_sweep_balances_bytes_across_grid_shapes() {
         }
         for codec in [Codec::Fp16, Codec::Int8] {
             let mut cache_losses: Vec<Vec<u64>> = Vec::new();
-            for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::EpochPinned] {
+            for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::Pinned] {
                 let on = base
                     .clone()
                     .wire_codec(codec)
@@ -382,8 +357,7 @@ fn train_partitioned_is_byte_identical_cache_on_vs_off() {
             .without_evaluation();
         let off =
             base.clone().feature_cache(FeatureCacheConfig::Off).build().unwrap().train().unwrap();
-        let on =
-            base.feature_cache(FeatureCacheConfig::EpochPinned).build().unwrap().train().unwrap();
+        let on = base.feature_cache(FeatureCacheConfig::Pinned).build().unwrap().train().unwrap();
         for (a, b) in off.epochs.iter().zip(&on.epochs) {
             assert_eq!(a.mean_loss.to_bits(), b.mean_loss.to_bits(), "p={p} c={c}");
             assert_eq!(

@@ -55,14 +55,10 @@ pub fn arc_products_dataset(
     Arc::new(products_dataset(scale, feature_dim, num_classes, train_fraction, homophily, seed))
 }
 
-/// The three feature-cache modes the equivalence sweeps cross: off,
-/// epoch-pinned prefetch, and byte-budgeted LRU.
-pub fn cache_modes(lru_byte_budget: usize) -> [FeatureCacheConfig; 3] {
-    [
-        FeatureCacheConfig::Off,
-        FeatureCacheConfig::EpochPinned,
-        FeatureCacheConfig::Lru { byte_budget: lru_byte_budget },
-    ]
+/// The two feature-cache modes the equivalence sweeps cross: off and the
+/// run-long pinned prefetch.
+pub fn cache_modes() -> [FeatureCacheConfig; 2] {
+    [FeatureCacheConfig::Off, FeatureCacheConfig::Pinned]
 }
 
 /// Deterministic pseudo-random batches: batch `i`'s `j`-th vertex is

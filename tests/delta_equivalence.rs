@@ -1,34 +1,32 @@
 //! Dynamic-graph equivalence sweep: incremental delta-CSR ingest must be a
-//! pure representation choice, and precise cache invalidation a pure
-//! accounting choice.
+//! pure representation choice, and an ingest must leave the pinned feature
+//! cache exact.
 //!
 //! Three contracts are pinned here:
 //!
 //! * **Delta ≡ rebuild.**  Folding scheduled edge batches into the adjacency
 //!   lazily ([`IngestMode::Delta`]) or by eager rebuild
 //!   ([`IngestMode::Rebuild`]) is observationally invisible: per-epoch loss
-//!   bits, every communication counter and both invalidation books are
-//!   bit-identical across p ∈ {1, 2, 4} × every c dividing p × all three
-//!   feature-cache modes × both transports (in-process simulator and real
-//!   Unix-socket processes).
+//!   bits and every communication counter are bit-identical across
+//!   p ∈ {1, 2, 4} × every c dividing p × both feature-cache modes × both
+//!   transports (in-process simulator and real Unix-socket processes).
 //! * **Ingest is not a no-op.**  The same schedule really changes what the
 //!   post-ingest epochs sample — the loss trajectory diverges from the
 //!   static-graph run after the first batch lands (and never before), so the
 //!   equivalence above is non-vacuous.
-//! * **The invalidation books balance exactly.**  For one ingest against
-//!   identical resident state, the brute-force flush pays precisely what
-//!   precise invalidation pays plus what it retained:
-//!   `invalidation_words(FlushAll) == invalidation_words(Precise) +
-//!   retained_words(Precise)` (and the same identity over row counts), while
-//!   training losses do not move by a bit between the two policies.
+//! * **Pinned rows survive an ingest.**  An edge batch edits only the
+//!   adjacency, never a feature row, so the rows pinned before it are still
+//!   exactly what a fetch would return: training stays bit-identical to the
+//!   uncached run, the cache books still balance, and no row is fetched
+//!   twice by one rank.
 
 mod common;
 
 use common::GRID_SHAPES;
 use dmbs::comm::{run_if_worker, TransportSelect};
 use dmbs::gnn::{
-    ensure_plan_fresh, FeatureCacheConfig, GnnError, InvalidationPolicy, ServeError, ServeRequest,
-    ServingConfig, ServingSession, TrainingReport, TrainingSession,
+    ensure_plan_fresh, FeatureCacheConfig, GnnError, ServeError, ServeRequest, ServingConfig,
+    ServingSession, TrainingReport, TrainingSession,
 };
 use dmbs::graph::datasets::Dataset;
 use dmbs::graph::IngestMode;
@@ -52,8 +50,8 @@ fn tiny_dataset() -> Arc<Dataset> {
 /// Two edge batches derived deterministically from the dataset itself:
 /// the first (after epoch 0) deletes real edges and fans new ones out of the
 /// low-index vertices, the second (after epoch 1) retracts some of those
-/// inserts and grows the upper half.  Touching many rows keeps both the
-/// trajectory divergence and the invalidation books non-vacuous.
+/// inserts and grows the upper half.  Touching many rows keeps the
+/// trajectory divergence non-vacuous.
 fn schedule(dataset: &Dataset) -> [(usize, DeltaBatch); 2] {
     let a = dataset.graph.adjacency();
     let n = dataset.graph.num_vertices();
@@ -90,14 +88,12 @@ fn schedule(dataset: &Dataset) -> [(usize, DeltaBatch); 2] {
     [(0, first), (1, second)]
 }
 
-#[allow(clippy::too_many_arguments)]
 fn train(
     dataset: &Arc<Dataset>,
     p: usize,
     c: usize,
     cache: FeatureCacheConfig,
     mode: IngestMode,
-    policy: InvalidationPolicy,
     events: &[(usize, DeltaBatch)],
     transport: TransportSelect,
 ) -> TrainingReport {
@@ -112,7 +108,6 @@ fn train(
         .seed(33)
         .feature_cache(cache)
         .ingest_mode(mode)
-        .invalidation(policy)
         .transport(transport)
         .without_evaluation();
     for (after_epoch, batch) in events {
@@ -121,7 +116,7 @@ fn train(
     builder.build().expect("session").train().expect("training")
 }
 
-/// Every deterministic per-epoch counter, including both invalidation books.
+/// Every deterministic per-epoch counter.
 fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport, label: &str) {
     assert_eq!(a.epochs.len(), b.epochs.len(), "{label}: epoch count diverged");
     for (x, y) in a.epochs.iter().zip(&b.epochs) {
@@ -138,28 +133,12 @@ fn assert_reports_identical(a: &TrainingReport, b: &TrainingReport, label: &str)
         assert_eq!(x.comm.cache_hits, y.comm.cache_hits, "{label}: hits diverged");
         assert_eq!(x.comm.cache_misses, y.comm.cache_misses, "{label}: misses diverged");
         assert_eq!(x.comm.words_saved, y.comm.words_saved, "{label}: saved diverged");
-        assert_eq!(
-            x.comm.rows_invalidated, y.comm.rows_invalidated,
-            "{label}: invalidated-row book diverged"
-        );
-        assert_eq!(
-            x.comm.rows_retained, y.comm.rows_retained,
-            "{label}: retained-row book diverged"
-        );
-        assert_eq!(
-            x.comm.invalidation_words, y.comm.invalidation_words,
-            "{label}: invalidation-word book diverged"
-        );
-        assert_eq!(
-            x.comm.retained_words, y.comm.retained_words,
-            "{label}: retained-word book diverged"
-        );
     }
 }
 
 /// The tentpole sweep: for every grid shape, cache mode and transport, a
 /// session that folds the schedule through the lazy delta overlay is
-/// bit-identical — losses, comm counters, invalidation books — to one that
+/// bit-identical — losses and comm counters — to one that
 /// eagerly rebuilds the CSR after every batch; and the socket transport
 /// reproduces the simulator's delta run bit for bit, so the dynamic path
 /// survives the v3 job codec and the process boundary unchanged.
@@ -168,11 +147,10 @@ fn delta_ingest_is_byte_identical_to_rebuild_across_the_sweep() {
     let dataset = tiny_dataset();
     let events = schedule(&dataset);
     for &(p, c) in &GRID_SHAPES {
-        for cache in common::cache_modes(2_048) {
+        for cache in common::cache_modes() {
             let label = format!("p={p} c={c} cache={cache:?}");
-            let policy = InvalidationPolicy::Precise;
             let run = |mode: IngestMode, transport: TransportSelect| {
-                train(&dataset, p, c, cache, mode, policy, &events, transport)
+                train(&dataset, p, c, cache, mode, &events, transport)
             };
             let sim_delta = run(IngestMode::Delta, TransportSelect::Simulator);
             let sim_rebuild = run(IngestMode::Rebuild, TransportSelect::Simulator);
@@ -200,9 +178,8 @@ fn ingest_changes_the_trajectory_and_only_after_it_lands() {
             &dataset,
             4,
             2,
-            FeatureCacheConfig::EpochPinned,
+            FeatureCacheConfig::Pinned,
             IngestMode::Delta,
-            InvalidationPolicy::Precise,
             events,
             TransportSelect::Simulator,
         )
@@ -223,101 +200,42 @@ fn ingest_changes_the_trajectory_and_only_after_it_lands() {
     );
 }
 
-/// The exact invalidation ledger.  One batch against identical resident
-/// state: flush-all books every resident row as invalidated; precise books
-/// the dirty intersection as invalidated and every survivor as retained —
-/// and the two ledgers reconcile to the word.  Losses are policy-invariant
-/// (invalidation is work accounting, never approximation), and both cached
-/// runs still balance against the uncached run's words.
-#[test]
-fn precise_and_flush_all_books_balance_exactly() {
-    let dataset = tiny_dataset();
-    let events = schedule(&dataset);
-    let single = &events[..1]; // identical resident state at the one ingest
-    let cache = FeatureCacheConfig::Lru { byte_budget: 1 << 16 };
-    let run = |cache: FeatureCacheConfig, policy: InvalidationPolicy| {
-        train(&dataset, 4, 2, cache, IngestMode::Delta, policy, single, TransportSelect::Simulator)
-    };
-    let precise = run(cache, InvalidationPolicy::Precise);
-    let flush = run(cache, InvalidationPolicy::FlushAll);
-
-    for (p, f) in precise.epochs.iter().zip(&flush.epochs) {
-        assert_eq!(
-            p.mean_loss.to_bits(),
-            f.mean_loss.to_bits(),
-            "epoch {}: invalidation policy changed a loss",
-            p.epoch
-        );
-    }
-
-    let sum = |r: &TrainingReport, field: fn(&dmbs::comm::CommStats) -> usize| -> usize {
-        r.epochs.iter().map(|e| field(&e.comm)).sum()
-    };
-    let p_inv_rows = sum(&precise, |s| s.rows_invalidated);
-    let p_ret_rows = sum(&precise, |s| s.rows_retained);
-    let p_inv_words = sum(&precise, |s| s.invalidation_words);
-    let p_ret_words = sum(&precise, |s| s.retained_words);
-    assert!(p_inv_rows > 0, "no resident row was dirty; the ledger identity is vacuous");
-    assert!(p_ret_rows > 0, "no resident row survived; precise == flush-all here");
-    assert_eq!(sum(&flush, |s| s.rows_retained), 0, "flush-all must retain nothing");
-    assert_eq!(sum(&flush, |s| s.retained_words), 0, "flush-all must retain nothing");
-    assert_eq!(
-        sum(&flush, |s| s.rows_invalidated),
-        p_inv_rows + p_ret_rows,
-        "row ledgers do not reconcile"
-    );
-    assert_eq!(
-        sum(&flush, |s| s.invalidation_words),
-        p_inv_words + p_ret_words,
-        "word ledgers do not reconcile"
-    );
-
-    // The cache-balance identity survives ingest under both policies: every
-    // word a cached run did not send is a word it claims as saved.
-    let uncached = run(FeatureCacheConfig::Off, InvalidationPolicy::Precise);
-    let words = |r: &TrainingReport| sum(r, |s| s.words_sent);
-    let saved = |r: &TrainingReport| sum(r, |s| s.words_saved);
-    assert_eq!(words(&precise) + saved(&precise), words(&uncached), "precise balance broke");
-    assert_eq!(words(&flush) + saved(&flush), words(&uncached), "flush-all balance broke");
-}
-
-/// Pinned rows live for one epoch and are dropped when it ends, before an
-/// ingest lands.  So the ingest finds nothing pinned: neither policy books a
-/// row or word as invalidated or retained (the next epoch re-fetches its
-/// frontier anyway, and booking the rows it drops as retained would claim a
-/// saving that never happens), and the cache books still balance against
-/// the uncached run.
+/// An ingest leaves the pinned rows resident and training bit-identical to
+/// the uncached run: an edge batch changes no feature row, so the cache has
+/// nothing to drop and books nothing for it.  The post-ingest epoch fetches
+/// only rows it has not pinned yet (fewer misses than the cold epoch 0), the
+/// whole run pins each row at most once per rank (misses ≤ p · n), and every
+/// epoch's books still balance against the uncached run.
 #[test]
 fn pinned_cache_books_nothing_when_an_ingest_lands() {
     let dataset = tiny_dataset();
     let events = schedule(&dataset);
     let single = &events[..1];
-    let run = |cache: FeatureCacheConfig, policy: InvalidationPolicy| {
-        train(&dataset, 4, 2, cache, IngestMode::Delta, policy, single, TransportSelect::Simulator)
+    let (p, c) = (4, 2);
+    let run = |cache: FeatureCacheConfig| {
+        train(&dataset, p, c, cache, IngestMode::Delta, single, TransportSelect::Simulator)
     };
-    let uncached = run(FeatureCacheConfig::Off, InvalidationPolicy::Precise);
-    for policy in [InvalidationPolicy::Precise, InvalidationPolicy::FlushAll] {
-        let pinned = run(FeatureCacheConfig::EpochPinned, policy);
-        for (p, u) in pinned.epochs.iter().zip(&uncached.epochs) {
-            let label = format!("{policy:?} epoch {}", p.epoch);
-            assert_eq!(p.mean_loss.to_bits(), u.mean_loss.to_bits(), "{label}: loss");
-            assert_eq!(p.comm.rows_invalidated, 0, "{label}: invalidated rows");
-            assert_eq!(p.comm.invalidation_words, 0, "{label}: invalidated words");
-            assert_eq!(p.comm.rows_retained, 0, "{label}: retained rows");
-            assert_eq!(p.comm.retained_words, 0, "{label}: retained words");
-            assert_eq!(
-                p.comm.words_sent + p.comm.words_saved,
-                u.comm.words_sent,
-                "{label}: sent + saved must equal the uncached bill"
-            );
-        }
+    let uncached = run(FeatureCacheConfig::Off);
+    let pinned = run(FeatureCacheConfig::Pinned);
+    for (e, u) in pinned.epochs.iter().zip(&uncached.epochs) {
+        let label = format!("epoch {}", e.epoch);
+        assert_eq!(e.mean_loss.to_bits(), u.mean_loss.to_bits(), "{label}: loss");
+        assert_eq!(
+            e.comm.words_sent + e.comm.words_saved,
+            u.comm.words_sent,
+            "{label}: sent + saved must equal the uncached bill"
+        );
     }
+    let misses: Vec<usize> = pinned.epochs.iter().map(|e| e.comm.cache_misses).collect();
+    assert!(misses[1] < misses[0], "the ingest dropped pinned rows: misses {misses:?}");
+    let n = dataset.graph.num_vertices();
+    assert!(misses.iter().sum::<usize>() <= p * n, "a rank pinned a row twice: {misses:?}");
 }
 
 /// Flaky-guard for the dynamic path: two identically-seeded runs of the same
 /// ingest schedule agree bit for bit on every loss and exactly on every
-/// counter — including the invalidation books, which a scheduling race in
-/// the post-epoch apply would smear across epochs.
+/// counter — including the cache books, which a scheduling race in the
+/// post-epoch apply would smear across epochs.
 #[test]
 fn seeded_ingest_training_is_run_to_run_deterministic() {
     let dataset = tiny_dataset();
@@ -327,9 +245,8 @@ fn seeded_ingest_training_is_run_to_run_deterministic() {
             &dataset,
             4,
             2,
-            FeatureCacheConfig::Lru { byte_budget: 2_048 },
+            FeatureCacheConfig::Pinned,
             IngestMode::Delta,
-            InvalidationPolicy::Precise,
             &events,
             TransportSelect::Simulator,
         )

@@ -13,7 +13,7 @@
 mod common;
 
 use dmbs::comm::{CommError, Group, Runtime};
-use dmbs::gnn::{FeatureCache, FeatureCacheConfig, FeatureStore, GnnError, TrainingSession};
+use dmbs::gnn::{FeatureCache, FeatureStore, GnnError, TrainingSession};
 use dmbs::graph::datasets::Dataset;
 use dmbs::matrix::DenseMatrix;
 use dmbs::sampling::{
@@ -70,7 +70,7 @@ fn cache_prefetch_propagates_typed_fetch_errors() {
         .run(|comm| {
             let store = FeatureStore::from_full(&h, comm.size(), comm.rank()).unwrap();
             let world = comm.world();
-            let mut cache = FeatureCache::new(FeatureCacheConfig::EpochPinned, 2);
+            let mut cache = FeatureCache::new(2);
             let oversized = cache.prefetch(&store, comm, &world, &[1, 42]).unwrap_err();
             let wrong = Group::new(&[comm.rank()]).unwrap();
             let mismatched = cache.prefetch(&store, comm, &wrong, &[1]).unwrap_err();
@@ -91,7 +91,7 @@ fn pinned_cache_miss_is_typed_not_a_panic() {
         .run(|comm| {
             let store = FeatureStore::from_full(&h, 1, 0).unwrap();
             let world = comm.world();
-            let mut cache = FeatureCache::new(FeatureCacheConfig::EpochPinned, 2);
+            let mut cache = FeatureCache::new(2);
             cache.prefetch(&store, comm, &world, &[0, 1]).unwrap();
             cache.gather_pinned(&store, &[0, 7]).unwrap_err()
         })
@@ -127,7 +127,7 @@ fn determinism_dataset(seed: u64) -> Dataset {
 #[test]
 fn seeded_distributed_training_is_run_to_run_deterministic() {
     let dataset = std::sync::Arc::new(determinism_dataset(50));
-    for mode in common::cache_modes(1 << 18) {
+    for mode in common::cache_modes() {
         let build = || {
             TrainingSession::<GraphSageSampler, ReplicatedBackend>::builder()
                 .dataset(std::sync::Arc::clone(&dataset))

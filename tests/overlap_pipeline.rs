@@ -100,7 +100,7 @@ fn overlap_is_byte_identical_across_p_c_and_cache_modes() {
     let dataset = tiny_dataset(9);
     for &p in &[1usize, 2, 4] {
         for c in (1..=p).filter(|c| p % c == 0) {
-            for cache in common::cache_modes(1 << 16) {
+            for cache in common::cache_modes() {
                 let label = format!("p={p} c={c} cache={cache:?}");
                 let make = || {
                     ReplicatedBackend::new(DistConfig::new(p, c, BulkSamplerConfig::new(16, 2)))
@@ -130,7 +130,7 @@ fn overlap_hides_prefetch_comm_on_communicating_shapes() {
     let dataset = tiny_dataset(11);
     let backend =
         ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 2))).unwrap();
-    let pipelined = train(&dataset, backend, FeatureCacheConfig::EpochPinned, true);
+    let pipelined = train(&dataset, backend, FeatureCacheConfig::Pinned, true);
     for e in &pipelined.epochs {
         assert!(
             e.comm.overlapped_time > 0.0,
@@ -150,7 +150,7 @@ fn overlap_on_partitioned_backend_matches_synchronous() {
     let make = || {
         Partitioned1p5dBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 2))).unwrap()
     };
-    for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::EpochPinned] {
+    for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::Pinned] {
         let sync = train(&dataset, make(), cache, false);
         let pipelined = train(&dataset, make(), cache, true);
         for (s, o) in sync.epochs.iter().zip(&pipelined.epochs) {
@@ -167,30 +167,10 @@ fn overlap_with_c_equal_one_replication_degrades_gracefully() {
     let dataset = tiny_dataset(17);
     let make =
         || ReplicatedBackend::new(DistConfig::new(2, 1, BulkSamplerConfig::new(16, 2))).unwrap();
-    let sync = train(&dataset, make(), FeatureCacheConfig::EpochPinned, false);
-    let pipelined = train(&dataset, make(), FeatureCacheConfig::EpochPinned, true);
+    let sync = train(&dataset, make(), FeatureCacheConfig::Pinned, false);
+    let pipelined = train(&dataset, make(), FeatureCacheConfig::Pinned, true);
     for (s, o) in sync.epochs.iter().zip(&pipelined.epochs) {
         assert_schedules_match(s, o, "c=1");
-    }
-}
-
-#[test]
-fn overlap_with_lru_cache_keeps_per_step_collectives_synchronous() {
-    // The LRU cache's per-step fetch is demand-driven, so the pipelined
-    // schedule must leave it synchronous (only sampling is hoisted): ranks
-    // stay matched — the run completes without collective mismatches — and
-    // the message/word counts equal the synchronous schedule's exactly.
-    let dataset = tiny_dataset(19);
-    let make =
-        || ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 2))).unwrap();
-    let cache = FeatureCacheConfig::Lru { byte_budget: 1 << 14 };
-    let sync = train(&dataset, make(), cache, false);
-    let pipelined = train(&dataset, make(), cache, true);
-    for (s, o) in sync.epochs.iter().zip(&pipelined.epochs) {
-        assert_schedules_match(s, o, "overlap+lru");
-        // The LRU collectives really ran (and really cached) in both runs.
-        assert!(o.comm.messages > 0);
-        assert!(o.cache_hit_rate().is_some());
     }
 }
 
@@ -202,7 +182,7 @@ fn overlap_two_runs_same_seed_are_bitwise_deterministic() {
     // (overlapped *seconds* are measured wall-clock and may differ; every
     // deterministic counter must not).
     let dataset = tiny_dataset(23);
-    for cache in common::cache_modes(1 << 15) {
+    for cache in common::cache_modes() {
         let make = || {
             ReplicatedBackend::new(DistConfig::new(4, 2, BulkSamplerConfig::new(16, 2))).unwrap()
         };

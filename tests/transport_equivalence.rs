@@ -8,7 +8,7 @@
 //! length-prefixed frames) but nothing observable about the training run —
 //! every deterministic counter (words, messages, cache hits/misses, saved
 //! words) and every per-epoch mean loss is **bit-identical** to the
-//! simulator, swept over p ∈ {1, 2, 4} × every c dividing p × all three
+//! simulator, swept over p ∈ {1, 2, 4} × every c dividing p × both
 //! feature-cache modes.
 //!
 //! The sweep also pins that [`CommStats`](dmbs::comm::CommStats) aggregation
@@ -108,7 +108,7 @@ fn assert_same_epochs(sim: &TrainingReport, sock: &TrainingReport, label: &str) 
 fn socket_transport_is_byte_identical_to_simulator_across_the_sweep() {
     let dataset = tiny_dataset();
     for &(p, c) in &GRID_SHAPES {
-        for cache in common::cache_modes(2_048) {
+        for cache in common::cache_modes() {
             let sim = train(&dataset, replicated(p, c), cache, false, TransportSelect::Simulator);
             let socket = TransportSelect::UnixSocket(launch());
             let sock = train(&dataset, replicated(p, c), cache, false, socket);
@@ -139,7 +139,7 @@ fn socket_pipeline_matches_simulator_sync_on_both_backends() {
     }
     let dataset = tiny_dataset();
     let partitioned = |p, c| Partitioned1p5dBackend::new(dist(p, c)).expect("backend");
-    let pinned = FeatureCacheConfig::EpochPinned;
+    let pinned = FeatureCacheConfig::Pinned;
     check(&dataset, || replicated(4, 2), pinned, "replicated p=4 c=2 pinned");
     check(&dataset, || partitioned(2, 1), FeatureCacheConfig::Off, "partitioned p=2 c=1 off");
     check(&dataset, || partitioned(4, 2), pinned, "partitioned p=4 c=2 pinned");
@@ -154,8 +154,7 @@ fn cache_balance_holds_across_process_boundaries() {
     for &(p, c) in &[(2, 1), (4, 2)] {
         let socket = || TransportSelect::UnixSocket(launch());
         let uncached = train(&dataset, replicated(p, c), FeatureCacheConfig::Off, false, socket());
-        let cached =
-            train(&dataset, replicated(p, c), FeatureCacheConfig::EpochPinned, false, socket());
+        let cached = train(&dataset, replicated(p, c), FeatureCacheConfig::Pinned, false, socket());
         let words =
             |r: &TrainingReport| -> usize { r.epochs.iter().map(|e| e.comm.words_sent).sum() };
         let saved: usize = cached.epochs.iter().map(|e| e.comm.words_saved).sum();
@@ -209,7 +208,7 @@ fn socket_transport_matches_simulator_under_every_codec() {
             (Codec::Int8, None),
             (Codec::Int8, Some(16)),
         ] {
-            for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::EpochPinned] {
+            for cache in [FeatureCacheConfig::Off, FeatureCacheConfig::Pinned] {
                 let sim = run(p, c, cache, codec, top_k, TransportSelect::Simulator);
                 let sock = run(p, c, cache, codec, top_k, TransportSelect::UnixSocket(launch()));
                 let label = format!("p={p} c={c} codec={codec} top_k={top_k:?} cache={cache:?}");
@@ -253,7 +252,7 @@ fn evaluation_over_decoded_parameters_matches_simulator() {
             .learning_rate(0.1)
             .epochs(2)
             .seed(33)
-            .feature_cache(FeatureCacheConfig::EpochPinned)
+            .feature_cache(FeatureCacheConfig::Pinned)
             .transport(transport)
             .build()
             .expect("session")
