@@ -145,8 +145,11 @@ pub struct CommStats {
     pub cache_hits: usize,
     /// Feature-cache misses: rows that had to be fetched (or read) fresh.
     pub cache_misses: usize,
-    /// Words that would have crossed the wire without the cache (request ids
-    /// plus feature rows of remote-owned hits) — the β term of the saving.
+    /// Words that would have crossed the wire without the pinned schedule —
+    /// the β term of the saving: request ids plus feature rows of
+    /// remote-owned feature-cache hits, and, on the 1.5D backend, the
+    /// request id, length word and `2·nnz` entries of every pinned remote
+    /// row of `A` a sampling product read instead of fetching.
     pub words_saved: usize,
     /// Modeled communication seconds that a pipelined schedule hid behind
     /// computation (nonblocking collectives posted before a compute region

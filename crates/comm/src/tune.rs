@@ -22,7 +22,9 @@
 //!   candidate is charged the pinned probe's word count; the uncached
 //!   candidate the baseline probe's.  The two are tied by the double-entry
 //!   identity `words(pinned) + words_saved(pinned) == words(uncached)`,
-//!   which [`TuningModel::fit`] verifies.
+//!   which [`TuningModel::fit`] verifies.  The saved words cover both
+//!   static operands the pinned schedule holds: feature rows and, on the
+//!   1.5D backend, the remote rows of `A` the sampling SpGEMM reads.
 //! * **codec bytes-on-wire** — lossy candidates are credited the
 //!   `bytes_saved` a one-epoch probe of that codec actually booked, so the β
 //!   charge follows real encoded bytes (including the Int8 per-row scale
@@ -62,8 +64,9 @@ use std::fmt;
 /// default first: `Pinned < Off`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FeatureCacheConfig {
-    /// No caching: every minibatch re-fetches its full frontier (the
-    /// uncached all-to-allv pipeline every cached run is balanced against).
+    /// No caching: every minibatch re-fetches its full frontier, and every
+    /// 1.5D sampling product the rows of `A` it reads (the uncached pipeline
+    /// every cached run is balanced against).
     Off,
     /// Run-long pinning (the default): the union of the planned frontiers is
     /// prefetched once per bulk group and stays resident for the whole
@@ -72,7 +75,9 @@ pub enum FeatureCacheConfig {
     /// adjacency, never a feature row, so pinned rows outlive it.  The rows
     /// it pins are at most the graph's `n` vertices, so a rank never holds
     /// more than one more copy of the `n × f` feature matrix it already
-    /// decoded.
+    /// decoded.  On the 1.5D backend the same schedule pins the remote rows
+    /// of `A` the sampling SpGEMM fetches, each once per run; the ones an
+    /// ingest dirties are dropped.
     #[default]
     Pinned,
 }

@@ -76,7 +76,9 @@ use dmbs_graph::minibatch::MinibatchPlan;
 use dmbs_graph::{GraphIngest, IngestMode};
 use dmbs_matrix::{CsrMatrix, DeltaBatch, DenseMatrix};
 use dmbs_sampling::backend::group_seed;
-use dmbs_sampling::{BulkSampleOutput, FetchPlan, MinibatchSample, Sampler, SamplingBackend};
+use dmbs_sampling::{
+    BulkSampleOutput, FetchPlan, MinibatchSample, RankRows, Sampler, SamplingBackend,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
@@ -91,7 +93,8 @@ pub type Session<S, B> = TrainingSession<S, B>;
 /// One scheduled graph mutation of a dynamic-graph training run: after epoch
 /// `after_epoch` finishes (its stats already booked), every rank applies
 /// `batch` to its adjacency.  Pinned feature rows survive it: an edge batch
-/// never changes a feature row.
+/// never changes a feature row.  The pinned rows of `A` it dirties (both
+/// endpoints of every edge) are dropped and fetched again on next use.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestEvent {
     /// Epoch after which the batch lands (0-based).  At least one epoch must
@@ -1042,6 +1045,10 @@ where
         // round per bulk group.  Its rows live for the whole run.
         let mut cache =
             config.schedule.cache.is_enabled().then(|| FeatureCache::new(store.feature_dim()));
+        // The same schedule pins the other static operand: the rows of `A`
+        // a partitioned backend reads, held beside the feature rows so each
+        // remote adjacency row is fetched once per run, not once per product.
+        let mut a_rows = config.schedule.cache.is_enabled().then(RankRows::new);
 
         // Dynamic-graph state: every rank folds scheduled ingest batches
         // into its own replica of the adjacency.  Static sessions pay one
@@ -1088,6 +1095,7 @@ where
                         &store,
                         &fetch_group,
                         &mut cache,
+                        a_rows.as_mut(),
                         &mut profile,
                     )?);
                 }
@@ -1145,6 +1153,9 @@ where
                 // reset them for the next epoch).  The rows stay pinned.
                 comm_delta.merge(&cache.take_stats());
             }
+            if let Some(rows) = a_rows.as_mut() {
+                comm_delta.words_saved += rows.take_words_saved();
+            }
             epochs.push((profile, comm_delta, loss.mean()));
 
             // --- Dynamic graphs: land every batch scheduled after this
@@ -1152,8 +1163,9 @@ where
             // full batch; the owner routing is still computed (and its
             // sub-batches checked to repartition the batch exactly) because
             // that is the lane a sharded adjacency would ship updates over.
-            // The pinned rows stay: an edge batch changes no feature row,
-            // and the next epoch's plans carry the new graph version.
+            // The pinned feature rows stay: an edge batch changes no feature
+            // row, and the next epoch's plans carry the new graph version.
+            // The pinned rows of `A` it touches go, with the block row.
             for event in config.ingest.iter().filter(|e| e.after_epoch == epoch) {
                 let routed = GraphIngest::route_by_owner(&event.batch, store.partition())
                     .map_err(GnnError::Graph)?;
@@ -1162,7 +1174,10 @@ where
                     event.batch.len(),
                     "owner routing must partition the batch exactly"
                 );
-                ingest.apply(&event.batch).map_err(GnnError::Graph)?;
+                let receipt = ingest.apply(&event.batch).map_err(GnnError::Graph)?;
+                if let Some(rows) = a_rows.as_mut() {
+                    rows.invalidate(&receipt.dirty);
+                }
             }
         }
         let params = model.parameters().to_vec();
@@ -1239,9 +1254,10 @@ where
         Ok((report, model))
     }
 
-    /// Samples one bulk group inside the SPMD region and, with the pinned
-    /// cache, posts its prefetch nonblocking — the first half of every
-    /// pipeline stage, on both schedules.  The stage's modeled communication
+    /// Samples one bulk group inside the SPMD region, reading `A` through
+    /// the rank's pinned rows when given, and, with the pinned cache, posts
+    /// its prefetch nonblocking — the first half of every pipeline stage,
+    /// on both schedules.  The stage's modeled communication
     /// is collected in [`PipelineStage::hoisted`]; the overlapped schedule,
     /// which posts it while the previous group trains, credits it as
     /// overlapped once the budget (the previous group's step seconds) is
@@ -1257,11 +1273,12 @@ where
         store: &FeatureStore,
         fetch_group: &Group,
         cache: &mut Option<FeatureCache>,
+        a_rows: Option<&mut RankRows>,
         profile: &mut PhaseProfile,
     ) -> Result<PipelineStage> {
         let shard = self
             .backend
-            .sample_group_on_rank(comm, &*self.sampler, adjacency, group, seed)
+            .sample_group_on_rank_with(comm, &*self.sampler, adjacency, group, seed, a_rows)
             .map_err(GnnError::Sampling)?;
         profile.merge_sum(&shard.profile);
         let mut hoisted = PhaseProfile::new();

@@ -600,6 +600,30 @@ impl CsrMatrix {
         }
     }
 
+    /// Appends the rows of `other` below this matrix's rows.  Both operands
+    /// are valid CSR matrices of the same width, so the result is one too.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::DimensionMismatch`] if the column counts
+    /// differ.
+    pub fn append_rows(&mut self, other: &CsrMatrix) -> Result<()> {
+        if other.cols != self.cols {
+            return Err(MatrixError::DimensionMismatch {
+                op: "append_rows",
+                lhs: self.shape(),
+                rhs: other.shape(),
+            });
+        }
+        let base = self.indices.len();
+        self.indptr.extend(other.indptr[1..].iter().map(|&p| base + p));
+        self.indices.extend_from_slice(&other.indices);
+        self.values.extend_from_slice(&other.values);
+        self.rows += other.rows;
+        self.unit = UnitMemo::default();
+        Ok(())
+    }
+
     /// Approximate equality of structure and values within `tol`.
     pub fn approx_eq(&self, rhs: &CsrMatrix, tol: f64) -> bool {
         self.shape() == rhs.shape()
@@ -946,6 +970,30 @@ mod tests {
                 assert_eq!(a.row_block(start, end), a.gather_rows(&rows).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn append_rows_equals_the_gather_of_both_blocks() {
+        let a = figure1_graph();
+        // Every split point, empty halves included.
+        for mid in 0..=a.rows() {
+            let mut stacked = a.row_block(0, mid);
+            stacked.append_rows(&a.row_block(mid, a.rows())).unwrap();
+            assert_eq!(stacked, a, "split at {mid}");
+        }
+        let mut twice = a.clone();
+        twice.append_rows(&a).unwrap();
+        let rows: Vec<usize> = (0..a.rows()).chain(0..a.rows()).collect();
+        assert_eq!(twice, a.gather_rows(&rows).unwrap());
+        // The memo of the old rows does not outlive the append.
+        let mut unit = CsrMatrix::identity(2);
+        assert!(unit.is_unit_valued());
+        unit.append_rows(&CsrMatrix::from_rows(1, 2, vec![vec![(1, 3.0)]]).unwrap()).unwrap();
+        assert!(!unit.is_unit_valued());
+        assert!(matches!(
+            unit.append_rows(&CsrMatrix::zeros(1, 3)),
+            Err(MatrixError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

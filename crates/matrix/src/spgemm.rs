@@ -26,10 +26,11 @@
 //!    FastGCN extraction).
 //!
 //! **One kernel.**  [`spgemm`], [`spgemm_parallel`] / [`spgemm_parallel_with`]
-//! and the 1.5D stage multiply [`spgemm_with_fetched_rows`] all run one
-//! Gustavson row loop under one driver.  The row loop reads the right
-//! operand through a row lookup (the identity, or the slot of a fetched
-//! row), accumulates every entry from `+0.0` over the left row's columns in
+//! and the 1.5D stage multiplies [`spgemm_with_fetched_rows`] and
+//! [`spgemm_with_row_lookup`] all run one Gustavson row loop under one
+//! driver.  The row loop reads the right operand through a row lookup (the
+//! identity, the slot of a fetched row, or the slot of a held row),
+//! accumulates every entry from `+0.0` over the left row's columns in
 //! ascending order on a dense accumulator, sorts the touched columns, and
 //! merges the row into a running sum's row with [`CsrMatrix::add`]'s merge
 //! (an empty row for a plain product).  The driver runs the rows in one
@@ -247,6 +248,64 @@ pub fn spgemm_with_fetched_rows(
         (t < span && stamp[t] == generation).then(|| pos[t])
     };
     gustavson(lhs, fetched, slot, Some(acc), Parallelism::serial(), &mut ws.workers)
+}
+
+/// Computes `acc + lhs · R`, where row `k` of the right operand `R` is row
+/// `row_of(k)` of `rows`, and empty where `row_of(k)` is `None`.
+///
+/// This is the stage multiply of the 1.5D algorithm over rows a rank holds
+/// across products: its own block row, or the remote rows it has pinned in
+/// arrival order, read in place through the lookup instead of being copied
+/// into a slab per product.  It runs the same Gustavson row loop and merge
+/// as [`spgemm_with_fetched_rows`], so for the same rows it is bit-identical
+/// to it.
+///
+/// # Errors
+///
+/// Returns [`MatrixError::DimensionMismatch`] if `acc` is not
+/// `lhs.rows() × rows.cols()`, and [`MatrixError::InvalidStructure`] if the
+/// accumulator for `rows.cols()` columns cannot be allocated.
+///
+/// # Panics
+///
+/// Panics if `row_of` names a row `>= rows.rows()`.
+///
+/// # Example
+///
+/// ```
+/// use dmbs_matrix::spgemm::{spgemm, spgemm_with_row_lookup};
+/// use dmbs_matrix::workspace::SpgemmWorkspace;
+/// use dmbs_matrix::{CooMatrix, CsrMatrix};
+///
+/// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
+/// let a = CsrMatrix::from_coo(&CooMatrix::from_triples(
+///     3, 3, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)],
+/// )?);
+/// let q = CsrMatrix::from_coo(&CooMatrix::from_triples(2, 3, vec![(0, 1, 1.0), (1, 2, 1.0)])?);
+/// // Rows 2 and 1 of `a`, held in that order.
+/// let held = a.gather_rows(&[2, 1])?;
+/// let zero = CsrMatrix::zeros(2, 3);
+/// let mut ws = SpgemmWorkspace::new();
+/// let p = spgemm_with_row_lookup(&q, &held, |k| [None, Some(1), Some(0)][k], &zero, &mut ws)?;
+/// assert_eq!(p, spgemm(&q, &a)?);
+/// # Ok(())
+/// # }
+/// ```
+pub fn spgemm_with_row_lookup(
+    lhs: &CsrMatrix,
+    rows: &CsrMatrix,
+    row_of: impl Fn(usize) -> Option<usize> + Sync,
+    acc: &CsrMatrix,
+    ws: &mut SpgemmWorkspace,
+) -> Result<CsrMatrix> {
+    if acc.shape() != (lhs.rows(), rows.cols()) {
+        return Err(MatrixError::DimensionMismatch {
+            op: "spgemm_with_row_lookup",
+            lhs: (lhs.rows(), rows.cols()),
+            rhs: acc.shape(),
+        });
+    }
+    gustavson(lhs, rows, row_of, Some(acc), Parallelism::serial(), &mut ws.workers)
 }
 
 /// The one SpGEMM driver: `acc + lhs · R`, where row `k` of `R` is row
@@ -555,6 +614,18 @@ mod tests {
         (m.indptr().to_vec(), m.indices().to_vec(), values)
     }
 
+    /// `(Q, A, (stage count, fetch kind of each row of A))` for the staged
+    /// multiply proptests.
+    fn arb_staged() -> impl Strategy<Value = (CsrMatrix, CsrMatrix, (usize, Vec<usize>))> {
+        (1usize..8, 1usize..16, 1usize..6).prop_flat_map(|(m, n, out)| {
+            let q = collection::vec((0..m, 0..n, awkward_value()), 0..64);
+            let a = collection::vec((0..n, 0..out, awkward_value()), 0..64);
+            let stages = (1usize..5, collection::vec(0usize..4, n));
+            (q, a, stages)
+                .prop_map(move |(qe, ae, stages)| (exact(m, n, qe), exact(n, out, ae), stages))
+        })
+    }
+
     proptest! {
         /// The staged dense-accumulator multiply with its merge equals, bit
         /// for bit, the hash-map multiply followed by the `BTreeMap` add it
@@ -563,14 +634,7 @@ mod tests {
         /// read columns are not fetched at all.
         #[test]
         fn prop_staged_fetched_multiply_is_bit_identical_to_the_oracle(
-            (q, a, stages) in (1usize..8, 1usize..16, 1usize..6).prop_flat_map(|(m, n, out)| {
-                let q = collection::vec((0..m, 0..n, awkward_value()), 0..64);
-                let a = collection::vec((0..n, 0..out, awkward_value()), 0..64);
-                let stages = (1usize..5, collection::vec(0usize..4, n));
-                (q, a, stages).prop_map(move |(qe, ae, stages)| {
-                    (exact(m, n, qe), exact(n, out, ae), stages)
-                })
-            }),
+            (q, a, stages) in arb_staged(),
         ) {
             let (stage_count, fetch_kind) = stages;
             let n = a.rows();
@@ -597,6 +661,54 @@ mod tests {
                 want = crate::csr::oracle::add(&want, &partial);
             }
             prop_assert_eq!(bits(&got), bits(&want));
+        }
+    }
+
+    proptest! {
+        /// The same stages read through a row lookup over rows held across
+        /// the stages — appended in reverse arrival order, as a rank pins
+        /// them, with each stage seeing only its own block's rows — equal
+        /// the oracle bit for bit too.
+        #[test]
+        fn prop_staged_lookup_multiply_is_bit_identical_to_the_oracle(
+            (q, a, stages) in arb_staged(),
+        ) {
+            let (stage_count, fetch_kind) = stages;
+            let n = a.rows();
+            let ws = &mut SpgemmWorkspace::new();
+            let mut got = CsrMatrix::zeros(q.rows(), a.cols());
+            let mut want = got.clone();
+            let mut held = CsrMatrix::zeros(0, a.cols());
+            let mut slots = vec![None; n];
+            let width = n.div_ceil(stage_count);
+            for stage in 0..stage_count {
+                let block = stage * width..((stage + 1) * width).min(n);
+                let needed: Vec<usize> = block
+                    .clone()
+                    .filter(|&k| match fetch_kind[k] {
+                        0 => true,
+                        1 => false,
+                        _ => q.indices().contains(&k),
+                    })
+                    .collect();
+                let arrived: Vec<usize> = needed.iter().rev().copied().collect();
+                for (i, &k) in arrived.iter().enumerate() {
+                    slots[k] = Some(held.rows() + i);
+                }
+                held.append_rows(&a.gather_rows(&arrived).unwrap()).unwrap();
+                let row_of = |k: usize| if block.contains(&k) { slots[k] } else { None };
+                got = spgemm_with_row_lookup(&q, &held, row_of, &got, ws).unwrap();
+                let rows: Vec<Vec<(usize, f64)>> =
+                    needed.iter().map(|&k| a.row_entries(k).collect()).collect();
+                let partial = oracle::spgemm_with_fetched_rows(&q, &needed, &rows, a.cols());
+                want = crate::csr::oracle::add(&want, &partial);
+            }
+            prop_assert_eq!(bits(&got), bits(&want));
+            let wrong = CsrMatrix::zeros(q.rows() + 1, a.cols());
+            prop_assert!(matches!(
+                spgemm_with_row_lookup(&q, &held, |_| None, &wrong, ws),
+                Err(MatrixError::DimensionMismatch { .. })
+            ));
         }
     }
 

@@ -48,7 +48,7 @@
 //! # }
 //! ```
 
-use crate::partitioned::{assign_batches_to_rows, flatten_row_outputs};
+use crate::partitioned::{assign_batches_to_rows, flatten_row_outputs, RankRows};
 use crate::pipeline::{self, RowSource};
 use crate::plan::{BulkSampleOutput, MinibatchSample};
 use crate::replicated::assign_batches_round_robin;
@@ -277,9 +277,8 @@ pub trait SamplingBackend {
     /// shard of minibatches this rank trains.  Every rank of the runtime must
     /// call this collectively with identical `group` and `seed`.
     ///
-    /// The default implementation is the Graph Replicated strategy (§5.1):
-    /// round-robin batch ownership, fully local sampling, no communication —
-    /// correct for the local backend too, where `comm.size() == 1`.
+    /// This is [`SamplingBackend::sample_group_on_rank_with`] holding no
+    /// rows across calls: every product fetches the rows it reads.
     ///
     /// # Errors
     ///
@@ -291,6 +290,32 @@ pub trait SamplingBackend {
         adjacency: &CsrMatrix,
         group: &[Vec<usize>],
         seed: u64,
+    ) -> Result<GroupShard> {
+        self.sample_group_on_rank_with(comm, sampler, adjacency, group, seed, None)
+    }
+
+    /// [`SamplingBackend::sample_group_on_rank`], reading `A` through the
+    /// rows this rank holds across calls when `rows` is given: the
+    /// partitioned backend then slices its block row once and fetches each
+    /// remote row once for as long as `rows` lives, with bit-identical
+    /// samples (see [`RankRows`]).  The other backends hold all of `A` and
+    /// ignore it.
+    ///
+    /// The default implementation is the Graph Replicated strategy (§5.1):
+    /// round-robin batch ownership, fully local sampling, no communication —
+    /// correct for the local backend too, where `comm.size() == 1`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates sampler and collective errors.
+    fn sample_group_on_rank_with<S: Sampler + Sync>(
+        &self,
+        comm: &mut Communicator,
+        sampler: &S,
+        adjacency: &CsrMatrix,
+        group: &[Vec<usize>],
+        seed: u64,
+        _rows: Option<&mut RankRows>,
     ) -> Result<GroupShard> {
         let p = comm.size();
         let rank = comm.rank();
@@ -580,6 +605,7 @@ impl Partitioned1p5dBackend {
                 comm,
                 grid,
                 block: &a_blocks[my_row],
+                pins: None,
                 partition: vertex_partition,
                 seed,
             };
@@ -661,13 +687,14 @@ impl SamplingBackend for Partitioned1p5dBackend {
         Ok(epoch)
     }
 
-    fn sample_group_on_rank<S: Sampler + Sync>(
+    fn sample_group_on_rank_with<S: Sampler + Sync>(
         &self,
         comm: &mut Communicator,
         sampler: &S,
         adjacency: &CsrMatrix,
         group: &[Vec<usize>],
         seed: u64,
+        rows: Option<&mut RankRows>,
     ) -> Result<GroupShard> {
         let spec = self.sampler_spec(sampler)?;
         let grid = self.grid()?;
@@ -675,15 +702,27 @@ impl SamplingBackend for Partitioned1p5dBackend {
         validate_batches(group, n)?;
         let vertex_partition = OneDPartition::new(n, grid.rows())?;
         let (my_row, my_col) = grid.coords(comm.rank());
-        let my_a_block = vertex_partition.block_csr(adjacency, my_row)?;
         let row_assignment = assign_batches_to_rows(group.len(), grid.rows());
         let my_indices = &row_assignment[my_row];
         let my_batches: Vec<Vec<usize>> = my_indices.iter().map(|&i| group[i].clone()).collect();
 
+        // Without held rows the block is sliced for this group alone.
+        let sliced;
+        let (block, pins) = match rows {
+            Some(rows) => {
+                let (block, pins) = rows.split(adjacency, &vertex_partition, my_row)?;
+                (block, Some(pins))
+            }
+            None => {
+                sliced = vertex_partition.block_csr(adjacency, my_row)?;
+                (&sliced, None)
+            }
+        };
         let source = RowSource::OneFiveD {
             comm,
             grid: &grid,
-            block: &my_a_block,
+            block,
+            pins,
             partition: &vertex_partition,
             seed,
         };

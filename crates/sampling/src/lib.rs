@@ -111,6 +111,7 @@ pub use error::SamplingError;
 pub use fastgcn::FastGcnSampler;
 pub use ladies::LadiesSampler;
 pub use micro::{request_stream_seed, sample_micro_bulk, MicroBulkSample, MicroRequest};
+pub use partitioned::RankRows;
 pub use plan::{BulkSampleOutput, FetchPlan, LayerSample, MinibatchSample};
 pub use sage::GraphSageSampler;
 pub use sampler::{BulkSamplerConfig, Sampler};

@@ -23,6 +23,14 @@
 //! with a row merge, bit-identical to the hash-map multiply and `BTreeMap`
 //! add it replaced.
 //!
+//! `A` is static between ingests, so under the pinned schedule a rank keeps
+//! the rows it reads in a [`RankRows`] for the whole run: its block row,
+//! sliced once per graph version, and every remote row it has fetched.
+//! Later products request only the rows not yet held, and the stage
+//! multiply (`spgemm_with_row_lookup`) reads the held rows in place, so
+//! each remote row crosses the wire once per run with bit-identical
+//! products.
+//!
 //! Sampling from the resulting probability rows needs no communication
 //! (§5.2.2).  Extraction is row-local for every sampler (§5.2.3): GraphSAGE
 //! compacts its sampled rows, and LADIES and FastGCN gather their frontier's
@@ -33,9 +41,9 @@
 
 use crate::plan::{BulkSampleOutput, MinibatchSample};
 use crate::{Result, SamplingError};
-use dmbs_comm::{CommError, Communicator, Group, Phase, PhaseProfile, ProcessGrid};
+use dmbs_comm::{Communicator, Group, Phase, PhaseProfile, ProcessGrid};
 use dmbs_graph::partition::OneDPartition;
-use dmbs_matrix::spgemm::spgemm_with_fetched_rows;
+use dmbs_matrix::spgemm::{spgemm_with_fetched_rows, spgemm_with_row_lookup};
 use dmbs_matrix::workspace::with_workspace;
 use dmbs_matrix::{CooMatrix, CsrMatrix, MatrixError};
 use std::ops::Range;
@@ -64,6 +72,9 @@ type RowSlab = (Vec<usize>, Vec<usize>, Vec<f64>);
 /// Computation time is recorded into `profile` under `phase`; communication
 /// time is recorded under the same phase from the α–β model.
 ///
+/// Every call fetches every remote row it reads; the pinned schedule reads
+/// the rows a rank holds in a [`RankRows`] instead.
+///
 /// # Errors
 ///
 /// Returns an error if shapes are inconsistent, a collective fails, or a
@@ -75,6 +86,27 @@ pub fn spgemm_1p5d_sparsity_aware(
     grid: &ProcessGrid,
     my_q_block: &CsrMatrix,
     my_a_block: &CsrMatrix,
+    vertex_partition: &OneDPartition,
+    profile: &mut PhaseProfile,
+    phase: Phase,
+) -> Result<CsrMatrix> {
+    spgemm_1p5d(comm, grid, my_q_block, my_a_block, None, vertex_partition, profile, phase)
+}
+
+/// [`spgemm_1p5d_sparsity_aware`], reading the remote rows of `A` from
+/// `pins` when given.  A requester then asks each owner only for the rows
+/// of `needed` it has not pinned, pins what arrives, and books the words
+/// every pinned row kept off the wire; the owner reads its own rows in
+/// place.  The gather and the replies still run, with shorter lists, so the
+/// message schedule is the same, and the stage multiply reads the same rows
+/// in the same order, so the product is bit-identical.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn spgemm_1p5d(
+    comm: &mut Communicator,
+    grid: &ProcessGrid,
+    my_q_block: &CsrMatrix,
+    my_a_block: &CsrMatrix,
+    mut pins: Option<&mut PinnedRows>,
     vertex_partition: &OneDPartition,
     profile: &mut PhaseProfile,
     phase: Phase,
@@ -104,7 +136,6 @@ pub fn spgemm_1p5d_sparsity_aware(
     }
 
     let col_group = Group::new(&grid.col_ranks(rank))?;
-    let my_pos_in_col = col_group.position_of(rank).ok_or(CommError::NotInGroup { rank })?;
     let comm_before = comm.stats().modeled_time;
 
     // Nonzero columns of my Q block, sorted — the sparsity pattern that the
@@ -131,34 +162,47 @@ pub fn spgemm_1p5d_sparsity_aware(
         let hi = q_nonzero_cols.partition_point(|&c| c < block_range.end);
         let needed = &q_nonzero_cols[lo..hi];
 
-        // Gather every member's request list at the owner of A_k.
-        let requests = comm.group_gather(&col_group, owner, needed.to_vec())?;
-
-        // The owner answers each request with one slab of the needed rows of
-        // its block.
-        let slab = if rank == owner {
-            let requests = requests.ok_or_else(|| {
-                SamplingError::InvalidConfig(format!(
-                    "rank {rank} owns block row {k_block} but gathered no requests"
-                ))
-            })?;
-            let mut own = RowSlab::default();
-            for (pos, request) in requests.iter().enumerate() {
-                let reply = reply_slab(my_a_block, &block_range, request)?;
-                if pos == my_pos_in_col {
-                    own = reply;
+        p_hat = match pins.as_deref_mut() {
+            None => {
+                // Gather every member's request list at the owner of A_k,
+                // which answers each with one slab of the needed rows.
+                let requests = comm.group_gather(&col_group, owner, needed.to_vec())?;
+                let slab = if rank == owner {
+                    serve_requests(comm, &col_group, my_a_block, &block_range, requests)?
                 } else {
-                    comm.send(col_group.ranks()[pos], reply)?;
-                }
+                    comm.recv::<RowSlab>(owner)?
+                };
+                // Local sparsity-aware multiply with only the fetched rows,
+                // added to the earlier stages' sum.
+                profile.time_compute(phase, || stage_multiply(my_q_block, needed, slab, &p_hat))?
             }
-            own
-        } else {
-            comm.recv::<RowSlab>(owner)?
+            Some(_) if rank == owner => {
+                // The owner asks for nothing and reads its own rows in place.
+                let requests = comm.group_gather(&col_group, owner, Vec::new())?;
+                serve_requests(comm, &col_group, my_a_block, &block_range, requests)?;
+                let start = block_range.start;
+                let row_of = |k: usize| block_range.contains(&k).then(|| k - start);
+                profile.time_compute(phase, || -> Result<CsrMatrix> {
+                    Ok(with_workspace(|ws| {
+                        spgemm_with_row_lookup(my_q_block, my_a_block, row_of, &p_hat, ws)
+                    })?)
+                })?
+            }
+            Some(pins) => {
+                // A requester asks only for the rows it has not pinned, pins
+                // the reply and reads every needed row from its pins.
+                comm.group_gather(&col_group, owner, pins.request(needed))?;
+                let slab = comm.recv::<RowSlab>(owner)?;
+                profile.time_compute(phase, || -> Result<CsrMatrix> {
+                    pins.pin(needed, slab)?;
+                    let row_of =
+                        |k: usize| if block_range.contains(&k) { pins.slot(k) } else { None };
+                    Ok(with_workspace(|ws| {
+                        spgemm_with_row_lookup(my_q_block, &pins.rows, row_of, &p_hat, ws)
+                    })?)
+                })?
+            }
         };
-
-        // Local sparsity-aware multiply with only the fetched rows, added to
-        // the earlier stages' sum.
-        p_hat = profile.time_compute(phase, || stage_multiply(my_q_block, needed, slab, &p_hat))?;
     }
 
     // All-reduce the partial products across the process row.
@@ -180,6 +224,35 @@ pub fn spgemm_1p5d_sparsity_aware(
 
     profile.add_comm(phase, comm.stats().modeled_time - comm_before);
     Ok(p_full)
+}
+
+/// The owner's side of one stage: answers every gathered request of the
+/// process column with one slab of its block (which holds the global rows
+/// `block_range`), and returns the slab of its own request, which never
+/// travels.
+fn serve_requests(
+    comm: &mut Communicator,
+    col_group: &Group,
+    block: &CsrMatrix,
+    block_range: &Range<usize>,
+    requests: Option<Vec<Vec<usize>>>,
+) -> Result<RowSlab> {
+    let rank = comm.rank();
+    let requests = requests.ok_or_else(|| {
+        SamplingError::InvalidConfig(format!(
+            "rank {rank} owns the block of rows {block_range:?} but gathered no requests"
+        ))
+    })?;
+    let mut own = RowSlab::default();
+    for (&peer, request) in col_group.ranks().iter().zip(&requests) {
+        let reply = reply_slab(block, block_range, request)?;
+        if peer == rank {
+            own = reply;
+        } else {
+            comm.send(peer, reply)?;
+        }
+    }
+    Ok(own)
 }
 
 /// The owner's slab for one request: the rows `request` of its block
@@ -209,24 +282,29 @@ fn reply_slab(block: &CsrMatrix, block_range: &Range<usize>, request: &[usize]) 
 
 /// One stage of Algorithm 2 on the requesting rank: `p_hat + Q · A_k`,
 /// with `A_k`'s rows `needed` taken from the owner's `slab`.
-///
-/// The slab came off the wire, and the multiply indexes its scratch with
-/// the slab's column ids, so it is validated first: one length per
-/// requested row, lengths that sum without overflow to the number of
-/// column ids, one value per column id, and rows of strictly increasing
-/// columns below `n`.  A malformed slab is a typed error, never a panic.
 fn stage_multiply(
     q: &CsrMatrix,
     needed: &[usize],
     slab: RowSlab,
     p_hat: &CsrMatrix,
 ) -> Result<CsrMatrix> {
+    let fetched = slab_rows(needed.len(), p_hat.cols(), slab)?;
+    Ok(with_workspace(|ws| spgemm_with_fetched_rows(q, needed, &fetched, p_hat, ws))?)
+}
+
+/// The `rows × cols` CSR block a slab holds.
+///
+/// The slab came off the wire, and the multiply indexes its scratch with
+/// the slab's column ids, so it is validated first: one length per
+/// requested row, lengths that sum without overflow to the number of
+/// column ids, one value per column id, and rows of strictly increasing
+/// columns below `cols`.  A malformed slab is a typed error, never a panic.
+fn slab_rows(rows: usize, cols: usize, slab: RowSlab) -> Result<CsrMatrix> {
     let (lens, indices, values) = slab;
-    if lens.len() != needed.len() {
+    if lens.len() != rows {
         return Err(MatrixError::InvalidStructure(format!(
-            "a reply holds {} rows for {} requested rows",
+            "a reply holds {} rows for {rows} requested rows",
             lens.len(),
-            needed.len()
         ))
         .into());
     }
@@ -239,8 +317,159 @@ fn stage_multiply(
         })?;
         indptr.push(end);
     }
-    let fetched = CsrMatrix::from_raw(needed.len(), p_hat.cols(), indptr, indices, values)?;
-    Ok(with_workspace(|ws| spgemm_with_fetched_rows(q, needed, &fetched, p_hat, ws))?)
+    Ok(CsrMatrix::from_raw(rows, cols, indptr, indices, values)?)
+}
+
+/// The rows of `A` one rank holds for a whole run: its process row's block
+/// row, sliced once per graph version, and the remote rows it has fetched,
+/// pinned until an ingest dirties them.
+///
+/// [`SamplingBackend::sample_group_on_rank_with`] passes it to the 1.5D
+/// SpGEMM, which then fetches each remote row once per run instead of once
+/// per product: the §6.2 pinned schedule applied to `A` as to the feature
+/// rows.  Pinning is pure work avoidance: every product, and so every
+/// sample, is bit-identical to the unpinned run, and the words a pinned row
+/// keeps off the wire — its request id, its length word and its `2·nnz`
+/// entries — are booked in [`RankRows::take_words_saved`], so that
+/// `words_sent + words_saved` equals the unpinned bill.  Without ingest a
+/// rank pins at most its remote rows, `n − |own block|`.
+///
+/// A caller that changes the adjacency must pass every changed row to
+/// [`RankRows::invalidate`] before the next product.
+///
+/// [`SamplingBackend::sample_group_on_rank_with`]: crate::SamplingBackend::sample_group_on_rank_with
+#[derive(Debug, Default)]
+pub struct RankRows {
+    /// The global rows of this process row's block, and the block.
+    block: Option<(Range<usize>, CsrMatrix)>,
+    pins: PinnedRows,
+}
+
+impl RankRows {
+    /// Holds nothing yet: the first product slices the block and fetches
+    /// every remote row it reads.
+    pub fn new() -> Self {
+        RankRows::default()
+    }
+
+    /// The number of remote rows pinned.
+    pub fn pinned_rows(&self) -> usize {
+        self.pins.rows.rows()
+    }
+
+    /// Drops the pinned rows in `dirty` and the block, which is sliced
+    /// again on next use.  An edge batch changes only the rows of its
+    /// sources, so every other pinned row stays exact.
+    pub fn invalidate(&mut self, dirty: &[usize]) {
+        self.block = None;
+        self.pins.drop_rows(dirty);
+    }
+
+    /// The words pinned rows kept off the wire since the last call.
+    pub fn take_words_saved(&mut self) -> usize {
+        std::mem::take(&mut self.pins.words_saved)
+    }
+
+    /// This process row's block of `adjacency` (sliced on first use) and
+    /// the pinned remote rows.
+    pub(crate) fn split(
+        &mut self,
+        adjacency: &CsrMatrix,
+        partition: &OneDPartition,
+        part: usize,
+    ) -> Result<(&CsrMatrix, &mut PinnedRows)> {
+        let n = partition.len();
+        if self.pins.slots.len() != n {
+            self.pins = PinnedRows { words_saved: self.pins.words_saved, ..PinnedRows::new(n) };
+        }
+        let range = partition.range(part);
+        if self.block.as_ref().is_none_or(|(held, _)| *held != range) {
+            self.block = Some((range, partition.block_csr(adjacency, part)?));
+        }
+        let block = self.block.as_ref().map(|(_, block)| block).expect("sliced above");
+        Ok((block, &mut self.pins))
+    }
+}
+
+/// The slot of a row that is not pinned.
+const NOT_PINNED: usize = usize::MAX;
+
+/// Remote rows of `A`, pinned in arrival order: row `v` of `A` is row
+/// `slots[v]` of `rows`.
+#[derive(Debug)]
+pub(crate) struct PinnedRows {
+    rows: CsrMatrix,
+    slots: Vec<usize>,
+    words_saved: usize,
+}
+
+impl Default for PinnedRows {
+    fn default() -> Self {
+        PinnedRows::new(0)
+    }
+}
+
+impl PinnedRows {
+    fn new(n: usize) -> Self {
+        PinnedRows { rows: CsrMatrix::zeros(0, n), slots: vec![NOT_PINNED; n], words_saved: 0 }
+    }
+
+    fn slot(&self, v: usize) -> Option<usize> {
+        let slot = self.slots[v];
+        (slot != NOT_PINNED).then_some(slot)
+    }
+
+    /// The rows of `needed` not pinned yet, to request from their owner.
+    /// Each pinned one is a hit that keeps `2 + 2·nnz` words off the wire:
+    /// its id in the request, its length and entries in the reply.
+    fn request(&mut self, needed: &[usize]) -> Vec<usize> {
+        let mut missing = Vec::new();
+        for &v in needed {
+            match self.slot(v) {
+                Some(slot) => self.words_saved += 2 + 2 * self.rows.row_nnz(slot),
+                None => missing.push(v),
+            }
+        }
+        missing
+    }
+
+    /// Validates the owner's slab of the rows of `needed` this rank
+    /// requested, then pins them.
+    fn pin(&mut self, needed: &[usize], slab: RowSlab) -> Result<()> {
+        let requested = needed.iter().filter(|&&v| self.slots[v] == NOT_PINNED).count();
+        let fetched = slab_rows(requested, self.rows.cols(), slab)?;
+        let mut next = self.rows.rows();
+        self.rows.append_rows(&fetched)?;
+        for &v in needed {
+            if self.slots[v] == NOT_PINNED {
+                self.slots[v] = next;
+                next += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Unpins the rows `dirty` and compacts the rest, keeping their order.
+    fn drop_rows(&mut self, dirty: &[usize]) {
+        let mut dropped = false;
+        for &v in dirty {
+            if let Some(slot) = self.slots.get_mut(v).filter(|slot| **slot != NOT_PINNED) {
+                *slot = NOT_PINNED;
+                dropped = true;
+            }
+        }
+        if !dropped {
+            return;
+        }
+        let mut live: Vec<(usize, usize)> =
+            (0..self.slots.len()).filter_map(|v| self.slot(v).map(|slot| (slot, v))).collect();
+        live.sort_unstable();
+        let kept: Vec<usize> = live.iter().map(|&(slot, _)| slot).collect();
+        self.rows = self.rows.gather_rows(&kept).expect("every live slot is a pinned row");
+        for (slot, &(_, v)) in live.iter().enumerate() {
+            self.slots[v] = slot;
+        }
+    }
 }
 
 /// Assigns minibatch indices to process rows round-robin (process row `r`
@@ -470,6 +699,96 @@ mod tests {
         }
     }
 
+    /// One 1.5D product of rank `comm`, reading remote rows from `pins`
+    /// when given, with the words and messages it sent.
+    fn measured(
+        comm: &mut Communicator,
+        grid: &ProcessGrid,
+        q: &CsrMatrix,
+        block: &CsrMatrix,
+        pins: Option<&mut PinnedRows>,
+        partition: &OneDPartition,
+    ) -> Result<(CsrMatrix, usize, usize)> {
+        let before = comm.stats();
+        let mut profile = PhaseProfile::new();
+        let p =
+            spgemm_1p5d(comm, grid, q, block, pins, partition, &mut profile, Phase::Probability)?;
+        let after = comm.stats();
+        Ok((p, after.words_sent - before.words_sent, after.messages - before.messages))
+    }
+
+    fn value_bits(m: &CsrMatrix) -> Vec<u64> {
+        m.values().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn pinned_rows_are_fetched_once_per_run() {
+        // A rank that holds its rows across products fetches each remote
+        // row once.  The first product with fresh pins moves what the
+        // unpinned one moves (`slab_replies_are_word_neutral` pins that to
+        // its closed form), whose fetch part is, summed over the ranks,
+        // each rank's distinct remote rows × (2 + 2·deg): a request id, a
+        // length word and the entries.  A repeat with the same `Q` sends no
+        // request or slab words — only the row all-reduce at `c > 1` — in
+        // as many messages, books every fetch word as saved, and gives the
+        // same product bit for bit.
+        let a = random_graph(7, 5, 9);
+        let n = a.rows();
+        for &(p, c) in &[(2usize, 1usize), (4, 2), (8, 2)] {
+            let grid = ProcessGrid::new(p, c).unwrap();
+            let rows = grid.rows();
+            let partition = OneDPartition::new(n, rows).unwrap();
+            let stages = rows.div_ceil(c);
+            // The rows rank `(row, col)` reads from the other process rows
+            // its column serves.
+            let remote = |rank: usize| -> Vec<usize> {
+                let (row, col) = grid.coords(rank);
+                let blocks = col * stages..((col + 1) * stages).min(rows);
+                let theirs = |v: &usize| {
+                    let owner = partition.owner_of(*v);
+                    owner != row && blocks.contains(&owner)
+                };
+                q_block(row, n).nonzero_columns().into_iter().filter(theirs).collect()
+            };
+            let closed_form: usize = (0..p).flat_map(remote).map(|v| 2 + 2 * a.row_nnz(v)).sum();
+
+            let outs = Runtime::new(p)
+                .unwrap()
+                .run(|comm| {
+                    let (row, _) = grid.coords(comm.rank());
+                    let q = q_block(row, n);
+                    let mut held = RankRows::new();
+                    let (block, pins) = held.split(&a, &partition, row)?;
+                    let unpinned = measured(comm, &grid, &q, block, None, &partition)?;
+                    let first = measured(comm, &grid, &q, block, Some(&mut *pins), &partition)?;
+                    let second = measured(comm, &grid, &q, block, Some(pins), &partition)?;
+                    let saved = held.take_words_saved();
+                    Ok::<_, SamplingError>((unpinned, first, second, saved, held.pinned_rows()))
+                })
+                .unwrap();
+            let (mut fetched, mut saved) = (0, 0);
+            for out in outs {
+                let label = format!("grid ({p}, {c}) rank {}", out.rank);
+                let (unpinned, first, second, rank_saved, pinned) = out.value.unwrap();
+                assert_eq!(value_bits(&first.0), value_bits(&unpinned.0), "{label}: first");
+                assert_eq!(first.0, unpinned.0, "{label}: first");
+                assert_eq!(value_bits(&second.0), value_bits(&unpinned.0), "{label}: repeat");
+                assert_eq!(second.0, unpinned.0, "{label}: repeat");
+                assert_eq!((first.1, first.2), (unpinned.1, unpinned.2), "{label}: first books");
+                assert_eq!(second.2, first.2, "{label}: the repeat changed the message count");
+                if c == 1 {
+                    assert_eq!(second.1, 0, "{label}: the repeat sent words");
+                }
+                assert_eq!(pinned, remote(out.rank).len(), "{label}: pinned rows");
+                fetched += first.1 - second.1;
+                saved += rank_saved;
+            }
+            assert!(closed_form > 0, "grid ({p}, {c}) reads no remote row");
+            assert_eq!(fetched, closed_form, "grid ({p}, {c}): fetched words");
+            assert_eq!(saved, closed_form, "grid ({p}, {c}): saved words");
+        }
+    }
+
     #[test]
     fn forged_slabs_are_typed_errors_not_panics() {
         let n = 8;
@@ -511,6 +830,30 @@ mod tests {
                 Err(SamplingError::InvalidConfig(_))
             ));
         }
+    }
+
+    #[test]
+    fn pins_take_only_valid_slabs_and_drop_only_dirty_rows() {
+        let mut pins = PinnedRows::new(8);
+        let needed = [1, 2];
+        let values = || vec![1.0, 2.0, 3.0];
+        // A malformed slab is refused before anything is pinned.
+        assert!(matches!(
+            pins.pin(&needed, (vec![2, 1], vec![7, 0, 3], values())),
+            Err(SamplingError::Matrix(MatrixError::InvalidStructure(_)))
+        ));
+        assert_eq!((pins.rows.rows(), pins.slot(1), pins.slot(2)), (0, None, None));
+        pins.pin(&needed, (vec![2, 1], vec![0, 7, 3], values())).unwrap();
+        assert_eq!((pins.slot(1), pins.slot(2)), (Some(0), Some(1)));
+        assert_eq!(pins.rows.row_indices(0), &[0, 7]);
+        // Held rows leave the request, and book what they kept off the wire.
+        assert_eq!(pins.request(&[1, 2, 5]), vec![5]);
+        // Rows 1 and 2 hold 2 and 1 entries.
+        assert_eq!(pins.words_saved, (2 + 4) + (2 + 2));
+        // Dropping a row compacts the others in order; unpinned ids are ignored.
+        pins.drop_rows(&[1, 6, 99]);
+        assert_eq!((pins.slot(1), pins.slot(2), pins.rows.rows()), (None, Some(0), 1));
+        assert_eq!(pins.rows.row_indices(0), &[3]);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! extracts every batch of the row itself, with no further communication.
 
 use crate::its::{its_without_replacement, sample_rows, Picks, RowLaw};
-use crate::partitioned::spgemm_1p5d_sparsity_aware;
+use crate::partitioned::{spgemm_1p5d, PinnedRows};
 use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
 use crate::sage::extract_batch;
 use crate::spec::SamplerSpec;
@@ -91,7 +91,8 @@ pub(crate) enum RowSource<'a> {
     /// from `rng`.
     Local { adjacency: &'a CsrMatrix, rng: &'a mut dyn RngCore },
     /// This process row's block row of `A` on the `p/c × c` grid (§5.2):
-    /// every product goes through the sparsity-aware 1.5D SpGEMM, and step
+    /// every product goes through the sparsity-aware 1.5D SpGEMM, reading
+    /// the remote rows this rank has pinned when `pins` is given, and step
     /// seeds come from [`row_seed`], so the ranks of a process row draw
     /// identical samples.  Every rank of the grid must run the pipeline
     /// together.
@@ -99,6 +100,7 @@ pub(crate) enum RowSource<'a> {
         comm: &'a mut Communicator,
         grid: &'a ProcessGrid,
         block: &'a CsrMatrix,
+        pins: Option<&'a mut PinnedRows>,
         partition: &'a OneDPartition,
         seed: u64,
     },
@@ -124,8 +126,8 @@ impl<'a> RowSource<'a> {
             RowSource::Local { adjacency, .. } => profile.time_compute(phase, || {
                 Ok(with_workspace(|ws| spgemm_parallel_with(q, adjacency, parallelism, ws))?)
             }),
-            RowSource::OneFiveD { comm, grid, block, partition, .. } => {
-                spgemm_1p5d_sparsity_aware(comm, grid, q, block, partition, profile, phase)
+            RowSource::OneFiveD { comm, grid, block, pins, partition, .. } => {
+                spgemm_1p5d(comm, grid, q, block, pins.as_deref_mut(), partition, profile, phase)
             }
         }
     }
@@ -412,6 +414,7 @@ mod tests {
     use super::*;
     use crate::its::sample_rows_par;
     use crate::its::tests::materialized_draw;
+    use crate::partitioned::RankRows;
     use crate::sage::extract_block;
     use dmbs_comm::Runtime;
     use dmbs_graph::generators::figure1_example;
@@ -420,6 +423,7 @@ mod tests {
     use dmbs_matrix::CooMatrix;
     use proptest::prelude::*;
     use rand::Rng;
+    use std::sync::Mutex;
 
     #[test]
     fn probability_law_matches_paper_example() {
@@ -652,7 +656,9 @@ mod tests {
     fn one_five_d_pipeline_equals_the_materialised_one() {
         // On a 2 × 1 grid each process row samples its own batches from the
         // 1.5D products; the oracle samples them from the whole graph with
-        // the row's step seeds.
+        // the row's step seeds.  Each rank samples with every product
+        // fetching its rows, and once more through rows it holds across
+        // every sampler of the case.
         let grid = ProcessGrid::new(2, 1).unwrap();
         let runtime = Runtime::new(2).unwrap();
         for case in 0..6u64 {
@@ -662,17 +668,26 @@ mod tests {
             let per_row = [batches(n, &mut rng), batches(n, &mut rng)];
             let partition = OneDPartition::new(n, grid.rows()).unwrap();
             let blocks = partition.split_csr(&a).unwrap();
+            let held: Vec<Mutex<RankRows>> = (0..2).map(|_| Mutex::default()).collect();
             let s = 1 + case as usize % 4;
             for spec in specs(s) {
-                for threads in [1, 2, 8] {
+                for (threads, pinned) in [(1, false), (2, false), (8, false), (2, true)] {
                     let par = Parallelism::new(threads);
                     let outs = runtime
                         .run(|comm| {
                             let row = grid.coords(comm.rank()).0;
+                            let mut rows = held[comm.rank()].lock().unwrap();
+                            let (block, pins) = if pinned {
+                                let (block, pins) = rows.split(&a, &partition, row)?;
+                                (block, Some(pins))
+                            } else {
+                                (&blocks[row], None)
+                            };
                             let source = RowSource::OneFiveD {
                                 comm,
                                 grid: &grid,
-                                block: &blocks[row],
+                                block,
+                                pins,
                                 partition: &partition,
                                 seed: case,
                             };
@@ -684,7 +699,8 @@ mod tests {
                         let fused = outermost_first(out.value.unwrap());
                         let seed = |step| row_seed(case, row, step);
                         let oracle = materialized(&spec, &a, &per_row[row], seed, par);
-                        assert_eq!(fused, oracle, "case {case}, {spec:?}, {threads} threads");
+                        let label = format!("case {case}, {spec:?}, {threads} threads");
+                        assert_eq!(fused, oracle, "{label}, pinned: {pinned}");
                     }
                 }
             }

@@ -13,10 +13,12 @@ use dmbs::gnn::{
 };
 use dmbs::graph::datasets::Dataset;
 use dmbs::graph::generators::figure1_example;
+use dmbs::graph::partition::OneDPartition;
+use dmbs::graph::MinibatchPlan;
 use dmbs::matrix::DenseMatrix;
 use dmbs::sampling::{
-    BulkSamplerConfig, DistConfig, GraphSageSampler, Partitioned1p5dBackend, ReplicatedBackend,
-    Sampler, SamplingBackend,
+    BulkSamplerConfig, DistConfig, GraphSageSampler, Partitioned1p5dBackend, RankRows,
+    ReplicatedBackend, Sampler, SamplingBackend,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -135,10 +137,13 @@ fn equivalence_dataset(seed: u64) -> Dataset {
 /// accuracy, no more words or messages than the uncached run (the prefetch
 /// replaces each group's per-step collectives with one round), and balanced
 /// books (`sent + saved == uncached`).  Returns the pinned run's report.
-fn assert_cache_is_work_avoidance(
-    base: &SessionBuilder<GraphSageSampler, ReplicatedBackend>,
+fn assert_cache_is_work_avoidance<B>(
+    base: &SessionBuilder<GraphSageSampler, B>,
     label: &str,
-) -> TrainingReport {
+) -> TrainingReport
+where
+    B: SamplingBackend + Clone + Send + Sync + 'static,
+{
     let off = base.clone().feature_cache(FeatureCacheConfig::Off).build().unwrap().train().unwrap();
     let on =
         base.clone().feature_cache(FeatureCacheConfig::Pinned).build().unwrap().train().unwrap();
@@ -169,41 +174,118 @@ const DOMINANCE_SHAPES: [(usize, usize); 2] = [(2, 1), (4, 2)];
 /// shape without a sample, counted per [`DOMINANCE_SHAPES`] entry.
 static RAGGED_PLANS: [AtomicUsize; 2] = [AtomicUsize::new(0), AtomicUsize::new(0)];
 
+/// Random plans the dominance property ran on the 1.5D backend.
+static PARTITIONED_PLANS: AtomicUsize = AtomicUsize::new(0);
+
+/// The dominance property's three-epoch session on `backend`.
+fn dominance_base<B: SamplingBackend>(
+    dataset: &std::sync::Arc<Dataset>,
+    backend: B,
+    seed: u64,
+) -> SessionBuilder<GraphSageSampler, B> {
+    TrainingSession::builder()
+        .dataset(std::sync::Arc::clone(dataset))
+        .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
+        .backend(backend)
+        .hidden_dim(8)
+        .learning_rate(0.05)
+        .epochs(3)
+        .seed(seed)
+        .without_evaluation()
+}
+
+/// The pinned remote rows of `A` of every rank after it samples three
+/// epochs of random plans through rows it holds for the whole run, each
+/// with its remote row count `n − |own block|`.
+fn pinned_a_rows_after_three_epochs(
+    dataset: &Dataset,
+    backend: &Partitioned1p5dBackend,
+    batch: usize,
+    seed: u64,
+) -> Vec<(usize, usize)> {
+    let dist = *backend.dist().unwrap();
+    let grid = ProcessGrid::new(dist.ranks, dist.replication_c).unwrap();
+    let a = dataset.graph.adjacency();
+    let n = a.rows();
+    let partition = OneDPartition::new(n, grid.rows()).unwrap();
+    let sampler = GraphSageSampler::new(vec![4, 3]).with_self_loops();
+    let plans: Vec<MinibatchPlan> = (0..3)
+        .map(|epoch| {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1 + epoch));
+            MinibatchPlan::new(&dataset.train_set, batch, &mut rng).unwrap()
+        })
+        .collect();
+    let outs = backend
+        .runtime()
+        .unwrap()
+        .run(|comm| {
+            let mut held = RankRows::new();
+            for plan in &plans {
+                for (g, group) in plan.batches().chunks(dist.bulk.bulk_size).enumerate() {
+                    let seed = seed.wrapping_add(g as u64);
+                    backend.sample_group_on_rank_with(
+                        comm,
+                        &sampler,
+                        a,
+                        group,
+                        seed,
+                        Some(&mut held),
+                    )?;
+                }
+            }
+            let remote = n - partition.range(grid.coords(comm.rank()).0).len();
+            Ok::<_, dmbs::sampling::SamplingError>((held.pinned_rows(), remote))
+        })
+        .unwrap();
+    outs.into_iter().map(|o| o.value.unwrap()).collect()
+}
+
 proptest! {
     /// The dominance property that licenses the pinned default: on random
-    /// plans (dataset seed, batch size, bulk k, train fraction) the pinned
-    /// cache never moves more words or messages than the uncached pipeline,
-    /// trains bit-identically and balances its books, epoch by epoch.  Its
-    /// rows live for the whole run, so over three epochs each rank pins each
-    /// of the `n` rows at most once: the run's misses stay within `p · n`.
+    /// plans (dataset seed, batch size, bulk k, train fraction) and both
+    /// distributed backends, the pinned schedule never moves more words or
+    /// messages than the uncached pipeline, trains bit-identically and
+    /// balances its books, epoch by epoch.  Its feature rows live for the
+    /// whole run, so over three epochs each rank pins each of the `n` rows
+    /// at most once: the run's misses stay within `p · n`.  On the 1.5D
+    /// backend the schedule also pins the remote rows of `A`, each once: a
+    /// rank never holds more than its remote rows, `n − |own block|`.  One
+    /// plan in ten runs there: a (4,2) epoch of the 1.5D backend costs
+    /// about three replicated ones, and the split holds the suite's time.
     fn pinned_cache_dominates_off_on_random_plans(
         dataset_seed in 0u64..1_000_000,
         batch in 2usize..24,
         bulk in 1usize..7,
         train_fraction in 0.15f64..0.8,
+        backend in 0usize..10,
     ) {
         let dataset =
             common::arc_products_dataset(7, 12, 4, train_fraction, Some(0.6), dataset_seed);
         let batches = dataset.num_batches(batch);
+        let partitioned = backend == 0;
+        if partitioned {
+            PARTITIONED_PLANS.fetch_add(1, Ordering::Relaxed);
+        }
         for (&(p, c), ragged) in DOMINANCE_SHAPES.iter().zip(&RAGGED_PLANS) {
             if !batches.is_multiple_of(bulk) && batches % bulk < p {
                 ragged.fetch_add(1, Ordering::Relaxed);
             }
             let dist = DistConfig::new(p, c, BulkSamplerConfig::new(batch, bulk));
-            let base = TrainingSession::builder()
-                .dataset(std::sync::Arc::clone(&dataset))
-                .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
-                .backend(ReplicatedBackend::new(dist).unwrap())
-                .hidden_dim(8)
-                .learning_rate(0.05)
-                .epochs(3)
-                .seed(dataset_seed)
-                .without_evaluation();
             let label = format!(
-                "p={p} c={c} dataset_seed={dataset_seed} b={batch} k={bulk} \
-                 train_fraction={train_fraction}"
+                "p={p} c={c} partitioned={partitioned} dataset_seed={dataset_seed} b={batch} \
+                 k={bulk} train_fraction={train_fraction}"
             );
-            let pinned = assert_cache_is_work_avoidance(&base, &label);
+            let pinned = if partitioned {
+                let backend = Partitioned1p5dBackend::new(dist).unwrap();
+                let held = pinned_a_rows_after_three_epochs(&dataset, &backend, batch, dataset_seed);
+                for (rank, (pinned, remote)) in held.into_iter().enumerate() {
+                    assert!(pinned <= remote, "{label}: rank {rank} pinned {pinned} > {remote}");
+                }
+                assert_cache_is_work_avoidance(&dominance_base(&dataset, backend, dataset_seed), &label)
+            } else {
+                let backend = ReplicatedBackend::new(dist).unwrap();
+                assert_cache_is_work_avoidance(&dominance_base(&dataset, backend, dataset_seed), &label)
+            };
             let n = dataset.graph.num_vertices();
             let misses: usize = pinned.epochs.iter().map(|e| e.comm.cache_misses).sum();
             assert!(misses <= p * n, "{label}: {misses} misses > p · n = {}", p * n);
@@ -242,6 +324,7 @@ fn train_distributed_is_byte_identical_cache_on_vs_off_across_grid_shapes() {
             "p={p} c={c}: no random plan left a rank without a sample in its last group"
         );
     }
+    assert!(PARTITIONED_PLANS.load(Ordering::Relaxed) > 0, "no random plan ran the 1.5D backend");
 }
 
 /// Wire-codec sweep over p × c × cache mode × codec: the codec changes only

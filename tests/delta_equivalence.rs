@@ -1,8 +1,8 @@
 //! Dynamic-graph equivalence sweep: incremental delta-CSR ingest must be a
 //! pure representation choice, and an ingest must leave the pinned feature
-//! cache exact.
+//! cache and the pinned rows of `A` exact.
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! * **Delta ≡ rebuild.**  Folding scheduled edge batches into the adjacency
 //!   lazily ([`IngestMode::Delta`]) or by eager rebuild
@@ -19,6 +19,10 @@
 //!   exactly what a fetch would return: training stays bit-identical to the
 //!   uncached run, the cache books still balance, and no row is fetched
 //!   twice by one rank.
+//! * **Dirty rows of `A` are dropped.**  The 1.5D backend pins the remote
+//!   adjacency rows it reads; an ingest drops the ones it dirties and the
+//!   block row, so on every grid shape the pinned run stays bit-identical
+//!   to the uncached one, and delta to rebuild, across the schedule.
 
 mod common;
 
@@ -29,11 +33,14 @@ use dmbs::gnn::{
     ServingSession, TrainingReport, TrainingSession,
 };
 use dmbs::graph::datasets::Dataset;
-use dmbs::graph::IngestMode;
+use dmbs::graph::{IngestMode, MinibatchPlan};
 use dmbs::matrix::DeltaBatch;
 use dmbs::sampling::{
-    BulkSamplerConfig, DistConfig, FetchPlan, GraphSageSampler, LocalBackend, ReplicatedBackend,
+    BulkSamplerConfig, DistConfig, FetchPlan, GraphSageSampler, LocalBackend,
+    Partitioned1p5dBackend, RankRows, ReplicatedBackend, SamplingBackend, SamplingError,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// Rank-process entry point for the Unix-socket legs of the sweep (the
@@ -97,11 +104,27 @@ fn train(
     events: &[(usize, DeltaBatch)],
     transport: TransportSelect,
 ) -> TrainingReport {
-    let dist = DistConfig::new(p, c, BulkSamplerConfig::new(8, 2));
+    let backend = ReplicatedBackend::new(dist(p, c)).expect("backend");
+    train_on(backend, dataset, cache, mode, events, transport)
+}
+
+fn dist(p: usize, c: usize) -> DistConfig {
+    DistConfig::new(p, c, BulkSamplerConfig::new(8, 2))
+}
+
+/// [`train`] on any distributed backend.
+fn train_on<B: SamplingBackend + Send + Sync + 'static>(
+    backend: B,
+    dataset: &Arc<Dataset>,
+    cache: FeatureCacheConfig,
+    mode: IngestMode,
+    events: &[(usize, DeltaBatch)],
+    transport: TransportSelect,
+) -> TrainingReport {
     let mut builder = TrainingSession::builder()
         .dataset(Arc::clone(dataset))
         .sampler(GraphSageSampler::new(vec![4, 3]).with_self_loops())
-        .backend(ReplicatedBackend::new(dist).expect("backend"))
+        .backend(backend)
         .hidden_dim(8)
         .learning_rate(0.1)
         .epochs(3)
@@ -161,6 +184,70 @@ fn delta_ingest_is_byte_identical_to_rebuild_across_the_sweep() {
                 run(IngestMode::Rebuild, TransportSelect::UnixSocket(common::socket_launch()));
             assert_reports_identical(&sock_delta, &sock_rebuild, &format!("{label} [socket]"));
             assert_reports_identical(&sim_delta, &sock_delta, &format!("{label} [cross]"));
+        }
+    }
+}
+
+/// The 1.5D axis of the sweep.  The partitioned backend pins the remote
+/// rows of `A` it reads for the whole run, and an ingest must drop the ones
+/// it dirties (and the block row it changes) or the next epoch samples the
+/// old graph.  For every grid shape, delta ingest is bit-identical to
+/// rebuild under both cache modes, and the pinned run is bit-identical to
+/// the uncached one with balanced books — on a schedule whose dirty
+/// vertices include rows a rank has pinned by the time the batch lands.
+#[test]
+fn partitioned_ingest_drops_dirty_pinned_rows_across_the_sweep() {
+    let dataset = tiny_dataset();
+    let events = schedule(&dataset);
+    let adjacency = dataset.graph.adjacency();
+    let train_set = &dataset.train_set;
+    for &(p, c) in &GRID_SHAPES {
+        // The first batch dirties rows some rank pinned in epoch 0.
+        let backend = Partitioned1p5dBackend::new(dist(p, c)).expect("backend");
+        let dirty = events[0].1.dirty_vertices();
+        let sampler = GraphSageSampler::new(vec![4, 3]).with_self_loops();
+        let plan = MinibatchPlan::new(train_set, 8, &mut StdRng::seed_from_u64(34)).unwrap();
+        let dropped = backend
+            .runtime()
+            .unwrap()
+            .run(|comm| {
+                let mut held = RankRows::new();
+                for (g, group) in plan.batches().chunks(2).enumerate() {
+                    let rows = Some(&mut held);
+                    backend.sample_group_on_rank_with(
+                        comm, &sampler, adjacency, group, g as u64, rows,
+                    )?;
+                }
+                let before = held.pinned_rows();
+                held.invalidate(&dirty);
+                Ok::<_, SamplingError>(before - held.pinned_rows())
+            })
+            .unwrap();
+        let dropped: usize = dropped.into_iter().map(|o| o.value.unwrap()).sum();
+        assert!(p == c || dropped > 0, "p={p} c={c}: the ingest dirties no pinned row");
+
+        let run = |cache: FeatureCacheConfig, mode: IngestMode| {
+            let backend = Partitioned1p5dBackend::new(dist(p, c)).expect("backend");
+            train_on(backend, &dataset, cache, mode, &events, TransportSelect::Simulator)
+        };
+        let mut delta = Vec::new();
+        for cache in common::cache_modes() {
+            let label = format!("1.5D p={p} c={c} cache={cache:?}");
+            let (d, r) = (run(cache, IngestMode::Delta), run(cache, IngestMode::Rebuild));
+            assert_reports_identical(&d, &r, &label);
+            delta.push(d);
+        }
+        let (off, pinned) = (&delta[0], &delta[1]);
+        for (u, e) in off.epochs.iter().zip(&pinned.epochs) {
+            let label = format!("1.5D p={p} c={c} epoch {}", e.epoch);
+            assert_eq!(e.mean_loss.to_bits(), u.mean_loss.to_bits(), "{label}: loss");
+            assert!(e.comm.words_sent <= u.comm.words_sent, "{label}: words");
+            assert_eq!(e.comm.messages, u.comm.messages, "{label}: messages");
+            assert_eq!(
+                e.comm.words_sent + e.comm.words_saved,
+                u.comm.words_sent,
+                "{label}: sent + saved must equal the uncached bill"
+            );
         }
     }
 }
