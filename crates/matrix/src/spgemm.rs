@@ -26,10 +26,9 @@
 //!    FastGCN extraction).
 //!
 //! **One kernel.**  [`spgemm`], [`spgemm_parallel`] / [`spgemm_parallel_with`]
-//! and the 1.5D stage multiplies [`spgemm_with_fetched_rows`] and
-//! [`spgemm_with_row_lookup`] all run one Gustavson row loop under one
-//! driver.  The row loop reads the right operand through a row lookup (the
-//! identity, the slot of a fetched row, or the slot of a held row),
+//! and the 1.5D stage multiply [`spgemm_with_row_lookup`] all run one
+//! Gustavson row loop under one driver.  The row loop reads the right
+//! operand through a row lookup (the identity, or the slot of a held row),
 //! accumulates every entry from `+0.0` over the left row's columns in
 //! ascending order on a dense accumulator, sorts the touched columns, and
 //! merges the row into a running sum's row with [`CsrMatrix::add`]'s merge
@@ -156,109 +155,21 @@ pub fn spgemm_parallel_with(
     gustavson(lhs, rhs, Some, None, parallelism, &mut ws.workers)
 }
 
-/// Computes `acc + lhs · R`, where the right operand `R` is given as a *set
-/// of rows* of a larger matrix: row `needed[r]` of `R` is row `r` of
-/// `fetched`, and every row not in `needed` is empty.
-///
-/// This is one stage of the sparsity-aware 1.5D algorithm (Algorithm 2 in
-/// the paper): the left block `Q^l_{ik}` only needs the rows of `A_k`
-/// matching its nonzero columns, which are delivered by communication as
-/// one CSR slab and passed here without materialising the full block, and
-/// the stage's product is added to the running sum `acc` of the earlier
-/// stages.
-///
-/// The kernel is the module's Gustavson row loop on `ws`'s scratch, in one
-/// block: a stamped dense lookup over `needed`'s span maps a column of
-/// `lhs` to its fetched row, and each finished row is merged into `acc`'s
-/// row with [`CsrMatrix::add`]'s merge.  The result is therefore
-/// bit-identical to multiplying through a hash map per row and then adding
-/// with a `BTreeMap` per row, and cancellation zeros stay stored.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if `fetched` does not have one
-/// row per entry of `needed`, or `acc` is not `lhs.rows() × fetched.cols()`,
-/// and [`MatrixError::InvalidStructure`] if `needed` is not strictly
-/// increasing or names a row `>= lhs.cols()`, or if the accumulator for
-/// `fetched.cols()` columns cannot be allocated.
-///
-/// # Example
-///
-/// ```
-/// use dmbs_matrix::spgemm::{spgemm, spgemm_with_fetched_rows};
-/// use dmbs_matrix::workspace::SpgemmWorkspace;
-/// use dmbs_matrix::{CooMatrix, CsrMatrix};
-///
-/// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
-/// let a = CsrMatrix::from_coo(&CooMatrix::from_triples(
-///     3, 3, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)],
-/// )?);
-/// let q = CsrMatrix::from_coo(&CooMatrix::from_triples(2, 3, vec![(0, 1, 1.0), (1, 2, 1.0)])?);
-/// // Only rows 1 and 2 of `a` are fetched, which is all `q` reads.
-/// let needed = [1, 2];
-/// let fetched = a.gather_rows(&needed)?;
-/// let zero = CsrMatrix::zeros(2, 3);
-/// let mut ws = SpgemmWorkspace::new();
-/// let p = spgemm_with_fetched_rows(&q, &needed, &fetched, &zero, &mut ws)?;
-/// assert_eq!(p, spgemm(&q, &a)?);
-/// # Ok(())
-/// # }
-/// ```
-pub fn spgemm_with_fetched_rows(
-    lhs: &CsrMatrix,
-    needed: &[usize],
-    fetched: &CsrMatrix,
-    acc: &CsrMatrix,
-    ws: &mut SpgemmWorkspace,
-) -> Result<CsrMatrix> {
-    let out_cols = fetched.cols();
-    if fetched.rows() != needed.len() {
-        return Err(MatrixError::DimensionMismatch {
-            op: "spgemm_with_fetched_rows",
-            lhs: (needed.len(), out_cols),
-            rhs: fetched.shape(),
-        });
-    }
-    if acc.shape() != (lhs.rows(), out_cols) {
-        return Err(MatrixError::DimensionMismatch {
-            op: "spgemm_with_fetched_rows",
-            lhs: (lhs.rows(), out_cols),
-            rhs: acc.shape(),
-        });
-    }
-    if needed.windows(2).any(|w| w[0] >= w[1]) || needed.last().is_some_and(|&k| k >= lhs.cols()) {
-        return Err(MatrixError::InvalidStructure(format!(
-            "fetched row ids must be strictly increasing and below {}",
-            lhs.cols()
-        )));
-    }
-
-    // Dense lookup over the span of `needed`: `lhs` column `k` reads fetched
-    // row `pos[k - lo]` when `stamp[k - lo]` is this call's generation.
-    let lo = needed.first().copied().unwrap_or(0);
-    let span = needed.last().map_or(0, |&hi| hi - lo + 1);
-    let generation = ws.begin_mask(span);
-    for (r, &k) in needed.iter().enumerate() {
-        ws.mask_stamp[k - lo] = generation;
-        ws.mask_pos[k - lo] = r;
-    }
-    let (stamp, pos) = (&ws.mask_stamp, &ws.mask_pos);
-    let slot = |k: usize| {
-        let t = k.wrapping_sub(lo);
-        (t < span && stamp[t] == generation).then(|| pos[t])
-    };
-    gustavson(lhs, fetched, slot, Some(acc), Parallelism::serial(), &mut ws.workers)
-}
-
 /// Computes `acc + lhs · R`, where row `k` of the right operand `R` is row
 /// `row_of(k)` of `rows`, and empty where `row_of(k)` is `None`.
 ///
-/// This is the stage multiply of the 1.5D algorithm over rows a rank holds
-/// across products: its own block row, or the remote rows it has pinned in
-/// arrival order, read in place through the lookup instead of being copied
-/// into a slab per product.  It runs the same Gustavson row loop and merge
-/// as [`spgemm_with_fetched_rows`], so for the same rows it is bit-identical
-/// to it.
+/// This is one stage of the sparsity-aware 1.5D algorithm (Algorithm 2 in
+/// the paper): the left block `Q^l_{ik}` only reads the rows of `A_k`
+/// matching its nonzero columns, and the stage's product is added to the
+/// running sum `acc` of the earlier stages.  The rows are the ones a rank
+/// holds — its own block row, or the remote rows it has fetched, in arrival
+/// order — read in place through the lookup, never copied into a block.
+///
+/// The kernel is the module's Gustavson row loop on `ws`'s scratch, in one
+/// block, and each finished row is merged into `acc`'s row with
+/// [`CsrMatrix::add`]'s merge.  The result is therefore bit-identical to
+/// multiplying through a hash map per row and then adding with a `BTreeMap`
+/// per row, and cancellation zeros stay stored.
 ///
 /// # Errors
 ///
@@ -411,12 +322,12 @@ mod oracle {
         let ids: Vec<usize> = (0..rhs.rows()).collect();
         let rows: Vec<Vec<(usize, f64)>> =
             ids.iter().map(|&k| rhs.row_entries(k).collect()).collect();
-        spgemm_with_fetched_rows(lhs, &ids, &rows, rhs.cols())
+        spgemm_over_rows(lhs, &ids, &rows, rhs.cols())
     }
 
     /// `lhs · R` where row `row_ids[r]` of `R` is `rhs_rows[r]`, through a
     /// `HashMap` lookup and a `HashMap` accumulator per output row.
-    pub(super) fn spgemm_with_fetched_rows(
+    pub(super) fn spgemm_over_rows(
         lhs: &CsrMatrix,
         row_ids: &[usize],
         rhs_rows: &[Vec<(usize, f64)>],
@@ -529,17 +440,19 @@ mod tests {
         };
         let (zero, ws) = (CsrMatrix::zeros(1, 1), &mut SpgemmWorkspace::new());
         let (no_rows, acc) = (CsrMatrix::zeros(0, wide), CsrMatrix::zeros(1, wide));
-        assert!(too_wide(spgemm_with_fetched_rows(&zero, &[], &no_rows, &acc, ws)));
+        assert!(too_wide(spgemm_with_row_lookup(&zero, &no_rows, |_| None, &acc, ws)));
         assert!(too_wide(spgemm_parallel(&zero, &acc, Parallelism::new(2))));
         // The failed growth left the scratch usable.
-        assert_eq!(spgemm_with_fetched_rows(&zero, &[0], &zero, &zero, ws).unwrap(), zero);
+        assert_eq!(spgemm_with_row_lookup(&zero, &zero, Some, &zero, ws).unwrap(), zero);
     }
 
-    /// `lhs · R` for the rows `needed` of `a`, added to nothing.
+    /// `lhs · R` for the rows `needed` of `a`, fetched in that order and
+    /// read through the lookup, added to nothing.
     fn fetched_product(lhs: &CsrMatrix, a: &CsrMatrix, needed: &[usize]) -> Result<CsrMatrix> {
         let fetched = a.gather_rows(needed)?;
         let zero = CsrMatrix::zeros(lhs.rows(), a.cols());
-        spgemm_with_fetched_rows(lhs, needed, &fetched, &zero, &mut SpgemmWorkspace::new())
+        let row_of = |k: usize| needed.iter().position(|&v| v == k);
+        spgemm_with_row_lookup(lhs, &fetched, row_of, &zero, &mut SpgemmWorkspace::new())
     }
 
     #[test]
@@ -564,23 +477,6 @@ mod tests {
         let partial = fetched_product(&q, &a, &[1]).unwrap();
         assert_eq!(partial.row_nnz(0), 3);
         assert_eq!(partial.row_nnz(1), 0);
-    }
-
-    #[test]
-    fn fetched_rows_length_mismatch() {
-        let q = CsrMatrix::identity(2);
-        let ws = &mut SpgemmWorkspace::new();
-        let one_row = CsrMatrix::zeros(1, 2);
-        let two_rows = CsrMatrix::zeros(2, 2);
-        let zero = CsrMatrix::zeros(2, 2);
-        let mismatch =
-            |r: Result<CsrMatrix>| matches!(r, Err(MatrixError::DimensionMismatch { .. }));
-        let invalid = |r: Result<CsrMatrix>| matches!(r, Err(MatrixError::InvalidStructure(_)));
-        assert!(mismatch(spgemm_with_fetched_rows(&q, &[0, 1], &one_row, &zero, ws)));
-        assert!(mismatch(spgemm_with_fetched_rows(&q, &[0], &one_row, &one_row, ws)));
-        assert!(invalid(spgemm_with_fetched_rows(&q, &[1, 0], &two_rows, &zero, ws)));
-        assert!(invalid(spgemm_with_fetched_rows(&q, &[1, 1], &two_rows, &zero, ws)));
-        assert!(invalid(spgemm_with_fetched_rows(&q, &[0, 2], &two_rows, &zero, ws)));
     }
 
     /// A `rows × cols` matrix holding `entries` as given (the last value of
@@ -627,48 +523,13 @@ mod tests {
     }
 
     proptest! {
-        /// The staged dense-accumulator multiply with its merge equals, bit
-        /// for bit, the hash-map multiply followed by the `BTreeMap` add it
-        /// replaced, stage after stage: `Q` rows span several stages, some
-        /// requests are empty, some fetched rows hold no nonzeros and some
-        /// read columns are not fetched at all.
-        #[test]
-        fn prop_staged_fetched_multiply_is_bit_identical_to_the_oracle(
-            (q, a, stages) in arb_staged(),
-        ) {
-            let (stage_count, fetch_kind) = stages;
-            let n = a.rows();
-            let ws = &mut SpgemmWorkspace::new();
-            let mut got = CsrMatrix::zeros(q.rows(), a.cols());
-            let mut want = got.clone();
-            let width = n.div_ceil(stage_count);
-            for stage in 0..stage_count {
-                let block = stage * width..((stage + 1) * width).min(n);
-                // Mostly the rows `q` reads, sometimes an unread row, and
-                // sometimes a read row left out.
-                let needed: Vec<usize> = block
-                    .filter(|&k| match fetch_kind[k] {
-                        0 => true,
-                        1 => false,
-                        _ => q.indices().contains(&k),
-                    })
-                    .collect();
-                let fetched = a.gather_rows(&needed).unwrap();
-                got = spgemm_with_fetched_rows(&q, &needed, &fetched, &got, ws).unwrap();
-                let rows: Vec<Vec<(usize, f64)>> =
-                    needed.iter().map(|&k| a.row_entries(k).collect()).collect();
-                let partial = oracle::spgemm_with_fetched_rows(&q, &needed, &rows, a.cols());
-                want = crate::csr::oracle::add(&want, &partial);
-            }
-            prop_assert_eq!(bits(&got), bits(&want));
-        }
-    }
-
-    proptest! {
-        /// The same stages read through a row lookup over rows held across
-        /// the stages — appended in reverse arrival order, as a rank pins
-        /// them, with each stage seeing only its own block's rows — equal
-        /// the oracle bit for bit too.
+        /// The staged multiply with its merge, reading rows held across the
+        /// stages through a row lookup — appended in reverse arrival order,
+        /// as a rank holds them, with each stage seeing only its own block's
+        /// rows — equals, bit for bit, the hash-map multiply followed by the
+        /// `BTreeMap` add it replaced, stage after stage: `Q` rows span
+        /// several stages, some requests are empty, some fetched rows hold
+        /// no nonzeros and some read columns are not fetched at all.
         #[test]
         fn prop_staged_lookup_multiply_is_bit_identical_to_the_oracle(
             (q, a, stages) in arb_staged(),
@@ -700,7 +561,7 @@ mod tests {
                 got = spgemm_with_row_lookup(&q, &held, row_of, &got, ws).unwrap();
                 let rows: Vec<Vec<(usize, f64)>> =
                     needed.iter().map(|&k| a.row_entries(k).collect()).collect();
-                let partial = oracle::spgemm_with_fetched_rows(&q, &needed, &rows, a.cols());
+                let partial = oracle::spgemm_over_rows(&q, &needed, &rows, a.cols());
                 want = crate::csr::oracle::add(&want, &partial);
             }
             prop_assert_eq!(bits(&got), bits(&want));

@@ -48,10 +48,9 @@
 //! # }
 //! ```
 
-use crate::partitioned::{assign_batches_to_rows, flatten_row_outputs, RankRows};
+use crate::partitioned::{assign_batches_to_rows, RankRows};
 use crate::pipeline::{self, RowSource};
 use crate::plan::{BulkSampleOutput, MinibatchSample};
-use crate::replicated::assign_batches_round_robin;
 use crate::sampler::{check_square, validate_batches, BulkSamplerConfig, Sampler};
 use crate::spec::SamplerSpec;
 use crate::{Result, SamplingError};
@@ -168,19 +167,6 @@ impl EpochSamples {
         self.per_unit.iter().map(|u| u.comm_stats.messages).max().unwrap_or(0)
     }
 
-    /// Appends one bulk group sampled by `units` round-robin (unit `u` owns
-    /// the group's batches `u, u + units.len(), …`): books each unit's
-    /// statistics and restores the group's batch order.
-    fn push_group(&mut self, units: Vec<BulkSampleOutput>, group_len: usize) -> Result<()> {
-        for (stats, out) in self.per_unit.iter_mut().zip(&units) {
-            stats.num_batches += out.num_batches();
-            stats.profile.merge_sum(&out.profile);
-            stats.comm_stats.merge(&out.comm_stats);
-        }
-        self.output.merge(flatten_row_outputs(units, group_len)?);
-        Ok(())
-    }
-
     /// Appends another epoch's samples (e.g. the next bulk group), summing
     /// unit statistics elementwise.
     pub fn merge(&mut self, other: EpochSamples) {
@@ -218,10 +204,13 @@ pub struct GroupShard {
 /// the sampling algorithm.
 ///
 /// Implementations provide two entry points: [`sample_epoch`] drives a whole
-/// epoch from outside any SPMD region (spawning ranks internally as needed),
-/// and [`sample_group_on_rank`] samples one bulk group from *inside* a
-/// training pipeline's SPMD region, so that sampling composes with
-/// distributed feature fetching and gradient all-reduces (§6, Figure 3).
+/// epoch from outside any SPMD region, and [`sample_group_on_rank`] samples
+/// one bulk group from *inside* a training pipeline's SPMD region, so that
+/// sampling composes with distributed feature fetching and gradient
+/// all-reduces (§6, Figure 3).  On the distributed backends the first is
+/// the second run on every rank of the backend's runtime, group by group:
+/// one code path samples both, with the same minibatches and the same
+/// communication.
 ///
 /// [`sample_epoch`]: SamplingBackend::sample_epoch
 /// [`sample_group_on_rank`]: SamplingBackend::sample_group_on_rank
@@ -258,7 +247,9 @@ pub trait SamplingBackend {
     /// Samples every minibatch of an epoch: `batches` are split into bulk
     /// groups of `bulk().bulk_size`, each group is sampled with the backend's
     /// distribution strategy under [`group_seed`]`(seed, group)`, and the
-    /// results are flattened back into the original batch order.
+    /// results are flattened back into the original batch order.  A
+    /// distributed backend spawns its ranks and runs
+    /// [`SamplingBackend::sample_group_on_rank`] on every one of them.
     ///
     /// # Errors
     ///
@@ -278,7 +269,8 @@ pub trait SamplingBackend {
     /// call this collectively with identical `group` and `seed`.
     ///
     /// This is [`SamplingBackend::sample_group_on_rank_with`] holding no
-    /// rows across calls: every product fetches the rows it reads.
+    /// rows across calls: every product holds the rows it fetches for
+    /// itself alone.
     ///
     /// # Errors
     ///
@@ -317,9 +309,8 @@ pub trait SamplingBackend {
         seed: u64,
         _rows: Option<&mut RankRows>,
     ) -> Result<GroupShard> {
-        let p = comm.size();
         let rank = comm.rank();
-        let indices: Vec<usize> = (0..group.len()).filter(|i| i % p == rank).collect();
+        let indices = assign_batches_to_rows(group.len(), comm.size()).swap_remove(rank);
         if indices.is_empty() {
             return Ok(GroupShard::default());
         }
@@ -332,6 +323,70 @@ pub trait SamplingBackend {
             profile: out.profile,
         })
     }
+}
+
+/// `sample_epoch` of a distributed backend: every bulk group is
+/// [`SamplingBackend::sample_group_on_rank`] run on every rank of `runtime`
+/// under [`group_seed`]`(seed, group)`, and the shards' slots restore the
+/// group's batch order.
+///
+/// A unit is `runtime.size() / backend.units()` consecutive ranks — one
+/// rank when every rank samples for itself, a process row on the grid — and
+/// its first rank reports the unit's profile and communication (its comm
+/// delta around the call), since every rank of a process row runs the same
+/// products.  A unit's `num_batches` counts the shards of all its ranks.
+fn sample_epoch_on_every_rank<B, S>(
+    backend: &B,
+    runtime: &Runtime,
+    sampler: &S,
+    adjacency: &CsrMatrix,
+    batches: &[Vec<usize>],
+    seed: u64,
+) -> Result<EpochSamples>
+where
+    B: SamplingBackend + Sync,
+    S: Sampler + Sync,
+{
+    let units = backend.units();
+    let ranks_per_unit = runtime.size() / units;
+    let mut epoch = EpochSamples {
+        output: BulkSampleOutput::default(),
+        per_unit: (0..units).map(|unit| UnitStats { unit, ..Default::default() }).collect(),
+    };
+    for (gi, group) in batches.chunks(backend.bulk().bulk_size).enumerate() {
+        let gseed = group_seed(seed, gi);
+        let shards = runtime.run(|comm| {
+            let before = comm.stats();
+            let shard = backend.sample_group_on_rank(comm, sampler, adjacency, group, gseed)?;
+            Ok::<_, SamplingError>((shard, comm.stats().since(&before)))
+        })?;
+        let mut out = BulkSampleOutput::default();
+        let mut ordered: Vec<Option<MinibatchSample>> = vec![None; group.len()];
+        for shard in shards {
+            let (GroupShard { samples, profile }, comm_stats) = shard.value?;
+            let stats = &mut epoch.per_unit[shard.rank / ranks_per_unit];
+            stats.num_batches += samples.len();
+            if shard.rank % ranks_per_unit == 0 {
+                stats.profile.merge_sum(&profile);
+                stats.comm_stats.merge(&comm_stats);
+                out.profile.merge_max(&profile);
+                out.comm_stats.merge(&comm_stats);
+            }
+            for (slot, mb) in samples {
+                ordered[slot] = Some(mb);
+            }
+        }
+        out.minibatches = ordered
+            .into_iter()
+            .map(|mb| {
+                mb.ok_or_else(|| {
+                    SamplingError::InvalidConfig("a minibatch was sampled by no rank".into())
+                })
+            })
+            .collect::<Result<_>>()?;
+        epoch.output.merge(out);
+    }
+    Ok(epoch)
 }
 
 /// Single-device backend: the plain bulk matrix pipeline of §4, one unit, no
@@ -489,31 +544,7 @@ impl SamplingBackend for ReplicatedBackend {
     ) -> Result<EpochSamples> {
         self.dist.validate()?;
         check_square(adjacency)?;
-        let p = self.dist.ranks;
-        let mut epoch = EpochSamples {
-            output: BulkSampleOutput::default(),
-            per_unit: (0..p).map(|unit| UnitStats { unit, ..Default::default() }).collect(),
-        };
-
-        for (gi, group) in batches.chunks(self.dist.bulk.bulk_size).enumerate() {
-            let gseed = group_seed(seed, gi);
-            let assignment = assign_batches_round_robin(group.len(), p);
-            let per_rank = self.runtime.run(|comm| {
-                let rank = comm.rank();
-                let my_batches: Vec<Vec<usize>> =
-                    assignment[rank].iter().map(|&i| group[i].clone()).collect();
-                if my_batches.is_empty() {
-                    return Ok(BulkSampleOutput::default());
-                }
-                let mut rng = StdRng::seed_from_u64(gseed.wrapping_add(rank as u64));
-                let config = BulkSamplerConfig { bulk_size: my_batches.len(), ..self.dist.bulk };
-                sampler.sample_bulk(adjacency, &my_batches, &config, &mut rng)
-            })?;
-
-            let per_rank = per_rank.into_iter().map(|out| out.value).collect::<Result<_>>()?;
-            epoch.push_group(per_rank, group.len())?;
-        }
-        Ok(epoch)
+        sample_epoch_on_every_rank(self, &self.runtime, sampler, adjacency, batches, seed)
     }
 }
 
@@ -584,46 +615,6 @@ impl Partitioned1p5dBackend {
             backend: self.name(),
         })
     }
-
-    /// Runs one bulk group across the grid and returns the per-process-row
-    /// outputs (taken from each row's column-0 rank).
-    fn run_group(
-        &self,
-        spec: &SamplerSpec,
-        grid: &ProcessGrid,
-        a_blocks: &[CsrMatrix],
-        vertex_partition: &OneDPartition,
-        group: &[Vec<usize>],
-        seed: u64,
-    ) -> Result<Vec<BulkSampleOutput>> {
-        let row_assignment = assign_batches_to_rows(group.len(), grid.rows());
-        let outputs = self.runtime.run(|comm| {
-            let (my_row, _) = grid.coords(comm.rank());
-            let my_batches: Vec<Vec<usize>> =
-                row_assignment[my_row].iter().map(|&i| group[i].clone()).collect();
-            let source = RowSource::OneFiveD {
-                comm,
-                grid,
-                block: &a_blocks[my_row],
-                pins: None,
-                partition: vertex_partition,
-                seed,
-            };
-            pipeline::sample(spec, source, &my_batches, self.dist.bulk.parallelism)
-        })?;
-
-        let mut per_row = Vec::with_capacity(grid.rows());
-        for out in outputs {
-            let (_, col) = grid.coords(out.rank);
-            if col == 0 {
-                per_row.push(out.value?);
-            } else {
-                // Non-reporting ranks still surface their errors.
-                out.value?;
-            }
-        }
-        Ok(per_row)
-    }
 }
 
 impl SamplingBackend for Partitioned1p5dBackend {
@@ -660,31 +651,8 @@ impl SamplingBackend for Partitioned1p5dBackend {
     ) -> Result<EpochSamples> {
         self.dist.validate()?;
         check_square(adjacency)?;
-        let spec = self.sampler_spec(sampler)?;
-        let grid = self.grid()?;
-        let n = adjacency.rows();
-        let vertex_partition = OneDPartition::new(n, grid.rows())?;
-        let a_blocks = vertex_partition.split_csr(adjacency)?;
-
-        let mut epoch = EpochSamples {
-            output: BulkSampleOutput::default(),
-            per_unit: (0..grid.rows())
-                .map(|unit| UnitStats { unit, ..Default::default() })
-                .collect(),
-        };
-        for (gi, group) in batches.chunks(self.dist.bulk.bulk_size).enumerate() {
-            validate_batches(group, n)?;
-            let per_row = self.run_group(
-                &spec,
-                &grid,
-                &a_blocks,
-                &vertex_partition,
-                group,
-                group_seed(seed, gi),
-            )?;
-            epoch.push_group(per_row, group.len())?;
-        }
-        Ok(epoch)
+        self.sampler_spec(sampler)?;
+        sample_epoch_on_every_rank(self, &self.runtime, sampler, adjacency, batches, seed)
     }
 
     fn sample_group_on_rank_with<S: Sampler + Sync>(
@@ -1007,5 +975,43 @@ mod tests {
         total.merge(more);
         assert_eq!(total.num_batches(), 2);
         assert_eq!(total.per_unit[0].num_batches, 2);
+    }
+
+    #[test]
+    fn partitioned_epoch_books_are_pinned_per_unit() {
+        // Every process row's `(num_batches, words_sent, messages)` over a
+        // three-group epoch, for a node-wise and a layer-wise sampler.  The
+        // epoch totals are checked elsewhere; a change to how the epoch
+        // driver runs its groups, or to which rank's books a unit reports,
+        // fails here.
+        let a = random_graph(7, 6, 21);
+        let n = a.rows();
+        let batches: Vec<Vec<usize>> =
+            (0..10).map(|i| (0..4).map(|j| (i * 13 + j * 37) % n).collect()).collect();
+        fn books<S: Sampler + Sync>(
+            p: usize,
+            sampler: &S,
+            a: &CsrMatrix,
+            batches: &[Vec<usize>],
+        ) -> Vec<(usize, usize, usize)> {
+            let bulk = BulkSamplerConfig::new(4, 4);
+            let backend = Partitioned1p5dBackend::new(DistConfig::new(p, 2, bulk)).unwrap();
+            let epoch = backend.sample_epoch(sampler, a, batches, 3).unwrap();
+            assert_eq!(epoch.num_batches(), batches.len());
+            let units = epoch.per_unit.iter();
+            units.map(|u| (u.num_batches, u.comm_stats.words_sent, u.comm_stats.messages)).collect()
+        }
+        let sage = GraphSageSampler::new(vec![4, 3]);
+        let ladies = LadiesSampler::new(2, 16);
+        assert_eq!(books(4, &sage, &a, &batches), [(5, 3499, 12), (5, 2345, 12)]);
+        assert_eq!(books(4, &ladies, &a, &batches), [(5, 6713, 24), (5, 4418, 24)]);
+        assert_eq!(
+            books(8, &sage, &a, &batches),
+            [(3, 3237, 30), (3, 1595, 30), (2, 729, 18), (2, 1053, 18)]
+        );
+        assert_eq!(
+            books(8, &ladies, &a, &batches),
+            [(3, 5888, 60), (3, 3346, 60), (2, 1635, 36), (2, 1982, 36)]
+        );
     }
 }

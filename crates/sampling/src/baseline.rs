@@ -6,10 +6,6 @@
 //!   and no bulk amortization.  It produces the same [`MinibatchSample`]
 //!   structure as the matrix samplers so the training pipeline can run on
 //!   either.
-//! * [`MemoryModel`] — charges a modeled access cost per touched adjacency
-//!   row, emulating the difference between GPU-resident graph sampling and
-//!   Quiver's UVA sampling (graph in host DRAM accessed over PCIe), which is
-//!   what Figure 5 compares.
 //! * [`ladies_reference`] — a straightforward per-batch CPU LADIES
 //!   implementation, the reference the paper's §8.2.2 compares its
 //!   distributed LADIES against.
@@ -21,33 +17,6 @@ use crate::{Result, SamplingError};
 use dmbs_comm::{Phase, PhaseProfile};
 use dmbs_matrix::{CooMatrix, CsrMatrix};
 use rand::{Rng, RngCore};
-use serde::{Deserialize, Serialize};
-
-/// Where the graph topology lives for the baseline sampler, and what each
-/// random row access costs.
-///
-/// The numbers are modeled seconds per accessed adjacency row and follow the
-/// bandwidth ratio between HBM (GPU-resident sampling) and PCIe-attached host
-/// memory (UVA sampling): roughly 1550 GB/s vs 25 GB/s in the paper's
-/// Perlmutter nodes, i.e. a ~60× gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MemoryModel {
-    /// Graph fully resident in device memory (Quiver-GPU).
-    DeviceResident,
-    /// Graph in host DRAM accessed through a unified address space over PCIe
-    /// (Quiver-UVA).
-    UnifiedVirtualAddressing,
-}
-
-impl MemoryModel {
-    /// Modeled seconds charged per adjacency row touched during sampling.
-    pub fn seconds_per_row_access(&self) -> f64 {
-        match self {
-            MemoryModel::DeviceResident => 25.0e-9,
-            MemoryModel::UnifiedVirtualAddressing => 1.5e-6,
-        }
-    }
-}
 
 /// A Quiver-style per-vertex GraphSAGE sampler: no matrices, no bulk
 /// amortization — each minibatch is sampled on its own by walking neighbor
@@ -55,13 +24,12 @@ impl MemoryModel {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PerVertexSageSampler {
     fanouts: Vec<usize>,
-    memory: MemoryModel,
     include_self_loops: bool,
 }
 
 impl PerVertexSageSampler {
     /// Creates a per-vertex sampler with the given per-step fanouts
-    /// (outermost first) and a device-resident graph.
+    /// (outermost first).
     ///
     /// # Panics
     ///
@@ -69,34 +37,13 @@ impl PerVertexSageSampler {
     pub fn new(fanouts: Vec<usize>) -> Self {
         assert!(!fanouts.is_empty(), "per-vertex SAGE needs at least one layer fanout");
         assert!(fanouts.iter().all(|&s| s > 0), "fanouts must be positive");
-        PerVertexSageSampler {
-            fanouts,
-            memory: MemoryModel::DeviceResident,
-            include_self_loops: false,
-        }
-    }
-
-    /// Uses the given memory model (Figure 5's GPU vs UVA comparison).
-    pub fn with_memory_model(mut self, memory: MemoryModel) -> Self {
-        self.memory = memory;
-        self
+        PerVertexSageSampler { fanouts, include_self_loops: false }
     }
 
     /// Adds self-loops like [`crate::GraphSageSampler::with_self_loops`].
     pub fn with_self_loops(mut self) -> Self {
         self.include_self_loops = true;
         self
-    }
-
-    /// The memory model in effect.
-    pub fn memory_model(&self) -> MemoryModel {
-        self.memory
-    }
-
-    /// Modeled memory-access seconds accumulated for `rows_touched` adjacency
-    /// rows.
-    pub fn modeled_access_time(&self, rows_touched: usize) -> f64 {
-        self.memory.seconds_per_row_access() * rows_touched as f64
     }
 }
 
@@ -180,15 +127,11 @@ impl Sampler for PerVertexSageSampler {
         validate_batches(batches, adjacency.rows())?;
         let mut profile = PhaseProfile::new();
         let mut minibatches = Vec::with_capacity(batches.len());
-        let mut rows_touched = 0usize;
         for batch in batches {
             let mb = profile
                 .time_compute(Phase::Sampling, || self.sample_minibatch(adjacency, batch, rng))?;
-            rows_touched += mb.layers.iter().map(|l| l.rows.len()).sum::<usize>();
             minibatches.push(mb);
         }
-        // Charge the modeled memory-access time (the UVA / GPU distinction).
-        profile.add_compute(Phase::Sampling, self.modeled_access_time(rows_touched));
         Ok(BulkSampleOutput { minibatches, profile, comm_stats: Default::default() })
     }
 }
@@ -275,13 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_model_gap_matches_hbm_vs_pcie() {
-        let fast = MemoryModel::DeviceResident.seconds_per_row_access();
-        let slow = MemoryModel::UnifiedVirtualAddressing.seconds_per_row_access();
-        assert!(slow / fast > 20.0, "UVA accesses should be much slower than HBM");
-    }
-
-    #[test]
     fn per_vertex_sampler_respects_fanout_and_edges() {
         let a = adjacency();
         let sampler = PerVertexSageSampler::new(vec![2, 2]);
@@ -316,22 +252,6 @@ mod tests {
         p_cols.sort_unstable();
         assert_eq!(m_cols, p_cols);
         assert_eq!(matrix.layers[0].num_edges(), pervertex.layers[0].num_edges());
-    }
-
-    #[test]
-    fn uva_model_is_slower_than_device() {
-        let a = adjacency();
-        let batches = vec![vec![1, 5], vec![0, 3]];
-        let cfg = BulkSamplerConfig::new(2, 2);
-        let gpu = PerVertexSageSampler::new(vec![2]);
-        let uva = PerVertexSageSampler::new(vec![2])
-            .with_memory_model(MemoryModel::UnifiedVirtualAddressing);
-        assert_eq!(uva.memory_model(), MemoryModel::UnifiedVirtualAddressing);
-        // Modeled access time for the same number of touched rows is larger.
-        assert!(uva.modeled_access_time(1000) > gpu.modeled_access_time(1000));
-        // Both still sample successfully.
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(gpu.sample_bulk(&a, &batches, &cfg, &mut rng).unwrap().num_batches(), 2);
     }
 
     #[test]

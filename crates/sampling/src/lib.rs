@@ -49,10 +49,9 @@
 //! probability rows, including the per-row-seeded parallel
 //! [`its::sample_rows_par`] whose output is byte-identical at any thread
 //! count (the [`BulkSamplerConfig::parallelism`] knob); [`baseline`] —
-//! per-vertex samplers standing in for Quiver/DGL (including a UVA-style
-//! slow-memory model) and a reference per-batch CPU LADIES; [`replicated`] /
-//! [`partitioned`] — the batch assignment and the 1.5D SpGEMM behind the
-//! distributed backends.
+//! a per-vertex sampler standing in for Quiver/DGL and a reference
+//! per-batch CPU LADIES; [`replicated`] / [`partitioned`] — the batch
+//! assignment and the 1.5D SpGEMM behind the distributed backends.
 //!
 //! # Example: one sampler, two distribution strategies
 //!

@@ -15,21 +15,26 @@
 //! one CSR slab — row lengths, column indices and values of the requested
 //! rows, in request order — so it costs `rows + 2·nnz` words, exactly what
 //! one `(row id, row)` pair per row cost before it: a length word replaces
-//! the id word, which the requester does not need back.  The requester
-//! validates the slab as a CSR block (`CsrMatrix::from_raw`) before the
-//! stage multiply indexes its dense scratch with the slab's column ids, so a
-//! malformed reply is a typed error, not a panic.  The stage multiply
-//! (`spgemm_with_fetched_rows`) adds its product to the earlier stages' sum
-//! with a row merge, bit-identical to the hash-map multiply and `BTreeMap`
-//! add it replaced.
+//! the id word, which the requester does not need back.
 //!
+//! Every stage has one owner branch and one requester branch.  The owner
+//! reads its own block in place and sends itself nothing.  A requester
+//! reads `A` through a store of held rows (`PinnedRows`): it asks only for
+//! the rows the store does not hold, validates the slab as a CSR block
+//! (`CsrMatrix::from_raw`) before the multiply indexes its dense scratch
+//! with the slab's column ids — so a malformed reply is a typed error, not
+//! a panic — and holds it.  Both multiply through the row lookup
+//! `spgemm_with_row_lookup`, which adds the stage's product to the earlier
+//! stages' sum with a row merge, bit-identical to the hash-map multiply and
+//! `BTreeMap` add it replaced.
+//!
+//! The store lives for one product, unless the caller holds a [`RankRows`]:
 //! `A` is static between ingests, so under the pinned schedule a rank keeps
-//! the rows it reads in a [`RankRows`] for the whole run: its block row,
-//! sliced once per graph version, and every remote row it has fetched.
-//! Later products request only the rows not yet held, and the stage
-//! multiply (`spgemm_with_row_lookup`) reads the held rows in place, so
-//! each remote row crosses the wire once per run with bit-identical
-//! products.
+//! its block row, sliced once per graph version, and every remote row it
+//! has fetched for the whole run.  Each remote row then crosses the wire
+//! once per run with bit-identical products, and the words a held row kept
+//! off the wire are booked as saved, so `words_sent + words_saved` is what
+//! the same run sends with a store per product.
 //!
 //! Sampling from the resulting probability rows needs no communication
 //! (§5.2.2).  Extraction is row-local for every sampler (§5.2.3): GraphSAGE
@@ -37,13 +42,12 @@
 //! rows of `A` with the same 1.5D SpGEMM, after which each rank filters the
 //! columns of every batch of its process row itself.  The samplers run here
 //! through the crate's one matrix pipeline; this module holds the SpGEMM and
-//! the batch-to-process-row assignment.
+//! the round-robin batch assignment.
 
-use crate::plan::{BulkSampleOutput, MinibatchSample};
 use crate::{Result, SamplingError};
 use dmbs_comm::{Communicator, Group, Phase, PhaseProfile, ProcessGrid};
 use dmbs_graph::partition::OneDPartition;
-use dmbs_matrix::spgemm::{spgemm_with_fetched_rows, spgemm_with_row_lookup};
+use dmbs_matrix::spgemm::spgemm_with_row_lookup;
 use dmbs_matrix::workspace::with_workspace;
 use dmbs_matrix::{CooMatrix, CsrMatrix, MatrixError};
 use std::ops::Range;
@@ -72,8 +76,9 @@ type RowSlab = (Vec<usize>, Vec<usize>, Vec<f64>);
 /// Computation time is recorded into `profile` under `phase`; communication
 /// time is recorded under the same phase from the α–β model.
 ///
-/// Every call fetches every remote row it reads; the pinned schedule reads
-/// the rows a rank holds in a [`RankRows`] instead.
+/// Every call fetches every remote row it reads, into a store of held rows
+/// that lives for this product alone; the pinned schedule holds the rows in
+/// a [`RankRows`] across products instead.
 ///
 /// # Errors
 ///
@@ -93,20 +98,22 @@ pub fn spgemm_1p5d_sparsity_aware(
     spgemm_1p5d(comm, grid, my_q_block, my_a_block, None, vertex_partition, profile, phase)
 }
 
-/// [`spgemm_1p5d_sparsity_aware`], reading the remote rows of `A` from
-/// `pins` when given.  A requester then asks each owner only for the rows
-/// of `needed` it has not pinned, pins what arrives, and books the words
-/// every pinned row kept off the wire; the owner reads its own rows in
-/// place.  The gather and the replies still run, with shorter lists, so the
-/// message schedule is the same, and the stage multiply reads the same rows
-/// in the same order, so the product is bit-identical.
+/// [`spgemm_1p5d_sparsity_aware`], reading the remote rows of `A` through
+/// `pins`, the store of rows this rank holds, or through a store of its own
+/// that lives for this product when none is given.  A requester asks each
+/// owner only for the rows of `needed` it does not hold, holds what arrives,
+/// and books the words every held row kept off the wire; the owner reads
+/// its own rows in place and sends itself nothing.  The gather and the
+/// replies run whatever the store holds, so the message schedule is the
+/// same, and the stage multiply reads the same rows in the same order, so
+/// the product is bit-identical.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spgemm_1p5d(
     comm: &mut Communicator,
     grid: &ProcessGrid,
     my_q_block: &CsrMatrix,
     my_a_block: &CsrMatrix,
-    mut pins: Option<&mut PinnedRows>,
+    pins: Option<&mut PinnedRows>,
     vertex_partition: &OneDPartition,
     profile: &mut PhaseProfile,
     phase: Phase,
@@ -137,6 +144,14 @@ pub(crate) fn spgemm_1p5d(
 
     let col_group = Group::new(&grid.col_ranks(rank))?;
     let comm_before = comm.stats().modeled_time;
+    let mut one_product;
+    let pins = match pins {
+        Some(pins) => pins,
+        None => {
+            one_product = PinnedRows::new(n);
+            &mut one_product
+        }
+    };
 
     // Nonzero columns of my Q block, sorted — the sparsity pattern that the
     // sparsity-aware algorithm exploits.
@@ -162,46 +177,29 @@ pub(crate) fn spgemm_1p5d(
         let hi = q_nonzero_cols.partition_point(|&c| c < block_range.end);
         let needed = &q_nonzero_cols[lo..hi];
 
-        p_hat = match pins.as_deref_mut() {
-            None => {
-                // Gather every member's request list at the owner of A_k,
-                // which answers each with one slab of the needed rows.
-                let requests = comm.group_gather(&col_group, owner, needed.to_vec())?;
-                let slab = if rank == owner {
-                    serve_requests(comm, &col_group, my_a_block, &block_range, requests)?
-                } else {
-                    comm.recv::<RowSlab>(owner)?
-                };
-                // Local sparsity-aware multiply with only the fetched rows,
-                // added to the earlier stages' sum.
-                profile.time_compute(phase, || stage_multiply(my_q_block, needed, slab, &p_hat))?
-            }
-            Some(_) if rank == owner => {
-                // The owner asks for nothing and reads its own rows in place.
-                let requests = comm.group_gather(&col_group, owner, Vec::new())?;
-                serve_requests(comm, &col_group, my_a_block, &block_range, requests)?;
-                let start = block_range.start;
-                let row_of = |k: usize| block_range.contains(&k).then(|| k - start);
-                profile.time_compute(phase, || -> Result<CsrMatrix> {
-                    Ok(with_workspace(|ws| {
-                        spgemm_with_row_lookup(my_q_block, my_a_block, row_of, &p_hat, ws)
-                    })?)
-                })?
-            }
-            Some(pins) => {
-                // A requester asks only for the rows it has not pinned, pins
-                // the reply and reads every needed row from its pins.
-                comm.group_gather(&col_group, owner, pins.request(needed))?;
-                let slab = comm.recv::<RowSlab>(owner)?;
-                profile.time_compute(phase, || -> Result<CsrMatrix> {
-                    pins.pin(needed, slab)?;
-                    let row_of =
-                        |k: usize| if block_range.contains(&k) { pins.slot(k) } else { None };
-                    Ok(with_workspace(|ws| {
-                        spgemm_with_row_lookup(my_q_block, &pins.rows, row_of, &p_hat, ws)
-                    })?)
-                })?
-            }
+        p_hat = if rank == owner {
+            // The owner asks for nothing and reads its own rows in place.
+            let requests = comm.group_gather(&col_group, owner, Vec::new())?;
+            serve_requests(comm, &col_group, my_a_block, &block_range, requests)?;
+            let start = block_range.start;
+            let row_of = |k: usize| block_range.contains(&k).then(|| k - start);
+            profile.time_compute(phase, || -> Result<CsrMatrix> {
+                Ok(with_workspace(|ws| {
+                    spgemm_with_row_lookup(my_q_block, my_a_block, row_of, &p_hat, ws)
+                })?)
+            })?
+        } else {
+            // A requester asks only for the rows it does not hold, holds the
+            // reply and reads every needed row from its store.
+            comm.group_gather(&col_group, owner, pins.request(needed))?;
+            let slab = comm.recv::<RowSlab>(owner)?;
+            profile.time_compute(phase, || -> Result<CsrMatrix> {
+                pins.pin(needed, slab)?;
+                let row_of = |k: usize| if block_range.contains(&k) { pins.slot(k) } else { None };
+                Ok(with_workspace(|ws| {
+                    spgemm_with_row_lookup(my_q_block, &pins.rows, row_of, &p_hat, ws)
+                })?)
+            })?
         };
     }
 
@@ -226,33 +224,29 @@ pub(crate) fn spgemm_1p5d(
     Ok(p_full)
 }
 
-/// The owner's side of one stage: answers every gathered request of the
-/// process column with one slab of its block (which holds the global rows
-/// `block_range`), and returns the slab of its own request, which never
-/// travels.
+/// The owner's side of one stage: answers the gathered request of every
+/// other rank of the process column with one slab of its block (which holds
+/// the global rows `block_range`).  Its own request is empty: it reads its
+/// block in place.
 fn serve_requests(
     comm: &mut Communicator,
     col_group: &Group,
     block: &CsrMatrix,
     block_range: &Range<usize>,
     requests: Option<Vec<Vec<usize>>>,
-) -> Result<RowSlab> {
+) -> Result<()> {
     let rank = comm.rank();
     let requests = requests.ok_or_else(|| {
         SamplingError::InvalidConfig(format!(
             "rank {rank} owns the block of rows {block_range:?} but gathered no requests"
         ))
     })?;
-    let mut own = RowSlab::default();
     for (&peer, request) in col_group.ranks().iter().zip(&requests) {
-        let reply = reply_slab(block, block_range, request)?;
-        if peer == rank {
-            own = reply;
-        } else {
-            comm.send(peer, reply)?;
+        if peer != rank {
+            comm.send(peer, reply_slab(block, block_range, request)?)?;
         }
     }
-    Ok(own)
+    Ok(())
 }
 
 /// The owner's slab for one request: the rows `request` of its block
@@ -280,22 +274,10 @@ fn reply_slab(block: &CsrMatrix, block_range: &Range<usize>, request: &[usize]) 
     Ok((lens, indices, values))
 }
 
-/// One stage of Algorithm 2 on the requesting rank: `p_hat + Q · A_k`,
-/// with `A_k`'s rows `needed` taken from the owner's `slab`.
-fn stage_multiply(
-    q: &CsrMatrix,
-    needed: &[usize],
-    slab: RowSlab,
-    p_hat: &CsrMatrix,
-) -> Result<CsrMatrix> {
-    let fetched = slab_rows(needed.len(), p_hat.cols(), slab)?;
-    Ok(with_workspace(|ws| spgemm_with_fetched_rows(q, needed, &fetched, p_hat, ws))?)
-}
-
 /// The `rows × cols` CSR block a slab holds.
 ///
-/// The slab came off the wire, and the multiply indexes its scratch with
-/// the slab's column ids, so it is validated first: one length per
+/// The slab came off the wire, and the stage multiply indexes its scratch
+/// with the slab's column ids, so it is validated first: one length per
 /// requested row, lengths that sum without overflow to the number of
 /// column ids, one value per column id, and rows of strictly increasing
 /// columns below `cols`.  A malformed slab is a typed error, never a panic.
@@ -327,12 +309,13 @@ fn slab_rows(rows: usize, cols: usize, slab: RowSlab) -> Result<CsrMatrix> {
 /// [`SamplingBackend::sample_group_on_rank_with`] passes it to the 1.5D
 /// SpGEMM, which then fetches each remote row once per run instead of once
 /// per product: the §6.2 pinned schedule applied to `A` as to the feature
-/// rows.  Pinning is pure work avoidance: every product, and so every
-/// sample, is bit-identical to the unpinned run, and the words a pinned row
-/// keeps off the wire — its request id, its length word and its `2·nnz`
-/// entries — are booked in [`RankRows::take_words_saved`], so that
-/// `words_sent + words_saved` equals the unpinned bill.  Without ingest a
-/// rank pins at most its remote rows, `n − |own block|`.
+/// rows.  Without it each product holds the rows it fetches for itself
+/// alone.  Pinning is pure work avoidance: every product, and so every
+/// sample, is bit-identical to that run, and the words a pinned row keeps
+/// off the wire — its request id, its length word and its `2·nnz` entries —
+/// are booked in [`RankRows::take_words_saved`], so that `words_sent +
+/// words_saved` equals that run's bill.  Without ingest a rank pins at most
+/// its remote rows, `n − |own block|`.
 ///
 /// A caller that changes the adjacency must pass every changed row to
 /// [`RankRows::invalidate`] before the next product.
@@ -394,8 +377,9 @@ impl RankRows {
 /// The slot of a row that is not pinned.
 const NOT_PINNED: usize = usize::MAX;
 
-/// Remote rows of `A`, pinned in arrival order: row `v` of `A` is row
-/// `slots[v]` of `rows`.
+/// Remote rows of `A` a rank holds, in arrival order: row `v` of `A` is row
+/// `slots[v]` of `rows`.  Every requester reads `A` through one: a
+/// [`RankRows`]'s for the whole run, or one that lives for a single product.
 #[derive(Debug)]
 pub(crate) struct PinnedRows {
     rows: CsrMatrix,
@@ -423,7 +407,7 @@ impl PinnedRows {
     /// Each pinned one is a hit that keeps `2 + 2·nnz` words off the wire:
     /// its id in the request, its length and entries in the reply.
     fn request(&mut self, needed: &[usize]) -> Vec<usize> {
-        let mut missing = Vec::new();
+        let mut missing = Vec::with_capacity(needed.len());
         for &v in needed {
             match self.slot(v) {
                 Some(slot) => self.words_saved += 2 + 2 * self.rows.row_nnz(slot),
@@ -434,12 +418,16 @@ impl PinnedRows {
     }
 
     /// Validates the owner's slab of the rows of `needed` this rank
-    /// requested, then pins them.
+    /// requested, then pins them.  An empty store adopts the slab as it is.
     fn pin(&mut self, needed: &[usize], slab: RowSlab) -> Result<()> {
         let requested = needed.iter().filter(|&&v| self.slots[v] == NOT_PINNED).count();
         let fetched = slab_rows(requested, self.rows.cols(), slab)?;
         let mut next = self.rows.rows();
-        self.rows.append_rows(&fetched)?;
+        if next == 0 {
+            self.rows = fetched;
+        } else {
+            self.rows.append_rows(&fetched)?;
+        }
         for &v in needed {
             if self.slots[v] == NOT_PINNED {
                 self.slots[v] = next;
@@ -472,48 +460,16 @@ impl PinnedRows {
     }
 }
 
-/// Assigns minibatch indices to process rows round-robin (process row `r`
-/// owns batches `r, r + rows, …`).
-pub fn assign_batches_to_rows(num_batches: usize, rows: usize) -> Vec<Vec<usize>> {
-    let mut assignment = vec![Vec::new(); rows];
+/// Assigns minibatch indices to `units` round-robin (unit `u` owns batches
+/// `u, u + units, …`): process rows on the grid, and ranks when every rank
+/// samples for itself, so that every rank trains `k/p` of the `k` bulk
+/// minibatches (§6.1).
+pub fn assign_batches_to_rows(num_batches: usize, units: usize) -> Vec<Vec<usize>> {
+    let mut assignment = vec![Vec::new(); units];
     for i in 0..num_batches {
-        assignment[i % rows].push(i);
+        assignment[i % units].push(i);
     }
     assignment
-}
-
-/// Flattens per-process-row outputs back to the original batch order.
-///
-/// # Errors
-///
-/// Returns [`SamplingError::InvalidConfig`] if a batch is missing from the
-/// per-row outputs.
-pub fn flatten_row_outputs(
-    per_row: Vec<BulkSampleOutput>,
-    num_batches: usize,
-) -> Result<BulkSampleOutput> {
-    let rows = per_row.len();
-    let assignment = assign_batches_to_rows(num_batches, rows);
-    let mut ordered: Vec<Option<MinibatchSample>> = vec![None; num_batches];
-    let mut merged = BulkSampleOutput::default();
-    for (row, output) in per_row.into_iter().enumerate() {
-        merged.profile.merge_max(&output.profile);
-        merged.comm_stats.merge(&output.comm_stats);
-        for (slot, mb) in assignment[row].iter().zip(output.minibatches) {
-            ordered[*slot] = Some(mb);
-        }
-    }
-    merged.minibatches = ordered
-        .into_iter()
-        .map(|mb| {
-            mb.ok_or_else(|| {
-                SamplingError::InvalidConfig(
-                    "a minibatch was not sampled by any process row".into(),
-                )
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(merged)
 }
 
 #[cfg(test)]
@@ -791,13 +747,21 @@ mod tests {
 
     #[test]
     fn forged_slabs_are_typed_errors_not_panics() {
+        // A requester validates every slab before it holds it, and the
+        // stage multiply then indexes its scratch with the held rows'
+        // column ids, so the store's validation is all that stands between
+        // a forged reply and an out-of-bounds write.
         let n = 8;
         let q = CsrMatrix::from_rows(2, n, vec![vec![(1, 1.0), (2, 0.5)], vec![(2, 1.0)]]).unwrap();
         let needed = [1, 2];
-        let p_hat = CsrMatrix::zeros(2, n);
         let values = || vec![1.0, 2.0, 3.0];
-        let good: RowSlab = (vec![2, 1], vec![0, 7, 3], values());
-        let p = stage_multiply(&q, &needed, good, &p_hat).unwrap();
+        let mut pins = PinnedRows::new(n);
+        pins.pin(&needed, (vec![2, 1], vec![0, 7, 3], values())).unwrap();
+        let p_hat = CsrMatrix::zeros(2, n);
+        let p = with_workspace(|ws| {
+            spgemm_with_row_lookup(&q, &pins.rows, |k| pins.slot(k), &p_hat, ws)
+        })
+        .unwrap();
         assert_eq!(p.row_indices(0), &[0, 3, 7]);
         let forged: [(&str, RowSlab); 11] = [
             ("fewer lengths than requested rows", (vec![3], vec![0, 7, 3], values())),
@@ -816,10 +780,12 @@ mod tests {
             ("a duplicate column", (vec![2, 1], vec![3, 3, 3], values())),
         ];
         for (what, slab) in forged {
-            match stage_multiply(&q, &needed, slab, &p_hat) {
+            let mut pins = PinnedRows::new(n);
+            match pins.pin(&needed, slab) {
                 Err(SamplingError::Matrix(MatrixError::InvalidStructure(_))) => {}
                 other => panic!("{what}: {other:?}"),
             }
+            assert_eq!((pins.rows.rows(), pins.slot(1)), (0, None), "{what}: held");
         }
         // The owner rejects a request for a row outside its block the same way.
         let block = CsrMatrix::identity(4);

@@ -92,8 +92,9 @@ pub(crate) enum RowSource<'a> {
     Local { adjacency: &'a CsrMatrix, rng: &'a mut dyn RngCore },
     /// This process row's block row of `A` on the `p/c × c` grid (§5.2):
     /// every product goes through the sparsity-aware 1.5D SpGEMM, reading
-    /// the remote rows this rank has pinned when `pins` is given, and step
-    /// seeds come from [`row_seed`], so the ranks of a process row draw
+    /// the remote rows through `pins` when given, or through a store that
+    /// lives for the one product otherwise, and step seeds come from
+    /// [`row_seed`], so the ranks of a process row draw
     /// identical samples.  Every rank of the grid must run the pipeline
     /// together.
     OneFiveD {

@@ -6,24 +6,14 @@
 //! normalization, sampling and extraction — entirely locally: **the sampling
 //! step involves no communication**, which is why the paper's Figure 4 shows
 //! near-linear scaling of sampling time.  The strategy itself is
-//! [`crate::backend::ReplicatedBackend`]; this module holds its batch
-//! assignment.
-
-/// Assigns minibatch indices to `p` ranks round-robin (rank `r` owns batches
-/// `r, r + p, r + 2p, …`), the way the pipeline divides `k` bulk minibatches
-/// so every rank trains `k/p` of them (§6.1).
-pub fn assign_batches_round_robin(num_batches: usize, p: usize) -> Vec<Vec<usize>> {
-    let mut assignment = vec![Vec::new(); p];
-    for i in 0..num_batches {
-        assignment[i % p].push(i);
-    }
-    assignment
-}
+//! [`crate::backend::ReplicatedBackend`], which deals each bulk group's
+//! batches to the ranks round-robin
+//! ([`crate::partitioned::assign_batches_to_rows`]).
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::backend::{DistConfig, ReplicatedBackend, SamplingBackend};
+    use crate::partitioned::assign_batches_to_rows;
     use crate::sampler::BulkSamplerConfig;
     use crate::{GraphSageSampler, LadiesSampler};
     use dmbs_graph::generators::figure1_example;
@@ -31,7 +21,7 @@ mod tests {
 
     #[test]
     fn round_robin_assignment_balances() {
-        let a = assign_batches_round_robin(10, 4);
+        let a = assign_batches_to_rows(10, 4);
         assert_eq!(a[0], vec![0, 4, 8]);
         assert_eq!(a[1], vec![1, 5, 9]);
         assert_eq!(a[3], vec![3, 7]);

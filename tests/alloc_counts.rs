@@ -135,7 +135,7 @@ const PINNED: [(&str, Allocs); 6] = [
     ("graphsage bulk sampling step", Allocs { count: 98, bytes: 1_634_424 }),
     ("ladies bulk sampling step", Allocs { count: 148, bytes: 1_889_496 }),
     ("served request", Allocs { count: 73, bytes: 214_672 }),
-    ("1.5d probability step", Allocs { count: 28, bytes: 172_112 }),
+    ("1.5d probability step", Allocs { count: 25, bytes: 157_112 }),
 ];
 
 /// The pinned high-water marks of live bytes of the two sampling units.
