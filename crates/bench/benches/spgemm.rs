@@ -3,8 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dmbs_graph::generators::{rmat, RmatConfig};
-use dmbs_matrix::ops::{indicator_row, row_selection_matrix, vstack};
+use dmbs_matrix::ops::row_selection_matrix;
 use dmbs_matrix::spgemm::spgemm;
+use dmbs_matrix::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -24,16 +25,18 @@ fn bench_spgemm(criterion: &mut Criterion) {
             bench.iter(|| spgemm(&q_sage, a).expect("spgemm"));
         });
 
-        // LADIES-shaped Q: k indicator rows with `batch` nonzeros each.
-        let rows: Vec<_> = (0..8)
-            .map(|_| {
-                let mut verts: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..n)).collect();
-                verts.sort_unstable();
-                verts.dedup();
-                indicator_row(&verts, n).expect("indicator")
-            })
-            .collect();
-        let q_ladies = vstack(&rows).expect("stack");
+        // LADIES-shaped Q: k indicator rows with `batch` nonzeros each,
+        // stacked in place.
+        let (mut indptr, mut indices) = (vec![0usize], Vec::new());
+        for _ in 0..8 {
+            let mut verts: Vec<usize> = (0..batch).map(|_| rng.gen_range(0..n)).collect();
+            verts.sort_unstable();
+            verts.dedup();
+            indices.extend(verts);
+            indptr.push(indices.len());
+        }
+        let values = vec![1.0; indices.len()];
+        let q_ladies = CsrMatrix::from_raw(8, n, indptr, indices, values).expect("indicator rows");
         group.bench_with_input(BenchmarkId::new("ladies_QA", batch), &batch, |bench, _| {
             bench.iter(|| spgemm(&q_ladies, a).expect("spgemm"));
         });

@@ -1550,7 +1550,7 @@ fn calibrate_sweep(smoke: bool) -> (Workload, Vec<Record>) {
 /// `BENCH_serve.json`.
 fn serve_sweep(smoke: bool) -> (Workload, Vec<Record>) {
     // The two offered loads straddle the window-0 saturation point of the
-    // modeled service time (~1 / seconds_per_batch ≈ 4.5k QPS): the low
+    // modeled service time (~1 / (200 µs per micro-bulk) ≈ 4.5k QPS): the low
     // level is stable everywhere, the high level overloads the un-coalesced
     // server (queueing + admission shed) while the micro-bulked one absorbs
     // it — the p99 gap the acceptance gate asserts.

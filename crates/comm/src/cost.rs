@@ -39,18 +39,6 @@ impl CostModel {
         CostModel { alpha: 2.0e-6, beta: 8.0 / 25.0e9 }
     }
 
-    /// A model of NVLink 3.0 (intra-node GPU pairs): ~1 µs latency,
-    /// 100 GB/s unidirectional bandwidth.
-    pub fn nvlink() -> Self {
-        CostModel { alpha: 1.0e-6, beta: 8.0 / 100.0e9 }
-    }
-
-    /// A model of a PCIe 4.0 x16 link (~25 GB/s but with host-involved
-    /// latency), used for the Quiver-UVA comparison of Figure 5.
-    pub fn pcie() -> Self {
-        CostModel { alpha: 10.0e-6, beta: 8.0 / 25.0e9 }
-    }
-
     /// Modeled time in seconds to send one message of `words` 8-byte words.
     pub fn message_cost(&self, words: usize) -> f64 {
         self.alpha + self.beta * words as f64
@@ -85,16 +73,6 @@ impl CostModel {
     /// [`PhaseProfile::add_overlap`]: crate::PhaseProfile::add_overlap
     pub fn overlap_credit(&self, comm_s: f64, compute_s: f64) -> f64 {
         comm_s.min(compute_s)
-    }
-
-    /// Modeled per-request share of one coalesced message serving `requests`
-    /// requests: the α latency is paid once for the whole micro-bulk and
-    /// amortizes over its members, while each request's share of the β term
-    /// is its share of the words.  `per_request_cost(words, 1)` equals
-    /// [`CostModel::message_cost`]; `requests = 0` is treated as one request
-    /// so the bill never divides by zero.
-    pub fn per_request_cost(&self, words: usize, requests: usize) -> f64 {
-        self.message_cost(words) / requests.max(1) as f64
     }
 
     /// Modeled time of the probability-generation SpGEMM of the 1.5D
@@ -155,12 +133,12 @@ pub struct CommStats {
     /// computation (nonblocking collectives posted before a compute region
     /// and waited after it).  Always `<= modeled_time`, which keeps the full
     /// schedule-independent α–β bill; the *effective* communication cost of
-    /// the schedule is [`CommStats::exposed_time`].
+    /// the schedule is `modeled_time - overlapped_time`.
     pub overlapped_time: f64,
     /// Requests whose traffic was billed through coalesced messages via
-    /// [`CommStats::record_amortized`] — the denominator of
-    /// [`CommStats::modeled_time_per_request`].  Zero outside the serving
-    /// tier.
+    /// [`CommStats::record_amortized`] — the denominator of the modeled
+    /// seconds per request, `modeled_time / amortized_requests`.  Zero
+    /// outside the serving tier.
     pub amortized_requests: usize,
     /// Exact bytes that crossed the wire.  Plain word-counted messages book
     /// `8 × words`; compressed payloads book their encoded size via
@@ -221,19 +199,11 @@ impl CommStats {
     /// `requests` requests at once (the serving tier's micro-bulk fetch):
     /// the wire counters take one message and the full α–β bill exactly as
     /// [`CommStats::record`] would, and `requests` is added to
-    /// [`CommStats::amortized_requests`] so the per-request amortized cost
-    /// can be read back with [`CommStats::modeled_time_per_request`].
+    /// [`CommStats::amortized_requests`], the denominator of the
+    /// per-request amortized cost.
     pub fn record_amortized(&mut self, words: usize, model: &CostModel, requests: usize) {
         self.record(words, model);
         self.amortized_requests += requests.max(1);
-    }
-
-    /// Average modeled α–β seconds billed per amortized request, or `None`
-    /// when no request traffic was recorded.  With perfect coalescing the
-    /// α term divides by the micro-bulk size, which is exactly what this
-    /// reports (see [`CostModel::per_request_cost`]).
-    pub fn modeled_time_per_request(&self) -> Option<f64> {
-        (self.amortized_requests > 0).then(|| self.modeled_time / self.amortized_requests as f64)
     }
 
     /// Records `seconds` of modeled communication as overlapped with compute
@@ -242,13 +212,6 @@ impl CommStats {
     /// [`CostModel::overlap_credit`].
     pub fn record_overlap(&mut self, seconds: f64) {
         self.overlapped_time += seconds;
-    }
-
-    /// The communication seconds a pipelined schedule actually pays:
-    /// `modeled_time - overlapped_time` (clamped at zero against float
-    /// round-off).  Equal to `modeled_time` for any non-overlapped schedule.
-    pub fn exposed_time(&self) -> f64 {
-        (self.modeled_time - self.overlapped_time).max(0.0)
     }
 
     /// Fraction of cache lookups that hit, or `None` when nothing was looked
@@ -288,14 +251,6 @@ impl CommStats {
             bytes_saved: self.bytes_saved - before.bytes_saved,
         }
     }
-
-    /// Bytes sent — read from the bytes-on-wire book, so the answer stays
-    /// truthful for payloads that do not ship as 8 bytes per word
-    /// (compressed feature rows).  Equal to `8 × words_sent` whenever every
-    /// message traveled uncompressed.
-    pub fn bytes_sent(&self) -> usize {
-        self.bytes_on_wire
-    }
 }
 
 #[cfg(test)]
@@ -307,19 +262,6 @@ mod tests {
         let m = CostModel::new(1.0, 0.5);
         assert_eq!(m.message_cost(0), 1.0);
         assert_eq!(m.message_cost(4), 3.0);
-    }
-
-    #[test]
-    fn presets_are_ordered_sensibly() {
-        // NVLink is faster than Slingshot which is faster than PCIe for a
-        // large message.
-        let words = 1_000_000;
-        assert!(
-            CostModel::nvlink().message_cost(words) < CostModel::slingshot().message_cost(words)
-        );
-        assert!(
-            CostModel::slingshot().message_cost(words) <= CostModel::pcie().message_cost(words)
-        );
     }
 
     #[test]
@@ -357,7 +299,7 @@ mod tests {
         a.record(5, &model);
         assert_eq!(a.messages, 2);
         assert_eq!(a.words_sent, 15);
-        assert_eq!(a.bytes_sent(), 120);
+        assert_eq!(a.bytes_on_wire, 120);
         assert!((a.modeled_time - 17.0).abs() < 1e-12);
 
         let mut b = CommStats::new();
@@ -394,8 +336,7 @@ mod tests {
         let mut s = CommStats::new();
         s.record_wire(16, 40, &model);
         assert_eq!(s.words_sent, 16);
-        assert_eq!(s.bytes_on_wire, 40);
-        assert_eq!(s.bytes_sent(), 40); // NOT 16 * 8
+        assert_eq!(s.bytes_on_wire, 40); // NOT 16 * 8
         assert_eq!(s.bytes_saved, 16 * 8 - 40);
         // β is charged on the real bytes: 8.0 s/word × 40/8 words.
         assert!((s.modeled_time - 40.0).abs() < 1e-12);
@@ -406,7 +347,6 @@ mod tests {
         t.merge(&s);
         assert_eq!(t.bytes_on_wire, 24 + 40);
         assert_eq!(t.bytes_saved, 88);
-        assert_eq!(t.bytes_sent(), 64);
         assert_eq!(t.bytes_on_wire + t.bytes_saved, t.words_sent * 8);
     }
 
@@ -443,7 +383,7 @@ mod tests {
         let mut s = CommStats::new();
         s.record(10, &m); // modeled_time = 1.0
         s.record_overlap(0.25);
-        assert!((s.exposed_time() - 0.75).abs() < 1e-12);
+        assert!((s.modeled_time - s.overlapped_time - 0.75).abs() < 1e-12);
         let mut t = CommStats::new();
         t.record_overlap(0.5);
         t.merge(&s);
@@ -459,9 +399,9 @@ mod tests {
         assert_eq!(s.messages, 1);
         assert_eq!(s.words_sent, 8);
         assert_eq!(s.amortized_requests, 4);
-        let per_req = s.modeled_time_per_request().unwrap();
+        let per_req = s.modeled_time / s.amortized_requests as f64;
         assert!((per_req - 5.0 / 4.0).abs() < 1e-12);
-        assert_eq!(per_req, m.per_request_cost(8, 4));
+        assert_eq!(per_req, m.message_cost(8) / 4.0);
         // Four singleton messages of 2 words each: four αs for the same β
         // volume — strictly more expensive per request.
         let mut singles = CommStats::new();
@@ -469,11 +409,12 @@ mod tests {
             singles.record_amortized(2, &m, 1);
         }
         assert_eq!(singles.amortized_requests, 4);
-        assert!(singles.modeled_time_per_request().unwrap() > per_req);
-        // Degenerate inputs never divide by zero.
-        assert_eq!(m.per_request_cost(8, 1), m.message_cost(8));
-        assert_eq!(m.per_request_cost(8, 0), m.message_cost(8));
-        assert_eq!(CommStats::new().modeled_time_per_request(), None);
+        assert!(singles.modeled_time / singles.amortized_requests as f64 > per_req);
+        // A message serving no request books one, so the denominator is
+        // never zero.
+        let mut zero = CommStats::new();
+        zero.record_amortized(8, &m, 0);
+        assert_eq!(zero.amortized_requests, 1);
         // The request denominator merges like every other counter.
         let mut t = CommStats::new();
         t.record_amortized(2, &m, 3);

@@ -88,7 +88,7 @@ impl PhaseProfile {
     /// with (hidden behind) another phase's computation by a pipelined
     /// schedule.  The communication itself stays in the `comm` books — the
     /// α–β bill is schedule-independent — so
-    /// `effective_total == compute + comm - overlap` balances exactly.
+    /// the effective total `compute + comm - overlap` balances exactly.
     /// Callers must never credit more than the phase's recorded
     /// communication (see [`crate::CostModel::overlap_credit`]).
     pub fn add_overlap(&mut self, phase: Phase, seconds: f64) {
@@ -121,15 +121,10 @@ impl PhaseProfile {
 
     /// Total (computation + communication) seconds for `phase` under a
     /// serial schedule — overlap does not change what was spent, only what
-    /// the pipelined schedule pays (see [`PhaseProfile::effective_total`]).
+    /// the pipelined schedule pays (see
+    /// [`PhaseProfile::effective_grand_total`]).
     pub fn total(&self, phase: Phase) -> f64 {
         self.compute(phase) + self.comm(phase)
-    }
-
-    /// Seconds the pipelined schedule pays for `phase`:
-    /// `compute + comm - overlap`.
-    pub fn effective_total(&self, phase: Phase) -> f64 {
-        self.total(phase) - self.overlap(phase)
     }
 
     /// Sum of computation time across all phases.
@@ -193,15 +188,6 @@ impl PhaseProfile {
             *entry = entry.max(*secs);
         }
     }
-
-    /// Combines a list of per-rank profiles with [`PhaseProfile::merge_max`].
-    pub fn max_across_ranks(profiles: &[PhaseProfile]) -> PhaseProfile {
-        let mut out = PhaseProfile::new();
-        for p in profiles {
-            out.merge_max(p);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -253,7 +239,7 @@ mod tests {
         assert_eq!(p.overlap(Phase::FeatureFetch), 1.0);
         assert_eq!(p.overlap(Phase::Propagation), 0.0);
         assert_eq!(p.total(Phase::FeatureFetch), 1.5);
-        assert_eq!(p.effective_total(Phase::FeatureFetch), 0.5);
+        assert_eq!(p.total(Phase::FeatureFetch) - p.overlap(Phase::FeatureFetch), 0.5);
         assert_eq!(p.total_overlap(), 1.0);
         assert_eq!(p.grand_total(), 5.5);
         assert_eq!(p.effective_grand_total(), 4.5);
@@ -289,8 +275,5 @@ mod tests {
         max.merge_max(&b);
         assert_eq!(max.compute(Phase::Sampling), 3.0);
         assert_eq!(max.comm(Phase::Probability), 2.0);
-
-        let across = PhaseProfile::max_across_ranks(&[a, b]);
-        assert_eq!(across.compute(Phase::Sampling), 3.0);
     }
 }

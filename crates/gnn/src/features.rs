@@ -114,11 +114,6 @@ impl FeatureStore {
         self.feature_dim
     }
 
-    /// Number of vertex rows stored locally.
-    pub fn local_rows(&self) -> usize {
-        self.block.rows()
-    }
-
     /// The vertex partition over all blocks.
     pub fn partition(&self) -> &OneDPartition {
         &self.partition
@@ -133,30 +128,6 @@ impl FeatureStore {
     /// never crosses the wire.
     pub fn is_locally_owned(&self, vertex: usize) -> bool {
         vertex < self.partition.len() && self.partition.owner_of(vertex) == self.block_index
-    }
-
-    /// Reads the features of vertices that are stored locally.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GnnError::InvalidConfig`] if any vertex is not owned by this
-    /// block.
-    pub fn local_features(&self, vertices: &[usize]) -> Result<DenseMatrix> {
-        let range = self.partition.range(self.block_index);
-        let locals: Vec<usize> = vertices
-            .iter()
-            .map(|&v| {
-                if range.contains(&v) {
-                    Ok(v - range.start)
-                } else {
-                    Err(GnnError::InvalidConfig(format!(
-                        "vertex {v} is not stored in block {}",
-                        self.block_index
-                    )))
-                }
-            })
-            .collect::<Result<_>>()?;
-        Ok(self.block.gather_rows(&locals)?)
     }
 
     /// Fetches the features of arbitrary vertices with an all-to-allv across
@@ -180,13 +151,8 @@ impl FeatureStore {
         vertices: &[usize],
     ) -> Result<DenseMatrix> {
         let (requests, origin) = self.bucket_requests(group, vertices)?;
-        // Exchange requests, serve them from the local block, exchange rows
-        // (encoded under the store's wire codec).
         let incoming = comm.group_all_to_allv(group, requests)?;
-        let replies = self.serve_requests(&incoming);
-        let received = comm.group_all_to_allv(group, replies)?;
-        let decoded: Vec<Vec<f64>> = received.iter().map(WireRows::rows).collect();
-        Ok(self.assemble_rows(&origin, &decoded))
+        self.reply_round(comm, group, &incoming, &origin)
     }
 
     /// Posts the fetch of `vertices` nonblocking: the request round's
@@ -244,12 +210,21 @@ impl FeatureStore {
         Ok((requests, origin))
     }
 
-    /// Serves incoming per-member request lists from the local block,
-    /// encoding each member's reply rows under the store's wire codec (the
-    /// lossy quantization — if any — happens exactly once, here).
-    fn serve_requests(&self, incoming: &[Vec<usize>]) -> Vec<WireRows> {
+    /// The reply round of a fetch, once the `incoming` per-member request
+    /// lists have arrived: serves them from the local block, encoding each
+    /// member's reply rows under the store's wire codec (the lossy
+    /// quantization — if any — happens exactly once, here), exchanges the
+    /// replies, and reassembles the received rows in the request order
+    /// `origin` recorded.
+    fn reply_round(
+        &self,
+        comm: &mut Communicator,
+        group: &Group,
+        incoming: &[Vec<usize>],
+        origin: &[(usize, usize)],
+    ) -> Result<DenseMatrix> {
         let my_range = self.partition.range(self.block_index);
-        incoming
+        let replies: Vec<WireRows> = incoming
             .iter()
             .map(|wanted| {
                 let mut flat = Vec::with_capacity(wanted.len() * self.feature_dim);
@@ -259,17 +234,15 @@ impl FeatureStore {
                 }
                 WireRows::from_rows(self.codec, self.feature_dim, &flat)
             })
-            .collect()
-    }
-
-    /// Reassembles the received per-owner reply rows in request order.
-    fn assemble_rows(&self, origin: &[(usize, usize)], received: &[Vec<f64>]) -> DenseMatrix {
+            .collect();
+        let received = comm.group_all_to_allv(group, replies)?;
+        let decoded: Vec<Vec<f64>> = received.iter().map(WireRows::rows).collect();
         let mut out = DenseMatrix::zeros(origin.len(), self.feature_dim);
         for (i, &(owner, slot)) in origin.iter().enumerate() {
             let start = slot * self.feature_dim;
-            out.row_mut(i).copy_from_slice(&received[owner][start..start + self.feature_dim]);
+            out.row_mut(i).copy_from_slice(&decoded[owner][start..start + self.feature_dim]);
         }
-        out
+        Ok(out)
     }
 }
 
@@ -314,10 +287,7 @@ impl PendingFetch {
         group: &Group,
     ) -> Result<DenseMatrix> {
         let incoming = self.pending_requests.wait(comm)?;
-        let replies = store.serve_requests(&incoming);
-        let received = comm.group_all_to_allv(group, replies)?;
-        let decoded: Vec<Vec<f64>> = received.iter().map(WireRows::rows).collect();
-        Ok(store.assemble_rows(&self.origin, &decoded))
+        store.reply_round(comm, group, &incoming, &self.origin)
     }
 }
 
@@ -533,11 +503,11 @@ mod tests {
         let h = full_features(10, 3);
         let store = FeatureStore::from_full(&h, 3, 1).unwrap();
         assert_eq!(store.feature_dim(), 3);
-        assert_eq!(store.local_rows(), 3); // rows 4..7
-        let local = store.local_features(&[4, 6]).unwrap();
-        assert_eq!(local.get(0, 0), 4.0);
-        assert_eq!(local.get(1, 0), 6.0);
-        assert!(store.local_features(&[0]).is_err());
+        assert_eq!(store.partition().range(1), 4..7);
+        assert_eq!(store.block.rows(), 3);
+        assert_eq!(store.block.get(0, 0), 4.0);
+        assert_eq!(store.block.get(2, 0), 6.0);
+        assert!(store.is_locally_owned(6) && !store.is_locally_owned(0));
         assert!(FeatureStore::from_full(&h, 3, 3).is_err());
     }
 

@@ -81,8 +81,6 @@ use crate::error::GnnError;
 use crate::model::SageModel;
 use dmbs_comm::{CommStats, CostModel};
 use dmbs_graph::datasets::Dataset;
-use dmbs_matrix::pool::Parallelism;
-use dmbs_matrix::workspace::trim_thread_workspace;
 use dmbs_sampling::micro::{request_stream_seed, sample_micro_bulk, MicroRequest};
 use dmbs_sampling::{BulkSamplerConfig, Sampler, SamplingError};
 use rand::rngs::StdRng;
@@ -247,17 +245,20 @@ impl ModelSnapshot {
 
 /// Configuration of a [`ServingSession`].
 ///
-/// The `seconds_per_*` constants and [`ServingConfig::cost`] form the
-/// deterministic service-time model that drives the open-loop queueing
-/// simulation ([`ServingSession::run_trace`]): serving a micro-bulk of `k`
-/// requests with `E` sampled edges and `W` charged fetch words is modeled as
+/// The deterministic service-time model that drives the open-loop queueing
+/// simulation ([`ServingSession::run_trace`]) is fixed: serving a micro-bulk
+/// of `k` requests with `E` sampled edges and `W` charged fetch words is
+/// modeled as
 ///
 /// ```text
-/// seconds_per_batch + k·seconds_per_request + E·seconds_per_edge + (α + β·W)
+/// SECONDS_PER_BATCH + k·SECONDS_PER_REQUEST + E·SECONDS_PER_EDGE + (α + β·W)
 /// ```
 ///
-/// so the per-batch overhead and the α latency amortize over the bulk — the
-/// serving-tier analogue of the paper's bulk-sampling argument.
+/// with `SECONDS_PER_BATCH = 200 µs`, `SECONDS_PER_REQUEST = 20 µs`,
+/// `SECONDS_PER_EDGE = 50 ns` and the α–β of [`CostModel::slingshot`], so
+/// the per-batch overhead and the α latency amortize over the bulk — the
+/// serving-tier analogue of the paper's bulk-sampling argument.  Requests
+/// are sampled serially.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServingConfig {
     /// Largest number of requests coalesced into one micro-bulk.
@@ -278,24 +279,15 @@ pub struct ServingConfig {
     pub hot_warm_interval: usize,
     /// Base seed of the per-request sampling streams.
     pub seed: u64,
-    /// α–β model billing the coalesced fetch message of each micro-bulk.
-    pub cost: CostModel,
-    /// Fixed modeled overhead of serving one micro-bulk (kernel + forward
-    /// launch).
-    pub seconds_per_batch: f64,
-    /// Modeled per-request service time (per-request sampling + forward).
-    pub seconds_per_request: f64,
-    /// Modeled per-sampled-edge service time (aggregation work).
-    pub seconds_per_edge: f64,
-    /// Shared-memory parallelism of the sampling kernels on the request
-    /// path.
-    pub parallelism: Parallelism,
-    /// Upper bound in bytes on the thread-local kernel workspace kept
-    /// resident between micro-bulks; past it the scratch is released
-    /// ([`dmbs_matrix::workspace::trim_thread_workspace`]).  `usize::MAX`
-    /// never trims.
-    pub workspace_byte_bound: usize,
 }
+
+/// Fixed modeled overhead of serving one micro-bulk (kernel + forward
+/// launch).
+const SECONDS_PER_BATCH: f64 = 2.0e-4;
+/// Modeled per-request service time (per-request sampling + forward).
+const SECONDS_PER_REQUEST: f64 = 2.0e-5;
+/// Modeled per-sampled-edge service time (aggregation work).
+const SECONDS_PER_EDGE: f64 = 5.0e-8;
 
 impl Default for ServingConfig {
     fn default() -> Self {
@@ -307,12 +299,6 @@ impl Default for ServingConfig {
             hot_capacity: 256,
             hot_warm_interval: 8,
             seed: 0,
-            cost: CostModel::slingshot(),
-            seconds_per_batch: 2.0e-4,
-            seconds_per_request: 2.0e-5,
-            seconds_per_edge: 5.0e-8,
-            parallelism: Parallelism::serial(),
-            workspace_byte_bound: usize::MAX,
         }
     }
 }
@@ -369,11 +355,6 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Requests shed in total (admission + timeout).
-    pub fn shed_total(&self) -> usize {
-        self.shed_admission + self.shed_timeout
-    }
-
     /// Mean requests per micro-bulk — `1.0` means coalescing never engaged.
     pub fn coalescing_factor(&self) -> f64 {
         if self.batches == 0 {
@@ -640,13 +621,13 @@ impl<S: Sampler> ServingSession<S> {
 
     /// Deterministic modeled service seconds of one micro-bulk (see
     /// [`ServingConfig`]).
-    fn modeled_service_seconds(&self, k: usize, edges: usize, charged_words: usize) -> f64 {
-        let c = &self.config;
-        let fetch = if charged_words > 0 { c.cost.message_cost(charged_words) } else { 0.0 };
-        c.seconds_per_batch
-            + k as f64 * c.seconds_per_request
-            + edges as f64 * c.seconds_per_edge
-            + fetch
+    fn modeled_service_seconds(k: usize, edges: usize, charged_words: usize) -> f64 {
+        let fetch = if charged_words > 0 {
+            CostModel::slingshot().message_cost(charged_words)
+        } else {
+            0.0
+        };
+        SECONDS_PER_BATCH + k as f64 * SECONDS_PER_REQUEST + edges as f64 * SECONDS_PER_EDGE + fetch
     }
 
     fn serve_inner(&mut self, requests: &[ServeRequest]) -> ServeResult<(Vec<ServeResponse>, f64)> {
@@ -667,20 +648,19 @@ impl<S: Sampler> ServingSession<S> {
                 seed: request_stream_seed(self.config.seed, r.id),
             })
             .collect();
-        let bulk_cfg =
-            BulkSamplerConfig { batch_size: 1, bulk_size: 1, parallelism: self.config.parallelism };
         let micro = sample_micro_bulk(
             &self.sampler,
             self.dataset.graph.adjacency(),
             &micro_reqs,
-            &bulk_cfg,
+            &BulkSamplerConfig::new(1, 1),
         )?;
 
         // --- One coalesced fetch message for the whole micro-bulk: hot-tier
-        // rows are free, everything else is charged to it.
+        // rows are free, everything else is charged to it.  The pass only
+        // counts, so a refused micro-bulk books nothing.
         let fdim = self.snapshot.feature_dim();
         let union = micro.plan.unique_vertices();
-        let mut charged_rows = 0;
+        let mut hot_rows = 0;
         for &v in union {
             if self.hot.is_stale(v) {
                 // A pinned row dirtied by an ingest: refuse with the same
@@ -691,22 +671,22 @@ impl<S: Sampler> ServingSession<S> {
                     graph_version: self.graph_version,
                 }));
             }
-            if self.hot.contains(v) {
-                self.stats.hot_hits += 1;
-                // A pinned row never enters the fetch message: one α–β row
-                // (features + the request id word) stayed off the wire.
-                self.comm.record_cache_hit(fdim + 1);
-            } else {
-                self.stats.hot_misses += 1;
-                charged_rows += 1;
-            }
+            hot_rows += usize::from(self.hot.contains(v));
+        }
+        let charged_rows = union.len() - hot_rows;
+        self.stats.hot_hits += hot_rows;
+        self.stats.hot_misses += charged_rows;
+        for _ in 0..hot_rows {
+            // A pinned row never enters the fetch message: one α–β row
+            // (features + the request id word) stayed off the wire.
+            self.comm.record_cache_hit(fdim + 1);
         }
         let k = requests.len();
         let charged_words = charged_rows * (fdim + 1);
         if charged_words > 0 {
             // One message for the whole micro-bulk: α paid once, amortized
             // over its k requests in the per-request books.
-            self.comm.record_amortized(charged_words, &self.config.cost, k);
+            self.comm.record_amortized(charged_words, &CostModel::slingshot(), k);
         }
 
         // --- Forward pass per request over its input rows.
@@ -723,8 +703,7 @@ impl<S: Sampler> ServingSession<S> {
             });
         }
 
-        // --- Bookkeeping: frequency statistics, periodic hot-tier rewarm,
-        // workspace bound.
+        // --- Bookkeeping: frequency statistics, periodic hot-tier rewarm.
         for &v in union {
             self.hot.note(v);
         }
@@ -739,10 +718,7 @@ impl<S: Sampler> ServingSession<S> {
             self.hot_pinned_version = self.graph_version;
             self.batches_since_warm = 0;
         }
-        if self.config.workspace_byte_bound != usize::MAX {
-            trim_thread_workspace(self.config.workspace_byte_bound);
-        }
-        let service = self.modeled_service_seconds(k, micro.total_edges(), charged_words);
+        let service = Self::modeled_service_seconds(k, micro.total_edges(), charged_words);
         Ok((responses, service))
     }
 
@@ -1030,6 +1006,26 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_micro_bulk_books_nothing() {
+        let (dataset, sampler, snapshot) = trained_setup();
+        let config =
+            ServingConfig { hot_capacity: 64, hot_warm_interval: 1000, ..ServingConfig::default() };
+        let mut s = ServingSession::new(dataset, sampler, snapshot, config).unwrap();
+        let request = [ServeRequest { id: 0, vertex: 5 }];
+        s.serve(&request).unwrap();
+        s.rewarm();
+        // Dirty only the highest pinned vertex, so the staleness pass meets
+        // every other pinned row of the gather before the stale one.
+        let highest = *s.hot.pinned.iter().max().unwrap();
+        assert_eq!(s.notify_ingest(&[highest]), 1);
+        let (stats, comm) = (s.stats(), s.comm_stats());
+        let err = s.serve(&request).unwrap_err();
+        assert!(matches!(err, ServeError::Gnn(GnnError::StalePlan { .. })));
+        assert_eq!(s.stats(), stats);
+        assert_eq!(s.comm_stats(), comm);
+    }
+
+    #[test]
     fn admission_and_timeout_checks_are_typed() {
         let (dataset, sampler, snapshot) = trained_setup();
         let config =
@@ -1074,7 +1070,7 @@ mod tests {
         let report = s.run_trace(&trace).unwrap();
         let st = report.stats;
         assert_eq!(st.requests_offered, 300);
-        assert_eq!(st.requests_served + st.shed_total(), 300);
+        assert_eq!(st.requests_served + st.shed_admission + st.shed_timeout, 300);
         assert!(st.shed_admission > 0, "overload must shed at admission");
         assert_eq!(report.latencies.len(), st.requests_served);
         assert!(report.makespan > 0.0);

@@ -233,11 +233,6 @@ impl Graph {
     pub fn max_degree(&self) -> usize {
         self.degrees().into_iter().max().unwrap_or(0)
     }
-
-    /// Number of vertices with no out-edges.
-    pub fn num_isolated(&self) -> usize {
-        (0..self.num_vertices()).filter(|&v| self.out_degree(v) == 0).count()
-    }
 }
 
 #[cfg(test)]
@@ -296,7 +291,7 @@ mod tests {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (1, 0)]).unwrap();
         assert_eq!(g.degrees(), vec![3, 1, 0, 0, 0]);
         assert_eq!(g.max_degree(), 3);
-        assert_eq!(g.num_isolated(), 3);
+        assert_eq!(g.degrees().iter().filter(|&&d| d == 0).count(), 3);
     }
 
     #[test]

@@ -103,33 +103,6 @@ impl MinibatchPlan {
     pub fn batches(&self) -> &[Vec<usize>] {
         &self.batches
     }
-
-    /// Splits the minibatches into bulk groups of at most `k` batches each
-    /// (the granularity at which the bulk sampler runs, §6.1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn bulk_groups(&self, k: usize) -> Vec<&[Vec<usize>]> {
-        assert!(k > 0, "bulk size k must be positive");
-        self.batches.chunks(k).collect()
-    }
-
-    /// Assigns minibatch indices to `p` processes in contiguous chunks, the
-    /// way the pipeline divides a bulk of `k` sampled minibatches so that each
-    /// process trains `k/p` of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p == 0`.
-    pub fn assign_to_processes(&self, p: usize) -> Vec<Vec<usize>> {
-        assert!(p > 0, "process count must be positive");
-        let mut assignment = vec![Vec::new(); p];
-        for (i, _) in self.batches.iter().enumerate() {
-            assignment[i % p].push(i);
-        }
-        assignment
-    }
 }
 
 #[cfg(test)]
@@ -174,33 +147,5 @@ mod tests {
         assert!(MinibatchPlan::new(&[1, 2], 0, &mut rng).is_err());
         assert!(MinibatchPlan::sequential(&[], 4).is_err());
         assert!(MinibatchPlan::sequential(&[1], 0).is_err());
-    }
-
-    #[test]
-    fn bulk_groups_chunking() {
-        let train: Vec<usize> = (0..50).collect();
-        let plan = MinibatchPlan::sequential(&train, 10).unwrap();
-        let groups = plan.bulk_groups(2);
-        assert_eq!(groups.len(), 3);
-        assert_eq!(groups[0].len(), 2);
-        assert_eq!(groups[2].len(), 1);
-    }
-
-    #[test]
-    fn process_assignment_is_balanced() {
-        let train: Vec<usize> = (0..70).collect();
-        let plan = MinibatchPlan::sequential(&train, 10).unwrap();
-        let assign = plan.assign_to_processes(3);
-        assert_eq!(assign.len(), 3);
-        let sizes: Vec<usize> = assign.iter().map(|a| a.len()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 7);
-        assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bulk size")]
-    fn bulk_groups_zero_panics() {
-        let plan = MinibatchPlan::sequential(&[1, 2, 3], 2).unwrap();
-        plan.bulk_groups(0);
     }
 }

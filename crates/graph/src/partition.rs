@@ -18,7 +18,7 @@
 //! rows is `dmbs_comm::ProcessGrid`.
 
 use crate::graph::GraphError;
-use dmbs_matrix::{CsrMatrix, DenseMatrix};
+use dmbs_matrix::CsrMatrix;
 use serde::{Deserialize, Serialize};
 
 /// A 1D block-row partition of `n` rows over `p` parts.
@@ -118,27 +118,6 @@ impl OneDPartition {
         }
     }
 
-    /// Converts a global row index to `(part, local_index)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row >= len`.
-    pub fn to_local(&self, row: usize) -> (usize, usize) {
-        let part = self.owner_of(row);
-        (part, row - self.offsets[part])
-    }
-
-    /// Converts `(part, local_index)` back to a global row index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the local index lies outside the part.
-    pub fn to_global(&self, part: usize, local: usize) -> usize {
-        let range = self.range(part);
-        assert!(local < range.len(), "local index out of range for part");
-        range.start + local
-    }
-
     /// Splits a CSR matrix into one block-row matrix per part.
     ///
     /// # Errors
@@ -172,29 +151,6 @@ impl OneDPartition {
         }
         let r = self.range(part);
         Ok(matrix.row_block(r.start, r.end))
-    }
-
-    /// Splits a dense matrix into one block-row matrix per part.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::InvalidConfig`] if the matrix row count does not
-    /// match the partition length.
-    pub fn split_dense(&self, matrix: &DenseMatrix) -> Result<Vec<DenseMatrix>, GraphError> {
-        if matrix.rows() != self.n {
-            return Err(GraphError::InvalidConfig(format!(
-                "matrix has {} rows but partition covers {}",
-                matrix.rows(),
-                self.n
-            )));
-        }
-        Ok((0..self.parts)
-            .map(|p| {
-                let r = self.range(p);
-                let rows: Vec<usize> = r.collect();
-                matrix.gather_rows(&rows).expect("partition ranges are in bounds")
-            })
-            .collect())
     }
 }
 
@@ -230,9 +186,9 @@ mod tests {
     fn one_d_owner_and_local_roundtrip() {
         let p = OneDPartition::new(10, 3).unwrap();
         for row in 0..10 {
-            let (part, local) = p.to_local(row);
+            let part = p.owner_of(row);
             assert!(p.range(part).contains(&row));
-            assert_eq!(p.to_global(part, local), row);
+            assert_eq!((0..3).filter(|&q| p.range(q).contains(&row)).count(), 1);
         }
         assert_eq!(p.owner_of(0), 0);
         assert_eq!(p.owner_of(9), 2);
@@ -275,15 +231,6 @@ mod tests {
             assert_eq!(&part.block_csr(&m, p).unwrap(), block);
         }
         assert!(part.block_csr(&m, 3).is_err());
-    }
-
-    #[test]
-    fn split_dense_preserves_rows() {
-        let d = DenseMatrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0], vec![4.0]]).unwrap();
-        let part = OneDPartition::new(4, 2).unwrap();
-        let blocks = part.split_dense(&d).unwrap();
-        assert_eq!(blocks[1].get(0, 0), 3.0);
-        assert!(part.split_dense(&DenseMatrix::zeros(3, 1)).is_err());
     }
 
     #[test]

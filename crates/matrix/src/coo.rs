@@ -118,11 +118,6 @@ impl CooMatrix {
         &self.entries
     }
 
-    /// Consumes the matrix and returns its triples.
-    pub fn into_entries(self) -> Vec<(usize, usize, f64)> {
-        self.entries
-    }
-
     /// Returns the transpose (rows and columns swapped) as a new COO matrix.
     pub fn transpose(&self) -> CooMatrix {
         CooMatrix {

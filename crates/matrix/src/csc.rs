@@ -4,8 +4,8 @@
 //! hypersparse — it has `k·n` rows but only `k·s` nonzeros — which makes CSR
 //! storage wasteful (the row-pointer array alone dominates).  CSC (or COO)
 //! storage avoids that cost.  This module provides a minimal CSC type used to
-//! represent such tall, hypersparse selection matrices, plus conversions to
-//! and from CSR.
+//! represent such tall, hypersparse selection matrices, built from COO
+//! triples or directly as a column selection.
 
 use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
@@ -25,8 +25,8 @@ use serde::{Deserialize, Serialize};
 /// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
 /// let coo = CooMatrix::from_triples(4, 2, vec![(0, 1, 1.0), (3, 0, 2.0)])?;
 /// let csc = CscMatrix::from_coo(&coo);
-/// assert_eq!(csc.col_nnz(0), 1);
-/// assert_eq!(csc.to_csr().get(3, 0), 2.0);
+/// assert_eq!(csc.col_indices(0), &[3]);
+/// assert_eq!(csc.col_values(0), &[2.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -55,18 +55,6 @@ impl CscMatrix {
             indptr: csr_of_transpose.indptr().to_vec(),
             indices: csr_of_transpose.indices().to_vec(),
             values: csr_of_transpose.values().to_vec(),
-        }
-    }
-
-    /// Builds a CSC matrix from a CSR matrix.
-    pub fn from_csr(csr: &CsrMatrix) -> Self {
-        let t = csr.transpose();
-        CscMatrix {
-            rows: csr.rows(),
-            cols: csr.cols(),
-            indptr: t.indptr().to_vec(),
-            indices: t.indices().to_vec(),
-            values: t.values().to_vec(),
         }
     }
 
@@ -100,16 +88,6 @@ impl CscMatrix {
         self.indices.len()
     }
 
-    /// Number of nonzeros in column `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn col_nnz(&self, c: usize) -> usize {
-        assert!(c < self.cols, "column index out of bounds");
-        self.indptr[c + 1] - self.indptr[c]
-    }
-
     /// Row indices of column `c`.
     ///
     /// # Panics
@@ -133,31 +111,6 @@ impl CscMatrix {
     /// The column pointer array (`cols + 1` entries).
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
-    }
-
-    /// Converts to CSR.
-    pub fn to_csr(&self) -> CsrMatrix {
-        // The stored arrays are the CSR form of the transpose.
-        let csr_of_transpose = CsrMatrix::from_raw(
-            self.cols,
-            self.rows,
-            self.indptr.clone(),
-            self.indices.clone(),
-            self.values.clone(),
-        )
-        .expect("CSC invariants imply a valid transposed CSR");
-        csr_of_transpose.transpose()
-    }
-
-    /// Converts to COO triples.
-    pub fn to_coo(&self) -> CooMatrix {
-        let mut coo = CooMatrix::with_capacity(self.rows, self.cols, self.nnz());
-        for c in 0..self.cols {
-            for (&r, &v) in self.col_indices(c).iter().zip(self.col_values(c)) {
-                coo.push(r, c, v).expect("CSC invariants guarantee in-bounds indices");
-            }
-        }
-        coo
     }
 
     /// Number of bytes required to store the CSC arrays.  Compare against
@@ -221,6 +174,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The CSR form of `csc`, read column by column.
+    fn csr_of(csc: &CscMatrix) -> CsrMatrix {
+        let mut coo = CooMatrix::new(csc.rows(), csc.cols());
+        for c in 0..csc.cols() {
+            for (&r, &v) in csc.col_indices(c).iter().zip(csc.col_values(c)) {
+                coo.push(r, c, v).unwrap();
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
     #[test]
     fn zeros_shape() {
         let m = CscMatrix::zeros(3, 2);
@@ -236,8 +200,7 @@ mod tests {
         assert_eq!(csc.nnz(), 3);
         assert_eq!(csc.col_indices(0), &[2]);
         assert_eq!(csc.col_values(1), &[3.0]);
-        let back = CsrMatrix::from_coo(&csc.to_coo());
-        assert_eq!(back, CsrMatrix::from_coo(&coo));
+        assert_eq!(csr_of(&csc), CsrMatrix::from_coo(&coo));
     }
 
     #[test]
@@ -245,8 +208,8 @@ mod tests {
         let coo =
             CooMatrix::from_triples(4, 3, vec![(0, 1, 1.0), (3, 2, 4.0), (2, 0, -1.0)]).unwrap();
         let csr = CsrMatrix::from_coo(&coo);
-        let csc = CscMatrix::from_csr(&csr);
-        assert_eq!(csc.to_csr(), csr);
+        let csc = CscMatrix::from_coo(&coo);
+        assert_eq!(csr_of(&csc), csr);
     }
 
     #[test]
@@ -272,7 +235,7 @@ mod tests {
         let a_csr = CsrMatrix::from_coo(&a);
         let b_csc = CscMatrix::from_coo(&b);
         let c = b_csc.left_multiply(&a_csr).unwrap();
-        let expected = a_csr.to_dense().matmul(&b_csc.to_csr().to_dense()).unwrap();
+        let expected = a_csr.to_dense().matmul(&csr_of(&b_csc).to_dense()).unwrap();
         assert!(c.to_dense().approx_eq(&expected, 1e-12));
     }
 
@@ -288,7 +251,7 @@ mod tests {
         // A 10_000 x 4 selection matrix with 4 nonzeros: CSC needs ~5 pointers,
         // CSR needs 10_001.
         let sel = CscMatrix::selection(10_000, &[17, 256, 999, 4321]);
-        let as_csr = sel.to_csr();
+        let as_csr = csr_of(&sel);
         assert!(sel.nbytes() < as_csr.nbytes() / 100);
     }
 
@@ -297,8 +260,8 @@ mod tests {
         fn prop_csr_csc_roundtrip(entries in proptest::collection::vec((0usize..8, 0usize..8, -3.0f64..3.0), 0..40)) {
             let coo = CooMatrix::from_triples(8, 8, entries).unwrap();
             let csr = CsrMatrix::from_coo(&coo);
-            let csc = CscMatrix::from_csr(&csr);
-            prop_assert_eq!(csc.to_csr(), csr.clone());
+            let csc = CscMatrix::from_coo(&coo);
+            prop_assert_eq!(csr_of(&csc), csr.clone());
             prop_assert_eq!(csc.nnz(), csr.nnz());
         }
     }

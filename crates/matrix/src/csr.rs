@@ -341,15 +341,6 @@ impl CsrMatrix {
         })
     }
 
-    /// Converts back to COO triples.
-    pub fn to_coo(&self) -> CooMatrix {
-        let mut coo = CooMatrix::with_capacity(self.rows, self.cols, self.nnz());
-        for (r, c, v) in self.iter() {
-            coo.push(r, c, v).expect("CSR invariants guarantee in-bounds indices");
-        }
-        coo
-    }
-
     /// Converts to a dense matrix.  Intended for tests and small examples.
     pub fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.rows, self.cols);
@@ -788,7 +779,7 @@ mod tests {
         let d = a.to_dense();
         assert_eq!(d.get(3, 5), 1.0);
         assert_eq!(d.get(5, 5), 0.0);
-        let back = CsrMatrix::from_coo(&a.to_coo());
+        let back = CsrMatrix::from_coo(&CooMatrix::from_triples(6, 6, a.iter()).unwrap());
         assert_eq!(back, a);
     }
 

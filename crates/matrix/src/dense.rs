@@ -253,11 +253,6 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the underlying row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Value at `(r, c)`.
     ///
     /// # Panics
@@ -504,13 +499,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Applies `f` to each entry in place.
-    pub fn map_inplace<F: Fn(f64) -> f64>(&mut self, f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Element-wise (Hadamard) product.
     ///
     /// # Errors
@@ -533,44 +521,6 @@ impl DenseMatrix {
         self.map(|v| v * alpha)
     }
 
-    /// Horizontally concatenates `self` with `rhs` (`[self | rhs]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if row counts differ.
-    pub fn hstack(&self, rhs: &DenseMatrix) -> Result<DenseMatrix> {
-        if self.rows != rhs.rows {
-            return Err(MatrixError::DimensionMismatch {
-                op: "dense hstack",
-                lhs: self.shape(),
-                rhs: rhs.shape(),
-            });
-        }
-        let cols = self.cols + rhs.cols;
-        let mut data = Vec::with_capacity(self.rows * cols);
-        for i in 0..self.rows {
-            data.extend_from_slice(self.row(i));
-            data.extend_from_slice(rhs.row(i));
-        }
-        Ok(DenseMatrix { rows: self.rows, cols, data })
-    }
-
-    /// Splits the matrix into `[left | right]` at column `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at > cols`.
-    pub fn hsplit(&self, at: usize) -> (DenseMatrix, DenseMatrix) {
-        assert!(at <= self.cols, "split column out of range");
-        let mut left = DenseMatrix::zeros(self.rows, at);
-        let mut right = DenseMatrix::zeros(self.rows, self.cols - at);
-        for i in 0..self.rows {
-            left.row_mut(i).copy_from_slice(&self.row(i)[..at]);
-            right.row_mut(i).copy_from_slice(&self.row(i)[at..]);
-        }
-        (left, right)
-    }
-
     /// Gathers the given rows into a new matrix (duplicates allowed).
     ///
     /// # Errors
@@ -590,31 +540,6 @@ impl DenseMatrix {
             out.row_mut(dst).copy_from_slice(self.row(src));
         }
         Ok(out)
-    }
-
-    /// Vertically stacks a list of matrices with identical column counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if column counts differ.
-    pub fn vstack(parts: &[DenseMatrix]) -> Result<DenseMatrix> {
-        if parts.is_empty() {
-            return Ok(DenseMatrix::zeros(0, 0));
-        }
-        let cols = parts[0].cols;
-        let rows = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            if p.cols != cols {
-                return Err(MatrixError::DimensionMismatch {
-                    op: "dense vstack",
-                    lhs: (rows, cols),
-                    rhs: p.shape(),
-                });
-            }
-            data.extend_from_slice(&p.data);
-        }
-        Ok(DenseMatrix { rows, cols, data })
     }
 
     /// Sum over every entry.
@@ -642,11 +567,6 @@ impl DenseMatrix {
             *m /= self.rows as f64;
         }
         means
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Index of the maximum entry in each row (`argmax`), used for
@@ -882,17 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn hstack_hsplit_roundtrip() {
-        let a = sample();
-        let b = sample();
-        let stacked = a.hstack(&b).unwrap();
-        assert_eq!(stacked.shape(), (2, 6));
-        let (l, r) = stacked.hsplit(3);
-        assert_eq!(l, a);
-        assert_eq!(r, b);
-    }
-
-    #[test]
     fn gather_rows_and_out_of_bounds() {
         let a = sample();
         let g = a.gather_rows(&[1, 0, 1]).unwrap();
@@ -902,21 +811,12 @@ mod tests {
     }
 
     #[test]
-    fn vstack_shapes() {
-        let a = sample();
-        let v = DenseMatrix::vstack(&[a.clone(), a.clone()]).unwrap();
-        assert_eq!(v.shape(), (4, 3));
-        let bad = DenseMatrix::zeros(1, 2);
-        assert!(DenseMatrix::vstack(&[a, bad]).is_err());
-    }
-
-    #[test]
     fn reductions() {
         let a = sample();
         assert_eq!(a.sum(), 21.0);
         assert_eq!(a.row_sums(), vec![6.0, 15.0]);
         assert_eq!(a.col_means(), vec![2.5, 3.5, 4.5]);
-        assert!((a.frobenius_norm() - (91.0f64).sqrt()).abs() < 1e-12);
+        assert_eq!(a.hadamard(&a).unwrap().sum(), 91.0);
     }
 
     #[test]

@@ -1,156 +1,19 @@
-//! Structural operators used by bulk sampling.
+//! Selection-matrix constructors.
 //!
-//! Bulk sampling (§4.1.4, §4.2.4 of the paper) vertically stacks the per-batch
-//! sampler matrices `Q^l_i`, probability matrices `P_i` and sampled adjacency
-//! matrices `A^l_i` into single tall matrices, and LADIES bulk column
-//! extraction multiplies a *block-diagonal* matrix of per-batch row
-//! extractions by a stacked column-selection matrix.  The operators in this
-//! module implement those compositions for CSR matrices.
-//!
-//! The selection-matrix *constructors* here ([`row_selection_matrix`],
-//! [`indicator_row`]) sit at the boundary of the three-tier kernel story
-//! (see [`crate::spgemm`]): a product against a [`row_selection_matrix`]
-//! never needs to be materialised as an SpGEMM — the row gather
-//! [`crate::extract::extract_rows`] computes the byte-identical result in
-//! `O(nnz of the selected rows)` — whereas an [`indicator_row`] product has
-//! several nonzeros per `Q` row and genuinely requires the general Gustavson
-//! kernel.  The constructors remain for the distributed 1.5D path (which
-//! ships `Q` blocks between ranks) and as the reference formulation the
-//! extraction proptests pin against.
+//! Algorithm 1 of the paper writes row gathers as products `Q · A` against a
+//! row-selection matrix `Q` (§4.1.1, §4.2.3).  [`row_selection_matrix`] builds
+//! that `Q`; the product never needs to be materialised as an SpGEMM — the
+//! row gather [`crate::extract::extract_rows`] computes the byte-identical
+//! result in `O(nnz of the selected rows)` — so the constructor remains as
+//! the reference formulation the extraction proptests pin against.  A product
+//! with several nonzeros per `Q` row (the LADIES indicator rows, built in
+//! place with [`CsrMatrix::from_raw`]) genuinely needs the general Gustavson
+//! kernel of [`crate::spgemm`].
 
 use crate::csr::CsrMatrix;
 use crate::error::MatrixError;
 use crate::prefix::counts_to_offsets;
 use crate::Result;
-
-/// Vertically stacks matrices with identical column counts:
-/// `[A_1; A_2; ...; A_k]`.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if column counts differ.
-///
-/// # Example
-///
-/// ```
-/// use dmbs_matrix::{CsrMatrix, ops::vstack};
-///
-/// # fn main() -> Result<(), dmbs_matrix::MatrixError> {
-/// let i = CsrMatrix::identity(2);
-/// let stacked = vstack(&[i.clone(), i])?;
-/// assert_eq!(stacked.shape(), (4, 2));
-/// assert_eq!(stacked.nnz(), 4);
-/// # Ok(())
-/// # }
-/// ```
-pub fn vstack(parts: &[CsrMatrix]) -> Result<CsrMatrix> {
-    if parts.is_empty() {
-        return Ok(CsrMatrix::zeros(0, 0));
-    }
-    let cols = parts[0].cols();
-    for p in parts {
-        if p.cols() != cols {
-            return Err(MatrixError::DimensionMismatch {
-                op: "vstack",
-                lhs: (0, cols),
-                rhs: p.shape(),
-            });
-        }
-    }
-    let rows: usize = parts.iter().map(|p| p.rows()).sum();
-    let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(rows);
-    for p in parts {
-        for r in 0..p.rows() {
-            row_data.push(
-                p.row_indices(r).iter().zip(p.row_values(r)).map(|(&c, &v)| (c, v)).collect(),
-            );
-        }
-    }
-    CsrMatrix::from_rows(rows, cols, row_data)
-}
-
-/// Horizontally concatenates matrices with identical row counts:
-/// `[A_1 | A_2 | ... | A_k]`.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::DimensionMismatch`] if row counts differ.
-pub fn hstack(parts: &[CsrMatrix]) -> Result<CsrMatrix> {
-    if parts.is_empty() {
-        return Ok(CsrMatrix::zeros(0, 0));
-    }
-    let rows = parts[0].rows();
-    for p in parts {
-        if p.rows() != rows {
-            return Err(MatrixError::DimensionMismatch {
-                op: "hstack",
-                lhs: (rows, 0),
-                rhs: p.shape(),
-            });
-        }
-    }
-    let cols: usize = parts.iter().map(|p| p.cols()).sum();
-    let mut row_data: Vec<Vec<(usize, f64)>> = vec![Vec::new(); rows];
-    let mut col_offset = 0usize;
-    for p in parts {
-        for (r, row) in row_data.iter_mut().enumerate() {
-            for (&c, &v) in p.row_indices(r).iter().zip(p.row_values(r)) {
-                row.push((c + col_offset, v));
-            }
-        }
-        col_offset += p.cols();
-    }
-    CsrMatrix::from_rows(rows, cols, row_data)
-}
-
-/// Builds the block-diagonal matrix `diag(A_1, ..., A_k)`.
-///
-/// Used by bulk LADIES column extraction, where each per-batch row-extraction
-/// product `A_{R_i}` must only multiply its own column-selection block
-/// (§4.2.4).
-pub fn block_diag(blocks: &[CsrMatrix]) -> CsrMatrix {
-    let rows: usize = blocks.iter().map(|b| b.rows()).sum();
-    let cols: usize = blocks.iter().map(|b| b.cols()).sum();
-    let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(rows);
-    let mut col_offset = 0usize;
-    for b in blocks {
-        for r in 0..b.rows() {
-            row_data.push(
-                b.row_indices(r)
-                    .iter()
-                    .zip(b.row_values(r))
-                    .map(|(&c, &v)| (c + col_offset, v))
-                    .collect(),
-            );
-        }
-        col_offset += b.cols();
-    }
-    CsrMatrix::from_rows(rows, cols, row_data).expect("block offsets preserve CSR invariants")
-}
-
-/// Splits a tall stacked matrix into `k` equal-height blocks.
-///
-/// This is the inverse of [`vstack`] for equally sized parts: a bulk sampled
-/// adjacency matrix with `k` minibatches of `rows_per_block` rows each is
-/// unstacked back into per-minibatch matrices before training.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::InvalidStructure`] if `matrix.rows()` is not
-/// divisible by `k`.
-pub fn split_rows(matrix: &CsrMatrix, k: usize) -> Result<Vec<CsrMatrix>> {
-    if k == 0 {
-        return Err(MatrixError::InvalidStructure("cannot split into 0 blocks".into()));
-    }
-    if !matrix.rows().is_multiple_of(k) {
-        return Err(MatrixError::InvalidStructure(format!(
-            "{} rows are not divisible into {k} equal blocks",
-            matrix.rows()
-        )));
-    }
-    let per = matrix.rows() / k;
-    Ok((0..k).map(|i| matrix.row_block(i * per, (i + 1) * per)).collect())
-}
 
 /// Builds a row-selection matrix `Q ∈ {0,1}^{b×n}` with one nonzero per row:
 /// row `i` selects column `selected[i]`.  Multiplying `Q · A` gathers the rows
@@ -173,42 +36,11 @@ pub fn row_selection_matrix(selected: &[usize], n: usize) -> Result<CsrMatrix> {
     CsrMatrix::from_raw(rows, n, indptr, selected.to_vec(), vec![1.0; rows])
 }
 
-/// Builds the single-row indicator matrix `Q ∈ {0,1}^{1×n}` whose nonzero
-/// columns are the given (unique) vertices — the LADIES `Q^L` construction
-/// (§4.2.1).
-///
-/// # Errors
-///
-/// Returns [`MatrixError::InvalidStructure`] if any vertex is `>= n` or the
-/// list contains duplicates.
-pub fn indicator_row(vertices: &[usize], n: usize) -> Result<CsrMatrix> {
-    let mut sorted = vertices.to_vec();
-    sorted.sort_unstable();
-    for w in sorted.windows(2) {
-        if w[0] == w[1] {
-            return Err(MatrixError::InvalidStructure(format!(
-                "duplicate vertex {} in indicator row",
-                w[0]
-            )));
-        }
-    }
-    if let Some(&max) = sorted.last() {
-        if max >= n {
-            return Err(MatrixError::InvalidStructure(format!(
-                "vertex {max} out of range for n = {n}"
-            )));
-        }
-    }
-    let nnz = sorted.len();
-    CsrMatrix::from_raw(1, n, vec![0, nnz], sorted, vec![1.0; nnz])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::spgemm::spgemm;
     use crate::CooMatrix;
-    use proptest::prelude::*;
 
     fn figure1_graph() -> CsrMatrix {
         let edges = [
@@ -232,65 +64,6 @@ mod tests {
     }
 
     #[test]
-    fn vstack_empty_and_mismatch() {
-        assert_eq!(vstack(&[]).unwrap().shape(), (0, 0));
-        let a = CsrMatrix::zeros(2, 3);
-        let b = CsrMatrix::zeros(2, 4);
-        assert!(vstack(&[a, b]).is_err());
-    }
-
-    #[test]
-    fn vstack_preserves_rows() {
-        let a = figure1_graph();
-        let stacked = vstack(&[a.clone(), a.clone()]).unwrap();
-        assert_eq!(stacked.shape(), (12, 6));
-        assert_eq!(stacked.nnz(), 2 * a.nnz());
-        assert_eq!(stacked.row_indices(7), a.row_indices(1));
-    }
-
-    #[test]
-    fn hstack_offsets_columns() {
-        let a = CsrMatrix::identity(2);
-        let h = hstack(&[a.clone(), a]).unwrap();
-        assert_eq!(h.shape(), (2, 4));
-        assert_eq!(h.row_indices(0), &[0, 2]);
-        assert_eq!(h.row_indices(1), &[1, 3]);
-        let bad = CsrMatrix::zeros(3, 1);
-        assert!(hstack(&[CsrMatrix::identity(2), bad]).is_err());
-        assert_eq!(hstack(&[]).unwrap().shape(), (0, 0));
-    }
-
-    #[test]
-    fn block_diag_structure() {
-        let a = CsrMatrix::identity(2);
-        let b = CsrMatrix::from_coo(&CooMatrix::from_triples(1, 3, vec![(0, 2, 5.0)]).unwrap());
-        let d = block_diag(&[a, b]);
-        assert_eq!(d.shape(), (3, 5));
-        assert_eq!(d.get(0, 0), 1.0);
-        assert_eq!(d.get(1, 1), 1.0);
-        assert_eq!(d.get(2, 4), 5.0);
-        assert_eq!(d.nnz(), 3);
-    }
-
-    #[test]
-    fn block_diag_empty() {
-        assert_eq!(block_diag(&[]).shape(), (0, 0));
-    }
-
-    #[test]
-    fn split_rows_inverts_vstack() {
-        let a = figure1_graph();
-        let stacked = vstack(&[a.clone(), a.clone(), a.clone()]).unwrap();
-        let parts = split_rows(&stacked, 3).unwrap();
-        assert_eq!(parts.len(), 3);
-        for p in parts {
-            assert_eq!(p, a);
-        }
-        assert!(split_rows(&stacked, 5).is_err());
-        assert!(split_rows(&stacked, 0).is_err());
-    }
-
-    #[test]
     fn row_selection_matrix_gathers_rows() {
         let a = figure1_graph();
         let q = row_selection_matrix(&[1, 5], 6).unwrap();
@@ -310,58 +83,14 @@ mod tests {
     #[test]
     fn indicator_row_counts_neighbors() {
         let a = figure1_graph();
-        let q = indicator_row(&[1, 5], 6).unwrap();
-        assert_eq!(q.shape(), (1, 6));
+        // The LADIES indicator row of {1, 5}, built in place.
+        let q = CsrMatrix::from_raw(1, 6, vec![0, 2], vec![1, 5], vec![1.0; 2]).unwrap();
         let p = spgemm(&q, &a).unwrap();
         // Aggregated neighborhood multiplicities of {1, 5}: [1, 0, 1, 1, 2, 0].
         assert_eq!(p.get(0, 0), 1.0);
         assert_eq!(p.get(0, 2), 1.0);
         assert_eq!(p.get(0, 3), 1.0);
         assert_eq!(p.get(0, 4), 2.0);
-        assert!(indicator_row(&[0, 0], 6).is_err());
-        assert!(indicator_row(&[9], 6).is_err());
-    }
-
-    #[test]
-    fn indicator_row_sorts_input() {
-        let q = indicator_row(&[5, 1, 3], 6).unwrap();
-        assert_eq!(q.row_indices(0), &[1, 3, 5]);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_vstack_then_split_roundtrip(
-            entries in proptest::collection::vec((0usize..4, 0usize..5, -2.0f64..2.0), 0..20),
-            k in 1usize..5,
-        ) {
-            let block = CsrMatrix::from_coo(&CooMatrix::from_triples(4, 5, entries).unwrap());
-            let blocks: Vec<CsrMatrix> = (0..k).map(|_| block.clone()).collect();
-            let stacked = vstack(&blocks).unwrap();
-            prop_assert_eq!(stacked.rows(), 4 * k);
-            let parts = split_rows(&stacked, k).unwrap();
-            for p in parts {
-                prop_assert_eq!(p, block.clone());
-            }
-        }
-
-        #[test]
-        fn prop_block_diag_nnz_and_shape(sizes in proptest::collection::vec((1usize..4, 1usize..4), 1..5)) {
-            let blocks: Vec<CsrMatrix> = sizes.iter().map(|&(r, c)| {
-                // Dense-ish block of ones.
-                let mut coo = CooMatrix::new(r, c);
-                for i in 0..r {
-                    for j in 0..c {
-                        coo.push(i, j, 1.0).unwrap();
-                    }
-                }
-                CsrMatrix::from_coo(&coo)
-            }).collect();
-            let d = block_diag(&blocks);
-            let total_rows: usize = sizes.iter().map(|s| s.0).sum();
-            let total_cols: usize = sizes.iter().map(|s| s.1).sum();
-            let total_nnz: usize = sizes.iter().map(|s| s.0 * s.1).sum();
-            prop_assert_eq!(d.shape(), (total_rows, total_cols));
-            prop_assert_eq!(d.nnz(), total_nnz);
-        }
+        assert_eq!(p.nnz(), 4);
     }
 }

@@ -33,9 +33,8 @@ use std::ops::Range;
 ///
 /// let par = Parallelism::new(4);
 /// assert_eq!(par.threads(), 4);
-/// assert!(!par.is_serial());
 /// // Zero is clamped: "no threads" means serial, never "no work".
-/// assert!(Parallelism::new(0).is_serial());
+/// assert_eq!(Parallelism::new(0), Parallelism::serial());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Parallelism {
@@ -62,11 +61,6 @@ impl Parallelism {
     /// The configured worker count (always at least 1).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Whether kernels run on the calling thread only.
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
     }
 
     /// The number of blocks `items` work items are actually split into:
@@ -205,7 +199,7 @@ mod tests {
     fn parallelism_clamps_and_reports() {
         assert_eq!(Parallelism::new(0).threads(), 1);
         assert_eq!(Parallelism::new(8).threads(), 8);
-        assert!(Parallelism::serial().is_serial());
+        assert_eq!(Parallelism::serial().threads(), 1);
         assert_eq!(Parallelism::default(), Parallelism::serial());
         assert!(Parallelism::available().threads() >= 1);
         assert_eq!(Parallelism::new(8).effective_blocks(3), 3);

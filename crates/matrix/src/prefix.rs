@@ -23,25 +23,6 @@ pub fn inclusive_scan(values: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Exclusive prefix sum of `values`: `out[i] = values[0] + ... + values[i-1]`,
-/// with `out[0] = 0`.
-///
-/// # Example
-///
-/// ```
-/// let scan = dmbs_matrix::prefix::exclusive_scan(&[1.0, 2.0, 3.0]);
-/// assert_eq!(scan, vec![0.0, 1.0, 3.0]);
-/// ```
-pub fn exclusive_scan(values: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0.0;
-    for &v in values {
-        out.push(acc);
-        acc += v;
-    }
-    out
-}
-
 /// Exclusive prefix sum over `usize` counts, returning a vector one longer
 /// than the input whose last element is the total.  This is the standard
 /// "counts to offsets" transform used when building CSR structures.
@@ -99,13 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_basic() {
-        assert_eq!(exclusive_scan(&[]), Vec::<f64>::new());
-        assert_eq!(exclusive_scan(&[5.0]), vec![0.0]);
-        assert_eq!(exclusive_scan(&[1.0, 2.0]), vec![0.0, 1.0]);
-    }
-
-    #[test]
     fn counts_to_offsets_basic() {
         assert_eq!(counts_to_offsets(&[]), vec![0]);
         assert_eq!(counts_to_offsets(&[3]), vec![0, 3]);
@@ -141,9 +115,9 @@ mod tests {
         #[test]
         fn scans_are_consistent(values in proptest::collection::vec(0.0f64..10.0, 1..100)) {
             let inc = inclusive_scan(&values);
-            let exc = exclusive_scan(&values);
             for i in 0..values.len() {
-                prop_assert!((inc[i] - (exc[i] + values[i])).abs() < 1e-9);
+                let before = if i == 0 { 0.0 } else { inc[i - 1] };
+                prop_assert!((inc[i] - (before + values[i])).abs() < 1e-9);
             }
         }
 

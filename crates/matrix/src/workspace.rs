@@ -30,8 +30,8 @@
 //!   `extract_columns_masked`) stop paying per-call allocation without any
 //!   caller cooperation.  The samplers use it too: every sampling path
 //!   runs on the thread-local workspace, and a long-lived thread that must
-//!   bound its resident scratch (the serving tier) calls
-//!   [`trim_thread_workspace`] between calls.
+//!   bound its resident scratch can call [`trim_thread_workspace`] between
+//!   calls.
 //!
 //! It also holds a bitmap over the global columns, lent out as a
 //! [`ColumnSet`]: the samplers' extraction steps number the columns a batch
@@ -370,7 +370,7 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut SpgemmWorkspace) -> R) -> R {
 /// workspace and returns the bytes it holds afterwards.  Callers that go
 /// through the plain kernel entry points (and therefore never see the
 /// thread-local workspace directly) use this to bound resident scratch on a
-/// long-lived thread — the serving tier calls it after each micro-bulk.
+/// long-lived thread.
 pub fn trim_thread_workspace(byte_bound: usize) -> usize {
     THREAD_WORKSPACE.with(|cell| match cell.try_borrow_mut() {
         Ok(mut ws) => {

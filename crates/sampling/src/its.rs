@@ -62,7 +62,6 @@
 use crate::error::SamplingError;
 use crate::Result;
 use dmbs_matrix::pool::Parallelism;
-use dmbs_matrix::prefix::inclusive_scan;
 use dmbs_matrix::CsrMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -399,45 +398,6 @@ pub fn its_without_replacement<R: Rng + ?Sized>(
     Ok(scratch.picked)
 }
 
-/// Draws `s` positions *with* replacement using inverse transform sampling
-/// (a single prefix sum, `s` binary searches).  Used by samplers that allow
-/// repeated picks (e.g. FastGCN-style importance sampling).  The search is
-/// the lazy-rescan draw's — the first scan entry strictly above the target —
-/// so a zero-weight position is never returned, even for `u == 0.0`.
-///
-/// # Errors
-///
-/// Returns [`SamplingError::InvalidConfig`] if `s == 0`, `weights` is empty,
-/// no weight is positive, or the weights do not have a finite sum.
-pub fn its_with_replacement<R: Rng + ?Sized>(
-    weights: &[f64],
-    s: usize,
-    rng: &mut R,
-) -> Result<Vec<usize>> {
-    if s == 0 {
-        return Err(SamplingError::InvalidConfig("sample count s must be positive".into()));
-    }
-    if weights.is_empty() {
-        return Err(SamplingError::InvalidConfig(
-            "cannot sample from an empty distribution".into(),
-        ));
-    }
-    let scan = inclusive_scan(weights);
-    let total = scan[scan.len() - 1];
-    finite_total(total)?;
-    match weights.iter().rposition(|&w| w > 0.0) {
-        // `target < total` for every normal total; the clamp covers
-        // subnormal round-up, and stops at the last positive weight.
-        Some(last) if total > 0.0 => Ok((0..s)
-            .map(|_| {
-                let target = rng.gen::<f64>() * total;
-                scan.partition_point(|&c| c <= target).min(last)
-            })
-            .collect()),
-        _ => Err(SamplingError::InvalidConfig("all weights are zero".into())),
-    }
-}
-
 /// The RNG seed of `row`'s private stream under `base_seed` — a splitmix64
 /// finalizer over the row index, so adjacent rows get decorrelated streams.
 ///
@@ -603,7 +563,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use dmbs_matrix::prefix::upper_bound;
+    use dmbs_matrix::prefix::{inclusive_scan, upper_bound};
     use dmbs_matrix::CooMatrix;
     use proptest::prelude::*;
     use rand::RngCore;
@@ -761,7 +721,14 @@ pub(crate) mod tests {
         // and topped up from the front of the support, is not successive
         // sampling.
         let wrong = |w: &[f64], s: usize, rng: &mut StdRng| -> Result<Vec<usize>> {
-            let mut picked = its_with_replacement(w, s, rng)?;
+            let scan = inclusive_scan(w);
+            let total = scan[scan.len() - 1];
+            let mut picked: Vec<usize> = (0..s)
+                .map(|_| {
+                    let target = rng.gen::<f64>() * total;
+                    scan.partition_point(|&c| c <= target).min(w.len() - 1)
+                })
+                .collect();
             picked.sort_unstable();
             picked.dedup();
             let mut fill = (0..w.len()).filter(|&i| w[i] > 0.0);
@@ -859,43 +826,6 @@ pub(crate) mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0].max(1) as f64;
         assert!(ratio > 7.0 && ratio < 13.0, "ratio {ratio} outside expected band");
-    }
-
-    #[test]
-    fn with_replacement_allows_duplicates_and_validates() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let picked = its_with_replacement(&[1.0, 1.0], 10, &mut rng).unwrap();
-        assert_eq!(picked.len(), 10);
-        assert!(its_with_replacement(&[], 2, &mut rng).is_err());
-        assert!(its_with_replacement(&[0.0, 0.0], 2, &mut rng).is_err());
-        assert!(its_with_replacement(&[1.0], 0, &mut rng).is_err());
-    }
-
-    #[test]
-    fn with_replacement_never_selects_zero_weight_positions() {
-        // u == 0.0 used to land on the leading zero-weight position.
-        let mut rng = ScriptedRng { script: vec![0], next: 0 };
-        assert_eq!(its_with_replacement(&[0.0, 1.0], 3, &mut rng).unwrap(), vec![1, 1, 1]);
-        let weights = [0.0, 3.0, 0.0, 1.0, 0.0];
-        for script in [vec![0], vec![u64::MAX], vec![0, u64::MAX]] {
-            let mut rng = ScriptedRng { script, next: 0 };
-            let picked = its_with_replacement(&weights, 4, &mut rng).unwrap();
-            assert!(picked.iter().all(|&i| weights[i] > 0.0), "{picked:?}");
-        }
-        // A subnormal total rounds u · total up to the total itself; the
-        // clamp stops at the last positive weight, not the trailing zero.
-        let tiny = [f64::from_bits(1), 0.0];
-        let mut rng = ScriptedRng { script: vec![u64::MAX], next: 0 };
-        assert_eq!(its_with_replacement(&tiny, 2, &mut rng).unwrap(), vec![0, 0]);
-    }
-
-    #[test]
-    fn with_replacement_rejects_non_finite_sums() {
-        let mut rng = StdRng::seed_from_u64(8);
-        for weights in [[f64::INFINITY, 1.0], [f64::NAN, 1.0], [f64::MAX, f64::MAX]] {
-            let err = its_with_replacement(&weights, 2, &mut rng).unwrap_err();
-            assert!(matches!(err, SamplingError::InvalidConfig(_)), "{err}");
-        }
     }
 
     #[test]

@@ -77,11 +77,6 @@ impl GraphSageSampler {
     pub fn fanouts(&self) -> &[usize] {
         &self.fanouts
     }
-
-    /// Whether self-loops are added during extraction.
-    pub fn includes_self_loops(&self) -> bool {
-        self.include_self_loops
-    }
 }
 
 /// The extraction step (§4.1.3) for one batch, straight from the ITS
@@ -288,7 +283,7 @@ mod tests {
     #[test]
     fn self_loops_put_rows_into_cols() {
         let sampler = GraphSageSampler::new(vec![1, 1]).with_self_loops();
-        assert!(sampler.includes_self_loops());
+        assert!(sampler.include_self_loops);
         let a = adjacency();
         let mut rng = StdRng::seed_from_u64(5);
         let sample = sampler.sample_minibatch(&a, &[1, 5], &mut rng).unwrap();
