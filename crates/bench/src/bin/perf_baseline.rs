@@ -48,7 +48,6 @@
 //! and asserts every byte-identity contract.  `--check <dir>` is the CI
 //! perf-regression gate: it compares every file this invocation wrote
 //! against the committed baseline in `<dir>` (`ci/baseline/` in CI).
-//! `DMBS_SCALE=large` roughly quadruples the kernel workload;
 //! `DMBS_PERF_THREADS` (comma-separated, default `1,2,4,8`) overrides the
 //! thread sweep.  Thread counts above the host's `available_parallelism()`
 //! are dropped (and said so): a speedup the host cannot support is not a
@@ -248,14 +247,8 @@ struct KernelWorkload {
 fn kernel_workload(smoke: bool) -> &'static KernelWorkload {
     static WORKLOAD: OnceLock<KernelWorkload> = OnceLock::new();
     WORKLOAD.get_or_init(|| {
-        let large = matches!(std::env::var("DMBS_SCALE").as_deref(), Ok("large") | Ok("LARGE"));
-        let (scale, degree, q_rows, reps, batch_size, num_batches) = if smoke {
-            (8, 8, 1024, 1, 64, 4)
-        } else if large {
-            (15, 20, 131_072, 5, 256, 16)
-        } else {
-            (13, 16, 32_768, 3, 256, 16)
-        };
+        let (scale, degree, q_rows, reps, batch_size, num_batches) =
+            if smoke { (8, 8, 1024, 1, 64, 4) } else { (13, 16, 32_768, 3, 256, 16) };
         let threads = if smoke { thread_sweep(&[1, 2]) } else { thread_sweep(&[1, 2, 4, 8]) };
         let graph = rmat(&RmatConfig::new(scale, degree), &mut StdRng::seed_from_u64(99))
             .expect("valid RMAT config");
@@ -1782,11 +1775,7 @@ fn main() {
         // Guard BEFORE the sweep runs: writing the fresh JSONs into the
         // baseline directory would clobber the committed baseline and then
         // compare the files against themselves (a vacuous pass).
-        let same_dir = match (baseline_dir.canonicalize(), out_dir.canonicalize()) {
-            (Ok(a), Ok(b)) => a == b,
-            _ => *baseline_dir == out_dir,
-        };
-        if same_dir {
+        if dmbs_bench::check::same_dir(baseline_dir, &out_dir) {
             eprintln!(
                 "--check baseline directory {} is also the output directory; the sweep would \
                  overwrite the baseline before comparing.  Pass a different output_dir.",
@@ -1823,39 +1812,8 @@ fn main() {
         produced.push((file, records));
     }
     if let Some(baseline_dir) = check_dir {
-        run_check(&baseline_dir, &produced, tolerance);
-    }
-}
-
-/// The `--check` gate: compare the records this invocation produced against
-/// the committed baselines.  Hard findings (kernel-identity or exact-counter
-/// drift, a record or field the fresh run lost) fail the process;
-/// wall-clock findings only warn.
-fn run_check(baseline_dir: &std::path::Path, produced: &[(&str, Vec<Record>)], tolerance: f64) {
-    use dmbs_bench::check::{compare_file, passes, Severity};
-    println!(
-        "\n== perf-regression check vs {} (wall tolerance {:.0}%) ==",
-        baseline_dir.display(),
-        tolerance * 100.0
-    );
-    let mut all = Vec::new();
-    for (file, records) in produced {
-        all.extend(compare_file(baseline_dir, file, records, tolerance));
-    }
-    for finding in &all {
-        match finding.severity {
-            Severity::Hard => eprintln!("FAIL {}", finding.message),
-            Severity::Soft => eprintln!("warn {}", finding.message),
+        if !dmbs_bench::check::run(&baseline_dir, &produced, tolerance) {
+            std::process::exit(1);
         }
-    }
-    if passes(&all) {
-        println!(
-            "check passed: {} file(s), {} soft warning(s), no hard regressions",
-            produced.len(),
-            all.len()
-        );
-    } else {
-        eprintln!("check FAILED: a committed perf contract regressed (see FAIL lines above)");
-        std::process::exit(1);
     }
 }

@@ -1,4 +1,4 @@
-//! The one schema of every `BENCH_*.json` file.
+//! The one schema of every `BENCH_*.json` file and of `REPRO.json`.
 //!
 //! A [`Record`] is an ordered list of `(name, class, value)` built where a
 //! sweep measures.  The [`Class`] of a field is the whole gating policy: the
@@ -63,6 +63,12 @@ impl From<f64> for Datum {
     }
 }
 
+impl From<bool> for Datum {
+    fn from(b: bool) -> Self {
+        Datum::Bool(b)
+    }
+}
+
 impl From<&str> for Datum {
     fn from(s: &str) -> Self {
         Datum::Text(s.to_string())
@@ -103,11 +109,10 @@ impl Datum {
 
     /// Whether a parsed baseline value holds the same thing (counters stay
     /// far below 2^53, so the `f64` the reader parsed them into is exact).
+    /// Reals never compare equal: [`write()`] refuses them in exact fields.
     pub(crate) fn equals(&self, baseline: &Value) -> bool {
         match (self, baseline) {
             (Datum::Unsigned(x), Value::Num(want)) => *x as f64 == *want,
-            (Datum::Real(x), Value::Num(want)) => x == want,
-            (Datum::Real(x), Value::Null) => !x.is_finite(),
             (Datum::Bool(b), Value::Bool(want)) => b == want,
             (Datum::Text(s), Value::Str(want)) => s == want,
             _ => false,
@@ -243,9 +248,11 @@ fn render_records(records: &[Record]) -> String {
 }
 
 /// Refuses a file the comparator could not check record by record: every
-/// record must carry the first record's field names and classes, and no two
+/// record must carry the first record's field names and classes, no two
 /// records may agree on every key field (the second would be matched to the
-/// first's baseline and never compared).
+/// first's baseline and never compared), and no `exact` field may hold a
+/// real (the file keeps six significant digits of it, so the full-precision
+/// fresh value could never equal its baseline).
 fn validate(records: &[Record]) -> Result<(), String> {
     fn schema(r: &Record) -> impl Iterator<Item = (&String, Class)> {
         r.fields.iter().map(|f| (&f.name, f.class))
@@ -253,6 +260,11 @@ fn validate(records: &[Record]) -> Result<(), String> {
     let mut seen = std::collections::BTreeSet::new();
     for r in records {
         let key = r.key_string();
+        if let Some(f) = r.fields.iter().find(|f| {
+            f.class == Class::Exact && matches!(f.value, Datum::Real(_) | Datum::Phases(_))
+        }) {
+            return Err(format!("record [{key}]: exact field {} holds a real", f.name));
+        }
         if !schema(r).eq(schema(&records[0])) {
             return Err(format!("record [{key}] differs in schema from the file's first record"));
         }
@@ -290,10 +302,19 @@ pub fn write(path: &Path, workload: &Workload, records: &[Record]) -> Result<(),
 /// Prints the records as an aligned table, one column per field.
 pub fn print(title: &str, records: &[Record]) {
     let Some(first) = records.first() else { return };
-    let header: Vec<&str> = first.fields.iter().map(|f| &*f.name).collect();
+    let header: Vec<String> = first.fields.iter().map(|f| f.name.clone()).collect();
     let rows: Vec<Vec<String>> =
         records.iter().map(|r| r.fields.iter().map(|f| f.value.cell()).collect()).collect();
-    crate::print_table(title, &header, &rows);
+    let lines = || std::iter::once(&header).chain(&rows);
+    let widths: Vec<usize> = (0..header.len())
+        .map(|i| lines().map(|row| row[i].chars().count()).max().unwrap_or(0))
+        .collect();
+    println!("\n== {title} ==");
+    for row in lines() {
+        let cells: Vec<String> =
+            row.iter().zip(&widths).map(|(cell, w)| format!("{cell:>w$}")).collect();
+        println!("{}", cells.join("  "));
+    }
 }
 
 #[cfg(test)]
@@ -346,6 +367,22 @@ mod tests {
         assert!(validate(&records).is_err());
     }
 
+    #[test]
+    fn an_exact_real_fails_the_write_and_the_same_value_as_info_passes() {
+        let dir = std::env::temp_dir().join(format!("dmbs_record_real_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_real.json");
+        let record = |exact: bool| {
+            let r = Record::new().key("p", 4usize);
+            vec![if exact { r.exact("ratio", 0.1) } else { r.info("ratio", 0.1) }]
+        };
+        let err = write(&path, &workload(), &record(true)).unwrap_err();
+        assert!(err.contains("exact field ratio"), "{err}");
+        assert!(!path.exists(), "nothing may be written before the refusal");
+        write(&path, &workload(), &record(false)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Rebuilds the records of a committed file from its parsed values and
     /// the class of each field, and renders them back.
     fn rebuilt(doc: &Value, classes: &[(&str, Class)]) -> String {
@@ -367,8 +404,8 @@ mod tests {
                             }
                             (Class::Soft | Class::Info, Value::Num(x)) => Datum::Real(*x),
                             (Class::Info, Value::Null) => Datum::Real(f64::NAN),
-                            (Class::Key, Value::Str(s)) => Datum::Text(s.clone()),
-                            (Class::Identity, Value::Bool(b)) => Datum::Bool(*b),
+                            (Class::Key | Class::Info, Value::Str(s)) => Datum::Text(s.clone()),
+                            (Class::Exact | Class::Identity, Value::Bool(b)) => Datum::Bool(*b),
                             other => panic!("{name}: unexpected {other:?}"),
                         };
                         r.with(name, *class, datum)
@@ -416,8 +453,20 @@ mod tests {
             ("wall_s", Soft),
             ("identical_to_builder_auto", Identity),
         ];
+        let repro: &[(&str, Class)] = &[
+            ("claim", Key),
+            ("at", Key),
+            ("paper", Info),
+            ("lhs", Exact),
+            ("relation", Info),
+            ("rhs", Exact),
+            ("holds", Exact),
+            ("reason", Info),
+        ];
         let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/baseline");
-        for (file, classes) in [("BENCH_fetch.json", fetch), ("BENCH_autotune.json", autotune)] {
+        for (file, classes) in
+            [("BENCH_fetch.json", fetch), ("BENCH_autotune.json", autotune), ("REPRO.json", repro)]
+        {
             let text = std::fs::read_to_string(baseline.join(file)).unwrap();
             // The header is left out of the pin: `host_threads` is the
             // running host's.
