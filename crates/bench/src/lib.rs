@@ -1,13 +1,13 @@
-//! The harness library: the paper's evaluation as claims, and the record
-//! schema, writer and `--check` gate of every committed bench file.
+//! The harness library: the paper's evaluation and the extensions'
+//! contracts as claims, and the record schema, writer and `--check` gate of
+//! the one committed claims file.
 //!
-//! Two binaries sit on it.  `repro` evaluates the claims of [`repro`] (one
-//! function per figure or table of the paper's evaluation) and writes
-//! `REPRO.json`; `perf_baseline` runs the kernel and pipeline sweeps and
-//! writes the `BENCH_*.json` files.  Both write through [`record`] and gate
-//! against `ci/baseline/` through [`check`].  The full-paper sizes (128
-//! GPUs, 111M-vertex graphs) do not fit a CPU-only reproduction, so the
-//! stand-in datasets and rank counts are scaled down, to one size.
+//! One binary sits on it.  `repro` evaluates the claims of [`repro`] (one
+//! function per figure or table of the paper's evaluation, then one per
+//! extension), writes `REPRO.json` through [`record`] and gates it against
+//! `ci/baseline/` through [`check`].  The full-paper sizes (128 GPUs,
+//! 111M-vertex graphs) do not fit a CPU-only reproduction, so the stand-in
+//! datasets and rank counts are scaled down, to one size.
 
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -168,11 +168,11 @@ pub fn train_replicated(
 }
 
 pub mod json {
-    //! A minimal JSON reader for the committed `BENCH_*.json` baselines.
+    //! A minimal JSON reader for the committed `REPRO.json` baseline.
     //!
     //! The workspace vendors only a marker-trait `serde` stand-in (no
-    //! `serde_json`), and the CI perf-regression gate needs to *read back*
-    //! the benchmark records it wrote; this module is the small
+    //! `serde_json`), and the CI regression gate needs to *read back* the
+    //! records it wrote; this module is the small
     //! recursive-descent parser that closes the loop.  It supports the full
     //! JSON grammar the harness emits (objects, arrays, strings with basic
     //! escapes, numbers incl. scientific notation, booleans, null).
@@ -429,51 +429,19 @@ pub mod record;
 pub mod repro;
 
 pub mod check {
-    //! The CI regression gate: compare a freshly-run sweep against its
-    //! committed `BENCH_*.json` or `REPRO.json` baseline.
+    //! The CI regression gate: compare a fresh `REPRO.json` against its
+    //! committed baseline.
     //!
     //! What happens to a field is its [`Class`] in the fresh [`Record`] — the
-    //! schema is declared once, where the sweep measures: `identity` flags
-    //! must hold, `exact` counters must equal the baseline, `soft` seconds
-    //! only warn beyond the tolerance, `info` is never compared, and the
-    //! `key` fields match a baseline record to its fresh one.  A baseline
-    //! record, or a baseline field, that the fresh run no longer produces is
-    //! a hard failure.
+    //! schema is declared once, where the row is built: `exact` values must
+    //! equal the baseline, `info` is never compared, and the `key` fields
+    //! match a baseline record to its fresh one.  A baseline record or field
+    //! the fresh run no longer produces fails, and so does a fresh record or
+    //! field the baseline lacks: the gate compares both ways, so a new row
+    //! cannot pass unseen before the baseline is re-pinned.
 
     use crate::json::Value;
-    use crate::record::{join_key, Class, Datum, Record};
-
-    /// How bad one comparison finding is.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Severity {
-        /// Fails the gate (exit non-zero).
-        Hard,
-        /// Printed as a warning only.
-        Soft,
-    }
-
-    /// One divergence between baseline and fresh run.
-    #[derive(Debug, Clone)]
-    pub struct Finding {
-        /// Hard failures fail the build; soft ones warn.
-        pub severity: Severity,
-        /// Human-readable description naming the record and field.
-        pub message: String,
-    }
-
-    impl Finding {
-        fn hard(message: String) -> Self {
-            Finding { severity: Severity::Hard, message }
-        }
-        fn soft(message: String) -> Self {
-            Finding { severity: Severity::Soft, message }
-        }
-    }
-
-    /// True when every finding is soft (the gate passes).
-    pub fn passes(findings: &[Finding]) -> bool {
-        findings.iter().all(|f| f.severity == Severity::Soft)
-    }
+    use crate::record::{join_key, Class, Record};
 
     /// A baseline value as messages and keys show it.
     fn show(value: &Value) -> String {
@@ -485,21 +453,13 @@ pub mod check {
         }
     }
 
-    /// Compares one fresh sweep against the parsed baseline document.
-    /// `label` names the file in messages; `wall_tolerance` is the allowed
-    /// relative wall-clock regression (e.g. `0.5` = 50% slower) before a
-    /// soft warning fires.
-    pub fn compare_bench(
-        label: &str,
-        baseline: &Value,
-        fresh: &[Record],
-        wall_tolerance: f64,
-    ) -> Vec<Finding> {
-        let mut findings = Vec::new();
+    /// Compares fresh records against the parsed baseline document and
+    /// returns one message per divergence (empty: the gate passes).
+    /// `label` names the file in messages.
+    pub fn compare_bench(label: &str, baseline: &Value, fresh: &[Record]) -> Vec<String> {
         let base_records = baseline.get("records").and_then(Value::as_array).unwrap_or(&[]);
         if base_records.is_empty() {
-            findings.push(Finding::hard(format!("{label}: baseline has no records to compare")));
-            return findings;
+            return vec![format!("{label}: baseline has no records to compare")];
         }
         // Every record of a file carries the first record's schema
         // (`record::write` refuses anything else), so its key fields are the
@@ -507,27 +467,29 @@ pub mod check {
         let key_names: Vec<&str> = fresh.first().map_or(Vec::new(), |r| {
             r.fields().iter().filter(|f| f.class == Class::Key).map(|f| &*f.name).collect()
         });
-        for base in base_records {
-            let key = join_key(
-                key_names.iter().filter_map(|&name| base.get(name).map(|v| (name, show(v)))),
-            );
-            let Some(new) = fresh.iter().find(|r| r.key_string() == key) else {
-                findings.push(Finding::hard(format!(
-                    "{label} [{key}]: record missing from the fresh run"
-                )));
-                continue;
-            };
-            compare_record(label, &key, base, new, wall_tolerance, &mut findings);
+        let base_keys: Vec<String> = base_records
+            .iter()
+            .map(|base| {
+                join_key(
+                    key_names.iter().filter_map(|&name| base.get(name).map(|v| (name, show(v)))),
+                )
+            })
+            .collect();
+        let mut findings = Vec::new();
+        for (base, key) in base_records.iter().zip(&base_keys) {
+            match fresh.iter().find(|r| r.key_string() == *key) {
+                Some(new) => compare_record(label, key, base, new, &mut findings),
+                None => {
+                    findings.push(format!("{label} [{key}]: record missing from the fresh run"))
+                }
+            }
         }
-        // Identity flags of *new* fresh records are still binding even when
-        // the baseline predates them.
         for new in fresh {
-            for field in new.broken_identities() {
-                findings.push(Finding::hard(format!(
-                    "{label} [{}] {} is false — a kernel diverged from its reference formulation",
-                    new.key_string(),
-                    field.name
-                )));
+            let key = new.key_string();
+            if !base_keys.contains(&key) {
+                findings.push(format!(
+                    "{label} [{key}]: record not in the baseline — re-pin the baseline"
+                ));
             }
         }
         findings
@@ -538,54 +500,44 @@ pub mod check {
         key: &str,
         base: &Value,
         new: &Record,
-        wall_tolerance: f64,
-        findings: &mut Vec<Finding>,
+        findings: &mut Vec<String>,
     ) {
         for field in new.fields() {
-            let Some(want) = base.get(&field.name) else { continue };
-            match (field.class, &field.value) {
-                (Class::Exact, got) if !got.equals(want) => {
-                    findings.push(Finding::hard(format!(
+            match base.get(&field.name) {
+                None => findings.push(format!(
+                    "{label} [{key}] {}: field not in the baseline — re-pin the baseline",
+                    field.name
+                )),
+                Some(want) if field.class == Class::Exact && !field.value.equals(want) => {
+                    findings.push(format!(
                         "{label} [{key}] {}: expected {}, measured {} — an exact field moved",
                         field.name,
                         show(want),
-                        got.cell()
-                    )));
+                        field.value.cell()
+                    ));
                 }
-                (Class::Soft, Datum::Real(got)) => {
-                    let want = want.as_f64().unwrap_or(0.0);
-                    if want > 0.0 && *got > want * (1.0 + wall_tolerance) {
-                        findings.push(Finding::soft(format!(
-                            "{label} [{key}] {}: {got:.4}s vs baseline {want:.4}s \
-                             (> {:.0}% slower; machine-dependent, not failing the gate)",
-                            field.name,
-                            wall_tolerance * 100.0
-                        )));
-                    }
-                }
-                _ => {}
+                Some(_) => {}
             }
         }
         if let Value::Object(fields) = base {
             for (name, _) in fields {
                 if new.get(name).is_none() {
-                    findings.push(Finding::hard(format!(
+                    findings.push(format!(
                         "{label} [{key}] {name}: present in baseline, missing from the fresh run"
-                    )));
+                    ));
                 }
             }
         }
     }
 
     /// Compares the fresh records of `file` against the committed copy in
-    /// `baseline_dir`; a missing or unparsable baseline is a hard finding
-    /// (the gate must not silently pass when its reference disappears).
+    /// `baseline_dir`; a missing or unparsable baseline is a finding (the
+    /// gate must not silently pass when its reference disappears).
     pub fn compare_file(
         baseline_dir: &std::path::Path,
         file: &str,
         fresh: &[Record],
-        wall_tolerance: f64,
-    ) -> Vec<Finding> {
+    ) -> Vec<String> {
         let path = baseline_dir.join(file);
         let baseline = std::fs::read_to_string(&path)
             .map_err(|e| format!("{file}: cannot read baseline {}: {e}", path.display()))
@@ -593,14 +545,14 @@ pub mod check {
                 Value::parse(&text).map_err(|e| format!("{file}: baseline is not valid JSON: {e}"))
             });
         match baseline {
-            Ok(baseline) => compare_bench(file, &baseline, fresh, wall_tolerance),
-            Err(message) => vec![Finding::hard(message)],
+            Ok(baseline) => compare_bench(file, &baseline, fresh),
+            Err(message) => vec![message],
         }
     }
 
     /// Whether `baseline_dir` and `out_dir` name one directory: a run that
-    /// wrote there would overwrite the baseline and then compare the files
-    /// against themselves.
+    /// wrote there would overwrite the baseline and then compare the file
+    /// against itself.
     pub fn same_dir(baseline_dir: &std::path::Path, out_dir: &std::path::Path) -> bool {
         match (baseline_dir.canonicalize(), out_dir.canonicalize()) {
             (Ok(a), Ok(b)) => a == b,
@@ -608,278 +560,186 @@ pub mod check {
         }
     }
 
-    /// The `--check` gate of a harness binary: compares the records each
-    /// produced file holds against its committed baseline and prints every
-    /// finding.  Hard findings (identity or exact-field drift, a record or
-    /// field the fresh run lost) fail it; wall-clock findings only warn.
-    pub fn run(
-        baseline_dir: &std::path::Path,
-        produced: &[(&str, Vec<Record>)],
-        wall_tolerance: f64,
-    ) -> bool {
-        println!(
-            "\n== regression check vs {} (wall tolerance {:.0}%) ==",
-            baseline_dir.display(),
-            wall_tolerance * 100.0
-        );
-        let mut all = Vec::new();
-        for (file, records) in produced {
-            all.extend(compare_file(baseline_dir, file, records, wall_tolerance));
+    /// The `--check` gate: compares the fresh records of `file` against its
+    /// committed baseline, prints every finding as a `FAIL` line, and
+    /// returns whether there were none.
+    pub fn run(baseline_dir: &std::path::Path, file: &str, records: &[Record]) -> bool {
+        println!("\n== regression check vs {} ==", baseline_dir.display());
+        let findings = compare_file(baseline_dir, file, records);
+        for finding in &findings {
+            eprintln!("FAIL {finding}");
         }
-        for finding in &all {
-            match finding.severity {
-                Severity::Hard => eprintln!("FAIL {}", finding.message),
-                Severity::Soft => eprintln!("warn {}", finding.message),
-            }
-        }
-        if passes(&all) {
-            println!(
-                "check passed: {} file(s), {} soft warning(s), no hard regressions",
-                produced.len(),
-                all.len()
-            );
+        if findings.is_empty() {
+            println!("check passed: {file}, {} rows", records.len());
         } else {
             eprintln!("check FAILED: a committed contract regressed (see FAIL lines above)");
         }
-        passes(&all)
+        findings.is_empty()
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
 
-        fn doc(words: u64, wall: f64, identical: bool) -> Value {
+        /// A one-row baseline in the `REPRO.json` schema.
+        fn doc(claim: &str, at: &str, lhs: u64, rhs: u64, holds: bool) -> Value {
             Value::parse(&format!(
-                r#"{{"bench": "fetch_epoch", "records": [
-                    {{"p": 4, "c": 2, "mode": "pinned", "words_per_epoch": {words},
-                      "messages": 96, "wall_s": {wall}, "cache_hit_rate": 0.5,
-                      "identical_to_uncached": {identical}}}
+                r#"{{"bench": "repro", "records": [
+                    {{"claim": "{claim}", "at": "{at}", "paper": "§6.2", "lhs": {lhs},
+                      "relation": "lhs <= rhs", "rhs": {rhs}, "holds": {holds}, "reason": ""}}
                 ]}}"#
             ))
             .unwrap()
         }
 
-        fn fresh(words: u64, wall: f64, identical: bool) -> Vec<Record> {
-            vec![Record::new()
-                .key("p", 4usize)
-                .key("c", 2usize)
-                .key("mode", "pinned")
-                .exact("words_per_epoch", words)
-                .exact("messages", 96usize)
-                .soft("wall_s", wall)
-                .info("cache_hit_rate", 0.5)
-                .identity("identical_to_uncached", identical)]
+        /// The fresh row of [`doc`]'s shape.
+        fn row(claim: &str, at: &str, lhs: u64, rhs: u64, holds: bool) -> Record {
+            Record::new()
+                .key("claim", claim)
+                .key("at", at)
+                .info("paper", "§6.2")
+                .exact("lhs", lhs)
+                .info("relation", "lhs <= rhs")
+                .exact("rhs", rhs)
+                .exact("holds", holds)
+                .info("reason", "")
         }
+
+        const WORDS: &str = "fetch.pinned_words_le_uncached";
 
         #[test]
         fn identical_runs_pass() {
             let findings = compare_bench(
-                "BENCH_fetch.json",
-                &doc(100, 0.5, true),
-                &fresh(100, 0.5, true),
-                0.5,
+                "REPRO.json",
+                &doc(WORDS, "p=2 c=1 words", 2652, 7412, true),
+                &[row(WORDS, "p=2 c=1 words", 2652, 7412, true)],
             );
             assert!(findings.is_empty(), "{findings:?}");
-            assert!(passes(&findings));
         }
 
         #[test]
         fn injected_word_regression_hard_fails() {
             // The acceptance demonstration: a schedule regression (more words
             // on the wire than the committed baseline) fails the gate.
+            let base = doc(WORDS, "p=2 c=1 words", 2652, 7412, true);
             let findings = compare_bench(
-                "BENCH_fetch.json",
-                &doc(100, 0.5, true),
-                &fresh(140, 0.5, true),
-                0.5,
+                "REPRO.json",
+                &base,
+                &[row(WORDS, "p=2 c=1 words", 2653, 7412, true)],
             );
-            assert!(!passes(&findings));
-            assert!(findings
-                .iter()
-                .any(|f| f.severity == Severity::Hard && f.message.contains("words_per_epoch")));
+            assert!(
+                findings.iter().any(|f| f.contains(WORDS) && f.contains("lhs")),
+                "{findings:?}"
+            );
         }
 
         #[test]
         fn broken_kernel_identity_hard_fails() {
+            // An identity row whose `holds` flipped: fewer fetched blocks
+            // equal their reference than there are blocks.
+            let id = "fetch.pinned_rows_equal_uncached";
+            let base = doc(id, "p=2 c=1 fetched blocks", 8, 8, true);
             let findings = compare_bench(
-                "BENCH_fetch.json",
-                &doc(100, 0.5, true),
-                &fresh(100, 0.5, false),
-                0.5,
+                "REPRO.json",
+                &base,
+                &[row(id, "p=2 c=1 fetched blocks", 7, 8, false)],
             );
-            assert!(findings
-                .iter()
-                .any(|f| f.severity == Severity::Hard && f.message.contains("identical")));
+            assert!(findings.iter().any(|f| f.contains(id) && f.contains("holds")), "{findings:?}");
         }
 
         #[test]
-        fn wall_clock_regression_only_soft_warns() {
-            let findings = compare_bench(
-                "BENCH_fetch.json",
-                &doc(100, 0.5, true),
-                &fresh(100, 2.0, true),
-                0.5,
-            );
-            assert_eq!(findings.len(), 1);
-            assert_eq!(findings[0].severity, Severity::Soft);
-            assert!(passes(&findings), "wall regressions must not fail the gate");
-            // Within tolerance: silent.
-            assert!(
-                compare_bench("f", &doc(100, 0.5, true), &fresh(100, 0.7, true), 0.5).is_empty()
-            );
-        }
-
-        #[test]
-        fn serve_counter_drift_hard_fails_and_latency_soft_warns() {
-            let serve_doc = Value::parse(
-                r#"{"bench": "serve_openloop", "records": [
-                    {"qps": 8000, "window_us": 1000, "requests_offered": 512,
-                      "requests_served": 500, "batches": 156,
-                      "coalescing_x1000": 3200, "hot_hits": 40,
-                      "hot_misses": 460, "shed_admission": 12, "shed_timeout": 0,
-                      "p99_s": 0.002, "identical_across_replays": true}
-                ]}"#,
-            )
-            .unwrap();
-            let serve_fresh = |coalescing: u64, p99: f64| {
-                vec![Record::new()
-                    .key("qps", 8000usize)
-                    .key("window_us", 1000usize)
-                    .exact("requests_offered", 512usize)
-                    .exact("requests_served", 500usize)
-                    .exact("batches", 156usize)
-                    .exact("coalescing_x1000", coalescing)
-                    .exact("hot_hits", 40usize)
-                    .exact("hot_misses", 460usize)
-                    .exact("shed_admission", 12usize)
-                    .exact("shed_timeout", 0usize)
-                    .soft("p99_s", p99)
-                    .identity("identical_across_replays", true)]
-            };
-            // Queue-dynamics drift (coalescing factor moved): hard failure.
-            let findings =
-                compare_bench("BENCH_serve.json", &serve_doc, &serve_fresh(2100, 0.002), 0.5);
-            assert!(!passes(&findings));
-            assert!(findings
-                .iter()
-                .any(|f| f.severity == Severity::Hard && f.message.contains("coalescing_x1000")));
-            // Latency drift alone: soft warning, gate still passes.
-            let findings =
-                compare_bench("BENCH_serve.json", &serve_doc, &serve_fresh(3200, 0.009), 0.5);
-            assert!(passes(&findings));
-            assert!(findings
-                .iter()
-                .any(|f| f.severity == Severity::Soft && f.message.contains("p99_s")));
+        fn serve_counter_drift_hard_fails() {
+            // Queue-dynamics drift (the coalesced run needed more batches):
+            // the row's `lhs` moved.
+            let id = "serve.coalescing_cuts_batches";
+            let at = "qps=8000 window=1000us vs 0 batches";
+            let base = doc(id, at, 35, 234, true);
+            let findings = compare_bench("REPRO.json", &base, &[row(id, at, 36, 234, true)]);
+            assert!(findings.iter().any(|f| f.contains(id) && f.contains("lhs")), "{findings:?}");
         }
 
         #[test]
         fn byte_book_drift_hard_fails_and_codec_keys_records() {
-            let compress_doc = Value::parse(
-                r#"{"bench": "compress_fetch", "records": [
-                    {"p": 4, "c": 2, "codec": "int8", "words_per_epoch": 4096,
-                      "bytes_on_wire": 8552, "bytes_saved": 24216,
-                      "bytes_reduction_x1000": 3831, "wall_s": 0.01,
-                      "identical_to_exact_schedule": true}
-                ]}"#,
-            )
-            .unwrap();
-            let compress_fresh = |codec: &str, bytes: u64, saved: u64| {
-                vec![Record::new()
-                    .key("p", 4usize)
-                    .key("c", 2usize)
-                    .key("codec", codec)
-                    .exact("words_per_epoch", 4096usize)
-                    .exact("bytes_on_wire", bytes)
-                    .exact("bytes_saved", saved)
-                    .exact("bytes_reduction_x1000", 3831usize)
-                    .soft("wall_s", 0.01)
-                    .identity("identical_to_exact_schedule", true)]
-            };
-            // A moved byte book is a schedule regression: hard failure.
+            let id = "compress.codec_shrinks_wire";
+            let base = doc(id, "fetch p=4 c=2 int8 bytes", 14190, 58480, true);
+            // A moved byte book is a schedule regression.
             let findings = compare_bench(
-                "BENCH_compress.json",
-                &compress_doc,
-                &compress_fresh("int8", 9552, 23216),
-                0.5,
+                "REPRO.json",
+                &base,
+                &[row(id, "fetch p=4 c=2 int8 bytes", 15190, 58480, true)],
             );
-            assert!(!passes(&findings));
-            assert!(findings
-                .iter()
-                .any(|f| f.severity == Severity::Hard && f.message.contains("bytes_on_wire")));
-            assert!(findings
-                .iter()
-                .any(|f| f.severity == Severity::Hard && f.message.contains("bytes_saved")));
+            assert!(findings.iter().any(|f| f.contains(id) && f.contains("lhs")), "{findings:?}");
             // A different codec is a different record, not a drifted one.
             let findings = compare_bench(
-                "BENCH_compress.json",
-                &compress_doc,
-                &compress_fresh("fp16", 8552, 24216),
-                0.5,
+                "REPRO.json",
+                &base,
+                &[row(id, "fetch p=4 c=2 fp16 bytes", 14190, 58480, true)],
             );
-            assert!(findings.iter().any(|f| f.message.contains("missing from the fresh run")));
+            assert!(findings.iter().any(|f| f.contains("missing from the fresh run")));
+            assert!(findings.iter().any(|f| f.contains("fp16") && f.contains("re-pin")));
         }
 
         #[test]
         fn missing_record_and_empty_baseline_hard_fail() {
+            let fresh = [row(WORDS, "p=2 c=1 words", 2652, 7412, true)];
             let empty = Value::parse(r#"{"records": []}"#).unwrap();
-            let findings = compare_bench("f", &empty, &fresh(100, 0.5, true), 0.5);
-            assert!(!passes(&findings));
-            let other_key = Value::parse(
-                r#"{"records": [{"p": 8, "c": 4, "mode": "pinned", "words_per_epoch": 1}]}"#,
-            )
-            .unwrap();
-            let findings = compare_bench("f", &other_key, &fresh(100, 0.5, true), 0.5);
-            assert!(findings.iter().any(|f| f.message.contains("missing from the fresh run")));
+            assert!(!compare_bench("f", &empty, &fresh).is_empty());
+            let other = doc(WORDS, "p=4 c=2 words", 4369, 7310, true);
+            let findings = compare_bench("f", &other, &fresh);
+            assert!(findings.iter().any(|f| f.contains("missing from the fresh run")));
         }
 
         #[test]
         fn info_drift_is_silent_and_a_dropped_baseline_field_hard_fails() {
-            let build = |with_messages: bool, hit_rate: f64| {
-                let r = Record::new()
-                    .key("p", 4usize)
-                    .key("c", 2usize)
-                    .key("mode", "pinned")
-                    .exact("words_per_epoch", 100usize);
-                let r = if with_messages { r.exact("messages", 96usize) } else { r };
-                vec![r
-                    .soft("wall_s", 0.5)
-                    .info("cache_hit_rate", hit_rate)
-                    .identity("identical_to_uncached", true)]
-            };
-            // `cache_hit_rate` is `info`: 0.5 in the baseline, 0.9 fresh.
-            assert!(compare_bench("f", &doc(100, 0.5, true), &build(true, 0.9), 0.5).is_empty());
-            // The fresh schema lost `messages`: the baseline's number is no
-            // longer re-derived, whatever its class was.
-            let findings = compare_bench("f", &doc(100, 0.5, true), &build(false, 0.5), 0.5);
-            assert!(!passes(&findings));
-            assert!(findings.iter().any(|f| f.message.contains("messages")
-                && f.message.contains("missing from the fresh run")));
+            let base = doc(WORDS, "p=2 c=1 words", 2652, 7412, true);
+            // `reason` is `info`: "" in the baseline, a sentence fresh.
+            let mut fresh = Record::new()
+                .key("claim", WORDS)
+                .key("at", "p=2 c=1 words")
+                .info("paper", "§6.2")
+                .exact("lhs", 2652usize)
+                .info("relation", "lhs <= rhs")
+                .exact("rhs", 7412usize)
+                .exact("holds", true);
+            assert!(!compare_bench("f", &base, &[fresh.clone()]).is_empty());
+            fresh = fresh.info("reason", "a new explanation");
+            assert!(compare_bench("f", &base, &[fresh]).is_empty());
+            // The fresh schema lost `rhs`: the baseline's number is no longer
+            // re-derived, whatever its class was.
+            let lost = Record::new()
+                .key("claim", WORDS)
+                .key("at", "p=2 c=1 words")
+                .info("paper", "§6.2")
+                .exact("lhs", 2652usize)
+                .info("relation", "lhs <= rhs")
+                .exact("holds", true)
+                .info("reason", "");
+            let findings = compare_bench("f", &base, &[lost]);
+            assert!(findings
+                .iter()
+                .any(|f| f.contains("rhs") && f.contains("missing from the fresh run")));
+        }
+
+        #[test]
+        fn a_record_or_field_the_baseline_lacks_hard_fails() {
+            let base = doc(WORDS, "p=2 c=1 words", 2652, 7412, true);
+            let pinned = row(WORDS, "p=2 c=1 words", 2652, 7412, true);
+            // A new row that does not hold, and that no baseline pins.
+            let new = row("fetch.pinned_messages_le_uncached", "p=2 c=1 messages", 17, 16, false);
+            let findings = compare_bench("f", &base, &[pinned.clone(), new]);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert!(findings[0].contains("messages") && findings[0].contains("re-pin"));
+            // A new field on a pinned row.
+            let findings = compare_bench("f", &base, &[pinned.exact("extra", 1usize)]);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert!(findings[0].contains("extra") && findings[0].contains("re-pin"));
         }
     }
 }
 
 pub mod stats {
-    //! Shared summary statistics for the benchmark binaries: best-of-reps
-    //! timing, means, nearest-rank percentiles, and the latency summary the
-    //! serving bench reports.  Hoisted here so `perf_baseline`'s kernel
-    //! sweeps and the `--serve` open-loop generator agree on one definition
-    //! instead of growing private copies.
-
-    use std::time::Instant;
-
-    /// Best-of-`reps` wall time of `f`, together with the last result (the
-    /// sweeps are deterministic, so every rep returns the same value).
-    pub fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
-        let mut best = f64::INFINITY;
-        let mut result = None;
-        for _ in 0..reps {
-            let start = Instant::now();
-            let value = f();
-            best = best.min(start.elapsed().as_secs_f64());
-            result = Some(value);
-        }
-        (best, result.expect("reps >= 1"))
-    }
+    //! Summary statistics: means, nearest-rank percentiles, and the latency
+    //! summary the serving claims read their p99 from.
 
     /// Arithmetic mean; `0.0` for an empty slice.
     pub fn mean(xs: &[f64]) -> f64 {
@@ -939,13 +799,6 @@ pub mod stats {
     #[cfg(test)]
     mod tests {
         use super::*;
-
-        #[test]
-        fn time_best_returns_the_value_and_a_finite_wall() {
-            let (wall, v) = time_best(3, || 41 + 1);
-            assert_eq!(v, 42);
-            assert!(wall.is_finite() && wall >= 0.0);
-        }
 
         #[test]
         fn nearest_rank_percentiles_match_the_definition() {

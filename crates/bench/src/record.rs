@@ -1,7 +1,7 @@
-//! The one schema of every `BENCH_*.json` file and of `REPRO.json`.
+//! The one schema of `REPRO.json`.
 //!
 //! A [`Record`] is an ordered list of `(name, class, value)` built where a
-//! sweep measures.  The [`Class`] of a field is the whole gating policy: the
+//! claim row is built.  The [`Class`] of a field is the whole gating policy: the
 //! writer ([`write()`]), the table printer ([`print()`]) and the `--check`
 //! comparator ([`crate::check`]) all read it from the record, so a field is
 //! declared — name, meaning and whether CI pins it — exactly once, at the
@@ -17,14 +17,8 @@ pub enum Class {
     /// to fresh ones on the key fields.
     Key,
     /// A function of the seeded, deterministic schedule, never of the host:
-    /// must equal the committed baseline or the gate hard-fails.
+    /// must equal the committed baseline or the gate fails.
     Exact,
-    /// Measured or fitted seconds: slower than the baseline beyond
-    /// `--tolerance` only warns (different machines legitimately differ).
-    Soft,
-    /// A byte-identity contract against a reference formulation: `false` in
-    /// the fresh run hard-fails, whatever the baseline says.
-    Identity,
     /// Recorded for the reader, deliberately never compared.
     Info,
 }
@@ -34,15 +28,13 @@ pub enum Class {
 pub enum Datum {
     /// A counter; rendered as a JSON integer.
     Unsigned(u64),
-    /// Seconds, rates and ratios; rendered in six-digit scientific notation
-    /// (non-finite values become `null`).
+    /// A real; rendered in six-digit scientific notation (non-finite values
+    /// become `null`).
     Real(f64),
     /// A flag.
     Bool(bool),
     /// A label.
     Text(String),
-    /// The `phase_compute_s` map of the epoch benches: phase name → seconds.
-    Phases(Vec<(String, f64)>),
 }
 
 impl From<usize> for Datum {
@@ -75,12 +67,6 @@ impl From<&str> for Datum {
     }
 }
 
-impl From<Vec<(&'static str, f64)>> for Datum {
-    fn from(phases: Vec<(&'static str, f64)>) -> Self {
-        Datum::Phases(phases.into_iter().map(|(name, secs)| (name.to_string(), secs)).collect())
-    }
-}
-
 impl Datum {
     /// The value as it appears in the JSON file.
     fn json(&self) -> String {
@@ -89,13 +75,6 @@ impl Datum {
             Datum::Real(x) => json_f64(*x),
             Datum::Bool(b) => b.to_string(),
             Datum::Text(s) => format!("\"{s}\""),
-            Datum::Phases(phases) => {
-                let fields: Vec<String> = phases
-                    .iter()
-                    .map(|(name, secs)| format!("\"{name}\": {}", json_f64(*secs)))
-                    .collect();
-                format!("{{{}}}", fields.join(", "))
-            }
         }
     }
 
@@ -159,16 +138,6 @@ impl Record {
         self.with(name, Class::Exact, value.into())
     }
 
-    /// Appends a [`Class::Soft`] field (seconds).
-    pub fn soft(self, name: &str, seconds: f64) -> Self {
-        self.with(name, Class::Soft, Datum::Real(seconds))
-    }
-
-    /// Appends a [`Class::Identity`] flag.
-    pub fn identity(self, name: &str, identical: bool) -> Self {
-        self.with(name, Class::Identity, Datum::Bool(identical))
-    }
-
     /// Appends a [`Class::Info`] field.
     pub fn info(self, name: &str, value: impl Into<Datum>) -> Self {
         self.with(name, Class::Info, value.into())
@@ -194,11 +163,6 @@ impl Record {
                 .map(|f| (&*f.name, f.value.cell())),
         )
     }
-
-    /// The [`Class::Identity`] flags that are `false`.
-    pub fn broken_identities(&self) -> impl Iterator<Item = &Field> {
-        self.fields.iter().filter(|f| f.class == Class::Identity && f.value == Datum::Bool(false))
-    }
 }
 
 /// Renders `name=value` parts the way every key in a message is shown.
@@ -218,10 +182,9 @@ pub struct Workload {
     pub name: &'static str,
     /// Free-text description of sizes and shapes.
     pub detail: String,
-    /// Work items per run — nonzeros touched for the matrix kernels,
-    /// minibatches for the epochs — the numerator of a throughput field.
+    /// Items per run (claim rows for `REPRO.json`).
     pub items: usize,
-    /// Unit of that throughput.
+    /// Unit of those items.
     pub throughput_unit: &'static str,
 }
 
@@ -260,9 +223,9 @@ fn validate(records: &[Record]) -> Result<(), String> {
     let mut seen = std::collections::BTreeSet::new();
     for r in records {
         let key = r.key_string();
-        if let Some(f) = r.fields.iter().find(|f| {
-            f.class == Class::Exact && matches!(f.value, Datum::Real(_) | Datum::Phases(_))
-        }) {
+        if let Some(f) =
+            r.fields.iter().find(|f| f.class == Class::Exact && matches!(f.value, Datum::Real(_)))
+        {
             return Err(format!("record [{key}]: exact field {} holds a real", f.name));
         }
         if !schema(r).eq(schema(&records[0])) {
@@ -275,7 +238,7 @@ fn validate(records: &[Record]) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes one `BENCH_*.json`: the header (bench name, workload, items, unit,
+/// Writes one claims file: the header (bench name, workload, items, unit,
 /// the host's thread count) and one line per record.
 ///
 /// # Errors
@@ -327,7 +290,7 @@ mod tests {
             .map(|&codec| {
                 let r = Record::new().key("p", 4usize).key("c", 2usize);
                 let r = if extra_key { r.key("codec", codec) } else { r.info("codec", codec) };
-                r.exact("words_per_epoch", 4096usize).soft("wall_s", 0.01)
+                r.exact("words_per_epoch", 4096usize).info("wall_s", 0.01)
             })
             .collect()
     }
@@ -340,7 +303,7 @@ mod tests {
     fn duplicate_key_fails_the_write_and_one_more_key_field_passes() {
         let dir = std::env::temp_dir().join(format!("dmbs_record_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_dup.json");
+        let path = dir.join("dup.json");
         let err = write(&path, &workload(), &pair(false)).unwrap_err();
         assert!(err.contains("p=4 c=2"), "{err}");
         assert!(!path.exists(), "nothing may be written before the refusal");
@@ -362,7 +325,7 @@ mod tests {
             .key("p", 4usize)
             .key("c", 2usize)
             .key("codec", "int8")
-            .exact("words_per_epoch", 4096usize)
+            .info("words_per_epoch", 4096usize)
             .info("wall_s", 0.01);
         assert!(validate(&records).is_err());
     }
@@ -371,7 +334,7 @@ mod tests {
     fn an_exact_real_fails_the_write_and_the_same_value_as_info_passes() {
         let dir = std::env::temp_dir().join(format!("dmbs_record_real_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_real.json");
+        let path = dir.join("real.json");
         let record = |exact: bool| {
             let r = Record::new().key("p", 4usize);
             vec![if exact { r.exact("ratio", 0.1) } else { r.info("ratio", 0.1) }]
@@ -402,10 +365,8 @@ mod tests {
                             (Class::Key | Class::Exact, Value::Num(x)) => {
                                 Datum::Unsigned(*x as u64)
                             }
-                            (Class::Soft | Class::Info, Value::Num(x)) => Datum::Real(*x),
-                            (Class::Info, Value::Null) => Datum::Real(f64::NAN),
                             (Class::Key | Class::Info, Value::Str(s)) => Datum::Text(s.clone()),
-                            (Class::Exact | Class::Identity, Value::Bool(b)) => Datum::Bool(*b),
+                            (Class::Exact, Value::Bool(b)) => Datum::Bool(*b),
                             other => panic!("{name}: unexpected {other:?}"),
                         };
                         r.with(name, *class, datum)
@@ -419,40 +380,7 @@ mod tests {
 
     #[test]
     fn committed_baselines_render_back_byte_for_byte() {
-        use Class::{Exact, Identity, Info, Key, Soft};
-        let fetch: &[(&str, Class)] = &[
-            ("p", Key),
-            ("c", Key),
-            ("mode", Key),
-            ("wall_s", Soft),
-            ("words_per_epoch", Exact),
-            ("messages", Exact),
-            ("cache_hits", Exact),
-            ("cache_misses", Exact),
-            ("cache_hit_rate", Info),
-            ("words_saved", Exact),
-            ("reduction_vs_uncached", Info),
-            ("identical_to_uncached", Identity),
-        ];
-        let autotune: &[(&str, Class)] = &[
-            ("p", Key),
-            ("c", Key),
-            ("mode", Key),
-            ("policy", Key),
-            ("codec", Key),
-            ("overlap_on", Exact),
-            ("candidates", Exact),
-            ("predicted_words", Exact),
-            ("predicted_bytes_on_wire", Exact),
-            ("predicted_comm_ns", Exact),
-            ("predicted_epoch_s", Soft),
-            ("realized_epoch_s", Soft),
-            ("words_total", Exact),
-            ("messages", Exact),
-            ("bytes_on_wire", Exact),
-            ("wall_s", Soft),
-            ("identical_to_builder_auto", Identity),
-        ];
+        use Class::{Exact, Info, Key};
         let repro: &[(&str, Class)] = &[
             ("claim", Key),
             ("at", Key),
@@ -463,16 +391,12 @@ mod tests {
             ("holds", Exact),
             ("reason", Info),
         ];
-        let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/baseline");
-        for (file, classes) in
-            [("BENCH_fetch.json", fetch), ("BENCH_autotune.json", autotune), ("REPRO.json", repro)]
-        {
-            let text = std::fs::read_to_string(baseline.join(file)).unwrap();
-            // The header is left out of the pin: `host_threads` is the
-            // running host's.
-            let (_, block) = text.split_once("  \"records\": [\n").unwrap();
-            let block = block.strip_suffix("  ]\n}\n").unwrap();
-            assert_eq!(rebuilt(&Value::parse(&text).unwrap(), classes), block, "{file}");
-        }
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/baseline/REPRO.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        // The header is left out of the pin: `host_threads` is the running
+        // host's.
+        let (_, block) = text.split_once("  \"records\": [\n").unwrap();
+        let block = block.strip_suffix("  ]\n}\n").unwrap();
+        assert_eq!(rebuilt(&Value::parse(&text).unwrap(), repro), block);
     }
 }

@@ -1,4 +1,5 @@
-//! The paper's evaluation as machine-checkable claims.
+//! The paper's evaluation, and the claims of the extensions built on it, as
+//! machine-checkable claims.
 //!
 //! Each figure or table of §8, and the §5.2.1 cost model, is a function that
 //! returns [`Claim`] rows built from deterministic counters: words, messages,
@@ -13,6 +14,12 @@
 //! row with `holds: false` and the reason.  A claim a CPU simulator cannot
 //! judge (a GPU wall-clock speedup, a compute-time share) is recorded with
 //! `holds: false` and the reason it is not judged.
+//!
+//! The extensions' rows (feature cache, wire codecs, overlap, serving,
+//! socket transport, delta ingest, auto-tuner; `repro/extensions.rs`)
+//! follow the paper's.  Each restates an identity or a guarantee of the
+//! design, so it is a contract: `repro` fails on one that does not hold,
+//! whatever the baseline says ([`broken_contracts`]).
 
 use crate::record::Record;
 use crate::{
@@ -27,6 +34,8 @@ use dmbs_sampling::{
 };
 use std::sync::Arc;
 
+mod extensions;
+
 /// The inequality a [`Claim`] evaluates between its `lhs` and `rhs`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Relation {
@@ -36,6 +45,8 @@ pub(crate) enum Relation {
     Le,
     /// `lhs > rhs`.
     Gt,
+    /// `lhs >= rhs`.
+    Ge,
     /// `lhs == rhs`.
     Eq,
     /// `|lhs - rhs| <= tolerance`.
@@ -48,6 +59,7 @@ impl Relation {
             Relation::Lt => lhs < rhs,
             Relation::Le => lhs <= rhs,
             Relation::Gt => lhs > rhs,
+            Relation::Ge => lhs >= rhs,
             Relation::Eq => lhs == rhs,
             Relation::Within(tolerance) => lhs.abs_diff(rhs) <= tolerance,
         }
@@ -58,6 +70,7 @@ impl Relation {
             Relation::Lt => "lhs < rhs".into(),
             Relation::Le => "lhs <= rhs".into(),
             Relation::Gt => "lhs > rhs".into(),
+            Relation::Ge => "lhs >= rhs".into(),
             Relation::Eq => "lhs == rhs".into(),
             Relation::Within(tolerance) => format!("|lhs - rhs| <= {tolerance}"),
         }
@@ -104,19 +117,35 @@ impl Claim {
         self.judged && self.relation.holds(self.lhs, self.rhs)
     }
 
-    /// The section and figure or table of the paper the claim comes from.
-    fn paper(&self) -> &'static str {
+    /// The section and figure or table of the paper the claim comes from,
+    /// and whether the claim is an extension's contract (see
+    /// [`Claim::is_contract`]).
+    fn locus(&self) -> (&'static str, bool) {
         match self.id.split_once('.').map_or(self.id, |(figure, _)| figure) {
-            "model" => "§5.2.1",
-            "acc" => "§8.1.3",
-            "fig4" => "Fig. 4",
-            "fig6" => "Fig. 6",
-            "fig7" => "§5.2.1, Fig. 7",
-            "bulk" => "§4.1.4, §4.2.4",
-            "table3" => "Table 3",
-            "table4" => "Table 4",
+            "model" => ("§5.2.1", false),
+            "acc" => ("§8.1.3", false),
+            "fig4" => ("Fig. 4", false),
+            "fig6" => ("Fig. 6", false),
+            "fig7" => ("§5.2.1, Fig. 7", false),
+            "bulk" => ("§4.1.4, §4.2.4", false),
+            "table3" => ("Table 3", false),
+            "table4" => ("Table 4", false),
+            "fetch" => ("§6.2", true),
+            "compress" => ("§6.2 (β bill)", true),
+            "overlap" => ("§6 (overlap)", true),
+            "transport" => ("§5 (SPMD execution)", true),
+            "autotune" => ("§5.2.1 (model-guided)", true),
+            "serve" | "dynamic" => ("beyond the paper", true),
             other => panic!("claim family {other} has no paper locus"),
         }
+    }
+
+    /// Whether the row must hold whatever its baseline says: every row of an
+    /// extension restates an identity against a reference formulation or a
+    /// guarantee of the design, where a paper claim may not hold at this
+    /// scale.
+    pub fn is_contract(&self) -> bool {
+        self.locus().1
     }
 
     /// The `REPRO.json` row.
@@ -125,13 +154,24 @@ impl Claim {
         Record::new()
             .key("claim", self.id)
             .key("at", self.at.as_str())
-            .info("paper", self.paper())
+            .info("paper", self.locus().0)
             .exact("lhs", self.lhs)
             .info("relation", self.relation.show().as_str())
             .exact("rhs", self.rhs)
             .exact("holds", holds)
             .info("reason", if holds { "" } else { self.reason })
     }
+}
+
+/// The contract rows that do not hold, one line each naming the row.
+pub fn broken_contracts(claims: &[Claim]) -> Vec<String> {
+    let broken = claims.iter().filter(|c| c.is_contract() && !c.holds());
+    broken
+        .map(|c| {
+            let relation = c.relation.show();
+            format!("{} [{}]: {relation} fails at lhs = {}, rhs = {}", c.id, c.at, c.lhs, c.rhs)
+        })
+        .collect()
 }
 
 /// Modeled seconds as whole nanoseconds.
@@ -152,7 +192,8 @@ const REPLICATED_POINTS: [(usize, usize); 3] = [(4, 2), (8, 2), (16, 4)];
 const PARTITIONED_GRID: [(usize, &[usize]); 3] =
     [(4, &[1, 2, 4]), (8, &[1, 2, 4]), (16, &[1, 2, 4, 8])];
 
-/// Every claim, on the stand-in datasets at their one size.
+/// Every claim, on the stand-in datasets at their one size: the paper's,
+/// then the extensions'.
 pub fn all() -> Vec<Claim> {
     let stand_ins = [DatasetKind::Products, DatasetKind::Protein, DatasetKind::Papers]
         .map(|kind| Arc::new(dataset(kind)));
@@ -166,6 +207,7 @@ pub fn all() -> Vec<Claim> {
     claims.extend(bulk_size(products));
     claims.extend(table3(stand_ins.iter().map(|d| &**d)));
     claims.extend(table4(&sage_training_config(products), ladies_samples(products)));
+    claims.extend(extensions::all());
     claims
 }
 
@@ -470,4 +512,23 @@ pub(crate) fn table4(sage: &TrainingConfig, ladies_s: usize) -> Vec<Claim> {
         row("LADIES samples per layer".into(), ladies_s, 512),
     ]);
     claims
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_an_extension_row_that_fails_is_a_broken_contract() {
+        let row = |id, at: &str, lhs, relation, rhs| Claim::new(id, at.into(), lhs, relation, rhs);
+        let claims = [
+            // A paper claim may fail at this scale: its baseline pins it.
+            row("fig6.norep_moves_more_words", "Papers p=4 c=2", 1, Relation::Gt, 2),
+            row("overlap.equals_sync", "p=2 c=1 words", 3, Relation::Eq, 2),
+            row("overlap.equals_sync", "p=2 c=1 messages", 2, Relation::Eq, 2),
+        ];
+        let broken = broken_contracts(&claims);
+        assert_eq!(broken.len(), 1, "{broken:?}");
+        assert!(broken[0].starts_with("overlap.equals_sync [p=2 c=1 words]"), "{broken:?}");
+    }
 }

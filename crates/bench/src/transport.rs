@@ -1,10 +1,9 @@
-//! Transport calibration: the α–β probe behind `perf_baseline --calibrate`.
+//! Transport calibration: the α–β probe behind `repro`'s transport claims.
 //!
 //! The simulator charges communication through a *configured*
 //! [`CostModel`](dmbs_comm::CostModel); the Unix-socket transport pays real
 //! wall-clock time.  This module measures what the real transport's α and β
-//! actually are, so `BENCH_transport.json` can put the modeled epoch bill
-//! next to a fitted one:
+//! actually are, so they can be set on a real interconnect:
 //!
 //! 1. [`PING_WORKER`] is a 2-rank ping-pong worker: rank 0 sends a `words`-
 //!    long `Vec<f64>` to rank 1, rank 1 echoes it back, `rounds` times.
@@ -17,15 +16,15 @@
 //!    the α–β model in its own units, no unit conversion step.
 //!
 //! [`registry`] bundles the probe with the training worker from
-//! [`dmbs_gnn::worker`] so one `run_if_worker` call at the top of
-//! `perf_baseline::main` serves both phases of the calibration sweep.
+//! [`dmbs_gnn::worker`] so one `run_if_worker` call at the top of `repro`'s
+//! `main` serves both the probe and the socket training runs.
 
 use dmbs_comm::{wire, Communicator, WorkerRegistry};
 
 /// Registry name of the ping-pong probe worker.
 pub const PING_WORKER: &str = "dmbs.bench.pingpong";
 
-/// Every worker the `perf_baseline` binary can be re-executed as: the GNN
+/// Every worker the `repro` binary can be re-executed as: the GNN
 /// training worker plus the ping-pong probe.  Pass this to
 /// [`dmbs_comm::run_if_worker`] first thing in `main`.
 pub fn registry() -> WorkerRegistry {

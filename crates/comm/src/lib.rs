@@ -28,7 +28,7 @@
 //! [`CommStats`]) *before* the frame reaches any transport.  The benchmark
 //! harnesses use those books to reproduce the paper's
 //! communication/computation breakdowns (Figure 7) and its analytical cost
-//! model (§5.2.1), and `perf_baseline --calibrate` closes the loop by fitting
+//! model (§5.2.1), and `repro`'s transport claims close the loop by fitting
 //! α/β from measured socket-transport probes.
 //!
 //! # Example

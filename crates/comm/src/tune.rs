@@ -10,8 +10,8 @@
 //!   probe ──▶ fit ──▶ search ──▶ apply
 //!   (1-epoch runs     (TuningModel:      (valid grid,        (TrainingSession
 //!    book words,       α·messages +       arg-min of the      builder().auto(),
-//!    bytes, compute    β·bytes/8, per-    predicted epoch     perf_baseline
-//!    per phase)        knob terms)        time)               --autotune)
+//!    bytes, compute    β·bytes/8, per-    predicted epoch     repro's
+//!    per phase)        knob terms)        time)               autotune rows)
 //! ```
 //!
 //! The model combines **measured** per-phase compute from

@@ -10,8 +10,9 @@ use dmbs::gnn::{Minibatch, SageModel, TrainingSession};
 use dmbs::graph::datasets::Dataset;
 use dmbs::graph::generators::{rmat, RmatConfig};
 use dmbs::matrix::pool::Parallelism;
+use dmbs::matrix::CsrMatrix;
 use dmbs::sampling::{
-    BulkSamplerConfig, DistConfig, GraphSageSampler, LadiesSampler, LocalBackend,
+    BulkSamplerConfig, DistConfig, FastGcnSampler, GraphSageSampler, LadiesSampler, LocalBackend,
     Partitioned1p5dBackend, ReplicatedBackend, Sampler, SamplingBackend,
 };
 use rand::rngs::StdRng;
@@ -28,21 +29,26 @@ fn local_backend_epochs_are_thread_count_invariant() {
     let graph = rmat(&RmatConfig::new(7, 6), &mut StdRng::seed_from_u64(3)).unwrap();
     let a = graph.adjacency();
     let batches = random_batches(graph.num_vertices(), 6, 8);
-    let sampler = GraphSageSampler::new(vec![4, 3]);
-
-    let serial = LocalBackend::new(BulkSamplerConfig::new(8, 3))
-        .unwrap()
-        .sample_epoch(&sampler, a, &batches, 11)
-        .unwrap();
-    for threads in THREAD_COUNTS {
-        let bulk = BulkSamplerConfig::new(8, 3).with_parallelism(Parallelism::new(threads));
-        let backend = LocalBackend::new(bulk).unwrap();
-        let epoch = backend.sample_epoch(&sampler, a, &batches, 11).unwrap();
-        assert_eq!(
-            epoch.output.minibatches, serial.output.minibatches,
-            "local backend diverged at {threads} threads"
-        );
+    fn check<S: Sampler + Sync>(name: &str, sampler: &S, a: &CsrMatrix, batches: &[Vec<usize>]) {
+        let epoch = |threads: usize| {
+            let bulk = BulkSamplerConfig::new(8, 3).with_parallelism(Parallelism::new(threads));
+            let backend = LocalBackend::new(bulk).unwrap();
+            backend.sample_epoch(sampler, a, batches, 11).unwrap().output.minibatches
+        };
+        let serial = epoch(1);
+        for threads in THREAD_COUNTS {
+            assert_eq!(
+                epoch(threads),
+                serial,
+                "{name} on the local backend diverged at {threads} threads"
+            );
+        }
     }
+    // Node-wise and both layer-wise samplers: the layer-wise ones run the
+    // probability SpGEMM, ITS on long rows and the masked column extraction.
+    check("sage", &GraphSageSampler::new(vec![4, 3]), a, &batches);
+    check("ladies", &LadiesSampler::new(2, 12), a, &batches);
+    check("fastgcn", &FastGcnSampler::new(2, 12), a, &batches);
 }
 
 #[test]
