@@ -738,8 +738,8 @@ pub mod check {
 }
 
 pub mod stats {
-    //! Summary statistics: means, nearest-rank percentiles, and the latency
-    //! summary the serving claims read their p99 from.
+    //! Summary statistics: means, nearest-rank percentiles, and the p99 the
+    //! serving claims read.
 
     /// Arithmetic mean; `0.0` for an empty slice.
     pub fn mean(xs: &[f64]) -> f64 {
@@ -762,38 +762,12 @@ pub mod stats {
         sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
     }
 
-    /// The tail-latency digest of one serving run: count, mean, and the
-    /// p50/p99/p999/max ladder, all in the same unit as the input samples.
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    pub struct LatencySummary {
-        /// Number of samples summarized.
-        pub count: usize,
-        /// Arithmetic mean.
-        pub mean: f64,
-        /// Median (nearest-rank).
-        pub p50: f64,
-        /// 99th percentile (nearest-rank).
-        pub p99: f64,
-        /// 99.9th percentile (nearest-rank).
-        pub p999: f64,
-        /// Worst sample.
-        pub max: f64,
-    }
-
-    impl LatencySummary {
-        /// Summarizes `samples` (any order); all-zero for an empty slice.
-        pub fn from_samples(samples: &[f64]) -> Self {
-            let mut sorted = samples.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-            LatencySummary {
-                count: sorted.len(),
-                mean: mean(&sorted),
-                p50: percentile(&sorted, 0.50),
-                p99: percentile(&sorted, 0.99),
-                p999: percentile(&sorted, 0.999),
-                max: sorted.last().copied().unwrap_or(0.0),
-            }
-        }
+    /// The nearest-rank 99th percentile of `samples` (any order); `0.0` for
+    /// an empty slice.
+    pub fn p99(samples: &[f64]) -> f64 {
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        percentile(&sorted, 0.99)
     }
 
     #[cfg(test)]
@@ -815,15 +789,10 @@ pub mod stats {
 
         #[test]
         fn summary_digests_unsorted_samples() {
-            let s = LatencySummary::from_samples(&[3.0, 1.0, 2.0, 4.0]);
-            assert_eq!(s.count, 4);
-            assert_eq!(s.mean, 2.5);
-            assert_eq!(s.p50, 2.0);
-            assert_eq!(s.p99, 4.0);
-            assert_eq!(s.max, 4.0);
-            let empty = LatencySummary::from_samples(&[]);
-            assert_eq!(empty.count, 0);
-            assert_eq!(empty.max, 0.0);
+            assert_eq!(p99(&[3.0, 1.0, 2.0, 4.0]), 4.0);
+            let hundred: Vec<f64> = (1..=100).rev().map(f64::from).collect();
+            assert_eq!(p99(&hundred), 99.0);
+            assert_eq!(p99(&[]), 0.0);
         }
 
         #[test]

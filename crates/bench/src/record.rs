@@ -28,9 +28,6 @@ pub enum Class {
 pub enum Datum {
     /// A counter; rendered as a JSON integer.
     Unsigned(u64),
-    /// A real; rendered in six-digit scientific notation (non-finite values
-    /// become `null`).
-    Real(f64),
     /// A flag.
     Bool(bool),
     /// A label.
@@ -46,12 +43,6 @@ impl From<usize> for Datum {
 impl From<u64> for Datum {
     fn from(x: u64) -> Self {
         Datum::Unsigned(x)
-    }
-}
-
-impl From<f64> for Datum {
-    fn from(x: f64) -> Self {
-        Datum::Real(x)
     }
 }
 
@@ -72,7 +63,6 @@ impl Datum {
     fn json(&self) -> String {
         match self {
             Datum::Unsigned(x) => x.to_string(),
-            Datum::Real(x) => json_f64(*x),
             Datum::Bool(b) => b.to_string(),
             Datum::Text(s) => format!("\"{s}\""),
         }
@@ -88,7 +78,6 @@ impl Datum {
 
     /// Whether a parsed baseline value holds the same thing (counters stay
     /// far below 2^53, so the `f64` the reader parsed them into is exact).
-    /// Reals never compare equal: [`write()`] refuses them in exact fields.
     pub(crate) fn equals(&self, baseline: &Value) -> bool {
         match (self, baseline) {
             (Datum::Unsigned(x), Value::Num(want)) => *x as f64 == *want,
@@ -188,16 +177,6 @@ pub struct Workload {
     pub throughput_unit: &'static str,
 }
 
-/// A real as the files carry it: six-digit scientific notation, `null` when
-/// not finite.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:.6e}")
-    } else {
-        "null".to_string()
-    }
-}
-
 /// The lines of a file's `"records"` array, one record per line.
 fn render_records(records: &[Record]) -> String {
     let mut out = String::new();
@@ -213,9 +192,7 @@ fn render_records(records: &[Record]) -> String {
 /// Refuses a file the comparator could not check record by record: every
 /// record must carry the first record's field names and classes, no two
 /// records may agree on every key field (the second would be matched to the
-/// first's baseline and never compared), and no `exact` field may hold a
-/// real (the file keeps six significant digits of it, so the full-precision
-/// fresh value could never equal its baseline).
+/// first's baseline and never compared).
 fn validate(records: &[Record]) -> Result<(), String> {
     fn schema(r: &Record) -> impl Iterator<Item = (&String, Class)> {
         r.fields.iter().map(|f| (&f.name, f.class))
@@ -223,11 +200,6 @@ fn validate(records: &[Record]) -> Result<(), String> {
     let mut seen = std::collections::BTreeSet::new();
     for r in records {
         let key = r.key_string();
-        if let Some(f) =
-            r.fields.iter().find(|f| f.class == Class::Exact && matches!(f.value, Datum::Real(_)))
-        {
-            return Err(format!("record [{key}]: exact field {} holds a real", f.name));
-        }
         if !schema(r).eq(schema(&records[0])) {
             return Err(format!("record [{key}] differs in schema from the file's first record"));
         }
@@ -290,7 +262,7 @@ mod tests {
             .map(|&codec| {
                 let r = Record::new().key("p", 4usize).key("c", 2usize);
                 let r = if extra_key { r.key("codec", codec) } else { r.info("codec", codec) };
-                r.exact("words_per_epoch", 4096usize).info("wall_s", 0.01)
+                r.exact("words_per_epoch", 4096usize).info("note", "")
             })
             .collect()
     }
@@ -316,7 +288,7 @@ mod tests {
     #[test]
     fn a_record_off_the_first_records_schema_fails_the_write() {
         let mut records = pair(true);
-        records[1] = records[1].clone().info("extra", 1.0);
+        records[1] = records[1].clone().info("extra", 1usize);
         let err = validate(&records).unwrap_err();
         assert!(err.contains("codec=int8") && err.contains("schema"), "{err}");
         // Same names, one class changed: still refused.
@@ -326,24 +298,8 @@ mod tests {
             .key("c", 2usize)
             .key("codec", "int8")
             .info("words_per_epoch", 4096usize)
-            .info("wall_s", 0.01);
+            .info("note", "");
         assert!(validate(&records).is_err());
-    }
-
-    #[test]
-    fn an_exact_real_fails_the_write_and_the_same_value_as_info_passes() {
-        let dir = std::env::temp_dir().join(format!("dmbs_record_real_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("real.json");
-        let record = |exact: bool| {
-            let r = Record::new().key("p", 4usize);
-            vec![if exact { r.exact("ratio", 0.1) } else { r.info("ratio", 0.1) }]
-        };
-        let err = write(&path, &workload(), &record(true)).unwrap_err();
-        assert!(err.contains("exact field ratio"), "{err}");
-        assert!(!path.exists(), "nothing may be written before the refusal");
-        write(&path, &workload(), &record(false)).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Rebuilds the records of a committed file from its parsed values and

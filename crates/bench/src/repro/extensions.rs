@@ -569,8 +569,7 @@ pub(crate) fn serve() -> Vec<Claim> {
             ),
         ]);
         if qps == 8000 {
-            let p99 =
-                |r: &ServeReport| ns(crate::stats::LatencySummary::from_samples(&r.latencies).p99);
+            let p99 = |r: &ServeReport| ns(crate::stats::p99(&r.latencies));
             claims.push(Claim::new(
                 "serve.coalescing_cuts_p99_at_overload",
                 at("p99 ns"),

@@ -7,76 +7,100 @@
 //!
 //! The three products ([`DenseMatrix::matmul`],
 //! [`DenseMatrix::transpose_matmul`], [`DenseMatrix::matmul_transpose`]) and
-//! their `_parallel` forms share one register-blocked micro-kernel: a 4 × 8 tile
-//! of the output is held in registers while `k` runs in ascending order.
+//! their `_parallel` forms share one register-blocked micro-kernel: a tile of
+//! the output is held in registers while `k` runs in ascending order.
 //! Every output entry is summed from `+0.0` over ascending `k` with a
 //! separate multiply and add, exactly as the textbook loops do, so the
 //! result is byte-identical to them (ARCHITECTURE.md, "Propagation at the
-//! kernel tier", gives the argument).  The kernel is compiled twice, once
-//! for the baseline target and once with AVX2 enabled, and the AVX2 copy is
-//! chosen at run time where the CPU has it.
+//! kernel tier", gives the argument).  The kernel is compiled three times
+//! (`crate::isa`): for the build target and under AVX2 with a 4 × 8 tile,
+//! and under AVX-512F with an 8 × 16 tile; the widest copy the CPU runs is
+//! chosen at run time.
 
 use crate::error::MatrixError;
+use crate::isa::{Isa, Level};
 use crate::pool::Parallelism;
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
-/// Output rows of the GEMM register tile.
+/// Output rows of the portable and AVX2 GEMM tile.
 const TILE_ROWS: usize = 4;
-/// Output columns of the GEMM register tile: two 4-lane AVX2 registers.
+/// Output columns of the portable and AVX2 GEMM tile: two 4-lane `ymm`
+/// registers per row, eight accumulators.
 const TILE_COLS: usize = 8;
+/// Output rows of the AVX-512 GEMM tile, and the row granule of the
+/// parallel products' blocks.
+const WIDE_TILE_ROWS: usize = 8;
+/// Output columns of the AVX-512 GEMM tile: two 8-lane `zmm` registers per
+/// row, sixteen accumulators.
+const WIDE_TILE_COLS: usize = 16;
 /// Rows of the left operand that `transpose_matmul` transposes at a time;
 /// each chunk continues the tile accumulators from the output.  At 64 the
 /// chunk of the right operand a 64-wide product sweeps per row tile (32 KiB)
 /// stays in L1; 128 or more halves the kernel's speed.
 const TN_CHUNK: usize = 64;
 
-/// A GEMM kernel: `out (+)= a · b` over row-major `a` (rows × `k`), `b`
-/// (`k` × `n`) and `out` (rows × `n`, `n > 0`); with `accumulate` each entry
-/// continues from its value in `out`, otherwise from `+0.0`.
-type Kernel = fn(&[f64], usize, &[f64], usize, &mut [f64], bool);
-
-/// The [`Kernel`] on the widest instruction set the CPU offers.
-fn gemm(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: `gemm_avx2`'s only requirement is that the CPU supports
-        // AVX2, which was detected on the line above.
-        return unsafe { gemm_avx2(a, k, b, n, out, accumulate) };
+/// `out (+)= a · b` over row-major `a` (rows × `k`), `b` (`k` × `n`) and
+/// `out` (rows × `n`, `n > 0`) on the copy `isa` names; with `accumulate`
+/// each entry continues from its value in `out`, otherwise from `+0.0`.
+fn gemm(isa: Isa, a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
+    match isa.level() {
+        Level::Portable => gemm_body::<TILE_ROWS, TILE_COLS>(a, k, b, n, out, accumulate),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `gemm_avx2` requires only AVX2, and an `Isa` at `Avx2`
+        // exists only where AVX2 was detected.
+        Level::Avx2 => unsafe { gemm_avx2(a, k, b, n, out, accumulate) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `gemm_avx512` requires only AVX-512F, and an `Isa` at
+        // `Avx512` exists only where AVX-512F was detected.
+        Level::Avx512 => unsafe { gemm_avx512(a, k, b, n, out, accumulate) },
     }
-    gemm_portable(a, k, b, n, out, accumulate)
 }
 
-/// [`gemm_body`] compiled for the AVX2 instruction set.  AVX2 alone brings
-/// no fused multiply-add, so the arithmetic is the portable copy's.
+/// [`gemm_body`] with the 4 × 8 tile, compiled for AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn gemm_avx2(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
-    gemm_body(a, k, b, n, out, accumulate)
+    gemm_body::<TILE_ROWS, TILE_COLS>(a, k, b, n, out, accumulate)
 }
 
-/// [`gemm_body`] compiled for the baseline target.
-fn gemm_portable(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
-    gemm_body(a, k, b, n, out, accumulate)
+/// [`gemm_body`] with the 8 × 16 tile, compiled for AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn gemm_avx512(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
+    gemm_body::<WIDE_TILE_ROWS, WIDE_TILE_COLS>(a, k, b, n, out, accumulate)
 }
 
-/// The micro-kernel: 4-row tiles, then a 1-row tile for the leftover rows.
+/// The micro-kernel: `R`-row tiles, then 4-row tiles (when `R` is wider),
+/// then a 1-row tile for the leftover rows.
 #[inline(always)]
-fn gemm_body(a: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64], accumulate: bool) {
+fn gemm_body<const R: usize, const C: usize>(
+    a: &[f64],
+    k: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+    accumulate: bool,
+) {
     let rows = out.len() / n;
     let mut i = 0;
-    while i + TILE_ROWS <= rows {
-        tile_row::<TILE_ROWS>(a, k, b, n, out, i, accumulate);
+    while i + R <= rows {
+        tile_row::<R, C>(a, k, b, n, out, i, accumulate);
+        i += R;
+    }
+    while R > TILE_ROWS && i + TILE_ROWS <= rows {
+        tile_row::<TILE_ROWS, C>(a, k, b, n, out, i, accumulate);
         i += TILE_ROWS;
     }
     for i in i..rows {
-        tile_row::<1>(a, k, b, n, out, i, accumulate);
+        tile_row::<1, C>(a, k, b, n, out, i, accumulate);
     }
 }
 
-/// Output rows `i..i + R`: 8-column tiles, then 1-column tiles.
+/// Output rows `i..i + R`: `C`-column tiles, then 8-column tiles (when `C`
+/// is wider), then 1-column tiles.
 #[inline(always)]
-fn tile_row<const R: usize>(
+fn tile_row<const R: usize, const C: usize>(
     a: &[f64],
     k: usize,
     b: &[f64],
@@ -86,7 +110,11 @@ fn tile_row<const R: usize>(
     accumulate: bool,
 ) {
     let mut j = 0;
-    while j + TILE_COLS <= n {
+    while j + C <= n {
+        tile::<R, C>(a, k, b, n, out, i, j, accumulate);
+        j += C;
+    }
+    while C > TILE_COLS && j + TILE_COLS <= n {
         tile::<R, TILE_COLS>(a, k, b, n, out, i, j, accumulate);
         j += TILE_COLS;
     }
@@ -97,7 +125,7 @@ fn tile_row<const R: usize>(
 
 /// One `R × C` output tile held in registers while `k` ascends.  The 1-row
 /// tile skips zero left-hand entries, as the textbook i-k-j loop does; the
-/// 4-row tile adds their `±0` products, which changes nothing (an
+/// wider tiles add their `±0` products, which changes nothing (an
 /// accumulator that starts at `+0.0` is never `−0.0`, so adding `±0` to it
 /// is exact).
 #[allow(clippy::too_many_arguments)]
@@ -321,7 +349,7 @@ impl DenseMatrix {
     }
 
     /// [`DenseMatrix::matmul`] on `parallelism` worker threads: row blocks in
-    /// multiples of the 4-row tile, so the result is byte-identical at any
+    /// multiples of the 8-row tile, so the result is byte-identical at any
     /// thread count.
     ///
     /// # Errors
@@ -332,7 +360,7 @@ impl DenseMatrix {
         rhs: &DenseMatrix,
         parallelism: Parallelism,
     ) -> Result<DenseMatrix> {
-        self.matmul_with(rhs, parallelism, gemm)
+        self.matmul_with(rhs, parallelism, Isa::host())
     }
 
     /// [`DenseMatrix::transpose_matmul`] on `parallelism` worker threads:
@@ -346,11 +374,11 @@ impl DenseMatrix {
         rhs: &DenseMatrix,
         parallelism: Parallelism,
     ) -> Result<DenseMatrix> {
-        self.transpose_matmul_with(rhs, parallelism, gemm)
+        self.transpose_matmul_with(rhs, parallelism, Isa::host())
     }
 
     /// [`DenseMatrix::matmul_transpose`] on `parallelism` worker threads: row
-    /// blocks in multiples of the 4-row tile, byte-identical at any thread
+    /// blocks in multiples of the 8-row tile, byte-identical at any thread
     /// count.
     ///
     /// # Errors
@@ -361,14 +389,14 @@ impl DenseMatrix {
         rhs: &DenseMatrix,
         parallelism: Parallelism,
     ) -> Result<DenseMatrix> {
-        self.matmul_transpose_with(rhs, parallelism, gemm)
+        self.matmul_transpose_with(rhs, parallelism, Isa::host())
     }
 
     fn matmul_with(
         &self,
         rhs: &DenseMatrix,
         parallelism: Parallelism,
-        kernel: Kernel,
+        isa: Isa,
     ) -> Result<DenseMatrix> {
         if self.cols != rhs.rows {
             return Err(MatrixError::DimensionMismatch {
@@ -379,8 +407,9 @@ impl DenseMatrix {
         }
         let mut out = DenseMatrix::zeros(self.rows, rhs.cols);
         let k = self.cols;
-        parallelism.for_each_row_block(&mut out.data, rhs.cols, TILE_ROWS, |rows, block| {
-            kernel(&self.data[rows.start * k..rows.end * k], k, &rhs.data, rhs.cols, block, false)
+        parallelism.for_each_row_block(&mut out.data, rhs.cols, WIDE_TILE_ROWS, |rows, block| {
+            let lhs = &self.data[rows.start * k..rows.end * k];
+            gemm(isa, lhs, k, &rhs.data, rhs.cols, block, false)
         });
         Ok(out)
     }
@@ -389,7 +418,7 @@ impl DenseMatrix {
         &self,
         rhs: &DenseMatrix,
         parallelism: Parallelism,
-        kernel: Kernel,
+        isa: Isa,
     ) -> Result<DenseMatrix> {
         if self.rows != rhs.rows {
             return Err(MatrixError::DimensionMismatch {
@@ -400,7 +429,7 @@ impl DenseMatrix {
         }
         let mut out = DenseMatrix::zeros(self.cols, rhs.cols);
         let (k, n) = (self.rows, rhs.cols);
-        parallelism.for_each_row_block(&mut out.data, n, TILE_ROWS, |cols, block| {
+        parallelism.for_each_row_block(&mut out.data, n, WIDE_TILE_ROWS, |cols, block| {
             // `chunk` holds rows `k0..k0 + kc` of `self`, restricted to this
             // block's columns, transposed: `chunk[i * kc + kk]`.
             let mut chunk = vec![0.0; cols.len() * TN_CHUNK.min(k)];
@@ -413,7 +442,7 @@ impl DenseMatrix {
                     }
                 }
                 let chunk = &chunk[..cols.len() * kc];
-                kernel(chunk, kc, &rhs.data[k0 * n..(k0 + kc) * n], n, block, true);
+                gemm(isa, chunk, kc, &rhs.data[k0 * n..(k0 + kc) * n], n, block, true);
             }
         });
         Ok(out)
@@ -423,7 +452,7 @@ impl DenseMatrix {
         &self,
         rhs: &DenseMatrix,
         parallelism: Parallelism,
-        kernel: Kernel,
+        isa: Isa,
     ) -> Result<DenseMatrix> {
         if self.cols != rhs.cols {
             return Err(MatrixError::DimensionMismatch {
@@ -437,8 +466,9 @@ impl DenseMatrix {
         // turns the dot products into the NN tile, summed in the same order.
         let rhs_t = rhs.transpose();
         let k = self.cols;
-        parallelism.for_each_row_block(&mut out.data, rhs.rows, TILE_ROWS, |rows, block| {
-            kernel(&self.data[rows.start * k..rows.end * k], k, &rhs_t.data, rhs.rows, block, false)
+        parallelism.for_each_row_block(&mut out.data, rhs.rows, WIDE_TILE_ROWS, |rows, block| {
+            let lhs = &self.data[rows.start * k..rows.end * k];
+            gemm(isa, lhs, k, &rhs_t.data, rhs.rows, block, false)
         });
         Ok(out)
     }
@@ -687,12 +717,47 @@ mod tests {
         m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
-    /// Every product, through the portable and the dispatched kernel and at
-    /// several thread counts, equals its textbook loop bit for bit.
+    /// Column counts around every 1-, 8- and 16-column tile boundary.
+    const COLS: [usize; 13] = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65];
+
+    /// Every product, on every compiled copy of the micro-kernel this CPU
+    /// runs, equals its textbook loop bit for bit: at every 1-, 4- and 8-row
+    /// tile remainder, around every column tile, and across the
+    /// `transpose_matmul` chunk.
+    #[test]
+    fn every_copy_is_bit_identical_to_the_textbook_loops() {
+        let mut rng = StdRng::seed_from_u64(28);
+        let copies = Isa::each_copy();
+        let serial = Parallelism::serial();
+        for m in 0usize..=17 {
+            for n in COLS {
+                for k in [0usize, 1, 3, 65, 130] {
+                    let a = sparse_signed(m, k, &mut rng);
+                    let b = sparse_signed(k, n, &mut rng);
+                    let a_t = sparse_signed(k, m, &mut rng);
+                    let b_t = sparse_signed(n, k, &mut rng);
+                    let want_nn = bits(&oracle::matmul(&a, &b));
+                    let want_tn = bits(&oracle::transpose_matmul(&a_t, &b));
+                    let want_nt = bits(&oracle::matmul_transpose(&a, &b_t));
+                    for &isa in &copies {
+                        let shape = format!("{isa:?} m={m} n={n} k={k}");
+                        let got = a.matmul_with(&b, serial, isa).unwrap();
+                        assert_eq!(bits(&got), want_nn, "NN {shape}");
+                        let got = a_t.transpose_matmul_with(&b, serial, isa).unwrap();
+                        assert_eq!(bits(&got), want_tn, "TN {shape}");
+                        let got = a.matmul_transpose_with(&b_t, serial, isa).unwrap();
+                        assert_eq!(bits(&got), want_nt, "NT {shape}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The public products (the dispatched copy) equal the textbook loops
+    /// bit for bit at several thread counts.
     #[test]
     fn products_are_bit_identical_to_the_textbook_loops() {
         let mut rng = StdRng::seed_from_u64(28);
-        let kernels: [(&str, Kernel); 2] = [("portable", gemm_portable), ("dispatched", gemm)];
         for m in [0usize, 1, 3, 4, 5, 17] {
             for n in [1usize, 7, 8, 9, 16, 64] {
                 for k in [0usize, 1, 64, 100, 128, 300] {
@@ -703,17 +768,15 @@ mod tests {
                     let want_nn = bits(&oracle::matmul(&a, &b));
                     let want_tn = bits(&oracle::transpose_matmul(&a_t, &b));
                     let want_nt = bits(&oracle::matmul_transpose(&a, &b_t));
-                    for (name, kernel) in kernels {
-                        for threads in [1usize, 2, 3, 8] {
-                            let par = Parallelism::new(threads);
-                            let shape = format!("{name} m={m} n={n} k={k} threads={threads}");
-                            let got = a.matmul_with(&b, par, kernel).unwrap();
-                            assert_eq!(bits(&got), want_nn, "NN {shape}");
-                            let got = a_t.transpose_matmul_with(&b, par, kernel).unwrap();
-                            assert_eq!(bits(&got), want_tn, "TN {shape}");
-                            let got = a.matmul_transpose_with(&b_t, par, kernel).unwrap();
-                            assert_eq!(bits(&got), want_nt, "NT {shape}");
-                        }
+                    for threads in [1usize, 2, 3, 8] {
+                        let par = Parallelism::new(threads);
+                        let shape = format!("m={m} n={n} k={k} threads={threads}");
+                        let got = a.matmul_parallel(&b, par).unwrap();
+                        assert_eq!(bits(&got), want_nn, "NN {shape}");
+                        let got = a_t.transpose_matmul_parallel(&b, par).unwrap();
+                        assert_eq!(bits(&got), want_tn, "TN {shape}");
+                        let got = a.matmul_transpose_parallel(&b_t, par).unwrap();
+                        assert_eq!(bits(&got), want_nt, "NT {shape}");
                     }
                     assert_eq!(bits(&a.matmul(&b).unwrap()), want_nn);
                     assert_eq!(bits(&a_t.transpose_matmul(&b).unwrap()), want_tn);

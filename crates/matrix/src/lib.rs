@@ -25,8 +25,9 @@
 //!   row/column extraction) used by bulk sampling,
 //! * a small dense matrix type ([`DenseMatrix`]) with the GEMM/transpose/
 //!   reduction kernels needed by the GNN training substrate; its three
-//!   products share one register-blocked micro-kernel with a run-time AVX2
-//!   dispatch, byte-identical to the textbook loops,
+//!   products share one register-blocked micro-kernel, compiled (like the
+//!   SpMMs) for the build target, AVX2 and AVX-512F with the widest copy the
+//!   CPU runs chosen at run time, byte-identical to the textbook loops,
 //! * a delta overlay ([`DeltaCsr`]) holding batched edge inserts/deletes
 //!   ([`DeltaBatch`]) merged lazily into a rebuilt base — the substrate of
 //!   dynamic-graph ingest,
@@ -80,6 +81,7 @@ pub mod delta;
 pub mod dense;
 pub mod error;
 pub mod extract;
+mod isa;
 pub mod ops;
 pub mod pool;
 pub mod prefix;
