@@ -223,30 +223,6 @@ pub mod json {
             }
         }
 
-        /// The value as a number, if it is one.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(x) => Some(*x),
-                _ => None,
-            }
-        }
-
-        /// The value as a bool, if it is one.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-
-        /// The value as a string slice, if it is one.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
         /// The value as an array slice, if it is one.
         pub fn as_array(&self) -> Option<&[Value]> {
             match self {
@@ -738,17 +714,8 @@ pub mod check {
 }
 
 pub mod stats {
-    //! Summary statistics: means, nearest-rank percentiles, and the p99 the
-    //! serving claims read.
-
-    /// Arithmetic mean; `0.0` for an empty slice.
-    pub fn mean(xs: &[f64]) -> f64 {
-        if xs.is_empty() {
-            0.0
-        } else {
-            xs.iter().sum::<f64>() / xs.len() as f64
-        }
-    }
+    //! Summary statistics: nearest-rank percentiles, and the p99 the serving
+    //! claims read.
 
     /// Nearest-rank percentile of **sorted** data: the smallest value with at
     /// least `q` of the mass at or below it (`q` in `[0, 1]`).  `q = 0` is
@@ -794,12 +761,6 @@ pub mod stats {
             assert_eq!(p99(&hundred), 99.0);
             assert_eq!(p99(&[]), 0.0);
         }
-
-        #[test]
-        fn mean_handles_edges() {
-            assert_eq!(mean(&[]), 0.0);
-            assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        }
     }
 }
 
@@ -823,13 +784,14 @@ mod json_tests {
   "nothing": null
 }"#;
         let v = Value::parse(text).unwrap();
-        assert_eq!(v.get("bench").unwrap().as_str(), Some("spgemm"));
-        assert_eq!(v.get("items_per_run").unwrap().as_f64(), Some(123456.0));
-        assert_eq!(v.get("workload").unwrap().as_str(), Some("P = Q*A, rmat scale 8 & more"));
+        assert_eq!(v.get("bench"), Some(&Value::Str("spgemm".into())));
+        assert_eq!(v.get("items_per_run"), Some(&Value::Num(123456.0)));
+        let workload = Value::Str("P = Q*A, rmat scale 8 & more".into());
+        assert_eq!(v.get("workload"), Some(&workload));
         let records = v.get("records").unwrap().as_array().unwrap();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].get("wall_s").unwrap().as_f64(), Some(1.23456e-2));
-        assert_eq!(records[1].get("identical_to_serial").unwrap().as_bool(), Some(false));
+        assert_eq!(records[0].get("wall_s"), Some(&Value::Num(1.23456e-2)));
+        assert_eq!(records[1].get("identical_to_serial"), Some(&Value::Bool(false)));
         assert_eq!(v.get("empty_array").unwrap().as_array().unwrap().len(), 0);
         assert_eq!(v.get("nothing"), Some(&Value::Null));
         assert_eq!(v.get("missing"), None);
@@ -848,7 +810,7 @@ mod json_tests {
     #[test]
     fn string_escapes_round_trip() {
         let v = Value::parse(r#""a\nb\t\"q\"\\ é""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\nb\t\"q\"\\ é"));
+        assert_eq!(v, Value::Str("a\nb\t\"q\"\\ é".into()));
     }
 }
 

@@ -12,7 +12,9 @@
 //!   instead of trainer-internal logic;
 //! * [`TrainingSession::train`] — the full training loop (feature fetching,
 //!   forward/backward propagation, optimizer steps), running single-device
-//!   over the stream for the local backend, or bulk-synchronous data-parallel
+//!   over one stream of every epoch for the local backend (one sampling
+//!   worker for the call, which samples the next epoch's first group while
+//!   the last group of this one trains), or bulk-synchronous data-parallel
 //!   (1.5D feature store + gradient all-reduce) for distributed backends.
 //!
 //! # Example
@@ -82,6 +84,7 @@ use dmbs_sampling::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -202,7 +205,16 @@ pub struct Minibatch {
     pub sample: MinibatchSample,
 }
 
-type GroupMessage = Result<(usize, usize, BulkSampleOutput)>;
+/// One bulk group as the stream's worker hands it over: the epoch and group
+/// it belongs to, the plan index of its first minibatch, and its samples.
+struct SampledGroup {
+    epoch: usize,
+    group: usize,
+    base_index: usize,
+    output: BulkSampleOutput,
+}
+
+type GroupMessage = Result<SampledGroup>;
 
 /// One stage of the distributed training pipeline: a sampled bulk group whose
 /// pinned prefetch (if any) has been posted but not yet completed, plus the
@@ -223,17 +235,23 @@ struct PipelineStage {
     hoisted: PhaseProfile,
 }
 
-/// An iterator over one epoch's sampled minibatches with double-buffered
-/// bulk prefetch: a worker thread runs the backend one bulk group ahead of
-/// the consumer and hands each finished group over by rendezvous (the channel
-/// buffers nothing, so at most two groups are live).
+/// An iterator over sampled minibatches with double-buffered bulk prefetch:
+/// a worker thread runs the backend one bulk group ahead of the consumer and
+/// hands each finished group over by rendezvous (the channel buffers
+/// nothing, so at most two groups are live).
 ///
-/// Yields minibatches in plan order.  After exhaustion,
+/// [`TrainingSession::stream`] opens one over one epoch.  `train()` on a
+/// local backend runs the same driver over every epoch of the call with one
+/// worker, which crosses epoch boundaries without stopping: epoch `e + 1`'s
+/// first group is sampled while epoch `e`'s last group trains.  Each
+/// [`Minibatch`] carries the epoch it belongs to.
+///
+/// Yields minibatches in epoch and plan order.  After exhaustion,
 /// [`MinibatchStream::sampling_profile`] and [`MinibatchStream::comm_stats`]
-/// expose the accumulated sampling-phase statistics.
+/// expose the accumulated sampling-phase statistics.  Dropping the stream,
+/// or the first error it yields, joins the worker.
 #[derive(Debug)]
 pub struct MinibatchStream {
-    epoch: usize,
     rx: Option<mpsc::Receiver<GroupMessage>>,
     pending: VecDeque<Minibatch>,
     profile: PhaseProfile,
@@ -254,6 +272,28 @@ impl MinibatchStream {
         &self.comm
     }
 
+    /// The next sampled group, in epoch and plan order, or `None` once the
+    /// worker has handed over its last one.  An error (the worker's, or its
+    /// panic) is returned once, after which the worker is joined and the
+    /// stream is over.
+    fn next_group(&mut self) -> Option<Result<SampledGroup>> {
+        if self.failed {
+            return None;
+        }
+        let error = match self.rx.as_ref()?.recv() {
+            Ok(Ok(group)) => return Some(Ok(group)),
+            Ok(Err(e)) => Some(e),
+            // The channel closed: either the worker finished, or it
+            // panicked mid-sampling — the latter must surface as an error,
+            // not a truncated run.
+            Err(_) => None,
+        };
+        self.failed = true;
+        let panicked = self.join_worker();
+        let panic = || GnnError::InvalidConfig("minibatch sampling worker panicked".into());
+        error.or_else(|| panicked.then(panic)).map(Err)
+    }
+
     /// Joins the worker thread; returns `true` if it panicked.
     fn join_worker(&mut self) -> bool {
         self.rx = None;
@@ -272,44 +312,15 @@ impl Iterator for MinibatchStream {
             if let Some(mb) = self.pending.pop_front() {
                 return Some(Ok(mb));
             }
-            if self.failed {
-                return None;
-            }
-            let message = match self.rx.as_ref()?.recv() {
-                Ok(message) => message,
-                Err(_) => {
-                    // The channel closed: either the worker finished the
-                    // epoch, or it panicked mid-sampling — the latter must
-                    // surface as an error, not a truncated epoch.
-                    self.failed = true;
-                    if self.join_worker() {
-                        return Some(Err(GnnError::InvalidConfig(
-                            "minibatch sampling worker panicked".into(),
-                        )));
-                    }
-                    return None;
-                }
+            let SampledGroup { epoch, group, base_index, output } = match self.next_group()? {
+                Ok(group) => group,
+                Err(e) => return Some(Err(e)),
             };
-            match message {
-                Ok((group, base_index, output)) => {
-                    self.profile.merge_sum(&output.profile);
-                    self.comm.merge(&output.comm_stats);
-                    let epoch = self.epoch;
-                    self.pending.extend(output.minibatches.into_iter().enumerate().map(
-                        |(offset, sample)| Minibatch {
-                            epoch,
-                            group,
-                            index: base_index + offset,
-                            sample,
-                        },
-                    ));
-                }
-                Err(e) => {
-                    self.failed = true;
-                    self.join_worker();
-                    return Some(Err(e));
-                }
-            }
+            self.profile.merge_sum(&output.profile);
+            self.comm.merge(&output.comm_stats);
+            self.pending.extend(output.minibatches.into_iter().enumerate().map(
+                |(offset, sample)| Minibatch { epoch, group, index: base_index + offset, sample },
+            ));
         }
     }
 }
@@ -796,15 +807,30 @@ impl<S: Sampler, B: SamplingBackend> TrainingSession<S, B> {
     /// The epoch's shuffled minibatch plan (deterministic in the session
     /// seed, identical on every rank).
     fn plan(&self, epoch: usize) -> Result<MinibatchPlan> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1 + epoch as u64));
-        Ok(MinibatchPlan::new(&self.dataset.train_set, self.backend.bulk().batch_size, &mut rng)?)
+        epoch_plan(&self.dataset, self.backend.bulk().batch_size, self.config.seed, epoch)
     }
 
     /// The sampling seed of an epoch (bulk groups derive theirs with
     /// [`group_seed`]).
     fn epoch_sample_seed(&self, epoch: usize) -> u64 {
-        self.config.seed.wrapping_add((epoch as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03))
+        epoch_sample_seed(self.config.seed, epoch)
     }
+}
+
+/// The shuffled minibatch plan of `epoch` under the session seed `seed`.
+fn epoch_plan(
+    dataset: &Dataset,
+    batch_size: usize,
+    seed: u64,
+    epoch: usize,
+) -> Result<MinibatchPlan> {
+    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1 + epoch as u64));
+    Ok(MinibatchPlan::new(&dataset.train_set, batch_size, &mut rng)?)
+}
+
+/// The sampling seed of `epoch` under the session seed `seed`.
+fn epoch_sample_seed(seed: u64, epoch: usize) -> u64 {
+    seed.wrapping_add((epoch as u64 + 1).wrapping_mul(0xD1B5_4A32_D192_ED03))
 }
 
 impl<S, B> TrainingSession<S, B>
@@ -846,10 +872,19 @@ where
     /// Returns [`GnnError::InvalidConfig`] if the plan cannot be built;
     /// sampling errors surface through the iterator's items.
     pub fn stream(&self, epoch: usize) -> Result<MinibatchStream> {
-        let plan = self.plan(epoch)?;
-        let batches: Vec<Vec<usize>> = plan.batches().to_vec();
+        self.stream_epochs(epoch..epoch + 1)
+    }
+
+    /// The stream driver: one worker samples every bulk group of `epochs`,
+    /// epoch after epoch, through one rendezvous.  The first epoch's plan is
+    /// built here, so a plan that cannot be built is an error of the call
+    /// (every epoch's plan shuffles the same training set into batches of
+    /// the same size, so they fail alike); the worker builds the others.
+    fn stream_epochs(&self, epochs: Range<usize>) -> Result<MinibatchStream> {
+        let mut first_plan = Some(self.plan(epochs.start)?);
+        let batch_size = self.backend.bulk().batch_size;
         let bulk_size = self.backend.bulk().bulk_size;
-        let seed = self.epoch_sample_seed(epoch);
+        let seed = self.config.seed;
         let dataset = Arc::clone(&self.dataset);
         let sampler = Arc::clone(&self.sampler);
         let backend = Arc::clone(&self.backend);
@@ -861,22 +896,35 @@ where
         // finished and blocked in `send`.)
         let (tx, rx) = mpsc::sync_channel::<GroupMessage>(0);
         let worker = std::thread::spawn(move || {
-            let mut base_index = 0;
-            for (gi, group) in batches.chunks(bulk_size).enumerate() {
-                let result = backend
-                    .sample_epoch(&*sampler, dataset.graph.adjacency(), group, group_seed(seed, gi))
-                    .map(|epoch_samples| (gi, base_index, epoch_samples.output))
-                    .map_err(GnnError::Sampling);
-                let failed = result.is_err();
-                if tx.send(result).is_err() || failed {
-                    return;
+            for epoch in epochs {
+                let plan = first_plan
+                    .take()
+                    .map_or_else(|| epoch_plan(&dataset, batch_size, seed, epoch), Ok);
+                let plan = match plan {
+                    Ok(plan) => plan,
+                    Err(e) => {
+                        let _ = tx.send(Err(e));
+                        return;
+                    }
+                };
+                let sample_seed = epoch_sample_seed(seed, epoch);
+                let mut base_index = 0;
+                for (group, batches) in plan.batches().chunks(bulk_size).enumerate() {
+                    let adjacency = dataset.graph.adjacency();
+                    let message = backend
+                        .sample_epoch(&*sampler, adjacency, batches, group_seed(sample_seed, group))
+                        .map(|s| SampledGroup { epoch, group, base_index, output: s.output })
+                        .map_err(GnnError::Sampling);
+                    let failed = message.is_err();
+                    if tx.send(message).is_err() || failed {
+                        return;
+                    }
+                    base_index += batches.len();
                 }
-                base_index += group.len();
             }
         });
 
         Ok(MinibatchStream {
-            epoch,
             rx: Some(rx),
             pending: VecDeque::new(),
             profile: PhaseProfile::new(),
@@ -889,8 +937,9 @@ where
     /// Runs the full training loop and returns per-epoch statistics (and
     /// test accuracy unless disabled).
     ///
-    /// With a local backend the loop consumes a [`MinibatchStream`], so bulk
-    /// sampling overlaps training.  With a distributed backend it runs the
+    /// With a local backend the loop consumes one [`MinibatchStream`] over
+    /// every epoch, so bulk sampling overlaps training across epoch
+    /// boundaries too, and each epoch's stats book only its own groups.  With a distributed backend it runs the
     /// bulk-synchronous pipeline of Figure 3: backend sampling inside the
     /// SPMD region, 1.5D-partitioned feature fetching, propagation, and a
     /// data-parallel gradient all-reduce.
@@ -961,34 +1010,36 @@ where
         feature_dim: usize,
         num_classes: usize,
     ) -> Result<(TrainingReport, SageModel)> {
-        let features = self.dataset.graph.features().expect("validated");
         let mut model = self.initial_model(feature_dim, num_classes)?;
         let mut optimizer = Sgd::new(self.config.learning_rate);
 
-        // Every input row is read straight from the one feature matrix:
-        // nothing crosses a wire, so the schedule (cache, codec, overlap)
-        // has nothing to act on here.
+        // One stream over every epoch: the worker samples epoch `e + 1`'s
+        // first group while epoch `e`'s last one trains, and each epoch's
+        // stats book only the groups tagged with it.
         let mut report = TrainingReport::default();
+        let mut stream = self.stream_epochs(0..self.config.epochs)?;
+        let mut next = stream.next_group().transpose()?;
         for epoch in 0..self.config.epochs {
-            let mut stream = self.stream(epoch)?;
             let mut profile = PhaseProfile::new();
+            let mut sampling = PhaseProfile::new();
+            let mut comm = CommStats::default();
             let mut loss = RunningMean::new();
-            for minibatch in stream.by_ref() {
-                let minibatch = minibatch?;
-                let sample = &minibatch.sample;
-                let input = profile.time_compute(Phase::FeatureFetch, || {
-                    features.gather_rows(sample.input_vertices())
-                })?;
-                let labels = self.batch_labels(&sample.batch);
-                let step_loss = profile.time_compute(Phase::Propagation, || -> Result<f64> {
-                    let (l, _, grads) = model.loss_and_gradients(sample, &input, &labels)?;
-                    optimizer.step(model.parameters_mut(), &grads)?;
-                    Ok(l)
-                })?;
-                loss.push(step_loss);
+            while let Some(SampledGroup { output, .. }) = next.take_if(|g| g.epoch == epoch) {
+                sampling.merge_sum(&output.profile);
+                comm.merge(&output.comm_stats);
+                // Each sample is dropped after its step, so the trained part
+                // of a group is freed while the worker samples the next one.
+                for sample in output.minibatches {
+                    loss.push(self.train_step(
+                        &mut model,
+                        &mut optimizer,
+                        &sample,
+                        &mut profile,
+                    )?);
+                }
+                next = stream.next_group().transpose()?;
             }
-            profile.merge_sum(stream.sampling_profile());
-            let comm = *stream.comm_stats();
+            profile.merge_sum(&sampling);
             report.epochs.push(EpochStats { epoch, profile, comm, mean_loss: loss.mean() });
         }
 
@@ -996,6 +1047,29 @@ where
             report.test_accuracy = Some(self.evaluate_model(&model, &self.dataset.test_set)?);
         }
         Ok((report, model))
+    }
+
+    /// One single-device training step: gathers `sample`'s input rows and
+    /// steps the model on its loss, timed into `profile`.
+    fn train_step(
+        &self,
+        model: &mut SageModel,
+        optimizer: &mut Sgd,
+        sample: &MinibatchSample,
+        profile: &mut PhaseProfile,
+    ) -> Result<f64> {
+        // Every input row is read straight from the one feature matrix:
+        // nothing crosses a wire, so the schedule (cache, codec, overlap)
+        // has nothing to act on here.
+        let features = self.dataset.graph.features().expect("validated");
+        let input = profile
+            .time_compute(Phase::FeatureFetch, || features.gather_rows(sample.input_vertices()))?;
+        let labels = self.batch_labels(&sample.batch);
+        profile.time_compute(Phase::Propagation, || {
+            let (l, _, grads) = model.loss_and_gradients(sample, &input, &labels)?;
+            optimizer.step(model.parameters_mut(), &grads)?;
+            Ok(l)
+        })
     }
 
     /// The per-rank body of the distributed training loop — everything one
@@ -1605,6 +1679,168 @@ mod tests {
         let first = stream.next().unwrap().unwrap();
         assert_eq!(first.index, 0);
         drop(stream); // must not hang or leak the worker
+    }
+
+    /// GraphSAGE sampling that records the thread of every bulk call and
+    /// fails call number `fail_at` (counting from 0), if any: with an error,
+    /// or with a panic if `panics`.
+    #[derive(Debug)]
+    struct Probe {
+        inner: GraphSageSampler,
+        fail_at: Option<usize>,
+        panics: bool,
+        threads: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+    }
+
+    impl Probe {
+        fn calls(&self) -> usize {
+            self.threads.lock().unwrap().len()
+        }
+    }
+
+    impl Sampler for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+
+        fn num_layers(&self) -> usize {
+            self.inner.num_layers()
+        }
+
+        fn fanout(&self, step: usize) -> usize {
+            self.inner.fanout(step)
+        }
+
+        fn spec(&self) -> Option<dmbs_sampling::spec::SamplerSpec> {
+            self.inner.spec()
+        }
+
+        fn sample_bulk(
+            &self,
+            adjacency: &CsrMatrix,
+            batches: &[Vec<usize>],
+            config: &BulkSamplerConfig,
+            rng: &mut dyn rand::RngCore,
+        ) -> dmbs_sampling::Result<BulkSampleOutput> {
+            let call = {
+                let mut threads = self.threads.lock().unwrap();
+                threads.push(std::thread::current().id());
+                threads.len() - 1
+            };
+            if Some(call) == self.fail_at {
+                assert!(!self.panics, "probe panic");
+                return Err(dmbs_sampling::SamplingError::InvalidConfig("probe failure".into()));
+            }
+            self.inner.sample_bulk(adjacency, batches, config, rng)
+        }
+    }
+
+    /// A three-epoch session of 8 batches of 8 in bulk groups of 2: four
+    /// groups per epoch, sampled by a [`Probe`] failing call `fail_at`.
+    fn probe_session(fail_at: Option<usize>, panics: bool) -> TrainingSession<Probe, LocalBackend> {
+        let inner = GraphSageSampler::new(vec![5, 5]).with_self_loops();
+        let probe = Probe { inner, fail_at, panics, threads: Default::default() };
+        TrainingSession::builder()
+            .dataset(tiny_dataset(9))
+            .sampler(probe)
+            .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).unwrap())
+            .hidden_dim(16)
+            .learning_rate(0.05)
+            .epochs(3)
+            .seed(5)
+            .without_evaluation()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_multi_epoch_stream_yields_each_epoch_as_eager_sampling_does() {
+        let session = probe_session(None, false);
+        let streamed: Vec<Minibatch> =
+            session.stream_epochs(0..3).unwrap().collect::<Result<Vec<_>>>().unwrap();
+        let mut rest = streamed.as_slice();
+        for epoch in 0..3 {
+            let eager = session.sample_epoch_eager(epoch).unwrap();
+            let (this, later) = rest.split_at(eager.num_batches());
+            for (i, (mb, want)) in this.iter().zip(&eager.minibatches).enumerate() {
+                assert_eq!((mb.epoch, mb.index, mb.group), (epoch, i, i / 2));
+                assert_eq!(&mb.sample, want);
+            }
+            rest = later;
+        }
+        assert!(rest.is_empty());
+        // The stream's calls all ran on one thread, and not this one.
+        let threads = session.sampler.threads.lock().unwrap()[..12].to_vec();
+        assert!(threads.iter().all(|&t| t == threads[0] && t != std::thread::current().id()));
+    }
+
+    #[test]
+    fn train_books_each_epoch_over_one_sampling_worker() {
+        let session = probe_session(None, false);
+        let report = session.train().unwrap();
+        let epochs: Vec<usize> = report.epochs.iter().map(|e| e.epoch).collect();
+        assert_eq!(epochs, [0, 1, 2]);
+        let threads = session.sampler.threads.lock().unwrap().clone();
+        assert_eq!(threads.len(), 12);
+        assert!(threads.iter().all(|&t| t == threads[0]), "one worker for the whole call");
+        // The probe samples what GraphSAGE samples, so the losses are those
+        // of the plain sampler's run.
+        let plain = TrainingSession::builder()
+            .dataset(tiny_dataset(9))
+            .sampler(GraphSageSampler::new(vec![5, 5]).with_self_loops())
+            .backend(LocalBackend::new(BulkSamplerConfig::new(8, 2)).unwrap())
+            .hidden_dim(16)
+            .learning_rate(0.05)
+            .epochs(3)
+            .seed(5)
+            .without_evaluation()
+            .build()
+            .unwrap();
+        let losses = |r: &TrainingReport| r.epochs.iter().map(|e| e.mean_loss.to_bits()).collect();
+        let want: Vec<u64> = losses(&plain.train().unwrap());
+        assert_eq!(losses(&report), want);
+    }
+
+    #[test]
+    fn an_error_mid_epoch_joins_the_one_worker() {
+        // Call 5 is epoch 1's second group; it fails with an error, then
+        // with a panic, which surfaces as an error too.
+        for (panics, message) in [(false, "probe failure"), (true, "worker panicked")] {
+            let session = probe_session(Some(5), panics);
+            let mut stream = session.stream_epochs(0..3).unwrap();
+            let mut yielded = Vec::new();
+            let error = loop {
+                match stream.next().expect("the stream ends in the error") {
+                    Ok(mb) => yielded.push((mb.epoch, mb.index)),
+                    Err(e) => break e,
+                }
+            };
+            assert!(error.to_string().contains(message), "{error}");
+            let want: Vec<(usize, usize)> =
+                (0..8).map(|i| (0, i)).chain([(1, 0), (1, 1)]).collect();
+            assert_eq!(yielded, want);
+            // The error joined the worker: it holds the sampler no longer
+            // and sampled nothing after the failure.
+            assert_eq!(Arc::strong_count(&session.sampler), 1);
+            assert!(stream.next().is_none());
+            assert_eq!(session.sampler.calls(), 6);
+
+            let session = probe_session(Some(5), panics);
+            assert!(session.train().is_err());
+            assert_eq!(Arc::strong_count(&session.sampler), 1);
+            assert_eq!(session.sampler.calls(), 6);
+        }
+    }
+
+    #[test]
+    fn dropping_a_multi_epoch_stream_early_joins_the_worker() {
+        let session = probe_session(None, false);
+        let mut stream = session.stream_epochs(0..3).unwrap();
+        assert_eq!(stream.next().unwrap().unwrap().index, 0);
+        drop(stream);
+        assert_eq!(Arc::strong_count(&session.sampler), 1);
+        // Group 0 was handed over and group 1 at most was sampled ahead.
+        assert!(session.sampler.calls() <= 2);
     }
 
     #[test]

@@ -315,9 +315,15 @@ impl CsrMatrix {
     /// matrix of an unweighted graph (vacuously true with no nonzeros).
     /// Computed on the first call and memoised; the memo is cleared by the
     /// methods that change values ([`CsrMatrix::row_values_mut`],
-    /// [`CsrMatrix::map_values_inplace`], [`CsrMatrix::normalize_rows`]).
+    /// [`CsrMatrix::map_values_inplace`], [`CsrMatrix::normalize_rows`]), and
+    /// [`CsrMatrix::append_rows`] extends a memo already read with the
+    /// appended rows' own.
     pub fn is_unit_valued(&self) -> bool {
-        *self.unit.0.get_or_init(|| self.values.iter().all(|&v| v == 1.0))
+        *self.unit.0.get_or_init(|| {
+            #[cfg(test)]
+            oracle::UNIT_SCANNED.with(|n| n.set(n.get() + self.values.len()));
+            self.values.iter().all(|&v| v == 1.0)
+        })
     }
 
     /// Returns the stored value at `(r, c)` or `0.0` if absent.
@@ -611,7 +617,12 @@ impl CsrMatrix {
         self.indices.extend_from_slice(&other.indices);
         self.values.extend_from_slice(&other.values);
         self.rows += other.rows;
-        self.unit = UnitMemo::default();
+        // A memo already read stays known: the grown matrix is unit-valued
+        // when both parts are, so a store of held rows is scanned once, not
+        // once per product.
+        if let Some(unit) = self.unit.0.take() {
+            self.unit = UnitMemo(OnceLock::from(unit && other.is_unit_valued()));
+        }
         Ok(())
     }
 
@@ -672,7 +683,14 @@ pub(crate) fn merge_add_row(
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::CsrMatrix;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
+
+    thread_local! {
+        /// The stored values [`CsrMatrix::is_unit_valued`] has scanned on
+        /// this thread, so a test can tell a memo kept from one re-read.
+        pub(crate) static UNIT_SCANNED: Cell<usize> = const { Cell::new(0) };
+    }
 
     /// `a + b` through a `BTreeMap` per row.
     pub(crate) fn add(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {

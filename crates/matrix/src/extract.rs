@@ -24,8 +24,10 @@
 //! * [`extract_submatrix_with`] computes `Q_R · A · Q_C` for a sorted,
 //!   duplicate-free column selection in one pass over the selected rows of
 //!   `A`, without forming `Q_R · A`: the renumbering is monotone, so every
-//!   output row comes out sorted as it is read.  Pinned equivalent to the
-//!   two kernels above chained.
+//!   output row comes out sorted as it is read.  On a unit-valued `A`
+//!   ([`CsrMatrix::is_unit_valued`], an unweighted graph) it reads and
+//!   stages column indices only and writes every value as `1.0`.  Pinned
+//!   equivalent to the two kernels above chained.
 //!
 //! All of them draw their scratch from a [`SpgemmWorkspace`] (thread-local
 //! by default, explicit via the `*_with` variants), so steady-state
@@ -38,7 +40,7 @@ use crate::csr::CsrMatrix;
 use crate::error::MatrixError;
 use crate::pool::{block_ranges, Parallelism};
 use crate::prefix::counts_to_offsets;
-use crate::workspace::{column_set_in, with_workspace, SpgemmWorkspace};
+use crate::workspace::{column_set_in, with_workspace, ColumnRanks, SpgemmWorkspace};
 use crate::Result;
 use std::ops::Range;
 
@@ -370,7 +372,8 @@ fn merge_join(
 /// duplicate-free — so the renumbering is monotone and each output row
 /// comes out sorted as `a`'s row is read: no per-row sort, and no symbolic
 /// pass (entries are staged in the workspace and copied out at their exact
-/// size).  The result is byte-identical to
+/// size).  When `a` is unit-valued (its memo) no value is read or staged:
+/// every kept entry is `1.0`.  The result is byte-identical to
 /// `extract_columns_masked(&extract_rows(a, rows, _)?, cols)`, including the
 /// dropping of stored zeros.
 ///
@@ -426,29 +429,63 @@ pub fn extract_submatrix_with(
         set.insert_ranked(c, pos)?;
     }
     let ranks = set.into_inserted_ranks();
-    // Branch-free: every entry is written just past the kept ones, and the
-    // end advances over it only when it is kept.  The staging buffer only
-    // grows, so steady-state calls write each entry once.
-    let staged = &mut ws.row_buf;
-    let mut end = 0;
+    let (staged_cols, staged_vals) = (&mut ws.staged_cols, &mut ws.staged_vals);
     let mut indptr = Vec::with_capacity(rows.len() + 1);
     indptr.push(0);
+    let (indices, values) = if a.is_unit_valued() {
+        let end = submatrix_body::<true>(a, rows, &ranks, staged_cols, staged_vals, &mut indptr);
+        (staged_cols[..end].to_vec(), vec![1.0; end])
+    } else {
+        let end = submatrix_body::<false>(a, rows, &ranks, staged_cols, staged_vals, &mut indptr);
+        (staged_cols[..end].to_vec(), staged_vals[..end].to_vec())
+    };
+    Ok(CsrMatrix::from_raw_unchecked(rows.len(), cols.len(), indptr, indices, values))
+}
+
+/// Stages the kept entries of `a`'s rows `rows`, renumbered by `ranks`, and
+/// pushes each row's end onto `indptr`; returns the number kept.  `UNIT`
+/// says every value of `a` is `1.0`: no value is read or staged, and every
+/// entry of a member column is kept.  Otherwise stored zeros are dropped.
+///
+/// Branch-free: every entry is written just past the kept ones, and the end
+/// advances over it only when it is kept.  The staging buffers only grow,
+/// so steady-state calls write each entry once.
+#[inline(always)]
+fn submatrix_body<const UNIT: bool>(
+    a: &CsrMatrix,
+    rows: &[usize],
+    ranks: &ColumnRanks<'_>,
+    staged_cols: &mut Vec<usize>,
+    staged_vals: &mut Vec<f64>,
+    indptr: &mut Vec<usize>,
+) -> usize {
+    let mut end = 0;
     for &r in rows {
-        let (cols, values) = (a.row_indices(r), a.row_values(r));
-        if staged.len() < end + cols.len() {
-            staged.resize(end + cols.len(), (0, 0.0));
+        let row_cols = a.row_indices(r);
+        let grown = end + row_cols.len();
+        if staged_cols.len() < grown {
+            staged_cols.resize(grown, 0);
         }
-        for (&c, &v) in cols.iter().zip(values) {
-            let member = ranks.marks[c / 64] >> (c % 64) & 1 != 0;
-            staged[end] = (ranks.ranks[c], v);
-            end += usize::from(member & (v != 0.0));
+        if !UNIT && staged_vals.len() < grown {
+            staged_vals.resize(grown, 0.0);
+        }
+        if UNIT {
+            for &c in row_cols {
+                let member = ranks.marks[c / 64] >> (c % 64) & 1 != 0;
+                staged_cols[end] = ranks.ranks[c];
+                end += usize::from(member);
+            }
+        } else {
+            for (&c, &v) in row_cols.iter().zip(a.row_values(r)) {
+                let member = ranks.marks[c / 64] >> (c % 64) & 1 != 0;
+                staged_cols[end] = ranks.ranks[c];
+                staged_vals[end] = v;
+                end += usize::from(member & (v != 0.0));
+            }
         }
         indptr.push(end);
     }
-    let kept = &staged[..end];
-    let indices = kept.iter().map(|&(pos, _)| pos).collect();
-    let values = kept.iter().map(|&(_, v)| v).collect();
-    Ok(CsrMatrix::from_raw_unchecked(rows.len(), cols.len(), indptr, indices, values))
+    end
 }
 
 #[cfg(test)]
@@ -604,6 +641,23 @@ mod tests {
         );
     }
 
+    /// A matrix whose memo read "unit" and whose values were then edited
+    /// takes the general path: the edited `2.0` is copied and the edited
+    /// stored zero dropped, where the unit path would write `1.0` for both.
+    #[test]
+    fn an_edit_after_the_unit_memo_takes_the_general_path() {
+        let mut a = figure1_graph();
+        let (rows, cols) = ([1usize, 4, 1], [0usize, 1, 2, 3, 5]);
+        let mut ws = SpgemmWorkspace::new();
+        let unit = extract_submatrix_with(&a, &rows, &cols, &mut ws).unwrap();
+        assert!(a.is_unit_valued() && unit.values().iter().all(|&v| v == 1.0));
+        a.row_values_mut(1).copy_from_slice(&[2.0, 0.0, 1.0]); // columns 0, 2, 4
+        let got = extract_submatrix_with(&a, &rows, &cols, &mut ws).unwrap();
+        let gathered = extract_rows(&a, &rows, Parallelism::serial()).unwrap();
+        assert_eq!(got, extract_columns_masked(&gathered, &cols).unwrap());
+        assert_eq!((got.get(0, 0), got.row_nnz(0)), (2.0, 1));
+    }
+
     fn arb_matrix() -> impl Strategy<Value = CsrMatrix> {
         (1usize..12, 1usize..12).prop_flat_map(|(rows, cols)| {
             proptest::collection::vec((0..rows, 0..cols, -3.0f64..3.0), 0..50).prop_map(
@@ -671,6 +725,27 @@ mod tests {
                 &extract_rows(&a, &rows, Parallelism::serial()).unwrap(),
                 &cols,
             ).unwrap();
+            let got = with_workspace(|ws| extract_submatrix_with(&a, &rows, &cols, ws)).unwrap();
+            prop_assert_eq!(got, expected);
+        }
+
+        /// On a unit-valued matrix the index-only path equals the gather
+        /// followed by the masked filter.
+        #[test]
+        fn prop_unit_submatrix_equals_gather_then_mask(
+            a in arb_matrix(),
+            raw_rows in proptest::collection::vec(0usize..64, 0..16),
+            raw_cols in proptest::collection::vec(0usize..64, 0..12),
+        ) {
+            let mut a = a;
+            a.map_values_inplace(|_| 1.0);
+            prop_assert!(a.is_unit_valued());
+            let rows: Vec<usize> = raw_rows.iter().map(|&r| r % a.rows()).collect();
+            let mut cols: Vec<usize> = raw_cols.iter().map(|&c| c % a.cols()).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let gathered = extract_rows(&a, &rows, Parallelism::serial()).unwrap();
+            let expected = extract_columns_masked(&gathered, &cols).unwrap();
             let got = with_workspace(|ws| extract_submatrix_with(&a, &rows, &cols, ws)).unwrap();
             prop_assert_eq!(got, expected);
         }

@@ -30,13 +30,28 @@
 //! Gustavson row loop under one driver.  The row loop reads the right
 //! operand through a row lookup (the identity, or the slot of a held row),
 //! accumulates every entry from `+0.0` over the left row's columns in
-//! ascending order on a dense accumulator, sorts the touched columns, and
-//! merges the row into a running sum's row with [`CsrMatrix::add`]'s merge
-//! (an empty row for a plain product).  The driver runs the rows in one
-//! pass over the row blocks of a [`Parallelism`], each worker staging its
-//! block's rows in its [`SpgemmWorkspace`] scratch, then copies the blocks
-//! out in order at their exact size.  A row's result depends on the row
-//! alone, so the output is byte-identical at any thread count.
+//! ascending order on a dense accumulator, and merges the row into a
+//! running sum's row with [`CsrMatrix::add`]'s merge (an empty row for a
+//! plain product).  The driver runs the rows in one pass over the row
+//! blocks of a [`Parallelism`], each worker staging its block's rows in its
+//! [`SpgemmWorkspace`] scratch, then copies the blocks out in order at
+//! their exact size.  A row's result depends on the row alone, so the
+//! output is byte-identical at any thread count.
+//!
+//! **Sparse and dense rows.**  A row reads the touched columns back in
+//! ascending order one of two ways, chosen per row by its flop bound.  A
+//! sparse row lists each column it touches and sorts the list.  A dense
+//! row, whose flop bound is a large share of the output width (a LADIES
+//! indicator row touches most of the graph), keeps no list: it scans every
+//! column's marker in order, so nothing is sorted.
+//!
+//! **Unit values.**  When both operands hold only `1.0` (each matrix's
+//! memoised [`CsrMatrix::is_unit_valued`], true for an unweighted graph and
+//! a 0/1 indicator), every product is `1.0 * 1.0 = 1.0`, so the row loop
+//! reads column indices only and adds `1.0`: the same bits from half the
+//! bytes.  A dense unit row marks nothing either, since its touched columns
+//! are exactly those with a nonzero count.  The row loop is one
+//! `#[inline(always)]` body compiled twice, for general and unit values.
 //!
 //! Merging against an empty row emits `0.0 + v`, which is `v` bit for bit:
 //! the accumulator starts at `+0.0`, and a round-to-nearest sum that is
@@ -45,8 +60,10 @@
 //! The `#[cfg(test)]` oracle is the textbook hash-map Gustavson loop (for
 //! the stage multiply, followed by the `BTreeMap` add).  The proptests
 //! compare the kernel to it with `to_bits` at 1, 2 and 8 threads, over
-//! signed zeros, cancelling sums, outputs wider than 65,536 columns and
-//! sums built stage by stage.
+//! signed zeros, cancelling sums, outputs wider than 65,536 columns, rows
+//! on both sides of the dense threshold, unit and general operands, and
+//! sums built stage by stage over a store of held rows grown between
+//! stages.
 
 use crate::csr::{merge_add_row, CsrMatrix};
 use crate::error::MatrixError;
@@ -219,13 +236,24 @@ pub fn spgemm_with_row_lookup(
     gustavson(lhs, rows, row_of, Some(acc), Parallelism::serial(), &mut ws.workers)
 }
 
+/// A row is accumulated in dense mode when its flop bound (the stored
+/// entries of the right-operand rows it reads) is at least `1 /
+/// DENSE_ROW_SHARE` of the output width.  Such a row touches a large share
+/// of the columns, and scanning all of them in order is cheaper than
+/// listing and sorting the touched ones.  Measured on 48-row products with
+/// a random 16,384-column operand of 53 entries per row, unit-valued or
+/// not: the two modes break even at a flop bound of about a tenth of the
+/// width.
+const DENSE_ROW_SHARE: usize = 10;
+
 /// The one SpGEMM driver: `acc + lhs · R`, where row `k` of `R` is row
 /// `row_of(k)` of `rhs` (empty where it is `None`) and a missing `acc` is
 /// all zeros.
 ///
 /// One pass over the row blocks of `parallelism`, each on its own worker
 /// scratch: the worker stages its rows, then the blocks are copied out in
-/// order into buffers of the product's exact size.
+/// order into buffers of the product's exact size.  When both operands are
+/// unit-valued (each matrix's memo) the row kernel reads indices only.
 fn gustavson(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
@@ -243,6 +271,8 @@ fn gustavson(
     for w in workers.iter_mut() {
         w.ensure_cols(rhs.cols())?;
     }
+    let unit = lhs.is_unit_valued() && rhs.is_unit_valued();
+    let acc_row = |i| acc.map_or((&[][..], &[][..]), |a| (a.row_indices(i), a.row_values(i)));
     // The pool splits the workers one per block, so block `b` runs rows
     // `block_range(rows, blocks, b)` on worker `b`.
     parallelism.for_each_row_block(workers, 1, 1, |b, worker| {
@@ -250,9 +280,11 @@ fn gustavson(
         w.staged_indices.clear();
         w.staged_values.clear();
         w.staged_ends.clear();
-        for i in block_range(rows, blocks, b.start) {
-            let acc_row = acc.map_or((&[][..], &[][..]), |a| (a.row_indices(i), a.row_values(i)));
-            gustavson_row(lhs, i, rhs, &row_of, acc_row, w);
+        let block = block_range(rows, blocks, b.start);
+        if unit {
+            block.for_each(|i| gustavson_row::<true>(lhs, i, rhs, &row_of, acc_row(i), w));
+        } else {
+            block.for_each(|i| gustavson_row::<false>(lhs, i, rhs, &row_of, acc_row(i), w));
         }
     });
 
@@ -272,9 +304,15 @@ fn gustavson(
 
 /// Gustavson's row loop: appends row `i` of `acc + lhs · R` (see
 /// [`gustavson`]) to the worker's staged rows, given `acc`'s row `i` as its
-/// columns and values.
-#[inline]
-fn gustavson_row(
+/// columns and values.  `UNIT` says both operands hold only `1.0`: every
+/// product is then `1.0`, bit for bit, so no value is read.
+///
+/// A sparse row marks each column it touches and lists it once, then sorts
+/// the list.  A dense row (see [`DENSE_ROW_SHARE`]) lists nothing: it scans
+/// every column in order and emits the touched ones, which are the marked
+/// ones — or, with unit values, the nonzero sums, so it marks nothing.
+#[inline(always)]
+fn gustavson_row<const UNIT: bool>(
     lhs: &CsrMatrix,
     i: usize,
     rhs: &CsrMatrix,
@@ -283,32 +321,103 @@ fn gustavson_row(
     w: &mut WorkerScratch,
 ) {
     let WorkerScratch { accum, marked, touched, staged_indices, staged_values, staged_ends } = w;
-    for (k, lv) in lhs.row_entries(i) {
-        let Some(r) = row_of(k) else { continue };
-        for (j, rv) in rhs.row_entries(r) {
+    let cols = rhs.cols();
+    let flops: usize =
+        lhs.row_indices(i).iter().filter_map(|&k| row_of(k)).map(|r| rhs.row_nnz(r)).sum();
+    if flops.saturating_mul(DENSE_ROW_SHARE) >= cols {
+        accumulate::<UNIT>(lhs, i, rhs, row_of, accum, |j| {
+            if !UNIT {
+                marked[j] = true;
+            }
+        });
+        let sums = &accum[..cols];
+        let touched = |j: usize| if UNIT { sums[j] != 0.0 } else { marked[j] };
+        if acc_cols.is_empty() {
+            // Branch-free: every column is written just past the kept
+            // ones, and the end advances over it only when it was touched.
+            let start = staged_indices.len();
+            staged_indices.resize(start + cols, 0);
+            staged_values.resize(start + cols, 0.0);
+            let (indices, values) = (&mut staged_indices[start..], &mut staged_values[start..]);
+            let mut end = 0;
+            for (j, &v) in sums.iter().enumerate() {
+                indices[end] = j;
+                values[end] = 0.0 + v;
+                end += usize::from(touched(j));
+            }
+            staged_indices.truncate(start + end);
+            staged_values.truncate(start + end);
+        } else {
+            let row = (0..cols).filter(|&j| touched(j)).map(|j| (j, sums[j]));
+            merge_into(row, (acc_cols, acc_vals), staged_indices, staged_values);
+        }
+        accum[..cols].fill(0.0);
+        if !UNIT {
+            marked[..cols].fill(false);
+        }
+    } else {
+        accumulate::<UNIT>(lhs, i, rhs, row_of, accum, |j| {
             if !marked[j] {
                 marked[j] = true;
                 touched.push(j);
             }
-            accum[j] += lv * rv;
+        });
+        touched.sort_unstable();
+        if acc_cols.is_empty() {
+            // The merge against an empty row, in bulk: `0.0 + v` per entry.
+            staged_indices.extend_from_slice(touched);
+            staged_values.extend(touched.iter().map(|&j| 0.0 + accum[j]));
+        } else {
+            let row = touched.iter().map(|&j| (j, accum[j]));
+            merge_into(row, (acc_cols, acc_vals), staged_indices, staged_values);
         }
-    }
-    touched.sort_unstable();
-    if acc_cols.is_empty() {
-        // The merge against an empty row, in bulk: `0.0 + v` per entry.
-        staged_indices.extend_from_slice(touched);
-        staged_values.extend(touched.iter().map(|&j| 0.0 + accum[j]));
-    } else {
-        let acc_row = acc_cols.iter().copied().zip(acc_vals.iter().copied());
-        let row = touched.iter().map(|&j| (j, accum[j]));
-        merge_add_row(acc_row, row, staged_indices, staged_values);
+        for &j in touched.iter() {
+            accum[j] = 0.0;
+            marked[j] = false;
+        }
+        touched.clear();
     }
     staged_ends.push(staged_indices.len());
-    for &j in touched.iter() {
-        accum[j] = 0.0;
-        marked[j] = false;
+}
+
+/// Adds row `i` of `lhs · R` into the dense accumulator, left columns in
+/// ascending order, calling `mark(j)` before each addition to column `j`.
+#[inline(always)]
+fn accumulate<const UNIT: bool>(
+    lhs: &CsrMatrix,
+    i: usize,
+    rhs: &CsrMatrix,
+    row_of: &impl Fn(usize) -> Option<usize>,
+    accum: &mut [f64],
+    mut mark: impl FnMut(usize),
+) {
+    for (n, &k) in lhs.row_indices(i).iter().enumerate() {
+        let Some(r) = row_of(k) else { continue };
+        if UNIT {
+            for &j in rhs.row_indices(r) {
+                mark(j);
+                accum[j] += 1.0;
+            }
+        } else {
+            let lv = lhs.row_values(i)[n];
+            for (&j, &rv) in rhs.row_indices(r).iter().zip(rhs.row_values(r)) {
+                mark(j);
+                accum[j] += lv * rv;
+            }
+        }
     }
-    touched.clear();
+}
+
+/// Stages one finished row, `row` in ascending column order, merged into
+/// `acc`'s row with [`CsrMatrix::add`]'s merge.
+fn merge_into(
+    row: impl Iterator<Item = (usize, f64)>,
+    (acc_cols, acc_vals): (&[usize], &[f64]),
+    staged_indices: &mut Vec<usize>,
+    staged_values: &mut Vec<f64>,
+) {
+    let acc_row = acc_cols.iter().copied().zip(acc_vals.iter().copied());
+    merge_add_row(acc_row, row, staged_indices, staged_values);
 }
 
 /// The textbook Gustavson loop, kept as the kernel's oracle.
@@ -648,6 +757,103 @@ mod tests {
                 let parallel = spgemm_parallel(&a, &b, Parallelism::new(threads)).unwrap();
                 prop_assert_eq!(bits(&parallel), want, "threads = {}", threads);
             }
+        }
+    }
+
+    /// Rows whose flop bound sits just below and at the dense threshold,
+    /// unit-valued and not, equal the oracle bit for bit: every mode of the
+    /// row kernel meets the same sum.
+    #[test]
+    fn rows_on_both_sides_of_the_dense_threshold_match_the_oracle() {
+        let cols = 40 * DENSE_ROW_SHARE;
+        // Row `k` of `rhs` holds 39 or 40 columns: 40 reaches the threshold.
+        let wide = |k: usize, v: f64| (0..39 + k).map(|j| (j * 7, v)).collect();
+        for (lv, rv) in [(1.0, 1.0), (1.0, -0.25), (0.5, 1.0)] {
+            let rhs = CsrMatrix::from_rows(2, cols, vec![wide(0, rv), wide(1, rv)]).unwrap();
+            let lhs = CsrMatrix::from_rows(2, 2, vec![vec![(0, lv)], vec![(1, lv)]]).unwrap();
+            assert_eq!(lhs.is_unit_valued() && rhs.is_unit_valued(), lv == 1.0 && rv == 1.0);
+            assert!(rhs.row_nnz(0) * DENSE_ROW_SHARE < cols);
+            assert!(rhs.row_nnz(1) * DENSE_ROW_SHARE >= cols);
+            let want = bits(&oracle::spgemm(&lhs, &rhs));
+            for threads in [1usize, 2, 8] {
+                let got = spgemm_parallel(&lhs, &rhs, Parallelism::new(threads)).unwrap();
+                assert_eq!(bits(&got), want, "values {lv} × {rv}, threads = {threads}");
+            }
+        }
+    }
+
+    /// `(lhs, rhs, unit)` with `rhs` rows of up to a quarter of its `n`
+    /// columns and `lhs` rows of up to eight entries, so row flop bounds
+    /// fall on both sides of `n / DENSE_ROW_SHARE`.  With `unit` every value
+    /// is `1.0`; otherwise values are `awkward_value`s, whose quarters cancel
+    /// to stored zeros.
+    fn arb_threshold_pair() -> impl Strategy<Value = (CsrMatrix, CsrMatrix, bool)> {
+        ((1usize..6, 1usize..8), (20usize..120, 0usize..2)).prop_flat_map(|((m, k), (n, unit))| {
+            let unit = unit == 1;
+            let value = move || awkward_value().prop_map(move |v| if unit { 1.0 } else { v });
+            let lhs = collection::vec((0..m, 0..k, value()), 0..8 * m);
+            let rhs = collection::vec((0..k, 0..n, value()), 0..k * n / 4);
+            (lhs, rhs).prop_map(move |(le, re)| (exact(m, k, le), exact(k, n, re), unit))
+        })
+    }
+
+    proptest! {
+        /// Across the dense threshold, with unit and general operands, the
+        /// kernel equals the hash-map loop bit for bit at every thread
+        /// count, stored cancellation zeros included.
+        #[test]
+        fn prop_dense_and_unit_rows_are_bit_identical_to_the_oracle(
+            (a, b, unit) in arb_threshold_pair(),
+        ) {
+            prop_assert_eq!(a.is_unit_valued() && b.is_unit_valued(), unit);
+            let want = bits(&oracle::spgemm(&a, &b));
+            for threads in [1usize, 2, 8] {
+                let got = spgemm_parallel(&a, &b, Parallelism::new(threads)).unwrap();
+                prop_assert_eq!(bits(&got), want.clone(), "threads = {}", threads);
+            }
+        }
+
+        /// The stage multiply merges dense, sparse and unit rows into a
+        /// non-empty running sum as the `BTreeMap` add does.  Its held rows
+        /// are a store grown by `append_rows` after its unit memo was read,
+        /// as a rank's pinned rows are: the memo follows the appends, and
+        /// no product scans the whole store again.
+        #[test]
+        fn prop_stage_merge_into_a_sum_over_a_grown_store_matches_the_oracle(
+            (q, a, _) in arb_threshold_pair(),
+            (acc, stages) in (collection::vec((0usize..6, 0usize..120, awkward_value()), 0..40), 1usize..4),
+        ) {
+            let n = a.cols();
+            let acc_entries = acc.into_iter().filter(|&(r, c, _)| r < q.rows() && c < n).collect();
+            let mut got = exact(q.rows(), n, acc_entries);
+            let mut want = got.clone();
+            let ws = &mut SpgemmWorkspace::new();
+            let mut held = CsrMatrix::zeros(0, n);
+            prop_assert!(held.is_unit_valued());
+            let scanned = || crate::csr::oracle::UNIT_SCANNED.with(std::cell::Cell::get);
+            let before = scanned();
+            let mut appended = 0;
+            let mut slots = vec![None; a.rows()];
+            let width = a.rows().div_ceil(stages);
+            for stage in 0..stages {
+                let block: Vec<usize> = (stage * width..((stage + 1) * width).min(a.rows())).collect();
+                let slab = a.gather_rows(&block).unwrap();
+                appended += slab.nnz();
+                for (i, &k) in block.iter().enumerate() {
+                    slots[k] = Some(held.rows() + i);
+                }
+                held.append_rows(&slab).unwrap();
+                prop_assert_eq!(held.is_unit_valued(), held.values().iter().all(|&v| v == 1.0));
+                let in_block = |k: usize| if block.contains(&k) { slots[k] } else { None };
+                got = spgemm_with_row_lookup(&q, &held, in_block, &got, ws).unwrap();
+                let rows: Vec<Vec<(usize, f64)>> =
+                    block.iter().map(|&k| a.row_entries(k).collect()).collect();
+                want = crate::csr::oracle::add(&want, &oracle::spgemm_over_rows(&q, &block, &rows, n));
+                prop_assert_eq!(bits(&got), bits(&want), "stage {}", stage);
+            }
+            // Each appended value is scanned once (as part of its slab), and
+            // `q` once: never the store as a whole per product.
+            prop_assert!(scanned() - before <= appended + q.nnz());
         }
     }
 

@@ -7,16 +7,18 @@
 //! that is **reused across calls**: across layers of one bulk sampling
 //! step, across minibatches and bulk groups of an epoch, and across epochs
 //! for as long as sampling stays on one thread (a caller looping
-//! `sample_epoch`, or a distributed rank alive for the whole run; a pipeline
-//! that spawns a fresh sampling worker per epoch regrows the worker's
-//! workspace once per epoch).
+//! `sample_epoch`, the one sampling worker of a `train()` call, or a
+//! distributed rank alive for the whole run).
 //!
 //! **What stays resident.**  Each SpGEMM worker (one per row block) holds
 //! 9 bytes per output column — an `f64` accumulator and a `bool` marker —
-//! plus its `touched` list, and stages its block's output rows in grow-only
-//! buffers before the kernel copies them out at their exact size: 16 bytes
-//! per output nonzero and 8 per output row, up to the largest block's
-//! output so far.  [`SpgemmWorkspace::nbytes`] counts all of it, so
+//! plus its `touched` list (which a dense row leaves empty), and stages its
+//! block's output rows in grow-only buffers before the kernel copies them
+//! out at their exact size: 16 bytes per output nonzero and 8 per output
+//! row, up to the largest block's output so far, plus one output width of
+//! slack for a dense row's scan.  The submatrix extraction stages 8 bytes
+//! per kept entry of a unit-valued source and 16 of any other.
+//! [`SpgemmWorkspace::nbytes`] counts all of it, so
 //! [`trim_thread_workspace`] bounds it too.
 //!
 //! Two ways to get a workspace:
@@ -61,7 +63,8 @@ pub(crate) struct WorkerScratch {
     pub(crate) accum: Vec<f64>,
     /// Dense occupancy markers, grown alongside `accum`.
     pub(crate) marked: Vec<bool>,
-    /// The columns touched while accumulating the current row.
+    /// The columns touched while accumulating the current row, when it is
+    /// a sparse one (a dense row scans the markers instead).
     pub(crate) touched: Vec<usize>,
     /// Column indices of the block's output rows, in row order.
     pub(crate) staged_indices: Vec<usize>,
@@ -142,6 +145,11 @@ pub struct SpgemmWorkspace {
     pub(crate) mask_gen: u64,
     /// Per-row `(output column, value)` staging buffer.
     pub(crate) row_buf: Vec<(usize, f64)>,
+    /// Output columns of a submatrix extraction, staged before the copy
+    /// out at their exact size (grow-only).
+    pub(crate) staged_cols: Vec<usize>,
+    /// Values matching `staged_cols`; a unit-valued source stages none.
+    pub(crate) staged_vals: Vec<f64>,
     /// `(global column, output position)` pairs, sorted, for selections with
     /// duplicate columns.
     pub(crate) pairs: Vec<(usize, usize)>,
@@ -180,6 +188,8 @@ impl SpgemmWorkspace {
             + self.mask_pos.capacity() * std::mem::size_of::<usize>()
             + self.mask_stamp.capacity() * std::mem::size_of::<u64>()
             + self.row_buf.capacity() * std::mem::size_of::<(usize, f64)>()
+            + self.staged_cols.capacity() * std::mem::size_of::<usize>()
+            + self.staged_vals.capacity() * std::mem::size_of::<f64>()
             + self.pairs.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.marks.capacity() * std::mem::size_of::<u64>()
             + self.ranks.capacity() * std::mem::size_of::<usize>()
