@@ -684,7 +684,7 @@ pub(crate) fn transport() -> Vec<Claim> {
 /// identity.
 fn csr_rows(a: &CsrMatrix) -> Vec<(Vec<usize>, Vec<u64>)> {
     (0..a.rows())
-        .map(|r| (a.row_indices(r).to_vec(), a.row_values(r).iter().map(|v| v.to_bits()).collect()))
+        .map(|r| (a.row_indices(r).to_vec(), a.row_entries(r).map(|(_, v)| v.to_bits()).collect()))
         .collect()
 }
 

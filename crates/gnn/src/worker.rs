@@ -138,7 +138,10 @@ where
     put_usize(&mut out, adj.cols());
     put_usizes(&mut out, adj.indptr());
     put_usizes(&mut out, adj.indices());
-    put_f64s(&mut out, adj.values());
+    // The same bytes as `put_f64s` of every value: a pattern's ones are
+    // written, not stored.
+    put_usize(&mut out, adj.nnz());
+    adj.value_iter().for_each(|v| put_f64(&mut out, v));
     put_dense(&mut out, features);
     put_usizes(&mut out, labels);
     put_usize(&mut out, dataset.graph.num_classes());
@@ -476,7 +479,7 @@ mod tests {
         let dadj = decoded.dataset.graph.adjacency();
         assert_eq!(adj.indptr(), dadj.indptr());
         assert_eq!(adj.indices(), dadj.indices());
-        assert_eq!(adj.values(), dadj.values());
+        assert_eq!(adj.value_iter().collect::<Vec<_>>(), dadj.value_iter().collect::<Vec<_>>());
         assert_eq!(
             session.dataset().graph.features().unwrap().as_slice(),
             decoded.dataset.graph.features().unwrap().as_slice()

@@ -18,7 +18,7 @@
 
 use crate::generators::{rmat, RmatConfig};
 use crate::graph::{Graph, GraphError};
-use dmbs_matrix::{CooMatrix, CsrMatrix, DenseMatrix};
+use dmbs_matrix::{CsrMatrix, DenseMatrix};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -217,25 +217,39 @@ pub fn build_dataset<R: Rng + ?Sized>(
         for (v, &c) in labels.iter().enumerate() {
             by_class[c].push(v);
         }
-        let mut coo = CooMatrix::with_capacity(n, n, base.num_edges() + n * extra_per_vertex);
-        for (r, c, v) in base.adjacency().iter() {
-            coo.push(r, c, v)?;
-        }
+        // The merged pattern, row by row: each vertex's base row and its
+        // draws, sorted and deduplicated in place.  Rows are built in vertex
+        // order, so the draws come in the order they always have.
+        let a = base.adjacency();
+        let mut indptr = Vec::with_capacity(n + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(a.nnz() + n * extra_per_vertex);
         for (v, &class) in labels.iter().enumerate() {
+            let start = indices.len();
+            indices.extend_from_slice(a.row_indices(v));
             let peers = &by_class[class];
-            if peers.len() < 2 {
-                continue;
-            }
-            for _ in 0..extra_per_vertex {
-                let peer = peers[rng.gen_range(0..peers.len())];
-                if peer != v {
-                    coo.push(v, peer, 1.0)?;
+            if peers.len() >= 2 {
+                for _ in 0..extra_per_vertex {
+                    let peer = peers[rng.gen_range(0..peers.len())];
+                    if peer != v {
+                        indices.push(peer);
+                    }
                 }
             }
+            indices[start..].sort_unstable();
+            let mut kept = start;
+            for j in start..indices.len() {
+                if kept == start || indices[j] != indices[kept - 1] {
+                    indices[kept] = indices[j];
+                    kept += 1;
+                }
+            }
+            indices.truncate(kept);
+            indptr.push(kept);
         }
-        let mut merged = CsrMatrix::from_coo(&coo);
-        merged.map_values_inplace(|_| 1.0);
-        merged
+        indices.shrink_to_fit();
+        drop(base);
+        CsrMatrix::from_pattern(n, n, indptr, indices)?
     } else {
         base.adjacency().clone()
     };

@@ -70,6 +70,44 @@ pub fn rmat<R: Rng + ?Sized>(config: &RmatConfig, rng: &mut R) -> Result<Graph, 
             "rmat quadrant probabilities must be non-negative and sum to at most 1".into(),
         ));
     }
+    Graph::from_edges(config.num_vertices(), &rmat_edges(config, rng))
+}
+
+/// The edge list of [`rmat`]: `n · edge_factor` recursive descents, each
+/// one draw per level, self-loops dropped, each edge followed by its reverse
+/// when symmetric.
+///
+/// A descent builds the row and column bit by bit, top level first: the
+/// draw `x` falls in the bottom half of the rows when `x >= a + b`, and in
+/// the right half of the columns unless `x < a` or `a + b <= x < a + b + c`
+/// — the quadrant the branchy cascade `a | b | c | d` picks, as two
+/// comparisons each.
+fn rmat_edges<R: Rng + ?Sized>(config: &RmatConfig, rng: &mut R) -> Vec<(usize, usize)> {
+    let m = config.num_vertices() * config.edge_factor;
+    let (a, ab) = (config.a, config.a + config.b);
+    let abc = ab + config.c;
+    let mut edges = Vec::with_capacity(if config.symmetric { 2 * m } else { m });
+    for _ in 0..m {
+        let (mut u, mut v) = (0usize, 0usize);
+        for _ in 0..config.scale {
+            let x: f64 = rng.gen();
+            let left = (x < a) | ((x >= ab) & (x < abc));
+            u = (u << 1) | usize::from(x >= ab);
+            v = (v << 1) | usize::from(!left);
+        }
+        if u != v {
+            edges.push((u, v));
+            if config.symmetric {
+                edges.push((v, u));
+            }
+        }
+    }
+    edges
+}
+
+/// The branchy quadrant cascade [`rmat_edges`] replaced, kept as its oracle.
+#[cfg(test)]
+fn rmat_edges_branchy<R: Rng + ?Sized>(config: &RmatConfig, rng: &mut R) -> Vec<(usize, usize)> {
     let n = config.num_vertices();
     let m = n * config.edge_factor;
     let mut edges = Vec::with_capacity(if config.symmetric { 2 * m } else { m });
@@ -108,7 +146,7 @@ pub fn rmat<R: Rng + ?Sized>(config: &RmatConfig, rng: &mut R) -> Result<Graph, 
             }
         }
     }
-    Graph::from_edges(n, &edges)
+    edges
 }
 
 /// Configuration for the Erdős–Rényi `G(n, p)` generator, expressed through a
@@ -306,6 +344,56 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The bitwise descent draws what the branchy cascade draws: the same
+    /// edge list, in order, and the same RNG state after it, over skewed,
+    /// uniform and degenerate quadrant laws, directed and symmetric.
+    #[test]
+    fn branchless_descent_equals_the_branchy_cascade() {
+        let laws = [
+            (0.57, 0.19, 0.19),
+            (0.25, 0.25, 0.25),
+            (1.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0),
+            (0.1, 0.6, 0.3),
+        ];
+        for (scale, factor) in [(1, 3), (5, 4), (9, 2)] {
+            for &(a, b, c) in &laws {
+                for symmetric in [false, true] {
+                    let cfg = RmatConfig { scale, edge_factor: factor, a, b, c, symmetric };
+                    let (mut r1, mut r2) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+                    let got = rmat_edges(&cfg, &mut r1);
+                    assert_eq!(got, rmat_edges_branchy(&cfg, &mut r2), "{cfg:?}");
+                    assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "{cfg:?}");
+                    // Draws exactly on, and one step either side of, every
+                    // quadrant boundary of the uniform law.
+                    let (mut r1, mut r2) = (Boundaries(0), Boundaries(0));
+                    assert_eq!(rmat_edges(&cfg, &mut r1), rmat_edges_branchy(&cfg, &mut r2));
+                }
+            }
+        }
+    }
+
+    /// An RNG whose `f64` draws cycle through `0.25`, `0.5` and `0.75`, each
+    /// exactly and one step of `2^-53` below and above.
+    struct Boundaries(u64);
+
+    impl rand::RngCore for Boundaries {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let quarter = 1u64 << 51; // `0.25` in units of 2^-53
+            let at = (self.0 / 3 % 3 + 1) * quarter + self.0 % 3 - 1;
+            self.0 += 1;
+            at << 11
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            dest.fill(0);
+        }
+    }
 
     #[test]
     fn rmat_shape_and_determinism() {

@@ -1,6 +1,6 @@
 //! The [`Graph`] type: a CSR adjacency matrix plus optional features/labels.
 
-use dmbs_matrix::{CooMatrix, CsrMatrix, DenseMatrix, MatrixError};
+use dmbs_matrix::{CsrMatrix, DenseMatrix, MatrixError};
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -79,6 +79,8 @@ pub struct Graph {
 
 impl Graph {
     /// Builds a graph from a directed edge list.  Duplicate edges are merged.
+    /// The adjacency is a pattern ([`CsrMatrix::from_edges`]): one counting
+    /// pass places the edges by row, and no value is stored.
     ///
     /// # Errors
     ///
@@ -89,16 +91,11 @@ impl Graph {
         if num_vertices == 0 {
             return Err(GraphError::InvalidConfig("graph must have at least one vertex".into()));
         }
-        let mut coo = CooMatrix::with_capacity(num_vertices, num_vertices, edges.len());
-        for &(u, v) in edges {
-            if u >= num_vertices || v >= num_vertices {
-                return Err(GraphError::VertexOutOfRange { vertex: u.max(v), num_vertices });
-            }
-            coo.push(u, v, 1.0)?;
+        if let Some(&(u, v)) = edges.iter().find(|&&(u, v)| u >= num_vertices || v >= num_vertices)
+        {
+            return Err(GraphError::VertexOutOfRange { vertex: u.max(v), num_vertices });
         }
-        let mut adjacency = CsrMatrix::from_coo(&coo);
-        // Merge duplicate edges into weight 1 (unweighted simple digraph).
-        adjacency.map_values_inplace(|_| 1.0);
+        let adjacency = CsrMatrix::from_edges(num_vertices, num_vertices, edges)?;
         Ok(Graph { adjacency, features: None, labels: None, num_classes: 0 })
     }
 

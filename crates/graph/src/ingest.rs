@@ -268,7 +268,7 @@ mod tests {
         let b = rebuild.adjacency().clone();
         assert_eq!(a.indptr(), b.indptr());
         assert_eq!(a.indices(), b.indices());
-        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = |m: &CsrMatrix| m.value_iter().map(f64::to_bits).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
     }
 

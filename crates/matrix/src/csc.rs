@@ -5,11 +5,11 @@
 //! storage wasteful (the row-pointer array alone dominates).  CSC (or COO)
 //! storage avoids that cost.  This module provides a minimal CSC type used to
 //! represent such tall, hypersparse selection matrices, built from COO
-//! triples or directly as a column selection.
+//! triples or directly as a column selection.  A selection is a pattern:
+//! like [`CsrMatrix`], a CSC matrix whose every value is `1.0` stores none.
 
 use crate::coo::CooMatrix;
-use crate::csr::CsrMatrix;
-use crate::prefix::counts_to_offsets;
+use crate::csr::{CsrMatrix, Values};
 use crate::Result;
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let coo = CooMatrix::from_triples(4, 2, vec![(0, 1, 1.0), (3, 0, 2.0)])?;
 /// let csc = CscMatrix::from_coo(&coo);
 /// assert_eq!(csc.col_indices(0), &[3]);
-/// assert_eq!(csc.col_values(0), &[2.0]);
+/// assert_eq!(csc.col_values(0), Some(&[2.0][..]));
 /// # Ok(())
 /// # }
 /// ```
@@ -36,36 +36,35 @@ pub struct CscMatrix {
     cols: usize,
     indptr: Vec<usize>,
     indices: Vec<usize>,
-    values: Vec<f64>,
+    values: Values,
 }
 
 impl CscMatrix {
     /// Creates an empty (all-zero) `rows x cols` matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        CscMatrix { rows, cols, indptr: vec![0; cols + 1], indices: Vec::new(), values: Vec::new() }
+        CscMatrix {
+            rows,
+            cols,
+            indptr: vec![0; cols + 1],
+            indices: Vec::new(),
+            values: Values::Ones,
+        }
     }
 
     /// Builds a CSC matrix from COO triples, summing duplicates.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         // Reuse the CSR builder on the transpose, then reinterpret.
-        let csr_of_transpose = CsrMatrix::from_coo(&coo.transpose());
-        CscMatrix {
-            rows: coo.rows(),
-            cols: coo.cols(),
-            indptr: csr_of_transpose.indptr().to_vec(),
-            indices: csr_of_transpose.indices().to_vec(),
-            values: csr_of_transpose.values().to_vec(),
-        }
+        let (indptr, indices, values) = CsrMatrix::from_coo(&coo.transpose()).into_parts();
+        CscMatrix { rows: coo.rows(), cols: coo.cols(), indptr, indices, values }
     }
 
     /// Builds a selection matrix with exactly one nonzero (value 1.0) per
     /// column: column `j` selects row `rows_selected[j]`.  This is the
-    /// `Q_C` column-extraction matrix of LADIES (§4.2.3).
+    /// `Q_C` column-extraction matrix of LADIES (§4.2.3), a pattern.
     pub fn selection(rows: usize, rows_selected: &[usize]) -> Self {
         let cols = rows_selected.len();
-        let counts = vec![1usize; cols];
-        let indptr = counts_to_offsets(&counts);
-        CscMatrix { rows, cols, indptr, indices: rows_selected.to_vec(), values: vec![1.0; cols] }
+        let indptr = (0..=cols).collect();
+        CscMatrix { rows, cols, indptr, indices: rows_selected.to_vec(), values: Values::Ones }
     }
 
     /// Number of rows.
@@ -98,14 +97,15 @@ impl CscMatrix {
         &self.indices[self.indptr[c]..self.indptr[c + 1]]
     }
 
-    /// Values of column `c`.
+    /// Stored values of column `c`, or `None` for a pattern (every value
+    /// `1.0`).
     ///
     /// # Panics
     ///
     /// Panics if `c >= cols`.
-    pub fn col_values(&self, c: usize) -> &[f64] {
+    pub fn col_values(&self, c: usize) -> Option<&[f64]> {
         assert!(c < self.cols, "column index out of bounds");
-        &self.values[self.indptr[c]..self.indptr[c + 1]]
+        self.values.stored().map(|v| &v[self.indptr[c]..self.indptr[c + 1]])
     }
 
     /// The column pointer array (`cols + 1` entries).
@@ -115,11 +115,12 @@ impl CscMatrix {
 
     /// Number of bytes required to store the CSC arrays.  Compare against
     /// [`CsrMatrix::nbytes`](crate::CsrMatrix::nbytes) of the same logical
-    /// matrix to see the hypersparse storage argument from §8.2.2.
+    /// matrix to see the hypersparse storage argument from §8.2.2.  A
+    /// pattern stores no values.
     pub fn nbytes(&self) -> usize {
         self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * std::mem::size_of::<usize>()
-            + self.values.len() * std::mem::size_of::<f64>()
+            + self.values.stored().map_or(0, <[f64]>::len) * std::mem::size_of::<f64>()
     }
 
     /// Multiplies a CSR matrix by this CSC matrix (`lhs * self`), returning a
@@ -141,11 +142,13 @@ impl CscMatrix {
         for r in 0..lhs.rows() {
             let lhs_cols = lhs.row_indices(r);
             let lhs_vals = lhs.row_values(r);
+            let lhs_val = |i: usize| lhs_vals.map_or(1.0, |v| v[i]);
             let mut row: Vec<(usize, f64)> = Vec::new();
             for c in 0..self.cols {
                 // Dot product of sparse lhs row with sparse rhs column via merge.
                 let rhs_rows = self.col_indices(c);
                 let rhs_vals = self.col_values(c);
+                let rhs_val = |j: usize| rhs_vals.map_or(1.0, |v| v[j]);
                 let mut acc = 0.0;
                 let (mut i, mut j) = (0usize, 0usize);
                 while i < lhs_cols.len() && j < rhs_rows.len() {
@@ -153,7 +156,7 @@ impl CscMatrix {
                         std::cmp::Ordering::Less => i += 1,
                         std::cmp::Ordering::Greater => j += 1,
                         std::cmp::Ordering::Equal => {
-                            acc += lhs_vals[i] * rhs_vals[j];
+                            acc += lhs_val(i) * rhs_val(j);
                             i += 1;
                             j += 1;
                         }
@@ -178,8 +181,8 @@ mod tests {
     fn csr_of(csc: &CscMatrix) -> CsrMatrix {
         let mut coo = CooMatrix::new(csc.rows(), csc.cols());
         for c in 0..csc.cols() {
-            for (&r, &v) in csc.col_indices(c).iter().zip(csc.col_values(c)) {
-                coo.push(r, c, v).unwrap();
+            for (n, &r) in csc.col_indices(c).iter().enumerate() {
+                coo.push(r, c, csc.col_values(c).map_or(1.0, |v| v[n])).unwrap();
             }
         }
         CsrMatrix::from_coo(&coo)
@@ -199,7 +202,7 @@ mod tests {
         let csc = CscMatrix::from_coo(&coo);
         assert_eq!(csc.nnz(), 3);
         assert_eq!(csc.col_indices(0), &[2]);
-        assert_eq!(csc.col_values(1), &[3.0]);
+        assert_eq!(csc.col_values(1), Some(&[3.0][..]));
         assert_eq!(csr_of(&csc), CsrMatrix::from_coo(&coo));
     }
 
@@ -219,6 +222,7 @@ mod tests {
         assert_eq!(sel.nnz(), 3);
         assert_eq!(sel.col_indices(0), &[4]);
         assert_eq!(sel.col_indices(2), &[4]);
+        assert!(sel.col_values(0).is_none() && sel.nbytes() == (4 + 3) * 8);
         // Multiplying the identity by a selection extracts columns.
         let identity = CsrMatrix::identity(6);
         let picked = sel.left_multiply(&identity).unwrap();

@@ -4,6 +4,18 @@
 //! the sampler matrices `Q^l`, the probability matrices `P` and the sampled
 //! adjacency matrices `A^l` are all CSR.  This mirrors the paper's
 //! implementation, which relies on CSR-based SpGEMM (cuSPARSE / nsparse).
+//!
+//! **Patterns.**  Most of those matrices are unit-valued: the adjacency of
+//! an unweighted graph, a 0/1 selection or indicator `Q`, and every sampled
+//! layer.  Such a matrix is stored as a *pattern* — `indptr` and `indices`
+//! only, every value `1.0` and none stored — so a stored edge costs 8 bytes
+//! instead of 16.  Every constructor handed a values array keeps it only if
+//! some value is not exactly `1.0` (an early-exit scan), so a pattern is
+//! recognised wherever it is built.  [`CsrMatrix::values`] and
+//! [`CsrMatrix::row_values`] return `None` for a pattern, and each kernel
+//! picks its unit-valued instantiation from that once per call.  A method
+//! that hands out the values mutably stores them first; equality compares
+//! the values a matrix holds, stored or not.
 
 use crate::coo::CooMatrix;
 use crate::dense::DenseMatrix;
@@ -11,15 +23,14 @@ use crate::error::MatrixError;
 use crate::prefix::counts_to_offsets;
 use crate::Result;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 /// A sparse matrix in Compressed Sparse Row format.
 ///
 /// Invariants maintained by every constructor:
 ///
 /// * `indptr.len() == rows + 1`, `indptr[0] == 0`, non-decreasing,
-///   `indptr[rows] == indices.len() == values.len()`;
+///   `indptr[rows] == indices.len()`, and as many values stored, unless the
+///   matrix is a pattern, which stores none;
 /// * within each row, column indices are strictly increasing (sorted and
 ///   deduplicated);
 /// * every column index is `< cols`.
@@ -34,6 +45,11 @@ use std::sync::OnceLock;
 /// let csr = CsrMatrix::from_coo(&coo);
 /// assert_eq!(csr.nnz(), 3);
 /// assert_eq!(csr.row_indices(1), &[0, 2]);
+/// assert_eq!(csr.row_values(1), Some(&[2.0, 3.0][..]));
+/// // Every value `1.0`: a pattern, with no values stored.
+/// let edges = CsrMatrix::from_edges(2, 3, &[(1, 2), (0, 1), (1, 2)])?;
+/// assert!(edges.is_unit_valued() && edges.values().is_none());
+/// assert_eq!(edges.get(1, 2), 1.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -43,19 +59,48 @@ pub struct CsrMatrix {
     cols: usize,
     indptr: Vec<usize>,
     indices: Vec<usize>,
-    values: Vec<f64>,
-    unit: UnitMemo,
+    values: Values,
 }
 
-/// The memo of [`CsrMatrix::is_unit_valued`], set on its first call and
-/// cleared by every method that hands out the values mutably.  A cache, not
-/// part of the matrix: any two memos compare equal.
-#[derive(Debug, Clone, Default)]
-struct UnitMemo(OnceLock<bool>);
+/// The values of a [`CsrMatrix`].
+#[derive(Debug, Clone)]
+pub(crate) enum Values {
+    /// A pattern: every value is `1.0`, and none is stored.
+    Ones,
+    /// One value per stored entry, not all `1.0` (unless a mutator made them
+    /// so since).
+    Stored(Vec<f64>),
+}
 
-impl PartialEq for UnitMemo {
-    fn eq(&self, _: &UnitMemo) -> bool {
-        true
+impl Values {
+    /// `Ones` when every value is exactly `1.0` (vacuously so with none),
+    /// found by a scan that stops at the first other value.
+    pub(crate) fn from_vec(values: Vec<f64>) -> Values {
+        if values.iter().all(|&v| v == 1.0) {
+            Values::Ones
+        } else {
+            Values::Stored(values)
+        }
+    }
+
+    pub(crate) fn stored(&self) -> Option<&[f64]> {
+        match self {
+            Values::Ones => None,
+            Values::Stored(v) => Some(v),
+        }
+    }
+}
+
+/// A pattern equals the same structure with every value stored as `1.0`.
+impl PartialEq for Values {
+    fn eq(&self, other: &Values) -> bool {
+        match (self, other) {
+            (Values::Ones, Values::Ones) => true,
+            (Values::Stored(a), Values::Stored(b)) => a == b,
+            (Values::Ones, Values::Stored(v)) | (Values::Stored(v), Values::Ones) => {
+                v.iter().all(|&x| x == 1.0)
+            }
+        }
     }
 }
 
@@ -67,44 +112,115 @@ impl CsrMatrix {
             cols,
             indptr: vec![0; rows + 1],
             indices: Vec::new(),
-            values: Vec::new(),
-            unit: UnitMemo::default(),
+            values: Values::Ones,
         }
     }
 
-    /// Creates the `n x n` identity matrix.
+    /// Creates the `n x n` identity matrix, a pattern.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {
             rows: n,
             cols: n,
             indptr: (0..=n).collect(),
             indices: (0..n).collect(),
-            values: vec![1.0; n],
-            unit: UnitMemo::default(),
+            values: Values::Ones,
         }
     }
 
     /// Builds a CSR matrix from COO triples, summing duplicates.
+    ///
+    /// A counting sort by row keeps each row's entries in COO order, and a
+    /// stable sort by column keeps duplicates in that order, so a stored
+    /// value is `0.0` plus its duplicates summed in COO order (a lone `-0.0`
+    /// becomes `+0.0`, and a sum that cancels to zero stays stored).
     pub fn from_coo(coo: &CooMatrix) -> Self {
-        let rows = coo.rows();
-        let cols = coo.cols();
-        // Collect per-row maps to sort columns and merge duplicates.
-        let mut row_maps: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); rows];
+        let (rows, cols) = coo.shape();
+        let mut counts = vec![0usize; rows];
+        for &(r, _, _) in coo.iter() {
+            counts[r] += 1;
+        }
+        let starts = counts_to_offsets(&counts);
+        let mut next = counts;
+        next.copy_from_slice(&starts[..rows]);
+        let mut by_row = vec![(0usize, 0.0f64); coo.nnz()];
         for &(r, c, v) in coo.iter() {
-            *row_maps[r].entry(c).or_insert(0.0) += v;
+            by_row[next[r]] = (c, v);
+            next[r] += 1;
         }
-        let counts: Vec<usize> = row_maps.iter().map(|m| m.len()).collect();
-        let indptr = counts_to_offsets(&counts);
-        let nnz = indptr[rows];
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for m in row_maps {
-            for (c, v) in m {
-                indices.push(c);
-                values.push(v);
+        let mut indptr = Vec::with_capacity(rows + 1);
+        indptr.push(0);
+        let mut indices = Vec::with_capacity(coo.nnz());
+        let mut values: Vec<f64> = Vec::with_capacity(coo.nnz());
+        for w in starts.windows(2) {
+            let row = &mut by_row[w[0]..w[1]];
+            row.sort_by_key(|&(c, _)| c);
+            let row_start = indices.len();
+            for &(c, v) in row.iter() {
+                match values.last_mut() {
+                    Some(sum) if indices.len() > row_start && indices.last() == Some(&c) => {
+                        *sum += v
+                    }
+                    _ => {
+                        indices.push(c);
+                        values.push(0.0 + v);
+                    }
+                }
             }
+            indptr.push(indices.len());
         }
-        CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() }
+        indices.shrink_to_fit();
+        values.shrink_to_fit();
+        CsrMatrix { rows, cols, indptr, indices, values: Values::from_vec(values) }
+    }
+
+    /// Builds the pattern of a `rows x cols` edge list: entry `(r, c)` for
+    /// every pair, in any order, duplicates merged, every value `1.0`.
+    ///
+    /// A counting sort by row places the columns, then each row is sorted
+    /// and deduplicated in place: `indices` is the only buffer the size of
+    /// the edge list.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::IndexOutOfBounds`] if a pair lies outside the
+    /// shape.
+    pub fn from_edges(rows: usize, cols: usize, edges: &[(usize, usize)]) -> Result<Self> {
+        let mut counts = vec![0usize; rows];
+        for &(r, c) in edges {
+            if r >= rows || c >= cols {
+                return Err(MatrixError::IndexOutOfBounds { row: r, col: c, rows, cols });
+            }
+            counts[r] += 1;
+        }
+        let mut indptr = counts_to_offsets(&counts);
+        let mut next = counts;
+        next.copy_from_slice(&indptr[..rows]);
+        let mut indices = vec![0usize; edges.len()];
+        for &(r, c) in edges {
+            indices[next[r]] = c;
+            next[r] += 1;
+        }
+        // Sort and deduplicate each row, compacting the rows towards the
+        // front as they shrink.
+        let (mut kept, mut start) = (0, 0);
+        for r in 0..rows {
+            let end = indptr[r + 1];
+            indices[start..end].sort_unstable();
+            let mut prev = None;
+            for j in start..end {
+                let c = indices[j];
+                if prev != Some(c) {
+                    indices[kept] = c;
+                    kept += 1;
+                    prev = Some(c);
+                }
+            }
+            indptr[r + 1] = kept;
+            start = end;
+        }
+        indices.truncate(kept);
+        indices.shrink_to_fit();
+        Ok(CsrMatrix { rows, cols, indptr, indices, values: Values::Ones })
     }
 
     /// Builds a CSR matrix from sorted per-row `(col, value)` lists.
@@ -148,7 +264,7 @@ impl CsrMatrix {
                 values.push(v);
             }
         }
-        Ok(CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() })
+        Ok(CsrMatrix { rows, cols, indptr, indices, values: Values::from_vec(values) })
     }
 
     /// Builds a CSR matrix from raw buffers, validating every invariant.
@@ -164,16 +280,6 @@ impl CsrMatrix {
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Result<Self> {
-        if indptr.len() != rows + 1 {
-            return Err(MatrixError::InvalidStructure(format!(
-                "indptr length {} != rows + 1 = {}",
-                indptr.len(),
-                rows + 1
-            )));
-        }
-        if indptr[0] != 0 {
-            return Err(MatrixError::InvalidStructure("indptr[0] must be 0".into()));
-        }
         if indices.len() != values.len() {
             return Err(MatrixError::InvalidStructure(format!(
                 "indices length {} != values length {}",
@@ -181,50 +287,41 @@ impl CsrMatrix {
                 values.len()
             )));
         }
-        if indptr[rows] != indices.len() {
-            return Err(MatrixError::InvalidStructure(format!(
-                "indptr[rows] = {} != nnz = {}",
-                indptr[rows],
-                indices.len()
-            )));
-        }
-        for w in indptr.windows(2) {
-            if w[0] > w[1] {
-                return Err(MatrixError::InvalidStructure("indptr must be non-decreasing".into()));
-            }
-        }
-        for r in 0..rows {
-            let row = &indices[indptr[r]..indptr[r + 1]];
-            for w in row.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(MatrixError::InvalidStructure(format!(
-                        "row {r} columns are not strictly increasing"
-                    )));
-                }
-            }
-            if let Some(&last) = row.last() {
-                if last >= cols {
-                    return Err(MatrixError::InvalidStructure(format!(
-                        "row {r} references column {last} >= {cols}"
-                    )));
-                }
-            }
-        }
-        Ok(CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() })
+        validate(rows, cols, &indptr, &indices)?;
+        Ok(CsrMatrix { rows, cols, indptr, indices, values: Values::from_vec(values) })
+    }
+
+    /// Builds a pattern — every value `1.0`, none stored — from raw
+    /// buffers, validating every invariant.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MatrixError::InvalidStructure`] if the buffers are
+    /// inconsistent (see the type-level invariants).
+    pub fn from_pattern(
+        rows: usize,
+        cols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+    ) -> Result<Self> {
+        validate(rows, cols, &indptr, &indices)?;
+        Ok(CsrMatrix { rows, cols, indptr, indices, values: Values::Ones })
     }
 
     /// Builds a CSR matrix from raw buffers **without** revalidating the
-    /// invariants.  For kernels (gathers, masked filters) whose construction
-    /// guarantees them; debug builds still assert.
+    /// invariants: a pattern for `values == None`, otherwise as
+    /// [`CsrMatrix::from_raw`] stores them.  For kernels (gathers, masked
+    /// filters) whose construction guarantees the invariants; debug builds
+    /// still assert.
     pub(crate) fn from_raw_unchecked(
         rows: usize,
         cols: usize,
         indptr: Vec<usize>,
         indices: Vec<usize>,
-        values: Vec<f64>,
+        values: Option<Vec<f64>>,
     ) -> Self {
         debug_assert_eq!(indptr.len(), rows + 1);
-        debug_assert_eq!(indices.len(), values.len());
+        debug_assert!(values.as_ref().is_none_or(|v| v.len() == indices.len()));
         debug_assert_eq!(indptr.first().copied(), Some(0));
         debug_assert_eq!(indptr[rows], indices.len());
         debug_assert!(indptr.windows(2).all(|w| w[0] <= w[1]));
@@ -232,7 +329,8 @@ impl CsrMatrix {
             let row = &indices[indptr[r]..indptr[r + 1]];
             row.windows(2).all(|w| w[0] < w[1]) && row.last().is_none_or(|&c| c < cols)
         }));
-        CsrMatrix { rows, cols, indptr, indices, values, unit: UnitMemo::default() }
+        let values = values.map_or(Values::Ones, Values::from_vec);
+        CsrMatrix { rows, cols, indptr, indices, values }
     }
 
     /// Number of rows.
@@ -275,25 +373,43 @@ impl CsrMatrix {
         &self.indices[self.indptr[r]..self.indptr[r + 1]]
     }
 
-    /// Values of row `r`.
+    /// Stored values of row `r`, or `None` for a pattern (every value
+    /// `1.0`).
     ///
     /// # Panics
     ///
     /// Panics if `r >= rows`.
-    pub fn row_values(&self, r: usize) -> &[f64] {
+    pub fn row_values(&self, r: usize) -> Option<&[f64]> {
         assert!(r < self.rows, "row index out of bounds");
-        &self.values[self.indptr[r]..self.indptr[r + 1]]
+        self.values.stored().map(|v| &v[self.indptr[r]..self.indptr[r + 1]])
     }
 
-    /// Mutable values of row `r`.
+    /// Mutable values of row `r`.  A pattern stores its ones first, and
+    /// stays stored.
     ///
     /// # Panics
     ///
     /// Panics if `r >= rows`.
     pub fn row_values_mut(&mut self, r: usize) -> &mut [f64] {
         assert!(r < self.rows, "row index out of bounds");
-        self.unit.0.take();
-        &mut self.values[self.indptr[r]..self.indptr[r + 1]]
+        let (start, end) = (self.indptr[r], self.indptr[r + 1]);
+        &mut self.stored_values_mut()[start..end]
+    }
+
+    /// The buffers, for a format that shares them (CSC over a transpose).
+    pub(crate) fn into_parts(self) -> (Vec<usize>, Vec<usize>, Values) {
+        (self.indptr, self.indices, self.values)
+    }
+
+    /// The values, stored: a pattern stores `nnz` ones first.
+    fn stored_values_mut(&mut self) -> &mut Vec<f64> {
+        if let Values::Ones = self.values {
+            self.values = Values::Stored(std::iter::repeat_n(1.0, self.nnz()).collect());
+        }
+        match &mut self.values {
+            Values::Stored(v) => v,
+            Values::Ones => unreachable!("stored just above"),
+        }
     }
 
     /// The row pointer array (`rows + 1` entries).
@@ -306,24 +422,26 @@ impl CsrMatrix {
         &self.indices
     }
 
-    /// All values in row-major order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// All stored values in row-major order, or `None` for a pattern (every
+    /// value `1.0`).
+    pub fn values(&self) -> Option<&[f64]> {
+        self.values.stored()
     }
 
-    /// Whether every stored value is exactly `1.0`, as in the adjacency
-    /// matrix of an unweighted graph (vacuously true with no nonzeros).
-    /// Computed on the first call and memoised; the memo is cleared by the
-    /// methods that change values ([`CsrMatrix::row_values_mut`],
-    /// [`CsrMatrix::map_values_inplace`], [`CsrMatrix::normalize_rows`]), and
-    /// [`CsrMatrix::append_rows`] extends a memo already read with the
-    /// appended rows' own.
+    /// Every value in row-major order, `nnz` of them, a pattern's ones
+    /// included; nothing is allocated.
+    pub fn value_iter(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let stored = self.values.stored();
+        (0..self.nnz()).map(move |i| stored.map_or(1.0, |v| v[i]))
+    }
+
+    /// Whether the matrix is a pattern: every value is exactly `1.0`, as in
+    /// the adjacency matrix of an unweighted graph, and none is stored
+    /// (vacuously true with no nonzeros).  Constructors decide this from
+    /// the values they are handed; a matrix whose values were handed out
+    /// mutably stays stored.
     pub fn is_unit_valued(&self) -> bool {
-        *self.unit.0.get_or_init(|| {
-            #[cfg(test)]
-            oracle::UNIT_SCANNED.with(|n| n.set(n.get() + self.values.len()));
-            self.values.iter().all(|&v| v == 1.0)
-        })
+        matches!(self.values, Values::Ones)
     }
 
     /// Returns the stored value at `(r, c)` or `0.0` if absent.
@@ -333,18 +451,15 @@ impl CsrMatrix {
     /// Panics if `r >= rows` or `c >= cols`.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         assert!(r < self.rows && c < self.cols, "index out of bounds");
-        let row = self.row_indices(r);
-        match row.binary_search(&c) {
-            Ok(pos) => self.row_values(r)[pos],
+        match self.row_indices(r).binary_search(&c) {
+            Ok(pos) => self.row_values(r).map_or(1.0, |v| v[pos]),
             Err(_) => 0.0,
         }
     }
 
     /// Iterator over `(row, col, value)` triples in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        (0..self.rows).flat_map(move |r| {
-            self.row_indices(r).iter().zip(self.row_values(r)).map(move |(&c, &v)| (r, c, v))
-        })
+        (0..self.rows).flat_map(move |r| self.row_entries(r).map(move |(c, v)| (r, c, v)))
     }
 
     /// Converts to a dense matrix.  Intended for tests and small examples.
@@ -356,7 +471,7 @@ impl CsrMatrix {
         d
     }
 
-    /// Returns the transpose as a new CSR matrix.
+    /// Returns the transpose as a new CSR matrix (a pattern's is one too).
     pub fn transpose(&self) -> CsrMatrix {
         // Count nonzeros per output row (= input column).
         let mut counts = vec![0usize; self.cols];
@@ -366,28 +481,24 @@ impl CsrMatrix {
         let indptr = counts_to_offsets(&counts);
         let mut next = indptr.clone();
         let mut indices = vec![0usize; self.nnz()];
-        let mut values = vec![0.0f64; self.nnz()];
+        let mut values = self.values.stored().map(|_| vec![0.0f64; self.nnz()]);
         for r in 0..self.rows {
-            for (&c, &v) in self.row_indices(r).iter().zip(self.row_values(r)) {
+            let row_values = self.row_values(r);
+            for (n, &c) in self.row_indices(r).iter().enumerate() {
                 let dst = next[c];
                 indices[dst] = r;
-                values[dst] = v;
+                if let (Some(out), Some(row)) = (&mut values, row_values) {
+                    out[dst] = row[n];
+                }
                 next[c] += 1;
             }
         }
-        CsrMatrix {
-            rows: self.cols,
-            cols: self.rows,
-            indptr,
-            indices,
-            values,
-            unit: UnitMemo::default(),
-        }
+        CsrMatrix::from_raw_unchecked(self.cols, self.rows, indptr, indices, values)
     }
 
     /// Per-row sums of the stored values.
     pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows).map(|r| self.row_values(r).iter().sum()).collect()
+        (0..self.rows).map(|r| self.row_entries(r).map(|(_, v)| v).sum()).collect()
     }
 
     /// Per-column sums of the stored values.
@@ -401,25 +512,37 @@ impl CsrMatrix {
 
     /// Divides every stored value by its row sum, turning each non-empty row
     /// into a probability distribution.  Rows whose sum is zero are left
-    /// unchanged.
+    /// unchanged.  A pattern row of `len` entries sums to exactly `len`, so
+    /// each of its values becomes `1.0 / len`, the same division.
     pub fn normalize_rows(&mut self) {
-        self.unit.0.take();
+        if self.is_unit_valued() {
+            let mut values = Vec::with_capacity(self.nnz());
+            for w in self.indptr.windows(2) {
+                let len = w[1] - w[0];
+                values.extend(std::iter::repeat_n(1.0 / len as f64, len));
+            }
+            self.values = Values::from_vec(values);
+            return;
+        }
         for r in 0..self.rows {
-            let sum: f64 = self.row_values(r).iter().sum();
+            let values = self.row_values_mut(r);
+            let sum: f64 = values.iter().sum();
             if sum != 0.0 {
-                for v in self.row_values_mut(r) {
+                for v in values {
                     *v /= sum;
                 }
             }
         }
     }
 
-    /// Applies `f` to every stored value in place.
+    /// Applies `f` to every stored value in place (to each `1.0` of a
+    /// pattern).  The result is a pattern again when every value is `1.0`.
     pub fn map_values_inplace<F: Fn(f64) -> f64>(&mut self, f: F) {
-        self.unit.0.take();
-        for v in &mut self.values {
+        let mut values = std::mem::take(self.stored_values_mut());
+        for v in &mut values {
             *v = f(*v);
         }
+        self.values = Values::from_vec(values);
     }
 
     /// Returns a copy with `f` applied to every stored value.
@@ -476,12 +599,8 @@ impl CsrMatrix {
         }
         let mut row_data: Vec<Vec<(usize, f64)>> = Vec::with_capacity(self.rows);
         for r in 0..self.rows {
-            let mut row: Vec<(usize, f64)> = self
-                .row_indices(r)
-                .iter()
-                .zip(self.row_values(r))
-                .filter_map(|(&c, &v)| remap[c].map(|nc| (nc, v)))
-                .collect();
+            let mut row: Vec<(usize, f64)> =
+                self.row_entries(r).filter_map(|(c, v)| remap[c].map(|nc| (nc, v))).collect();
             row.sort_unstable_by_key(|&(c, _)| c);
             row_data.push(row);
         }
@@ -521,7 +640,6 @@ impl CsrMatrix {
             indptr: self.indptr.clone(),
             indices,
             values: self.values.clone(),
-            unit: self.unit.clone(),
         };
         (compacted, kept)
     }
@@ -540,9 +658,15 @@ impl CsrMatrix {
         out
     }
 
-    /// The `(column, value)` entries of row `r`, in column order.
-    pub(crate) fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.row_indices(r).iter().copied().zip(self.row_values(r).iter().copied())
+    /// The `(column, value)` entries of row `r`, in column order, a
+    /// pattern's ones included.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows`.
+    pub fn row_entries(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let values = self.row_values(r);
+        self.row_indices(r).iter().enumerate().map(move |(n, &c)| (c, values.map_or(1.0, |v| v[n])))
     }
 
     /// Element-wise sum `self + rhs`: a two-pointer merge of each pair of
@@ -569,7 +693,7 @@ impl CsrMatrix {
             merge_add_row(self.row_entries(r), rhs.row_entries(r), &mut indices, &mut values);
             indptr.push(indices.len());
         }
-        Ok(CsrMatrix::from_raw_unchecked(self.rows, self.cols, indptr, indices, values))
+        Ok(CsrMatrix::from_raw_unchecked(self.rows, self.cols, indptr, indices, Some(values)))
     }
 
     /// Extracts the block of rows `[start, end)` as a new matrix with the same
@@ -587,18 +711,19 @@ impl CsrMatrix {
         );
         let bounds = &self.indptr[start..=end];
         let (lo, hi) = (bounds[0], bounds[end - start]);
-        CsrMatrix {
-            rows: end - start,
-            cols: self.cols,
-            indptr: bounds.iter().map(|&p| p - lo).collect(),
-            indices: self.indices[lo..hi].to_vec(),
-            values: self.values[lo..hi].to_vec(),
-            unit: UnitMemo::default(),
-        }
+        let values = self.values.stored().map(|v| v[lo..hi].to_vec());
+        CsrMatrix::from_raw_unchecked(
+            end - start,
+            self.cols,
+            bounds.iter().map(|&p| p - lo).collect(),
+            self.indices[lo..hi].to_vec(),
+            values,
+        )
     }
 
     /// Appends the rows of `other` below this matrix's rows.  Both operands
-    /// are valid CSR matrices of the same width, so the result is one too.
+    /// are valid CSR matrices of the same width, so the result is one too;
+    /// it is a pattern when both are.
     ///
     /// # Errors
     ///
@@ -612,17 +737,13 @@ impl CsrMatrix {
                 rhs: other.shape(),
             });
         }
+        if !other.is_unit_valued() || !self.is_unit_valued() {
+            self.stored_values_mut().extend(other.value_iter());
+        }
         let base = self.indices.len();
         self.indptr.extend(other.indptr[1..].iter().map(|&p| base + p));
         self.indices.extend_from_slice(&other.indices);
-        self.values.extend_from_slice(&other.values);
         self.rows += other.rows;
-        // A memo already read stays known: the grown matrix is unit-valued
-        // when both parts are, so a store of held rows is scanned once, not
-        // once per product.
-        if let Some(unit) = self.unit.0.take() {
-            self.unit = UnitMemo(OnceLock::from(unit && other.is_unit_valued()));
-        }
         Ok(())
     }
 
@@ -631,15 +752,61 @@ impl CsrMatrix {
         self.shape() == rhs.shape()
             && self.indptr == rhs.indptr
             && self.indices == rhs.indices
-            && self.values.iter().zip(&rhs.values).all(|(a, b)| (a - b).abs() <= tol)
+            && self.value_iter().zip(rhs.value_iter()).all(|(a, b)| (a - b).abs() <= tol)
     }
 
-    /// Number of bytes required to store the CSR arrays.
+    /// Number of bytes required to store the CSR arrays: a pattern stores no
+    /// values.
     pub fn nbytes(&self) -> usize {
         self.indptr.len() * std::mem::size_of::<usize>()
             + self.indices.len() * std::mem::size_of::<usize>()
-            + self.values.len() * std::mem::size_of::<f64>()
+            + self.values.stored().map_or(0, <[f64]>::len) * std::mem::size_of::<f64>()
     }
+}
+
+/// Checks the structural invariants of raw CSR buffers (see
+/// [`CsrMatrix`]).
+fn validate(rows: usize, cols: usize, indptr: &[usize], indices: &[usize]) -> Result<()> {
+    if indptr.len() != rows + 1 {
+        return Err(MatrixError::InvalidStructure(format!(
+            "indptr length {} != rows + 1 = {}",
+            indptr.len(),
+            rows + 1
+        )));
+    }
+    if indptr[0] != 0 {
+        return Err(MatrixError::InvalidStructure("indptr[0] must be 0".into()));
+    }
+    if indptr[rows] != indices.len() {
+        return Err(MatrixError::InvalidStructure(format!(
+            "indptr[rows] = {} != nnz = {}",
+            indptr[rows],
+            indices.len()
+        )));
+    }
+    for w in indptr.windows(2) {
+        if w[0] > w[1] {
+            return Err(MatrixError::InvalidStructure("indptr must be non-decreasing".into()));
+        }
+    }
+    for r in 0..rows {
+        let row = &indices[indptr[r]..indptr[r + 1]];
+        for w in row.windows(2) {
+            if w[0] >= w[1] {
+                return Err(MatrixError::InvalidStructure(format!(
+                    "row {r} columns are not strictly increasing"
+                )));
+            }
+        }
+        if let Some(&last) = row.last() {
+            if last >= cols {
+                return Err(MatrixError::InvalidStructure(format!(
+                    "row {r} references column {last} >= {cols}"
+                )));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Appends the sum of two sorted sparse rows to `indices` / `values`.
@@ -679,18 +846,12 @@ pub(crate) fn merge_add_row(
     }
 }
 
-/// The formulations the merge-add replaced, kept as its oracles.
+/// The formulations the merge-add and the counting-sort builders replaced,
+/// kept as their oracles.
 #[cfg(test)]
 pub(crate) mod oracle {
-    use super::CsrMatrix;
-    use std::cell::Cell;
+    use super::{CooMatrix, CsrMatrix, Values};
     use std::collections::BTreeMap;
-
-    thread_local! {
-        /// The stored values [`CsrMatrix::is_unit_valued`] has scanned on
-        /// this thread, so a test can tell a memo kept from one re-read.
-        pub(crate) static UNIT_SCANNED: Cell<usize> = const { Cell::new(0) };
-    }
 
     /// `a + b` through a `BTreeMap` per row.
     pub(crate) fn add(a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
@@ -703,6 +864,29 @@ pub(crate) mod oracle {
             row_data.push(merged.into_iter().collect::<Vec<_>>());
         }
         CsrMatrix::from_rows(a.rows(), a.cols(), row_data).unwrap()
+    }
+
+    /// [`CsrMatrix::from_coo`] through a `BTreeMap` per row.
+    pub(crate) fn from_coo(coo: &CooMatrix) -> CsrMatrix {
+        let mut row_maps: Vec<BTreeMap<usize, f64>> = vec![BTreeMap::new(); coo.rows()];
+        for &(r, c, v) in coo.iter() {
+            *row_maps[r].entry(c).or_insert(0.0) += v;
+        }
+        let row_data = row_maps.into_iter().map(|m| m.into_iter().collect()).collect();
+        CsrMatrix::from_rows(coo.rows(), coo.cols(), row_data).unwrap()
+    }
+
+    /// `m` with every value stored, a pattern's ones included: the twin a
+    /// pattern must behave like.
+    pub(crate) fn stored_twin(m: &CsrMatrix) -> CsrMatrix {
+        let mut twin = m.clone();
+        twin.values = Values::Stored(m.value_iter().collect());
+        twin
+    }
+
+    /// Every value's bits, in row-major order.
+    pub(crate) fn bits(m: &CsrMatrix) -> Vec<u64> {
+        m.value_iter().map(f64::to_bits).collect()
     }
 }
 
@@ -752,7 +936,7 @@ mod tests {
             CooMatrix::from_triples(2, 4, vec![(0, 3, 1.0), (0, 1, 2.0), (0, 3, 4.0)]).unwrap();
         let csr = CsrMatrix::from_coo(&coo);
         assert_eq!(csr.row_indices(0), &[1, 3]);
-        assert_eq!(csr.row_values(0), &[2.0, 5.0]);
+        assert_eq!(csr.row_values(0), Some(&[2.0, 5.0][..]));
         assert_eq!(csr.row_nnz(1), 0);
     }
 
@@ -826,53 +1010,11 @@ mod tests {
         let mut a = figure1_graph();
         a.normalize_rows();
         for r in 0..a.rows() {
-            let s: f64 = a.row_values(r).iter().sum();
+            let s: f64 = a.row_entries(r).map(|(_, v)| v).sum();
             if a.row_nnz(r) > 0 {
                 assert!((s - 1.0).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn unit_valued_memo_is_cleared_by_every_value_mutator() {
-        let a = figure1_graph();
-        assert!(a.is_unit_valued());
-        let mutators: [fn(&mut CsrMatrix); 3] = [
-            |m| m.row_values_mut(1)[0] = 2.0,
-            |m| m.map_values_inplace(|v| v * 3.0),
-            CsrMatrix::normalize_rows, // vertex 1's three neighbours each become 1/3
-        ];
-        for mutate in mutators {
-            let mut m = a.clone();
-            assert!(m.is_unit_valued(), "the clone carries the memo");
-            mutate(&mut m);
-            assert!(!m.is_unit_valued());
-            // And back: a memo of `false` is cleared just the same.
-            m.map_values_inplace(|_| 1.0);
-            assert!(m.is_unit_valued());
-        }
-        let weighted = CsrMatrix::from_rows(1, 2, vec![vec![(0, 1.0), (1, 0.5)]]).unwrap();
-        assert!(!weighted.is_unit_valued());
-        assert!(CsrMatrix::zeros(2, 2).is_unit_valued());
-    }
-
-    #[test]
-    fn the_unit_memo_takes_no_part_in_equality() {
-        let a = figure1_graph();
-        assert!(a.is_unit_valued());
-        let memoised = a.clone();
-        let fresh = CsrMatrix::from_raw(
-            a.rows(),
-            a.cols(),
-            a.indptr().to_vec(),
-            a.indices().to_vec(),
-            a.values().to_vec(),
-        )
-        .unwrap();
-        assert_eq!(memoised, fresh);
-        assert_eq!(fresh, memoised);
-        assert!(fresh.is_unit_valued());
-        assert_ne!(a, a.map_values(|v| v * 2.0));
     }
 
     #[test]
@@ -952,17 +1094,16 @@ mod tests {
         let b =
             CsrMatrix::from_rows(3, 4, vec![vec![(1, 0.2), (2, -0.0), (3, -0.25)], vec![], vec![]])
                 .unwrap();
-        let bits = |m: &CsrMatrix| -> Vec<u64> { m.values().iter().map(|v| v.to_bits()).collect() };
         for (x, y) in [(&a, &b), (&b, &a), (&a, &a), (&b, &b)] {
             let (got, want) = (x.add(y).unwrap(), oracle::add(x, y));
             assert_eq!((got.indptr(), got.indices()), (want.indptr(), want.indices()));
-            assert_eq!(bits(&got), bits(&want));
+            assert_eq!(oracle::bits(&got), oracle::bits(&want));
         }
         // `-0.0` alone becomes `+0.0`, and a cancelled column stays stored.
         let sum = a.add(&b).unwrap();
         assert_eq!(sum.row_indices(0), &[0, 1, 2, 3]);
-        assert_eq!(sum.row_values(0)[0].to_bits(), 0.0f64.to_bits());
-        assert_eq!(sum.row_values(0)[3].to_bits(), 0.0f64.to_bits());
+        assert_eq!(sum.row_values(0).unwrap()[0].to_bits(), 0.0f64.to_bits());
+        assert_eq!(sum.row_values(0).unwrap()[3].to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -994,11 +1135,11 @@ mod tests {
         twice.append_rows(&a).unwrap();
         let rows: Vec<usize> = (0..a.rows()).chain(0..a.rows()).collect();
         assert_eq!(twice, a.gather_rows(&rows).unwrap());
-        // The memo of the old rows does not outlive the append.
+        // A pattern grown by stored rows stores its own ones too.
         let mut unit = CsrMatrix::identity(2);
-        assert!(unit.is_unit_valued());
         unit.append_rows(&CsrMatrix::from_rows(1, 2, vec![vec![(1, 3.0)]]).unwrap()).unwrap();
         assert!(!unit.is_unit_valued());
+        assert_eq!(unit.values(), Some(&[1.0, 1.0, 3.0][..]));
         assert!(matches!(
             unit.append_rows(&CsrMatrix::zeros(1, 3)),
             Err(MatrixError::DimensionMismatch { .. })
@@ -1016,6 +1157,109 @@ mod tests {
     #[test]
     fn nbytes_positive() {
         assert!(figure1_graph().nbytes() > 0);
+    }
+
+    #[test]
+    fn constructors_store_no_values_for_a_pattern() {
+        let a = figure1_graph();
+        assert!(a.is_unit_valued() && a.values().is_none() && a.row_values(1).is_none());
+        assert_eq!(a.row_entries(1).collect::<Vec<_>>(), vec![(0, 1.0), (2, 1.0), (4, 1.0)]);
+        assert_eq!(a.nbytes(), (a.rows() + 1 + a.nnz()) * 8);
+        let raw = CsrMatrix::from_raw(1, 3, vec![0, 2], vec![0, 2], vec![1.0, 1.0]).unwrap();
+        assert!(raw.is_unit_valued());
+        assert_eq!(raw, CsrMatrix::from_pattern(1, 3, vec![0, 2], vec![0, 2]).unwrap());
+        // Any other value keeps them all, `-0.0` and `+0.0` included.
+        for other in [0.5, 0.0, -0.0, -1.0] {
+            let m = CsrMatrix::from_rows(1, 2, vec![vec![(0, 1.0), (1, other)]]).unwrap();
+            assert_eq!(m.values(), Some(&[1.0, other][..]));
+        }
+        assert!(CsrMatrix::zeros(2, 2).is_unit_valued());
+        assert!(CsrMatrix::identity(3).values().is_none());
+        assert!(CsrMatrix::from_pattern(1, 2, vec![0, 1], vec![2]).is_err());
+        // Equality compares the values held, stored or not.
+        let twin = oracle::stored_twin(&a);
+        assert!(!twin.is_unit_valued());
+        assert_eq!(a, twin);
+        assert_eq!(twin, a);
+        assert_ne!(a, a.map_values(|v| v * 2.0));
+    }
+
+    #[test]
+    fn from_edges_is_the_pattern_of_the_merged_edge_list() {
+        let edges = [(2, 1), (0, 3), (2, 1), (0, 0), (2, 0), (0, 3)];
+        let m = CsrMatrix::from_edges(4, 4, &edges).unwrap();
+        assert_eq!(m.indptr(), &[0, 2, 2, 4, 4]);
+        assert_eq!(m.indices(), &[0, 3, 0, 1]);
+        assert!(m.is_unit_valued());
+        assert!(matches!(
+            CsrMatrix::from_edges(4, 4, &[(0, 4)]),
+            Err(MatrixError::IndexOutOfBounds { row: 0, col: 4, .. })
+        ));
+        assert_eq!(CsrMatrix::from_edges(3, 2, &[]).unwrap(), CsrMatrix::zeros(3, 2));
+    }
+
+    /// Every value mutator and structural op gives, on a pattern, what it
+    /// gives on the pattern's stored twin: equal, bit for bit.  A mutator
+    /// that left a pattern in place after changing a value would fail here.
+    #[test]
+    fn every_op_on_a_pattern_equals_the_op_on_its_stored_twin() {
+        let same = |op: &str, got: CsrMatrix, want: CsrMatrix| {
+            assert_eq!(got, want, "{op}");
+            assert_eq!(oracle::bits(&got), oracle::bits(&want), "{op}");
+            assert_eq!((got.indptr(), got.indices()), (want.indptr(), want.indices()), "{op}");
+        };
+        let weighted = CsrMatrix::from_rows(
+            6,
+            6,
+            vec![vec![(1, 0.5)], vec![], vec![(0, -0.0), (5, 2.0)], vec![], vec![], vec![(4, 1.0)]],
+        )
+        .unwrap();
+        for a in [figure1_graph(), CsrMatrix::identity(6), CsrMatrix::zeros(6, 6)] {
+            assert!(a.is_unit_valued());
+            let twin = oracle::stored_twin(&a);
+            type Op = fn(&mut CsrMatrix);
+            let mutators: [(&str, Op); 4] = [
+                ("row_values_mut", |m| m.row_values_mut(3).iter_mut().for_each(|v| *v = 2.0)),
+                ("map_values_inplace", |m| m.map_values_inplace(|v| v * 3.0 - 1.5)),
+                ("map_values_inplace to ones", |m| m.map_values_inplace(|v| v * v)),
+                ("normalize_rows", CsrMatrix::normalize_rows),
+            ];
+            for (op, mutate) in mutators {
+                let (mut got, mut want) = (a.clone(), twin.clone());
+                mutate(&mut got);
+                mutate(&mut want);
+                same(op, got, want);
+            }
+            for other in [&a, &twin, &weighted] {
+                let (mut got, mut want) = (a.clone(), twin.clone());
+                got.append_rows(other).unwrap();
+                want.append_rows(other).unwrap();
+                same("append_rows", got, want);
+                let (mut got, mut want) = (other.clone(), other.clone());
+                got.append_rows(&a).unwrap();
+                want.append_rows(&twin).unwrap();
+                same("append_rows onto", got, want);
+                same("add", a.add(other).unwrap(), twin.add(other).unwrap());
+                same("add to", other.add(&a).unwrap(), other.add(&twin).unwrap());
+            }
+            same("row_block", a.row_block(1, 4), twin.row_block(1, 4));
+            same("compact_columns", a.compact_columns().0, twin.compact_columns().0);
+            same("transpose", a.transpose(), twin.transpose());
+            same(
+                "gather_rows",
+                a.gather_rows(&[5, 1, 1]).unwrap(),
+                twin.gather_rows(&[5, 1, 1]).unwrap(),
+            );
+            same(
+                "select_columns",
+                a.select_columns(&[4, 0, 2]).unwrap(),
+                twin.select_columns(&[4, 0, 2]).unwrap(),
+            );
+            // A pattern stays one through every structural op.
+            assert!(a.row_block(1, 4).is_unit_valued() && a.transpose().is_unit_valued());
+            assert!(a.compact_columns().0.is_unit_valued());
+            assert!(a.gather_rows(&[5, 1]).unwrap().is_unit_valued());
+        }
     }
 
     fn arb_coo() -> impl Strategy<Value = CooMatrix> {
@@ -1036,6 +1280,32 @@ mod tests {
                 dense.set(r, c, dense.get(r, c) + v);
             }
             prop_assert!(csr.to_dense().approx_eq(&dense, 1e-9));
+        }
+
+        /// The counting-sort build is the `BTreeMap` build, bit for bit:
+        /// duplicates summed from `0.0` in COO order, `-0.0`, explicit and
+        /// cancelled zeros stored, empty rows empty.
+        #[test]
+        fn prop_from_coo_is_bit_identical_to_the_btreemap_oracle(
+            (rows, cols, entries) in (1usize..9, 1usize..9).prop_flat_map(|(rows, cols)| {
+                // Signed and explicit zeros, ones and small values, often
+                // at the same position.
+                let entry = ((0..rows, 0..cols), (0usize..7, -3.0f64..3.0));
+                proptest::collection::vec(entry, 0..50).prop_map(move |entries| {
+                    let value = |kind, v| [0.0, -0.0, 1.0, -1.0, 0.1, v, v][kind];
+                    let triples = entries.into_iter().map(|((r, c), (k, v))| (r, c, value(k, v)));
+                    (rows, cols, triples.collect::<Vec<_>>())
+                })
+            })
+        ) {
+            let coo = CooMatrix::from_triples(rows, cols, entries).unwrap();
+            let (got, want) = (CsrMatrix::from_coo(&coo), oracle::from_coo(&coo));
+            prop_assert_eq!((got.indptr(), got.indices()), (want.indptr(), want.indices()));
+            prop_assert_eq!(oracle::bits(&got), oracle::bits(&want));
+            prop_assert_eq!(got.is_unit_valued(), want.is_unit_valued());
+            let pairs: Vec<(usize, usize)> = coo.iter().map(|&(r, c, _)| (r, c)).collect();
+            let pattern = CsrMatrix::from_edges(rows, cols, &pairs).unwrap();
+            prop_assert_eq!((pattern.indptr(), pattern.indices()), (got.indptr(), got.indices()));
         }
 
         #[test]
@@ -1059,7 +1329,7 @@ mod tests {
             let csr = CsrMatrix::from_coo(&coo);
             let rebuilt = CsrMatrix::from_raw(
                 csr.rows(), csr.cols(),
-                csr.indptr().to_vec(), csr.indices().to_vec(), csr.values().to_vec(),
+                csr.indptr().to_vec(), csr.indices().to_vec(), csr.value_iter().collect(),
             ).unwrap();
             prop_assert_eq!(rebuilt, csr);
         }

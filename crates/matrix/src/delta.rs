@@ -224,6 +224,7 @@ impl DeltaCsr {
         for r in 0..rows {
             let base_cols = self.base.row_indices(r);
             let base_vals = self.base.row_values(r);
+            let base_val = |bi: usize| base_vals.map_or(1.0, |v| v[bi]);
             let mut bi = 0;
             // Merge-walk the sorted base row with the sorted overlay run for
             // this row; both are strictly increasing in column, so the output
@@ -236,7 +237,7 @@ impl DeltaCsr {
                 match (base_cols.get(bi), next_overlay_col) {
                     (Some(&bc), Some(oc)) if bc < oc => {
                         indices.push(bc);
-                        values.push(base_vals[bi]);
+                        values.push(base_val(bi));
                         bi += 1;
                     }
                     (Some(&bc), Some(oc)) if bc == oc => {
@@ -257,7 +258,7 @@ impl DeltaCsr {
                     }
                     (Some(&bc), None) => {
                         indices.push(bc);
-                        values.push(base_vals[bi]);
+                        values.push(base_val(bi));
                         bi += 1;
                     }
                     (None, None) => break,
@@ -266,7 +267,7 @@ impl DeltaCsr {
             indptr.push(indices.len());
         }
         self.overlay.clear();
-        self.base = CsrMatrix::from_raw_unchecked(rows, cols, indptr, indices, values);
+        self.base = CsrMatrix::from_raw_unchecked(rows, cols, indptr, indices, Some(values));
         &self.base
     }
 }
@@ -316,7 +317,7 @@ mod tests {
         assert_eq!(a.shape(), b.shape());
         assert_eq!(a.indptr(), b.indptr(), "indptr diverged");
         assert_eq!(a.indices(), b.indices(), "indices diverged");
-        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let bits = crate::csr::oracle::bits;
         assert_eq!(bits(a), bits(b), "values not bit-identical");
     }
 
@@ -472,7 +473,7 @@ mod tests {
             let rebuilt = eager_rebuild(&base, &batches);
             prop_assert_eq!(compacted.indptr(), rebuilt.indptr());
             prop_assert_eq!(compacted.indices(), rebuilt.indices());
-            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let bits = crate::csr::oracle::bits;
             prop_assert_eq!(bits(&compacted), bits(&rebuilt));
         }
 
@@ -495,7 +496,7 @@ mod tests {
             let b = lazy.compact().clone();
             prop_assert_eq!(a.indptr(), b.indptr());
             prop_assert_eq!(a.indices(), b.indices());
-            let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let bits = crate::csr::oracle::bits;
             prop_assert_eq!(bits(&a), bits(&b));
         }
     }

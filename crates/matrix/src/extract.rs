@@ -24,10 +24,13 @@
 //! * [`extract_submatrix_with`] computes `Q_R · A · Q_C` for a sorted,
 //!   duplicate-free column selection in one pass over the selected rows of
 //!   `A`, without forming `Q_R · A`: the renumbering is monotone, so every
-//!   output row comes out sorted as it is read.  On a unit-valued `A`
+//!   output row comes out sorted as it is read.  On a pattern `A`
 //!   ([`CsrMatrix::is_unit_valued`], an unweighted graph) it reads and
-//!   stages column indices only and writes every value as `1.0`.  Pinned
+//!   stages column indices only, and its output is a pattern too.  Pinned
 //!   equivalent to the two kernels above chained.
+//!
+//! Each kernel reads a pattern's indices only and returns a pattern.
+
 //!
 //! All of them draw their scratch from a [`SpgemmWorkspace`] (thread-local
 //! by default, explicit via the `*_with` variants), so steady-state
@@ -109,29 +112,34 @@ pub fn extract_rows(
 
     // Numeric pass: the selected rows are copied into one exact-size output
     // allocation.
+    // A pattern's rows are copied without values.
     let blocks = block_ranges(k, parallelism.effective_blocks(k));
     let (indices, values) = if blocks.len() <= 1 {
         let mut indices = Vec::with_capacity(total);
-        let mut values = Vec::with_capacity(total);
+        let mut values = a.values().map(|_| Vec::with_capacity(total));
         for &r in selected {
             indices.extend_from_slice(a.row_indices(r));
-            values.extend_from_slice(a.row_values(r));
+            if let (Some(out), Some(row)) = (&mut values, a.row_values(r)) {
+                out.extend_from_slice(row);
+            }
         }
         (indices, values)
     } else {
         // Every block copies into its disjoint slice of the output.
         let mut indices = vec![0; total];
-        let mut values = vec![0.0; total];
+        let mut values = a.values().map(|_| vec![0.0; total]);
         let fill =
             crossbeam::thread::scope(|scope| {
                 let mut idx_tail = indices.as_mut_slice();
-                let mut val_tail = values.as_mut_slice();
+                let mut val_tail = values.as_deref_mut().unwrap_or_default();
                 let mut handles = Vec::with_capacity(blocks.len());
                 for range in blocks {
                     let len = indptr[range.end] - indptr[range.start];
                     let (idx_head, rest) = std::mem::take(&mut idx_tail).split_at_mut(len);
                     idx_tail = rest;
-                    let (val_head, rest) = std::mem::take(&mut val_tail).split_at_mut(len);
+                    // A pattern has no values: its slices stay empty.
+                    let val_len = len.min(val_tail.len());
+                    let (val_head, rest) = std::mem::take(&mut val_tail).split_at_mut(val_len);
                     val_tail = rest;
                     let indptr = &indptr;
                     handles.push(scope.spawn(move || {
@@ -153,7 +161,8 @@ pub fn extract_rows(
 }
 
 /// Copies the selected rows of `range` into this block's slice of the output
-/// buffers (`indices`/`values` start at `indptr[range.start]`).
+/// buffers (`indices`/`values` start at `indptr[range.start]`; `values` is
+/// empty for a pattern).
 fn gather_block(
     a: &CsrMatrix,
     selected: &[usize],
@@ -168,7 +177,9 @@ fn gather_block(
         let start = indptr[i] - base;
         let end = indptr[i + 1] - base;
         indices[start..end].copy_from_slice(a.row_indices(r));
-        values[start..end].copy_from_slice(a.row_values(r));
+        if let Some(row) = a.row_values(r) {
+            values[start..end].copy_from_slice(row);
+        }
     }
 }
 
@@ -259,7 +270,7 @@ pub fn extract_columns_masked_with(
     ws.counts.clear();
     for r in 0..a.rows() {
         let mut count = 0usize;
-        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+        for (c, v) in a.row_entries(r) {
             if ws.mask_stamp[c] == gen && v != 0.0 {
                 count += 1;
             }
@@ -273,11 +284,11 @@ pub fn extract_columns_masked_with(
     // vertex space and restore output-column order.  Rows fill the output
     // contiguously, so a running cursor replaces per-row indptr lookups.
     let mut indices = vec![0usize; total];
-    let mut values = vec![0.0f64; total];
+    let mut values = a.values().map(|_| vec![0.0f64; total]);
     let mut out = 0usize;
     for r in 0..a.rows() {
         ws.row_buf.clear();
-        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+        for (c, v) in a.row_entries(r) {
             if ws.mask_stamp[c] == gen && v != 0.0 {
                 ws.row_buf.push((ws.mask_pos[c], v));
             }
@@ -285,7 +296,9 @@ pub fn extract_columns_masked_with(
         ws.row_buf.sort_unstable_by_key(|&(pos, _)| pos);
         for &(pos, v) in ws.row_buf.iter() {
             indices[out] = pos;
-            values[out] = v;
+            if let Some(values) = &mut values {
+                values[out] = v;
+            }
             out += 1;
         }
     }
@@ -310,38 +323,37 @@ fn extract_columns_pairs(
     ws.counts.clear();
     for r in 0..a.rows() {
         let mut count = 0usize;
-        merge_join(a.row_indices(r), a.row_values(r), pairs, |_, _| count += 1);
+        merge_join(a, r, pairs, |_, _| count += 1);
         ws.counts.push(count);
     }
     let indptr = counts_to_offsets(&ws.counts);
     let total = indptr[a.rows()];
 
     let mut indices = vec![0usize; total];
-    let mut values = vec![0.0f64; total];
+    let mut values = a.values().map(|_| vec![0.0f64; total]);
     let row_buf = &mut ws.row_buf;
     let mut out = 0usize;
     for r in 0..a.rows() {
         row_buf.clear();
-        merge_join(a.row_indices(r), a.row_values(r), pairs, |pos, v| row_buf.push((pos, v)));
+        merge_join(a, r, pairs, |pos, v| row_buf.push((pos, v)));
         row_buf.sort_unstable_by_key(|&(pos, _)| pos);
         for &(pos, v) in row_buf.iter() {
             indices[out] = pos;
-            values[out] = v;
+            if let Some(values) = &mut values {
+                values[out] = v;
+            }
             out += 1;
         }
     }
     Ok(CsrMatrix::from_raw_unchecked(a.rows(), cols.len(), indptr, indices, values))
 }
 
-/// Merge join of one sorted CSR row with the sorted selection pairs; calls
+/// Merge join of row `r` of `a` with the sorted selection pairs; calls
 /// `emit(output position, value)` for every (stored nonzero × listing)
 /// match, skipping stored zeros.
-fn merge_join(
-    row_cols: &[usize],
-    row_vals: &[f64],
-    pairs: &[(usize, usize)],
-    mut emit: impl FnMut(usize, f64),
-) {
+fn merge_join(a: &CsrMatrix, r: usize, pairs: &[(usize, usize)], mut emit: impl FnMut(usize, f64)) {
+    let (row_cols, row_vals) = (a.row_indices(r), a.row_values(r));
+    let value = |i: usize| row_vals.map_or(1.0, |v| v[i]);
     let (mut i, mut j) = (0usize, 0usize);
     while i < row_cols.len() && j < pairs.len() {
         match row_cols[i].cmp(&pairs[j].0) {
@@ -351,8 +363,8 @@ fn merge_join(
                 let col = row_cols[i];
                 let mut jj = j;
                 while jj < pairs.len() && pairs[jj].0 == col {
-                    if row_vals[i] != 0.0 {
-                        emit(pairs[jj].1, row_vals[i]);
+                    if value(i) != 0.0 {
+                        emit(pairs[jj].1, value(i));
                     }
                     jj += 1;
                 }
@@ -372,8 +384,8 @@ fn merge_join(
 /// duplicate-free — so the renumbering is monotone and each output row
 /// comes out sorted as `a`'s row is read: no per-row sort, and no symbolic
 /// pass (entries are staged in the workspace and copied out at their exact
-/// size).  When `a` is unit-valued (its memo) no value is read or staged:
-/// every kept entry is `1.0`.  The result is byte-identical to
+/// size).  When `a` is a pattern no value is read or staged, and the
+/// output is a pattern.  The result is byte-identical to
 /// `extract_columns_masked(&extract_rows(a, rows, _)?, cols)`, including the
 /// dropping of stored zeros.
 ///
@@ -429,23 +441,27 @@ pub fn extract_submatrix_with(
         set.insert_ranked(c, pos)?;
     }
     let ranks = set.into_inserted_ranks();
-    let (staged_cols, staged_vals) = (&mut ws.staged_cols, &mut ws.staged_vals);
     let mut indptr = Vec::with_capacity(rows.len() + 1);
     indptr.push(0);
-    let (indices, values) = if a.is_unit_valued() {
-        let end = submatrix_body::<true>(a, rows, &ranks, staged_cols, staged_vals, &mut indptr);
-        (staged_cols[..end].to_vec(), vec![1.0; end])
-    } else {
-        let end = submatrix_body::<false>(a, rows, &ranks, staged_cols, staged_vals, &mut indptr);
-        (staged_cols[..end].to_vec(), staged_vals[..end].to_vec())
+    let staged = (&mut ws.staged_cols, &mut ws.staged_vals, &mut indptr);
+    let (indices, values) = match a.values() {
+        None => {
+            let end = submatrix_body::<true>(a, &[], rows, &ranks, staged);
+            (ws.staged_cols[..end].to_vec(), None)
+        }
+        Some(values) => {
+            let end = submatrix_body::<false>(a, values, rows, &ranks, staged);
+            (ws.staged_cols[..end].to_vec(), Some(ws.staged_vals[..end].to_vec()))
+        }
     };
     Ok(CsrMatrix::from_raw_unchecked(rows.len(), cols.len(), indptr, indices, values))
 }
 
 /// Stages the kept entries of `a`'s rows `rows`, renumbered by `ranks`, and
 /// pushes each row's end onto `indptr`; returns the number kept.  `UNIT`
-/// says every value of `a` is `1.0`: no value is read or staged, and every
-/// entry of a member column is kept.  Otherwise stored zeros are dropped.
+/// says `a` is a pattern: no value is read or staged, and every entry of a
+/// member column is kept.  Otherwise `values` are `a`'s, and stored zeros
+/// are dropped.
 ///
 /// Branch-free: every entry is written just past the kept ones, and the end
 /// advances over it only when it is kept.  The staging buffers only grow,
@@ -453,11 +469,10 @@ pub fn extract_submatrix_with(
 #[inline(always)]
 fn submatrix_body<const UNIT: bool>(
     a: &CsrMatrix,
+    values: &[f64],
     rows: &[usize],
     ranks: &ColumnRanks<'_>,
-    staged_cols: &mut Vec<usize>,
-    staged_vals: &mut Vec<f64>,
-    indptr: &mut Vec<usize>,
+    (staged_cols, staged_vals, indptr): (&mut Vec<usize>, &mut Vec<f64>, &mut Vec<usize>),
 ) -> usize {
     let mut end = 0;
     for &r in rows {
@@ -476,7 +491,8 @@ fn submatrix_body<const UNIT: bool>(
                 end += usize::from(member);
             }
         } else {
-            for (&c, &v) in row_cols.iter().zip(a.row_values(r)) {
+            let row_vals = &values[a.indptr()[r]..a.indptr()[r + 1]];
+            for (&c, &v) in row_cols.iter().zip(row_vals) {
                 let member = ranks.marks[c / 64] >> (c % 64) & 1 != 0;
                 staged_cols[end] = ranks.ranks[c];
                 staged_vals[end] = v;
@@ -641,17 +657,18 @@ mod tests {
         );
     }
 
-    /// A matrix whose memo read "unit" and whose values were then edited
-    /// takes the general path: the edited `2.0` is copied and the edited
-    /// stored zero dropped, where the unit path would write `1.0` for both.
+    /// A pattern whose values were then edited stores them and takes the
+    /// general path: the edited `2.0` is copied and the edited stored zero
+    /// dropped, where the unit path would write `1.0` for both.
     #[test]
     fn an_edit_after_the_unit_memo_takes_the_general_path() {
         let mut a = figure1_graph();
         let (rows, cols) = ([1usize, 4, 1], [0usize, 1, 2, 3, 5]);
         let mut ws = SpgemmWorkspace::new();
         let unit = extract_submatrix_with(&a, &rows, &cols, &mut ws).unwrap();
-        assert!(a.is_unit_valued() && unit.values().iter().all(|&v| v == 1.0));
+        assert!(a.is_unit_valued() && unit.is_unit_valued());
         a.row_values_mut(1).copy_from_slice(&[2.0, 0.0, 1.0]); // columns 0, 2, 4
+        assert!(!a.is_unit_valued());
         let got = extract_submatrix_with(&a, &rows, &cols, &mut ws).unwrap();
         let gathered = extract_rows(&a, &rows, Parallelism::serial()).unwrap();
         assert_eq!(got, extract_columns_masked(&gathered, &cols).unwrap());
@@ -709,7 +726,7 @@ mod tests {
             let mut a = a;
             let nnz = a.nnz();
             if nnz > 0 {
-                let mut values = a.values().to_vec();
+                let mut values: Vec<f64> = a.value_iter().collect();
                 for z in &zeros {
                     values[z % nnz] = 0.0;
                 }
@@ -729,8 +746,9 @@ mod tests {
             prop_assert_eq!(got, expected);
         }
 
-        /// On a unit-valued matrix the index-only path equals the gather
-        /// followed by the masked filter.
+        /// On a pattern the index-only paths of the gather, the masked
+        /// filter and the submatrix filter equal their general paths on the
+        /// pattern's stored twin, and return patterns.
         #[test]
         fn prop_unit_submatrix_equals_gather_then_mask(
             a in arb_matrix(),
@@ -747,7 +765,29 @@ mod tests {
             let gathered = extract_rows(&a, &rows, Parallelism::serial()).unwrap();
             let expected = extract_columns_masked(&gathered, &cols).unwrap();
             let got = with_workspace(|ws| extract_submatrix_with(&a, &rows, &cols, ws)).unwrap();
-            prop_assert_eq!(got, expected);
+            prop_assert_eq!(&got, &expected);
+            let twin = crate::csr::oracle::stored_twin(&a);
+            let bits = crate::csr::oracle::bits;
+            for threads in [1usize, 2, 8] {
+                let par = Parallelism::new(threads);
+                let (unit, stored) = (extract_rows(&a, &rows, par), extract_rows(&twin, &rows, par));
+                let (unit, stored) = (unit.unwrap(), stored.unwrap());
+                prop_assert!(unit.is_unit_valued());
+                prop_assert_eq!(bits(&unit), bits(&stored));
+                prop_assert_eq!(&unit, &stored);
+            }
+            let twin_gathered = extract_rows(&twin, &rows, Parallelism::serial()).unwrap();
+            let masked = extract_columns_masked(&twin_gathered, &cols).unwrap();
+            prop_assert!(expected.is_unit_valued() && got.is_unit_valued());
+            prop_assert_eq!(bits(&expected), bits(&masked));
+            let mut twice = cols.clone();
+            twice.extend_from_slice(&cols);
+            let (unit, stored) = (extract_columns_masked(&a, &twice), extract_columns_masked(&twin, &twice));
+            prop_assert_eq!(unit.unwrap(), stored.unwrap());
+            let from_twin =
+                with_workspace(|ws| extract_submatrix_with(&twin, &rows, &cols, ws)).unwrap();
+            prop_assert_eq!(bits(&got), bits(&from_twin));
+            prop_assert_eq!(got, from_twin);
         }
 
         #[test]

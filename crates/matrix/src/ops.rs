@@ -7,18 +7,18 @@
 //! result in `O(nnz of the selected rows)` — so the constructor remains as
 //! the reference formulation the extraction proptests pin against.  A product
 //! with several nonzeros per `Q` row (the LADIES indicator rows, built in
-//! place with [`CsrMatrix::from_raw`]) genuinely needs the general Gustavson
+//! place with [`CsrMatrix::from_pattern`]) genuinely needs the general Gustavson
 //! kernel of [`crate::spgemm`].
 
 use crate::csr::CsrMatrix;
 use crate::error::MatrixError;
-use crate::prefix::counts_to_offsets;
 use crate::Result;
 
 /// Builds a row-selection matrix `Q ∈ {0,1}^{b×n}` with one nonzero per row:
 /// row `i` selects column `selected[i]`.  Multiplying `Q · A` gathers the rows
 /// of `A` listed in `selected` — the GraphSAGE `Q^L` construction (§4.1.1)
-/// and the LADIES row-extraction matrix `Q_R` (§4.2.3).
+/// and the LADIES row-extraction matrix `Q_R` (§4.2.3).  `Q` is a pattern:
+/// its ones are not stored.
 ///
 /// # Errors
 ///
@@ -32,8 +32,7 @@ pub fn row_selection_matrix(selected: &[usize], n: usize) -> Result<CsrMatrix> {
             )));
         }
     }
-    let indptr = counts_to_offsets(&vec![1usize; rows]);
-    CsrMatrix::from_raw(rows, n, indptr, selected.to_vec(), vec![1.0; rows])
+    CsrMatrix::from_pattern(rows, n, (0..=rows).collect(), selected.to_vec())
 }
 
 #[cfg(test)]
@@ -84,7 +83,7 @@ mod tests {
     fn indicator_row_counts_neighbors() {
         let a = figure1_graph();
         // The LADIES indicator row of {1, 5}, built in place.
-        let q = CsrMatrix::from_raw(1, 6, vec![0, 2], vec![1, 5], vec![1.0; 2]).unwrap();
+        let q = CsrMatrix::from_pattern(1, 6, vec![0, 2], vec![1, 5]).unwrap();
         let p = spgemm(&q, &a).unwrap();
         // Aggregated neighborhood multiplicities of {1, 5}: [1, 0, 1, 1, 2, 0].
         assert_eq!(p.get(0, 0), 1.0);

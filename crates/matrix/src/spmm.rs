@@ -14,6 +14,14 @@
 //! accumulated in place.  Every output entry still starts at `+0.0` and adds
 //! `w · x` over the row's stored entries in order, so each copy is
 //! byte-identical to the textbook row loop.
+//!
+//! Each copy is compiled twice more for a pattern operand
+//! ([`CsrMatrix::is_unit_valued`], a sampled layer), picked once per call:
+//! no value is read, and every entry of a row weighs the same.  Under
+//! [`RowWeights::RowNormalized`] that weight is `1.0 / len`: a row of `len`
+//! ones sums to exactly `len`, so it is the division `v / Σv` performs on
+//! the stored row.  Under [`RowWeights::Stored`] it is the constant `1.0`,
+//! and the multiply by it goes away (`1.0 * x` is `x`, bit for bit).
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
@@ -36,14 +44,25 @@ pub enum RowWeights {
 }
 
 impl RowWeights {
-    /// What row `r`'s stored values are divided by, if anything.
-    fn divisor(self, sparse: &CsrMatrix, r: usize) -> Option<f64> {
+    /// What a row with the stored `values` divides them by, if anything.
+    fn divisor(self, values: &[f64]) -> Option<f64> {
         match self {
             RowWeights::Stored => None,
             RowWeights::RowNormalized => {
-                let sum: f64 = sparse.row_values(r).iter().sum();
+                let sum: f64 = values.iter().sum();
                 (sum != 0.0).then_some(sum)
             }
+        }
+    }
+
+    /// The weight of every entry of a pattern row of `len` entries, which
+    /// sums to exactly `len` (every partial sum is an integer below 2^53):
+    /// `1.0 / len`, the division `v / Σv` performs on the stored row, under
+    /// [`RowWeights::RowNormalized`], and `1.0` under [`RowWeights::Stored`].
+    fn unit_weight(self, len: usize) -> f64 {
+        match self {
+            RowWeights::Stored => 1.0,
+            RowWeights::RowNormalized => 1.0 / len as f64,
         }
     }
 }
@@ -183,9 +202,11 @@ fn spmm_rows_avx512(
     spmm_rows_body::<64>(sparse, dense, weights, rows, block)
 }
 
-/// The row kernel: each output row in `W`-column register blocks, then one
-/// block each of 32, 16 and 8 columns where `W` is wider and they fit, then
-/// the last `cols % 8` columns accumulated in place.
+/// The row kernel over rows `rows`, its unit-valued instantiation picked
+/// once from the variant of `sparse`'s values: a pattern row's entries all
+/// carry the one weight [`RowWeights::unit_weight`], and under
+/// [`RowWeights::Stored`] that is the constant `1.0`, whose multiply
+/// compiles away (`1.0 * x` is `x`, bit for bit).
 #[inline(always)]
 fn spmm_rows_body<const W: usize>(
     sparse: &CsrMatrix,
@@ -194,54 +215,89 @@ fn spmm_rows_body<const W: usize>(
     rows: Range<usize>,
     block: &mut [f64],
 ) {
-    let cols = dense.cols();
-    let x = dense.as_slice();
-    for (r, out) in rows.zip(block.chunks_exact_mut(cols)) {
-        let divisor = weights.divisor(sparse, r);
-        let entries = || sparse.row_indices(r).iter().zip(sparse.row_values(r));
-        let weight = |v: f64| divisor.map_or(v, |s| v / s);
-        let mut j = 0;
-        while j + W <= cols {
-            column_block::<W>(entries(), weight, x, cols, j, out);
-            j += W;
+    let (cols, x) = (dense.cols(), dense.as_slice());
+    let (indptr, indices) = (sparse.indptr(), sparse.indices());
+    let blocks = rows.zip(block.chunks_exact_mut(cols));
+    match (sparse.values(), weights) {
+        (None, RowWeights::Stored) => {
+            for (r, out) in blocks {
+                let row = &indices[indptr[r]..indptr[r + 1]];
+                spmm_row::<W, _>(|| row.iter().map(|&c| (c, 1.0)), x, cols, out);
+            }
         }
-        if W > 32 && j + 32 <= cols {
-            column_block::<32>(entries(), weight, x, cols, j, out);
-            j += 32;
+        (None, RowWeights::RowNormalized) => {
+            for (r, out) in blocks {
+                let row = &indices[indptr[r]..indptr[r + 1]];
+                let w = weights.unit_weight(row.len());
+                spmm_row::<W, _>(|| row.iter().map(move |&c| (c, w)), x, cols, out);
+            }
         }
-        if W > 16 && j + 16 <= cols {
-            column_block::<16>(entries(), weight, x, cols, j, out);
-            j += 16;
+        (Some(values), _) => {
+            for (r, out) in blocks {
+                let (lo, hi) = (indptr[r], indptr[r + 1]);
+                let (row, vals) = (&indices[lo..hi], &values[lo..hi]);
+                let divisor = weights.divisor(vals);
+                let weighted = |&v: &f64| divisor.map_or(v, |s| v / s);
+                spmm_row::<W, _>(
+                    || row.iter().copied().zip(vals.iter().map(weighted)),
+                    x,
+                    cols,
+                    out,
+                );
+            }
         }
-        if W > 8 && j + 8 <= cols {
-            column_block::<8>(entries(), weight, x, cols, j, out);
-            j += 8;
-        }
-        if j < cols {
-            for (&c, &v) in entries() {
-                let w = weight(v);
-                for (a, d) in out[j..].iter_mut().zip(&x[c * cols + j..(c + 1) * cols]) {
-                    *a += w * d;
-                }
+    }
+}
+
+/// One output row from its weighted `(column, weight)` entries: `W`-column
+/// register blocks, then one block each of 32, 16 and 8 columns where `W`
+/// is wider and they fit, then the last `cols % 8` columns accumulated in
+/// place.
+#[inline(always)]
+fn spmm_row<const W: usize, I: Iterator<Item = (usize, f64)>>(
+    entries: impl Fn() -> I,
+    x: &[f64],
+    cols: usize,
+    out: &mut [f64],
+) {
+    let mut j = 0;
+    while j + W <= cols {
+        column_block::<W>(entries(), x, cols, j, out);
+        j += W;
+    }
+    if W > 32 && j + 32 <= cols {
+        column_block::<32>(entries(), x, cols, j, out);
+        j += 32;
+    }
+    if W > 16 && j + 16 <= cols {
+        column_block::<16>(entries(), x, cols, j, out);
+        j += 16;
+    }
+    if W > 8 && j + 8 <= cols {
+        column_block::<8>(entries(), x, cols, j, out);
+        j += 8;
+    }
+    if j < cols {
+        for (c, w) in entries() {
+            for (a, d) in out[j..].iter_mut().zip(&x[c * cols + j..(c + 1) * cols]) {
+                *a += w * d;
             }
         }
     }
 }
 
 /// Columns `j..j + W` of one output row, summed from `+0.0` in registers
-/// over the row's stored `entries` in order and stored once.
+/// over the row's weighted `entries` in order and stored once.
 #[inline(always)]
-fn column_block<'a, const W: usize>(
-    entries: impl Iterator<Item = (&'a usize, &'a f64)>,
-    weight: impl Fn(f64) -> f64,
+fn column_block<const W: usize>(
+    entries: impl Iterator<Item = (usize, f64)>,
     x: &[f64],
     cols: usize,
     j: usize,
     out: &mut [f64],
 ) {
     let mut acc = [0.0f64; W];
-    for (&c, &v) in entries {
-        let w = weight(v);
+    for (c, w) in entries {
         let row: &[f64; W] = x[c * cols + j..][..W].try_into().expect("a block is W wide");
         for (a, &d) in acc.iter_mut().zip(row) {
             *a += w * d;
@@ -368,7 +424,8 @@ fn scatter_avx512(
 }
 
 /// The scatter: each input row's weighted columns `range` added into the
-/// slab rows its stored entries name, input rows in order.
+/// slab rows its stored entries name, input rows in order.  The unit-valued
+/// instantiation is picked once, as in [`spmm_rows_body`].
 #[inline(always)]
 fn scatter_body(
     sparse: &CsrMatrix,
@@ -378,14 +435,46 @@ fn scatter_body(
     slab: &mut [f64],
 ) {
     let width = range.len();
-    for r in 0..sparse.rows() {
-        let drow = &dense.row(r)[range.clone()];
-        let divisor = weights.divisor(sparse, r);
-        for (&c, &v) in sparse.row_indices(r).iter().zip(sparse.row_values(r)) {
-            let w = divisor.map_or(v, |s| v / s);
-            for (o, d) in slab[c * width..(c + 1) * width].iter_mut().zip(drow) {
-                *o += w * d;
+    let (indptr, indices) = (sparse.indptr(), sparse.indices());
+    let drows = (0..sparse.rows()).map(|r| (r, &dense.row(r)[range.clone()]));
+    match (sparse.values(), weights) {
+        (None, RowWeights::Stored) => {
+            for (r, drow) in drows {
+                let row = &indices[indptr[r]..indptr[r + 1]];
+                scatter_row(row.iter().map(|&c| (c, 1.0)), drow, width, slab);
             }
+        }
+        (None, RowWeights::RowNormalized) => {
+            for (r, drow) in drows {
+                let row = &indices[indptr[r]..indptr[r + 1]];
+                let w = weights.unit_weight(row.len());
+                scatter_row(row.iter().map(|&c| (c, w)), drow, width, slab);
+            }
+        }
+        (Some(values), _) => {
+            for (r, drow) in drows {
+                let (lo, hi) = (indptr[r], indptr[r + 1]);
+                let (row, vals) = (&indices[lo..hi], &values[lo..hi]);
+                let divisor = weights.divisor(vals);
+                let weighted = vals.iter().map(|&v| divisor.map_or(v, |s| v / s));
+                scatter_row(row.iter().copied().zip(weighted), drow, width, slab);
+            }
+        }
+    }
+}
+
+/// One input row's scatter: `w · drow` added into slab row `c` for each of
+/// its `(c, w)` entries, in order.
+#[inline(always)]
+fn scatter_row(
+    entries: impl Iterator<Item = (usize, f64)>,
+    drow: &[f64],
+    width: usize,
+    slab: &mut [f64],
+) {
+    for (c, w) in entries {
+        for (o, d) in slab[c * width..(c + 1) * width].iter_mut().zip(drow) {
+            *o += w * d;
         }
     }
 }
@@ -415,7 +504,7 @@ mod oracle {
         let n = dense.cols();
         let mut out = DenseMatrix::zeros(w.rows(), n);
         for r in 0..w.rows() {
-            for (&c, &v) in w.row_indices(r).iter().zip(w.row_values(r)) {
+            for (c, v) in w.row_entries(r) {
                 for j in 0..n {
                     out.as_mut_slice()[r * n + j] += v * dense.as_slice()[c * n + j];
                 }
@@ -434,7 +523,7 @@ mod oracle {
         let n = dense.cols();
         let mut out = DenseMatrix::zeros(w.cols(), n);
         for r in 0..w.rows() {
-            for (&c, &v) in w.row_indices(r).iter().zip(w.row_values(r)) {
+            for (c, v) in w.row_entries(r) {
                 for j in 0..n {
                     out.as_mut_slice()[c * n + j] += v * dense.as_slice()[r * n + j];
                 }
@@ -484,27 +573,40 @@ mod tests {
     /// scatter this CPU runs equals its textbook loop bit for bit, under
     /// both weightings, at widths around every register block, with empty,
     /// zero-sum and all-zero rows and `±0` operands, on one and three
-    /// threads (three split the scatter's columns into narrower slabs).
+    /// threads (three split the scatter's columns into narrower slabs).  The
+    /// unit-valued copies on a pattern equal the textbook loop on its
+    /// stored twin, which divides by the summed ones.
     #[test]
     fn every_copy_is_bit_identical_to_the_textbook_loops() {
         let mut rng = StdRng::seed_from_u64(51);
-        let sparse = awkward_sparse(&mut rng);
+        let awkward = awkward_sparse(&mut rng);
+        let (rows, cols) = awkward.shape();
+        let indptr = awkward.indptr().to_vec();
+        let pattern = CsrMatrix::from_pattern(rows, cols, indptr, awkward.indices().to_vec());
+        let pattern = pattern.unwrap();
+        let twin = crate::csr::oracle::stored_twin(&pattern);
+        for (sparse, reference) in [(&awkward, &awkward), (&pattern, &twin)] {
+            every_copy_matches(sparse, reference, &mut rng);
+        }
+    }
+
+    fn every_copy_matches(sparse: &CsrMatrix, reference: &CsrMatrix, rng: &mut StdRng) {
         for n in COLS {
-            let data = (0..sparse.cols() * n).map(|_| signed(&mut rng)).collect();
+            let data = (0..sparse.cols() * n).map(|_| signed(rng)).collect();
             let dense = DenseMatrix::from_vec(sparse.cols(), n, data).unwrap();
-            let data = (0..sparse.rows() * n).map(|_| signed(&mut rng)).collect();
+            let data = (0..sparse.rows() * n).map(|_| signed(rng)).collect();
             let dense_t = DenseMatrix::from_vec(sparse.rows(), n, data).unwrap();
             for weights in [RowWeights::Stored, RowWeights::RowNormalized] {
-                let want = bits(&oracle::spmm(&sparse, &dense, weights));
-                let want_t = bits(&oracle::spmm_transpose(&sparse, &dense_t, weights));
+                let want = bits(&oracle::spmm(reference, &dense, weights));
+                let want_t = bits(&oracle::spmm_transpose(reference, &dense_t, weights));
                 for isa in Isa::each_copy() {
                     for threads in [1usize, 3] {
                         let par = Parallelism::new(threads);
-                        let shape = format!("{isa:?} {weights:?} n={n} threads={threads}");
-                        let got = spmm_with(&sparse, &dense, weights, par, isa).unwrap();
+                        let unit = sparse.is_unit_valued();
+                        let shape = format!("{isa:?} {weights:?} n={n} threads={threads} {unit}");
+                        let got = spmm_with(sparse, &dense, weights, par, isa).unwrap();
                         assert_eq!(bits(&got), want, "spmm {shape}");
-                        let got =
-                            spmm_transpose_with(&sparse, &dense_t, weights, par, isa).unwrap();
+                        let got = spmm_transpose_with(sparse, &dense_t, weights, par, isa).unwrap();
                         assert_eq!(bits(&got), want_t, "spmm_transpose {shape}");
                     }
                 }

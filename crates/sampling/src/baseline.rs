@@ -15,7 +15,7 @@ use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
 use crate::sampler::{validate_batches, BulkSamplerConfig, Sampler};
 use crate::{Result, SamplingError};
 use dmbs_comm::{Phase, PhaseProfile};
-use dmbs_matrix::{CooMatrix, CsrMatrix};
+use dmbs_matrix::CsrMatrix;
 use rand::{Rng, RngCore};
 
 /// A Quiver-style per-vertex GraphSAGE sampler: no matrices, no bulk
@@ -102,13 +102,7 @@ impl Sampler for PerVertexSageSampler {
                     edges.push((i, col));
                 }
             }
-            let coo = CooMatrix::from_triples(
-                frontier.len(),
-                next.len(),
-                edges.iter().map(|&(r, c)| (r, c, 1.0)),
-            )?;
-            let mut a_l = CsrMatrix::from_coo(&coo);
-            a_l.map_values_inplace(|_| 1.0);
+            let a_l = CsrMatrix::from_edges(frontier.len(), next.len(), &edges)?;
             layers.push(LayerSample::new(frontier.clone(), next.clone(), a_l));
             frontier = next;
         }

@@ -46,8 +46,9 @@
 //!
 //! # Unit rows: one scan per length
 //!
-//! When every stored value of the matrix is exactly `1.0` — the adjacency of
-//! an unweighted graph, [`CsrMatrix::is_unit_valued`] — `Σx = Σx² = len`
+//! When the matrix is a pattern — every value exactly `1.0` and none
+//! stored, as in the adjacency of an unweighted graph
+//! ([`CsrMatrix::is_unit_valued`]) — `Σx = Σx² = len`
 //! holds exactly, so under both normalising laws every weight of a row is
 //! `1.0 / len` and its prefix scan depends on its length alone.  Each
 //! distinct length's scan is built once per call and every row of that
@@ -459,10 +460,36 @@ pub fn sample_rows_par(
     base_seed: u64,
     parallelism: Parallelism,
 ) -> Result<CsrMatrix> {
-    let row = |r| (p.row_indices(r), p.row_values(r));
-    let picks = sample_rows(p.rows(), row, RowLaw::Raw, false, s, base_seed, parallelism)?;
-    let values = vec![1.0; picks.indices.len()];
-    Ok(CsrMatrix::from_raw(p.rows(), p.cols(), picks.indptr, picks.indices, values)?)
+    let picks = sample_matrix_rows(p, p.rows(), |r| r, RowLaw::Raw, s, base_seed, parallelism)?;
+    Ok(CsrMatrix::from_pattern(p.rows(), p.cols(), picks.indptr, picks.indices)?)
+}
+
+/// [`sample_rows`] over `rows` rows of `a`, row `i` being row `select(i)`,
+/// read in place.  The unit-valued instantiation is picked once, from
+/// whether `a` is a pattern.
+pub(crate) fn sample_matrix_rows(
+    a: &CsrMatrix,
+    rows: usize,
+    select: impl Fn(usize) -> usize + Sync,
+    law: RowLaw,
+    s: usize,
+    base_seed: u64,
+    parallelism: Parallelism,
+) -> Result<Picks> {
+    let indptr = a.indptr();
+    match a.values() {
+        None => {
+            let row = |i| (a.row_indices(select(i)), &[][..]);
+            sample_rows(rows, row, law, true, s, base_seed, parallelism)
+        }
+        Some(values) => {
+            let row = |i| {
+                let r = select(i);
+                (a.row_indices(r), &values[indptr[r]..indptr[r + 1]])
+            };
+            sample_rows(rows, row, law, false, s, base_seed, parallelism)
+        }
+    }
 }
 
 /// The picked columns of every row of a draw, CSR-style without values:
@@ -498,10 +525,12 @@ thread_local! {
 /// count, and to materialising the rows, applying `law` as a pass and
 /// calling [`sample_rows_par`].
 ///
-/// `unit_rows` says that every stored value is exactly `1.0`
-/// ([`CsrMatrix::is_unit_valued`]).  Under a normalising law each row is then
-/// drawn from its length's scan, built once per call and thread, and its
-/// values are never read; the scans this adds never exceed the rows' nonzeros.
+/// `unit_rows` says that the rows come from a pattern
+/// ([`CsrMatrix::is_unit_valued`]): every value is `1.0`, and the values
+/// `row` returns are empty, never read.  Under a normalising law each row is
+/// then drawn from its length's scan, built once per call and thread; the
+/// scans this adds never exceed the rows' nonzeros.  Under
+/// [`RowLaw::Raw`] each weight is the `1.0` itself.
 pub(crate) fn sample_rows<'a, F>(
     rows: usize,
     row: F,
@@ -530,7 +559,9 @@ where
                 let (cols, values) = row(i);
                 let mut rng = StdRng::seed_from_u64(row_stream_seed(base_seed, i));
                 if unit {
-                    draw.draw_unit(values.len(), tables, s, &mut rng)?;
+                    draw.draw_unit(cols.len(), tables, s, &mut rng)?;
+                } else if unit_rows {
+                    draw.draw(cols.len(), |_| 1.0, s, &mut rng)?;
                 } else {
                     draw.draw_row(values, law, s, &mut rng)?;
                 }
@@ -974,16 +1005,24 @@ pub(crate) mod tests {
         sample_rows_par(&p, s, seed, parallelism).unwrap()
     }
 
-    /// `law` applied to every row of `p` as a pass of its own.
+    /// `law` applied to every row of `p` as a pass of its own, over every
+    /// value a pattern's ones included: square each value for
+    /// [`RowLaw::SquaredNormalized`], then divide by the row's sum unless
+    /// it is zero, as `normalize_rows` does on stored values.
     fn apply_law(p: &mut CsrMatrix, law: RowLaw) {
-        match law {
-            RowLaw::Raw => {}
-            RowLaw::Normalized => p.normalize_rows(),
-            RowLaw::SquaredNormalized => {
-                p.map_values_inplace(|v| v * v);
-                p.normalize_rows();
-            }
+        if law == RowLaw::Raw {
+            return;
         }
+        let rows = (0..p.rows())
+            .map(|r| {
+                let squared = law == RowLaw::SquaredNormalized;
+                let row: Vec<(usize, f64)> =
+                    p.row_entries(r).map(|(c, v)| (c, if squared { v * v } else { v })).collect();
+                let sum: f64 = row.iter().map(|&(_, v)| v).sum();
+                row.into_iter().map(|(c, v)| (c, if sum != 0.0 { v / sum } else { v })).collect()
+            })
+            .collect();
+        *p = CsrMatrix::from_rows(p.rows(), p.cols(), rows).unwrap();
     }
 
     /// The fused draw over rows `select` of `a`, read in place, as a matrix.
@@ -995,11 +1034,9 @@ pub(crate) mod tests {
         seed: u64,
         parallelism: Parallelism,
     ) -> CsrMatrix {
-        let row = |i: usize| (a.row_indices(select[i]), a.row_values(select[i]));
-        let unit = a.is_unit_valued();
-        let picks = sample_rows(select.len(), row, law, unit, s, seed, parallelism).unwrap();
-        let values = vec![1.0; picks.indices.len()];
-        CsrMatrix::from_raw(select.len(), a.cols(), picks.indptr, picks.indices, values).unwrap()
+        let picks =
+            sample_matrix_rows(a, select.len(), |i| select[i], law, s, seed, parallelism).unwrap();
+        CsrMatrix::from_pattern(select.len(), a.cols(), picks.indptr, picks.indices).unwrap()
     }
 
     /// A row of `len` stored values of one `kind`: unit, weighted, weighted
@@ -1037,11 +1074,12 @@ pub(crate) mod tests {
                 for law in [RowLaw::Raw, RowLaw::Normalized, RowLaw::SquaredNormalized] {
                     let mut scratch = DrawScratch::default();
                     let mut draws = StdRng::seed_from_u64(1);
-                    scratch.draw_row(row.row_values(0), law, 1, &mut draws).unwrap();
+                    let values: Vec<f64> = row.value_iter().collect();
+                    scratch.draw_row(&values, law, 1, &mut draws).unwrap();
                     let mut normalized = row.clone();
                     apply_law(&mut normalized, law);
                     let mut positive: Vec<f64> =
-                        normalized.values().iter().copied().filter(|&w| w > 0.0).collect();
+                        normalized.value_iter().filter(|&w| w > 0.0).collect();
                     if positive.is_empty() {
                         positive = vec![1.0; len];
                     }
@@ -1159,8 +1197,7 @@ pub(crate) mod tests {
                 CsrMatrix::from_rows(1, n, vec![(0..n).map(|c| (c, 1.0)).collect()]).unwrap();
             apply_law(&mut row, law);
             let mut acc = 0.0;
-            row.values()
-                .iter()
+            row.value_iter()
                 .map(|w| {
                     acc += w;
                     f64::to_bits(acc)
@@ -1197,7 +1234,7 @@ pub(crate) mod tests {
                     for seed in 0..20 {
                         let oracle = materialized_draw(&a, &select, law, s, seed, par);
                         assert_eq!(fused_draw(&a, &select, law, s, seed, par), oracle);
-                        let row = |i: usize| (a.row_indices(select[i]), a.row_values(select[i]));
+                        let row = |i: usize| (a.row_indices(select[i]), &[][..]);
                         let forced = sample_rows(select.len(), row, law, true, s, seed, par);
                         forced_differs |= forced.unwrap().indices != oracle.indices();
                     }

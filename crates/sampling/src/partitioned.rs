@@ -269,7 +269,11 @@ fn reply_slab(block: &CsrMatrix, block_range: &Range<usize>, request: &[usize]) 
         let local = gid - block_range.start;
         lens.push(block.row_nnz(local));
         indices.extend_from_slice(block.row_indices(local));
-        values.extend_from_slice(block.row_values(local));
+        // The wire carries a pattern's ones as stored values.
+        match block.row_values(local) {
+            Some(row) => values.extend_from_slice(row),
+            None => values.resize(indices.len(), 1.0),
+        }
     }
     Ok((lens, indices, values))
 }
@@ -593,12 +597,8 @@ mod tests {
             let partial_nnz = |row: usize, col: usize| -> usize {
                 let blocks = col * stages..((col + 1) * stages).min(rows);
                 let owned = |v: usize| blocks.contains(&partition.owner_of(v));
-                let kept = (0..n)
-                    .map(|v| {
-                        let entries = a.row_indices(v).iter().zip(a.row_values(v));
-                        entries.filter(|_| owned(v)).map(|(&c, &x)| (c, x)).collect()
-                    })
-                    .collect();
+                let kept =
+                    (0..n).map(|v| a.row_entries(v).filter(|_| owned(v)).collect()).collect();
                 spgemm(&q_block(row, n), &CsrMatrix::from_rows(n, n, kept).unwrap()).unwrap().nnz()
             };
             let mut expected = vec![(0usize, 0usize); p];
@@ -674,7 +674,7 @@ mod tests {
     }
 
     fn value_bits(m: &CsrMatrix) -> Vec<u64> {
-        m.values().iter().map(|v| v.to_bits()).collect()
+        m.value_iter().map(f64::to_bits).collect()
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! already holds that row's probability and row-gather products, so it
 //! extracts every batch of the row itself, with no further communication.
 
-use crate::its::{its_without_replacement, sample_rows, Picks, RowLaw};
+use crate::its::{its_without_replacement, sample_matrix_rows, Picks, RowLaw};
 use crate::partitioned::{spgemm_1p5d, PinnedRows};
 use crate::plan::{BulkSampleOutput, LayerSample, MinibatchSample};
 use crate::sage::extract_batch;
@@ -64,18 +64,13 @@ impl RowView<'_> {
         self.a.cols()
     }
 
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let r = self.select[i];
-        (self.a.row_indices(r), self.a.row_values(r))
-    }
-
     /// `SAMPLE(NORM(P), s)`: up to `s` columns of every row, drawn under
-    /// `law` with the per-row streams of `seed`.  Unit-ness is a property of
-    /// the matrix, memoised there: `A` of an unweighted graph, and the 1.5D
-    /// product of a 0/1 selection with it.
+    /// `law` with the per-row streams of `seed`.  Unit-ness is the matrix's
+    /// variant, read once: `A` of an unweighted graph is a pattern, and so
+    /// is the 1.5D product of a 0/1 selection with it.
     fn draw(&self, law: RowLaw, s: usize, seed: u64, parallelism: Parallelism) -> Result<Picks> {
-        let unit = self.a.is_unit_valued();
-        sample_rows(self.len(), |i| self.row(i), law, unit, s, seed, parallelism)
+        let select = |i: usize| self.select[i];
+        sample_matrix_rows(&self.a, self.len(), select, law, s, seed, parallelism)
     }
 
     /// The rows `rows` of the view restricted to the sorted vertex set
@@ -382,11 +377,11 @@ fn sorted_unique(vertices: &[usize]) -> Vec<usize> {
     unique
 }
 
-/// The `k × n` LADIES `Q`: row `i` has a one at every vertex of `unique[i]`.
+/// The `k × n` LADIES `Q`: row `i` has a one at every vertex of `unique[i]`,
+/// a pattern.
 fn indicator_rows(unique: &[Vec<usize>], n: usize) -> Result<CsrMatrix> {
     let (indices, indptr) = stack(unique);
-    let values = vec![1.0; indices.len()];
-    Ok(CsrMatrix::from_raw(unique.len(), n, indptr, indices, values)?)
+    Ok(CsrMatrix::from_pattern(unique.len(), n, indptr, indices)?)
 }
 
 /// The sorted union of two sorted, duplicate-free vertex lists.

@@ -128,8 +128,7 @@ pub(crate) fn extract_batch(
         }
         indptr.push(indices.len());
     }
-    let values = vec![1.0; indices.len()];
-    let block = CsrMatrix::from_raw(rows.len(), kept.len(), indptr, indices, values)?;
+    let block = CsrMatrix::from_pattern(rows.len(), kept.len(), indptr, indices)?;
     Ok((block, kept))
 }
 
@@ -175,9 +174,8 @@ fn with_self_loops(block: &CsrMatrix, frontier: &[usize]) -> Result<CsrMatrix> {
         indices.extend_from_slice(&cols[at..]);
         indptr.push(indices.len());
     }
-    let values = vec![1.0; indices.len()];
     // Validating: a frontier vertex outside the block's columns is rejected.
-    Ok(CsrMatrix::from_raw(block.rows(), block.cols(), indptr, indices, values)?)
+    Ok(CsrMatrix::from_pattern(block.rows(), block.cols(), indptr, indices)?)
 }
 
 impl Sampler for GraphSageSampler {

@@ -132,15 +132,15 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
 const PINNED: [(&str, Allocs); 6] = [
     ("forward step", Allocs { count: 20, bytes: 956_408 }),
     ("backward step", Allocs { count: 27, bytes: 460_440 }),
-    ("graphsage bulk sampling step", Allocs { count: 98, bytes: 1_634_424 }),
-    ("ladies bulk sampling step", Allocs { count: 148, bytes: 1_889_496 }),
-    ("served request", Allocs { count: 73, bytes: 214_672 }),
+    ("graphsage bulk sampling step", Allocs { count: 86, bytes: 1_200_888 }),
+    ("ladies bulk sampling step", Allocs { count: 133, bytes: 1_104_496 }),
+    ("served request", Allocs { count: 70, bytes: 206_192 }),
     ("1.5d probability step", Allocs { count: 25, bytes: 157_112 }),
 ];
 
 /// The pinned high-water marks of live bytes of the two sampling units.
 const PINNED_LIVE_PEAK: [(&str, i64); 2] =
-    [("graphsage bulk sampling step", 1_499_792), ("ladies bulk sampling step", 1_933_012)];
+    [("graphsage bulk sampling step", 1_066_256), ("ladies bulk sampling step", 1_144_252)];
 
 const FANOUTS: [usize; 3] = [15, 10, 5];
 

@@ -113,7 +113,7 @@ fn digest(epoch: &EpochSamples) -> u64 {
             fold(&mut hash, ids(&layer.cols));
             fold(&mut hash, ids(layer.adjacency.indptr()));
             fold(&mut hash, ids(layer.adjacency.indices()));
-            fold(&mut hash, layer.adjacency.values().iter().map(|v| v.to_bits()));
+            fold(&mut hash, layer.adjacency.value_iter().map(f64::to_bits));
         }
     }
     hash
