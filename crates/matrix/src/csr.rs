@@ -1017,6 +1017,59 @@ mod tests {
         }
     }
 
+    /// Unit-ness is the variant of the values, so no mutator can leave a
+    /// stale answer: a value other than one makes the matrix stored, and
+    /// mapping every value back to one makes it a pattern again.
+    #[test]
+    fn unit_valued_memo_is_cleared_by_every_value_mutator() {
+        let a = figure1_graph();
+        assert!(a.is_unit_valued());
+        let mutators: [fn(&mut CsrMatrix); 3] = [
+            |m| m.row_values_mut(1)[0] = 2.0,
+            |m| m.map_values_inplace(|v| v * 3.0),
+            CsrMatrix::normalize_rows, // vertex 1's three neighbours each become 1/3
+        ];
+        for mutate in mutators {
+            let mut m = a.clone();
+            assert!(m.is_unit_valued(), "the clone is a pattern");
+            mutate(&mut m);
+            assert!(!m.is_unit_valued());
+            assert!(m.values().is_some());
+            m.map_values_inplace(|_| 1.0);
+            assert!(m.is_unit_valued() && m.values().is_none());
+            assert_eq!(m, a);
+        }
+        let weighted = CsrMatrix::from_rows(1, 2, vec![vec![(0, 1.0), (1, 0.5)]]).unwrap();
+        assert!(!weighted.is_unit_valued());
+        assert!(CsrMatrix::zeros(2, 2).is_unit_valued());
+    }
+
+    /// Whether the values are stored takes no part in equality: a pattern
+    /// equals the same matrix rebuilt from its values and its stored twin,
+    /// both ways round.
+    #[test]
+    fn the_unit_memo_takes_no_part_in_equality() {
+        let a = figure1_graph();
+        assert!(a.is_unit_valued());
+        let fresh = CsrMatrix::from_raw(
+            a.rows(),
+            a.cols(),
+            a.indptr().to_vec(),
+            a.indices().to_vec(),
+            a.value_iter().collect(),
+        )
+        .unwrap();
+        assert!(fresh.is_unit_valued());
+        assert_eq!(a, fresh);
+        assert_eq!(fresh, a);
+        let twin = oracle::stored_twin(&a);
+        assert!(!twin.is_unit_valued());
+        assert_eq!(twin, fresh);
+        assert_eq!(fresh, twin);
+        assert_ne!(a, a.map_values(|v| v * 2.0));
+        assert_ne!(twin, a.map_values(|v| v * 2.0));
+    }
+
     #[test]
     fn normalize_rows_skips_empty() {
         let mut m = CsrMatrix::zeros(2, 2);
